@@ -266,6 +266,9 @@ let schedule_cmd =
     if stats then begin
       Format.printf "inquiry engine: %a@." Core.Inquiry.pp_stats
         outcome.Core.Flow.inquiry;
+      let count name = Core.Metricsreg.(counter_value (counter name)) in
+      Format.printf "list scheduler: %d steps, %d replayed from the prefix memo@."
+        (count "sched.steps") (count "sched.replayed_steps");
       print_string (Core.Report.pool_stats (Core.Pool.stats (Core.Pool.default ())))
     end;
     if gantt then Format.printf "%a@." Core.Schedule.pp outcome.Core.Flow.schedule;
@@ -291,7 +294,8 @@ let schedule_cmd =
     Arg.(value & flag
          & info [ "stats" ]
              ~doc:"Print the thermal inquiry-engine statistics (inquiries, \
-                   cache hits, fixed-point iterations, solves, wall time).")
+                   cache hits, fixed-point iterations, solves, wall time) and \
+                   the list scheduler's step and replayed-step counts.")
   in
   let svg_arg =
     Arg.(value & opt (some string) None

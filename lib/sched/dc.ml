@@ -42,4 +42,6 @@ let cost_thermal ~engine ~base ~idle ~finish ~pe ~task_power =
     ~ambient:(Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
     ~avg_temp:(Tats_util.Stats.mean temps)
 
-let value ~sc ~wcet ~start ~cost ~weight = sc -. wcet -. start -. (weight *. cost)
+let part ~sc ~wcet ~start = sc -. wcet -. start
+let weigh ~part ~cost ~weight = part -. (weight *. cost)
+let value ~sc ~wcet ~start ~cost ~weight = weigh ~part:(part ~sc ~wcet ~start) ~cost ~weight

@@ -46,4 +46,12 @@ val cost_thermal :
 val value :
   sc:float -> wcet:float -> start:float -> cost:float -> weight:float -> float
 (** [DC = sc - wcet - start - weight * cost]. [start] is
-    [max(PE available, task ready)]. *)
+    [max(PE available, task ready)]. Equal, bit for bit, to
+    [weigh ~part:(part ~sc ~wcet ~start) ~cost ~weight]. *)
+
+val part : sc:float -> wcet:float -> start:float -> float
+(** The weight-free part of {!value}: [sc - wcet - start]. *)
+
+val weigh : part:float -> cost:float -> weight:float -> float
+(** [part - weight * cost]: the weighting step of {!value}, for callers
+    that evaluate one candidate at several weights. *)

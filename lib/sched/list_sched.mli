@@ -67,4 +67,20 @@ val run_adaptive :
     multiplier 0 the policy degenerates to Baseline; if even that misses
     the deadline the infeasible schedule is returned (the architecture is
     too small; co-synthesis reacts by adding a PE). Returns the chosen
-    schedule and the weights that produced it. *)
+    schedule and the weights that produced it.
+
+    The attempts share a decision-prefix memo, a trie keyed by the
+    committed (task, PE) choices. It rests on one invariant: a step's
+    admissible candidates, and every input of their DC except the cost
+    weight (start times, costs, thermal inquiries), depend only on the
+    decisions committed before it. So each trie node stores, per
+    candidate in scan order, the weight-free part of {!Dc.value}
+    ({!Dc.part}) and the cost; an attempt re-picks the winner of a step
+    some earlier attempt reached with {!Dc.weigh} at its own weight, and
+    computes start times and issues inquiries only once its decisions
+    leave every earlier attempt's path. Results are bit-identical to
+    bisecting over fresh {!run} calls. Memory: at most one node per
+    scheduled step of each attempt ([(search_steps + 2) x n_tasks] nodes),
+    each holding four words per candidate (at most ready tasks x PEs); the
+    memo is local to the call and dropped when it returns. Replayed steps
+    are counted in the [sched.replayed_steps] metric. *)

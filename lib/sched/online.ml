@@ -468,11 +468,13 @@ let run ?weights ?hotspot ?constraints ?(time_unit = 1e-3) ~arrivals ~graph
     ~lib ~pes ~policy () =
   Trace.with_span "online.run"
     ~args:
-      [
-        ("policy", Trace.Str (Format.asprintf "%a" pp_policy policy));
-        ("tasks", Trace.Int (Graph.n_tasks graph));
-        ("pes", Trace.Int (Array.length pes));
-      ]
+      (if Trace.enabled () then
+         [
+           ("policy", Trace.Str (Format.asprintf "%a" pp_policy policy));
+           ("tasks", Trace.Int (Graph.n_tasks graph));
+           ("pes", Trace.Int (Array.length pes));
+         ]
+       else [])
   @@ fun () ->
   let schedule, stats =
     plan ?weights ?hotspot ?constraints ~time_unit ~release:arrivals

@@ -126,7 +126,7 @@ type t = {
   n : int;
   ambient : float;
   cols : float array array; (* cols.(j).(i) = dT_i per W injected at block j *)
-  cache : (int64 array, float array * int) Hashtbl.t;
+  cache : (string, float array * int) Hashtbl.t; (* keyed by [cache_key] *)
   counters : counters;
   mutable warm : float array option;
   (* Guards [cache], [warm] and [counters]; the influence matrix itself is
@@ -140,13 +140,20 @@ let default_tol = 1e-6
 
 (* Cache keys quantize powers to 1 nW, far below any physically meaningful
    difference but fine enough that only repeats of the same computation
-   collide — a hit returns temperatures indistinguishable from a resolve. *)
+   collide — a hit returns temperatures indistinguishable from a resolve.
+   The 2n quantized values (dynamic, then idle) are packed as little-endian
+   int64s into one 16n-byte string: a single flat block, where an int64
+   array would box every slot. *)
 let quantize p = Int64.of_float (Float.round (p *. 1e9))
 
 let cache_key ~dynamic ~idle =
   let n = Array.length dynamic in
-  Array.init (2 * n)
-    (fun i -> if i < n then quantize dynamic.(i) else quantize idle.(i - n))
+  let key = Bytes.create (16 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le key (8 * i) (quantize dynamic.(i));
+    Bytes.set_int64_le key (8 * (n + i)) (quantize idle.(i))
+  done;
+  Bytes.unsafe_to_string key
 
 let max_cache_entries = 1 lsl 16
 

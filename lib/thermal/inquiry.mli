@@ -18,10 +18,10 @@
     path to floating-point noise (well within 1e-6 °C — see
     [test/test_inquiry.ml]).
 
-    Inquiries are cached keyed on the (1 nW-quantized) power vectors;
-    repeated inquiries — ubiquitous under [List_sched.run_adaptive]'s
-    bisection, which re-schedules the same prefixes over and over — are
-    served from the cache. Hit/miss, fixed-point-iteration, factored-solve
+    Inquiries are cached keyed on the (1 nW-quantized) power vectors,
+    packed into one string; repeated inquiries are served from the cache
+    ([List_sched.run_adaptive] no longer re-issues the inquiries of
+    decision prefixes its earlier attempts already scanned). Hit/miss, fixed-point-iteration, factored-solve
     and wall-time counters are kept per engine and globally.
 
     {1 Thread safety}

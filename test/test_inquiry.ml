@@ -225,6 +225,58 @@ let test_cache_bypassed_on_non_default_settings () =
   let s = Inquiry.stats engine in
   Alcotest.(check int) "no hits off the default path" 0 s.Inquiry.cache_hits
 
+(* The cache key packs the 1 nW-quantized dynamic and idle vectors: equal
+   quantized vectors must share an entry and any one-quantum difference in
+   any slot must not. *)
+let test_cache_key_quantization () =
+  let engine = Hotspot.inquiry (platform_hotspot 4) in
+  let dynamic = [| 1.5; 2.25; 0.5; 3.0 |] in
+  let hits () = (Inquiry.stats engine).Inquiry.cache_hits in
+  let query ~dynamic ~idle =
+    ignore (Inquiry.query_with_leakage engine ~dynamic ~idle : float array)
+  in
+  query ~dynamic ~idle:idle4;
+  (* 0.01 nW away: the same quantum. *)
+  let near = Array.map (fun p -> p +. 1e-11) dynamic in
+  query ~dynamic:near ~idle:(Array.map (fun p -> p -. 1e-11) idle4);
+  Alcotest.(check int) "same quantum shares an entry" 1 (hits ());
+  for slot = 0 to 7 do
+    let bump a i = Array.mapi (fun j p -> if j = i then p +. 1e-9 else p) a in
+    let dynamic, idle =
+      if slot < 4 then (bump dynamic slot, idle4) else (dynamic, bump idle4 (slot - 4))
+    in
+    let before = hits () in
+    query ~dynamic ~idle;
+    Alcotest.(check int) (Printf.sprintf "one quantum off in slot %d misses" slot)
+      before (hits ())
+  done
+
+let test_cache_key_signed_zero () =
+  let engine = Hotspot.inquiry (platform_hotspot 4) in
+  let a =
+    Inquiry.query_with_leakage engine ~dynamic:[| 0.0; 2.0; 0.0; 1.0 |] ~idle:idle4
+  in
+  let b =
+    Inquiry.query_with_leakage engine ~dynamic:[| -0.0; 2.0; -0.0; 1.0 |]
+      ~idle:idle4
+  in
+  Alcotest.(check int) "-0.0 hits the 0.0 entry" 1
+    (Inquiry.stats engine).Inquiry.cache_hits;
+  Alcotest.(check (float 0.0)) "same temperatures" 0.0 (max_abs_diff a b)
+
+let test_cache_hit_copies () =
+  (* A hit's result is the caller's to mutate: a later hit must still see
+     the stored temperatures. *)
+  let engine = Hotspot.inquiry (platform_hotspot 4) in
+  let dynamic = [| 4.0; 0.5; 1.25; 2.0 |] in
+  let fresh = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
+  let expected = Array.copy fresh in
+  let hit = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
+  Array.fill hit 0 (Array.length hit) (-1000.0);
+  let again = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
+  Alcotest.(check int) "two hits" 2 (Inquiry.stats engine).Inquiry.cache_hits;
+  Alcotest.(check (float 0.0)) "unpoisoned" 0.0 (max_abs_diff expected again)
+
 (* --- counters ------------------------------------------------------------- *)
 
 let test_create_costs_n_blocks_factored_solves () =
@@ -348,6 +400,9 @@ let () =
           Alcotest.test_case "serves repeats" `Quick test_cache_serves_repeats;
           Alcotest.test_case "bypassed off defaults" `Quick
             test_cache_bypassed_on_non_default_settings;
+          Alcotest.test_case "key quantization" `Quick test_cache_key_quantization;
+          Alcotest.test_case "key signed zero" `Quick test_cache_key_signed_zero;
+          Alcotest.test_case "hit copies" `Quick test_cache_hit_copies;
         ] );
       ( "counters",
         [
