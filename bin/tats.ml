@@ -130,6 +130,14 @@ let parse_constraints ~pins ~pin_kinds ~isolate =
     isolation = List.map (pair "isolate" "CLASS") isolate;
   }
 
+(* The fixed architecture a command runs on: the named builtin platform,
+   or [n_pes] identical standard cores. *)
+let resolve_platform ~n_pes = function
+  | Some name -> or_die (parse_platform name)
+  | None ->
+      if n_pes < 1 then or_die (Error "--n-pes must be at least 1");
+      Core.Catalog.std_platform n_pes
+
 let platform_arg =
   let doc =
     "Typed (possibly heterogeneous) builtin platform: std4, biglittle4 or \
@@ -227,15 +235,10 @@ let schedule_cmd =
     let outcome =
       try
         match arch with
-        | "platform" -> (
-            match platform with
-            | None ->
-                Core.Flow.run_platform ~constraints ~graph
-                  ~lib:(Core.Catalog.platform_library ()) ~policy ()
-            | Some name ->
-                let p = or_die (parse_platform name) in
-                Core.Flow.run_platform ~platform:p ~constraints ~graph
-                  ~lib:(Core.Catalog.library_for p) ~policy ())
+        | "platform" ->
+            let platform = resolve_platform ~n_pes:4 platform in
+            Core.Flow.run_platform ~platform ~constraints ~graph
+              ~lib:(Core.Catalog.library_for platform) ~policy ()
         | "cosynth" ->
             if
               platform <> None || pins <> [] || pin_kinds <> [] || isolate <> []
@@ -735,26 +738,14 @@ let online_cmd =
     if mean_gap <= 0.0 then or_die (Error "--mean-gap must be positive");
     let graph = Core.Benchmarks.load bench in
     let constraints = parse_constraints ~pins ~pin_kinds ~isolate in
-    let platform =
-      match platform with
-      | None -> None
-      | Some name -> Some (or_die (parse_platform name))
-    in
-    let lib =
-      match platform with
-      | None -> Core.Catalog.platform_library ()
-      | Some p -> Core.Catalog.library_for p
-    in
+    let arch = resolve_platform ~n_pes platform in
     let o =
       try
-        Core.Flow.run_online ~n_pes ?platform ~constraints ~mean_gap ~arrivals
-          ~graph ~lib ~policy ()
+        Core.Flow.run_online ~platform:arch ~constraints ~mean_gap ~arrivals
+          ~graph ~lib:(Core.Catalog.library_for arch) ~policy ()
       with
       | Core.Constraints.Invalid msg -> or_die (Error msg)
       | Core.Constraints.Infeasible msg -> or_die (Error msg)
-    in
-    let n_pes =
-      match platform with None -> n_pes | Some p -> Core.Platform.n_pes p
     in
     let stats = o.Core.Flow.online.Core.Online.stats in
     Format.printf "%s / %a / %s arrivals%s on %d PEs%s@."
@@ -764,10 +755,10 @@ let online_cmd =
       | Core.Flow.Release_sporadic s ->
           Printf.sprintf " (seed %d, mean gap %g)" s mean_gap
       | Core.Flow.Release_zero | Core.Flow.Release_trace -> "")
-      n_pes
+      (Core.Platform.n_pes arch)
       (match platform with
       | None -> ""
-      | Some p -> Printf.sprintf " (platform %s)" (Core.Platform.name p));
+      | Some name -> Printf.sprintf " (platform %s)" name);
     Format.printf
       "event loop: %d events, %d decisions, %d candidates evaluated, %d \
        cooldown deferrals@."

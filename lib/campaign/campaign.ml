@@ -543,16 +543,16 @@ let run_cell (c : cell) : result =
   let constraints =
     { Constraints.pins = c.platform.pins; isolation = c.platform.isolation }
   in
+  let fixed platform =
+    Flow.run_platform ~platform ~constraints ~package ~graph
+      ~lib:(Catalog.library_for platform) ~policy:c.policy ()
+  in
   let outcome =
     match c.platform.arch with
-    | Platform n_pes ->
-        Flow.run_platform ~n_pes ~constraints ~package ~graph
-          ~lib:(Catalog.platform_library ()) ~policy:c.policy ()
+    | Platform n_pes -> fixed (Catalog.std_platform n_pes)
     | Hetero name ->
         (* expand validated the name against the catalog already. *)
-        let platform = Option.get (Catalog.platform_named name) in
-        Flow.run_platform ~platform ~constraints ~package ~graph
-          ~lib:(Catalog.library_for platform) ~policy:c.policy ()
+        fixed (Option.get (Catalog.platform_named name))
     | Cosynth ->
         Flow.run_cosynthesis ~package ~graph ~lib:(Catalog.default_library ())
           ~policy:c.policy ()

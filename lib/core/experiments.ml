@@ -469,8 +469,8 @@ let hetero_demo ?(bench = 0) () =
         })
       (hetero_scenarios ())
   in
-  (* The tentpole's anchor: the typed single-kind platform must reproduce
-     the historical identical-cores path bit for bit, for every policy. *)
+  (* The named single-kind platform must reproduce the default [?n_pes]
+     platform bit for bit, for every policy. *)
   let degenerate_identical =
     let std4 = Option.get (Catalog.platform_named "std4") in
     let bits = Int64.bits_of_float in

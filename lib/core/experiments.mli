@@ -153,9 +153,9 @@ type hetero_demo = {
   h_bench : string;
   h_rows : hetero_row list;
   h_degenerate_identical : bool;
-      (** true iff the typed single-kind ["std4"] platform reproduced the
-          historical identical-cores path bit for bit under all five
-          policies (makespan, power, temperatures, arch cost) *)
+      (** true iff the named ["std4"] platform reproduced the default
+          [?n_pes] platform bit for bit under all five policies
+          (makespan, power, temperatures, arch cost) *)
 }
 
 val hetero_demo : ?bench:int -> unit -> hetero_demo

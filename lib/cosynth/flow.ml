@@ -105,71 +105,73 @@ let schedule_with_policy ?weights ?constraints ~hotspot ~graph ~lib ~insts
       List_sched.run ?weights ?constraints ~hotspot ~graph ~lib ~pes:insts
         ~policy ()
 
-(* The library must have one WCET/WCPC column per platform kind (dense ids
-   on both sides, so a length check suffices after Library.check_kinds). *)
-let check_platform_lib ~what ~lib p =
-  if Array.length (Library.kinds lib) <> Platform.n_kinds p then
-    invalid_arg
-      (Printf.sprintf "%s: the library must have one kind per platform kind"
-         what)
+(* The grid-floorplan facade of a fixed platform: one block per PE slot,
+   sized by the slot kind's area. *)
+let platform_facade ?(package = Package.default) platform =
+  Hotspot.create ~package
+    (Grid.layout (blocks_of_insts (Platform.instances platform)))
+
+(* The one platform path's entry: [?n_pes] is sugar for [n_pes] identical
+   cores of the library's single kind. Either way the library needs one
+   WCET/WCPC column per platform kind (dense ids on both sides, so a
+   length check suffices after Library.check_kinds). *)
+let resolve_platform ~what ~lib ~n_pes = function
+  | Some p ->
+      if Array.length (Library.kinds lib) <> Platform.n_kinds p then
+        invalid_arg
+          (what ^ ": the library must have one kind per platform kind");
+      p
+  | None ->
+      if Array.length (Library.kinds lib) <> 1 then
+        invalid_arg (what ^ ": the platform library must have one kind");
+      if n_pes < 1 then invalid_arg (what ^ ": need at least one PE");
+      let kind = Library.kind lib 0 in
+      Platform.homogeneous
+        ~name:(Printf.sprintf "%dx%s" n_pes kind.Pe.kind_name)
+        ~kind ~n_pes
+
+(* A caller-supplied [hotspot] (the serving layer's shared facade) must
+   have one block per PE. *)
+let check_hotspot ~what ~platform = function
+  | Some h when Hotspot.n_blocks h <> Platform.n_pes platform ->
+      invalid_arg (what ^ ": hotspot block count must equal n_pes")
+  | _ -> ()
 
 let run_platform ?(n_pes = 4) ?platform ?constraints
     ?(package = Package.default) ?hotspot ?weights ?(leakage = true) ~graph
     ~lib ~policy () =
-  (match platform with
-  | None ->
-      if Array.length (Library.kinds lib) <> 1 then
-        invalid_arg "Flow.run_platform: the platform library must have one kind";
-      if n_pes < 1 then invalid_arg "Flow.run_platform: need at least one PE"
-  | Some p -> check_platform_lib ~what:"Flow.run_platform" ~lib p);
-  let n_pes =
-    match platform with None -> n_pes | Some p -> Platform.n_pes p
-  in
-  (match hotspot with
-  | Some h when Hotspot.n_blocks h <> n_pes ->
-      invalid_arg "Flow.run_platform: hotspot block count must equal n_pes"
-  | _ -> ());
+  let what = "Flow.run_platform" in
+  let platform = resolve_platform ~what ~lib ~n_pes platform in
+  check_hotspot ~what ~platform hotspot;
+  let n_pes = Platform.n_pes platform in
   Trace.with_span "flow.platform"
     ~args:
       [ ("pes", Trace.Int n_pes); ("policy", Trace.Str (Policy.name policy)) ]
   @@ fun () ->
-  let insts =
-    match platform with
-    | None -> Pe.instances (List.init n_pes (fun _ -> Library.kind lib 0))
-    | Some p -> Platform.instances p
-  in
   let log = ref [] in
   let push stage detail = log := { stage; detail } :: !log in
   push Allocation
-    (match platform with
-    | None -> Printf.sprintf "fixed platform: %d identical PEs" n_pes
-    | Some p ->
-        Printf.sprintf "typed platform %s: %d PEs, %d kinds" (Platform.name p)
-          n_pes (Platform.n_kinds p));
-  let placement, hotspot =
+    (Printf.sprintf "fixed platform %s: %d PEs, %d kinds"
+       (Platform.name platform) n_pes (Platform.n_kinds platform));
+  let hotspot =
     match hotspot with
     | Some h ->
         push Floorplanning "fixed grid floorplan (shared warmed facade)";
-        (Hotspot.placement h, h)
+        h
     | None ->
-        let placement = Grid.layout (blocks_of_insts insts) in
         push Floorplanning "fixed grid floorplan";
-        (placement, Hotspot.create ~package placement)
+        platform_facade ~package platform
   in
   let schedule =
-    schedule_with_policy ?weights ?constraints ~hotspot ~graph ~lib ~insts
-      ~policy ()
+    schedule_with_policy ?weights ?constraints ~hotspot ~graph ~lib
+      ~insts:(Platform.instances platform) ~policy ()
   in
   push Scheduling
     (Printf.sprintf "policy %s, makespan %.1f / deadline %.0f" (Policy.name policy)
        schedule.Schedule.makespan (Graph.deadline graph));
   push Thermal_extraction (inquiry_detail hotspot);
-  let arch_cost =
-    match platform with
-    | None -> float_of_int n_pes *. (Library.kind lib 0).Pe.cost
-    | Some p -> Platform.cost p
-  in
-  finalize ~leakage ~lib ~hotspot ~arch_cost ~outer:1 ~log:!log schedule placement
+  finalize ~leakage ~lib ~hotspot ~arch_cost:(Platform.cost platform) ~outer:1
+    ~log:!log schedule (Hotspot.placement hotspot)
 
 type arrival_source = Release_zero | Release_sporadic of int | Release_trace
 
@@ -192,36 +194,22 @@ type online_outcome = {
 let run_online ?(n_pes = 4) ?platform ?constraints
     ?(package = Package.default) ?hotspot ?weights ?(mean_gap = 25.0) ?periods
     ~arrivals ~graph ~lib ~policy () =
-  (match platform with
-  | None ->
-      if Array.length (Library.kinds lib) <> 1 then
-        invalid_arg "Flow.run_online: the platform library must have one kind";
-      if n_pes < 1 then invalid_arg "Flow.run_online: need at least one PE"
-  | Some p -> check_platform_lib ~what:"Flow.run_online" ~lib p);
-  let n_pes =
-    match platform with None -> n_pes | Some p -> Platform.n_pes p
-  in
-  (match hotspot with
-  | Some h when Hotspot.n_blocks h <> n_pes ->
-      invalid_arg "Flow.run_online: hotspot block count must equal n_pes"
-  | _ -> ());
+  let what = "Flow.run_online" in
+  let platform = resolve_platform ~what ~lib ~n_pes platform in
+  check_hotspot ~what ~platform hotspot;
   Trace.with_span "flow.online"
     ~args:
       [
-        ("pes", Trace.Int n_pes);
+        ("pes", Trace.Int (Platform.n_pes platform));
         ("policy", Trace.Str (Online.policy_name policy));
         ("arrivals", Trace.Str (arrival_source_name arrivals));
       ]
   @@ fun () ->
-  let insts =
-    match platform with
-    | None -> Pe.instances (List.init n_pes (fun _ -> Library.kind lib 0))
-    | Some p -> Platform.instances p
-  in
+  let insts = Platform.instances platform in
   let hotspot =
     match hotspot with
     | Some h -> h
-    | None -> Hotspot.create ~package (Grid.layout (blocks_of_insts insts))
+    | None -> platform_facade ~package platform
   in
   let release =
     match arrivals with

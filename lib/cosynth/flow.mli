@@ -57,32 +57,36 @@ val run_platform :
   policy:Policy.t ->
   unit ->
   outcome
-(** Figure 1(b). Without [platform], [lib] must contain exactly one kind
-    (see {!Tats_techlib.Catalog.platform_library}) and [n_pes] (default 4)
-    identical cores are instantiated — the historical path, bit-identical
-    to every earlier release.
-
-    With [platform], the typed description fixes the PE count and the
-    per-slot kinds ([n_pes] is ignored); [lib] must carry one WCET/WCPC
-    column per platform kind (see {!Tats_techlib.Catalog.library_for}),
-    the thermal blocks take each slot's kind area (per-kind power
-    densities flow into the Steady/Transient models), and the
-    architecture cost is the sum of per-slot kind costs. A single-kind
-    platform reproduces the historical path's numbers exactly.
+(** Figure 1(b). The architecture is one typed {!Platform.t}: [platform]
+    when given (then [n_pes] is ignored), else [n_pes] (default 4)
+    identical cores of [lib]'s single kind — pure sugar for
+    [Platform.homogeneous], so ["std4"] and the default give the same
+    numbers. [lib] must carry one WCET/WCPC column per platform kind (see
+    {!Tats_techlib.Catalog.library_for}); without [platform] that means
+    exactly one kind (see {!Tats_techlib.Catalog.platform_library}), and
+    [n_pes < 1] raises [Invalid_argument]. The thermal blocks take each
+    slot's kind area (per-kind power densities flow into the
+    Steady/Transient models), and the architecture cost is
+    {!Platform.cost}.
 
     [constraints] (pins, isolation — see {!Tats_sched.Constraints}) is
     forwarded to the scheduler; invalid specs raise
     {!Tats_sched.Constraints.Invalid}, dead-ends
     {!Tats_sched.Constraints.Infeasible}.
 
-    [hotspot], when supplied, must wrap a placement with exactly [n_pes]
-    blocks ([Invalid_argument] otherwise); the flow then schedules against
-    that facade — and its already-warm inquiry cache — instead of building
-    a fresh grid layout, and [package] is ignored. This is the serving
+    [hotspot], when supplied, must wrap a placement with one block per
+    platform PE ([Invalid_argument] otherwise); the flow then schedules
+    against that facade — and its already-warm inquiry cache — instead of
+    building {!platform_facade}, and [package] is ignored. This is the serving
     layer's engine-sharing hook ([Tats_serve.Engines]): cache hits are
     bit-exact copies of fresh solves, so the outcome's numbers are
     identical to a cold run; only the [inquiry] counters (cumulative over
     the facade's lifetime) differ. *)
+
+val platform_facade : ?package:Package.t -> Platform.t -> Hotspot.t
+(** The fixed architecture's thermal facade: one block per PE slot, sized
+    by the slot kind's area, on a grid floorplan under [package] (default
+    {!Package.default}). *)
 
 (** {1 Online scheduling scenarios} *)
 

@@ -15,38 +15,8 @@ let m_replayed_steps = Metricsreg.counter "sched.replayed_steps"
 
 exception Thermal_policy_needs_hotspot
 
-type state = {
-  entries : Schedule.entry option array;
-  pe_tasks : Schedule.entry list array; (* per PE, most recent first *)
-  pe_energy : float array;
-  mutable n_scheduled : int;
-}
-
-(* Earliest start of [task] on [pe]: data from every predecessor must have
-   arrived, and the PE must be free — except for mutually exclusive
-   predecessors-by-condition, which may overlap. *)
-let earliest_start st ~comm ~exclusive graph task pe =
-  let ready =
-    List.fold_left
-      (fun acc (pred, data) ->
-        match st.entries.(pred) with
-        | None -> assert false (* only called on ready tasks *)
-        | Some e ->
-            let delay = Comm.delay_between comm ~src:e.Schedule.pe ~dst:pe ~data in
-            Float.max acc (e.Schedule.finish +. delay))
-      0.0 (Graph.preds graph task)
-  in
-  let avail =
-    List.fold_left
-      (fun acc (e : Schedule.entry) ->
-        if exclusive e.Schedule.task task then acc
-        else Float.max acc e.Schedule.finish)
-      0.0 st.pe_tasks.(pe)
-  in
-  Float.max ready avail
-
 (* What a schedule needs that no decision and no weight changes, validated
-   and computed once per [run] or [run_adaptive] call. *)
+   and computed once per [run], [run_adaptive] or [Online.plan] call. *)
 type ctx = {
   graph : Graph.t;
   lib : Library.t;
@@ -86,9 +56,66 @@ let prepare ?hotspot ?(exclusive = fun _ _ -> false) ?constraints ~graph ~lib
     engine;
   }
 
+type state = {
+  ctx : ctx;
+  entries : Schedule.entry option array;
+  pe_tasks : Schedule.entry list array; (* per PE, most recent first *)
+  pe_energy : float array;
+  unscheduled_preds : int array;
+  (* The checker is stateful, so it is rebuilt per schedule. *)
+  checker : Constraints.checker option;
+  mutable n_scheduled : int;
+}
+
+let init ctx =
+  let n = Graph.n_tasks ctx.graph and n_pes = Array.length ctx.pes in
+  {
+    ctx;
+    entries = Array.make n None;
+    pe_tasks = Array.make n_pes [];
+    pe_energy = Array.make n_pes 0.0;
+    unscheduled_preds =
+      Array.init n (fun v -> List.length (Graph.preds ctx.graph v));
+    checker =
+      Option.map
+        (fun spec -> Constraints.make spec ~n_tasks:n ~pes:ctx.pes)
+        ctx.constraints;
+    n_scheduled = 0;
+  }
+
+let scheduled st = st.n_scheduled
+
+let is_ready st task =
+  st.entries.(task) = None && st.unscheduled_preds.(task) = 0
+
+(* Earliest start of [task] on [pe]: data from every predecessor must have
+   arrived, and the PE must be free — except for mutually exclusive
+   predecessors-by-condition, which may overlap. *)
+let earliest_start st ~comm task pe =
+  let ready =
+    List.fold_left
+      (fun acc (pred, data) ->
+        match st.entries.(pred) with
+        | None -> assert false (* only called on ready tasks *)
+        | Some e ->
+            let delay = Comm.delay_between comm ~src:e.Schedule.pe ~dst:pe ~data in
+            Float.max acc (e.Schedule.finish +. delay))
+      0.0 (Graph.preds st.ctx.graph task)
+  in
+  let avail =
+    List.fold_left
+      (fun acc (e : Schedule.entry) ->
+        if st.ctx.exclusive e.Schedule.task task then acc
+        else Float.max acc e.Schedule.finish)
+      0.0 st.pe_tasks.(pe)
+  in
+  Float.max ready avail
+
 (* One scheduling step's admissible candidates under a fixed decision
-   prefix, in scan order (ascending task, then PE). Everything stored is a
-   function of the prefix alone; only [Dc.weigh] brings in the weight. *)
+   prefix, in scan order (ascending task, then PE). Without a start floor
+   or surcharge (the offline case) everything stored is a function of the
+   prefix alone, which is what lets the memo replay it; only [Dc.weigh]
+   brings in the weight. *)
 type node = {
   pairs : int array; (* task * n_pes + pe *)
   parts : float array; (* Dc.part *)
@@ -97,6 +124,141 @@ type node = {
   mutable children : (int * node) list; (* by the pair committed next *)
 }
 
+type candidates = node
+
+module Ready = Set.Make (Int)
+
+(* Score every admissible (ready task, PE) pair, weight-free. *)
+let scan ?floor ?surcharge st ~ready =
+  let { graph; lib; pes; policy; sc; idle; engine; _ } = st.ctx in
+  let n_pes = Array.length pes in
+  let comm = Library.comm lib in
+  (* One base solve per scanned step: the influence response to the
+     committed PE energies. Candidates below are delta-evaluated against
+     it in O(n_blocks) each instead of re-solving from scratch. *)
+  let base =
+    match engine with
+    | None -> None
+    | Some e -> Some (Inquiry.base_response e ~power:st.pe_energy)
+  in
+  let cap = Ready.cardinal ready * n_pes in
+  let pairs = Array.make cap 0 in
+  let parts = Array.make cap 0.0 in
+  let costs = Array.make cap 0.0 in
+  let starts = Array.make cap 0.0 in
+  let k = ref 0 in
+  Ready.iter
+    (fun task ->
+      let tt = (Graph.task graph task).Task.task_type in
+      Array.iteri
+        (fun pe (inst : Pe.inst) ->
+          let admissible =
+            match st.checker with
+            | None -> true
+            | Some c -> Constraints.admissible c ~task ~pe ~pes
+          in
+          if admissible then begin
+            let kind = inst.Pe.kind.Pe.kind_id in
+            let wcet = Library.wcet lib ~task_type:tt ~kind in
+            let start = earliest_start st ~comm task pe in
+            let start =
+              match floor with None -> start | Some f -> Float.max start (f task)
+            in
+            let finish = start +. wcet in
+            let cost =
+              match policy with
+              | Policy.Baseline -> 0.0
+              | Policy.Power_aware Policy.Min_task_power ->
+                  Dc.cost_task_power lib ~task_type:tt ~kind
+              | Policy.Power_aware Policy.Min_pe_average_power ->
+                  Dc.cost_pe_average_power lib ~pe_energy:st.pe_energy.(pe)
+                    ~task_energy:(Library.energy lib ~task_type:tt ~kind)
+                    ~finish
+              | Policy.Power_aware Policy.Min_task_energy ->
+                  Dc.cost_task_energy lib ~task_type:tt ~kind
+              | Policy.Thermal_aware ->
+                  let task_power = Library.wcpc lib ~task_type:tt ~kind in
+                  Dc.cost_thermal ~engine:(Option.get engine)
+                    ~base:(Option.get base) ~idle ~finish ~pe ~task_power
+            in
+            let cost =
+              match surcharge with None -> cost | Some s -> cost +. s.(pe)
+            in
+            pairs.(!k) <- (task * n_pes) + pe;
+            parts.(!k) <- Dc.part ~sc:sc.(task) ~wcet ~start;
+            costs.(!k) <- cost;
+            starts.(!k) <- start;
+            incr k
+          end)
+        pes)
+    ready;
+  let trim a = if !k = cap then a else Array.sub a 0 !k in
+  {
+    pairs = trim pairs;
+    parts = trim parts;
+    costs = trim costs;
+    starts = trim starts;
+    children = [];
+  }
+
+type choice = { task : Task.id; pe : int; start : float }
+
+(* The highest-DC candidate at [weight]. Scan order and the 1e-12
+   tie-break (towards the lower pair) are those of a direct scan, so a
+   replayed step picks what a fresh one would. *)
+let pick ~caller st node ~weight =
+  let best = ref (-1) and best_dc = ref 0.0 in
+  Array.iteri
+    (fun i pair ->
+      let dc = Dc.weigh ~part:node.parts.(i) ~cost:node.costs.(i) ~weight in
+      if
+        !best < 0
+        || dc > !best_dc +. 1e-12
+        || (Float.abs (dc -. !best_dc) <= 1e-12 && pair < node.pairs.(!best))
+      then begin
+        best := i;
+        best_dc := dc
+      end)
+    node.pairs;
+  if !best < 0 then
+    raise (Constraints.Infeasible (Constraints.infeasible_msg caller));
+  let n_pes = Array.length st.ctx.pes in
+  let pair = node.pairs.(!best) in
+  { task = pair / n_pes; pe = pair mod n_pes; start = node.starts.(!best) }
+
+let commit ~on_ready st { task; pe; start } =
+  let { graph; lib; pes; _ } = st.ctx in
+  let tt = (Graph.task graph task).Task.task_type in
+  let kind = pes.(pe).Pe.kind.Pe.kind_id in
+  let finish = start +. Library.wcet lib ~task_type:tt ~kind in
+  let energy = Library.energy lib ~task_type:tt ~kind in
+  Option.iter (fun c -> Constraints.commit c ~task ~pe) st.checker;
+  let entry = { Schedule.task; pe; start; finish; energy } in
+  st.entries.(task) <- Some entry;
+  st.pe_tasks.(pe) <- entry :: st.pe_tasks.(pe);
+  st.pe_energy.(pe) <- st.pe_energy.(pe) +. energy;
+  st.n_scheduled <- st.n_scheduled + 1;
+  List.iter
+    (fun (succ, _) ->
+      st.unscheduled_preds.(succ) <- st.unscheduled_preds.(succ) - 1;
+      if st.unscheduled_preds.(succ) = 0 then on_ready succ)
+    (Graph.succs graph task);
+  entry
+
+let finish st =
+  let entries =
+    Array.mapi
+      (fun i e ->
+        match e with
+        | Some e -> e
+        | None ->
+            failwith
+              (Printf.sprintf
+                 "List_sched: internal error: task %d was never scheduled" i))
+      st.entries
+  in
+  Schedule.make ~graph:st.ctx.graph ~pes:st.ctx.pes ~entries
+
 (* Where the current step's candidates come from: a node an earlier attempt
    scanned, or a fresh scan, handed to [attach] to extend the memo. *)
 type cursor = Replay of node | Scan of (node -> unit)
@@ -104,125 +266,25 @@ type cursor = Replay of node | Scan of (node -> unit)
 (* The list scheduler. With [memo], the steps of a decision prefix that an
    earlier call on the same memo already scanned are replayed from it. *)
 let schedule ?memo ctx ~weights =
-  let { graph; lib; pes; policy; exclusive; sc; idle; engine; _ } = ctx in
-  let n = Graph.n_tasks graph and n_pes = Array.length pes in
-  (* The checker is stateful, so it is rebuilt per schedule. *)
-  let checker =
-    Option.map (fun spec -> Constraints.make spec ~n_tasks:n ~pes) ctx.constraints
-  in
-  let admissible task pe =
-    match checker with
-    | None -> true
-    | Some c -> Constraints.admissible c ~task ~pe ~pes
-  in
+  let n = Graph.n_tasks ctx.graph and n_pes = Array.length ctx.pes in
   Trace.with_span "sched.run"
     ~args:
       (if Trace.enabled () then
          [
-           ("policy", Trace.Str (Format.asprintf "%a" Policy.pp policy));
+           ("policy", Trace.Str (Format.asprintf "%a" Policy.pp ctx.policy));
            ("tasks", Trace.Int n);
            ("pes", Trace.Int n_pes);
          ]
        else [])
   @@ fun () ->
-  let comm = Library.comm lib in
-  let st =
-    {
-      entries = Array.make n None;
-      pe_tasks = Array.make n_pes [];
-      pe_energy = Array.make n_pes 0.0;
-      n_scheduled = 0;
-    }
+  let st = init ctx in
+  let ready = ref (Ready.of_list (Graph.sources ctx.graph)) in
+  let n_ready = ref (Ready.cardinal !ready) in
+  let on_ready succ =
+    ready := Ready.add succ !ready;
+    incr n_ready
   in
-  let unscheduled_preds = Array.make n 0 in
-  for v = 0 to n - 1 do
-    unscheduled_preds.(v) <- List.length (Graph.preds graph v)
-  done;
-  let module Iset = Set.Make (Int) in
-  let ready =
-    ref (List.fold_left (fun s v -> Iset.add v s) Iset.empty (Graph.sources graph))
-  in
-  let n_ready = ref (Iset.cardinal !ready) in
-  (* Score every admissible (ready task, PE) pair, weight-free. *)
-  let scan () =
-    (* One base solve per scanned step: the influence response to the
-       committed PE energies. Candidates below are delta-evaluated against
-       it in O(n_blocks) each instead of re-solving from scratch. *)
-    let base =
-      match engine with
-      | None -> None
-      | Some e -> Some (Inquiry.base_response e ~power:st.pe_energy)
-    in
-    let cap = !n_ready * n_pes in
-    let pairs = Array.make cap 0 in
-    let parts = Array.make cap 0.0 in
-    let costs = Array.make cap 0.0 in
-    let starts = Array.make cap 0.0 in
-    let k = ref 0 in
-    Iset.iter
-      (fun task ->
-        let tt = (Graph.task graph task).Task.task_type in
-        Array.iteri
-          (fun pe (inst : Pe.inst) ->
-            if admissible task pe then begin
-              let kind = inst.Pe.kind.Pe.kind_id in
-              let wcet = Library.wcet lib ~task_type:tt ~kind in
-              let start = earliest_start st ~comm ~exclusive graph task pe in
-              let finish = start +. wcet in
-              let cost =
-                match policy with
-                | Policy.Baseline -> 0.0
-                | Policy.Power_aware Policy.Min_task_power ->
-                    Dc.cost_task_power lib ~task_type:tt ~kind
-                | Policy.Power_aware Policy.Min_pe_average_power ->
-                    Dc.cost_pe_average_power lib ~pe_energy:st.pe_energy.(pe)
-                      ~task_energy:(Library.energy lib ~task_type:tt ~kind)
-                      ~finish
-                | Policy.Power_aware Policy.Min_task_energy ->
-                    Dc.cost_task_energy lib ~task_type:tt ~kind
-                | Policy.Thermal_aware ->
-                    let task_power = Library.wcpc lib ~task_type:tt ~kind in
-                    Dc.cost_thermal ~engine:(Option.get engine)
-                      ~base:(Option.get base) ~idle ~finish ~pe ~task_power
-              in
-              pairs.(!k) <- (task * n_pes) + pe;
-              parts.(!k) <- Dc.part ~sc:sc.(task) ~wcet ~start;
-              costs.(!k) <- cost;
-              starts.(!k) <- start;
-              incr k
-            end)
-          pes)
-      !ready;
-    let trim a = if !k = cap then a else Array.sub a 0 !k in
-    {
-      pairs = trim pairs;
-      parts = trim parts;
-      costs = trim costs;
-      starts = trim starts;
-      children = [];
-    }
-  in
-  (* The highest-DC candidate at this schedule's weight, as an index into
-     [node]; -1 when there is none. Scan order and the 1e-12 tie-break are
-     those of a direct scan, so a replayed step picks what a fresh one
-     would. *)
-  let pick node =
-    let weight = weights.Policy.cost_weight in
-    let best = ref (-1) and best_dc = ref 0.0 in
-    Array.iteri
-      (fun i pair ->
-        let dc = Dc.weigh ~part:node.parts.(i) ~cost:node.costs.(i) ~weight in
-        if
-          !best < 0
-          || dc > !best_dc +. 1e-12
-          || (Float.abs (dc -. !best_dc) <= 1e-12 && pair < node.pairs.(!best))
-        then begin
-          best := i;
-          best_dc := dc
-        end)
-      node.pairs;
-    !best
-  in
+  let weight = weights.Policy.cost_weight in
   let cursor =
     ref
       (match memo with
@@ -246,61 +308,24 @@ let schedule ?memo ctx ~weights =
           Trace.add_attr "replayed" (Trace.Bool true);
           node
       | Scan attach ->
-          let node = scan () in
+          let node = scan st ~ready:!ready in
           attach node;
           node
     in
-    let i = pick node in
-    if i < 0 then begin
-      match checker with
-      | Some _ ->
-          raise
-            (Constraints.Infeasible (Constraints.infeasible_msg "List_sched.run"))
-      | None -> assert false
-    end;
-    let pair = node.pairs.(i) in
-    let task = pair / n_pes and pe = pair mod n_pes in
-    let tt = (Graph.task graph task).Task.task_type in
-    let kind = pes.(pe).Pe.kind.Pe.kind_id in
-    let start = node.starts.(i) in
-    let finish = start +. Library.wcet lib ~task_type:tt ~kind in
-    let energy = Library.energy lib ~task_type:tt ~kind in
-    (match checker with Some c -> Constraints.commit c ~task ~pe | None -> ());
-    let entry = { Schedule.task; pe; start; finish; energy } in
-    st.entries.(task) <- Some entry;
-    st.pe_tasks.(pe) <- entry :: st.pe_tasks.(pe);
-    st.pe_energy.(pe) <- st.pe_energy.(pe) +. energy;
-    st.n_scheduled <- st.n_scheduled + 1;
-    ready := Iset.remove task !ready;
+    let choice = pick ~caller:"List_sched.run" st node ~weight in
+    ignore (commit ~on_ready st choice : Schedule.entry);
+    ready := Ready.remove choice.task !ready;
     decr n_ready;
-    List.iter
-      (fun (succ, _) ->
-        unscheduled_preds.(succ) <- unscheduled_preds.(succ) - 1;
-        if unscheduled_preds.(succ) = 0 then begin
-          ready := Iset.add succ !ready;
-          incr n_ready
-        end)
-      (Graph.succs graph task);
     cursor :=
       (match memo with
       | None -> Scan ignore
       | Some _ -> (
+          let pair = (choice.task * n_pes) + choice.pe in
           match List.assoc_opt pair node.children with
           | Some child -> Replay child
           | None -> Scan (fun child -> node.children <- (pair, child) :: node.children)))
   done;
-  let entries =
-    Array.mapi
-      (fun i e ->
-        match e with
-        | Some e -> e
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "List_sched.run: internal error: task %d was never scheduled" i))
-      st.entries
-  in
-  Schedule.make ~graph ~pes ~entries
+  finish st
 
 let run ?weights ?hotspot ?exclusive ?constraints ~graph ~lib ~pes ~policy () =
   let weights =

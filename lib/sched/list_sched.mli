@@ -37,8 +37,8 @@ val run :
     isolation classes on disjoint PEs (see {!Constraints}); a
     contradictory spec raises {!Constraints.Invalid} before any work, a
     spec with no admissible candidate at some step raises
-    {!Constraints.Infeasible}. Omitted (or empty), the scheduler is
-    bit-identical to the historical unconstrained path.
+    {!Constraints.Infeasible} naming [List_sched.run]. Omitted or empty,
+    no placement is restricted.
 
     The result always covers every task; it may miss the deadline — callers
     (e.g. co-synthesis) decide what to do then. Deterministic. *)
@@ -84,3 +84,83 @@ val run_adaptive :
     each holding four words per candidate (at most ready tasks x PEs); the
     memo is local to the call and dropped when it returns. Replayed steps
     are counted in the [sched.replayed_steps] metric. *)
+
+(** {1 Step core}
+
+    The greedy loop {!run} and {!run_adaptive} are built from, exposed so
+    that other event-driven schedulers ({!Online}) share its candidate
+    scan, DC arithmetic, tie-break and commit instead of copying them. A
+    caller owns its ready set and loops: {!scan} the ready tasks, {!pick}
+    the winner at its weight, {!commit} it (adding newly ready successors
+    to its set), until {!scheduled} covers the graph; then {!finish}.
+    The step functions touch no [sched.*] counter or span: those belong
+    to {!run} and {!run_adaptive} alone. *)
+
+type ctx
+(** What a schedule needs that no decision and no weight changes: the
+    graph, library and PEs, the policy, static criticalities, idle powers
+    and, for [Thermal_aware], the hotspot's inquiry engine. *)
+
+val prepare :
+  ?hotspot:Hotspot.t ->
+  ?exclusive:(Task.id -> Task.id -> bool) ->
+  ?constraints:Constraints.spec ->
+  graph:Graph.t ->
+  lib:Library.t ->
+  pes:Pe.inst array ->
+  policy:Policy.t ->
+  unit ->
+  ctx
+(** Validates and precomputes once per scheduling call, with the
+    arguments and exceptions of {!run}; the constraint spec itself is
+    checked by {!init}. *)
+
+type state
+(** One schedule in progress: committed entries, per-PE task lists and
+    energies, unscheduled-predecessor counts and the constraint
+    checker. *)
+
+val init : ctx -> state
+(** A fresh, empty schedule. Builds the constraint checker, so a
+    contradictory spec raises {!Constraints.Invalid} here. *)
+
+val scheduled : state -> int
+(** Tasks committed so far. *)
+
+val is_ready : state -> Task.id -> bool
+(** The task is uncommitted and every predecessor is committed. *)
+
+module Ready : Set.S with type elt = Task.id
+(** Ready sets, iterated in ascending task order — the scan order. *)
+
+type candidates
+(** One step's admissible (task, PE) candidates, weight-free: per pair the
+    start time, {!Dc.part} and cost, in scan order (ascending task, then
+    PE). *)
+
+val scan :
+  ?floor:(Task.id -> float) ->
+  ?surcharge:float array ->
+  state ->
+  ready:Ready.t ->
+  candidates
+(** Evaluate every admissible pair of [ready] (each must satisfy
+    {!is_ready}): the earliest start (data arrival and PE availability),
+    raised to [floor task] when given, and the policy cost (one thermal
+    base solve per scan, then one delta-evaluated inquiry per pair), plus
+    [surcharge.(pe)] when given. *)
+
+type choice = { task : Task.id; pe : int; start : float }
+
+val pick : caller:string -> state -> candidates -> weight:float -> choice
+(** The candidate of highest [Dc.weigh ~part ~cost ~weight]; candidates
+    within 1e-12 of each other tie towards the lower (task, PE) pair.
+    Raises {!Constraints.Infeasible} naming [caller] when there is no
+    candidate. *)
+
+val commit : on_ready:(Task.id -> unit) -> state -> choice -> Schedule.entry
+(** Commit [choice] irrevocably and return its entry. [on_ready] is called
+    for each successor this commit makes ready, in successor order. *)
+
+val finish : state -> Schedule.t
+(** The schedule of a state in which every task is committed. *)

@@ -2,9 +2,7 @@ module Graph = Tats_taskgraph.Graph
 module Task = Tats_taskgraph.Task
 module Pe = Tats_techlib.Pe
 module Library = Tats_techlib.Library
-module Comm = Tats_techlib.Comm
 module Hotspot = Tats_thermal.Hotspot
-module Inquiry = Tats_thermal.Inquiry
 module Transient = Tats_thermal.Transient
 module Rng = Tats_util.Rng
 module Trace = Tats_util.Trace
@@ -113,36 +111,8 @@ type run = {
   stats : stats;
 }
 
-module Iset = Set.Make (Int)
+module Ready = List_sched.Ready
 module Fset = Set.Make (Float)
-
-type state = {
-  entries : Schedule.entry option array;
-  pe_tasks : Schedule.entry list array;
-  pe_energy : float array;
-  mutable n_scheduled : int;
-}
-
-(* Identical arithmetic to List_sched.earliest_start with no exclusive
-   pairs: data from every predecessor must have arrived, and the PE must
-   be free. *)
-let earliest_start st ~comm graph task pe =
-  let ready =
-    List.fold_left
-      (fun acc (pred, data) ->
-        match st.entries.(pred) with
-        | None -> assert false (* only called on plannable tasks *)
-        | Some e ->
-            let delay = Comm.delay_between comm ~src:e.Schedule.pe ~dst:pe ~data in
-            Float.max acc (e.Schedule.finish +. delay))
-      0.0 (Graph.preds graph task)
-  in
-  let avail =
-    List.fold_left
-      (fun acc (e : Schedule.entry) -> Float.max acc e.Schedule.finish)
-      0.0 st.pe_tasks.(pe)
-  in
-  Float.max ready avail
 
 (* Live transient state: the engine is advanced lazily from [clock] to the
    current event time over the piecewise-constant power implied by the
@@ -195,27 +165,17 @@ let advance_live l ~idle ~time_unit ~intervals ~now =
     l.clock <- now
   end
 
-(* The shared greedy core. [release] is when the scheduler learns a task
-   exists (all zeros for the clairvoyant baseline); [floor] is the earliest
-   permitted start (the arrival trace for both players). With both all
-   zero this runs the exact candidate scan, DC arithmetic and tie-breaking
-   of List_sched.run — the bit-identity anchor of the test battery. *)
+(* The event loop over List_sched's step core. [release] is when the
+   scheduler learns a task exists (all zeros for the clairvoyant baseline);
+   [floor] is the earliest permitted start (the arrival trace for both
+   players). With both all zero there is one event, whose steps are
+   exactly those of List_sched.run — the bit-identity anchor of the test
+   battery. *)
 let plan ?weights ?hotspot ?constraints ~time_unit ~release ~floor ~graph ~lib
     ~pes ~policy () =
-  let n = Graph.n_tasks graph in
+  let n = Graph.n_tasks graph and n_pes = Array.length pes in
   validate_arrivals graph release;
   validate_arrivals graph floor;
-  let checker =
-    match constraints with
-    | Some spec when not (Constraints.is_empty spec) ->
-        Some (Constraints.make spec ~n_tasks:n ~pes)
-    | _ -> None
-  in
-  let admissible task pe =
-    match checker with
-    | None -> true
-    | Some c -> Constraints.admissible c ~task ~pe ~pes
-  in
   let weights =
     match weights with
     | Some w -> w
@@ -226,17 +186,15 @@ let plan ?weights ?hotspot ?constraints ~time_unit ~release ~floor ~graph ~lib
   | (Mirror Policy.Thermal_aware | Reactive _), None ->
       raise Policy_needs_hotspot
   | (Mirror Policy.Thermal_aware | Reactive _), Some h ->
-      if Hotspot.n_blocks h <> Array.length pes then
+      if Hotspot.n_blocks h <> n_pes then
         invalid_arg "Online: hotspot must have one block per PE"
   | Mirror (Policy.Baseline | Policy.Power_aware _), _ -> ());
-  let comm = Library.comm lib in
-  let sc = Dc.static_criticality lib graph in
-  let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes in
-  let inquiry =
-    match (base_policy policy, hotspot) with
-    | Policy.Thermal_aware, Some h -> Some (Hotspot.inquiry h)
-    | _ -> None
+  let st =
+    List_sched.init
+      (List_sched.prepare ?hotspot ?constraints ~graph ~lib ~pes
+         ~policy:(base_policy policy) ())
   in
+  let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes in
   let live =
     match (reactive, hotspot) with
     | Some _, Some h ->
@@ -249,18 +207,6 @@ let plan ?weights ?hotspot ?constraints ~time_unit ~release ~floor ~graph ~lib
           }
     | _ -> None
   in
-  let st =
-    {
-      entries = Array.make n None;
-      pe_tasks = Array.make (Array.length pes) [];
-      pe_energy = Array.make (Array.length pes) 0.0;
-      n_scheduled = 0;
-    }
-  in
-  let unscheduled_preds = Array.make n 0 in
-  for v = 0 to n - 1 do
-    unscheduled_preds.(v) <- List.length (Graph.preds graph v)
-  done;
   let released = Array.make n false in
   let wake = Array.make n 0.0 in
   let defers = Array.make n 0 in
@@ -272,7 +218,7 @@ let plan ?weights ?hotspot ?constraints ~time_unit ~release ~floor ~graph ~lib
   let n_candidates = ref 0 in
   let n_deferrals = ref 0 in
   let peak_observed = ref Float.nan in
-  while st.n_scheduled < n do
+  while List_sched.scheduled st < n do
     let now =
       match Fset.min_elt_opt !events with
       | Some t -> t
@@ -281,7 +227,8 @@ let plan ?weights ?hotspot ?constraints ~time_unit ~release ~floor ~graph ~lib
     events := Fset.remove now !events;
     incr n_events;
     Metricsreg.incr m_events;
-    Trace.with_span "online.event" ~args:[ ("t", Trace.Float now) ]
+    Trace.with_span "online.event"
+      ~args:(if Trace.enabled () then [ ("t", Trace.Float now) ] else [])
     @@ fun () ->
     Array.iteri
       (fun t r -> if (not released.(t)) && r <= now then released.(t) <- true)
@@ -294,7 +241,7 @@ let plan ?weights ?hotspot ?constraints ~time_unit ~release ~floor ~graph ~lib
       | Some l ->
           advance_live l ~idle ~time_unit ~intervals:!committed ~now;
           let hottest = ref Float.neg_infinity in
-          for pe = 0 to Array.length pes - 1 do
+          for pe = 0 to n_pes - 1 do
             hottest := Float.max !hottest l.temps.(pe)
           done;
           peak_observed :=
@@ -302,167 +249,78 @@ let plan ?weights ?hotspot ?constraints ~time_unit ~release ~floor ~graph ~lib
              else Float.max !peak_observed !hottest);
           Some l.temps
     in
-    let all_hot =
+    let all_hot, surcharge =
       match (temps_now, reactive) with
       | Some temps, Some r ->
           let hot = ref true in
-          for pe = 0 to Array.length pes - 1 do
+          for pe = 0 to n_pes - 1 do
             if temps.(pe) <= r.trigger then hot := false
           done;
-          !hot
-      | _ -> false
+          (* Migration pressure: candidates on currently-hot PEs pay an
+             extra normalized cost per °C over the trigger. *)
+          ( !hot,
+            Some
+              (Array.init n_pes (fun pe ->
+                   r.penalty *. Float.max 0.0 (temps.(pe) -. r.trigger) /. 100.0))
+          )
+      | _ -> (false, None)
     in
+    let plannable v = released.(v) && wake.(v) <= now in
     (* Everything plannable right now: released, predecessors committed,
        and past any cooldown stall. *)
-    let ready = ref Iset.empty in
+    let ready = ref Ready.empty in
     for v = 0 to n - 1 do
-      if
-        st.entries.(v) = None
-        && released.(v)
-        && unscheduled_preds.(v) = 0
-        && wake.(v) <= now
-      then ready := Iset.add v !ready
+      if List_sched.is_ready st v && plannable v then ready := Ready.add v !ready
     done;
-    while not (Iset.is_empty !ready) do
-      n_candidates := !n_candidates + (Iset.cardinal !ready * Array.length pes);
-      Metricsreg.add m_candidates (Iset.cardinal !ready * Array.length pes);
-      (* One base solve per commit step, exactly as the offline loop:
-         candidates are delta-evaluated against the committed PE
-         energies. *)
-      let base =
-        match inquiry with
-        | None -> None
-        | Some e -> Some (Inquiry.base_response e ~power:st.pe_energy)
+    let on_ready succ = if plannable succ then ready := Ready.add succ !ready in
+    let floor task = Float.max floor.(task) now in
+    while not (Ready.is_empty !ready) do
+      let n_pairs = Ready.cardinal !ready * n_pes in
+      n_candidates := !n_candidates + n_pairs;
+      Metricsreg.add m_candidates n_pairs;
+      let choice =
+        List_sched.pick ~caller:"Online.plan" st
+          (List_sched.scan ~floor ?surcharge st ~ready:!ready)
+          ~weight:weights.Policy.cost_weight
       in
-      let best = ref None in
-      Iset.iter
-        (fun task ->
-          let tt = (Graph.task graph task).Task.task_type in
-          Array.iteri
-            (fun pe (inst : Pe.inst) ->
-              if admissible task pe then begin
-              let kind = inst.Pe.kind.Pe.kind_id in
-              let wcet = Library.wcet lib ~task_type:tt ~kind in
-              let task_energy = Library.energy lib ~task_type:tt ~kind in
-              let start =
-                Float.max
-                  (earliest_start st ~comm graph task pe)
-                  (Float.max floor.(task) now)
-              in
-              let finish = start +. wcet in
-              let cost =
-                match base_policy policy with
-                | Policy.Baseline -> 0.0
-                | Policy.Power_aware Policy.Min_task_power ->
-                    Dc.cost_task_power lib ~task_type:tt ~kind
-                | Policy.Power_aware Policy.Min_pe_average_power ->
-                    Dc.cost_pe_average_power lib ~pe_energy:st.pe_energy.(pe)
-                      ~task_energy ~finish
-                | Policy.Power_aware Policy.Min_task_energy ->
-                    Dc.cost_task_energy lib ~task_type:tt ~kind
-                | Policy.Thermal_aware ->
-                    let engine = Option.get inquiry in
-                    let base = Option.get base in
-                    let task_power = Library.wcpc lib ~task_type:tt ~kind in
-                    Dc.cost_thermal ~engine ~base ~idle ~finish ~pe ~task_power
-              in
-              (* Migration pressure: candidates on currently-hot PEs pay an
-                 extra normalized cost per °C over the trigger. *)
-              let cost =
-                match (temps_now, reactive) with
-                | Some temps, Some r ->
-                    cost
-                    +. r.penalty
-                       *. Float.max 0.0 (temps.(pe) -. r.trigger)
-                       /. 100.0
-                | _ -> cost
-              in
-              let dc =
-                Dc.value ~sc:sc.(task) ~wcet ~start ~cost
-                  ~weight:weights.Policy.cost_weight
-              in
-              let better =
-                match !best with
-                | None -> true
-                | Some (dc', task', pe', _, _, _) ->
-                    dc > dc' +. 1e-12
-                    || (Float.abs (dc -. dc') <= 1e-12
-                       && (task < task' || (task = task' && pe < pe')))
-              in
-              if better then best := Some (dc, task, pe, start, finish, task_energy)
-              end)
-            pes)
-        !ready;
-      match !best with
-      | None -> (
-          match checker with
-          | Some _ ->
-              raise
-                (Constraints.Infeasible (Constraints.infeasible_msg "Online.plan"))
-          | None -> assert false)
-      | Some (_, task, pe, start, finish, task_energy) -> (
-          match reactive with
-          | Some r when all_hot && defers.(task) < r.max_defers ->
-              (* Throttle: every PE is over the trigger, so stall the pick
-                 to a cooldown wake-up instead of committing it. *)
-              defers.(task) <- defers.(task) + 1;
-              wake.(task) <- now +. r.cooldown;
-              events := Fset.add (now +. r.cooldown) !events;
-              ready := Iset.remove task !ready;
-              incr n_deferrals;
-              Metricsreg.incr m_deferrals
-          | _ ->
-              (match checker with
-              | Some c -> Constraints.commit c ~task ~pe
-              | None -> ());
-              let entry =
-                { Schedule.task; pe; start; finish; energy = task_energy }
-              in
-              st.entries.(task) <- Some entry;
-              st.pe_tasks.(pe) <- entry :: st.pe_tasks.(pe);
-              st.pe_energy.(pe) <- st.pe_energy.(pe) +. task_energy;
-              st.n_scheduled <- st.n_scheduled + 1;
-              Metricsreg.incr m_decisions;
-              (if live <> None then
-                 let tt = (Graph.task graph task).Task.task_type in
-                 let kind = pes.(pe).Pe.kind.Pe.kind_id in
-                 let power = Library.wcpc lib ~task_type:tt ~kind in
-                 committed :=
-                   { Replay.pe; start; finish; power } :: !committed);
-              ready := Iset.remove task !ready;
-              List.iter
-                (fun (succ, _) ->
-                  unscheduled_preds.(succ) <- unscheduled_preds.(succ) - 1;
-                  if
-                    unscheduled_preds.(succ) = 0
-                    && released.(succ)
-                    && wake.(succ) <= now
-                  then ready := Iset.add succ !ready)
-                (Graph.succs graph task))
+      let task = choice.List_sched.task in
+      ready := Ready.remove task !ready;
+      match reactive with
+      | Some r when all_hot && defers.(task) < r.max_defers ->
+          (* Throttle: every PE is over the trigger, so stall the pick to
+             a cooldown wake-up instead of committing it. *)
+          defers.(task) <- defers.(task) + 1;
+          wake.(task) <- now +. r.cooldown;
+          events := Fset.add (now +. r.cooldown) !events;
+          incr n_deferrals;
+          Metricsreg.incr m_deferrals
+      | _ ->
+          let e = List_sched.commit ~on_ready st choice in
+          Metricsreg.incr m_decisions;
+          if live <> None then begin
+            let tt = (Graph.task graph task).Task.task_type in
+            let kind = pes.(e.Schedule.pe).Pe.kind.Pe.kind_id in
+            committed :=
+              {
+                Replay.pe = e.Schedule.pe;
+                start = e.Schedule.start;
+                finish = e.Schedule.finish;
+                power = Library.wcpc lib ~task_type:tt ~kind;
+              }
+              :: !committed
+          end
     done
   done;
-  let entries =
-    Array.mapi
-      (fun i e ->
-        match e with
-        | Some e -> e
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "Online: internal error: task %d was never scheduled" i))
-      st.entries
-  in
-  let schedule = Schedule.make ~graph ~pes ~entries in
   let stats =
     {
       events = !n_events;
-      decisions = st.n_scheduled;
+      decisions = List_sched.scheduled st;
       candidates = !n_candidates;
       deferrals = !n_deferrals;
       peak_observed = !peak_observed;
     }
   in
-  (schedule, stats)
+  (List_sched.finish st, stats)
 
 let run ?weights ?hotspot ?constraints ?(time_unit = 1e-3) ~arrivals ~graph
     ~lib ~pes ~policy () =
@@ -488,7 +346,6 @@ let clairvoyant ?weights ?hotspot ?constraints ~arrivals ~graph ~lib ~pes
     ~args:[ ("policy", Trace.Str (Policy.name policy)) ]
   @@ fun () ->
   let release = Array.make (Graph.n_tasks graph) 0.0 in
-  validate_arrivals graph arrivals;
   let schedule, _ =
     plan ?weights ?hotspot ?constraints ~time_unit:1e-3 ~release
       ~floor:arrivals ~graph ~lib ~pes ~policy:(Mirror policy) ()

@@ -7,8 +7,11 @@
     a task only at its release, and every (task, PE, start) commitment is
     irrevocable. Decisions are made at {e events} — release times, plus
     cooldown wake-ups injected by the reactive policy — and at each event
-    the scheduler re-plans all currently plannable work with the same
-    max-DC greedy core as the offline scheduler.
+    the scheduler re-plans all currently plannable work through the
+    offline scheduler's own step core ({!List_sched.scan},
+    {!List_sched.pick}, {!List_sched.commit}): release times enter as
+    per-task start floors, the reactive policy's migration pressure as a
+    per-PE cost surcharge.
 
     Two policy families are provided:
 
@@ -160,8 +163,8 @@ val run :
     addition to the {!Schedule.validate} invariants.
 
     [constraints] restricts placements (pins and isolation, see
-    {!Constraints}) exactly as in {!List_sched.run}: absent or empty, the
-    event loop is bit-identical to the historical unconstrained path. *)
+    {!Constraints}) exactly as in {!List_sched.run}; a dead end raises
+    {!Constraints.Infeasible} naming [Online.plan]. *)
 
 val clairvoyant :
   ?weights:Policy.weights ->

@@ -1,7 +1,6 @@
-module Pe = Tats_techlib.Pe
 module Catalog = Tats_techlib.Catalog
-module Block = Tats_floorplan.Block
-module Grid = Tats_floorplan.Grid
+module Platform = Tats_techlib.Platform
+module Flow = Tats_cosynth.Flow
 module Hotspot = Tats_thermal.Hotspot
 module Inquiry = Tats_thermal.Inquiry
 
@@ -16,59 +15,30 @@ let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* The exact facade Flow.run_platform builds for this width: identical
-   catalog PEs on a grid layout under the default package, so schedule
-   requests served through the registry produce the same floats as a
-   one-shot CLI run that builds its own. *)
-let build_platform ~n_pes =
-  let insts = Catalog.platform_instances n_pes in
-  let blocks =
-    Array.map
-      (fun (i : Pe.inst) ->
-        Block.make
-          ~name:(Printf.sprintf "PE%d_%s" i.Pe.inst_id i.Pe.kind.Pe.kind_name)
-          ~area:i.Pe.kind.Pe.area ())
-      insts
-  in
-  Hotspot.create (Grid.layout blocks)
+(* The registry's one builder: the facade Flow.run_platform would build
+   for [platform] (grid floorplan, default package), so requests served
+   through the registry produce the same floats as a one-shot CLI run
+   that builds its own. *)
+let facade t ~key platform =
+  with_lock t @@ fun () ->
+  match Hashtbl.find_opt t.table key with
+  | Some h -> h
+  | None ->
+      let h = Flow.platform_facade platform in
+      Hashtbl.add t.table key h;
+      h
 
 let platform t ~n_pes =
   if n_pes < 1 then invalid_arg "Engines.platform: need at least one PE";
-  let key = Printf.sprintf "platform:%d" n_pes in
-  with_lock t @@ fun () ->
-  match Hashtbl.find_opt t.table key with
-  | Some h -> h
-  | None ->
-      let h = build_platform ~n_pes in
-      Hashtbl.add t.table key h;
-      h
+  facade t
+    ~key:(Printf.sprintf "platform:%d" n_pes)
+    (Catalog.std_platform n_pes)
 
-(* Same facade recipe over a typed platform's slots: per-slot kind areas
-   flow into the block model, so heterogeneous power densities are
-   represented. Fingerprinted by name — builtin platforms are immutable. *)
-let build_typed platform =
-  let insts = Tats_techlib.Platform.instances platform in
-  let blocks =
-    Array.map
-      (fun (i : Pe.inst) ->
-        Block.make
-          ~name:(Printf.sprintf "PE%d_%s" i.Pe.inst_id i.Pe.kind.Pe.kind_name)
-          ~area:i.Pe.kind.Pe.area ())
-      insts
-  in
-  Hotspot.create (Grid.layout blocks)
-
+(* Builtin platforms are immutable, so the name identifies the geometry. *)
 let typed_platform t platform =
-  let key =
-    Printf.sprintf "platform-name:%s" (Tats_techlib.Platform.name platform)
-  in
-  with_lock t @@ fun () ->
-  match Hashtbl.find_opt t.table key with
-  | Some h -> h
-  | None ->
-      let h = build_typed platform in
-      Hashtbl.add t.table key h;
-      h
+  facade t
+    ~key:(Printf.sprintf "platform-name:%s" (Platform.name platform))
+    platform
 
 let count t = with_lock t @@ fun () -> Hashtbl.length t.table
 

@@ -13,9 +13,11 @@
     [BENCH_serve.json] enforces.
 
     A fingerprint identifies everything the engine's numbers depend on:
-    currently ["platform:<n_pes>"] — the fixed grid of identical catalog
-    PEs that {!Tats_cosynth.Flow.run_platform} would build for that
-    width, with the default package. Co-synthesis requests are {e not}
+    ["platform:<n_pes>"] for {!Tats_techlib.Catalog.std_platform}[ n_pes],
+    ["platform-name:<name>"] for a named typed platform. Either way the
+    facade is {!Tats_cosynth.Flow.platform_facade} of that platform with
+    the default package, the one {!Tats_cosynth.Flow.run_platform} would
+    build. Co-synthesis requests are {e not}
     served from the registry: their placement is part of the answer, so
     each builds its own facade (see DESIGN.md §11, engine-sharing
     lifecycle).
@@ -33,17 +35,14 @@ val create : unit -> t
     fingerprint, under the registry mutex. *)
 
 val platform : t -> n_pes:int -> Tats_thermal.Hotspot.t
-(** The shared facade for the [n_pes]-wide platform: a grid layout of
-    identical catalog PEs with the default package — numerically
-    identical to the facade a fresh
-    {!Tats_cosynth.Flow.run_platform} call would create. *)
+(** The shared facade for {!Tats_techlib.Catalog.std_platform}[ n_pes],
+    fingerprinted ["platform:<n_pes>"]. Raises [Invalid_argument] when
+    [n_pes < 1]. *)
 
 val typed_platform : t -> Tats_techlib.Platform.t -> Tats_thermal.Hotspot.t
-(** The shared facade for a typed (possibly heterogeneous) platform:
-    one block per slot with the slot kind's area, fingerprinted
-    ["platform-name:<name>"] — numerically identical to the facade
-    {!Tats_cosynth.Flow.run_platform} builds for that platform. Builtin
-    platforms are immutable, so the name identifies the geometry. *)
+(** The shared facade for a typed (possibly heterogeneous) platform,
+    fingerprinted ["platform-name:<name>"]. Builtin platforms are
+    immutable, so the name identifies the geometry. *)
 
 val count : t -> int
 (** Distinct fingerprints currently warmed. *)

@@ -106,36 +106,35 @@ let prune t conn =
 
 let num_arr a = Json.Arr (Array.to_list (Array.map (fun f -> Json.Num f) a))
 
-(* Decode already validated the name against the catalog; a miss here
-   would mean the builtin set changed between decode and dispatch. *)
-let resolve_platform name =
-  match Catalog.platform_named name with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "unknown platform %S" name)
+(* A request's fixed architecture: the named builtin platform, or the
+   [n_pes]-wide standard one, with its library and shared facade. Decode
+   already validated both; a name miss here would mean the builtin set
+   changed between decode and dispatch. *)
+let resolve_arch t ~n_pes name =
+  let platform, hotspot =
+    match name with
+    | None ->
+        let hotspot = Engines.platform t.engines ~n_pes in
+        (Catalog.std_platform n_pes, hotspot)
+    | Some name -> (
+        match Catalog.platform_named name with
+        | Some p -> (p, Engines.typed_platform t.engines p)
+        | None -> invalid_arg (Printf.sprintf "unknown platform %S" name))
+  in
+  (platform, Catalog.library_for platform, hotspot)
 
 let run_flow t (p : Protocol.schedule_params) =
   let graph = Benchmarks.load p.bench in
   match p.arch with
-  | Protocol.Platform -> (
+  | Protocol.Platform ->
       let constraints =
         { Constraints.pins = p.pins; isolation = p.isolation }
       in
-      match p.platform with
-      | None ->
-          let lib = Catalog.platform_library () in
-          let hotspot = Engines.platform t.engines ~n_pes:p.n_pes in
-          ( graph,
-            lib,
-            Flow.run_platform ~n_pes:p.n_pes ~constraints ~hotspot ~graph ~lib
-              ~policy:p.policy () )
-      | Some name ->
-          let platform = resolve_platform name in
-          let lib = Catalog.library_for platform in
-          let hotspot = Engines.typed_platform t.engines platform in
-          ( graph,
-            lib,
-            Flow.run_platform ~platform ~constraints ~hotspot ~graph ~lib
-              ~policy:p.policy () ))
+      let platform, lib, hotspot = resolve_arch t ~n_pes:p.n_pes p.platform in
+      ( graph,
+        lib,
+        Flow.run_platform ~platform ~constraints ~hotspot ~graph ~lib
+          ~policy:p.policy () )
   | Protocol.Cosynth ->
       let lib = Catalog.default_library () in
       (graph, lib, Flow.run_cosynthesis ~graph ~lib ~policy:p.policy ())
@@ -225,16 +224,7 @@ let handle t (req : Protocol.request) =
         }
       in
       let platform, lib, hotspot =
-        match p.Protocol.o_platform with
-        | None ->
-            ( None,
-              Catalog.platform_library (),
-              Engines.platform t.engines ~n_pes:p.Protocol.o_n_pes )
-        | Some name ->
-            let platform = resolve_platform name in
-            ( Some platform,
-              Catalog.library_for platform,
-              Engines.typed_platform t.engines platform )
+        resolve_arch t ~n_pes:p.Protocol.o_n_pes p.Protocol.o_platform
       in
       let arrivals =
         match p.Protocol.o_arrivals with
@@ -243,7 +233,7 @@ let handle t (req : Protocol.request) =
         | Protocol.Trace -> Flow.Release_trace
       in
       let o =
-        Flow.run_online ~n_pes:p.Protocol.o_n_pes ?platform ~constraints
+        Flow.run_online ~platform ~constraints
           ~hotspot ~mean_gap:p.Protocol.o_mean_gap ~arrivals ~graph ~lib
           ~policy:p.Protocol.o_policy ()
       in

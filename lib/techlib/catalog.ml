@@ -27,8 +27,11 @@ let platform_kind () =
   Pe.make_kind ~kind_id:0 ~name:"std-core" ~area:(mm2 16.0) ~cost:100.0
     ~speed:1.0 ~power_scale:8.0 ~idle_power:0.6 ()
 
-let platform_instances n =
-  Pe.instances (List.init n (fun _ -> platform_kind ()))
+let std_platform n =
+  Platform.homogeneous ~name:(Printf.sprintf "std%d" n) ~kind:(platform_kind ())
+    ~n_pes:n
+
+let platform_instances n = Platform.instances (std_platform n)
 
 (* Builtin typed platforms for the heterogeneous platform flow. Kind ids
    are dense per platform (a Platform.make requirement), so the big/LITTLE
@@ -46,7 +49,7 @@ let builtin_platforms () =
   [
     (* The degenerate case: the paper's four identical standard cores as a
        typed platform. Must reproduce Tables 1-3 byte for byte. *)
-    Platform.homogeneous ~name:"std4" ~kind:(platform_kind ()) ~n_pes:4;
+    std_platform 4;
     (* ARM big.LITTLE-style: two fast/hot cores plus two slow/cool ones. *)
     Platform.make ~name:"biglittle4"
       ~kinds:[ big_kind ~kind_id:0; little_kind ~kind_id:1 ]
@@ -77,16 +80,10 @@ let default_library () =
     ~n_task_types:Tats_taskgraph.Benchmarks.n_task_types
     ~kinds:(heterogeneous ()) ()
 
-let platform_library () =
-  Library.generate ~seed:library_seed
-    ~n_task_types:Tats_taskgraph.Benchmarks.n_task_types
-    ~kinds:[ platform_kind () ] ()
-
 let library_for platform =
-  (* Same seed and task types as [platform_library]; for the single
-     standard-kind platform the RNG draw sequence is identical, so the
-     generated tables are bit-identical to [platform_library ()]. *)
   Library.generate ~seed:library_seed
     ~n_task_types:Tats_taskgraph.Benchmarks.n_task_types
     ~kinds:(Array.to_list (Platform.kinds platform))
     ()
+
+let platform_library () = library_for (std_platform 1)

@@ -1,8 +1,6 @@
 (* A typed platform description: which PE kinds exist and which kind sits
-   in each PE slot. The degenerate single-kind case is value-identical to
-   the historical "n identical cores" arrays built by
-   [Catalog.platform_instances], so every consumer that accepts a platform
-   reproduces the homogeneous flow bit for bit. *)
+   in each PE slot. Every fixed architecture is one of these; "n identical
+   cores" is the single-kind case built by [homogeneous]. *)
 
 type t = { platform_name : string; kinds : Pe.kind array; slots : int array }
 
@@ -42,8 +40,6 @@ let is_homogeneous t = Array.length t.kinds = 1
 let kind_of_slot t i = t.kinds.(t.slots.(i))
 
 let instances t =
-  (* Value-identical to [Pe.instances] over the expanded kind list, so the
-     single-kind case matches [Catalog.platform_instances n] exactly. *)
   Pe.instances (Array.to_list (Array.map (fun s -> t.kinds.(s)) t.slots))
 
 let cost t =

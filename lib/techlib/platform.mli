@@ -3,11 +3,11 @@
     The paper's platform flow fixes n identical standard cores; this module
     generalizes it to a typed platform: an array of PE {e kinds} (with
     per-kind speed/power/thermal characteristics, see {!Pe.kind}) plus a
-    slot map assigning one kind to each PE position. A single-kind platform
-    is value-identical to the historical identical-cores arrays, which is
-    the anchor of the differential test battery: scheduling on
-    [homogeneous ~kind:(Catalog.platform_kind ()) ~n_pes:4] must reproduce
-    the published Tables 1–3 byte for byte. *)
+    slot map assigning one kind to each PE position. It is the only
+    architecture model of the platform flow: "n identical cores" is
+    [homogeneous ~kind ~n_pes], and on
+    [homogeneous ~kind:(Catalog.platform_kind ()) ~n_pes:4] scheduling
+    reproduces the published Tables 1–3 byte for byte. *)
 
 type t = {
   platform_name : string;
@@ -33,8 +33,7 @@ val is_homogeneous : t -> bool
 val kind_of_slot : t -> int -> Pe.kind
 
 val instances : t -> Pe.inst array
-(** One {!Pe.inst} per slot, [inst_id] = slot index. For a single-kind
-    platform this is value-identical to {!Catalog.platform_instances}. *)
+(** One {!Pe.inst} per slot, [inst_id] = slot index. *)
 
 val cost : t -> float
 (** Sum of per-slot kind costs — the platform's architecture cost. *)

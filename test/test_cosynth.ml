@@ -131,6 +131,23 @@ let test_platform_flow_rejects_multikind_library () =
        ignore (Flow.run_platform ~graph ~lib:hetero ~policy:Policy.Baseline ()
                : Flow.outcome);
        false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "zero PEs rejected" true
+    (try
+       ignore
+         (Flow.run_platform ~n_pes:0 ~graph ~lib:platform
+            ~policy:Policy.Baseline ()
+           : Flow.outcome);
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "zero online PEs rejected" true
+    (try
+       ignore
+         (Flow.run_online ~n_pes:0 ~arrivals:Flow.Release_zero ~graph
+            ~lib:platform
+            ~policy:(Tats_sched.Online.Mirror Policy.Baseline) ()
+           : Flow.online_outcome);
+       false
      with Invalid_argument _ -> true)
 
 let test_platform_flow_pe_count () =

@@ -146,7 +146,20 @@ let test_reactive_cold_trigger_equals_mirror () =
   Alcotest.(check int) "no deferrals" 0 online.Online.stats.Online.deferrals;
   Alcotest.(check bool)
     "live peak sampled" true
-    (Float.is_finite online.Online.stats.Online.peak_observed)
+    (Float.is_finite online.Online.stats.Online.peak_observed);
+  (* Under a real release stream too, where start floors bind: a cold
+     trigger makes every cost surcharge zero, so reactive equals its
+     mirror base. *)
+  let arrivals = Online.sporadic ~seed:7 graph in
+  let run policy =
+    Online.run ~hotspot ~arrivals ~graph ~lib:platform_lib ~pes ~policy ()
+  in
+  let sporadic = run reactive in
+  check_same_schedule "sporadic reactive(cold) vs mirror"
+    (run (Online.Mirror Policy.Thermal_aware)).Online.schedule
+    sporadic.Online.schedule;
+  Alcotest.(check int) "no sporadic deferrals" 0
+    sporadic.Online.stats.Online.deferrals
 
 (* --- Edge cases --------------------------------------------------------- *)
 
