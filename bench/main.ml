@@ -1,6 +1,6 @@
 (* Benchmark harness.
 
-   Running `dune exec bench/main.exe` does three things, in order:
+   Running `dune exec bench/main.exe` does, in order:
 
    1. Regenerates every table and figure of the paper's evaluation
       (Tables 1-3 side by side with the published numbers, and the two
@@ -10,28 +10,56 @@
       sweep, leakage feedback on/off, GA floorplanning effort, and the
       compact (dense LU) vs grid (sparse CG) thermal solvers.
    3. Measures the parallel scaling of the domain-pool workloads
-      (Monte-Carlo, GA fitness, SA restarts) at 1/2/4 domains, verifies
-      they are bit-identical to the sequential runs, and writes
-      BENCH_parallel.json.
-   4. Prices the blocked linalg kernels against an in-bench naive
-      reference (>= 2x gate at n >= 64) and writes BENCH_kernels.json.
+      (Monte-Carlo, GA fitness, SA restarts) at 1/2/4 domains and verifies
+      they are bit-identical to the sequential runs.
+   4. Drives the online, serving, campaign and heterogeneous-platform
+      layers and gates their invariants (clairvoyant ratio floor,
+      cross-request cache hits, resume byte-identity, std4 degeneracy),
+      then bounds the disabled-mode observability overhead.
    5. Times the experiment kernels with Bechamel (one Test.make per table
       plus one per Figure-1 flow, and micro-benchmarks of the hot paths).
 
-   Pass --tables-only to skip the Bechamel timing runs (CI-friendly) and
-   --jobs N to size the default execution pool used by the table phase.
+   Pass --tables-only to skip the Bechamel timing runs (CI-friendly),
+   --jobs N to size the default execution pool used by the table phase,
+   and --only PHASE (repeatable) to run a subset of the phases.
 
-   Every BENCH_*.json written is echoed as one machine-readable line
-   `BENCH-JSON <path>` for CI collectors. *)
+   Every gate that prints FAIL makes the run exit 1, once, after every
+   selected phase has run; SKIP never fails. Every BENCH_*.json written
+   is echoed as one machine-readable line `BENCH-JSON <path>` for CI
+   collectors. *)
 
 open Bechamel
 open Toolkit
+module Json = Core.Serve.Json
 
 let hr title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 (* One greppable line per machine-readable artifact. *)
 let announce_json path = Printf.printf "BENCH-JSON %s\n" path
+
+(* Every BENCH_*.json goes through the wire protocol's encoder, so strings
+   are JSON-escaped and floats print in their shortest exact form. *)
+let write_json path (j : Json.t) =
+  Core.Fsio.write_atomic path (Json.to_string j ^ "\n");
+  Printf.printf "wrote %s\n" path;
+  announce_json path
+
+let num f = Json.Num f
+let int n = Json.Num (float_of_int n)
+let str s = Json.Str s
+let opt_str = function Some s -> Json.Str s | None -> Json.Null
+
+(* --- gates -------------------------------------------------------------- *)
+
+(* [gate name ok] is the verdict string a phase prints and records in its
+   JSON. A FAIL is also remembered; the run exits 1 once, after the last
+   phase, so one failing gate does not hide the verdicts that follow. *)
+let failed_gates : string list ref = ref []
+
+let gate name ok =
+  if not ok then failed_gates := name :: !failed_gates;
+  if ok then "PASS" else "FAIL"
 
 (* --- per-phase timing --------------------------------------------------- *)
 
@@ -41,15 +69,18 @@ let announce_json path = Printf.printf "BENCH-JSON %s\n" path
    library's own spans. *)
 let phase_times : (string * float) list ref = ref []
 
-(* --only NAME (repeatable) restricts the run to the named phases. *)
-let only_phases =
+(* Every VALUE given as [name VALUE] on the command line, in order. *)
+let flag_values name =
   let acc = ref [] in
   Array.iteri
     (fun i arg ->
-      if arg = "--only" && i + 1 < Array.length Sys.argv then
+      if arg = name && i + 1 < Array.length Sys.argv then
         acc := Sys.argv.(i + 1) :: !acc)
     Sys.argv;
-  !acc
+  List.rev !acc
+
+(* --only NAME (repeatable) restricts the run to the named phases. *)
+let only_phases = flag_values "--only"
 
 (* Every name ever passed to [timed_phase]; --only arguments are checked
    against it up front, so a typo is a hard error instead of a silently
@@ -89,33 +120,49 @@ let write_phases () =
       Printf.printf "  %-28s %8.2f s (%4.1f%%)\n" name t
         (100.0 *. t /. Float.max total 1e-9))
     phases;
-  let oc = open_out "BENCH_phases.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"total_wall_s\": %.4f,\n  \"phases\": [\n" total;
-      List.iteri
-        (fun i (name, t) ->
-          Printf.fprintf oc "    {\"name\": %S, \"wall_s\": %.4f}%s\n" name t
-            (if i = List.length phases - 1 then "" else ","))
-        phases;
-      (* Process-wide execution-runtime counters accumulated across every
-         phase, from the metrics registry. *)
-      let pool_counter name =
-        Core.Metricsreg.counter_value (Core.Metricsreg.counter name)
-      in
-      Printf.fprintf oc
-        "  ],\n\
-        \  \"pool\": {\"batches\": %d, \"tasks\": %d, \"steals\": %d, \
-         \"parks\": %d, \"deque_max_depth\": %d}\n\
-         }\n"
-        (pool_counter "pool.batches")
-        (pool_counter "pool.tasks")
-        (pool_counter "pool.steals")
-        (pool_counter "pool.parks")
-        (pool_counter "pool.deque_max_depth"));
-  Printf.printf "wrote BENCH_phases.json\n";
-  announce_json "BENCH_phases.json"
+  (* Process-wide execution-runtime counters accumulated across every
+     phase, from the metrics registry. *)
+  let pool_counter name =
+    let c = Core.Metricsreg.counter ("pool." ^ name) in
+    (name, int (Core.Metricsreg.counter_value c))
+  in
+  write_json "BENCH_phases.json"
+    (Json.Obj
+       [
+         ("total_wall_s", num total);
+         ( "phases",
+           Json.Arr
+             (List.map
+                (fun (name, t) ->
+                  Json.Obj [ ("name", str name); ("wall_s", num t) ])
+                phases) );
+         ( "pool",
+           Json.Obj
+             (List.map pool_counter
+                [ "batches"; "tasks"; "steals"; "parks"; "deque_max_depth" ]) );
+       ])
+
+(* --- shared fixtures ---------------------------------------------------- *)
+
+(* The 4-PE platform floorplan: four 1.6e-5 m^2 blocks on a grid. *)
+let pe_placement () =
+  Core.Grid.layout
+    (Array.init 4 (fun i ->
+         Core.Block.make ~name:(Printf.sprintf "PE%d" i) ~area:1.6e-5 ()))
+
+let platform_hotspot () = Core.Hotspot.create (pe_placement ())
+
+(* [n] blocks with seeded random areas in [min_area, 2.5e-5] m^2, the
+   floorplanners' workload. *)
+let random_blocks n ~min_area =
+  let rng = Core.Rng.create 7 in
+  Array.init n (fun i ->
+      Core.Block.make ~name:(Printf.sprintf "b%d" i)
+        ~area:(Core.Rng.uniform rng min_area 2.5e-5)
+        ())
+
+let total_area blocks =
+  Array.fold_left (fun a b -> a +. b.Core.Block.area) 0.0 blocks
 
 (* ----------------------------------------------------------------------- *)
 (* 1. Table and figure regeneration                                         *)
@@ -147,31 +194,22 @@ let inquiry_summary ~elapsed =
     "factored solves: %d vs %d dense-path equivalents -> %.1fx fewer (%s >= \
      5x target)\n"
     s.Core.Inquiry.factored_solves s.Core.Inquiry.dense_solves reduction
-    (if reduction >= 5.0 then "PASS" else "FAIL");
-  let oc = open_out "BENCH_inquiry.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"inquiries\": %d,\n\
-        \  \"inquiries_per_sec\": %.1f,\n\
-        \  \"cache_hits\": %d,\n\
-        \  \"cache_hit_rate\": %.4f,\n\
-        \  \"fp_iterations\": %d,\n\
-        \  \"delta_evals\": %d,\n\
-        \  \"factored_solves\": %d,\n\
-        \  \"dense_solves\": %d,\n\
-        \  \"solve_reduction\": %.2f,\n\
-        \  \"engine_wall_s\": %.3f,\n\
-        \  \"tables_wall_s\": %.3f\n\
-         }\n"
-        s.Core.Inquiry.inquiries per_sec s.Core.Inquiry.cache_hits hit_rate
-        s.Core.Inquiry.fp_iterations s.Core.Inquiry.delta_evals
-        s.Core.Inquiry.factored_solves s.Core.Inquiry.dense_solves reduction
-        s.Core.Inquiry.wall_time elapsed);
-  Printf.printf "wrote BENCH_inquiry.json\n";
-  announce_json "BENCH_inquiry.json"
+    (gate "inquiry solve reduction >= 5x" (reduction >= 5.0));
+  write_json "BENCH_inquiry.json"
+    (Json.Obj
+       [
+         ("inquiries", int s.Core.Inquiry.inquiries);
+         ("inquiries_per_sec", num per_sec);
+         ("cache_hits", int s.Core.Inquiry.cache_hits);
+         ("cache_hit_rate", num hit_rate);
+         ("fp_iterations", int s.Core.Inquiry.fp_iterations);
+         ("delta_evals", int s.Core.Inquiry.delta_evals);
+         ("factored_solves", int s.Core.Inquiry.factored_solves);
+         ("dense_solves", int s.Core.Inquiry.dense_solves);
+         ("solve_reduction", num reduction);
+         ("engine_wall_s", num s.Core.Inquiry.wall_time);
+         ("tables_wall_s", num elapsed);
+       ])
 
 let regenerate_tables () =
   hr "Tables 1-3 (paper vs measured)";
@@ -188,11 +226,13 @@ let regenerate_tables () =
   print_newline ();
   print_string (Core.Report.table3 table3);
   print_newline ();
-  print_string
-    (Core.Report.shape_checks
-       (Core.Experiments.shape_checks ~table1 ~table2 ~table3));
-  inquiry_summary ~elapsed;
-  (table1, table2, table3)
+  let checks = Core.Experiments.shape_checks ~table1 ~table2 ~table3 in
+  print_string (Core.Report.shape_checks checks);
+  List.iter
+    (fun (c : Core.Experiments.shape_check) ->
+      ignore (gate c.Core.Experiments.check c.Core.Experiments.holds : string))
+    checks;
+  inquiry_summary ~elapsed
 
 let figure1_flows () =
   hr "Figure 1 — the two flows as executable stage traces";
@@ -271,14 +311,8 @@ let ablation_leakage () =
 let ablation_ga_effort () =
   hr "Ablation — GA floorplanning effort";
   Printf.printf "%-14s %12s %12s\n" "generations" "cost" "dead space";
-  let rng = Core.Rng.create 7 in
-  let blocks =
-    Array.init 6 (fun i ->
-        Core.Block.make ~name:(Printf.sprintf "b%d" i)
-          ~area:(Core.Rng.uniform rng 8e-6 2.5e-5)
-          ())
-  in
-  let blocks_area = Array.fold_left (fun a b -> a +. b.Core.Block.area) 0.0 blocks in
+  let blocks = random_blocks 6 ~min_area:8e-6 in
+  let blocks_area = total_area blocks in
   List.iter
     (fun generations ->
       let params = { Core.Ga.default_params with Core.Ga.generations } in
@@ -293,11 +327,7 @@ let ablation_ga_effort () =
 
 let ablation_solvers () =
   hr "Ablation — compact (dense LU) vs grid (sparse CG) thermal model";
-  let placement =
-    Core.Grid.layout
-      (Array.init 4 (fun i ->
-           Core.Block.make ~name:(Printf.sprintf "PE%d" i) ~area:1.6e-5 ()))
-  in
+  let placement = pe_placement () in
   let power = [| 2.0; 6.0; 1.0; 3.0 |] in
   let compact = Core.Steady.create (Core.Rcmodel.build Core.Package.default placement) in
   let t_compact = Core.Steady.block_temperatures compact ~power in
@@ -316,14 +346,8 @@ let ablation_solvers () =
 let ablation_floorplanners () =
   hr "Ablation — GA vs simulated-annealing floorplanner (same cost, same blocks)";
   Printf.printf "%-10s %12s %14s\n" "method" "cost" "evaluations";
-  let rng = Core.Rng.create 7 in
-  let blocks =
-    Array.init 8 (fun i ->
-        Core.Block.make ~name:(Printf.sprintf "b%d" i)
-          ~area:(Core.Rng.uniform rng 6e-6 2.5e-5)
-          ())
-  in
-  let blocks_area = Array.fold_left (fun a b -> a +. b.Core.Block.area) 0.0 blocks in
+  let blocks = random_blocks 8 ~min_area:6e-6 in
+  let blocks_area = total_area blocks in
   let cost = Core.Flow.floorplan_cost ~blocks_area in
   let ga = Core.Ga.run ~seed:42 ~blocks ~cost () in
   let sa = Core.Sa.run ~seed:42 ~blocks ~cost () in
@@ -413,11 +437,7 @@ let ablation_bus () =
 
 let ablation_stack () =
   hr "Ablation — compact model vs multi-layer die/TIM/spreader stack";
-  let placement =
-    Core.Grid.layout
-      (Array.init 4 (fun i ->
-           Core.Block.make ~name:(Printf.sprintf "PE%d" i) ~area:1.6e-5 ()))
-  in
+  let placement = pe_placement () in
   let power = [| 2.0; 6.0; 1.0; 3.0 |] in
   let compact = Core.Steady.create (Core.Rcmodel.build Core.Package.default placement) in
   let stack = Core.Stack.build placement in
@@ -591,14 +611,8 @@ let parallel_scaling () =
   let schedule =
     Core.List_sched.run ~graph ~lib ~pes ~policy:Core.Policy.Baseline ()
   in
-  let rng = Core.Rng.create 7 in
-  let blocks =
-    Array.init 6 (fun i ->
-        Core.Block.make ~name:(Printf.sprintf "b%d" i)
-          ~area:(Core.Rng.uniform rng 8e-6 2.5e-5)
-          ())
-  in
-  let blocks_area = Array.fold_left (fun a b -> a +. b.Core.Block.area) 0.0 blocks in
+  let blocks = random_blocks 6 ~min_area:8e-6 in
+  let blocks_area = total_area blocks in
   let thermal_cost p =
     Core.Flow.floorplan_cost ~blocks_area p
     +. 0.05
@@ -611,15 +625,8 @@ let parallel_scaling () =
       measure_workload ~name:"monte-carlo (Bm1, 1000 runs)" (fun pool ->
           (* A fresh facade per pool size: the fingerprint must not depend
              on cache state left by a previous measurement. *)
-          let hotspot =
-            Core.Hotspot.create
-              (Core.Grid.layout
-                 (Array.init 4 (fun i ->
-                      Core.Block.make ~name:(Printf.sprintf "PE%d" i)
-                        ~area:1.6e-5 ())))
-          in
-          Core.Montecarlo.analyze ~runs:1000 ~pool ~seed:11 ~lib ~hotspot
-            schedule);
+          Core.Montecarlo.analyze ~runs:1000 ~pool ~seed:11 ~lib
+            ~hotspot:(platform_hotspot ()) schedule);
       measure_workload ~name:"GA thermal floorplan (15 generations)" (fun pool ->
           let r =
             Core.Ga.run
@@ -689,346 +696,63 @@ let parallel_scaling () =
      trajectory can tell "1-core host" apart from "regression". *)
   let skip = cores < 4 in
   let skip_reason = if skip then Some (skip_reason_of_cores cores) else None in
-  let verdict s = if skip then "SKIP" else if s >= 2.0 then "PASS" else "FAIL" in
-  let speedup_verdict = verdict best_speedup in
-  let fine_verdict = verdict fine_speedup in
+  let verdict name s = if skip then "SKIP" else gate name (s >= 2.0) in
+  let speedup_verdict = verdict "coarse speedup >= 2x" best_speedup in
+  let fine_verdict = verdict "fine-grained speedup >= 2x" fine_speedup in
   let pp_verdict v =
     match skip_reason with Some r -> Printf.sprintf "%s (%s)" v r | None -> v
   in
+  ignore (gate "parallel determinism" all_identical : string);
   Printf.printf "determinism across pool sizes: %s\n"
     (if all_identical then "[PASS] bit-identical at jobs 1/2/4" else "[FAIL]");
   Printf.printf "coarse speedup at 4 domains (best %.2fx, >= 2x target): %s\n"
     best_speedup (pp_verdict speedup_verdict);
   Printf.printf "fine-grained speedup at 4 domains (%.2fx, >= 2x target): %s\n"
     fine_speedup (pp_verdict fine_verdict);
-  let json_opt_string oc = function
-    | Some s -> Printf.fprintf oc "%S" s
-    | None -> Printf.fprintf oc "null"
+  let wall_s row =
+    Json.Arr (List.map (fun j -> num (time_at j row)) scaling_jobs)
   in
-  let oc = open_out "BENCH_parallel.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"cores\": %d,\n  \"host_cores\": %d,\n  \"jobs\": [1, 2, 4],\n"
-        cores cores;
-      Printf.fprintf oc "  \"workloads\": [\n";
-      List.iteri
-        (fun i row ->
-          Printf.fprintf oc
-            "    {\"name\": %S, \"wall_s\": [%.4f, %.4f, %.4f], \"speedup4\": \
-             %.3f, \"identical\": %b}%s\n"
-            row.workload (time_at 1 row) (time_at 2 row) (time_at 4 row)
-            (speedup4 row) row.identical
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc
-        "  \"fine_grained\": {\"name\": %S, \"tasks\": %d, \"wall_s\": [%.4f, \
-         %.4f, %.4f], \"speedup4\": %.3f, \"identical\": %b, \"steals4\": %d, \
-         \"parks4\": %d, \"deque_max_depth4\": %d, \"speedup_check\": %S, \
-         \"skip_reason\": "
-        fine_row.workload fine_tasks (time_at 1 fine_row) (time_at 2 fine_row)
-        (time_at 4 fine_row) fine_speedup fine_row.identical
-        fine_stats.Core.Pool.steals fine_stats.Core.Pool.parks
-        fine_stats.Core.Pool.max_deque_depth fine_verdict;
-      json_opt_string oc skip_reason;
-      Printf.fprintf oc "},\n";
-      Printf.fprintf oc "  \"identical\": %b,\n" all_identical;
-      Printf.fprintf oc "  \"best_speedup4\": %.3f,\n" best_speedup;
-      Printf.fprintf oc "  \"speedup_target\": 2.0,\n";
-      Printf.fprintf oc "  \"speedup_check\": %S,\n" speedup_verdict;
-      Printf.fprintf oc "  \"skip_reason\": ";
-      json_opt_string oc skip_reason;
-      Printf.fprintf oc "\n}\n");
-  Printf.printf "wrote BENCH_parallel.json\n";
-  announce_json "BENCH_parallel.json";
-  if not all_identical then exit 1
+  write_json "BENCH_parallel.json"
+    (Json.Obj
+       [
+         ("cores", int cores);
+         ("host_cores", int cores);
+         ("jobs", Json.Arr (List.map int scaling_jobs));
+         ( "workloads",
+           Json.Arr
+             (List.map
+                (fun row ->
+                  Json.Obj
+                    [
+                      ("name", str row.workload);
+                      ("wall_s", wall_s row);
+                      ("speedup4", num (speedup4 row));
+                      ("identical", Json.Bool row.identical);
+                    ])
+                rows) );
+         ( "fine_grained",
+           Json.Obj
+             [
+               ("name", str fine_row.workload);
+               ("tasks", int fine_tasks);
+               ("wall_s", wall_s fine_row);
+               ("speedup4", num fine_speedup);
+               ("identical", Json.Bool fine_row.identical);
+               ("steals4", int fine_stats.Core.Pool.steals);
+               ("parks4", int fine_stats.Core.Pool.parks);
+               ("deque_max_depth4", int fine_stats.Core.Pool.max_deque_depth);
+               ("speedup_check", str fine_verdict);
+               ("skip_reason", opt_str skip_reason);
+             ] );
+         ("identical", Json.Bool all_identical);
+         ("best_speedup4", num best_speedup);
+         ("speedup_target", num 2.0);
+         ("speedup_check", str speedup_verdict);
+         ("skip_reason", opt_str skip_reason);
+       ])
 
 (* ----------------------------------------------------------------------- *)
-(* 4. Kernel speedup — blocked flat-storage linalg vs naive reference       *)
-(* ----------------------------------------------------------------------- *)
-
-(* In-bench transcription of the pre-blocking kernels: unblocked
-   right-looking LU driven through the bounds-checked Matrix.get/set
-   interface, and the influence matrix built as one unit solve per
-   column. test_kernels.ml proves the blocked kernels compute the *same*
-   floats; this section prices the difference. The acceptance gate is a
-   >= 2x speedup on LU factorization and on the batched influence build
-   at n >= 64; smaller sizes are reported for the trend but SKIPped by
-   the gate (they fit in L1 either way, so blocking buys little). *)
-module Naive_lu = struct
-  type t = { lu : Core.Matrix.t; perm : int array }
-
-  let factor a =
-    let n = Core.Matrix.rows a in
-    let lu = Core.Matrix.copy a in
-    let perm = Array.init n (fun i -> i) in
-    for k = 0 to n - 1 do
-      let pivot_row = ref k in
-      for i = k + 1 to n - 1 do
-        if
-          Float.abs (Core.Matrix.get lu i k)
-          > Float.abs (Core.Matrix.get lu !pivot_row k)
-        then pivot_row := i
-      done;
-      if !pivot_row <> k then begin
-        for j = 0 to n - 1 do
-          let tmp = Core.Matrix.get lu k j in
-          Core.Matrix.set lu k j (Core.Matrix.get lu !pivot_row j);
-          Core.Matrix.set lu !pivot_row j tmp
-        done;
-        let tmp = perm.(k) in
-        perm.(k) <- perm.(!pivot_row);
-        perm.(!pivot_row) <- tmp
-      end;
-      let pivot = Core.Matrix.get lu k k in
-      for i = k + 1 to n - 1 do
-        let factor = Core.Matrix.get lu i k /. pivot in
-        Core.Matrix.set lu i k factor;
-        for j = k + 1 to n - 1 do
-          Core.Matrix.set lu i j
-            (Core.Matrix.get lu i j -. (factor *. Core.Matrix.get lu k j))
-        done
-      done
-    done;
-    { lu; perm }
-
-  let solve_factored { lu; perm } b =
-    let n = Core.Matrix.rows lu in
-    let x = Array.init n (fun i -> b.(perm.(i))) in
-    for i = 1 to n - 1 do
-      for j = 0 to i - 1 do
-        x.(i) <- x.(i) -. (Core.Matrix.get lu i j *. x.(j))
-      done
-    done;
-    for i = n - 1 downto 0 do
-      for j = i + 1 to n - 1 do
-        x.(i) <- x.(i) -. (Core.Matrix.get lu i j *. x.(j))
-      done;
-      x.(i) <- x.(i) /. Core.Matrix.get lu i i
-    done;
-    x
-
-  let unit_solutions f n =
-    Array.init n (fun j ->
-        let e = Array.make n 0.0 in
-        e.(j) <- 1.0;
-        solve_factored f e)
-end
-
-let kernel_speedups () =
-  hr "Kernel speedup — blocked flat-storage linalg vs naive reference";
-  let sizes = [ 16; 32; 64; 96 ] in
-  (* Best-of-samples timing with enough inner iterations per sample to
-     dwarf the timer resolution at the small sizes. *)
-  let time_min ~iters f =
-    let best = ref infinity in
-    for _ = 1 to 7 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        ignore (Sys.opaque_identity (f ()))
-      done;
-      best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int iters)
-    done;
-    !best
-  in
-  Printf.printf "%-6s %12s %12s %9s %12s %12s %9s %8s\n" "n" "factor old"
-    "factor new" "speedup" "infl old" "infl new" "speedup" "gate";
-  let rows =
-    List.map
-      (fun n ->
-        let rng = Core.Rng.create (97 + n) in
-        let a =
-          Core.Matrix.init n n (fun i j ->
-              if i = j then 10.0 +. Core.Rng.float rng 5.0
-              else Core.Rng.uniform rng (-1.0) 1.0)
-        in
-        let iters = Stdlib.max 1 (20_000 / (n * n)) in
-        let t_factor_old = time_min ~iters (fun () -> Naive_lu.factor a) in
-        let t_factor_new = time_min ~iters (fun () -> Core.Lu.factor a) in
-        let nf = Naive_lu.factor a and f = Core.Lu.factor a in
-        let t_infl_old =
-          time_min ~iters (fun () -> Naive_lu.unit_solutions nf n)
-        in
-        let t_infl_new = time_min ~iters (fun () -> Core.Lu.unit_solutions f) in
-        let s_factor = t_factor_old /. Float.max t_factor_new 1e-12 in
-        let s_infl = t_infl_old /. Float.max t_infl_new 1e-12 in
-        let gate =
-          if n < 64 then "SKIP"
-          else if s_factor >= 2.0 && s_infl >= 2.0 then "PASS"
-          else "FAIL"
-        in
-        Printf.printf "%-6d %11.1fus %11.1fus %8.2fx %11.1fus %11.1fus %8.2fx %8s\n"
-          n (1e6 *. t_factor_old) (1e6 *. t_factor_new) s_factor
-          (1e6 *. t_infl_old) (1e6 *. t_infl_new) s_infl gate;
-        (n, t_factor_old, t_factor_new, s_factor, t_infl_old, t_infl_new, s_infl, gate))
-      sizes
-  in
-  let gated = List.filter (fun (n, _, _, _, _, _, _, _) -> n >= 64) rows in
-  let verdict =
-    if gated = [] then "SKIP (no gated sizes)"
-    else if
-      List.for_all (fun (_, _, _, _, _, _, _, gate) -> gate = "PASS") gated
-    then "PASS"
-    else "FAIL"
-  in
-  Printf.printf "kernel speedup at n >= 64 (>= 2x target on both): %s\n" verdict;
-  Printf.printf
-    "flops counted so far: factor %d, solve %d, matmul %d (lu.solves %d, \
-     batched %d)\n"
-    (Core.Metricsreg.counter_value (Core.Metricsreg.counter "lu.factor_flops"))
-    (Core.Metricsreg.counter_value (Core.Metricsreg.counter "lu.solve_flops"))
-    (Core.Metricsreg.counter_value (Core.Metricsreg.counter "matrix.mul_flops"))
-    (Core.Metricsreg.counter_value (Core.Metricsreg.counter "lu.solves"))
-    (Core.Metricsreg.counter_value
-       (Core.Metricsreg.counter "lu.batched_solves"));
-  let oc = open_out "BENCH_kernels.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"speedup_target\": 2.0,\n  \"sizes\": [\n";
-      List.iteri
-        (fun i (n, fo, fn, sf, io, inew, si, gate) ->
-          Printf.fprintf oc
-            "    {\"n\": %d, \"factor_old_s\": %.8f, \"factor_new_s\": %.8f, \
-             \"factor_speedup\": %.3f, \"influence_old_s\": %.8f, \
-             \"influence_new_s\": %.8f, \"influence_speedup\": %.3f, \
-             \"gate\": %S}%s\n"
-            n fo fn sf io inew si gate
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ],\n  \"speedup_check\": %S\n}\n" verdict);
-  Printf.printf "wrote BENCH_kernels.json\n";
-  announce_json "BENCH_kernels.json"
-
-(* ----------------------------------------------------------------------- *)
-(* 4b. Transient replay speedup                                             *)
-(* ----------------------------------------------------------------------- *)
-
-(* The seed transient path replayed a schedule by sampling its power
-   profile on a uniform grid and integrating with RK4 (four full rhs
-   rebuilds and a dense mat-vec per step, all freshly allocated). The
-   event-driven engine turns the same replay into exact power breakpoints
-   and one precomputed-propagator mat-vec per step. Both paths integrate
-   the same periods at the same dt (the largest grid at which RK4 is still
-   stable on this stiff system); the gate is >= 5x on the wall clock, with
-   the per-PE peak agreement reported alongside. *)
-let transient_speedup () =
-  hr "Transient replay — event-driven engine vs the seed RK4 path";
-  let time_min ~samples f =
-    let best = ref infinity in
-    let v = ref None in
-    for _ = 1 to samples do
-      let t0 = Unix.gettimeofday () in
-      let r = Sys.opaque_identity (f ()) in
-      best := Float.min !best (Unix.gettimeofday () -. t0);
-      v := Some r
-    done;
-    (!best, Option.get !v)
-  in
-  let time_unit = 1e-3 and periods = 40 in
-  Printf.printf "%-5s %9s %7s %10s %10s %10s %8s %9s %6s\n" "bench" "dt"
-    "steps" "rk4" "bw-euler" "engine" "speedup" "Δpeak" "gate";
-  let rows =
-    List.map
-      (fun bench ->
-        let graph = Core.Benchmarks.load bench in
-        let lib = Core.Catalog.platform_library () in
-        let o =
-          Core.Flow.run_platform ~graph ~lib ~policy:Core.Policy.Thermal_aware ()
-        in
-        let s = o.Core.Flow.schedule in
-        let model = Core.Hotspot.model o.Core.Flow.hotspot in
-        let n_pes = Core.Schedule.n_pes s in
-        let profile = Core.Replay.of_schedule ~time_unit ~lib s in
-        let period = Core.Transient.profile_duration profile in
-        let t0 = Core.Transient.initial_ambient model in
-        (* The seed sampling closure, as Metrics.transient_peak and the
-           transient example used to build it. *)
-        let power wall =
-          Core.Metrics.power_profile s ~lib ~time:(Float.rem wall period /. time_unit)
-        in
-        let finite_rk4 dt =
-          let steps = int_of_float (Float.ceil (2.0 *. period /. dt)) in
-          let tr = Core.Transient.rk4 model ~power ~t0 ~dt ~steps in
-          Array.for_all Float.is_finite tr.Core.Transient.temps.(steps)
-        in
-        (* Largest stable RK4 grid: start at the engine's default replay
-           resolution and halve until the explicit integrator survives. *)
-        let dt = ref (period /. 100.0) in
-        while (not (finite_rk4 !dt)) && !dt > period /. 204_800.0 do
-          dt := !dt /. 2.0
-        done;
-        let dt = !dt in
-        let steps = int_of_float (Float.ceil (float_of_int periods *. period /. dt)) in
-        let last_period_peak (tr : Core.Transient.trace) =
-          let start_k = Stdlib.max 0 (steps - int_of_float (period /. dt)) in
-          Array.init n_pes (fun pe ->
-              let peak = ref neg_infinity in
-              for k = start_k to steps do
-                peak := Float.max !peak tr.Core.Transient.temps.(k).(pe)
-              done;
-              !peak)
-        in
-        let t_rk4, peak_rk4 =
-          time_min ~samples:3 (fun () ->
-              last_period_peak (Core.Transient.rk4 model ~power ~t0 ~dt ~steps))
-        in
-        let t_be, _ =
-          time_min ~samples:3 (fun () ->
-              last_period_peak
-                (Core.Transient.backward_euler model ~power ~t0 ~dt ~steps))
-        in
-        let t_engine, peak_engine =
-          time_min ~samples:3 (fun () ->
-              (* A fresh engine per run: factorization, propagator build and
-                 q precomputation are all inside the measurement. *)
-              let engine = Core.Transient.create (Core.Transient.of_model model) in
-              let r = Core.Transient.replay engine ~profile ~t0 ~dt ~periods in
-              Array.sub r.Core.Transient.last_period_peak 0 n_pes)
-        in
-        let speedup = t_rk4 /. Float.max t_engine 1e-12 in
-        let delta =
-          let d = ref 0.0 in
-          Array.iteri
-            (fun pe p -> d := Float.max !d (Float.abs (p -. peak_engine.(pe))))
-            peak_rk4;
-          !d
-        in
-        let gate = if speedup >= 5.0 then "PASS" else "FAIL" in
-        Printf.printf "%-5s %8.2gs %7d %9.1fms %9.1fms %9.1fms %7.1fx %8.3f°C %6s\n"
-          (Core.Graph.name graph) dt steps (1e3 *. t_rk4) (1e3 *. t_be)
-          (1e3 *. t_engine) speedup delta gate;
-        (Core.Graph.name graph, dt, steps, t_rk4, t_be, t_engine, speedup, delta, gate))
-      [ 0; 2 ]
-  in
-  let verdict =
-    if List.for_all (fun (_, _, _, _, _, _, _, _, g) -> g = "PASS") rows then "PASS"
-    else "FAIL"
-  in
-  Printf.printf "transient replay speedup (>= 5x target vs seed RK4): %s\n" verdict;
-  let oc = open_out "BENCH_transient.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"speedup_target\": 5.0,\n  \"benches\": [\n";
-      List.iteri
-        (fun i (name, dt, steps, rk4, be, engine, speedup, delta, gate) ->
-          Printf.fprintf oc
-            "    {\"bench\": %S, \"dt_s\": %.8f, \"steps\": %d, \"rk4_s\": \
-             %.6f, \"backward_euler_s\": %.6f, \"engine_s\": %.6f, \
-             \"speedup_vs_rk4\": %.2f, \"max_peak_delta_C\": %.6f, \"gate\": \
-             %S}%s\n"
-            name dt steps rk4 be engine speedup delta gate
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ],\n  \"speedup_check\": %S\n}\n" verdict);
-  Printf.printf "wrote BENCH_transient.json\n";
-  announce_json "BENCH_transient.json"
-
-(* ----------------------------------------------------------------------- *)
-(* 4c. Online scheduling — event-loop throughput and competitive ratios     *)
+(* 4. Online scheduling — event-loop throughput and competitive ratios      *)
 (* ----------------------------------------------------------------------- *)
 
 (* The online event loop replans at every release, so its cost is measured
@@ -1043,14 +767,12 @@ let online_bench () =
   let pes = Core.Catalog.platform_instances 4 in
   let time_min ~samples f =
     let best = ref infinity in
-    let v = ref None in
     for _ = 1 to samples do
       let t0 = Unix.gettimeofday () in
-      let r = Sys.opaque_identity (f ()) in
-      best := Float.min !best (Unix.gettimeofday () -. t0);
-      v := Some r
+      ignore (Sys.opaque_identity (f ()));
+      best := Float.min !best (Unix.gettimeofday () -. t0)
     done;
-    (!best, Option.get !v)
+    !best
   in
   let scenarios =
     [
@@ -1075,7 +797,7 @@ let online_bench () =
         (* Throughput of the event loop alone — arrivals, platform and
            facade held fixed, so the clairvoyant baseline and the Replay
            scoring stay out of the measurement. *)
-        let run_wall, _ =
+        let run_wall =
           time_min ~samples:5 (fun () ->
               Core.Online.run ~hotspot:o.Core.Flow.online_hotspot
                 ~arrivals:o.Core.Flow.online.Core.Online.arrivals ~graph ~lib
@@ -1083,55 +805,43 @@ let online_bench () =
         in
         let dps = float_of_int st.Core.Online.decisions /. Float.max run_wall 1e-9 in
         let sc = o.Core.Flow.score in
-        let gate =
-          if
-            sc.Core.Online.makespan_ratio >= 1.0
-            && sc.Core.Online.peak_ratio >= 1.0
-          then "PASS"
-          else "FAIL"
+        let holds =
+          sc.Core.Online.makespan_ratio >= 1.0 && sc.Core.Online.peak_ratio >= 1.0
         in
-        Printf.printf "%-6s %-9s %-9s %9d %12.0f %8.4f %8.4f %6s\n"
-          (Core.Graph.name graph)
-          (Core.Flow.arrival_source_name arrivals)
-          (Core.Online.policy_name policy)
-          st.Core.Online.decisions dps sc.Core.Online.makespan_ratio
-          sc.Core.Online.peak_ratio gate;
-        ( Core.Graph.name graph,
-          Core.Flow.arrival_source_name arrivals,
-          Core.Online.policy_name policy,
-          st,
-          run_wall,
-          dps,
-          sc,
-          gate ))
+        let row_gate = if holds then "PASS" else "FAIL" in
+        let bench = Core.Graph.name graph
+        and arrivals = Core.Flow.arrival_source_name arrivals
+        and policy = Core.Online.policy_name policy in
+        Printf.printf "%-6s %-9s %-9s %9d %12.0f %8.4f %8.4f %6s\n" bench
+          arrivals policy st.Core.Online.decisions dps
+          sc.Core.Online.makespan_ratio sc.Core.Online.peak_ratio row_gate;
+        ( holds,
+          Json.Obj
+            [
+              ("bench", str bench);
+              ("arrivals", str arrivals);
+              ("policy", str policy);
+              ("events", int st.Core.Online.events);
+              ("decisions", int st.Core.Online.decisions);
+              ("deferrals", int st.Core.Online.deferrals);
+              ("run_wall_s", num run_wall);
+              ("decisions_per_sec", num dps);
+              ("makespan_ratio", num sc.Core.Online.makespan_ratio);
+              ("peak_ratio", num sc.Core.Online.peak_ratio);
+              ("gate", str row_gate);
+            ] ))
       scenarios
   in
-  let verdict =
-    if List.for_all (fun (_, _, _, _, _, _, _, g) -> g = "PASS") rows then "PASS"
-    else "FAIL"
-  in
+  let verdict = gate "online ratio floor" (List.for_all fst rows) in
   Printf.printf
     "clairvoyant never loses (both ratios >= 1 on every stream): %s\n" verdict;
-  let oc = open_out "BENCH_online.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"ratio_floor\": 1.0,\n  \"scenarios\": [\n";
-      List.iteri
-        (fun i (bench, arrivals, policy, st, run_wall, dps, sc, gate) ->
-          Printf.fprintf oc
-            "    {\"bench\": %S, \"arrivals\": %S, \"policy\": %S, \
-             \"events\": %d, \"decisions\": %d, \"deferrals\": %d, \
-             \"run_wall_s\": %.6f, \"decisions_per_sec\": %.1f, \
-             \"makespan_ratio\": %.6f, \"peak_ratio\": %.6f, \"gate\": %S}%s\n"
-            bench arrivals policy st.Core.Online.events
-            st.Core.Online.decisions st.Core.Online.deferrals run_wall dps
-            sc.Core.Online.makespan_ratio sc.Core.Online.peak_ratio gate
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ],\n  \"ratio_check\": %S\n}\n" verdict);
-  Printf.printf "wrote BENCH_online.json\n";
-  announce_json "BENCH_online.json"
+  write_json "BENCH_online.json"
+    (Json.Obj
+       [
+         ("ratio_floor", num 1.0);
+         ("scenarios", Json.Arr (List.map snd rows));
+         ("ratio_check", str verdict);
+       ])
 
 (* ----------------------------------------------------------------------- *)
 (* 5. Serving throughput — in-process tatsd under a concurrent load        *)
@@ -1237,9 +947,11 @@ let serve_throughput () =
   let skip = cores < 4 in
   let skip_reason = if skip then Some (skip_reason_of_cores cores) else None in
   let conc_verdict =
-    if skip then "SKIP" else if conc_speedup >= 1.2 then "PASS" else "FAIL"
+    if skip then "SKIP"
+    else gate "serve concurrency speedup >= 1.2x" (conc_speedup >= 1.2)
   in
-  let cache_verdict = if hit_rate > 0.0 then "PASS" else "FAIL" in
+  let cache_verdict = gate "serve cross-request cache hits" (hit_rate > 0.0) in
+  ignore (gate "serve replies without errors" (total_errs = 0) : string);
   Printf.printf "detected cores: %d, pool jobs: %d\n" cores jobs;
   Printf.printf "replies: %d ok, %d errors\n" total_oks total_errs;
   Printf.printf
@@ -1259,42 +971,51 @@ let serve_throughput () =
      %s\n"
     es.Engines.inquiries es.Engines.cache_hits (100.0 *. hit_rate)
     cache_verdict;
-  let json_opt_string oc = function
-    | Some r -> Printf.fprintf oc "%S" r
-    | None -> Printf.fprintf oc "null"
-  in
-  let oc = open_out "BENCH_serve.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"cores\": %d,\n  \"host_cores\": %d,\n" cores
-        cores;
-      Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-      Printf.fprintf oc "  \"replies_ok\": %d,\n  \"replies_error\": %d,\n"
-        total_oks total_errs;
-      Printf.fprintf oc
-        "  \"schedule\": {\"requests\": %d, \"wall_1client_s\": %.4f, \
-         \"wall_4clients_s\": %.4f, \"concurrency_speedup\": %.3f, \
-         \"speedup_target\": 1.2, \"speedup_check\": %S, \"skip_reason\": "
-        sched_total sched_wall_1 sched_wall_4 conc_speedup conc_verdict;
-      json_opt_string oc skip_reason;
-      Printf.fprintf oc "},\n";
-      Printf.fprintf oc
-        "  \"inquiry\": {\"clients\": %d, \"requests\": %d, \"wall_s\": \
-         %.4f, \"req_per_s\": %.1f, \"latency_ms\": {\"count\": %d, \"p50\": \
-         %.4f, \"p95\": %.4f, \"p99\": %.4f}},\n"
-        inq_clients inq_total inq_wall req_per_s s.Core.Metricsreg.count
-        (s.Core.Metricsreg.p50 *. 1e3)
-        (s.Core.Metricsreg.p95 *. 1e3)
-        (s.Core.Metricsreg.p99 *. 1e3);
-      Printf.fprintf oc
-        "  \"cache\": {\"engines\": %d, \"inquiries\": %d, \"hits\": %d, \
-         \"hit_rate\": %.4f, \"check\": %S}\n}\n"
-        es.Engines.engines es.Engines.inquiries es.Engines.cache_hits hit_rate
-        cache_verdict);
-  Printf.printf "wrote BENCH_serve.json\n";
-  announce_json "BENCH_serve.json";
-  if total_errs > 0 || hit_rate <= 0.0 then exit 1
+  write_json "BENCH_serve.json"
+    (Json.Obj
+       [
+         ("cores", int cores);
+         ("host_cores", int cores);
+         ("jobs", int jobs);
+         ("replies_ok", int total_oks);
+         ("replies_error", int total_errs);
+         ( "schedule",
+           Json.Obj
+             [
+               ("requests", int sched_total);
+               ("wall_1client_s", num sched_wall_1);
+               ("wall_4clients_s", num sched_wall_4);
+               ("concurrency_speedup", num conc_speedup);
+               ("speedup_target", num 1.2);
+               ("speedup_check", str conc_verdict);
+               ("skip_reason", opt_str skip_reason);
+             ] );
+         ( "inquiry",
+           Json.Obj
+             [
+               ("clients", int inq_clients);
+               ("requests", int inq_total);
+               ("wall_s", num inq_wall);
+               ("req_per_s", num req_per_s);
+               ( "latency_ms",
+                 Json.Obj
+                   [
+                     ("count", int s.Core.Metricsreg.count);
+                     ("p50", num (s.Core.Metricsreg.p50 *. 1e3));
+                     ("p95", num (s.Core.Metricsreg.p95 *. 1e3));
+                     ("p99", num (s.Core.Metricsreg.p99 *. 1e3));
+                   ] );
+             ] );
+         ( "cache",
+           Json.Obj
+             [
+               ("engines", int es.Engines.engines);
+               ("inquiries", int es.Engines.inquiries);
+               ("hits", int es.Engines.cache_hits);
+               ("hit_rate", num hit_rate);
+               ("check", str cache_verdict);
+             ] );
+       ])
 
 (* ----------------------------------------------------------------------- *)
 (* 6. Campaign runner — sharded resumable sweeps at the 1000-cell scale    *)
@@ -1352,8 +1073,8 @@ let campaign_bench () =
         (Printf.sprintf "golden (%d cells)" r.C.total)
         jobs wall cps)
     small_rows;
-  Printf.printf "manifests byte-identical across jobs 1/2/4: %s\n"
-    (if jobs_identical then "PASS" else "FAIL");
+  let jobs_verdict = gate "campaign manifests across jobs" jobs_identical in
+  Printf.printf "manifests byte-identical across jobs 1/2/4: %s\n" jobs_verdict;
   (* the >= 1000-cell scale run, interrupt simulation and resume *)
   let sweep = Option.get (C.builtin "sweep1k") in
   let dir_full = scratch "full" and dir_int = scratch "interrupted" in
@@ -1388,6 +1109,7 @@ let campaign_bench () =
     (not (String.equal (manifest_bytes dir_full) ""))
     && String.equal (manifest_bytes dir_full) (manifest_bytes dir_int)
   in
+  let resume_verdict = gate "campaign resume manifest" resume_identical in
   Printf.printf
     "interrupted at shard 0/3 (+1 truncated artifact), resume computed \
      %d/%d (%d invalid re-run) in %.3f s: manifest %s\n"
@@ -1398,56 +1120,63 @@ let campaign_bench () =
   let r_noop = C.run ~dir:dir_full sweep in
   let noop_wall = Unix.gettimeofday () -. t0 in
   let overhead = noop_wall /. Float.max full_wall 1e-9 in
-  let overhead_gate = r_noop.C.computed = 0 && overhead < 0.25 in
+  let overhead_verdict =
+    gate "campaign no-op resume < 25%" (r_noop.C.computed = 0 && overhead < 0.25)
+  in
   Printf.printf
     "no-op resume (all %d cells reused): %.3f s = %.1f%% of full compute \
      (target < 25%%): %s\n"
-    r_noop.C.reused noop_wall (100.0 *. overhead)
-    (if overhead_gate then "PASS" else "FAIL");
-  let oc = open_out "BENCH_campaign.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "{\n  \"jobs_scaling\": {\"cells\": %d, \"jobs\": [1, 2, 4],\n"
-        (match small_rows with (_, _, r, _, _) :: _ -> r.C.total | [] -> 0);
-      Printf.fprintf oc "    \"wall_s\": [%s],\n"
-        (String.concat ", "
-           (List.map (fun (_, _, _, w, _) -> Printf.sprintf "%.6f" w) small_rows));
-      Printf.fprintf oc "    \"cells_per_sec\": [%s],\n"
-        (String.concat ", "
-           (List.map (fun (_, _, _, _, c) -> Printf.sprintf "%.1f" c) small_rows));
-      Printf.fprintf oc "    \"manifest_identical\": %S},\n"
-        (if jobs_identical then "PASS" else "FAIL");
-      Printf.fprintf oc
-        "  \"scale\": {\"cells\": %d, \"jobs\": 4, \"wall_s\": %.6f, \
-         \"cells_per_sec\": %.1f,\n"
-        r_full.C.total full_wall full_cps;
-      Printf.fprintf oc
-        "    \"interrupted_shard\": \"0/3\", \"resume_computed\": %d, \
-         \"resume_invalid\": %d, \"resume_wall_s\": %.6f,\n"
-        r_resume.C.computed r_resume.C.invalid resume_wall;
-      Printf.fprintf oc "    \"resume_manifest_identical\": %S},\n"
-        (if resume_identical then "PASS" else "FAIL");
-      Printf.fprintf oc
-        "  \"resume_overhead\": {\"noop_wall_s\": %.6f, \"fraction_of_full\": \
-         %.4f, \"target\": 0.25, \"check\": %S}\n}\n"
-        noop_wall overhead
-        (if overhead_gate then "PASS" else "FAIL"));
-  Printf.printf "wrote BENCH_campaign.json\n";
-  announce_json "BENCH_campaign.json";
+    r_noop.C.reused noop_wall (100.0 *. overhead) overhead_verdict;
+  let small_cells =
+    match small_rows with (_, _, r, _, _) :: _ -> r.C.total | [] -> 0
+  in
+  let per_jobs f = Json.Arr (List.map f small_rows) in
+  write_json "BENCH_campaign.json"
+    (Json.Obj
+       [
+         ( "jobs_scaling",
+           Json.Obj
+             [
+               ("cells", int small_cells);
+               ("jobs", per_jobs (fun (j, _, _, _, _) -> int j));
+               ("wall_s", per_jobs (fun (_, _, _, w, _) -> num w));
+               ("cells_per_sec", per_jobs (fun (_, _, _, _, c) -> num c));
+               ("manifest_identical", str jobs_verdict);
+             ] );
+         ( "scale",
+           Json.Obj
+             [
+               ("cells", int r_full.C.total);
+               ("jobs", int 4);
+               ("wall_s", num full_wall);
+               ("cells_per_sec", num full_cps);
+               ("interrupted_shard", str "0/3");
+               ("resume_computed", int r_resume.C.computed);
+               ("resume_invalid", int r_resume.C.invalid);
+               ("resume_wall_s", num resume_wall);
+               ("resume_manifest_identical", str resume_verdict);
+             ] );
+         ( "resume_overhead",
+           Json.Obj
+             [
+               ("noop_wall_s", num noop_wall);
+               ("fraction_of_full", num overhead);
+               ("target", num 0.25);
+               ("check", str overhead_verdict);
+             ] );
+       ]);
   List.iter (fun (_, d, _, _, _) -> Core.Fsio.remove_recursive d) small_rows;
   Core.Fsio.remove_recursive dir_full;
-  Core.Fsio.remove_recursive dir_int;
-  if not (jobs_identical && resume_identical && overhead_gate) then exit 1
+  Core.Fsio.remove_recursive dir_int
 
 (* ----------------------------------------------------------------------- *)
-(* 6b. Heterogeneous platforms                                              *)
+(* 7. Heterogeneous platforms                                               *)
 (* ----------------------------------------------------------------------- *)
 
 (* Throughput of the typed-platform flow on the mixed big.LITTLE builtin
-   (free and under pins + isolation), plus the gate the whole extension
-   hangs on: the degenerate single-kind platform must reproduce the
-   historical identical-cores flow bit for bit under every policy. *)
+   (free and under pins + isolation), plus the degeneracy gate: the
+   [?n_pes] sugar and the named single-kind std4 platform must give the
+   same flow bit for bit under every policy. *)
 let hetero_bench () =
   hr "Heterogeneous platforms — typed-flow throughput and degeneracy gate";
   let graph = Core.Benchmarks.load 0 in
@@ -1480,14 +1209,19 @@ let hetero_bench () =
         isolation = [ (1, 0); (2, 1) ];
       }
   in
-  (* Degeneracy gate: typed std4 vs the historical path, all five
+  (* Degeneracy gate: [?n_pes] sugar vs the named std4 platform, all five
      policies, bit-compared on makespan/power/temperatures/cost. *)
   let std4 = Option.get (Core.Catalog.platform_named "std4") in
-  let bits = Int64.bits_of_float in
+  let fingerprint (o : Core.Flow.outcome) =
+    let r = o.Core.Flow.row in
+    List.map Int64.bits_of_float
+      [ o.Core.Flow.schedule.Core.Schedule.makespan; r.Core.Metrics.total_power;
+        r.Core.Metrics.max_temp; r.Core.Metrics.avg_temp; o.Core.Flow.arch_cost ]
+  in
   let degenerate_identical =
     List.for_all
       (fun policy ->
-        let classic =
+        let sugar =
           Core.Flow.run_platform ~graph
             ~lib:(Core.Catalog.platform_library ())
             ~policy ()
@@ -1496,38 +1230,24 @@ let hetero_bench () =
           Core.Flow.run_platform ~platform:std4 ~graph
             ~lib:(Core.Catalog.library_for std4) ~policy ()
         in
-        bits classic.Core.Flow.schedule.Core.Schedule.makespan
-        = bits typed.Core.Flow.schedule.Core.Schedule.makespan
-        && bits classic.Core.Flow.row.Core.Metrics.total_power
-           = bits typed.Core.Flow.row.Core.Metrics.total_power
-        && bits classic.Core.Flow.row.Core.Metrics.max_temp
-           = bits typed.Core.Flow.row.Core.Metrics.max_temp
-        && bits classic.Core.Flow.row.Core.Metrics.avg_temp
-           = bits typed.Core.Flow.row.Core.Metrics.avg_temp
-        && bits classic.Core.Flow.arch_cost = bits typed.Core.Flow.arch_cost)
+        fingerprint sugar = fingerprint typed)
       Core.Policy.all
   in
-  Printf.printf "degenerate std4 == identical-cores path (all policies): %s\n"
+  let degenerate_verdict = gate "hetero degeneracy" degenerate_identical in
+  Printf.printf "degenerate std4 == ?n_pes:4 sugar (all policies): %s\n"
     (if degenerate_identical then "PASS (bit-identical)" else "FAIL");
-  let oc = open_out "BENCH_hetero.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"platform\": \"biglittle4\", \"policy\": \"thermal\",\n\
-        \  \"free_schedules_per_sec\": %.1f,\n\
-        \  \"constrained_schedules_per_sec\": %.1f,\n\
-        \  \"degenerate_bit_identity\": %S\n\
-         }\n"
-        free_sps pinned_sps
-        (if degenerate_identical then "PASS" else "FAIL"));
-  Printf.printf "wrote BENCH_hetero.json\n";
-  announce_json "BENCH_hetero.json";
-  if not degenerate_identical then exit 1
+  write_json "BENCH_hetero.json"
+    (Json.Obj
+       [
+         ("platform", str "biglittle4");
+         ("policy", str "thermal");
+         ("free_schedules_per_sec", num free_sps);
+         ("constrained_schedules_per_sec", num pinned_sps);
+         ("degenerate_bit_identity", str degenerate_verdict);
+       ])
 
 (* ----------------------------------------------------------------------- *)
-(* 7. Observability overhead                                                *)
+(* 8. Observability overhead                                                *)
 (* ----------------------------------------------------------------------- *)
 
 (* The tracing layer promises that a disabled [with_span] costs one atomic
@@ -1560,12 +1280,7 @@ let observability_overhead () =
   let graph = Core.Benchmarks.load 0 in
   let lib = Core.Catalog.platform_library () in
   let pes = Core.Catalog.platform_instances 4 in
-  let hotspot =
-    Core.Hotspot.create
-      (Core.Grid.layout
-         (Array.init 4 (fun i ->
-              Core.Block.make ~name:(Printf.sprintf "PE%d" i) ~area:1.6e-5 ())))
-  in
+  let hotspot = platform_hotspot () in
   let kernel () =
     ignore
       (Core.List_sched.run ~hotspot ~graph ~lib ~pes
@@ -1588,7 +1303,7 @@ let observability_overhead () =
   let overhead =
     float_of_int spans *. per_span_ns *. 1e-9 /. Float.max kernel_wall 1e-9
   in
-  let verdict = if overhead < 0.02 then "PASS" else "FAIL" in
+  let verdict = gate "observability overhead < 2%" (overhead < 0.02) in
   Printf.printf "disabled with_span bracket: %.1f ns/call\n" guard_ns;
   Printf.printf "registry counter bump:      %.1f ns/call\n" incr_ns;
   Printf.printf "thermal ASP kernel:         %.4f s/run, %d spans when traced\n"
@@ -1596,33 +1311,21 @@ let observability_overhead () =
   Printf.printf
     "estimated disabled-mode overhead: %.4f%% (< 2%% target: %s)\n"
     (100.0 *. overhead) verdict;
-  let oc = open_out "BENCH_observability.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n\
-        \  \"guard_ns\": %.2f,\n\
-        \  \"counter_ns\": %.2f,\n\
-        \  \"kernel_wall_s\": %.6f,\n\
-        \  \"kernel_spans\": %d,\n\
-        \  \"overhead_fraction\": %.6f,\n\
-        \  \"overhead_target\": 0.02,\n\
-        \  \"overhead_check\": %S\n\
-         }\n"
-        guard_ns incr_ns kernel_wall spans overhead verdict);
-  Printf.printf "wrote BENCH_observability.json\n";
-  announce_json "BENCH_observability.json"
+  write_json "BENCH_observability.json"
+    (Json.Obj
+       [
+         ("guard_ns", num guard_ns);
+         ("counter_ns", num incr_ns);
+         ("kernel_wall_s", num kernel_wall);
+         ("kernel_spans", int spans);
+         ("overhead_fraction", num overhead);
+         ("overhead_target", num 0.02);
+         ("overhead_check", str verdict);
+       ])
 
 (* ----------------------------------------------------------------------- *)
-(* 6. Bechamel timing benches                                               *)
+(* 9. Bechamel timing benches                                               *)
 (* ----------------------------------------------------------------------- *)
-
-let platform_hotspot () =
-  Core.Hotspot.create
-    (Core.Grid.layout
-       (Array.init 4 (fun i ->
-            Core.Block.make ~name:(Printf.sprintf "PE%d" i) ~area:1.6e-5 ())))
 
 let timing_tests () =
   let platform_lib = Core.Catalog.platform_library () in
@@ -1636,14 +1339,8 @@ let timing_tests () =
       (Core.Hotspot.placement hotspot)
   in
   let pes = Core.Catalog.platform_instances 4 in
-  let rng = Core.Rng.create 7 in
-  let ga_blocks =
-    Array.init 6 (fun i ->
-        Core.Block.make ~name:(Printf.sprintf "b%d" i)
-          ~area:(Core.Rng.uniform rng 8e-6 2.5e-5)
-          ())
-  in
-  let ga_area = Array.fold_left (fun a b -> a +. b.Core.Block.area) 0.0 ga_blocks in
+  let ga_blocks = random_blocks 6 ~min_area:8e-6 in
+  let ga_area = total_area ga_blocks in
   [
     (* One experiment kernel per table: a representative cell each. *)
     Test.make ~name:"table1-cell (Bm1 cosynth h3)"
@@ -1768,13 +1465,7 @@ let () =
   validate_only_phases ();
   let tables_only = Array.exists (( = ) "--tables-only") Sys.argv in
   let flag_value name =
-    let v = ref None in
-    Array.iteri
-      (fun i arg ->
-        if arg = name && i + 1 < Array.length Sys.argv then
-          v := Some Sys.argv.(i + 1))
-      Sys.argv;
-    !v
+    match List.rev (flag_values name) with v :: _ -> Some v | [] -> None
   in
   (* --jobs N sizes the default pool used by the table phase; the scaling
      section always measures explicit 1/2/4-domain pools. *)
@@ -1789,7 +1480,7 @@ let () =
   let trace_path = flag_value "--trace" in
   let metrics_path = flag_value "--metrics" in
   (match trace_path with Some _ -> Core.Trace.start () | None -> ());
-  timed_phase "tables" (fun () -> ignore (regenerate_tables ()));
+  timed_phase "tables" regenerate_tables;
   timed_phase "figure1" figure1_flows;
   timed_phase "ablation-weight-sweep" ablation_weight_sweep;
   timed_phase "ablation-leakage" ablation_leakage;
@@ -1806,8 +1497,6 @@ let () =
   timed_phase "ablation-montecarlo" ablation_montecarlo;
   timed_phase "design-space" design_space_exploration;
   timed_phase "parallel-scaling" parallel_scaling;
-  timed_phase "kernels" kernel_speedups;
-  timed_phase "transient" transient_speedup;
   timed_phase "online" online_bench;
   timed_phase "serve" serve_throughput;
   timed_phase "campaign" campaign_bench;
@@ -1830,4 +1519,11 @@ let () =
       Printf.printf "wrote metrics to %s\n" path;
       announce_json path
   | None -> ());
-  print_newline ()
+  print_newline ();
+  match List.rev !failed_gates with
+  | [] -> ()
+  | failed ->
+      Printf.eprintf "bench: %d gate%s failed: %s\n" (List.length failed)
+        (if List.length failed = 1 then "" else "s")
+        (String.concat "; " failed);
+      exit 1

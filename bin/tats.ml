@@ -75,6 +75,16 @@ let with_observability ~trace ~metrics f =
   in
   Fun.protect ~finally:finish f
 
+(* The --jobs/--trace/--metrics triple as one term. It yields the runner
+   for a subcommand body: size the default pool, then run the body
+   bracketed by [with_observability]. *)
+let observed_arg : ((unit -> unit) -> unit) Term.t =
+  let runner jobs trace metrics body =
+    set_jobs jobs;
+    with_observability ~trace ~metrics body
+  in
+  Term.(const runner $ jobs_arg $ trace_arg $ metrics_arg)
+
 let parse_bench name =
   match name with
   | "Bm1" -> Ok 0
@@ -166,9 +176,8 @@ let isolate_arg =
 (* --- table commands ----------------------------------------------------- *)
 
 let table1_cmd =
-  let run csv jobs trace metrics =
-    set_jobs jobs;
-    with_observability ~trace ~metrics @@ fun () ->
+  let run csv observed =
+    observed @@ fun () ->
     let rows = Core.Experiments.table1 () in
     print_string
       (if csv then Core.Report.table1_csv rows else Core.Report.table1 rows)
@@ -176,17 +185,16 @@ let table1_cmd =
   Cmd.v
     (Cmd.info "table1"
        ~doc:"Regenerate Table 1 (power heuristics on both architectures).")
-    Term.(const run $ csv_arg $ jobs_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ csv_arg $ observed_arg)
 
 let versus_cmd name doc compute render render_csv =
-  let run csv jobs trace metrics =
-    set_jobs jobs;
-    with_observability ~trace ~metrics @@ fun () ->
+  let run csv observed =
+    observed @@ fun () ->
     let rows = compute () in
     print_string (if csv then render_csv rows else render rows)
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ csv_arg $ jobs_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ csv_arg $ observed_arg)
 
 let table2_cmd =
   versus_cmd "table2"
@@ -201,33 +209,30 @@ let table3_cmd =
     Core.Report.table3 Core.Report.versus_csv
 
 let checks_cmd =
-  let run jobs trace metrics =
-    set_jobs jobs;
+  let run observed =
     (* [exit] bypasses [Fun.protect] finalizers, so the exporters must run
        before the exit-code decision. *)
-    let ok =
-      with_observability ~trace ~metrics @@ fun () ->
-      let table1 = Core.Experiments.table1 () in
-      let table2 = Core.Experiments.table2 () in
-      let table3 = Core.Experiments.table3 () in
-      let checks = Core.Experiments.shape_checks ~table1 ~table2 ~table3 in
-      print_string (Core.Report.shape_checks checks);
-      List.for_all (fun c -> c.Core.Experiments.holds) checks
-    in
-    if ok then exit 0 else exit 1
+    let ok = ref false in
+    (observed @@ fun () ->
+     let table1 = Core.Experiments.table1 () in
+     let table2 = Core.Experiments.table2 () in
+     let table3 = Core.Experiments.table3 () in
+     let checks = Core.Experiments.shape_checks ~table1 ~table2 ~table3 in
+     print_string (Core.Report.shape_checks checks);
+     ok := List.for_all (fun c -> c.Core.Experiments.holds) checks);
+    if not !ok then exit 1
   in
   Cmd.v
     (Cmd.info "checks"
        ~doc:"Run every table and verify the reproduction's shape criteria.")
-    Term.(const run $ jobs_arg $ trace_arg $ metrics_arg)
+    Term.(const run $ observed_arg)
 
 (* --- schedule ----------------------------------------------------------- *)
 
 let schedule_cmd =
   let run bench policy arch platform pins pin_kinds isolate gantt stats svg
-      floorplan_svg jobs trace metrics =
-    set_jobs jobs;
-    with_observability ~trace ~metrics @@ fun () ->
+      floorplan_svg observed =
+    observed @@ fun () ->
     let bench = or_die (parse_bench bench) in
     let policy = or_die (parse_policy policy) in
     let graph = Core.Benchmarks.load bench in
@@ -313,12 +318,15 @@ let schedule_cmd =
     (Cmd.info "schedule" ~doc:"Run one benchmark/policy/architecture combination.")
     Term.(const run $ bench_arg $ policy_arg $ arch_arg $ platform_arg
           $ pin_arg $ pin_kind_arg $ isolate_arg $ gantt_arg $ stats_arg
-          $ svg_arg $ fp_svg_arg $ jobs_arg $ trace_arg $ metrics_arg)
+          $ svg_arg $ fp_svg_arg $ observed_arg)
 
 (* --- thermal ------------------------------------------------------------ *)
 
 let thermal_cmd =
   let run n_pes powers grid svg =
+    if n_pes < 1 then or_die (Error "--pes must be at least 1");
+    if not (List.for_all Float.is_finite powers) then
+      or_die (Error "--power must be a finite number");
     let power =
       match powers with
       | [] -> Array.make n_pes 4.0
@@ -383,9 +391,9 @@ let thermal_cmd =
 (* --- floorplan ---------------------------------------------------------- *)
 
 let floorplan_cmd =
-  let run n seed svg jobs trace metrics =
-    set_jobs jobs;
-    with_observability ~trace ~metrics @@ fun () ->
+  let run n seed svg observed =
+    if n < 1 then or_die (Error "--blocks must be at least 1");
+    observed @@ fun () ->
     let rng = Core.Rng.create seed in
     let blocks =
       Array.init n (fun i ->
@@ -422,15 +430,13 @@ let floorplan_cmd =
   in
   Cmd.v
     (Cmd.info "floorplan" ~doc:"Run the GA floorplanner on random blocks.")
-    Term.(const run $ n_arg $ seed_arg $ svg_arg $ jobs_arg $ trace_arg
-          $ metrics_arg)
+    Term.(const run $ n_arg $ seed_arg $ svg_arg $ observed_arg)
 
 (* --- compare ------------------------------------------------------------ *)
 
 let compare_cmd =
-  let run bench restarts jobs trace metrics =
-    set_jobs jobs;
-    with_observability ~trace ~metrics @@ fun () ->
+  let run bench restarts observed =
+    observed @@ fun () ->
     let bench = or_die (parse_bench bench) in
     if restarts < 1 then or_die (Error "--restarts must be >= 1");
     let graph = Core.Benchmarks.load bench in
@@ -477,8 +483,7 @@ let compare_cmd =
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare the ASP against HEFT and the SA mapper.")
-    Term.(const run $ bench_arg $ restarts_arg $ jobs_arg $ trace_arg
-          $ metrics_arg)
+    Term.(const run $ bench_arg $ restarts_arg $ observed_arg)
 
 (* --- dvs ---------------------------------------------------------------- *)
 
@@ -544,6 +549,7 @@ let analyze_cmd =
 let dtm_cmd' =
   let run bench trigger passes =
     let bench = or_die (parse_bench bench) in
+    if passes < 1 then or_die (Error "--passes must be at least 1");
     let graph = Core.Benchmarks.load bench in
     let lib = Core.Catalog.platform_library () in
     Format.printf "%-10s %10s %12s %12s %10s %10s@." "policy" "static" "simulated"
@@ -580,13 +586,16 @@ let dtm_cmd' =
 (* --- transient ----------------------------------------------------------- *)
 
 let transient_cmd =
-  let run bench policy arch periods dt time_unit exact csv jobs trace metrics =
-    set_jobs jobs;
-    with_observability ~trace ~metrics @@ fun () ->
+  let run bench policy arch periods dt time_unit exact csv observed =
+    observed @@ fun () ->
     let bench = or_die (parse_bench bench) in
     let policy = or_die (parse_policy policy) in
     if periods < 2 then or_die (Error "--periods must be >= 2");
     if time_unit <= 0.0 then or_die (Error "--time-unit must be positive");
+    (match dt with
+    | Some d when not (Float.is_finite d && d > 0.0) ->
+        or_die (Error "--dt must be a positive number")
+    | _ -> ());
     let graph = Core.Benchmarks.load bench in
     let lib, outcome =
       match arch with
@@ -696,16 +705,14 @@ let transient_cmd =
              event-driven transient engine and compare against the \
              steady-state estimate.")
     Term.(const run $ bench_arg $ policy_arg $ arch_arg $ periods_arg $ dt_arg
-          $ time_unit_arg $ exact_arg $ csv_arg $ jobs_arg $ trace_arg
-          $ metrics_arg)
+          $ time_unit_arg $ exact_arg $ csv_arg $ observed_arg)
 
 (* --- online --------------------------------------------------------------- *)
 
 let online_cmd =
   let run bench policy arrivals seed mean_gap n_pes platform pins pin_kinds
-      isolate trigger jobs trace metrics =
-    set_jobs jobs;
-    with_observability ~trace ~metrics @@ fun () ->
+      isolate trigger observed =
+    observed @@ fun () ->
     let bench = or_die (parse_bench bench) in
     let policy =
       match Core.Online.policy_of_name policy with
@@ -811,15 +818,14 @@ let online_cmd =
              temperature).")
     Term.(const run $ bench_arg $ policy_arg $ arrivals_arg $ seed_arg
           $ mean_gap_arg $ n_pes_arg $ platform_arg $ pin_arg $ pin_kind_arg
-          $ isolate_arg $ trigger_arg $ jobs_arg $ trace_arg $ metrics_arg)
+          $ isolate_arg $ trigger_arg $ observed_arg)
 
 (* --- campaign ------------------------------------------------------------- *)
 
 let campaign_cmd =
-  let run mode spec_name spec_file dir shard jobs baseline tol_makespan
-      tol_power tol_max_temp tol_avg_temp trace metrics =
-    set_jobs jobs;
-    with_observability ~trace ~metrics @@ fun () ->
+  let run mode spec_name spec_file dir shard baseline tol_makespan
+      tol_power tol_max_temp tol_avg_temp observed =
+    observed @@ fun () ->
     let spec =
       match spec_file with
       | Some path -> (
@@ -972,17 +978,19 @@ let campaign_cmd =
           with content-addressed JSON artifacts and regression gating.")
     Term.(
       const run $ mode_arg $ spec_arg $ spec_file_arg $ dir_arg $ shard_arg
-      $ jobs_arg $ baseline_arg
+      $ baseline_arg
       $ tol "tol-makespan" "Allowed makespan increase before gate failure."
       $ tol "tol-power" "Allowed total-power increase (W) before gate failure."
       $ tol "tol-max-temp" "Allowed peak-temperature increase (°C) before gate failure."
       $ tol "tol-avg-temp" "Allowed average-temperature increase (°C) before gate failure."
-      $ trace_arg $ metrics_arg)
+      $ observed_arg)
 
 (* --- robustness ----------------------------------------------------------- *)
 
 let robustness_cmd =
   let run n tasks seed =
+    if n < 1 then or_die (Error "-n must be at least 1");
+    if tasks < 2 then or_die (Error "--tasks must be at least 2");
     let r = Core.Experiments.robustness ~n ~tasks ~seed () in
     Format.printf
       "random graphs: %d (x%d tasks)@.thermal beats power-aware on max temp: \

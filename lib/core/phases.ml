@@ -19,8 +19,6 @@ let all =
     { phase = "ablation-montecarlo"; alias = None };
     { phase = "design-space"; alias = None };
     { phase = "parallel-scaling"; alias = None };
-    { phase = "kernels"; alias = Some "kernels" };
-    { phase = "transient"; alias = Some "transient" };
     { phase = "online"; alias = Some "online" };
     { phase = "serve"; alias = Some "serve" };
     { phase = "campaign"; alias = Some "campaign" };

@@ -1,13 +1,13 @@
 (* Heterogeneous-platform battery.
 
-   The typed platform flow claims to be a *strict generalization* of the
-   historical identical-cores path. This suite holds it to that claim from
-   three sides:
+   Every fixed-architecture flow runs on a typed platform; [?n_pes] is
+   sugar for the single-kind [std<n>] one. This suite holds the typed
+   flow to its claims from three sides:
 
-   - Differential: on the degenerate single-kind platform (std4) every
-     policy, pool size, scheduler (list / HEFT) and the online event loop
-     must reproduce the homogeneous path bit for bit — schedules entry by
-     entry, metrics at the Int64 level.
+   - Differential: the named single-kind platform (std4) must reproduce
+     the [?n_pes] sugar bit for bit under every policy, pool size,
+     scheduler (list / HEFT) and the online event loop — schedules entry
+     by entry, metrics at the Int64 level.
    - Properties (seeded): on genuinely mixed platforms, pins are honored
      and isolation classes never co-locate, checked post hoc with
      [Constraints.violations] over generated DAGs.
@@ -90,9 +90,9 @@ let test_degenerate_library_identical () =
   done
 
 let test_degenerate_flow_bit_identity () =
-  (* Every policy, benches Bm1/Bm2, pool jobs 1 and 4: the typed std4
-     platform vs the historical identical-cores flow, compared on the full
-     schedule and every reported metric. *)
+  (* Every policy, benches Bm1/Bm2, pool jobs 1 and 4: the named std4
+     platform vs the [?n_pes] sugar, compared on the full schedule and
+     every reported metric. *)
   let platform = std4 () in
   List.iter
     (fun jobs ->

@@ -230,9 +230,9 @@ let test_campaign_matches_golden () =
 let test_hetero_matches_golden () =
   (* And for the heterogeneous-platform layer: every builtin platform under
      two policies plus two constrained cells, rendered row by row, byte for
-     byte. The trailing line pins the tentpole's anchor — the typed
-     single-kind std4 platform must stay bit-identical to the historical
-     identical-cores flow under all five policies. Regenerate (only for
+     byte. The trailing line pins the degeneracy anchor — the named
+     single-kind std4 platform must stay bit-identical to the [?n_pes]
+     sugar under all five policies. Regenerate (only for
      intentional number changes) with:
        dune exec test/capture_goldens.exe -- hetero > test/goldens/hetero.golden *)
   check_against_golden ~what:"hetero platform numbers" ~basename:"hetero.golden"

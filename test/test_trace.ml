@@ -435,6 +435,42 @@ let test_cli_smoke () =
      let p95 = Json.to_num (Json.member "p95" solve_hist) in
      p50 > 0.0 && p95 >= p50)
 
+(* Out-of-range numbers on the command line are usage errors: exit 2 with a
+   one-line [tats: ] message, never an uncaught library exception (exit
+   125) or a silently non-finite result. *)
+let test_cli_rejects_bad_numbers () =
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun args ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "../bin/tats.exe %s >/dev/null 2>bad_args_stderr.txt"
+             args)
+      in
+      let err =
+        In_channel.with_open_text "bad_args_stderr.txt" In_channel.input_all
+      in
+      Alcotest.(check int) (args ^ " exits 2") 2 rc;
+      Alcotest.(check bool) (args ^ " names the problem") true
+        (String.starts_with ~prefix:"tats: " err);
+      Alcotest.(check bool) (args ^ " raises nothing") false
+        (contains err "uncaught exception"))
+    [
+      "thermal --pes 0";
+      "thermal --pes=-1";
+      "thermal --pes 1 --power nan";
+      "floorplan --blocks 0";
+      "floorplan --blocks=-2";
+      "dtm-sim --passes 0";
+      "robustness -n 0";
+      "robustness --tasks 1";
+      "transient --dt=-1";
+    ]
+
 let () =
   Alcotest.run "trace"
     [
@@ -461,5 +497,10 @@ let () =
           Alcotest.test_case "disabled mode is a no-op" `Quick
             test_disabled_mode_noop;
         ] );
-      ( "cli", [ Alcotest.test_case "tats --trace --metrics" `Quick test_cli_smoke ] );
+      ( "cli",
+        [
+          Alcotest.test_case "tats --trace --metrics" `Quick test_cli_smoke;
+          Alcotest.test_case "bad numeric flags exit 2" `Quick
+            test_cli_rejects_bad_numbers;
+        ] );
     ]
