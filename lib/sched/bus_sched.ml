@@ -13,123 +13,58 @@ let run ?weights ~graph ~lib ~pes ~policy () =
   | Policy.Thermal_aware ->
       invalid_arg "Bus_sched.run: thermal policy not supported on the bus model"
   | Policy.Baseline | Policy.Power_aware _ -> ());
-  let n = Graph.n_tasks graph in
-  let weights =
-    match weights with
-    | Some w -> w
-    | None -> Policy.default_weights ~deadline:(Graph.deadline graph)
-  in
   let comm = Library.comm lib in
-  let sc = Dc.static_criticality lib graph in
-  let entries : Schedule.entry option array = Array.make n None in
-  let pe_avail = Array.make (Array.length pes) 0.0 in
-  let pe_energy = Array.make (Array.length pes) 0.0 in
-  let bus_avail = ref 0.0 in
+  (match comm.Comm.topology with
+  | Comm.Shared_bus -> ()
+  | Comm.Mesh _ ->
+      invalid_arg "Bus_sched.run: the library's interconnect is not a shared bus");
+  let weight =
+    (match weights with
+    | Some w -> w
+    | None -> Policy.default_weights ~deadline:(Graph.deadline graph))
+      .Policy.cost_weight
+  in
+  let st = List_sched.init (List_sched.prepare ~graph ~lib ~pes ~policy ()) in
+  let entries : Schedule.entry option array = Array.make (Graph.n_tasks graph) None in
+  let pe_free = Array.make (Array.length pes) 0.0 in
+  let bus_free = ref 0.0 in
   let transfers = ref [] in
-  (* Data arrival for committed predecessors, optimistic about the bus. *)
-  let estimated_ready task pe =
+  (* Transfers of this task's inputs are scheduled on the bus, first-come
+     in predecessor order, each after both the producer's finish and the
+     bus becoming free; returns the last input's arrival. *)
+  let book_transfers task pe =
     List.fold_left
       (fun acc (pred, data) ->
-        match entries.(pred) with
-        | None -> assert false
-        | Some e ->
-            let delay = Comm.delay comm ~data ~same_pe:(e.Schedule.pe = pe) in
-            Float.max acc (e.Schedule.finish +. delay))
+        let e = Option.get entries.(pred) in
+        if e.Schedule.pe = pe || data <= 0.0 then Float.max acc e.Schedule.finish
+        else begin
+          let bus_start = Float.max e.Schedule.finish !bus_free in
+          let bus_finish = bus_start +. Comm.delay comm ~data ~same_pe:false in
+          bus_free := bus_finish;
+          transfers :=
+            { edge = { Graph.src = pred; dst = task; data }; bus_start; bus_finish }
+            :: !transfers;
+          Float.max acc bus_finish
+        end)
       0.0 (Graph.preds graph task)
   in
-  (* Exact arrival: transfers of this task's inputs are scheduled on the
-     bus, first-come in predecessor order, each after both the producer's
-     finish and the bus becoming free. *)
-  let commit_transfers task pe =
-    List.fold_left
-      (fun acc (pred, data) ->
-        match entries.(pred) with
-        | None -> assert false
-        | Some e ->
-            if e.Schedule.pe = pe || data <= 0.0 then
-              Float.max acc e.Schedule.finish
-            else begin
-              let duration = Comm.delay comm ~data ~same_pe:false in
-              let bus_start = Float.max e.Schedule.finish !bus_avail in
-              let bus_finish = bus_start +. duration in
-              bus_avail := bus_finish;
-              transfers :=
-                { edge = { Graph.src = pred; dst = task; data }; bus_start; bus_finish }
-                :: !transfers;
-              Float.max acc bus_finish
-            end)
-      0.0 (Graph.preds graph task)
-  in
-  let unscheduled_preds = Array.init n (fun v -> List.length (Graph.preds graph v)) in
-  let module Iset = Set.Make (Int) in
-  let ready =
-    ref (List.fold_left (fun s v -> Iset.add v s) Iset.empty (Graph.sources graph))
-  in
-  let scheduled = ref 0 in
-  while !scheduled < n do
-    let best = ref None in
-    Iset.iter
-      (fun task ->
-        let tt = (Graph.task graph task).Task.task_type in
-        Array.iteri
-          (fun pe (inst : Pe.inst) ->
-            let kind = inst.Pe.kind.Pe.kind_id in
-            let wcet = Library.wcet lib ~task_type:tt ~kind in
-            let task_energy = Library.energy lib ~task_type:tt ~kind in
-            let start = Float.max (estimated_ready task pe) pe_avail.(pe) in
-            let finish = start +. wcet in
-            let cost =
-              match policy with
-              | Policy.Baseline -> 0.0
-              | Policy.Power_aware Policy.Min_task_power ->
-                  Dc.cost_task_power lib ~task_type:tt ~kind
-              | Policy.Power_aware Policy.Min_pe_average_power ->
-                  Dc.cost_pe_average_power lib ~pe_energy:pe_energy.(pe) ~task_energy
-                    ~finish
-              | Policy.Power_aware Policy.Min_task_energy ->
-                  Dc.cost_task_energy lib ~task_type:tt ~kind
-              | Policy.Thermal_aware -> assert false
-            in
-            let dc =
-              Dc.value ~sc:sc.(task) ~wcet ~start ~cost
-                ~weight:weights.Policy.cost_weight
-            in
-            let better =
-              match !best with
-              | None -> true
-              | Some (dc', task', pe', _) ->
-                  dc > dc' +. 1e-12
-                  || (Float.abs (dc -. dc') <= 1e-12
-                     && (task < task' || (task = task' && pe < pe')))
-            in
-            if better then best := Some (dc, task, pe, task_energy))
-          pes)
-      !ready;
-    (match !best with
-    | None -> assert false
-    | Some (_, task, pe, task_energy) ->
-        (* Exact commitment with bus contention. *)
-        let arrival = commit_transfers task pe in
-        let start = Float.max arrival pe_avail.(pe) in
-        let tt = (Graph.task graph task).Task.task_type in
-        let wcet = Library.wcet lib ~task_type:tt ~kind:pes.(pe).Pe.kind.Pe.kind_id in
-        let finish = start +. wcet in
-        entries.(task) <- Some { Schedule.task; pe; start; finish; energy = task_energy };
-        pe_avail.(pe) <- finish;
-        pe_energy.(pe) <- pe_energy.(pe) +. task_energy;
-        incr scheduled;
-        ready := Iset.remove task !ready;
-        List.iter
-          (fun (succ, _) ->
-            unscheduled_preds.(succ) <- unscheduled_preds.(succ) - 1;
-            if unscheduled_preds.(succ) = 0 then ready := Iset.add succ !ready)
-          (Graph.succs graph task))
+  let ready = ref (List_sched.Ready.of_list (Graph.sources graph)) in
+  let on_ready succ = ready := List_sched.Ready.add succ !ready in
+  while List_sched.scheduled st < Graph.n_tasks graph do
+    (* Selection uses the core's contention-free estimate; the commit
+       books the bus and starts the task when its data has arrived. *)
+    let choice =
+      List_sched.pick ~caller:"Bus_sched.run" st
+        (List_sched.scan st ~ready:!ready) ~weight
+    in
+    let { List_sched.task; pe; _ } = choice in
+    let start = Float.max (book_transfers task pe) pe_free.(pe) in
+    let e = List_sched.commit ~on_ready st { choice with start } in
+    entries.(task) <- Some e;
+    pe_free.(pe) <- e.Schedule.finish;
+    ready := List_sched.Ready.remove task !ready
   done;
-  let entries = Array.map (function Some e -> e | None -> assert false) entries in
-  {
-    schedule = Schedule.make ~graph ~pes ~entries;
-    transfers = List.rev !transfers;
-  }
+  { schedule = List_sched.finish st; transfers = List.rev !transfers }
 
 let validate { schedule = s; transfers } ~lib =
   let comm = Library.comm lib in

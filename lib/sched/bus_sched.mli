@@ -5,9 +5,12 @@
     assumes infinite bus bandwidth. Here the bus is a real resource: every
     cross-PE edge becomes a transfer that occupies the (single) bus
     exclusively, so concurrent communication serializes and contention
-    lengthens schedules. Selection still uses the contention-free estimate
-    (the classic optimistic list-scheduling approximation); commitment
-    schedules the transfers exactly. *)
+    lengthens schedules. Selection is {!List_sched.scan} and
+    {!List_sched.pick}, i.e. the contention-free estimate (the classic
+    optimistic list-scheduling approximation); commitment books the
+    chosen task's input transfers on the bus, first-come in predecessor
+    order, and starts the task once they have arrived and its PE is
+    free. *)
 
 module Graph = Tats_taskgraph.Graph
 module Task = Tats_taskgraph.Task
@@ -32,7 +35,10 @@ val run :
   result
 (** Like {!List_sched.run} with bus contention. [Thermal_aware] is not
     supported here (raises [Invalid_argument]); the substrate exists to
-    study the communication model, not the thermal policy. *)
+    study the communication model, not the thermal policy. The library's
+    interconnect must be a [Comm.Shared_bus]: a mesh raises
+    [Invalid_argument], since bus transfers would ignore its hop
+    delays. *)
 
 val validate : result -> lib:Library.t -> string list
 (** Structural check: transfers do not overlap on the bus, every cross-PE

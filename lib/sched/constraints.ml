@@ -24,7 +24,6 @@ type pin = To_pe of int | To_kind of int
 type spec = { pins : (Task.id * pin) list; isolation : (Task.id * int) list }
 
 let empty = { pins = []; isolation = [] }
-let is_empty s = s.pins = [] && s.isolation = []
 
 exception Invalid of string
 exception Infeasible of string

@@ -36,7 +36,6 @@ type spec = {
 }
 
 val empty : spec
-val is_empty : spec -> bool
 
 exception Invalid of string
 (** The spec is statically contradictory (raised by {!make}). *)

@@ -26,19 +26,10 @@ let insert_interval intervals (s, f) =
   in
   go intervals
 
-let run ?constraints ~graph ~lib ~pes () =
+let run ?(constraints = Constraints.empty) ~graph ~lib ~pes () =
+  if Array.length pes = 0 then invalid_arg "Heft.run: empty PE array";
   let n = Graph.n_tasks graph in
-  let checker =
-    match constraints with
-    | Some spec when not (Constraints.is_empty spec) ->
-        Some (Constraints.make spec ~n_tasks:n ~pes)
-    | _ -> None
-  in
-  let admissible task pe =
-    match checker with
-    | None -> true
-    | Some c -> Constraints.admissible c ~task ~pe ~pes
-  in
+  let checker = Constraints.make constraints ~n_tasks:n ~pes in
   let comm = Library.comm lib in
   let rank = upward_rank lib graph in
   let order = Criticality.rank_order rank in
@@ -50,7 +41,7 @@ let run ?constraints ~graph ~lib ~pes () =
       let best = ref None in
       Array.iteri
         (fun pe (inst : Pe.inst) ->
-          if admissible task pe then begin
+          if Constraints.admissible checker ~task ~pe ~pes then begin
           let kind = inst.Pe.kind.Pe.kind_id in
           let wcet = Library.wcet lib ~task_type:tt ~kind in
           let ready =
@@ -77,16 +68,10 @@ let run ?constraints ~graph ~lib ~pes () =
           end)
         pes;
       match !best with
-      | None -> (
-          match checker with
-          | Some _ ->
-              raise
-                (Constraints.Infeasible (Constraints.infeasible_msg "Heft.run"))
-          | None -> assert false)
+      | None ->
+          raise (Constraints.Infeasible (Constraints.infeasible_msg "Heft.run"))
       | Some (finish, pe, start, _wcet) ->
-          (match checker with
-          | Some c -> Constraints.commit c ~task ~pe
-          | None -> ());
+          Constraints.commit checker ~task ~pe;
           let kind = pes.(pe).Pe.kind.Pe.kind_id in
           let energy = Library.energy lib ~task_type:tt ~kind in
           entries.(task) <- Some { Schedule.task; pe; start; finish; energy };

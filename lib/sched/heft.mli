@@ -27,4 +27,5 @@ val run :
     {!Schedule.validate}; it may or may not meet the deadline.
     [constraints] behaves as in {!List_sched.run}: pins and isolation
     enforced per placement, {!Constraints.Invalid} /
-    {!Constraints.Infeasible} on contradiction / dead-end. *)
+    {!Constraints.Infeasible} on contradiction / dead-end. An empty [pes]
+    raises [Invalid_argument]. *)

@@ -16,28 +16,30 @@ let m_replayed_steps = Metricsreg.counter "sched.replayed_steps"
 exception Thermal_policy_needs_hotspot
 
 (* What a schedule needs that no decision and no weight changes, validated
-   and computed once per [run], [run_adaptive] or [Online.plan] call. *)
+   and computed once per [run], [run_adaptive], [Online.plan],
+   [Bus_sched.run] or [Periodic.schedule] call. *)
 type ctx = {
   graph : Graph.t;
   lib : Library.t;
   pes : Pe.inst array;
   policy : Policy.t;
   exclusive : Task.id -> Task.id -> bool;
-  constraints : Constraints.spec option; (* [None] when empty *)
+  constraints : Constraints.spec;
   sc : float array;
   idle : float array;
   (* Shared by every candidate evaluation; only for the thermal policy. *)
   engine : Inquiry.t option;
 }
 
-let prepare ?hotspot ?(exclusive = fun _ _ -> false) ?constraints ~graph ~lib
-    ~pes ~policy () =
+let prepare ?hotspot ?(exclusive = fun _ _ -> false)
+    ?(constraints = Constraints.empty) ?sc ~graph ~lib ~pes ~policy () =
+  if Array.length pes = 0 then invalid_arg "List_sched: empty PE array";
   let engine =
     match (policy, hotspot) with
     | Policy.Thermal_aware, None -> raise Thermal_policy_needs_hotspot
     | Policy.Thermal_aware, Some h ->
         if Hotspot.n_blocks h <> Array.length pes then
-          invalid_arg "List_sched.run: hotspot must have one block per PE";
+          invalid_arg "List_sched: hotspot must have one block per PE";
         Some (Hotspot.inquiry h)
     | (Policy.Baseline | Policy.Power_aware _), _ -> None
   in
@@ -47,11 +49,8 @@ let prepare ?hotspot ?(exclusive = fun _ _ -> false) ?constraints ~graph ~lib
     pes;
     policy;
     exclusive;
-    constraints =
-      (match constraints with
-      | Some spec when not (Constraints.is_empty spec) -> Some spec
-      | _ -> None);
-    sc = Dc.static_criticality lib graph;
+    constraints;
+    sc = (match sc with Some sc -> sc | None -> Dc.static_criticality lib graph);
     idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes;
     engine;
   }
@@ -63,7 +62,7 @@ type state = {
   pe_energy : float array;
   unscheduled_preds : int array;
   (* The checker is stateful, so it is rebuilt per schedule. *)
-  checker : Constraints.checker option;
+  checker : Constraints.checker;
   mutable n_scheduled : int;
 }
 
@@ -76,10 +75,7 @@ let init ctx =
     pe_energy = Array.make n_pes 0.0;
     unscheduled_preds =
       Array.init n (fun v -> List.length (Graph.preds ctx.graph v));
-    checker =
-      Option.map
-        (fun spec -> Constraints.make spec ~n_tasks:n ~pes:ctx.pes)
-        ctx.constraints;
+    checker = Constraints.make ctx.constraints ~n_tasks:n ~pes:ctx.pes;
     n_scheduled = 0;
   }
 
@@ -112,10 +108,10 @@ let earliest_start st ~comm task pe =
   Float.max ready avail
 
 (* One scheduling step's admissible candidates under a fixed decision
-   prefix, in scan order (ascending task, then PE). Without a start floor
-   or surcharge (the offline case) everything stored is a function of the
-   prefix alone, which is what lets the memo replay it; only [Dc.weigh]
-   brings in the weight. *)
+   prefix, in scan order (ascending task, then PE). Without a start floor,
+   horizon or surcharge (the offline case) everything stored is a function
+   of the prefix alone, which is what lets the memo replay it; only
+   [Dc.weigh] brings in the weight. *)
 type node = {
   pairs : int array; (* task * n_pes + pe *)
   parts : float array; (* Dc.part *)
@@ -129,7 +125,7 @@ type candidates = node
 module Ready = Set.Make (Int)
 
 (* Score every admissible (ready task, PE) pair, weight-free. *)
-let scan ?floor ?surcharge st ~ready =
+let scan ?floor ?horizon ?surcharge st ~ready =
   let { graph; lib; pes; policy; sc; idle; engine; _ } = st.ctx in
   let n_pes = Array.length pes in
   let comm = Library.comm lib in
@@ -152,12 +148,7 @@ let scan ?floor ?surcharge st ~ready =
       let tt = (Graph.task graph task).Task.task_type in
       Array.iteri
         (fun pe (inst : Pe.inst) ->
-          let admissible =
-            match st.checker with
-            | None -> true
-            | Some c -> Constraints.admissible c ~task ~pe ~pes
-          in
-          if admissible then begin
+          if Constraints.admissible st.checker ~task ~pe ~pes then begin
             let kind = inst.Pe.kind.Pe.kind_id in
             let wcet = Library.wcet lib ~task_type:tt ~kind in
             let start = earliest_start st ~comm task pe in
@@ -179,7 +170,9 @@ let scan ?floor ?surcharge st ~ready =
               | Policy.Thermal_aware ->
                   let task_power = Library.wcpc lib ~task_type:tt ~kind in
                   Dc.cost_thermal ~engine:(Option.get engine)
-                    ~base:(Option.get base) ~idle ~finish ~pe ~task_power
+                    ~base:(Option.get base) ~idle
+                    ~finish:(Option.value horizon ~default:finish)
+                    ~pe ~task_power
             in
             let cost =
               match surcharge with None -> cost | Some s -> cost +. s.(pe)
@@ -232,7 +225,7 @@ let commit ~on_ready st { task; pe; start } =
   let kind = pes.(pe).Pe.kind.Pe.kind_id in
   let finish = start +. Library.wcet lib ~task_type:tt ~kind in
   let energy = Library.energy lib ~task_type:tt ~kind in
-  Option.iter (fun c -> Constraints.commit c ~task ~pe) st.checker;
+  Constraints.commit st.checker ~task ~pe;
   let entry = { Schedule.task; pe; start; finish; energy } in
   st.entries.(task) <- Some entry;
   st.pe_tasks.(pe) <- entry :: st.pe_tasks.(pe);

@@ -38,7 +38,7 @@ val run :
     contradictory spec raises {!Constraints.Invalid} before any work, a
     spec with no admissible candidate at some step raises
     {!Constraints.Infeasible} naming [List_sched.run]. Omitted or empty,
-    no placement is restricted.
+    no placement is restricted. An empty [pes] raises [Invalid_argument].
 
     The result always covers every task; it may miss the deadline — callers
     (e.g. co-synthesis) decide what to do then. Deterministic. *)
@@ -88,13 +88,16 @@ val run_adaptive :
 (** {1 Step core}
 
     The greedy loop {!run} and {!run_adaptive} are built from, exposed so
-    that other event-driven schedulers ({!Online}) share its candidate
-    scan, DC arithmetic, tie-break and commit instead of copying them. A
-    caller owns its ready set and loops: {!scan} the ready tasks, {!pick}
-    the winner at its weight, {!commit} it (adding newly ready successors
-    to its set), until {!scheduled} covers the graph; then {!finish}.
-    The step functions touch no [sched.*] counter or span: those belong
-    to {!run} and {!run_adaptive} alone. *)
+    that the other greedy schedulers share its candidate scan, DC
+    arithmetic, tie-break and commit instead of copying them: {!Online}
+    (release-time floors and a thermal surcharge), {!Bus_sched} (commits
+    at the bus-contended start) and {!Periodic} (one graph of hyperperiod
+    jobs, release-relative criticalities and floors, a per-step thermal
+    horizon). A caller owns its ready set and loops: {!scan} the ready
+    tasks, {!pick} the winner at its weight, {!commit} it (adding newly
+    ready successors to its set), until {!scheduled} covers the graph;
+    then {!finish}. The step functions touch no [sched.*] counter or
+    span: those belong to {!run} and {!run_adaptive} alone. *)
 
 type ctx
 (** What a schedule needs that no decision and no weight changes: the
@@ -105,6 +108,7 @@ val prepare :
   ?hotspot:Hotspot.t ->
   ?exclusive:(Task.id -> Task.id -> bool) ->
   ?constraints:Constraints.spec ->
+  ?sc:float array ->
   graph:Graph.t ->
   lib:Library.t ->
   pes:Pe.inst array ->
@@ -113,7 +117,8 @@ val prepare :
   ctx
 (** Validates and precomputes once per scheduling call, with the
     arguments and exceptions of {!run}; the constraint spec itself is
-    checked by {!init}. *)
+    checked by {!init}. [sc] (one entry per task) replaces the static
+    criticalities {!Dc.static_criticality} would compute. *)
 
 type state
 (** One schedule in progress: committed entries, per-PE task lists and
@@ -140,6 +145,7 @@ type candidates
 
 val scan :
   ?floor:(Task.id -> float) ->
+  ?horizon:float ->
   ?surcharge:float array ->
   state ->
   ready:Ready.t ->
@@ -147,8 +153,9 @@ val scan :
 (** Evaluate every admissible pair of [ready] (each must satisfy
     {!is_ready}): the earliest start (data arrival and PE availability),
     raised to [floor task] when given, and the policy cost (one thermal
-    base solve per scan, then one delta-evaluated inquiry per pair), plus
-    [surcharge.(pe)] when given. *)
+    base solve per scan, then one delta-evaluated inquiry per pair, whose
+    committed energies are averaged over [horizon] when given, else over
+    the candidate's finish), plus [surcharge.(pe)] when given. *)
 
 type choice = { task : Task.id; pe : int; start : float }
 

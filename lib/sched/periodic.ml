@@ -77,135 +77,59 @@ let schedule ?(policy = Policy.Baseline) ?weights ?hotspot ~apps ~lib ~pes () =
   let hyper = hyperperiod (Array.to_list apps) in
   let exp = expand apps hyper in
   let n_jobs = Array.length exp.jobs in
-  (match (policy, hotspot) with
-  | Policy.Thermal_aware, None -> raise List_sched.Thermal_policy_needs_hotspot
-  | Policy.Thermal_aware, Some h ->
-      if Hotspot.n_blocks h <> Array.length pes then
-        invalid_arg "Periodic.schedule: hotspot must have one block per PE"
-  | (Policy.Baseline | Policy.Power_aware _), _ -> ());
-  let weights =
-    match weights with
+  let weight =
+    (match weights with
     | Some w -> w
-    | None -> Policy.default_weights ~deadline:hyper
+    | None -> Policy.default_weights ~deadline:hyper)
+      .Policy.cost_weight
   in
   Tats_util.Trace.with_span "periodic.schedule"
     ~args:[ ("jobs", Tats_util.Trace.Int n_jobs) ]
   @@ fun () ->
-  let comm = Library.comm lib in
-  (* Static criticality per app (shared by all its instances). *)
-  let sc = Array.map (fun app -> Dc.static_criticality lib app.graph) apps in
-  let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes in
-  let committed = Array.make n_jobs None in
-  let pe_tasks : entry list array = Array.make (Array.length pes) [] in
-  let pe_energy = Array.make (Array.length pes) 0.0 in
-  let unscheduled_preds =
-    Array.map
-      (fun j -> List.length (Graph.preds apps.(j.app).graph j.task))
-      exp.jobs
-  in
-  let module Iset = Set.Make (Int) in
-  let ready = ref Iset.empty in
-  Array.iteri
-    (fun idx d -> if d = 0 then ready := Iset.add idx !ready)
-    unscheduled_preds;
-  let earliest_start j pe =
-    let data_ready =
-      List.fold_left
-        (fun acc (pred, data) ->
-          let pidx = job_index exp apps { j with task = pred } in
-          match committed.(pidx) with
-          | None -> assert false
-          | Some e ->
-              let delay = Comm.delay_between comm ~src:e.pe ~dst:pe ~data in
-              Float.max acc (e.finish +. delay))
-        (release apps j)
-        (Graph.preds apps.(j.app).graph j.task)
-    in
-    let avail =
-      List.fold_left (fun acc (e : entry) -> Float.max acc e.finish) 0.0 pe_tasks.(pe)
-    in
-    Float.max data_ready avail
-  in
-  let order = ref [] in
-  let n_scheduled = ref 0 in
-  while !n_scheduled < n_jobs do
-    (* One horizon per selection round (the current frontier), so the
-       thermal inquiry compares candidates on equal footing. *)
-    let now =
-      Array.fold_left
-        (fun acc tasks ->
-          List.fold_left (fun acc (e : entry) -> Float.max acc e.finish) acc tasks)
-        1.0 pe_tasks
-    in
-    let best = ref None in
-    Iset.iter
-      (fun idx ->
-        let j = exp.jobs.(idx) in
+  (* The hyperperiod's jobs as one graph, numbered densely: instances
+     inherit their app's tasks and edges and are otherwise independent. *)
+  let graph =
+    let b = Graph.builder ~name:"hyperperiod" ~deadline:hyper in
+    Array.iter
+      (fun j ->
         let tt = (Graph.task apps.(j.app).graph j.task).Task.task_type in
-        Array.iteri
-          (fun pe (inst : Pe.inst) ->
-            let kind = inst.Pe.kind.Pe.kind_id in
-            let wcet = Library.wcet lib ~task_type:tt ~kind in
-            let task_energy = Library.energy lib ~task_type:tt ~kind in
-            let start = earliest_start j pe in
-            let finish = start +. wcet in
-            let cost =
-              match policy with
-              | Policy.Baseline -> 0.0
-              | Policy.Power_aware Policy.Min_task_power ->
-                  Dc.cost_task_power lib ~task_type:tt ~kind
-              | Policy.Power_aware Policy.Min_pe_average_power ->
-                  Dc.cost_pe_average_power lib ~pe_energy:pe_energy.(pe) ~task_energy
-                    ~finish
-              | Policy.Power_aware Policy.Min_task_energy ->
-                  Dc.cost_task_energy lib ~task_type:tt ~kind
-              | Policy.Thermal_aware ->
-                  let hotspot = Option.get hotspot in
-                  let dynamic =
-                    Array.init (Array.length pes) (fun p ->
-                        (pe_energy.(p) /. now)
-                        +.
-                        if p = pe then Library.wcpc lib ~task_type:tt ~kind else 0.0)
-                  in
-                  let temps = Hotspot.inquire_with_leakage hotspot ~dynamic ~idle in
-                  Dc.cost_temperature
-                    ~ambient:(Hotspot.package hotspot).Tats_thermal.Package.ambient
-                    ~avg_temp:(Stats.mean temps)
-            in
-            (* Job urgency: criticality relative to the instance release. *)
-            let dc =
-              Dc.value
-                ~sc:(sc.(j.app).(j.task) -. release apps j)
-                ~wcet ~start ~cost ~weight:weights.Policy.cost_weight
-            in
-            let better =
-              match !best with
-              | None -> true
-              | Some (dc', idx', pe', _, _, _) ->
-                  dc > dc' +. 1e-12
-                  || (Float.abs (dc -. dc') <= 1e-12
-                     && (idx < idx' || (idx = idx' && pe < pe')))
-            in
-            if better then best := Some (dc, idx, pe, start, finish, task_energy))
-          pes)
-      !ready;
-    (match !best with
-    | None -> assert false
-    | Some (_, idx, pe, start, finish, energy) ->
-        let j = exp.jobs.(idx) in
-        let entry = { job = j; pe; start; finish; energy } in
-        committed.(idx) <- Some entry;
-        pe_tasks.(pe) <- entry :: pe_tasks.(pe);
-        pe_energy.(pe) <- pe_energy.(pe) +. energy;
-        order := entry :: !order;
-        incr n_scheduled;
-        ready := Iset.remove idx !ready;
+        ignore (Graph.add_task b ~task_type:tt () : Task.id))
+      exp.jobs;
+    Array.iteri
+      (fun idx j ->
         List.iter
-          (fun (succ, _) ->
-            let sidx = job_index exp apps { j with task = succ } in
-            unscheduled_preds.(sidx) <- unscheduled_preds.(sidx) - 1;
-            if unscheduled_preds.(sidx) = 0 then ready := Iset.add sidx !ready)
-          (Graph.succs apps.(j.app).graph j.task))
+          (fun (pred, data) ->
+            Graph.add_edge b ~data (job_index exp apps { j with task = pred }) idx)
+          (Graph.preds apps.(j.app).graph j.task))
+      exp.jobs;
+    Graph.build b
+  in
+  (* Job urgency: the app's static criticality relative to the instance
+     release. *)
+  let sc = Array.map (fun app -> Dc.static_criticality lib app.graph) apps in
+  let sc = Array.map (fun j -> sc.(j.app).(j.task) -. release apps j) exp.jobs in
+  let st =
+    List_sched.init (List_sched.prepare ?hotspot ~sc ~graph ~lib ~pes ~policy ())
+  in
+  let floor idx = release apps exp.jobs.(idx) in
+  let ready = ref (List_sched.Ready.of_list (Graph.sources graph)) in
+  let on_ready succ = ready := List_sched.Ready.add succ !ready in
+  (* One thermal horizon per step (the committed frontier), so the
+     inquiry compares candidates on equal footing. *)
+  let now = ref 1.0 in
+  let order = ref [] in
+  while List_sched.scheduled st < n_jobs do
+    let choice =
+      List_sched.pick ~caller:"Periodic.schedule" st
+        (List_sched.scan ~floor ~horizon:!now st ~ready:!ready)
+        ~weight
+    in
+    let { Schedule.task = idx; pe; start; finish; energy } =
+      List_sched.commit ~on_ready st choice
+    in
+    order := { job = exp.jobs.(idx); pe; start; finish; energy } :: !order;
+    now := Float.max !now finish;
+    ready := List_sched.Ready.remove idx !ready
   done;
   { apps; pes; hyper; entries = Array.of_list (List.rev !order) }
 
@@ -226,7 +150,6 @@ let validate t ~lib =
       if e.start +. 1e-9 < release t.apps j then violations := Release j :: !violations;
       if e.finish > job_deadline t.apps j +. 1e-6 then
         violations := Job_deadline j :: !violations;
-      (* Duration against the library. *)
       List.iter
         (fun (pred, data) ->
           let pj = { j with task = pred } in

@@ -8,8 +8,13 @@
     [k * period] and must finish by [k * period + deadline]. Jobs inherit
     the intra-instance precedence edges; instances are independent.
 
-    The scheduler is the same DC-driven list scheduler as {!List_sched},
-    extended with release times. *)
+    The scheduler is the same DC-driven list scheduler as {!List_sched}:
+    the hyperperiod's jobs form one graph driven through its step core,
+    with each job's static criticality taken relative to its release
+    ([List_sched.prepare ~sc]), its start floored at the release, and the
+    thermal inquiry averaging committed energy over the current frontier
+    (the latest committed finish, at least 1) instead of each candidate's
+    finish ([List_sched.scan ~floor ~horizon]). *)
 
 module Graph = Tats_taskgraph.Graph
 module Task = Tats_taskgraph.Task

@@ -18,6 +18,8 @@ module Heft = Tats_sched.Heft
 module Sa_mapper = Tats_sched.Sa_mapper
 module Dvs = Tats_sched.Dvs
 module Bus_sched = Tats_sched.Bus_sched
+module Periodic = Tats_sched.Periodic
+module Online = Tats_sched.Online
 module Metrics = Tats_sched.Metrics
 module Sched_mc = Tats_sched.Montecarlo
 
@@ -300,6 +302,60 @@ let test_bus_rejects_thermal () =
        false
      with Invalid_argument _ -> true)
 
+let test_bus_rejects_mesh () =
+  (* Bus transfers model a single shared bus; on a mesh they would ignore
+     the hop delays and the schedule would break precedence. *)
+  let mesh_lib =
+    Library.generate ~seed:77 ~n_task_types:Benchmarks.n_task_types
+      ~kinds:[ Catalog.platform_kind () ]
+      ~comm:(Comm.mesh ~cols:2 ~per_hop_delay:8.0 ())
+      ()
+  in
+  List.iter
+    (fun bench ->
+      match
+        Bus_sched.run ~graph:(Benchmarks.load bench) ~lib:mesh_lib
+          ~pes:(platform_pes 4) ~policy:Policy.Baseline ()
+      with
+      | (_ : Bus_sched.result) -> Alcotest.failf "bench %d: mesh accepted" bench
+      | exception Invalid_argument _ -> ())
+    [ 0; 1; 2; 3 ]
+
+(* --- Empty PE arrays ------------------------------------------------------- *)
+
+let test_empty_pes_rejected () =
+  let graph = Benchmarks.load 0 and lib = platform_lib and pes = [||] in
+  let app = Periodic.make_app ~graph ~period:800.0 in
+  let entry_points =
+    [
+      ("List_sched.run", fun () ->
+          ignore (List_sched.run ~graph ~lib ~pes ~policy:Policy.Baseline ()
+                  : Schedule.t));
+      ("List_sched.run_adaptive", fun () ->
+          ignore (List_sched.run_adaptive ~graph ~lib ~pes
+                    ~policy:Policy.Baseline ()
+                  : Schedule.t * Policy.weights));
+      ("Online.run", fun () ->
+          ignore (Online.run ~arrivals:(Online.zero graph) ~graph ~lib ~pes
+                    ~policy:(Online.Mirror Policy.Baseline) ()
+                  : Online.run));
+      ("Bus_sched.run", fun () ->
+          ignore (Bus_sched.run ~graph ~lib ~pes ~policy:Policy.Baseline ()
+                  : Bus_sched.result));
+      ("Periodic.schedule", fun () ->
+          ignore (Periodic.schedule ~apps:[ app ] ~lib ~pes () : Periodic.t));
+      ("Heft.run", fun () -> ignore (Heft.run ~graph ~lib ~pes () : Schedule.t));
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | () -> Alcotest.failf "%s accepted an empty PE array" name
+      | exception Invalid_argument msg ->
+          if not (String.ends_with ~suffix:": empty PE array" msg) then
+            Alcotest.failf "%s: unexpected message %S" name msg)
+    entry_points
+
 (* --- Transient replay metrics --------------------------------------------- *)
 
 let test_power_profile_levels () =
@@ -548,6 +604,12 @@ let () =
           Alcotest.test_case "utilization" `Quick test_bus_utilization_bounds;
           Alcotest.test_case "single PE" `Quick test_bus_single_pe_no_transfers;
           Alcotest.test_case "thermal rejected" `Quick test_bus_rejects_thermal;
+          Alcotest.test_case "mesh rejected" `Quick test_bus_rejects_mesh;
+        ] );
+      ( "entry points",
+        [
+          Alcotest.test_case "empty PE array rejected" `Quick
+            test_empty_pes_rejected;
         ] );
       ( "montecarlo",
         [
