@@ -54,6 +54,18 @@ let metrics_arg =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+      prerr_endline ("tats: " ^ msg);
+      exit 2
+
+(* A leakage fixed point that does not settle is a property of the input
+   design, not a crash: report it like any other bad input. *)
+let exit_on_runaway body =
+  try body () with
+  | Core.Steady.Runaway _ as e -> or_die (Error (Printexc.to_string e))
+
 (* Bracket a subcommand body with trace recording and exporter writes.
    The exports run in a [Fun.protect] finalizer so a failing run still
    leaves whatever was recorded on disk. *)
@@ -81,7 +93,7 @@ let with_observability ~trace ~metrics f =
 let observed_arg : ((unit -> unit) -> unit) Term.t =
   let runner jobs trace metrics body =
     set_jobs jobs;
-    with_observability ~trace ~metrics body
+    exit_on_runaway (fun () -> with_observability ~trace ~metrics body)
   in
   Term.(const runner $ jobs_arg $ trace_arg $ metrics_arg)
 
@@ -97,12 +109,6 @@ let parse_policy name =
   match Core.Policy.of_name name with
   | Some p -> Ok p
   | None -> Error (Printf.sprintf "unknown policy %S" name)
-
-let or_die = function
-  | Ok v -> v
-  | Error msg ->
-      prerr_endline ("tats: " ^ msg);
-      exit 2
 
 (* --- heterogeneous-platform arguments ------------------------------------ *)
 
@@ -489,6 +495,7 @@ let compare_cmd =
 
 let dvs_cmd =
   let run bench policy =
+    exit_on_runaway @@ fun () ->
     let bench = or_die (parse_bench bench) in
     let policy = or_die (parse_policy policy) in
     let graph = Core.Benchmarks.load bench in
@@ -518,6 +525,7 @@ let dvs_cmd =
 
 let pareto_cmd =
   let run bench =
+    exit_on_runaway @@ fun () ->
     let bench = or_die (parse_bench bench) in
     let graph = Core.Benchmarks.load bench in
     let lib = Core.Catalog.default_library () in
@@ -989,6 +997,7 @@ let campaign_cmd =
 
 let robustness_cmd =
   let run n tasks seed =
+    exit_on_runaway @@ fun () ->
     if n < 1 then or_die (Error "-n must be at least 1");
     if tasks < 2 then or_die (Error "--tasks must be at least 2");
     let r = Core.Experiments.robustness ~n ~tasks ~seed () in
@@ -1019,6 +1028,7 @@ let robustness_cmd =
 
 let artifacts_cmd =
   let run dir jobs =
+    exit_on_runaway @@ fun () ->
     set_jobs jobs;
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let write name contents =

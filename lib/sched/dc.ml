@@ -42,6 +42,16 @@ let cost_thermal ~engine ~base ~idle ~finish ~pe ~task_power =
     ~ambient:(Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
     ~avg_temp:(Tats_util.Stats.mean temps)
 
+(* The same inquiry stopped at its linear seed: [cost_temperature] is
+   increasing in the average, so the seed's mean bounds the cost. *)
+let cost_thermal_floor ~engine ~base ~finish ~pe ~task_power =
+  let horizon = Float.max finish 1e-9 in
+  cost_temperature
+    ~ambient:(Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
+    ~avg_temp:
+      (Tats_thermal.Inquiry.seed_mean engine ~base ~horizon ~pe
+         ~extra:task_power)
+
 let part ~sc ~wcet ~start = sc -. wcet -. start
 let weigh ~part ~cost ~weight = part -. (weight *. cost)
 let value ~sc ~wcet ~start ~cost ~weight = weigh ~part:(part ~sc ~wcet ~start) ~cost ~weight

@@ -43,6 +43,20 @@ val cost_thermal :
     horizon, plus [task_power] on the candidate [pe], delta-evaluated —
     and fold the average temperature through {!cost_temperature}. *)
 
+val cost_thermal_floor :
+  engine:Tats_thermal.Inquiry.t ->
+  base:Tats_thermal.Inquiry.base ->
+  finish:float ->
+  pe:int ->
+  task_power:float ->
+  float
+(** A lower bound on {!cost_thermal} with the same arguments (the idle
+    powers only feed the leakage, which can only raise the cost), in
+    O(n_blocks) with no fixed point: the inquiry's linear seed
+    ({!Tats_thermal.Inquiry.seed_mean}) folded through
+    {!cost_temperature}. So [weigh ~part ~cost:floor ~weight] bounds a
+    candidate's DC from above for any [weight >= 0]. *)
+
 val value :
   sc:float -> wcet:float -> start:float -> cost:float -> weight:float -> float
 (** [DC = sc - wcet - start - weight * cost]. [start] is

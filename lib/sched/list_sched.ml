@@ -111,13 +111,29 @@ let earliest_start st ~comm task pe =
    prefix, in scan order (ascending task, then PE). Without a start floor,
    horizon or surcharge (the offline case) everything stored is a function
    of the prefix alone, which is what lets the memo replay it; only
-   [Dc.weigh] brings in the weight. *)
+   [Dc.weigh] brings in the weight.
+
+   A thermal candidate's cost is a leakage fixed point, so [scan] stores a
+   lower bound on it ([Dc.cost_thermal_floor]) and what the exact
+   inquiry needs beyond the pair and start, and [pick] evaluates only the
+   candidates whose bound lets them reach its best exact DC, each at most
+   once per node. Every other policy's cost is exact at scan time: then
+   [floors == costs]. *)
 type node = {
   pairs : int array; (* task * n_pes + pe *)
   parts : float array; (* Dc.part *)
-  costs : float array;
+  floors : float array; (* a lower bound on the cost *)
+  costs : float array; (* the cost, or nan while not evaluated *)
   starts : float array;
+  thermal : thermal option;
   mutable children : (int * node) list; (* by the pair committed next *)
+}
+
+(* The scan's inputs to the thermal costs of its candidates. *)
+and thermal = {
+  base : Inquiry.base; (* the step's influence response *)
+  horizon : float option;
+  surcharge : float array option;
 }
 
 type candidates = node
@@ -126,22 +142,24 @@ module Ready = Set.Make (Int)
 
 (* Score every admissible (ready task, PE) pair, weight-free. *)
 let scan ?floor ?horizon ?surcharge st ~ready =
-  let { graph; lib; pes; policy; sc; idle; engine; _ } = st.ctx in
+  let { graph; lib; pes; policy; sc; engine; _ } = st.ctx in
   let n_pes = Array.length pes in
   let comm = Library.comm lib in
-  (* One base solve per scanned step: the influence response to the
-     committed PE energies. Candidates below are delta-evaluated against
-     it in O(n_blocks) each instead of re-solving from scratch. *)
-  let base =
-    match engine with
-    | None -> None
-    | Some e -> Some (Inquiry.base_response e ~power:st.pe_energy)
-  in
   let cap = Ready.cardinal ready * n_pes in
   let pairs = Array.make cap 0 in
   let parts = Array.make cap 0.0 in
-  let costs = Array.make cap 0.0 in
+  let floors = Array.make cap 0.0 in
   let starts = Array.make cap 0.0 in
+  (* One base solve per scanned step: the influence response to the
+     committed PE energies. Candidates are bounded, and evaluated if
+     [pick] needs them, against it in O(n_blocks) each instead of
+     re-solving from scratch. *)
+  let thermal =
+    Option.map
+      (fun e ->
+        { base = Inquiry.base_response e ~power:st.pe_energy; horizon; surcharge })
+      engine
+  in
   let k = ref 0 in
   Ready.iter
     (fun task ->
@@ -168,53 +186,119 @@ let scan ?floor ?horizon ?surcharge st ~ready =
               | Policy.Power_aware Policy.Min_task_energy ->
                   Dc.cost_task_energy lib ~task_type:tt ~kind
               | Policy.Thermal_aware ->
-                  let task_power = Library.wcpc lib ~task_type:tt ~kind in
-                  Dc.cost_thermal ~engine:(Option.get engine)
-                    ~base:(Option.get base) ~idle
+                  Dc.cost_thermal_floor ~engine:(Option.get engine)
+                    ~base:(Option.get thermal).base
                     ~finish:(Option.value horizon ~default:finish)
-                    ~pe ~task_power
+                    ~pe ~task_power:(Library.wcpc lib ~task_type:tt ~kind)
             in
             let cost =
               match surcharge with None -> cost | Some s -> cost +. s.(pe)
             in
             pairs.(!k) <- (task * n_pes) + pe;
             parts.(!k) <- Dc.part ~sc:sc.(task) ~wcet ~start;
-            costs.(!k) <- cost;
+            floors.(!k) <- cost;
             starts.(!k) <- start;
             incr k
           end)
         pes)
     ready;
   let trim a = if !k = cap then a else Array.sub a 0 !k in
+  let floors = trim floors in
   {
     pairs = trim pairs;
     parts = trim parts;
-    costs = trim costs;
+    floors;
+    costs =
+      (match thermal with None -> floors | Some _ -> Array.make !k Float.nan);
     starts = trim starts;
+    thermal;
     children = [];
   }
 
 type choice = { task : Task.id; pe : int; start : float }
 
+(* Store thermal candidate [i]'s exact cost in the node: [scan]'s
+   inquiry, its finish and task power derived again from the pair and
+   start. *)
+let evaluate st node i =
+  match node.thermal with
+  | None -> ()
+  | Some th ->
+      let { graph; lib; pes; idle; engine; _ } = st.ctx in
+      let n_pes = Array.length pes in
+      let task = node.pairs.(i) / n_pes and pe = node.pairs.(i) mod n_pes in
+      let task_type = (Graph.task graph task).Task.task_type in
+      let kind = pes.(pe).Pe.kind.Pe.kind_id in
+      let finish =
+        match th.horizon with
+        | Some h -> h
+        | None -> node.starts.(i) +. Library.wcet lib ~task_type ~kind
+      in
+      let c =
+        Dc.cost_thermal ~engine:(Option.get engine) ~base:th.base ~idle ~finish
+          ~pe ~task_power:(Library.wcpc lib ~task_type ~kind)
+      in
+      node.costs.(i) <-
+        (match th.surcharge with None -> c | Some s -> c +. s.(pe))
+
+(* [Dc.weigh], the same expression: inlined here, where a call into [Dc]
+   would box its result once per candidate under separate compilation
+   ([-opaque]), so that [pick] allocates nothing. *)
+let[@inline] weigh part cost weight = part -. (weight *. cost)
+
+(* Candidate [i]'s DC at [weight], its cost evaluated if need be, and an
+   upper bound on it for [weight >= 0]. *)
+let[@inline] exact st node i ~weight =
+  if Float.is_nan node.costs.(i) then evaluate st node i;
+  weigh node.parts.(i) node.costs.(i) weight
+
+let[@inline] bound node i ~weight = weigh node.parts.(i) node.floors.(i) weight
+
+(* The lowest DC bound that can still reach [best], the best exact DC so
+   far, of a node with [n] candidates. The 1e-9 margin dwarfs the
+   rounding of the bounds; the [n * 1e-12] term covers the sequential
+   1e-12 tie-break, which can carry a difference of at most 1e-12 per
+   candidate — so skipping the candidates below it never changes a pick. *)
+let[@inline] reach best n =
+  best -. ((1e-9 *. (1.0 +. Float.abs best)) +. (1e-12 *. float_of_int n))
+
 (* The highest-DC candidate at [weight]. Scan order and the 1e-12
    tie-break (towards the lower pair) are those of a direct scan, so a
-   replayed step picks what a fresh one would. *)
+   replayed step picks what a fresh one would. Two linear passes, no
+   sort: the candidate of highest bound seeds the best exact DC; then, in
+   scan order, every candidate whose bound reaches the best so far is
+   evaluated, raises it and enters the tie-break. A candidate left out
+   has a DC below the pick's by far more than the tie window. *)
 let pick ~caller st node ~weight =
+  if not (weight >= 0.0) then invalid_arg "List_sched.pick: negative weight";
+  let n = Array.length node.pairs in
+  if n = 0 then
+    raise (Constraints.Infeasible (Constraints.infeasible_msg caller));
+  let top = ref 0 and top_bound = ref (bound node 0 ~weight) in
+  for i = 1 to n - 1 do
+    let b = bound node i ~weight in
+    if b > !top_bound then begin
+      top := i;
+      top_bound := b
+    end
+  done;
+  let reached = ref (exact st node !top ~weight) in
   let best = ref (-1) and best_dc = ref 0.0 in
-  Array.iteri
-    (fun i pair ->
-      let dc = Dc.weigh ~part:node.parts.(i) ~cost:node.costs.(i) ~weight in
+  for i = 0 to n - 1 do
+    if bound node i ~weight >= reach !reached n then begin
+      let dc = exact st node i ~weight in
+      if dc > !reached then reached := dc;
       if
         !best < 0
         || dc > !best_dc +. 1e-12
-        || (Float.abs (dc -. !best_dc) <= 1e-12 && pair < node.pairs.(!best))
+        || Float.abs (dc -. !best_dc) <= 1e-12
+           && node.pairs.(i) < node.pairs.(!best)
       then begin
         best := i;
         best_dc := dc
-      end)
-    node.pairs;
-  if !best < 0 then
-    raise (Constraints.Infeasible (Constraints.infeasible_msg caller));
+      end
+    end
+  done;
   let n_pes = Array.length st.ctx.pes in
   let pair = node.pairs.(!best) in
   { task = pair / n_pes; pe = pair mod n_pes; start = node.starts.(!best) }

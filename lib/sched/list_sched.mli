@@ -2,10 +2,13 @@
 
     A list scheduler: repeatedly pick, among all (ready task, PE) pairs, the
     one with the highest dynamic criticality, and commit it. The
-    thermal-aware policy issues a HotSpot inquiry per candidate pair,
-    passing each PE's cumulative power plus the power the candidate task
-    would add on the candidate PE, and folds the returned average
-    temperature into DC — exactly the paper's Section 2.2 loop. *)
+    thermal-aware policy folds a HotSpot inquiry's average temperature
+    into DC, passing each PE's cumulative power plus the power the
+    candidate task would add on the candidate PE — the paper's Section
+    2.2 loop. It issues that inquiry only for the candidates that can
+    still win the step: every candidate gets an O(n_blocks) lower bound on
+    its cost first (see {!pick}), and the picks are those of one inquiry
+    per pair, bit for bit. *)
 
 module Graph = Tats_taskgraph.Graph
 module Task = Tats_taskgraph.Task
@@ -28,7 +31,7 @@ val run :
   unit ->
   Schedule.t
 (** [weights] defaults to {!Policy.default_weights} for the graph's
-    deadline. [hotspot] must describe one block per entry of [pes] (same
+    deadline; its cost weight must be non-negative (see {!pick}). [hotspot] must describe one block per entry of [pes] (same
     order); it is required for [Thermal_aware] and ignored otherwise.
     [exclusive] enables conditional-task-graph time-sharing: mutually
     exclusive tasks may overlap on one PE.
@@ -75,15 +78,18 @@ val run_adaptive :
     weight (start times, costs, thermal inquiries), depend only on the
     decisions committed before it. So each trie node stores, per
     candidate in scan order, the weight-free part of {!Dc.value}
-    ({!Dc.part}) and the cost; an attempt re-picks the winner of a step
-    some earlier attempt reached with {!Dc.weigh} at its own weight, and
-    computes start times and issues inquiries only once its decisions
-    leave every earlier attempt's path. Results are bit-identical to
-    bisecting over fresh {!run} calls. Memory: at most one node per
-    scheduled step of each attempt ([(search_steps + 2) x n_tasks] nodes),
-    each holding four words per candidate (at most ready tasks x PEs); the
-    memo is local to the call and dropped when it returns. Replayed steps
-    are counted in the [sched.replayed_steps] metric. *)
+    ({!Dc.part}), the cost's lower bound and, once some attempt's {!pick}
+    needed it, the exact cost; an attempt re-picks the winner of a step
+    some earlier attempt reached with {!Dc.weigh} at its own weight,
+    issuing only the inquiries no earlier attempt needed there, and
+    computes start times only once its decisions leave every earlier
+    attempt's path. Results are bit-identical to bisecting over fresh
+    {!run} calls. Memory: at most one node per scheduled step of each
+    attempt ([(search_steps + 2) x n_tasks] nodes), each holding four
+    words per candidate (at most ready tasks x PEs), five on the thermal
+    policy plus the step's base response (two floats per PE); the memo is
+    local to the call and dropped when it returns. Replayed steps are
+    counted in the [sched.replayed_steps] metric. *)
 
 (** {1 Step core}
 
@@ -139,9 +145,12 @@ module Ready : Set.S with type elt = Task.id
 (** Ready sets, iterated in ascending task order — the scan order. *)
 
 type candidates
-(** One step's admissible (task, PE) candidates, weight-free: per pair the
-    start time, {!Dc.part} and cost, in scan order (ascending task, then
-    PE). *)
+(** One step's admissible (task, PE) candidates, weight-free, in scan
+    order (ascending task, then PE): per pair the start time and
+    {!Dc.part}, and for the cost a bound per pair, exact costs on demand —
+    a lower bound, plus the exact cost once {!pick} needed it. Only
+    thermal costs are deferred; every other policy's bound is its exact
+    cost. *)
 
 val scan :
   ?floor:(Task.id -> float) ->
@@ -152,18 +161,30 @@ val scan :
   candidates
 (** Evaluate every admissible pair of [ready] (each must satisfy
     {!is_ready}): the earliest start (data arrival and PE availability),
-    raised to [floor task] when given, and the policy cost (one thermal
-    base solve per scan, then one delta-evaluated inquiry per pair, whose
-    committed energies are averaged over [horizon] when given, else over
-    the candidate's finish), plus [surcharge.(pe)] when given. *)
+    raised to [floor task] when given, and the policy cost plus
+    [surcharge.(pe)] when given. A thermal cost gets a bound per pair,
+    exact costs on demand: one base solve per scan, then per pair the
+    O(n_blocks) {!Dc.cost_thermal_floor} and what its delta-evaluated
+    inquiry needs, whose committed energies are averaged over [horizon]
+    when given, else over the candidate's finish. *)
 
 type choice = { task : Task.id; pe : int; start : float }
 
 val pick : caller:string -> state -> candidates -> weight:float -> choice
-(** The candidate of highest [Dc.weigh ~part ~cost ~weight]; candidates
-    within 1e-12 of each other tie towards the lower (task, PE) pair.
-    Raises {!Constraints.Infeasible} naming [caller] when there is no
-    candidate. *)
+(** The candidate of highest [Dc.weigh ~part ~cost ~weight] ([weight >=
+    0]); candidates within 1e-12 of each other tie towards the lower
+    (task, PE) pair. Raises {!Constraints.Infeasible} naming [caller] when
+    there is no candidate.
+
+    Exact costs are evaluated on demand, each at most once per
+    [candidates]: the candidate of highest DC bound first, then, in scan
+    order, every candidate whose bound reaches within
+    [1e-9 (1 + |E|) + 1e-12 n] of [E], the best exact DC so far ([n]
+    candidates). A candidate below that cannot change the pick, so the
+    result is the one every exact cost would give. A candidate whose bound
+    cannot win never runs its fixed point, and so can no longer raise
+    {!Tats_thermal.Steady.Runaway}; one that is evaluated can. No sort, no
+    allocation beyond the inquiries. *)
 
 val commit : on_ready:(Task.id -> unit) -> state -> choice -> Schedule.entry
 (** Commit [choice] irrevocably and return its entry. [on_ready] is called

@@ -302,9 +302,31 @@ let base_response t ~power =
   done;
   { base_power = Array.copy power; response }
 
+let check_delta what t ~horizon ~pe =
+  if pe < 0 || pe >= t.n then invalid_arg ("Inquiry." ^ what ^ ": pe out of range");
+  if horizon <= 0.0 then
+    invalid_arg ("Inquiry." ^ what ^ ": non-positive horizon")
+
+(* Block [i] of the linear solution of [base_power / horizon + extra . e_pe],
+   assembled in O(1) from the per-step base response and [col = cols.(pe)]:
+   the seed of [query_delta]'s fixed point and the lower bound of
+   [seed_mean], one expression for both. *)
+let seed t ~base ~horizon ~col ~extra i =
+  t.ambient +. (base.response.(i) /. horizon) +. (extra *. col.(i))
+
+(* Summed in [Stats.mean]'s order, so that a fixed point that never falls
+   below its seed block by block never has a lower mean either. *)
+let seed_mean t ~base ~horizon ~pe ~extra =
+  check_delta "seed_mean" t ~horizon ~pe;
+  let col = t.cols.(pe) in
+  let sum = ref 0.0 in
+  for i = 0 to t.n - 1 do
+    sum := !sum +. seed t ~base ~horizon ~col ~extra i
+  done;
+  !sum /. float_of_int t.n
+
 let query_delta ?max_iter ?tol t ~base ~horizon ~pe ~extra ~idle =
-  if pe < 0 || pe >= t.n then invalid_arg "Inquiry.query_delta: pe out of range";
-  if horizon <= 0.0 then invalid_arg "Inquiry.query_delta: non-positive horizon";
+  check_delta "query_delta" t ~horizon ~pe;
   bump t (fun c -> c.c_delta_evals <- c.c_delta_evals + 1);
   Metricsreg.incr m_delta_evals;
   let dynamic =
@@ -316,8 +338,5 @@ let query_delta ?max_iter ?tol t ~base ~horizon ~pe ~extra ~idle =
      point the dense path computes, so the fixed point follows the same
      trajectory. *)
   let col = t.cols.(pe) in
-  let init =
-    Array.init t.n (fun i ->
-        t.ambient +. (base.response.(i) /. horizon) +. (extra *. col.(i)))
-  in
+  let init = Array.init t.n (seed t ~base ~horizon ~col ~extra) in
   run_query ?max_iter ?tol ~init t ~dynamic ~idle

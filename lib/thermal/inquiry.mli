@@ -127,6 +127,17 @@ val query_delta :
     extra . col(pe)] instead of a fresh solve. Semantics identical to
     building that vector and calling {!query_with_leakage}. *)
 
+val seed_mean :
+  t -> base:base -> horizon:float -> pe:int -> extra:float -> float
+(** The mean of the seed {!query_delta} starts its fixed point from (the
+    same per-block expression), in O(n_blocks) and with no solve, no
+    cache traffic and no counter bump. It bounds the mean of
+    [query_delta]'s result from below: every influence entry is
+    non-negative and the capped leakage is increasing in temperature, so
+    the damped iteration only climbs from its linear seed, block by
+    block. [List_sched] uses it to skip the inquiries that cannot change
+    a pick. Same argument checks as {!query_delta}. *)
+
 val stats : t -> stats
 val reset_stats : t -> unit
 

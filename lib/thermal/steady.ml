@@ -8,6 +8,18 @@ let h_fp_iterations = Metricsreg.histogram "steady.fp_iterations"
 
 type t = { model : Rcmodel.t; factored : Lu.t }
 
+exception Runaway of { iterations : int; residual : float }
+
+let () =
+  Printexc.register_printer (function
+    | Runaway { iterations; residual } ->
+        Some
+          (Printf.sprintf
+             "thermal runaway: the leakage fixed point did not converge in %d \
+              iterations (last step %g degC)"
+             iterations residual)
+    | _ -> None)
+
 let create model = { model; factored = Lu.factor (Rcmodel.system_matrix model) }
 
 let model t = t.model
@@ -47,9 +59,8 @@ let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ~package ~solve ~dynamic
       Array.blit t0 0 a 0 n
   | None -> solve dynamic a);
   let cur = ref a and next = ref b in
-  let rec iterate k =
-    if k >= max_iter then
-      failwith "Steady: leakage fixed point did not converge";
+  let rec iterate k residual =
+    if k >= max_iter then raise (Runaway { iterations = k; residual });
     let cur_t = !cur and next_t = !next in
     for i = 0 to n - 1 do
       power.(i) <- dynamic.(i) +. leak cur_t.(i) idle.(i)
@@ -65,9 +76,9 @@ let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ~package ~solve ~dynamic
     done;
     cur := next_t;
     next := cur_t;
-    if !delta <= tol then k + 1 else iterate (k + 1)
+    if !delta <= tol then k + 1 else iterate (k + 1) !delta
   in
-  let iters = iterate 0 in
+  let iters = iterate 0 Float.infinity in
   Metricsreg.observe h_fp_iterations (float_of_int iters);
   (!cur, iters)
 

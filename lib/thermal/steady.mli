@@ -8,6 +8,14 @@
 type t
 (** A factored steady-state solver for one RC model. *)
 
+exception Runaway of { iterations : int; residual : float }
+(** The leakage fixed point ran [iterations] (its [max_iter]) damped steps
+    without converging; [residual] is the last step's largest block
+    temperature change, in °C ([infinity] when no step ran). Raised by
+    {!fixed_point}, hence by {!solve_with_leakage} and every
+    {!Inquiry} query. Registered with [Printexc], which prints it as a
+    one-line "thermal runaway" message. *)
+
 val create : Rcmodel.t -> t
 
 val solve : t -> power:float array -> float array
@@ -28,7 +36,8 @@ val solve_with_leakage :
 (** Fixed-point iteration coupling temperature and leakage:
     [p_i = dynamic_i + idle_i * exp(beta * (T_i - T_ref))]. Returns block
     temperatures and the iteration count. [max_iter] defaults to 200, [tol]
-    (max °C change) to 1e-6. Raises [Failure] on divergence. *)
+    (max °C change) to 1e-6. Raises {!Runaway} when it has not converged
+    after [max_iter] iterations. *)
 
 val fixed_point :
   ?max_iter:int ->
@@ -47,7 +56,8 @@ val fixed_point :
     must write the block temperatures for [power] into [dst] (both of
     [dynamic]'s length). [init] seeds the iteration (e.g. a warm start
     from a previous solution); by default the linear solution of [dynamic]
-    is used. Work buffers are allocated once per call, not per iteration. *)
+    is used. Work buffers are allocated once per call, not per iteration.
+    Raises {!Runaway} after [max_iter] iterations without convergence. *)
 
 val factored : t -> Tats_linalg.Lu.t
 (** The factored network matrix (for influence-column extraction). *)

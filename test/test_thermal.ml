@@ -176,6 +176,27 @@ let test_leakage_hot_design_converges () =
   let temps, _ = Steady.solve_with_leakage s ~dynamic:(Array.make 4 20.0) ~idle:(Array.make 4 1.0) in
   Array.iter (fun t -> Alcotest.(check bool) "finite" true (Float.is_finite t)) temps
 
+let test_leakage_runaway_is_typed () =
+  (* One damped step cannot settle a leaky design: the fixed point gives
+     up with the typed error, on the dense and the inquiry path alike. *)
+  let s = Steady.create (Rcmodel.build pkg (platform_placement 4)) in
+  let dynamic = Array.make 4 3.0 and idle = Array.make 4 0.5 in
+  let expect_runaway what f =
+    match f () with
+    | (_ : float array) -> Alcotest.failf "%s: expected Steady.Runaway" what
+    | exception (Steady.Runaway { iterations; residual } as e) ->
+        Alcotest.(check int) (what ^ ": iterations") 1 iterations;
+        Alcotest.(check bool) (what ^ ": residual above tol") true
+          (residual > 1e-6);
+        Alcotest.(check bool) (what ^ ": printed as a runaway") true
+          (String.starts_with ~prefix:"thermal runaway" (Printexc.to_string e))
+  in
+  expect_runaway "dense" (fun () ->
+      fst (Steady.solve_with_leakage ~max_iter:1 s ~dynamic ~idle));
+  expect_runaway "inquiry" (fun () ->
+      Tats_thermal.Inquiry.query_with_leakage ~max_iter:1
+        (Tats_thermal.Inquiry.create s) ~dynamic ~idle)
+
 (* --- Transient ---------------------------------------------------------- *)
 
 let test_transient_converges_to_steady () =
@@ -334,6 +355,8 @@ let () =
             test_leakage_zero_idle_matches_linear;
           Alcotest.test_case "hot design converges" `Quick
             test_leakage_hot_design_converges;
+          Alcotest.test_case "runaway is typed" `Quick
+            test_leakage_runaway_is_typed;
         ] );
       ( "transient",
         [
