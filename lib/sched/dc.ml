@@ -32,15 +32,18 @@ let cost_temperature ~ambient ~avg_temp = (avg_temp -. ambient) /. 100.0
    coupling matters here — in a purely linear network the average
    temperature is nearly independent of which PE receives the task, and
    the inquiry could not discriminate. *)
-let cost_thermal ~engine ~base ~idle ~finish ~pe ~task_power =
+let cost_thermal ~stop ~engine ~base ~idle ~finish ~pe ~task_power =
   let horizon = Float.max finish 1e-9 in
-  let temps =
-    Tats_thermal.Inquiry.query_delta engine ~base ~horizon ~pe
-      ~extra:task_power ~idle
+  let cost temps =
+    cost_temperature
+      ~ambient:(Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
+      ~avg_temp:(Tats_util.Stats.mean temps)
   in
-  cost_temperature
-    ~ambient:(Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
-    ~avg_temp:(Tats_util.Stats.mean temps)
+  cost
+    (Tats_thermal.Inquiry.query_delta
+       ~stop:(fun temps -> stop (cost temps))
+       engine ~base ~horizon ~pe
+       ~extra:task_power ~idle)
 
 (* The same inquiry stopped at its linear seed: [cost_temperature] is
    increasing in the average, so the seed's mean bounds the cost. *)

@@ -30,6 +30,7 @@ val cost_temperature : ambient:float -> avg_temp:float -> float
 (** Thermal: (HotSpot average temperature - ambient) / 100 °C. *)
 
 val cost_thermal :
+  stop:(float -> bool) ->
   engine:Tats_thermal.Inquiry.t ->
   base:Tats_thermal.Inquiry.base ->
   idle:float array ->
@@ -41,7 +42,15 @@ val cost_thermal :
     inquiry through the {!Tats_thermal.Inquiry} engine — the per-step
     [base] (cumulated PE energies) averaged over the candidate's finish
     horizon, plus [task_power] on the candidate [pe], delta-evaluated —
-    and fold the average temperature through {!cost_temperature}. *)
+    and fold the average temperature through {!cost_temperature}.
+
+    [stop] sees the same fold of every unconverged iterate of the
+    inquiry's fixed point, in order: a lower bound on the cost that never
+    falls from one iterate to the next (see
+    {!Tats_thermal.Inquiry.query_delta}), whose first value is
+    {!cost_thermal_floor}'s. Once [stop] holds, the inquiry stops there and
+    the result is that bound, not the cost; the caller tells the two apart
+    by its own last answer. [~stop:(fun _ -> false)] asks for the cost. *)
 
 val cost_thermal_floor :
   engine:Tats_thermal.Inquiry.t ->

@@ -23,7 +23,9 @@ type ctx = {
   lib : Library.t;
   pes : Pe.inst array;
   policy : Policy.t;
-  exclusive : Task.id -> Task.id -> bool;
+  (* Per task, ascending: the tasks it may overlap on one PE ([exclusive]
+     with it). *)
+  partners : Task.id array array;
   constraints : Constraints.spec;
   sc : float array;
   idle : float array;
@@ -31,7 +33,7 @@ type ctx = {
   engine : Inquiry.t option;
 }
 
-let prepare ?hotspot ?(exclusive = fun _ _ -> false)
+let prepare ?hotspot ?exclusive
     ?(constraints = Constraints.empty) ?sc ~graph ~lib ~pes ~policy () =
   if Array.length pes = 0 then invalid_arg "List_sched: empty PE array";
   let engine =
@@ -43,12 +45,21 @@ let prepare ?hotspot ?(exclusive = fun _ _ -> false)
         Some (Hotspot.inquiry h)
     | (Policy.Baseline | Policy.Power_aware _), _ -> None
   in
+  let n = Graph.n_tasks graph in
+  let partners =
+    match exclusive with
+    | None -> Array.make n [||]
+    | Some exclusive ->
+        let tasks = List.init n Fun.id in
+        Array.init n (fun v ->
+            Array.of_list (List.filter (fun u -> u <> v && exclusive u v) tasks))
+  in
   {
     graph;
     lib;
     pes;
     policy;
-    exclusive;
+    partners;
     constraints;
     sc = (match sc with Some sc -> sc | None -> Dc.static_criticality lib graph);
     idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes;
@@ -58,7 +69,7 @@ let prepare ?hotspot ?(exclusive = fun _ _ -> false)
 type state = {
   ctx : ctx;
   entries : Schedule.entry option array;
-  pe_tasks : Schedule.entry list array; (* per PE, most recent first *)
+  pe_tasks : Schedule.entry list array; (* per PE, latest finish first *)
   pe_energy : float array;
   unscheduled_preds : int array;
   (* The checker is stateful, so it is rebuilt per schedule. *)
@@ -84,9 +95,23 @@ let scheduled st = st.n_scheduled
 let is_ready st task =
   st.entries.(task) = None && st.unscheduled_preds.(task) = 0
 
+(* [partners] (ascending) holds [task]. *)
+let is_partner partners task =
+  let rec search lo hi =
+    lo < hi
+    &&
+    let mid = (lo + hi) / 2 in
+    let p = partners.(mid) in
+    p = task || if p < task then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length partners)
+
 (* Earliest start of [task] on [pe]: data from every predecessor must have
    arrived, and the PE must be free — except for mutually exclusive
-   predecessors-by-condition, which may overlap. *)
+   predecessors-by-condition, which may overlap. The PE's entries are kept
+   latest finish first, so its availability is the finish of the first
+   entry that is not one of [task]'s partners: O(preds + partners on the
+   PE) per candidate. *)
 let earliest_start st ~comm task pe =
   let ready =
     List.fold_left
@@ -98,14 +123,14 @@ let earliest_start st ~comm task pe =
             Float.max acc (e.Schedule.finish +. delay))
       0.0 (Graph.preds st.ctx.graph task)
   in
-  let avail =
-    List.fold_left
-      (fun acc (e : Schedule.entry) ->
-        if st.ctx.exclusive e.Schedule.task task then acc
-        else Float.max acc e.Schedule.finish)
-      0.0 st.pe_tasks.(pe)
+  let partners = st.ctx.partners.(task) in
+  let rec avail = function
+    | [] -> 0.0
+    | (e : Schedule.entry) :: rest ->
+        if is_partner partners e.Schedule.task then avail rest
+        else Float.max 0.0 e.Schedule.finish
   in
-  Float.max ready avail
+  Float.max ready (avail st.pe_tasks.(pe))
 
 (* One scheduling step's admissible candidates under a fixed decision
    prefix, in scan order (ascending task, then PE). Without a start floor,
@@ -115,14 +140,17 @@ let earliest_start st ~comm task pe =
 
    A thermal candidate's cost is a leakage fixed point, so [scan] stores a
    lower bound on it ([Dc.cost_thermal_floor]) and what the exact
-   inquiry needs beyond the pair and start, and [pick] evaluates only the
-   candidates whose bound lets them reach its best exact DC, each at most
-   once per node. Every other policy's cost is exact at scan time: then
-   [floors == costs]. *)
+   inquiry needs beyond the pair and start, and [pick] runs a candidate's
+   fixed point only while its bound, tightened to the current iterate's,
+   lets it reach the best exact DC: the iterate stops in the engine's
+   cache, and the bound in [floors], for a later pick to resume. Every
+   other policy's cost is exact at scan time: then
+   [floors == scan_floors == costs]. *)
 type node = {
   pairs : int array; (* task * n_pes + pe *)
   parts : float array; (* Dc.part *)
-  floors : float array; (* a lower bound on the cost *)
+  floors : float array; (* a lower bound on the cost, tightened by [pick] *)
+  scan_floors : float array; (* the bound [scan] stored *)
   costs : float array; (* the cost, or nan while not evaluated *)
   starts : float array;
   thermal : thermal option;
@@ -151,7 +179,7 @@ let scan ?floor ?horizon ?surcharge st ~ready =
   let floors = Array.make cap 0.0 in
   let starts = Array.make cap 0.0 in
   (* One base solve per scanned step: the influence response to the
-     committed PE energies. Candidates are bounded, and evaluated if
+     committed PE energies. Candidates are bounded, and refined if
      [pick] needs them, against it in O(n_blocks) each instead of
      re-solving from scratch. *)
   let thermal =
@@ -207,7 +235,9 @@ let scan ?floor ?horizon ?surcharge st ~ready =
   {
     pairs = trim pairs;
     parts = trim parts;
-    floors;
+    floors =
+      (match thermal with None -> floors | Some _ -> Array.copy floors);
+    scan_floors = floors;
     costs =
       (match thermal with None -> floors | Some _ -> Array.make !k Float.nan);
     starts = trim starts;
@@ -217,10 +247,18 @@ let scan ?floor ?horizon ?surcharge st ~ready =
 
 type choice = { task : Task.id; pe : int; start : float }
 
-(* Store thermal candidate [i]'s exact cost in the node: [scan]'s
-   inquiry, its finish and task power derived again from the pair and
+(* [Dc.weigh], the same expression: inlined here, where a call into [Dc]
+   would box its result once per candidate under separate compilation
+   ([-opaque]), so that [pick] allocates nothing. *)
+let[@inline] weigh part cost weight = part -. (weight *. cost)
+
+(* Run thermal candidate [i]'s inquiry (resuming the iterate an earlier
+   pick stopped at, from the engine's cache) until its DC bound at
+   [weight] falls below [reach], which leaves its cost unevaluated, or it
+   converges, which stores the cost. Its floor follows every iterate. The
+   inquiry's finish and task power are derived again from the pair and
    start. *)
-let evaluate st node i =
+let refine st node i ~weight ~reach =
   match node.thermal with
   | None -> ()
   | Some th ->
@@ -234,23 +272,25 @@ let evaluate st node i =
         | Some h -> h
         | None -> node.starts.(i) +. Library.wcet lib ~task_type ~kind
       in
-      let c =
-        Dc.cost_thermal ~engine:(Option.get engine) ~base:th.base ~idle ~finish
-          ~pe ~task_power:(Library.wcpc lib ~task_type ~kind)
+      let surcharged c =
+        match th.surcharge with None -> c | Some s -> c +. s.(pe)
       in
-      node.costs.(i) <-
-        (match th.surcharge with None -> c | Some s -> c +. s.(pe))
-
-(* [Dc.weigh], the same expression: inlined here, where a call into [Dc]
-   would box its result once per candidate under separate compilation
-   ([-opaque]), so that [pick] allocates nothing. *)
-let[@inline] weigh part cost weight = part -. (weight *. cost)
-
-(* Candidate [i]'s DC at [weight], its cost evaluated if need be, and an
-   upper bound on it for [weight >= 0]. *)
-let[@inline] exact st node i ~weight =
-  if Float.is_nan node.costs.(i) then evaluate st node i;
-  weigh node.parts.(i) node.costs.(i) weight
+      let pruned = ref false in
+      let stop bound =
+        let floor = surcharged bound in
+        node.floors.(i) <- floor;
+        pruned := weigh node.parts.(i) floor weight < reach;
+        !pruned
+      in
+      let c =
+        surcharged
+          (Dc.cost_thermal ~stop ~engine:(Option.get engine) ~base:th.base ~idle
+             ~finish ~pe ~task_power:(Library.wcpc lib ~task_type ~kind))
+      in
+      if not !pruned then begin
+        node.floors.(i) <- c;
+        node.costs.(i) <- c
+      end
 
 let[@inline] bound node i ~weight = weigh node.parts.(i) node.floors.(i) weight
 
@@ -265,37 +305,51 @@ let[@inline] reach best n =
 (* The highest-DC candidate at [weight]. Scan order and the 1e-12
    tie-break (towards the lower pair) are those of a direct scan, so a
    replayed step picks what a fresh one would. Two linear passes, no
-   sort: the candidate of highest bound seeds the best exact DC; then, in
-   scan order, every candidate whose bound reaches the best so far is
-   evaluated, raises it and enters the tie-break. A candidate left out
-   has a DC below the pick's by far more than the tie window. *)
+   sort: the candidate of highest scan-time bound is evaluated and seeds
+   the best exact DC; then, in scan order, every candidate whose bound
+   reaches the best so far is refined until it no longer does or is
+   exact, and an exact one raises the best and enters the tie-break. A
+   candidate left out has a DC below the pick's by far more than the tie
+   window.
+
+   The seed candidate is chosen by the bound [scan] stored, not by the
+   tightened one: that keeps the order of evaluation, and so every
+   refinement's depth, the same whether [run_adaptive] replays this node
+   or scans it afresh. *)
 let pick ~caller st node ~weight =
   if not (weight >= 0.0) then invalid_arg "List_sched.pick: negative weight";
   let n = Array.length node.pairs in
   if n = 0 then
     raise (Constraints.Infeasible (Constraints.infeasible_msg caller));
-  let top = ref 0 and top_bound = ref (bound node 0 ~weight) in
+  let top = ref 0
+  and top_bound = ref (weigh node.parts.(0) node.scan_floors.(0) weight) in
   for i = 1 to n - 1 do
-    let b = bound node i ~weight in
+    let b = weigh node.parts.(i) node.scan_floors.(i) weight in
     if b > !top_bound then begin
       top := i;
       top_bound := b
     end
   done;
-  let reached = ref (exact st node !top ~weight) in
+  if Float.is_nan node.costs.(!top) then
+    refine st node !top ~weight ~reach:Float.neg_infinity;
+  let reached = ref (weigh node.parts.(!top) node.costs.(!top) weight) in
   let best = ref (-1) and best_dc = ref 0.0 in
   for i = 0 to n - 1 do
     if bound node i ~weight >= reach !reached n then begin
-      let dc = exact st node i ~weight in
-      if dc > !reached then reached := dc;
-      if
-        !best < 0
-        || dc > !best_dc +. 1e-12
-        || Float.abs (dc -. !best_dc) <= 1e-12
-           && node.pairs.(i) < node.pairs.(!best)
-      then begin
-        best := i;
-        best_dc := dc
+      if Float.is_nan node.costs.(i) then
+        refine st node i ~weight ~reach:(reach !reached n);
+      if not (Float.is_nan node.costs.(i)) then begin
+        let dc = weigh node.parts.(i) node.costs.(i) weight in
+        if dc > !reached then reached := dc;
+        if
+          !best < 0
+          || dc > !best_dc +. 1e-12
+          || Float.abs (dc -. !best_dc) <= 1e-12
+             && node.pairs.(i) < node.pairs.(!best)
+        then begin
+          best := i;
+          best_dc := dc
+        end
       end
     end
   done;
@@ -312,7 +366,12 @@ let commit ~on_ready st { task; pe; start } =
   Constraints.commit st.checker ~task ~pe;
   let entry = { Schedule.task; pe; start; finish; energy } in
   st.entries.(task) <- Some entry;
-  st.pe_tasks.(pe) <- entry :: st.pe_tasks.(pe);
+  let rec insert = function
+    | (e : Schedule.entry) :: rest when e.Schedule.finish > finish ->
+        e :: insert rest
+    | later -> entry :: later
+  in
+  st.pe_tasks.(pe) <- insert st.pe_tasks.(pe);
   st.pe_energy.(pe) <- st.pe_energy.(pe) +. energy;
   st.n_scheduled <- st.n_scheduled + 1;
   List.iter

@@ -5,10 +5,11 @@
     thermal-aware policy folds a HotSpot inquiry's average temperature
     into DC, passing each PE's cumulative power plus the power the
     candidate task would add on the candidate PE — the paper's Section
-    2.2 loop. It issues that inquiry only for the candidates that can
-    still win the step: every candidate gets an O(n_blocks) lower bound on
-    its cost first (see {!pick}), and the picks are those of one inquiry
-    per pair, bit for bit. *)
+    2.2 loop. It runs that inquiry's leakage fixed point only as far as a
+    candidate can still win the step: every candidate gets an O(n_blocks)
+    lower bound on its cost first, each iterate of the fixed point a
+    tighter one (see {!pick}), and the picks are those of one converged
+    inquiry per pair, bit for bit. *)
 
 module Graph = Tats_taskgraph.Graph
 module Task = Tats_taskgraph.Task
@@ -34,7 +35,8 @@ val run :
     deadline; its cost weight must be non-negative (see {!pick}). [hotspot] must describe one block per entry of [pes] (same
     order); it is required for [Thermal_aware] and ignored otherwise.
     [exclusive] enables conditional-task-graph time-sharing: mutually
-    exclusive tasks may overlap on one PE.
+    exclusive tasks may overlap on one PE. It is asked once per ordered
+    pair of tasks, up front, never per candidate.
 
     [constraints] restricts placements to pinned PEs/kinds and keeps
     isolation classes on disjoint PEs (see {!Constraints}); a
@@ -83,13 +85,19 @@ val run_adaptive :
     some earlier attempt reached with {!Dc.weigh} at its own weight,
     issuing only the inquiries no earlier attempt needed there, and
     computes start times only once its decisions leave every earlier
-    attempt's path. Results are bit-identical to bisecting over fresh
-    {!run} calls. Memory: at most one node per scheduled step of each
-    attempt ([(search_steps + 2) x n_tasks] nodes), each holding four
-    words per candidate (at most ready tasks x PEs), five on the thermal
-    policy plus the step's base response (two floats per PE); the memo is
-    local to the call and dropped when it returns. Replayed steps are
-    counted in the [sched.replayed_steps] metric. *)
+    attempt's path. A thermal candidate an earlier attempt pruned keeps
+    its tightened bound in the node and its stopped iterate in the
+    inquiry engine's cache, so a later attempt that needs it resumes its
+    fixed point instead of restarting it. Results are bit-identical to
+    bisecting over fresh {!run} calls. Memory: at most one node per
+    scheduled step of each attempt ([(search_steps + 2) x n_tasks]
+    nodes), each holding four words per candidate (at most ready tasks x
+    PEs), six on the thermal policy plus the step's base response (two
+    floats per PE); the memo is local to the call and dropped when it
+    returns. The stopped iterates live in the engine's cache, under its
+    entry bound ({!Tats_thermal.Inquiry}), and outlive the call like its
+    converged results. Replayed steps are counted in the
+    [sched.replayed_steps] metric. *)
 
 (** {1 Step core}
 
@@ -107,8 +115,9 @@ val run_adaptive :
 
 type ctx
 (** What a schedule needs that no decision and no weight changes: the
-    graph, library and PEs, the policy, static criticalities, idle powers
-    and, for [Thermal_aware], the hotspot's inquiry engine. *)
+    graph, library and PEs, the policy, static criticalities, idle powers,
+    each task's mutually exclusive partners and, for [Thermal_aware], the
+    hotspot's inquiry engine. *)
 
 val prepare :
   ?hotspot:Hotspot.t ->
@@ -148,9 +157,9 @@ type candidates
 (** One step's admissible (task, PE) candidates, weight-free, in scan
     order (ascending task, then PE): per pair the start time and
     {!Dc.part}, and for the cost a bound per pair, exact costs on demand —
-    a lower bound, plus the exact cost once {!pick} needed it. Only
-    thermal costs are deferred; every other policy's bound is its exact
-    cost. *)
+    the lower bound {!scan} stored, the same bound as {!pick} tightened
+    it, and the exact cost once {!pick} needed it. Only thermal costs are
+    deferred; every other policy's bound is its exact cost. *)
 
 val scan :
   ?floor:(Task.id -> float) ->
@@ -177,13 +186,27 @@ val pick : caller:string -> state -> candidates -> weight:float -> choice
     there is no candidate.
 
     Exact costs are evaluated on demand, each at most once per
-    [candidates]: the candidate of highest DC bound first, then, in scan
-    order, every candidate whose bound reaches within
+    [candidates]: the candidate of highest DC bound at scan time first,
+    then, in scan order, every candidate whose bound reaches within
     [1e-9 (1 + |E|) + 1e-12 n] of [E], the best exact DC so far ([n]
     candidates). A candidate below that cannot change the pick, so the
-    result is the one every exact cost would give. A candidate whose bound
-    cannot win never runs its fixed point, and so can no longer raise
-    {!Tats_thermal.Steady.Runaway}; one that is evaluated can. No sort, no
+    result is the one every exact cost would give.
+
+    [pick] refines candidates rather than evaluating them outright: a
+    thermal candidate's fixed point runs one damped step at a time, each
+    iterate's mean temperature a tighter lower bound on its cost (see
+    {!Dc.cost_thermal}), and stops as soon as that bound leaves the
+    candidate short of the reach, or converges. The bound is kept in
+    [candidates] and the iterate in the engine's cache, so a later pick
+    (at another weight, or another memo attempt) resumes it exactly. The
+    seeding candidate is chosen by the bound {!scan} stored, not the
+    tightened one, so every pick of a node refines in the same order
+    whether it was replayed or scanned afresh.
+
+    Only a fixed point that runs to [max_iter] raises
+    {!Tats_thermal.Steady.Runaway}: a candidate whose bound rules it out
+    first, at its seed or any later iterate, stops there and no longer
+    raises it; one refined until it runs away still does. No sort, no
     allocation beyond the inquiries. *)
 
 val commit : on_ready:(Task.id -> unit) -> state -> choice -> Schedule.entry

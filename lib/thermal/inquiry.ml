@@ -126,9 +126,10 @@ type t = {
   n : int;
   ambient : float;
   cols : float array array; (* cols.(j).(i) = dT_i per W injected at block j *)
-  cache : (string, float array * int) Hashtbl.t; (* keyed by [cache_key] *)
+  cache : (string, float array) Hashtbl.t;
+  (* keyed by [cache_key]: converged results and stopped iterates, [pack]ed *)
   counters : counters;
-  mutable warm : float array option;
+  mutable warm : float array option; (* the last converged entry *)
   (* Guards [cache], [warm] and [counters]; the influence matrix itself is
      immutable after [create], so concurrent solves never take the lock
      while number-crunching. *)
@@ -216,76 +217,108 @@ let temperatures t ~power =
   apply t power dst;
   dst
 
-(* The per-engine record lives behind the engine lock; the fleet-wide
-   registry metrics are atomic, so bumps from concurrent pool workers
-   never tear on either side. *)
-let bump t f = locked t.lock (fun () -> f t.counters)
+(* A cache entry holds an iterate in one flat block: its block
+   temperatures, then its step count and residual — a word smaller than
+   an array in a tuple, and four smaller than a [Steady.iterate] record
+   with its boxed residual. Entries are never mutated once stored. *)
+let pack (it : Steady.iterate) =
+  let n = Array.length it.Steady.temps in
+  let entry = Array.make (n + 2) it.Steady.residual in
+  Array.blit it.Steady.temps 0 entry 0 n;
+  entry.(n) <- float_of_int it.Steady.steps;
+  entry
 
+let entry_steps t entry = int_of_float entry.(t.n)
+let entry_residual t entry = entry.(t.n + 1)
+
+(* One inquiry takes the engine lock twice, without closures: once to count
+   it and look its inputs up, once to count its outcome and store what it
+   computed. Neither section can raise. The fleet-wide registry metrics are
+   atomic and bumped outside the lock. *)
 let run_query ?(max_iter = default_max_iter) ?(tol = default_tol)
-    ?(cache = true) ?init t ~dynamic ~idle =
+    ?(cache = true) ?(warm = false) ?init ?stop ~delta t ~dynamic ~idle =
   if Array.length dynamic <> t.n || Array.length idle <> t.n then
     invalid_arg "Inquiry.query_with_leakage: bad vector length";
   (* Wall clock, not [Sys.time]: process CPU time counts every domain in
      the pool at once, which over-counted by about the domain count under
      [--jobs N]. Wall time per query is additive across domains. *)
   let t0 = Trace.now () in
-  bump t (fun c -> c.c_inquiries <- c.c_inquiries + 1);
-  Metricsreg.incr m_inquiries;
-  (* Cached results were produced with the default convergence settings;
+  (* Cached iterates were produced with the default convergence settings;
      bypass the cache when the caller overrides them, or asks for a
      stateless query outright. *)
   let cacheable = cache && max_iter = default_max_iter && tol = default_tol in
   let key = if cacheable then Some (cache_key ~dynamic ~idle) else None in
-  let cached =
-    match key with
-    | None -> None
-    | Some k -> locked t.lock (fun () -> Hashtbl.find_opt t.cache k)
+  let c = t.counters in
+  Mutex.lock t.lock;
+  c.c_inquiries <- c.c_inquiries + 1;
+  if delta then c.c_delta_evals <- c.c_delta_evals + 1;
+  let found =
+    match key with None -> None | Some k -> Hashtbl.find_opt t.cache k
   in
-  let temps =
-    match cached with
-    | Some (temps, iters) ->
-        bump t (fun c ->
-            c.c_cache_hits <- c.c_cache_hits + 1;
-            (* The dense path has no cache: it would have paid the full
-               fixed point for this inquiry again. *)
-            c.c_dense_solves <- c.c_dense_solves + 1 + iters);
-        Metricsreg.incr m_cache_hits;
-        Metricsreg.add m_dense_solves (1 + iters);
-        Array.copy temps
-    | None ->
-        (* The fixed point itself runs without any lock: it only reads the
-           immutable influence matrix and writes caller-local buffers. *)
-        let temps, iters =
+  let warm_start = if warm then t.warm else None in
+  Mutex.unlock t.lock;
+  Metricsreg.incr m_inquiries;
+  if delta then Metricsreg.incr m_delta_evals;
+  let copy entry = Array.sub entry 0 t.n in
+  (* A converged entry is the answer; a stopped one is where the iteration
+     resumes, ahead of any seed. The fixed point itself runs without any
+     lock: it only reads the immutable influence matrix, copies its start
+     and writes its own buffers. *)
+  let temps, steps, total, stored =
+    match found with
+    | Some entry when entry_residual t entry <= tol ->
+        (copy entry, 0, entry_steps t entry, None)
+    | _ ->
+        let init =
+          match (found, warm_start) with
+          | Some entry, _ ->
+              Some
+                {
+                  Steady.temps = copy entry;
+                  steps = entry_steps t entry;
+                  residual = entry_residual t entry;
+                }
+          | None, Some w -> Some (Steady.seed (copy w))
+          | None, None -> Option.map Steady.seed init
+        in
+        let it =
           Trace.with_span "inquiry.solve" (fun () ->
-              Steady.fixed_point ~max_iter ~tol ?init
-                ~package:(package t)
+              Steady.fixed_point ~max_iter ~tol ?init ?stop ~package:(package t)
                 ~solve:(apply t) ~dynamic ~idle ())
         in
-        bump t (fun c ->
-            c.c_fp_iterations <- c.c_fp_iterations + iters;
-            c.c_dense_solves <- c.c_dense_solves + 1 + iters);
-        Metricsreg.add m_fp_iterations iters;
-        Metricsreg.add m_dense_solves (1 + iters);
-        Metricsreg.observe h_solve_iterations (float_of_int iters);
-        (match key with
-        | Some k ->
-            locked t.lock (fun () ->
-                if Hashtbl.length t.cache >= max_cache_entries then
-                  Hashtbl.reset t.cache;
-                Hashtbl.replace t.cache k (Array.copy temps, iters);
-                t.warm <- Some (Array.copy temps))
-        | None -> ());
-        temps
+        let start = match found with Some e -> entry_steps t e | None -> 0 in
+        let steps = it.Steady.steps - start in
+        ( it.Steady.temps,
+          steps,
+          it.Steady.steps,
+          if steps > 0 && key <> None then Some (pack it) else None )
   in
+  let hit = found <> None && steps = 0 in
   let dt = Trace.now () -. t0 in
-  bump t (fun c -> c.c_wall_time <- c.c_wall_time +. dt);
+  Mutex.lock t.lock;
+  if hit then c.c_cache_hits <- c.c_cache_hits + 1;
+  c.c_fp_iterations <- c.c_fp_iterations + steps;
+  (* The dense path has no cache: it would have paid every step of this
+     inquiry's fixed point again, plus its linear solve. *)
+  c.c_dense_solves <- c.c_dense_solves + 1 + total;
+  c.c_wall_time <- c.c_wall_time +. dt;
+  (match (key, stored) with
+  | Some k, Some entry ->
+      if Hashtbl.length t.cache >= max_cache_entries then Hashtbl.reset t.cache;
+      Hashtbl.replace t.cache k entry;
+      if entry_residual t entry <= tol then t.warm <- Some entry
+  | _ -> ());
+  Mutex.unlock t.lock;
+  if hit then Metricsreg.incr m_cache_hits;
+  Metricsreg.add m_fp_iterations steps;
+  Metricsreg.add m_dense_solves (1 + total);
+  if not hit then Metricsreg.observe h_solve_iterations (float_of_int steps);
   Metricsreg.add_gauge m_wall dt;
   Metricsreg.observe h_solve_seconds dt;
   temps
 
-let query_with_leakage ?max_iter ?tol ?(warm = false) ?cache t ~dynamic ~idle =
-  let init = if warm then locked t.lock (fun () -> t.warm) else None in
-  run_query ?max_iter ?tol ?cache ?init t ~dynamic ~idle
+let query_with_leakage ?max_iter ?tol ?warm ?cache t ~dynamic ~idle =
+  run_query ?max_iter ?tol ?cache ?warm ~delta:false t ~dynamic ~idle
 
 let base_response t ~power =
   if Array.length power <> t.n then
@@ -325,10 +358,8 @@ let seed_mean t ~base ~horizon ~pe ~extra =
   done;
   !sum /. float_of_int t.n
 
-let query_delta ?max_iter ?tol t ~base ~horizon ~pe ~extra ~idle =
+let query_delta ?max_iter ?tol ?stop t ~base ~horizon ~pe ~extra ~idle =
   check_delta "query_delta" t ~horizon ~pe;
-  bump t (fun c -> c.c_delta_evals <- c.c_delta_evals + 1);
-  Metricsreg.incr m_delta_evals;
   let dynamic =
     Array.init t.n (fun i ->
         (base.base_power.(i) /. horizon) +. if i = pe then extra else 0.0)
@@ -339,4 +370,4 @@ let query_delta ?max_iter ?tol t ~base ~horizon ~pe ~extra ~idle =
      trajectory. *)
   let col = t.cols.(pe) in
   let init = Array.init t.n (seed t ~base ~horizon ~col ~extra) in
-  run_query ?max_iter ?tol ~init t ~dynamic ~idle
+  run_query ?max_iter ?tol ~init ?stop ~delta:true t ~dynamic ~idle

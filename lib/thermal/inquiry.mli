@@ -21,17 +21,28 @@
     Inquiries are cached keyed on the (1 nW-quantized) power vectors,
     packed into one string; repeated inquiries are served from the cache
     ([List_sched.run_adaptive] no longer re-issues the inquiries of
-    decision prefixes its earlier attempts already scanned). Hit/miss, fixed-point-iteration, factored-solve
-    and wall-time counters are kept per engine and globally.
+    decision prefixes its earlier attempts already scanned). The cache
+    holds converged results and the iterates of queries a [stop] test cut
+    short ({!query_delta}), at most [2^16] entries of either kind, the
+    whole table dropped when it is full. A query of the same inputs
+    resumes a stored iterate where it stopped, so a candidate pruned at
+    one [run_adaptive] weight and needed at another, or by a later
+    request to a warm server, pays only the steps it had not run yet.
+    Hit/miss, fixed-point-iteration, factored-solve and wall-time
+    counters are kept per engine and globally.
 
     {1 Thread safety}
 
     One engine may be queried concurrently from multiple {!Tats_util.Pool}
     worker domains. The influence matrix is immutable after {!create};
     the mutable state — the inquiry cache, the warm-start vector and the
-    per-engine counter record — sits behind a per-engine mutex, taken only
-    around cache lookups/inserts and counter bumps, never around a
-    fixed-point solve. The global aggregate lives in the
+    per-engine counter record — sits behind a per-engine mutex, taken
+    twice per query (the lookup with its counter bumps, then the insert
+    with the rest), never around a fixed-point solve. Stored iterates and
+    the warm-start vector are copied in from the solver's buffers and
+    never mutated once stored, and a caller gets its own copy of what it
+    reads, so a value never depends on a race; only which query stores an
+    entry first does. The global aggregate lives in the
     {!Tats_util.Metricsreg} registry as lock-free named counters
     ([inquiry.*]). Two caveats matter for deterministic parallel use:
 
@@ -48,13 +59,21 @@
 type t
 
 type stats = {
-  inquiries : int;  (** leakage inquiries served *)
-  cache_hits : int;  (** of which from the cache *)
-  fp_iterations : int;  (** damped fixed-point iterations executed *)
+  inquiries : int;
+      (** leakage inquiries served: {!query_with_leakage} and {!query_delta}
+          calls, one each, also when one resumes a stopped iterate *)
+  cache_hits : int;
+      (** of which answered from a cache entry without running a step: a
+          converged result, or a stopped iterate the query's own [stop]
+          test already holds of (it returns that iterate) *)
+  fp_iterations : int;
+      (** damped fixed-point steps actually run: a resumed query counts
+          only the steps it adds to the stored iterate *)
   factored_solves : int;  (** LU back-substitutions (influence columns) *)
   dense_solves : int;
       (** back-substitutions the dense path would have needed for the same
-          inquiries — the savings baseline *)
+          inquiries: per inquiry, one linear solve plus every step from the
+          seed to the returned iterate — the savings baseline *)
   delta_evals : int;  (** O(n) candidate delta-evaluations *)
   wall_time : float;
       (** wall-clock seconds spent inside the engine, summed per query
@@ -114,6 +133,7 @@ val base_response : t -> power:float array -> base
 val query_delta :
   ?max_iter:int ->
   ?tol:float ->
+  ?stop:(float array -> bool) ->
   t ->
   base:base ->
   horizon:float ->
@@ -125,7 +145,19 @@ val query_delta :
     [base_power / horizon + extra . e_pe], fixed point seeded with the
     O(n_blocks) linear combination [ambient + response/horizon +
     extra . col(pe)] instead of a fresh solve. Semantics identical to
-    building that vector and calling {!query_with_leakage}. *)
+    building that vector and calling {!query_with_leakage}.
+
+    [stop] is {!Steady.fixed_point}'s: asked of every unconverged iterate
+    (the seed, or the iterate the cache resumes from, included) before the
+    step that would follow it; the query returns the first iterate it
+    holds of instead of the fixed point. The damped iteration climbs
+    block by block from the seed (see {!seed_mean}), so every iterate,
+    like the seed, bounds the result from below; a caller that only needs
+    the result when it can beat some threshold stops as soon as that
+    bound rules it out. [stop] is never asked of the converged result, so
+    a caller learns which one it got from its own last answer. A stopped
+    iterate is cached like a result (see {!stats}): the next query of the
+    same inputs resumes it, exactly. *)
 
 val seed_mean :
   t -> base:base -> horizon:float -> pe:int -> extra:float -> float

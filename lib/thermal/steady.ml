@@ -3,7 +3,8 @@ module Metricsreg = Tats_util.Metricsreg
 
 (* Every leakage fixed point in the library funnels through [fixed_point]
    (dense path and inquiry fast path alike), so this one histogram is the
-   authoritative iteration-count distribution. *)
+   authoritative distribution of the damped steps each call runs (a resumed
+   call counts only the steps it adds). *)
 let h_fp_iterations = Metricsreg.histogram "steady.fp_iterations"
 
 type t = { model : Rcmodel.t; factored : Lu.t }
@@ -38,8 +39,12 @@ let block_temperatures t ~power =
    the exponent is capped at 100 K above the reference. *)
 let max_leak_excursion = 100.0
 
-let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ~package ~solve ~dynamic
-    ~idle () =
+type iterate = { temps : float array; steps : int; residual : float }
+
+let seed temps = { temps; steps = 0; residual = Float.infinity }
+
+let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ?(stop = fun _ -> false)
+    ~package ~solve ~dynamic ~idle () =
   let n = Array.length dynamic in
   if Array.length idle <> n then
     invalid_arg "Steady.fixed_point: bad vector length";
@@ -52,35 +57,47 @@ let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ~package ~solve ~dynamic
      iteration; [solve] writes block temperatures into its destination. *)
   let power = Array.make n 0.0 in
   let a = Array.make n 0.0 and b = Array.make n 0.0 in
-  (match init with
-  | Some t0 ->
-      if Array.length t0 <> n then
-        invalid_arg "Steady.fixed_point: bad initial guess length";
-      Array.blit t0 0 a 0 n
-  | None -> solve dynamic a);
-  let cur = ref a and next = ref b in
-  let rec iterate k residual =
-    if k >= max_iter then raise (Runaway { iterations = k; residual });
-    let cur_t = !cur and next_t = !next in
-    for i = 0 to n - 1 do
-      power.(i) <- dynamic.(i) +. leak cur_t.(i) idle.(i)
-    done;
-    solve power next_t;
-    (* Damping keeps the exponential feedback stable on hot designs; the
-       convergence test is on the damped (committed) step. *)
-    let delta = ref 0.0 in
-    for i = 0 to n - 1 do
-      let damped = (0.4 *. next_t.(i)) +. (0.6 *. cur_t.(i)) in
-      delta := Float.max !delta (Float.abs (damped -. cur_t.(i)));
-      next_t.(i) <- damped
-    done;
-    cur := next_t;
-    next := cur_t;
-    if !delta <= tol then k + 1 else iterate (k + 1) !delta
+  let start, residual0 =
+    match init with
+    | Some it ->
+        if Array.length it.temps <> n then
+          invalid_arg "Steady.fixed_point: bad initial guess length";
+        Array.blit it.temps 0 a 0 n;
+        (it.steps, it.residual)
+    | None ->
+        solve dynamic a;
+        (0, Float.infinity)
   in
-  let iters = iterate 0 Float.infinity in
-  Metricsreg.observe h_fp_iterations (float_of_int iters);
-  (!cur, iters)
+  let cur = ref a and next = ref b in
+  (* Everything the next step depends on is the iterate, its step count and
+     the last residual, so an iterate handed back by [stop] resumes exactly
+     where it left off. *)
+  let rec iterate k residual =
+    if residual <= tol then (k, residual)
+    else if k >= max_iter then raise (Runaway { iterations = k; residual })
+    else if stop !cur then (k, residual)
+    else begin
+      let cur_t = !cur and next_t = !next in
+      for i = 0 to n - 1 do
+        power.(i) <- dynamic.(i) +. leak cur_t.(i) idle.(i)
+      done;
+      solve power next_t;
+      (* Damping keeps the exponential feedback stable on hot designs; the
+         convergence test is on the damped (committed) step. *)
+      let delta = ref 0.0 in
+      for i = 0 to n - 1 do
+        let damped = (0.4 *. next_t.(i)) +. (0.6 *. cur_t.(i)) in
+        delta := Float.max !delta (Float.abs (damped -. cur_t.(i)));
+        next_t.(i) <- damped
+      done;
+      cur := next_t;
+      next := cur_t;
+      iterate (k + 1) !delta
+    end
+  in
+  let steps, residual = iterate start residual0 in
+  Metricsreg.observe h_fp_iterations (float_of_int (steps - start));
+  { temps = !cur; steps; residual }
 
 let factored t = t.factored
 
@@ -108,5 +125,8 @@ let solve_with_leakage ?max_iter ?tol t ~dynamic ~idle =
     Lu.solve_factored_into t.factored ~b:rhs ~x;
     Array.blit x 0 dst 0 n
   in
-  fixed_point ?max_iter ?tol ~package:(Rcmodel.package t.model) ~solve ~dynamic
-    ~idle ()
+  let it =
+    fixed_point ?max_iter ?tol ~package:(Rcmodel.package t.model) ~solve
+      ~dynamic ~idle ()
+  in
+  (it.temps, it.steps)

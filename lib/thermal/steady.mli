@@ -39,25 +39,49 @@ val solve_with_leakage :
     (max °C change) to 1e-6. Raises {!Runaway} when it has not converged
     after [max_iter] iterations. *)
 
+type iterate = {
+  temps : float array;  (** block temperatures, °C *)
+  steps : int;  (** damped steps taken from the linear seed *)
+  residual : float;
+      (** the last step's largest block temperature change, °C
+          ([infinity] before the first step) *)
+}
+(** A point on the damped leakage iteration: all that its next step
+    depends on. *)
+
+val seed : float array -> iterate
+(** [seed temps] starts an iteration from [temps]: no step taken yet. *)
+
 val fixed_point :
   ?max_iter:int ->
   ?tol:float ->
-  ?init:float array ->
+  ?init:iterate ->
+  ?stop:(float array -> bool) ->
   package:Package.t ->
   solve:(float array -> float array -> unit) ->
   dynamic:float array ->
   idle:float array ->
   unit ->
-  float array * int
+  iterate
 (** The damped leakage fixed point itself, parameterized over the linear
     solve so that {!solve_with_leakage} (dense back-substitution) and the
     influence-matrix fast path of {!Inquiry} run the *same* iteration —
     the basis of their numerical-equivalence guarantee. [solve power dst]
     must write the block temperatures for [power] into [dst] (both of
-    [dynamic]'s length). [init] seeds the iteration (e.g. a warm start
-    from a previous solution); by default the linear solution of [dynamic]
-    is used. Work buffers are allocated once per call, not per iteration.
-    Raises {!Runaway} after [max_iter] iterations without convergence. *)
+    [dynamic]'s length). [init] is where the iteration starts: a warm
+    start from a previous solution ({!seed}), or an iterate an earlier
+    call returned, which it resumes exactly — same trajectory, same step
+    count and residual as one uninterrupted call. By default it starts
+    from the linear solution of [dynamic]. Work buffers are allocated
+    once per call, not per iteration.
+
+    Returns the converged iterate (its residual at most [tol]), or the first
+    unconverged one that [stop] holds of. [stop] (default: never) is
+    asked of every unconverged iterate before the step that would follow
+    it, [init]'s included, and must not keep its argument, a work buffer.
+    Raises {!Runaway} when it reaches [max_iter] steps, counted from the
+    seed, without converging; an iterate [stop] held of before that does
+    not raise. *)
 
 val factored : t -> Tats_linalg.Lu.t
 (** The factored network matrix (for influence-column extraction). *)

@@ -89,11 +89,12 @@ let reference_adaptive ?base_weights ?max_multiplier ?search_steps ?hotspot
    task, PE) candidate's exact cost, one full [Dc.cost_thermal] inquiry
    per thermal candidate, and keeps the highest DC; candidates are scanned
    in ascending (task, PE) order, so the 1e-12 tie goes to the earlier
-   pair. [check ~floor ~cost] sees each thermal candidate's [bound] next to
-   its exact cost. *)
-let unpruned ?surcharge ?(check = fun ~floor:_ ~cost:_ -> ())
-    ?(bound = Dc.cost_thermal_floor) ~hotspot ~graph ~lib ~pes ~policy ~weight
-    () =
+   pair. [check ~bounds ~cost] sees each thermal candidate's [bound], then
+   the bound of every iterate its fixed point ran through (mapped through
+   [iterate]), next to its exact cost. *)
+let unpruned ?surcharge ?(check = fun ~bounds:_ ~cost:_ -> ())
+    ?(bound = Dc.cost_thermal_floor) ?(iterate = Fun.id) ~hotspot ~graph ~lib
+    ~pes ~policy ~weight () =
   let n = Graph.n_tasks graph and n_pes = Array.length pes in
   let sc = Dc.static_criticality lib graph in
   let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes in
@@ -133,8 +134,19 @@ let unpruned ?surcharge ?(check = fun ~floor:_ ~cost:_ -> ())
                 Dc.cost_task_energy lib ~task_type ~kind
             | Policy.Thermal_aware ->
                 let task_power = Library.wcpc lib ~task_type ~kind in
-                let cost = Dc.cost_thermal ~engine ~base ~idle ~finish ~pe ~task_power in
-                check ~floor:(bound ~engine ~base ~finish ~pe ~task_power) ~cost;
+                let iterates = ref [] in
+                let stop b =
+                  iterates := iterate b :: !iterates;
+                  false
+                in
+                let cost =
+                  Dc.cost_thermal ~stop ~engine ~base ~idle ~finish ~pe ~task_power
+                in
+                check
+                  ~bounds:
+                    (bound ~engine ~base ~finish ~pe ~task_power
+                    :: List.rev !iterates)
+                  ~cost;
                 cost
           in
           let cost = match surcharge with None -> cost | Some s -> cost +. s.(pe) in
@@ -369,43 +381,69 @@ let for_each_input ?(graphs = pruning_graphs) ?(platforms = builtins) f =
     graphs
 
 (* Every thermal candidate the unpruned scheduler meets on the inputs:
-   how many have a [bound] above their exact cost, how many there are and
-   the smallest [cost - bound]. *)
-let bound_violations ?graphs ?platforms bound =
-  let violations = ref 0 and checked = ref 0 and gap = ref Float.infinity in
-  let check ~floor ~cost =
+   how many have a bound sequence (the [bound] of its seed, then one per
+   iterate of its fixed point) that falls somewhere or rises above its
+   exact cost, how many there are, how many iterate bounds they carry and
+   the smallest [cost - bound] of a seed. *)
+let bound_violations ?graphs ?platforms ?iterate bound =
+  let violations = ref 0 and checked = ref 0 and iterates = ref 0 in
+  let gap = ref Float.infinity in
+  let check ~bounds ~cost =
     incr checked;
-    gap := Float.min !gap (cost -. floor);
-    if not (floor <= cost) then incr violations
+    iterates := !iterates + List.length bounds - 1;
+    gap := Float.min !gap (cost -. List.hd bounds);
+    let rec sound prev = function
+      | [] -> true
+      | b :: rest -> prev <= b && b <= cost && sound b rest
+    in
+    if not (sound Float.neg_infinity bounds) then incr violations
   in
   for_each_input ?graphs ?platforms (fun _ ~graph ~lib ~pes ~weight ~surcharge ->
       ignore
-        (unpruned ?surcharge ~check ~bound ~hotspot:(fresh_hotspot pes) ~graph
-           ~lib ~pes ~policy:Policy.Thermal_aware ~weight ()
+        (unpruned ?surcharge ~check ~bound ?iterate ~hotspot:(fresh_hotspot pes)
+           ~graph ~lib ~pes ~policy:Policy.Thermal_aware ~weight ()
           : Schedule.t));
-  (!violations, !checked, !gap)
+  (!violations, !checked, !iterates, !gap)
 
+(* Every iterate bounds the cost too, never below the one before it: the
+   ground [List_sched.pick]'s refinement stands on. *)
 let test_bound_sound () =
-  let violations, checked, gap = bound_violations Dc.cost_thermal_floor in
+  let violations, checked, iterates, gap =
+    bound_violations Dc.cost_thermal_floor
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "%d candidates checked, smallest gap %g" checked gap)
-    true (checked > 100_000);
-  Alcotest.(check int) "floors above their exact cost" 0 violations
+    (Printf.sprintf "%d candidates checked, %d iterate bounds, smallest gap %g"
+       checked iterates gap)
+    true
+    (checked > 100_000 && iterates > checked);
+  Alcotest.(check int) "bound sequences not rising to their exact cost" 0
+    violations
 
 (* The checker is only as good as its power to fail: a floor raised by
    0.1 (10 °C of average temperature) must be caught. On every candidate
    of [test_bound_sound] leakage lifts the average at least 7 °C above
-   the linear seed, so a raise of 0.01 would still be a sound bound. *)
+   the linear seed, so a raise of 0.01 would still be a sound bound. So
+   must iterate bounds raised by 1e-6 (0.1 m°C): the last iterate before
+   convergence sits within the 1e-6 °C tolerance of the fixed point, 1e-8
+   in cost units. *)
 let test_unsound_bound_caught () =
   let unsound ~engine ~base ~finish ~pe ~task_power =
     Dc.cost_thermal_floor ~engine ~base ~finish ~pe ~task_power +. 0.1
   in
-  let violations, _, _ =
-    bound_violations ~graphs:[ Benchmarks.load 0 ] ~platforms:[ builtin "std4" ]
-      unsound
+  let caught ?iterate bound =
+    let violations, _, _, _ =
+      bound_violations ~graphs:[ Benchmarks.load 0 ]
+        ~platforms:[ builtin "std4" ] ?iterate bound
+    in
+    violations
   in
-  Alcotest.(check bool) (Printf.sprintf "%d violations" violations) true
-    (violations > 0)
+  let floors = caught unsound in
+  Alcotest.(check bool) (Printf.sprintf "floor: %d violations" floors) true
+    (floors > 0);
+  let iterates = caught ~iterate:(fun b -> b +. 1e-6) Dc.cost_thermal_floor in
+  Alcotest.(check bool)
+    (Printf.sprintf "iterate: %d violations" iterates)
+    true (iterates > 0)
 
 (* [List_sched]'s step core driven directly, as [Online.plan] drives it. *)
 let core_schedule ~surcharge ~hotspot ~graph ~lib ~pes ~policy ~weight =

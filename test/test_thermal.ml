@@ -14,6 +14,7 @@ module Steady = Tats_thermal.Steady
 module Transient = Tats_thermal.Transient
 module Gridmodel = Tats_thermal.Gridmodel
 module Hotspot = Tats_thermal.Hotspot
+module Inquiry = Tats_thermal.Inquiry
 module Matrix = Tats_linalg.Matrix
 module Stats = Tats_util.Stats
 
@@ -176,6 +177,26 @@ let test_leakage_hot_design_converges () =
   let temps, _ = Steady.solve_with_leakage s ~dynamic:(Array.make 4 20.0) ~idle:(Array.make 4 1.0) in
   Array.iter (fun t -> Alcotest.(check bool) "finite" true (Float.is_finite t)) temps
 
+(* The fixed point over [s]'s dense solve. *)
+let dense_fixed_point ?max_iter ?init ?stop s ~dynamic ~idle =
+  let solve power dst =
+    Array.blit (Steady.block_temperatures s ~power) 0 dst 0 (Array.length dst)
+  in
+  Steady.fixed_point ?max_iter ?init ?stop ~package:pkg ~solve ~dynamic ~idle ()
+
+(* A [stop] test that holds from its [k + 1]-th question on: the iteration
+   stops after [k] steps. *)
+let stop_after k =
+  let asked = ref 0 in
+  fun _ ->
+    incr asked;
+    !asked > k
+
+let hex = Printf.sprintf "%h"
+
+let same_floats what a b =
+  Alcotest.(check (array string)) what (Array.map hex a) (Array.map hex b)
+
 let test_leakage_runaway_is_typed () =
   (* One damped step cannot settle a leaky design: the fixed point gives
      up with the typed error, on the dense and the inquiry path alike. *)
@@ -195,7 +216,169 @@ let test_leakage_runaway_is_typed () =
       fst (Steady.solve_with_leakage ~max_iter:1 s ~dynamic ~idle));
   expect_runaway "inquiry" (fun () ->
       Tats_thermal.Inquiry.query_with_leakage ~max_iter:1
-        (Tats_thermal.Inquiry.create s) ~dynamic ~idle)
+        (Tats_thermal.Inquiry.create s) ~dynamic ~idle);
+  (* Across a resume the error is the uninterrupted run's, residual
+     included: stopped after [k] steps and resumed under [max_iter] [m],
+     the iteration gives up at step [m] with step [m]'s residual, for
+     every [k < m] and for [m = k], where the resumed iterate itself is
+     the one it gives up on. *)
+  let runaway ?init ~max_iter () =
+    match dense_fixed_point ~max_iter ?init s ~dynamic ~idle with
+    | (_ : Steady.iterate) -> Alcotest.failf "max_iter %d: no runaway" max_iter
+    | exception Steady.Runaway { iterations; residual } ->
+        (iterations, hex residual)
+  in
+  let m = 6 in
+  for k = 0 to m do
+    let stopped = dense_fixed_point ~stop:(stop_after k) s ~dynamic ~idle in
+    Alcotest.(check int) (Printf.sprintf "stopped after %d steps" k) k
+      stopped.Steady.steps;
+    let what max_iter = Printf.sprintf "stopped at %d, max_iter %d" k max_iter in
+    if k < m then
+      Alcotest.(check (pair int string)) (what m) (runaway ~max_iter:m ())
+        (runaway ~init:stopped ~max_iter:m ());
+    Alcotest.(check (pair int string)) (what k) (runaway ~max_iter:k ())
+      (runaway ~init:stopped ~max_iter:k ())
+  done
+
+(* The leakage inquiries of three steps of each benchmark's Baseline
+   schedule on each builtin platform (Bm1-Bm4 x std4, biglittle4,
+   mixed6): the engine, the committed PE energies, the horizon (the candidate's finish), the candidate PE and
+   task power, and the idle powers. *)
+let step_inquiries () =
+  List.concat_map
+    (fun name ->
+      let p = Option.get (Tats_techlib.Catalog.platform_named name) in
+      let lib = Tats_techlib.Catalog.library_for p in
+      let pes = Tats_techlib.Platform.instances p in
+      let module Pe = Tats_techlib.Pe in
+      let engine =
+        Hotspot.inquiry
+          (Hotspot.create
+             (Grid.layout
+                (Array.map
+                   (fun (i : Pe.inst) ->
+                     Block.make ~name:(string_of_int i.Pe.inst_id)
+                       ~area:i.Pe.kind.Pe.area ())
+                   pes)))
+      in
+      let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes in
+      List.concat_map
+        (fun graph ->
+          let module Schedule = Tats_sched.Schedule in
+          let schedule =
+            Tats_sched.List_sched.run ~graph ~lib ~pes
+              ~policy:Tats_sched.Policy.Baseline ()
+          in
+          let order = Array.copy schedule.Schedule.entries in
+          Array.stable_sort
+            (fun (a : Schedule.entry) b -> compare a.Schedule.start b.Schedule.start)
+            order;
+          let n = Array.length order in
+          List.map
+            (fun k ->
+              let energy = Array.make (Array.length pes) 0.0 in
+              for j = 0 to k - 1 do
+                let e = order.(j) in
+                energy.(e.Schedule.pe) <- energy.(e.Schedule.pe) +. e.Schedule.energy
+              done;
+              let e = order.(k) in
+              let what =
+                Printf.sprintf "%s/%s/step %d" (Tats_taskgraph.Graph.name graph)
+                  name k
+              in
+              ( what,
+                engine,
+                energy,
+                e.Schedule.finish,
+                e.Schedule.pe,
+                e.Schedule.energy /. (e.Schedule.finish -. e.Schedule.start),
+                idle ))
+            [ 0; n / 3; 2 * n / 3 ])
+        (Array.to_list (Tats_taskgraph.Benchmarks.all ())))
+    [ "std4"; "biglittle4"; "mixed6" ]
+
+(* Stopped after any [k] steps and resumed, the fixed point runs the
+   uninterrupted trajectory bit for bit: on [Steady.fixed_point] with an
+   explicit [init], and on [Inquiry.query_delta] through the engine's
+   cache, whose counters then count each step once. *)
+let test_leakage_resume_is_exact () =
+  List.iter
+    (fun (what, engine, energy, horizon, pe, extra, idle) ->
+      let solver = Inquiry.solver engine in
+      let base = Inquiry.base_response engine ~power:energy in
+      let query ?stop e =
+        Inquiry.query_delta ?stop e ~base ~horizon ~pe ~extra ~idle
+      in
+      (* The trajectory: every iterate [stop] is asked of, then the result. *)
+      let record iterates t =
+        iterates := Array.copy t :: !iterates;
+        false
+      in
+      let iterates = ref [] in
+      let result = query ~stop:(record iterates) (Inquiry.create solver) in
+      let trajectory = Array.of_list (List.rev !iterates) in
+      let steps = Array.length trajectory in
+      Alcotest.(check bool) (what ^ ": iterates") true (steps > 1);
+      for k = 0 to steps - 1 do
+        let what = Printf.sprintf "%s, stopped at %d" what k in
+        let e = Inquiry.create solver in
+        same_floats (what ^ ": stopped iterate") trajectory.(k)
+          (query ~stop:(stop_after k) e);
+        (* Stopped again where it stands: a hit, no step. *)
+        if k > 0 then
+          same_floats (what ^ ": hit") trajectory.(k)
+            (query ~stop:(fun _ -> true) e);
+        let tail = ref [] in
+        same_floats (what ^ ": resumed") result (query ~stop:(record tail) e);
+        List.iteri
+          (fun j t ->
+            same_floats (Printf.sprintf "%s: iterate %d" what (k + j))
+              trajectory.(k + j) t)
+          (List.rev !tail);
+        (* Each step runs once; the dense path would have paid, per
+           inquiry, its seed solve and every step up to the iterate it
+           returned. *)
+        let s = Inquiry.stats e in
+        Alcotest.(check (list int))
+          (what ^ ": inquiries, hits, fp_iterations, dense_solves")
+          [
+            (if k > 0 then 3 else 2);
+            (if k > 0 then 1 else 0);
+            steps;
+            (1 + k) + (if k > 0 then 1 + k else 0) + (1 + steps);
+          ]
+          [
+            s.Inquiry.inquiries;
+            s.Inquiry.cache_hits;
+            s.Inquiry.fp_iterations;
+            s.Inquiry.dense_solves;
+          ]
+      done;
+      (* The bare fixed point, from its own linear seed, resumed from an
+         explicit [init]: same iterate, step count and residual. *)
+      let dynamic =
+        Array.mapi
+          (fun i p -> (p /. horizon) +. if i = pe then extra else 0.0)
+          energy
+      in
+      let fixed_point ?init ?stop () =
+        Steady.fixed_point ?init ?stop ~package:(Inquiry.package engine)
+          ~solve:(fun power dst ->
+            Array.blit (Inquiry.temperatures engine ~power) 0 dst 0
+              (Array.length dst))
+          ~dynamic ~idle ()
+      in
+      let full = fixed_point () in
+      for k = 0 to full.Steady.steps - 1 do
+        let what = Printf.sprintf "%s, fixed point stopped at %d" what k in
+        let resumed = fixed_point ~init:(fixed_point ~stop:(stop_after k) ()) () in
+        same_floats what full.Steady.temps resumed.Steady.temps;
+        Alcotest.(check (pair int string)) (what ^ ": steps, residual")
+          (full.Steady.steps, hex full.Steady.residual)
+          (resumed.Steady.steps, hex resumed.Steady.residual)
+      done)
+    (step_inquiries ())
 
 (* --- Transient ---------------------------------------------------------- *)
 
@@ -357,6 +540,8 @@ let () =
             test_leakage_hot_design_converges;
           Alcotest.test_case "runaway is typed" `Quick
             test_leakage_runaway_is_typed;
+          Alcotest.test_case "resuming is exact" `Quick
+            test_leakage_resume_is_exact;
         ] );
       ( "transient",
         [
