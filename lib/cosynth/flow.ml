@@ -264,14 +264,12 @@ let run_cosynthesis ?(package = Package.default) ?weights ?(leakage = true)
        (the paper's identical baseline/h2 rows show the policies shared an
        architecture); the DC policy then differentiates the assignment. *)
     let alloc =
-      Trace.with_span "flow.alloc" (fun () ->
-          Alloc.run ~max_pes ~min_pes ~graph ~lib ())
-    in
-    (* Thermal-aware co-synthesis buys one PE of headroom beyond bare
-       feasibility: the adaptive thermal ASP converts that slack into lower
-       power density — temperature is part of its objective, so trading a
-       little cost for it is the point of the flow. *)
-    let alloc =
+      Trace.with_span "flow.alloc" @@ fun () ->
+      let alloc = Alloc.run ~max_pes ~min_pes ~graph ~lib () in
+      (* Thermal-aware co-synthesis buys one PE of headroom beyond bare
+         feasibility: the adaptive thermal ASP converts that slack into lower
+         power density — temperature is part of its objective, so trading a
+         little cost for it is the point of the flow. *)
       match policy with
       | Policy.Thermal_aware
         when alloc.Alloc.feasible && Array.length alloc.Alloc.insts < max_pes ->

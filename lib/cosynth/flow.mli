@@ -166,3 +166,10 @@ val floorplan_cost :
 (** The GA objective: [die_area / blocks_area + 0.2 * normalized wirelength
     + thermal placement] (thermal defaults to [fun _ -> 0.]). Exposed for
     tests and the ablation bench. *)
+
+val thermal_ga_term :
+  package:Package.t -> power:float array -> Placement.t -> float
+(** The thermal term {!run_cosynthesis} passes to {!floorplan_cost}:
+    [0.01 * (peak - ambient)], the peak steady-state temperature of the
+    placement under the per-block [power], from a fresh private
+    {!Tats_thermal.Hotspot}. Exposed for tests. *)

@@ -4,6 +4,7 @@ module Trace = Tats_util.Trace
 module Metricsreg = Tats_util.Metricsreg
 
 let m_evaluations = Metricsreg.counter "ga.evaluations"
+let m_memo_hits = Metricsreg.counter "ga.memo_hits"
 
 type params = {
   population : int;
@@ -112,6 +113,19 @@ let mutate rng expr =
           | Error _ -> tryswap i)));
   expr
 
+(* One code per slot (H, V, then operand [b] as [b + 2]), packed as
+   little-endian int64s into one string. The polymorphic hash of an [elt
+   array] stops after 10 meaningful values, so expressions sharing a prefix
+   would collide; a string hashes whole. *)
+let memo_key expr =
+  let key = Bytes.create (8 * Array.length expr) in
+  Array.iteri
+    (fun i elt ->
+      let code = match elt with Slicing.H -> 0 | Slicing.V -> 1 | Slicing.Op b -> b + 2 in
+      Bytes.set_int64_le key (8 * i) (Int64.of_int code))
+    expr;
+  Bytes.unsafe_to_string key
+
 let run ?(params = default_params) ?pool ~seed ~blocks ~cost () =
   let { population; generations; crossover_rate; mutation_rate; tournament; elite } =
     params
@@ -130,13 +144,40 @@ let run ?(params = default_params) ?pool ~seed ~blocks ~cost () =
      generation first breeds its children sequentially (the RNG stream is
      untouched by parallelism), then evaluates them on the pool. Results
      land positionally, so the population array — and hence selection,
-     sorting and the whole run — is bit-identical at any pool size. *)
+     sorting and the whole run — is bit-identical at any pool size.
+
+     [cost] is a pure function of the expression, so the run scores each
+     distinct expression once: [memo] maps a [memo_key] to its placement
+     and cost. Only the batch's misses (first occurrences not yet in
+     [memo]) go to the pool; the table is read and written on this domain
+     alone, before and after the map, so it needs no lock. *)
+  let memo = Hashtbl.create 128 in
   let evaluate_all exprs =
-    Metricsreg.add m_evaluations (Array.length exprs);
-    Pool.parallel_map pool
-      (fun expr ->
-        let placement = Slicing.evaluate blocks expr in
-        (expr, placement, cost placement))
+    let keys = Array.map memo_key exprs in
+    let queued = Hashtbl.create 16 in
+    let misses = ref [] in
+    Array.iteri
+      (fun i key ->
+        if not (Hashtbl.mem memo key || Hashtbl.mem queued key) then begin
+          Hashtbl.add queued key ();
+          misses := i :: !misses
+        end)
+      keys;
+    let misses = Array.of_list (List.rev !misses) in
+    Metricsreg.add m_evaluations (Array.length misses);
+    Metricsreg.add m_memo_hits (Array.length exprs - Array.length misses);
+    let scored =
+      Pool.parallel_map pool
+        (fun i ->
+          let placement = Slicing.evaluate blocks exprs.(i) in
+          (placement, cost placement))
+        misses
+    in
+    Array.iteri (fun j i -> Hashtbl.add memo keys.(i) scored.(j)) misses;
+    Array.mapi
+      (fun i expr ->
+        let placement, c = Hashtbl.find memo keys.(i) in
+        (expr, placement, c))
       exprs
   in
   let pop =

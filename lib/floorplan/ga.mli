@@ -46,4 +46,28 @@ val run :
     must therefore be pure, or at least thread-safe and
     schedule-independent: it is called concurrently from multiple domains.
     The co-synthesis flow's thermal cost qualifies — it builds a fresh
-    private {!Tats_thermal.Hotspot} per evaluation. *)
+    private {!Tats_thermal.Hotspot} per evaluation.
+
+    [cost] is called once per distinct expression per run: a table local
+    to the run maps each expression scored so far to its placement and
+    cost, and only the children it misses are evaluated (on [pool]). A
+    pure [cost] makes this exact — selection, sorting, [history] and the
+    best expression are those of scoring every child afresh. Population
+    members with equal expressions, and so [best_placement], share one
+    {!Placement.t}; nothing in the library mutates a placement. The
+    table dies with the run.
+
+    Metrics ({!Tats_util.Metricsreg}): [ga.evaluations] counts the
+    [cost] calls (distinct expressions), [ga.memo_hits] the children
+    answered from the table; their sum is [population + generations *
+    (population - elite)] per run. *)
+
+val crossover : Slicing.expr -> Slicing.expr -> Slicing.expr
+(** [crossover a b] keeps the cut skeleton of [a] and fills its operand
+    slots in the order the operands appear in [b]: always valid. Fresh
+    array. Exposed for tests. *)
+
+val mutate : Tats_util.Rng.t -> Slicing.expr -> Slicing.expr
+(** One random move on a copy of the expression (swap two operands,
+    complement an operator chain, or swap an adjacent operand/operator
+    pair when that keeps it valid). Exposed for tests. *)

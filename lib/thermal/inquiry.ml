@@ -264,34 +264,58 @@ let run_query ?(max_iter = default_max_iter) ?(tol = default_tol)
      resumes, ahead of any seed. The fixed point itself runs without any
      lock: it only reads the immutable influence matrix, copies its start
      and writes its own buffers. *)
+  let solve ?stop init =
+    let it =
+      Trace.with_span "inquiry.solve" (fun () ->
+          Steady.fixed_point ~max_iter ~tol ?init ?stop ~package:(package t)
+            ~solve:(apply t) ~dynamic ~idle ())
+    in
+    let start = match init with Some i -> i.Steady.steps | None -> 0 in
+    let steps = it.Steady.steps - start in
+    ( it.Steady.temps,
+      steps,
+      it.Steady.steps,
+      if steps > 0 && key <> None then Some (pack it) else None )
+  in
   let temps, steps, total, stored =
     match found with
     | Some entry when entry_residual t entry <= tol ->
         (copy entry, 0, entry_steps t entry, None)
-    | _ ->
+    | Some entry -> (
+        (* A stopped iterate: [stop] is asked of it here, once, as the fixed
+           point would ask it before the next step (its step count is below
+           [max_iter], the default every cached entry was produced with).
+           When it holds, the iterate is the answer, as a converged one
+           is; otherwise the resumed iteration must not ask it again. *)
+        let temps = copy entry in
+        match stop with
+        | Some holds when holds temps -> (temps, 0, entry_steps t entry, None)
+        | _ ->
+            let asked = ref false in
+            let stop =
+              Option.map
+                (fun holds temps ->
+                  if !asked then holds temps
+                  else begin
+                    asked := true;
+                    false
+                  end)
+                stop
+            in
+            solve ?stop
+              (Some
+                 {
+                   Steady.temps;
+                   steps = entry_steps t entry;
+                   residual = entry_residual t entry;
+                 }))
+    | None ->
         let init =
-          match (found, warm_start) with
-          | Some entry, _ ->
-              Some
-                {
-                  Steady.temps = copy entry;
-                  steps = entry_steps t entry;
-                  residual = entry_residual t entry;
-                }
-          | None, Some w -> Some (Steady.seed (copy w))
-          | None, None -> Option.map Steady.seed init
+          match warm_start with
+          | Some w -> Some (Steady.seed (copy w))
+          | None -> Option.map Steady.seed init
         in
-        let it =
-          Trace.with_span "inquiry.solve" (fun () ->
-              Steady.fixed_point ~max_iter ~tol ?init ?stop ~package:(package t)
-                ~solve:(apply t) ~dynamic ~idle ())
-        in
-        let start = match found with Some e -> entry_steps t e | None -> 0 in
-        let steps = it.Steady.steps - start in
-        ( it.Steady.temps,
-          steps,
-          it.Steady.steps,
-          if steps > 0 && key <> None then Some (pack it) else None )
+        solve ?stop init
   in
   let hit = found <> None && steps = 0 in
   let dt = Trace.now () -. t0 in

@@ -81,7 +81,12 @@ val fixed_point :
     it, [init]'s included, and must not keep its argument, a work buffer.
     Raises {!Runaway} when it reaches [max_iter] steps, counted from the
     seed, without converging; an iterate [stop] held of before that does
-    not raise. *)
+    not raise.
+
+    Every call records the steps it ran in the [steady.fp_iterations]
+    histogram. {!Inquiry} answers a cached iterate that is already
+    converged, or that the query's [stop] holds of, without calling this
+    function, so those cache hits record no 0 there. *)
 
 val factored : t -> Tats_linalg.Lu.t
 (** The factored network matrix (for influence-column extraction). *)

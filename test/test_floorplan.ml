@@ -209,6 +209,114 @@ let test_ga_respects_thermal_style_cost () =
       r.Ga.best_placement.Placement.rects.(1) in
   Alcotest.(check (float 1e-12)) "hot blocks separated" 0.0 shared
 
+(* The GA loop as it was before [Ga.run] memoized fitness: every
+   individual scored afresh, in the same order and on the same random
+   stream. Returns the result and the distinct expressions it scored. *)
+let unmemoized_ga ~seed ~blocks ~cost =
+  let { Ga.population; generations; crossover_rate; mutation_rate; tournament; elite } =
+    Ga.default_params
+  in
+  let n = Array.length blocks in
+  let rng = Rng.create seed in
+  let distinct = Hashtbl.create 64 in
+  let evaluate_all exprs =
+    Array.map
+      (fun expr ->
+        Hashtbl.replace distinct (Array.to_list expr) ();
+        let placement = Slicing.evaluate blocks expr in
+        (expr, placement, cost placement))
+      exprs
+  in
+  let pop =
+    ref
+      (evaluate_all
+         (Array.init population (fun i ->
+              if i = 0 then Slicing.initial n else Slicing.random rng n)))
+  in
+  let by_cost (_, _, c1) (_, _, c2) = compare c1 c2 in
+  Array.sort by_cost !pop;
+  let history = Array.make generations 0.0 in
+  let select () =
+    let best = ref (Rng.int rng population) in
+    for _ = 2 to tournament do
+      let c = Rng.int rng population in
+      let (_, _, cc) = !pop.(c) and (_, _, cb) = !pop.(!best) in
+      if cc < cb then best := c
+    done;
+    let e, _, _ = !pop.(!best) in
+    e
+  in
+  for gen = 0 to generations - 1 do
+    let children =
+      Array.init (population - elite) (fun _ ->
+          let a = select () in
+          let child =
+            if Rng.float rng 1.0 < crossover_rate then Ga.crossover a (select ())
+            else Array.copy a
+          in
+          if Rng.float rng 1.0 < mutation_rate then Ga.mutate rng child else child)
+    in
+    let evaluated = evaluate_all children in
+    let next = Array.make population !pop.(0) in
+    for i = 0 to elite - 1 do
+      next.(i) <- !pop.(i)
+    done;
+    Array.blit evaluated 0 next elite (population - elite);
+    Array.sort by_cost next;
+    pop := next;
+    let _, _, best_cost = !pop.(0) in
+    history.(gen) <- best_cost
+  done;
+  let best_expr, _, best_cost = !pop.(0) in
+  ((best_cost, history, best_expr), Hashtbl.length distinct)
+
+let m_evaluations = Tats_util.Metricsreg.counter "ga.evaluations"
+let m_memo_hits = Tats_util.Metricsreg.counter "ga.memo_hits"
+
+let hex = Printf.sprintf "%h"
+
+(* Blocks of unequal area, so that most expressions differ in cost. *)
+let uneven_blocks n =
+  Array.init n (fun i ->
+      Block.make ~name:(Printf.sprintf "b%d" i) ~area:(float_of_int (i + 1) *. 4e-6) ())
+
+let blocks_area blocks = Array.fold_left (fun a b -> a +. b.Block.area) 0.0 blocks
+
+let area_only blocks placement =
+  Tats_cosynth.Flow.floorplan_cost ~blocks_area:(blocks_area blocks) placement
+
+let thermal blocks =
+  let power = Array.init (Array.length blocks) (fun i -> 0.5 +. (0.25 *. float_of_int i)) in
+  Tats_cosynth.Flow.floorplan_cost
+    ~thermal:(Tats_cosynth.Flow.thermal_ga_term ~package:Tats_thermal.Package.default ~power)
+    ~blocks_area:(blocks_area blocks)
+
+(* [Ga.run] scores each distinct expression once per run; with a pure cost
+   that changes nothing, bit for bit. Seven blocks make 13-slot
+   expressions, past the 10 values the polymorphic hash looks at. *)
+let test_ga_memo_exact make_cost n () =
+  let { Ga.population; generations; elite; _ } = Ga.default_params in
+  let blocks = uneven_blocks n in
+  let cost = make_cost blocks in
+  for seed = 1 to 6 do
+    let (ref_cost, ref_history, ref_expr), distinct = unmemoized_ga ~seed ~blocks ~cost in
+    let evals0 = Tats_util.Metricsreg.counter_value m_evaluations
+    and hits0 = Tats_util.Metricsreg.counter_value m_memo_hits in
+    let r = Ga.run ~seed ~blocks ~cost () in
+    let evals = Tats_util.Metricsreg.counter_value m_evaluations - evals0
+    and hits = Tats_util.Metricsreg.counter_value m_memo_hits - hits0 in
+    let what = Printf.sprintf "seed %d, %d blocks" seed n in
+    Alcotest.(check string) (what ^ ": best cost") (hex ref_cost) (hex r.Ga.best_cost);
+    Alcotest.(check (array string))
+      (what ^ ": history") (Array.map hex ref_history) (Array.map hex r.Ga.history);
+    Alcotest.(check bool) (what ^ ": best expression") true (ref_expr = r.Ga.best_expr);
+    Alcotest.(check int) (what ^ ": one cost call per distinct expression") distinct evals;
+    Alcotest.(check int)
+      (what ^ ": calls + hits = children")
+      (population + (generations * (population - elite)))
+      (evals + hits)
+  done
+
 (* --- Grid --------------------------------------------------------------- *)
 
 let test_grid_identical_blocks_abut () =
@@ -279,6 +387,16 @@ let () =
           Alcotest.test_case "custom cost steers" `Quick
             test_ga_respects_thermal_style_cost;
         ] );
+      ( "ga memo",
+        List.concat_map
+          (fun (name, cost) ->
+            List.map
+              (fun n ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s, %d blocks = unmemoized" name n)
+                  `Quick (test_ga_memo_exact cost n))
+              [ 2; 3; 4; 5; 6; 7 ])
+          [ ("area-only", area_only); ("thermal", thermal) ] );
       ( "grid",
         [
           Alcotest.test_case "identical abut" `Quick test_grid_identical_blocks_abut;

@@ -298,6 +298,8 @@ let step_inquiries () =
         (Array.to_list (Tats_taskgraph.Benchmarks.all ())))
     [ "std4"; "biglittle4"; "mixed6" ]
 
+let h_fp_iterations = Tats_util.Metricsreg.histogram "steady.fp_iterations"
+
 (* Stopped after any [k] steps and resumed, the fixed point runs the
    uninterrupted trajectory bit for bit: on [Steady.fixed_point] with an
    explicit [init], and on [Inquiry.query_delta] through the engine's
@@ -325,10 +327,19 @@ let test_leakage_resume_is_exact () =
         let e = Inquiry.create solver in
         same_floats (what ^ ": stopped iterate") trajectory.(k)
           (query ~stop:(stop_after k) e);
-        (* Stopped again where it stands: a hit, no step. *)
-        if k > 0 then
+        (* Stopped again where it stands: a hit, no step, and no fixed
+           point run: [stop] is asked once and [steady.fp_iterations]
+           records nothing. *)
+        if k > 0 then begin
+          let asked = ref 0 in
+          let fp_runs () = (Tats_util.Metricsreg.summary h_fp_iterations).count in
+          let runs = fp_runs () in
           same_floats (what ^ ": hit") trajectory.(k)
-            (query ~stop:(fun _ -> true) e);
+            (query ~stop:(fun _ -> incr asked; true) e);
+          Alcotest.(check (list int))
+            (what ^ ": hit asks stop once, runs no fixed point")
+            [ 1; runs ] [ !asked; fp_runs () ]
+        end;
         let tail = ref [] in
         same_floats (what ^ ": resumed") result (query ~stop:(record tail) e);
         List.iteri
