@@ -60,11 +60,15 @@ let or_die = function
       prerr_endline ("tats: " ^ msg);
       exit 2
 
-(* A leakage fixed point that does not settle is a property of the input
-   design, not a crash: report it like any other bad input. *)
-let exit_on_runaway body =
+(* A leakage fixed point that does not settle, contradictory pins or
+   isolation classes, and a constrained scan that finds no admissible PE
+   are properties of the input design, not crashes: report them like any
+   other bad input. *)
+let exit_on_bad_design body =
   try body () with
   | Core.Steady.Runaway _ as e -> or_die (Error (Printexc.to_string e))
+  | Core.Constraints.Invalid msg | Core.Constraints.Infeasible msg ->
+      or_die (Error msg)
 
 (* Bracket a subcommand body with trace recording and exporter writes.
    The exports run in a [Fun.protect] finalizer so a failing run still
@@ -93,17 +97,9 @@ let with_observability ~trace ~metrics f =
 let observed_arg : ((unit -> unit) -> unit) Term.t =
   let runner jobs trace metrics body =
     set_jobs jobs;
-    exit_on_runaway (fun () -> with_observability ~trace ~metrics body)
+    exit_on_bad_design (fun () -> with_observability ~trace ~metrics body)
   in
   Term.(const runner $ jobs_arg $ trace_arg $ metrics_arg)
-
-let parse_bench name =
-  match name with
-  | "Bm1" -> Ok 0
-  | "Bm2" -> Ok 1
-  | "Bm3" -> Ok 2
-  | "Bm4" -> Ok 3
-  | other -> Error (Printf.sprintf "unknown benchmark %S (want Bm1..Bm4)" other)
 
 let parse_policy name =
   match Core.Policy.of_name name with
@@ -111,14 +107,6 @@ let parse_policy name =
   | None -> Error (Printf.sprintf "unknown policy %S" name)
 
 (* --- heterogeneous-platform arguments ------------------------------------ *)
-
-let parse_platform name =
-  match Core.Catalog.platform_named name with
-  | Some p -> Ok p
-  | None ->
-      Error
-        (Printf.sprintf "unknown platform %S (want one of %s)" name
-           (String.concat ", " (Core.Catalog.platform_names ())))
 
 (* "T:V" pairs for --pin/--pin-kind/--isolate. *)
 let parse_pair ~flag ~rhs s =
@@ -149,7 +137,7 @@ let parse_constraints ~pins ~pin_kinds ~isolate =
 (* The fixed architecture a command runs on: the named builtin platform,
    or [n_pes] identical standard cores. *)
 let resolve_platform ~n_pes = function
-  | Some name -> or_die (parse_platform name)
+  | Some name -> or_die (Core.Catalog.platform_of_name name)
   | None ->
       if n_pes < 1 then or_die (Error "--n-pes must be at least 1");
       Core.Catalog.std_platform n_pes
@@ -239,32 +227,27 @@ let schedule_cmd =
   let run bench policy arch platform pins pin_kinds isolate gantt stats svg
       floorplan_svg observed =
     observed @@ fun () ->
-    let bench = or_die (parse_bench bench) in
+    let bench = or_die (Core.Benchmarks.index_of_name bench) in
     let policy = or_die (parse_policy policy) in
     let graph = Core.Benchmarks.load bench in
     let constraints = parse_constraints ~pins ~pin_kinds ~isolate in
     let outcome =
-      try
-        match arch with
-        | "platform" ->
-            let platform = resolve_platform ~n_pes:4 platform in
-            Core.Flow.run_platform ~platform ~constraints ~graph
-              ~lib:(Core.Catalog.library_for platform) ~policy ()
-        | "cosynth" ->
-            if
-              platform <> None || pins <> [] || pin_kinds <> [] || isolate <> []
-            then
-              or_die
-                (Error
-                   "--platform/--pin/--pin-kind/--isolate require --arch \
-                    platform");
-            Core.Flow.run_cosynthesis ~graph
-              ~lib:(Core.Catalog.default_library ()) ~policy ()
-        | other ->
-            or_die (Error (Printf.sprintf "unknown architecture %S" other))
-      with
-      | Core.Constraints.Invalid msg -> or_die (Error msg)
-      | Core.Constraints.Infeasible msg -> or_die (Error msg)
+      match arch with
+      | "platform" ->
+          let platform = resolve_platform ~n_pes:4 platform in
+          Core.Flow.run_platform ~platform ~constraints ~graph
+            ~lib:(Core.Catalog.library_for platform) ~policy ()
+      | "cosynth" ->
+          if
+            platform <> None || pins <> [] || pin_kinds <> [] || isolate <> []
+          then
+            or_die
+              (Error
+                 "--platform/--pin/--pin-kind/--isolate require --arch \
+                  platform");
+          Core.Flow.run_cosynthesis ~graph
+            ~lib:(Core.Catalog.default_library ()) ~policy ()
+      | other -> or_die (Error (Printf.sprintf "unknown architecture %S" other))
     in
     List.iter
       (fun (e : Core.Flow.log_entry) ->
@@ -443,7 +426,7 @@ let floorplan_cmd =
 let compare_cmd =
   let run bench restarts observed =
     observed @@ fun () ->
-    let bench = or_die (parse_bench bench) in
+    let bench = or_die (Core.Benchmarks.index_of_name bench) in
     if restarts < 1 then or_die (Error "--restarts must be >= 1");
     let graph = Core.Benchmarks.load bench in
     let lib = Core.Catalog.platform_library () in
@@ -495,8 +478,8 @@ let compare_cmd =
 
 let dvs_cmd =
   let run bench policy =
-    exit_on_runaway @@ fun () ->
-    let bench = or_die (parse_bench bench) in
+    exit_on_bad_design @@ fun () ->
+    let bench = or_die (Core.Benchmarks.index_of_name bench) in
     let policy = or_die (parse_policy policy) in
     let graph = Core.Benchmarks.load bench in
     let lib = Core.Catalog.platform_library () in
@@ -525,8 +508,8 @@ let dvs_cmd =
 
 let pareto_cmd =
   let run bench =
-    exit_on_runaway @@ fun () ->
-    let bench = or_die (parse_bench bench) in
+    exit_on_bad_design @@ fun () ->
+    let bench = or_die (Core.Benchmarks.index_of_name bench) in
     let graph = Core.Benchmarks.load bench in
     let lib = Core.Catalog.default_library () in
     let points = Core.Pareto.explore ~graph ~lib () in
@@ -543,7 +526,7 @@ let pareto_cmd =
 
 let analyze_cmd =
   let run bench =
-    let bench = or_die (parse_bench bench) in
+    let bench = or_die (Core.Benchmarks.index_of_name bench) in
     let graph = Core.Benchmarks.load bench in
     Format.printf "%s:@.%a@." (Core.Graph.name graph) Core.Analysis.pp
       (Core.Analysis.analyze graph)
@@ -556,7 +539,7 @@ let analyze_cmd =
 
 let dtm_cmd' =
   let run bench trigger passes =
-    let bench = or_die (parse_bench bench) in
+    let bench = or_die (Core.Benchmarks.index_of_name bench) in
     if passes < 1 then or_die (Error "--passes must be at least 1");
     let graph = Core.Benchmarks.load bench in
     let lib = Core.Catalog.platform_library () in
@@ -596,7 +579,7 @@ let dtm_cmd' =
 let transient_cmd =
   let run bench policy arch periods dt time_unit exact csv observed =
     observed @@ fun () ->
-    let bench = or_die (parse_bench bench) in
+    let bench = or_die (Core.Benchmarks.index_of_name bench) in
     let policy = or_die (parse_policy policy) in
     if periods < 2 then or_die (Error "--periods must be >= 2");
     if time_unit <= 0.0 then or_die (Error "--time-unit must be positive");
@@ -721,7 +704,7 @@ let online_cmd =
   let run bench policy arrivals seed mean_gap n_pes platform pins pin_kinds
       isolate trigger observed =
     observed @@ fun () ->
-    let bench = or_die (parse_bench bench) in
+    let bench = or_die (Core.Benchmarks.index_of_name bench) in
     let policy =
       match Core.Online.policy_of_name policy with
       | Some (Core.Online.Reactive r) ->
@@ -755,12 +738,8 @@ let online_cmd =
     let constraints = parse_constraints ~pins ~pin_kinds ~isolate in
     let arch = resolve_platform ~n_pes platform in
     let o =
-      try
-        Core.Flow.run_online ~platform:arch ~constraints ~mean_gap ~arrivals
-          ~graph ~lib:(Core.Catalog.library_for arch) ~policy ()
-      with
-      | Core.Constraints.Invalid msg -> or_die (Error msg)
-      | Core.Constraints.Infeasible msg -> or_die (Error msg)
+      Core.Flow.run_online ~platform:arch ~constraints ~mean_gap ~arrivals
+        ~graph ~lib:(Core.Catalog.library_for arch) ~policy ()
     in
     let stats = o.Core.Flow.online.Core.Online.stats in
     Format.printf "%s / %a / %s arrivals%s on %d PEs%s@."
@@ -997,7 +976,7 @@ let campaign_cmd =
 
 let robustness_cmd =
   let run n tasks seed =
-    exit_on_runaway @@ fun () ->
+    exit_on_bad_design @@ fun () ->
     if n < 1 then or_die (Error "-n must be at least 1");
     if tasks < 2 then or_die (Error "--tasks must be at least 2");
     let r = Core.Experiments.robustness ~n ~tasks ~seed () in
@@ -1028,7 +1007,7 @@ let robustness_cmd =
 
 let artifacts_cmd =
   let run dir jobs =
-    exit_on_runaway @@ fun () ->
+    exit_on_bad_design @@ fun () ->
     set_jobs jobs;
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let write name contents =
@@ -1107,7 +1086,7 @@ let client_cmd =
       | None ->
           let open Serve.Protocol in
           let sched () =
-            let bench = or_die (parse_bench bench) in
+            let bench = or_die (Core.Benchmarks.index_of_name bench) in
             let policy = or_die (parse_policy policy) in
             let arch =
               match arch with
@@ -1237,7 +1216,7 @@ let client_cmd =
 
 let export_cmd =
   let run bench path =
-    let bench = or_die (parse_bench bench) in
+    let bench = or_die (Core.Benchmarks.index_of_name bench) in
     let graph = Core.Benchmarks.load bench in
     Core.Dot.save graph path;
     Format.printf "wrote %s (%d tasks, %d edges)@." path (Core.Graph.n_tasks graph)

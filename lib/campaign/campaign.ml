@@ -14,6 +14,7 @@ module Schedule = Tats_sched.Schedule
 module Metrics = Tats_sched.Metrics
 module Flow = Tats_cosynth.Flow
 module Json = Tats_serve.Json
+module Protocol = Tats_serve.Protocol
 
 type graph_spec =
   | Bench of int
@@ -82,51 +83,11 @@ let cell_label (c : cell) =
 (* Canonical JSON codecs. Encoding fixes both the key order and the float
    spelling (Json.to_string prints shortest-round-trip forms), so every
    value has exactly one canonical byte string — the property the content
-   addresses, artifact digests and manifest byte-comparisons stand on. *)
+   addresses, artifact digests and manifest byte-comparisons stand on.
+   Decoding reads through Json's field readers, so a bad member is
+   reported as [field "k": ...], the wording tatsd uses. *)
 
 let ( let* ) = Result.bind
-
-let obj_field key j =
-  match Json.mem key j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing key %S" key)
-
-let num_field key j =
-  let* v = obj_field key j in
-  match Json.num v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "%S: expected a number" key)
-
-let int_field key j =
-  let* f = num_field key j in
-  let i = int_of_float f in
-  if float_of_int i = f then Ok i
-  else Error (Printf.sprintf "%S: expected an integer" key)
-
-let str_field key j =
-  let* v = obj_field key j in
-  match Json.str v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "%S: expected a string" key)
-
-let bool_field key j =
-  let* v = obj_field key j in
-  match Json.bool v with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "%S: expected a boolean" key)
-
-let arr_field key decode j =
-  let* v = obj_field key j in
-  match Json.arr v with
-  | None -> Error (Printf.sprintf "%S: expected an array" key)
-  | Some items ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | x :: rest ->
-            let* d = decode x in
-            go (d :: acc) rest
-      in
-      go [] items
 
 let num f = Json.Num f
 let int i = Json.Num (float_of_int i)
@@ -145,18 +106,19 @@ let graph_to_json = function
 let graph_of_json j =
   match Json.mem "bench" j with
   | Some _ ->
-      let* i = int_field "bench" j in
+      let* i = Json.field "bench" Json.int ~what:"must be an integer" j in
       Ok (Bench i)
   | None ->
-      let* seed = int_field "seed" j in
-      let* n_tasks = int_field "n_tasks" j in
-      let* n_edges = int_field "n_edges" j in
-      let* deadline = num_field "deadline" j in
+      let* seed = Json.field "seed" Json.int ~what:"must be an integer" j in
+      let* n_tasks = Json.field "n_tasks" Json.int ~what:"must be an integer" j in
+      let* n_edges = Json.field "n_edges" Json.int ~what:"must be an integer" j in
+      let* deadline = Json.field "deadline" Json.num ~what:"must be a number" j in
       Ok (Generated { seed; n_tasks; n_edges; deadline })
 
 (* The heterogeneity extensions (hetero arch, pins, isolation) are
    encoded only when present, so pre-extension platform specs keep their
-   historical canonical bytes — and therefore their cell ids. *)
+   historical canonical bytes — and therefore their cell ids. Pins and
+   isolation go through tatsd's codec: one format, one set of errors. *)
 let platform_to_json (p : platform_spec) =
   let arch =
     match p.arch with
@@ -167,96 +129,38 @@ let platform_to_json (p : platform_spec) =
   let budget =
     match p.power_budget with None -> [] | Some b -> [ ("power_budget", num b) ]
   in
-  let pins =
-    match p.pins with
-    | [] -> []
-    | pins ->
-        [
-          ( "pins",
-            Json.Arr
-              (List.map
-                 (fun (t, pin) ->
-                   match pin with
-                   | Constraints.To_pe pe ->
-                       Json.Obj [ ("task", int t); ("pe", int pe) ]
-                   | Constraints.To_kind k ->
-                       Json.Obj [ ("task", int t); ("kind", int k) ])
-                 pins) );
-        ]
-  in
-  let isolation =
-    match p.isolation with
-    | [] -> []
-    | iso ->
-        [
-          ( "isolation",
-            Json.Arr
-              (List.map
-                 (fun (t, c) -> Json.Obj [ ("task", int t); ("class", int c) ])
-                 iso) );
-        ]
-  in
-  Json.Obj (arch @ [ ("ambient", num p.ambient) ] @ budget @ pins @ isolation)
+  let constraints = { Constraints.pins = p.pins; isolation = p.isolation } in
+  Json.Obj
+    (arch @ [ ("ambient", num p.ambient) ] @ budget
+    @ Protocol.constraints_to_json constraints)
 
 let platform_of_json j =
-  let* arch_name = str_field "arch" j in
+  let* arch_name = Json.field "arch" Json.str ~what:"must be a string" j in
   let* arch =
     match arch_name with
     | "platform" ->
-        let* n = int_field "n_pes" j in
+        let* n = Json.field "n_pes" Json.int ~what:"must be an integer" j in
         Ok (Platform n)
     | "hetero" ->
-        let* name = str_field "platform" j in
+        let* name = Json.field "platform" Json.str ~what:"must be a string" j in
         Ok (Hetero name)
     | "cosynth" -> Ok Cosynth
-    | s -> Error (Printf.sprintf "unknown arch %S" s)
+    | s ->
+        Json.field_error "arch" (Printf.sprintf "unknown arch %S (want platform|hetero|cosynth)" s)
   in
-  let* ambient = num_field "ambient" j in
+  let* ambient = Json.field "ambient" Json.num ~what:"must be a number" j in
   let* power_budget =
-    match Json.mem "power_budget" j with
-    | None -> Ok None
-    | Some v -> (
-        match Json.num v with
-        | Some b -> Ok (Some b)
-        | None -> Error "\"power_budget\": expected a number")
+    Json.field ~default:None "power_budget"
+      (fun v -> Option.map Option.some (Json.num v))
+      ~what:"must be a number" j
   in
-  let* pins =
-    match Json.mem "pins" j with
-    | None -> Ok []
-    | Some _ ->
-        arr_field "pins"
-          (fun item ->
-            let* t = int_field "task" item in
-            match (Json.mem "pe" item, Json.mem "kind" item) with
-            | Some _, None ->
-                let* pe = int_field "pe" item in
-                Ok (t, Constraints.To_pe pe)
-            | None, Some _ ->
-                let* k = int_field "kind" item in
-                Ok (t, Constraints.To_kind k)
-            | _ -> Error "pin wants exactly one of \"pe\" or \"kind\"")
-          j
-  in
-  let* isolation =
-    match Json.mem "isolation" j with
-    | None -> Ok []
-    | Some _ ->
-        arr_field "isolation"
-          (fun item ->
-            let* t = int_field "task" item in
-            let* c = int_field "class" item in
-            Ok (t, c))
-          j
-  in
+  let* { Constraints.pins; isolation } = Protocol.decode_constraints j in
   Ok { arch; ambient; power_budget; pins; isolation }
 
-let policy_of_json j =
-  match Json.str j with
-  | None -> Error "policy: expected a string"
-  | Some s -> (
-      match Policy.of_name s with
-      | Some p -> Ok p
-      | None -> Error (Printf.sprintf "unknown policy %S" s))
+let policy_of_json key v =
+  match Option.bind (Json.str v) Policy.of_name with
+  | Some p -> Ok p
+  | None -> Json.field_error key ("unknown policy " ^ Json.to_string v)
 
 let cell_to_json (c : cell) =
   Json.Obj
@@ -267,11 +171,10 @@ let cell_to_json (c : cell) =
     ]
 
 let cell_of_json j =
-  let* gj = obj_field "graph" j in
+  let* gj = Json.field "graph" Json.obj ~what:"must be an object" j in
   let* graph = graph_of_json gj in
-  let* pj = obj_field "policy" j in
-  let* policy = policy_of_json pj in
-  let* fj = obj_field "platform" j in
+  let* policy = policy_of_json "policy" (Option.value (Json.mem "policy" j) ~default:Json.Null) in
+  let* fj = Json.field "platform" Json.obj ~what:"must be an object" j in
   let* platform = platform_of_json fj in
   Ok { graph; policy; platform }
 
@@ -288,13 +191,13 @@ let result_to_json (r : result) =
     ]
 
 let result_of_json j =
-  let* makespan = num_field "makespan" j in
-  let* total_power = num_field "total_power" j in
-  let* max_temp = num_field "max_temp" j in
-  let* avg_temp = num_field "avg_temp" j in
-  let* deadline = num_field "deadline" j in
-  let* deadline_met = bool_field "deadline_met" j in
-  let* within_budget = bool_field "within_budget" j in
+  let* makespan = Json.field "makespan" Json.num ~what:"must be a number" j in
+  let* total_power = Json.field "total_power" Json.num ~what:"must be a number" j in
+  let* max_temp = Json.field "max_temp" Json.num ~what:"must be a number" j in
+  let* avg_temp = Json.field "avg_temp" Json.num ~what:"must be a number" j in
+  let* deadline = Json.field "deadline" Json.num ~what:"must be a number" j in
+  let* deadline_met = Json.field "deadline_met" Json.bool ~what:"must be a boolean" j in
+  let* within_budget = Json.field "within_budget" Json.bool ~what:"must be a boolean" j in
   Ok
     {
       makespan;
@@ -317,15 +220,6 @@ let spec_to_json (s : spec) =
     ]
 
 let spec_to_string s = Json.to_string (spec_to_json s)
-
-let spec_of_string text =
-  let* j = Json.of_string text in
-  let* name = str_field "name" j in
-  let* graphs = arr_field "graphs" graph_of_json j in
-  let* policies = arr_field "policies" policy_of_json j in
-  let* platforms = arr_field "platforms" platform_of_json j in
-  Ok { name; graphs; policies; platforms }
-
 let digest_hex s = Digest.to_hex (Digest.string s)
 let cell_id c = digest_hex (Json.to_string (cell_to_json c))
 let spec_digest_of s = digest_hex (spec_to_string s)
@@ -333,48 +227,51 @@ let spec_digest_of s = digest_hex (spec_to_string s)
 (* ------------------------------------------------------------------ *)
 (* Expansion *)
 
-let validate_graph g =
-  match g with
-  | Bench i ->
-      if i < 0 || i >= Array.length Benchmarks.descriptors then
-        invalid_arg (Printf.sprintf "Campaign: benchmark index %d out of range" i)
+let validate_graph = function
+  | Bench i when i < 0 || i >= Array.length Benchmarks.descriptors ->
+      Error (Printf.sprintf "benchmark index %d out of range" i)
+  | Bench _ -> Ok ()
+  | Generated { n_tasks; _ } when n_tasks < 1 -> Error "generated graph needs tasks"
   | Generated { n_tasks; n_edges; deadline; _ } ->
-      if n_tasks < 1 then invalid_arg "Campaign: generated graph needs tasks";
       let lo, hi = Generator.feasible_edges ~n_tasks in
       if n_edges < lo || n_edges > hi then
-        invalid_arg
-          (Printf.sprintf "Campaign: %d edges outside feasible [%d, %d]" n_edges
-             lo hi);
-      if not (Float.is_finite deadline) || deadline <= 0.0 then
-        invalid_arg "Campaign: generated graph needs a positive deadline"
+        Error (Printf.sprintf "%d edges outside feasible [%d, %d]" n_edges lo hi)
+      else if (not (Float.is_finite deadline)) || deadline <= 0.0 then
+        Error "generated graph needs a positive deadline"
+      else Ok ()
 
 let validate_platform (p : platform_spec) =
-  (match p.arch with
-  | Platform n ->
-      if n < 1 then invalid_arg "Campaign: platform needs at least one PE"
-  | Hetero name ->
-      if Option.is_none (Catalog.platform_named name) then
-        invalid_arg
-          (Printf.sprintf "Campaign: unknown platform %S (want one of %s)" name
-             (String.concat ", " (Catalog.platform_names ())))
-  | Cosynth -> ());
-  (match p.arch with
-  | Cosynth when p.pins <> [] || p.isolation <> [] ->
-      invalid_arg
-        "Campaign: pins/isolation require the platform or hetero architecture"
-  | _ -> ());
-  if not (Float.is_finite p.ambient) then
-    invalid_arg "Campaign: ambient must be finite";
-  match p.power_budget with
-  | Some b when (not (Float.is_finite b)) || b <= 0.0 ->
-      invalid_arg "Campaign: power budget must be positive"
-  | _ -> ()
+  let* () =
+    match p.arch with
+    | Platform n when n < 1 -> Error "platform needs at least one PE"
+    | Hetero name -> Result.map ignore (Catalog.platform_of_name name)
+    | Cosynth when p.pins <> [] || p.isolation <> [] ->
+        Error "pins/isolation require the platform or hetero architecture"
+    | Platform _ | Cosynth -> Ok ()
+  in
+  if not (Float.is_finite p.ambient) then Error "ambient must be finite"
+  else
+    match p.power_budget with
+    | Some b when (not (Float.is_finite b)) || b <= 0.0 ->
+        Error "power budget must be positive"
+    | _ -> Ok ()
 
-let expand (s : spec) =
-  if s.graphs = [] || s.policies = [] || s.platforms = [] then
-    invalid_arg "Campaign.expand: every axis needs at least one point";
-  List.iter validate_graph s.graphs;
-  List.iter validate_platform s.platforms;
+let rec all_ok validate = function
+  | [] -> Ok ()
+  | x :: rest ->
+      let* () = validate x in
+      all_ok validate rest
+
+(* Everything [expand] rejects, as an [Error]: [spec_of_string] reports
+   it for a spec file, [expand] raises it for a spec built in code. *)
+let cells_of (s : spec) =
+  let* () =
+    if s.graphs = [] || s.policies = [] || s.platforms = [] then
+      Error "every axis needs at least one point"
+    else Ok ()
+  in
+  let* () = all_ok validate_graph s.graphs in
+  let* () = all_ok validate_platform s.platforms in
   let cells =
     List.concat_map
       (fun graph ->
@@ -385,15 +282,33 @@ let expand (s : spec) =
       s.graphs
   in
   let seen = Hashtbl.create (2 * List.length cells) in
-  List.iter
-    (fun c ->
-      let id = cell_id c in
-      if Hashtbl.mem seen id then
-        invalid_arg
-          (Printf.sprintf "Campaign.expand: duplicate cell %s" (cell_label c));
-      Hashtbl.add seen id ())
-    cells;
-  cells
+  let* () =
+    all_ok
+      (fun c ->
+        let id = cell_id c in
+        if Hashtbl.mem seen id then
+          Error (Printf.sprintf "duplicate cell %s" (cell_label c))
+        else Ok (Hashtbl.add seen id ()))
+      cells
+  in
+  Ok cells
+
+let expand s =
+  match cells_of s with
+  | Ok cells -> cells
+  | Error msg -> invalid_arg ("Campaign.expand: " ^ msg)
+
+let spec_of_string text =
+  let* j = Json.of_string text in
+  let* name = Json.field "name" Json.str ~what:"must be a string" j in
+  let* graphs = Json.array "graphs" graph_of_json ~what:"must be an array of graphs" j in
+  let* policies =
+    Json.array "policies" (policy_of_json "policies") ~what:"must be an array of policy names" j
+  in
+  let* platforms = Json.array "platforms" platform_of_json ~what:"must be an array of platforms" j in
+  let spec = { name; graphs; policies; platforms } in
+  let* _ = cells_of spec in
+  Ok spec
 
 let n_cells (s : spec) =
   List.length s.graphs * List.length s.policies * List.length s.platforms
@@ -599,13 +514,13 @@ let artifact_string ~campaign c r =
 
 let decode_artifact text =
   let* j = Json.of_string text in
-  let* id = str_field "id" j in
-  let* campaign = str_field "campaign" j in
-  let* cj = obj_field "cell" j in
+  let* id = Json.field "id" Json.str ~what:"must be a string" j in
+  let* campaign = Json.field "campaign" Json.str ~what:"must be a string" j in
+  let* cj = Json.field "cell" Json.obj ~what:"must be an object" j in
   let* c = cell_of_json cj in
-  let* rj = obj_field "result" j in
+  let* rj = Json.field "result" Json.obj ~what:"must be an object" j in
   let* r = result_of_json rj in
-  let* digest = str_field "digest" j in
+  let* digest = Json.field "digest" Json.str ~what:"must be a string" j in
   let canonical = Json.to_string (Json.Obj (artifact_fields ~campaign c r)) in
   if digest <> digest_hex canonical then Error "artifact digest mismatch"
   else if id <> cell_id c then Error "artifact id does not address its cell"
@@ -643,12 +558,12 @@ let entry_to_json (e : entry) =
     ]
 
 let entry_of_json j =
-  let* index = int_field "index" j in
-  let* id = str_field "id" j in
-  let* artifact_digest = str_field "artifact_digest" j in
-  let* cj = obj_field "cell" j in
+  let* index = Json.field "index" Json.int ~what:"must be an integer" j in
+  let* id = Json.field "id" Json.str ~what:"must be a string" j in
+  let* artifact_digest = Json.field "artifact_digest" Json.str ~what:"must be a string" j in
+  let* cj = Json.field "cell" Json.obj ~what:"must be an object" j in
   let* cell = cell_of_json cj in
-  let* rj = obj_field "result" j in
+  let* rj = Json.field "result" Json.obj ~what:"must be an object" j in
   let* result = result_of_json rj in
   Ok { index; id; artifact_digest; cell; result }
 
@@ -664,10 +579,10 @@ let manifest_to_string (m : manifest) =
 
 let manifest_of_string text =
   let* j = Json.of_string text in
-  let* campaign = str_field "campaign" j in
-  let* spec_digest = str_field "spec_digest" j in
-  let* n = int_field "n_cells" j in
-  let* entries = arr_field "cells" entry_of_json j in
+  let* campaign = Json.field "campaign" Json.str ~what:"must be a string" j in
+  let* spec_digest = Json.field "spec_digest" Json.str ~what:"must be a string" j in
+  let* n = Json.field "n_cells" Json.int ~what:"must be an integer" j in
+  let* entries = Json.array "cells" entry_of_json ~what:"must be an array of entries" j in
   if List.length entries <> n then Error "n_cells disagrees with the cells array"
   else Ok { campaign; spec_digest; entries }
 

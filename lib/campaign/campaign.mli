@@ -81,7 +81,11 @@ val expand : spec -> cell list
 (** The full cartesian product in a pinned order: graphs outermost,
     platforms innermost. Raises [Invalid_argument] on an invalid spec —
     an empty axis, an out-of-range benchmark index, an infeasible
-    generated-graph spec, or duplicate cells. *)
+    generated-graph spec, an unknown builtin platform, pins or isolation
+    on the cosynth architecture, a non-finite ambient, a non-positive
+    power budget, or duplicate cells. {!spec_of_string} reports the same
+    problems as an [Error]. Whether pins and classes fit the platform is
+    checked when a cell runs ({!Tats_sched.Constraints.Invalid}). *)
 
 val n_cells : spec -> int
 (** [List.length (expand spec)] without validating. *)
@@ -111,8 +115,12 @@ val spec_to_string : spec -> string
 
 val spec_of_string : string -> (spec, string) result
 (** Inverse of {!spec_to_string}; also accepts hand-written spec files
-    (missing [power_budget] means none). Shape errors carry the
-    offending key. *)
+    (missing [power_budget] means none). A platform's ["pins"] and
+    ["isolation"] members follow tatsd's grammar and go through its
+    decoder ({!Tats_serve.Protocol.decode_constraints}), so a malformed
+    one gets the same message there and here. Every shape error reads
+    [field "k": <what>], as on the wire; a well-formed spec that
+    {!expand} would reject is an [Error] too. *)
 
 val builtin : string -> spec option
 (** Pinned specs: ["table1"]/["table2"]/["table3"] are the paper's

@@ -473,8 +473,8 @@ let run ?weights ?hotspot ?exclusive ?constraints ~graph ~lib ~pes ~policy () =
     (prepare ?hotspot ?exclusive ?constraints ~graph ~lib ~pes ~policy ())
     ~weights
 
-let run_adaptive ?base_weights ?(max_multiplier = 400.0) ?(search_steps = 16)
-    ?hotspot ?exclusive ?constraints ~graph ~lib ~pes ~policy () =
+let run_adaptive ?base_weights ?(max_multiplier = 400.0) ?hotspot ?exclusive
+    ?constraints ~graph ~lib ~pes ~policy () =
   if max_multiplier <= 0.0 then
     invalid_arg "List_sched.run_adaptive: non-positive multiplier";
   let base =
@@ -509,7 +509,7 @@ let run_adaptive ?base_weights ?(max_multiplier = 400.0) ?(search_steps = 16)
          weight seen. *)
       let best = ref floor in
       let lo = ref 0.0 and hi = ref max_multiplier in
-      for _ = 1 to search_steps do
+      for _ = 1 to 16 do
         let mid = (!lo +. !hi) /. 2.0 in
         let candidate = attempt mid in
         if meets candidate then begin

@@ -51,7 +51,6 @@ val run :
 val run_adaptive :
   ?base_weights:Policy.weights ->
   ?max_multiplier:float ->
-  ?search_steps:int ->
   ?hotspot:Hotspot.t ->
   ?exclusive:(Task.id -> Task.id -> bool) ->
   ?constraints:Constraints.spec ->
@@ -64,7 +63,7 @@ val run_adaptive :
 (** Deadline-adaptive weight selection — "while meeting real time
     constraints" for every policy: a larger cost weight trades schedule
     length for its objective (temperature, power), so this bisects
-    ([search_steps] runs, default 16) for the largest cost weight in
+    (16 steps) for the largest cost weight in
     [0, max_multiplier x base_weights] whose schedule still meets the
     deadline. [max_multiplier] defaults to 400 — the thermal setting, where
     stretching toward the deadline is the point; power-aware callers cap it
@@ -90,7 +89,7 @@ val run_adaptive :
     inquiry engine's cache, so a later attempt that needs it resumes its
     fixed point instead of restarting it. Results are bit-identical to
     bisecting over fresh {!run} calls. Memory: at most one node per
-    scheduled step of each attempt ([(search_steps + 2) x n_tasks]
+    scheduled step of each attempt ([18 x n_tasks]
     nodes), each holding four words per candidate (at most ready tasks x
     PEs), six on the thermal policy plus the step's base response (two
     floats per PE); the memo is local to the call and dropped when it

@@ -238,8 +238,8 @@ let utilization t =
   let busy = Array.fold_left (fun acc e -> acc +. (e.finish -. e.start)) 0.0 t.entries in
   busy /. (float_of_int (Array.length t.pes) *. Float.max t.hyper 1e-9)
 
-let schedule_adaptive ?base_weights ?(max_multiplier = 400.0) ?(search_steps = 16)
-    ?hotspot ~apps ~lib ~pes ~policy () =
+let schedule_adaptive ?base_weights ?(max_multiplier = 400.0) ?hotspot ~apps ~lib
+    ~pes ~policy () =
   if max_multiplier <= 0.0 then
     invalid_arg "Periodic.schedule_adaptive: non-positive multiplier";
   let base =
@@ -264,7 +264,7 @@ let schedule_adaptive ?base_weights ?(max_multiplier = 400.0) ?(search_steps = 1
     if meets ceiling then max_multiplier
     else begin
       let lo = ref 0.0 and hi = ref max_multiplier in
-      for _ = 1 to search_steps do
+      for _ = 1 to 16 do
         let mid = (!lo +. !hi) /. 2.0 in
         if meets (attempt mid) then lo := mid else hi := mid
       done;

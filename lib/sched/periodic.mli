@@ -93,7 +93,6 @@ val utilization : t -> float
 val schedule_adaptive :
   ?base_weights:Policy.weights ->
   ?max_multiplier:float ->
-  ?search_steps:int ->
   ?hotspot:Hotspot.t ->
   apps:app list ->
   lib:Library.t ->

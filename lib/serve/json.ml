@@ -291,6 +291,7 @@ let str = function Str s -> Some s | _ -> None
 let num = function Num f -> Some f | _ -> None
 let bool = function Bool b -> Some b | _ -> None
 let arr = function Arr items -> Some items | _ -> None
+let obj = function Obj _ as v -> Some v | _ -> None
 
 let float_array v =
   match v with
@@ -305,11 +306,32 @@ let float_array v =
       if !ok then Some out else None
   | _ -> None
 
-let get key extract ~default obj =
-  match mem key obj with
-  | None -> Some default
-  | Some v -> extract v
+let int = function
+  | Num f ->
+      let i = int_of_float f in
+      if float_of_int i = f then Some i else None
+  | _ -> None
 
-let get_bool ~default k obj = get k bool ~default obj
-let get_num ~default k obj = get k num ~default obj
-let get_str ~default k obj = get k str ~default obj
+let nat v = match int v with Some i when i >= 0 -> Some i | _ -> None
+
+(* --- field readers ------------------------------------------------------- *)
+
+(* Error strings are built only on the failing path: the server decodes
+   every request through these. *)
+let field_error key what = Error (Printf.sprintf "field %S: %s" key what)
+
+let field ?default key read ~what obj =
+  match mem key obj with
+  | Some v -> ( match read v with Some x -> Ok x | None -> field_error key what)
+  | None -> (
+      match default with Some d -> Ok d | None -> field_error key "required")
+
+let array ?default key decode ~what obj =
+  match (mem key obj, default) with
+  | None, Some d -> Ok d
+  | _ ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | x :: rest -> Result.bind (decode x) (fun d -> go (d :: acc) rest)
+      in
+      Result.bind (field key arr ~what obj) (go [])

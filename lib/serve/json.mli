@@ -36,8 +36,8 @@ val of_string : string -> (t, string) result
 
 (** {1 Accessors}
 
-    Total functions used by the protocol decoder: each returns [None]
-    (or the [default]) rather than raising on a shape mismatch. *)
+    Total functions: each returns [None] rather than raising on a shape
+    mismatch. *)
 
 val mem : string -> t -> t option
 (** [mem k (Obj _)] is the value bound to the {e first} occurrence of
@@ -48,14 +48,34 @@ val num : t -> float option
 val bool : t -> bool option
 val arr : t -> t list option
 
+val obj : t -> t option
+(** The value itself when it is an [Obj]. *)
+
+val int : t -> int option
+(** A number with an exact [int] value. *)
+
+val nat : t -> int option
+(** A non-negative {!int}. *)
+
 val float_array : t -> float array option
 (** An [Arr] of numbers, as a float array; [None] on anything else. *)
 
-val get_bool : default:bool -> string -> t -> bool option
-(** [get_bool ~default k obj] is [Some b] when [k] is absent (then
-    [default]) or bound to a boolean; [None] when bound to any other
-    shape — absence is fine, a type error is not. [get_num]/[get_str]
-    behave the same way. *)
+(** {1 Field readers}
 
-val get_num : default:float -> string -> t -> float option
-val get_str : default:string -> string -> t -> string option
+    The decoders of tatsd requests and campaign files: every failure reads
+    [field "k": <what>]. Messages are formatted only on failure. *)
+
+val field_error : string -> string -> ('a, string) result
+(** [field_error key what] is [Error "field \"key\": what"]. *)
+
+val field :
+  ?default:'a -> string -> (t -> 'a option) -> what:string -> t -> ('a, string) result
+(** [field ?default key read ~what obj] is [obj]'s member [key] read with
+    [read]: [Ok default] when absent ([field "key": required] without a
+    default), [field_error key what] when [read] rejects it. *)
+
+val array :
+  ?default:'a list -> string -> (t -> ('a, string) result) -> what:string -> t ->
+  ('a list, string) result
+(** {!field} for an array member whose items [decode] reads; the first
+    item error is returned as [decode] worded it. *)

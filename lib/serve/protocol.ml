@@ -2,6 +2,7 @@ module Policy = Tats_sched.Policy
 module Online = Tats_sched.Online
 module Constraints = Tats_sched.Constraints
 module Catalog = Tats_techlib.Catalog
+module Benchmarks = Tats_taskgraph.Benchmarks
 
 type arch = Platform | Cosynth
 
@@ -81,24 +82,20 @@ let request ?id ?deadline_ms kind = { id; deadline_ms; kind }
 (* --- decoding ----------------------------------------------------------- *)
 
 let ( let* ) = Result.bind
-
-let field_error field what =
-  Error (Printf.sprintf "field %S: %s" field what)
-
-let bench_of_name = function
-  | "Bm1" -> Ok 0
-  | "Bm2" -> Ok 1
-  | "Bm3" -> Ok 2
-  | "Bm4" -> Ok 3
-  | other ->
-      field_error "bench" (Printf.sprintf "unknown benchmark %S (want Bm1..Bm4)" other)
-
+let field_error = Json.field_error
 let bench_name i = Printf.sprintf "Bm%d" (i + 1)
 
-let req_get obj field extract ~default ~what =
-  match extract ~default field obj with
-  | Some v -> Ok v
-  | None -> field_error field what
+let decode_bench obj =
+  let* name = Json.field ~default:"Bm1" "bench" Json.str ~what:"must be a string" obj in
+  match Benchmarks.index_of_name name with
+  | Ok i -> Ok i
+  | Error e -> field_error "bench" e
+
+let decode_n_pes obj =
+  let* f = Json.field ~default:4.0 "n_pes" Json.num ~what:"must be a number" obj in
+  let n_pes = int_of_float f in
+  if n_pes < 1 || n_pes > 64 then field_error "n_pes" "must be in [1, 64]"
+  else Ok n_pes
 
 (* --- heterogeneous platform specs --------------------------------------- *)
 
@@ -108,99 +105,56 @@ let decode_platform obj =
   | Some v -> (
       match Json.str v with
       | None -> field_error "platform" "must be a string"
-      | Some name ->
-          if Option.is_some (Catalog.platform_named name) then Ok (Some name)
-          else
-            field_error "platform"
-              (Printf.sprintf "unknown platform %S (want %s)" name
-                 (String.concat "|" (Catalog.platform_names ()))))
+      | Some name -> (
+          match Catalog.platform_of_name name with
+          | Ok _ -> Ok (Some name)
+          | Error e -> field_error "platform" e))
 
-let nat_field item name =
-  match Option.bind (Json.mem name item) Json.num with
-  | Some f when Float.is_finite f && f >= 0.0 && Float.is_integer f ->
-      Some (int_of_float f)
-  | _ -> None
+(* Item errors name the outer member ("pins"/"isolation"), whichever
+   front end (tatsd, campaign spec) the object came from. *)
+let decode_pin item =
+  let nat key = Option.bind (Json.mem key item) Json.nat in
+  match (nat "task", nat "pe", nat "kind") with
+  | Some t, Some p, None -> Ok (t, Constraints.To_pe p)
+  | Some t, None, Some k -> Ok (t, Constraints.To_kind k)
+  | _ ->
+      field_error "pins" {|each pin must be {"task": int, "pe": int} or {"task": int, "kind": int}|}
 
-let decode_pins obj =
-  match Json.mem "pins" obj with
-  | None -> Ok []
-  | Some (Json.Arr items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest -> (
-            match
-              (nat_field item "task", nat_field item "pe", nat_field item "kind")
-            with
-            | Some t, Some p, None -> go ((t, Constraints.To_pe p) :: acc) rest
-            | Some t, None, Some k -> go ((t, Constraints.To_kind k) :: acc) rest
-            | _ ->
-                field_error "pins"
-                  "each pin must be {\"task\": int, \"pe\": int} or {\"task\": \
-                   int, \"kind\": int}")
-      in
-      go [] items
-  | Some _ -> field_error "pins" "must be an array of pin objects"
+let decode_class item =
+  let nat key = Option.bind (Json.mem key item) Json.nat in
+  match (nat "task", nat "class") with
+  | Some t, Some c -> Ok (t, c)
+  | _ -> field_error "isolation" {|each entry must be {"task": int, "class": int}|}
 
-let decode_isolation obj =
-  match Json.mem "isolation" obj with
-  | None -> Ok []
-  | Some (Json.Arr items) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest -> (
-            match (nat_field item "task", nat_field item "class") with
-            | Some t, Some c -> go ((t, c) :: acc) rest
-            | _ ->
-                field_error "isolation"
-                  "each entry must be {\"task\": int, \"class\": int}")
-      in
-      go [] items
-  | Some _ -> field_error "isolation" "must be an array of class objects"
+let decode_constraints obj =
+  let* pins = Json.array ~default:[] "pins" decode_pin ~what:"must be an array of pin objects" obj in
+  let* isolation =
+    Json.array ~default:[] "isolation" decode_class ~what:"must be an array of class objects" obj
+  in
+  Ok { Constraints.pins; isolation }
 
-(* Encoded only when present/non-empty, so requests without the
-   heterogeneity extension keep their historical byte-exact encodings. *)
+(* Each list is encoded only when non-empty, so requests and campaign
+   specs without constraints keep their historical byte-exact encodings
+   (and campaign cells their content addresses). *)
+let constraints_to_json { Constraints.pins; isolation } =
+  let int i = Json.Num (float_of_int i) in
+  let pin = function Constraints.To_pe p -> ("pe", int p) | To_kind k -> ("kind", int k) in
+  List.filter_map
+    (fun (key, items) -> if items = [] then None else Some (key, Json.Arr items))
+    [
+      ("pins", List.map (fun (t, p) -> Json.Obj [ ("task", int t); pin p ]) pins);
+      ( "isolation",
+        List.map (fun (t, c) -> Json.Obj [ ("task", int t); ("class", int c) ]) isolation );
+    ]
+
 let hetero_fields ~platform ~pins ~isolation =
   (match platform with Some n -> [ ("platform", Json.Str n) ] | None -> [])
-  @ (match pins with
-    | [] -> []
-    | pins ->
-        [
-          ( "pins",
-            Json.Arr
-              (List.map
-                 (fun (t, pin) ->
-                   let t = Json.Num (float_of_int t) in
-                   match pin with
-                   | Constraints.To_pe p ->
-                       Json.Obj
-                         [ ("task", t); ("pe", Json.Num (float_of_int p)) ]
-                   | Constraints.To_kind k ->
-                       Json.Obj
-                         [ ("task", t); ("kind", Json.Num (float_of_int k)) ])
-                 pins) );
-        ])
-  @
-  match isolation with
-  | [] -> []
-  | iso ->
-      [
-        ( "isolation",
-          Json.Arr
-            (List.map
-               (fun (t, c) ->
-                 Json.Obj
-                   [
-                     ("task", Json.Num (float_of_int t));
-                     ("class", Json.Num (float_of_int c));
-                   ])
-               iso) );
-      ]
+  @ constraints_to_json { Constraints.pins; isolation }
 
 let decode_schedule obj =
-  let* bench_s = req_get obj "bench" Json.get_str ~default:"Bm1" ~what:"must be a string" in
-  let* bench = bench_of_name bench_s in
+  let* bench = decode_bench obj in
   let* policy_s =
-    req_get obj "policy" Json.get_str ~default:"thermal" ~what:"must be a string"
+    Json.field ~default:"thermal" "policy" Json.str ~what:"must be a string" obj
   in
   let* policy =
     match Policy.of_name policy_s with
@@ -208,7 +162,7 @@ let decode_schedule obj =
     | None -> field_error "policy" (Printf.sprintf "unknown policy %S" policy_s)
   in
   let* arch_s =
-    req_get obj "arch" Json.get_str ~default:"platform" ~what:"must be a string"
+    Json.field ~default:"platform" "arch" Json.str ~what:"must be a string" obj
   in
   let* arch =
     match arch_s with
@@ -218,90 +172,80 @@ let decode_schedule obj =
         field_error "arch"
           (Printf.sprintf "unknown architecture %S (want platform|cosynth)" other)
   in
-  let* n_pes_f = req_get obj "n_pes" Json.get_num ~default:4.0 ~what:"must be a number" in
-  let n_pes = int_of_float n_pes_f in
-  if n_pes < 1 || n_pes > 64 then field_error "n_pes" "must be in [1, 64]"
-  else
-    let* platform = decode_platform obj in
-    let* pins = decode_pins obj in
-    let* isolation = decode_isolation obj in
-    if arch = Cosynth && (platform <> None || pins <> [] || isolation <> [])
-    then
-      field_error "arch"
-        "platform/pins/isolation require the platform architecture"
-    else Ok { bench; policy; arch; n_pes; platform; pins; isolation }
+  let* n_pes = decode_n_pes obj in
+  let* platform = decode_platform obj in
+  let* { Constraints.pins; isolation } = decode_constraints obj in
+  if arch = Cosynth && (platform <> None || pins <> [] || isolation <> []) then
+    field_error "arch" "platform/pins/isolation require the platform architecture"
+  else Ok { bench; policy; arch; n_pes; platform; pins; isolation }
 
 let decode_transient obj =
   let* sched = decode_schedule obj in
   let* periods_f =
-    req_get obj "periods" Json.get_num ~default:50.0 ~what:"must be a number"
+    Json.field ~default:50.0 "periods" Json.num ~what:"must be a number" obj
   in
   let periods = int_of_float periods_f in
   if periods < 2 then field_error "periods" "must be >= 2"
   else
     let* dt =
-      match Json.mem "dt" obj with
-      | None -> Ok None
-      | Some v -> (
-          match Json.num v with
-          | Some d when d > 0.0 -> Ok (Some d)
-          | _ -> field_error "dt" "must be a positive number")
+      Json.field ~default:None "dt"
+        (fun v ->
+          match Json.num v with Some d when d > 0.0 -> Some (Some d) | _ -> None)
+        ~what:"must be a positive number" obj
     in
     let* time_unit =
-      req_get obj "time_unit" Json.get_num ~default:1e-3 ~what:"must be a number"
+      Json.field ~default:1e-3 "time_unit" Json.num ~what:"must be a number" obj
     in
     if time_unit <= 0.0 then field_error "time_unit" "must be positive"
     else
       let* exact =
-        req_get obj "exact" Json.get_bool ~default:false ~what:"must be a boolean"
+        Json.field ~default:false "exact" Json.bool ~what:"must be a boolean" obj
       in
       Ok { sched; periods; dt; time_unit; exact }
 
+let finite_array ?length v =
+  match Json.float_array v with
+  | Some a
+    when Array.for_all Float.is_finite a
+         && (match length with
+            | None -> Array.length a > 0
+            | Some n -> Array.length a = n) ->
+      Some a
+  | _ -> None
+
 let decode_inquiry obj =
   let* power =
-    match Json.mem "power" obj with
-    | Some v -> (
-        match Json.float_array v with
-        | Some a when Array.length a > 0 && Array.for_all Float.is_finite a ->
-            Ok a
-        | _ -> field_error "power" "must be a non-empty array of finite numbers")
-    | None -> field_error "power" "required"
+    Json.field "power" finite_array
+      ~what:"must be a non-empty array of finite numbers" obj
   in
   let* n_pes_f =
-    req_get obj "n_pes" Json.get_num
+    Json.field
       ~default:(float_of_int (Array.length power))
-      ~what:"must be a number"
+      "n_pes" Json.num ~what:"must be a number" obj
   in
   let n_pes = int_of_float n_pes_f in
   if n_pes <> Array.length power then
     field_error "n_pes" "must equal the length of \"power\""
   else
     let* idle =
-      match Json.mem "idle" obj with
-      | None -> Ok (Array.make n_pes 0.0)
-      | Some v -> (
-          match Json.float_array v with
-          | Some a when Array.length a = n_pes && Array.for_all Float.is_finite a
-            ->
-              Ok a
-          | _ ->
-              field_error "idle"
-                "must be an array of finite numbers, one per PE")
+      Json.field ~default:(Array.make n_pes 0.0) "idle"
+        (finite_array ~length:n_pes)
+        ~what:"must be an array of finite numbers, one per PE" obj
     in
     Ok { n_pes; power; idle }
 
 let decode_online obj =
-  let* bench_s = req_get obj "bench" Json.get_str ~default:"Bm1" ~what:"must be a string" in
-  let* o_bench = bench_of_name bench_s in
+  let* o_bench = decode_bench obj in
   let* policy_s =
-    req_get obj "policy" Json.get_str ~default:"thermal" ~what:"must be a string"
+    Json.field ~default:"thermal" "policy" Json.str ~what:"must be a string" obj
   in
   let* policy =
     match Online.policy_of_name policy_s with
     | Some p -> Ok p
     | None ->
         field_error "policy"
-          (Printf.sprintf "unknown online policy %S (want baseline|h1|h2|h3|thermal|reactive)"
+          (Printf.sprintf
+             "unknown online policy %S (want baseline|h1|h2|h3|thermal|reactive)"
              policy_s)
   in
   let* o_policy =
@@ -316,7 +260,8 @@ let decode_online obj =
             field_error "trigger" "only meaningful with the reactive policy")
   in
   let* arrivals_s =
-    req_get obj "arrivals" Json.get_str ~default:"sporadic" ~what:"must be a string"
+    Json.field ~default:"sporadic" "arrivals" Json.str ~what:"must be a string"
+      obj
   in
   let* o_arrivals =
     match arrivals_s with
@@ -325,60 +270,50 @@ let decode_online obj =
     | "trace" -> Ok Trace
     | other ->
         field_error "arrivals"
-          (Printf.sprintf "unknown arrival stream %S (want zero|sporadic|trace)" other)
+          (Printf.sprintf "unknown arrival stream %S (want zero|sporadic|trace)"
+             other)
   in
-  let* seed_f = req_get obj "seed" Json.get_num ~default:1.0 ~what:"must be a number" in
+  let* seed_f = Json.field ~default:1.0 "seed" Json.num ~what:"must be a number" obj in
   let o_seed = int_of_float seed_f in
   if o_seed < 0 then field_error "seed" "must be non-negative"
   else
     let* o_mean_gap =
-      req_get obj "mean_gap" Json.get_num ~default:25.0 ~what:"must be a number"
+      Json.field ~default:25.0 "mean_gap" Json.num ~what:"must be a number" obj
     in
     if not (o_mean_gap > 0.0 && Float.is_finite o_mean_gap) then
       field_error "mean_gap" "must be a positive number"
     else
-      let* n_pes_f =
-        req_get obj "n_pes" Json.get_num ~default:4.0 ~what:"must be a number"
+      let* o_n_pes = decode_n_pes obj in
+      let* o_platform = decode_platform obj in
+      let* { Constraints.pins = o_pins; isolation = o_isolation } =
+        decode_constraints obj
       in
-      let o_n_pes = int_of_float n_pes_f in
-      if o_n_pes < 1 || o_n_pes > 64 then field_error "n_pes" "must be in [1, 64]"
-      else
-        let* o_platform = decode_platform obj in
-        let* o_pins = decode_pins obj in
-        let* o_isolation = decode_isolation obj in
-        Ok
-          {
-            o_bench;
-            o_n_pes;
-            o_policy;
-            o_arrivals;
-            o_seed;
-            o_mean_gap;
-            o_platform;
-            o_pins;
-            o_isolation;
-          }
+      Ok
+        {
+          o_bench;
+          o_n_pes;
+          o_policy;
+          o_arrivals;
+          o_seed;
+          o_mean_gap;
+          o_platform;
+          o_pins;
+          o_isolation;
+        }
 
 let request_of_json json =
   match json with
   | Json.Obj _ ->
       let id = Json.mem "id" json in
       let* deadline_ms =
-        match Json.mem "deadline_ms" json with
-        | None -> Ok None
-        | Some v -> (
+        Json.field ~default:None "deadline_ms"
+          (fun v ->
             match Json.num v with
-            | Some d when d >= 0.0 && Float.is_finite d -> Ok (Some d)
-            | _ -> field_error "deadline_ms" "must be a non-negative number")
+            | Some d when d >= 0.0 && Float.is_finite d -> Some (Some d)
+            | _ -> None)
+          ~what:"must be a non-negative number" json
       in
-      let* kind_s =
-        match Json.mem "kind" json with
-        | Some v -> (
-            match Json.str v with
-            | Some s -> Ok s
-            | None -> field_error "kind" "must be a string")
-        | None -> field_error "kind" "required"
-      in
+      let* kind_s = Json.field "kind" Json.str ~what:"must be a string" json in
       let* kind =
         match kind_s with
         | "ping" -> Ok Ping
@@ -397,9 +332,7 @@ let request_of_json json =
             let* p = decode_online json in
             Ok (Online p)
         | "sleep" ->
-            let* ms =
-              req_get json "ms" Json.get_num ~default:0.0 ~what:"must be a number"
-            in
+            let* ms = Json.field ~default:0.0 "ms" Json.num ~what:"must be a number" json in
             if ms < 0.0 || ms > 60_000.0 then
               field_error "ms" "must be in [0, 60000]"
             else Ok (Sleep (ms /. 1000.0))

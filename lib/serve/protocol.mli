@@ -11,10 +11,10 @@
                   ["arch": "platform" | "cosynth" = "platform"],
                   ["n_pes": int = 4], HETERO
     HETERO     := ["platform": "std4" | "biglittle4" | "mixed6"],
-                  ["pins": [{"task": int, "pe": int}
-                           |{"task": int, "kind": int}...]],
-                  ["isolation": [{"task": int, "class": int}...]]
-                  (platform architecture only)
+                  CONSTRAINTS (platform architecture only)
+    CONSTRAINTS := ["pins": [{"task": nat, "pe": nat}
+                            |{"task": nat, "kind": nat}...]],
+                   ["isolation": [{"task": nat, "class": nat}...]]
     inquiry    := "power": [num...], ["idle": [num...] = zeros],
                   ["n_pes": int = length of power]
     transient  := schedule params plus ["periods": int = 50], ["dt": num],
@@ -122,13 +122,33 @@ val request : ?id:Json.t -> ?deadline_ms:float -> kind -> request
 val request_of_json : Json.t -> (request, string) result
 (** Decode and validate one request. Unknown kinds, missing or ill-typed
     parameters, wrong-length arrays and out-of-range values are all
-    [Error] with a message naming the offending field. *)
+    [Error] with a message naming the offending field, in the shared
+    shape [field "k": <what>] of {!Json.field_error}. *)
 
 val request_to_json : request -> Json.t
 (** The client-side encoder; [request_of_json (request_to_json r) = Ok r]
     for any well-formed [r]. The one caveat: of a reactive online policy
     only the trigger travels on the wire, so round-tripping requires the
     other reactive knobs to be {!Tats_sched.Online.default_reactive}. *)
+
+(** {1 Pins and isolation}
+
+    The one codec of the [CONSTRAINTS] members above, shared by tatsd
+    requests and campaign spec platforms
+    ([Campaign.spec_of_string]): both front ends accept
+    the same members and reject a malformed one with the same message. *)
+
+val decode_constraints : Json.t -> (Constraints.spec, string) result
+(** The ["pins"] and ["isolation"] members of an object; an absent member
+    is the empty list. A non-array member, or an item that is not one of
+    the grammar's objects with non-negative integers, is an [Error]
+    naming the outer member (["pins"] or ["isolation"]). Whether tasks,
+    PEs and kinds exist on the platform is {!Constraints.make}'s check. *)
+
+val constraints_to_json : Constraints.spec -> (string * Json.t) list
+(** The members {!decode_constraints} reads, [pins] then [isolation],
+    each omitted when its list is empty — so an unconstrained request or
+    platform keeps its historical bytes. *)
 
 (** {1 Replies} *)
 

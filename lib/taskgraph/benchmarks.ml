@@ -34,10 +34,11 @@ let load i =
 
 let all () = Array.init (Array.length descriptors) load
 
-let by_name name =
+let index_of_name name =
   let rec find i =
-    if i >= Array.length descriptors then raise Not_found
-    else if String.equal descriptors.(i).bench_name name then load i
+    if i >= Array.length descriptors then
+      Error (Printf.sprintf "unknown benchmark %S (want Bm1..Bm4)" name)
+    else if String.equal descriptors.(i).bench_name name then Ok i
     else find (i + 1)
   in
   find 0

@@ -25,5 +25,6 @@ val load : int -> Graph.t
 val all : unit -> Graph.t array
 (** All four benchmarks, in order. *)
 
-val by_name : string -> Graph.t
-(** [by_name "Bm2"] — raises [Not_found] for unknown names. *)
+val index_of_name : string -> (int, string) result
+(** [index_of_name "Bm2"] is [Ok 1], the {!load} index; an unknown name
+    is an [Error] naming it and the valid range. *)

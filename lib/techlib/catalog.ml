@@ -73,6 +73,14 @@ let platform_named name =
 
 let platform_names () = List.map Platform.name (builtin_platforms ())
 
+let platform_of_name name =
+  match platform_named name with
+  | Some p -> Ok p
+  | None ->
+      Error
+        (Printf.sprintf "unknown platform %S (want %s)" name
+           (String.concat "|" (platform_names ())))
+
 let library_seed = 77
 
 let default_library () =

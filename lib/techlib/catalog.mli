@@ -45,6 +45,11 @@ val platform_named : string -> Platform.t option
 val platform_names : unit -> string list
 (** Names of {!builtin_platforms}, in order. *)
 
+val platform_of_name : string -> (Platform.t, string) result
+(** {!platform_named}, with the one error message every front end (CLI,
+    tatsd, campaign specs) reports for a miss:
+    [unknown platform "x" (want std4|biglittle4|mixed6)]. *)
+
 val library_for : Platform.t -> Library.t
 (** The technology library for a typed platform: the shared seed and task
     types, with one column per platform kind. *)

@@ -25,6 +25,10 @@ module Flow = Tats_cosynth.Flow
 module Pool = Tats_util.Pool
 module Fsio = Tats_util.Fsio
 module Campaign = Tats_campaign.Campaign
+module Json = Tats_serve.Json
+module Protocol = Tats_serve.Protocol
+module Constraints = Tats_sched.Constraints
+module Online = Tats_sched.Online
 
 (* --- helpers -------------------------------------------------------------- *)
 
@@ -534,6 +538,114 @@ let test_manifest_round_trip () =
       Alcotest.(check string) "re-encoding byte-stable" s
         (Campaign.manifest_to_string m')
 
+(* --- one codec for tatsd requests and spec files ------------------------ *)
+
+(* Malformed pins/isolation members, each with the error both front ends
+   must give for it. *)
+let malformed_constraints =
+  let pin_shape =
+    {|field "pins": each pin must be {"task": int, "pe": int} or {"task": int, "kind": int}|}
+  in
+  [
+    ("negative task", {|"pins":[{"task":-1,"pe":0}]|}, pin_shape);
+    ("fractional pe", {|"pins":[{"task":0,"pe":0.5}]|}, pin_shape);
+    ("both pe and kind", {|"pins":[{"task":0,"pe":1,"kind":1}]|}, pin_shape);
+    ("non-array pins", {|"pins":7|}, {|field "pins": must be an array of pin objects|});
+    ( "non-array isolation",
+      {|"isolation":"none"|},
+      {|field "isolation": must be an array of class objects|} );
+    ( "string class",
+      {|"isolation":[{"task":0,"class":"a"}]|},
+      {|field "isolation": each entry must be {"task": int, "class": int}|} );
+  ]
+
+let test_same_input_same_verdict () =
+  List.iter
+    (fun (what, member, expected) ->
+      let request kind =
+        match Json.of_string (Printf.sprintf {|{"kind":%S,%s}|} kind member) with
+        | Error e -> Alcotest.failf "%s: fixture does not parse: %s" what e
+        | Ok j -> Result.map (fun _ -> ()) (Protocol.request_of_json j)
+      in
+      let spec =
+        Campaign.spec_of_string
+          (Printf.sprintf
+             {|{"name":"v","graphs":[{"bench":0}],"policies":["baseline"],"platforms":[{"arch":"platform","n_pes":4,"ambient":45,%s}]}|}
+             member)
+      in
+      let verdict = Alcotest.(result unit string) in
+      Alcotest.check verdict (what ^ ": schedule request") (Error expected)
+        (request "schedule");
+      Alcotest.check verdict (what ^ ": online request") (Error expected)
+        (request "online");
+      Alcotest.check verdict (what ^ ": campaign spec") (Error expected)
+        (Result.map (fun _ -> ()) spec))
+    malformed_constraints
+
+(* Captured before the pins/isolation codec moved into Protocol: the
+   wire bytes of constrained requests, and a constrained hetero spec's
+   canonical encoding and cell id, stay exactly these. *)
+let test_encodings_pinned () =
+  let pins = [ (0, Constraints.To_pe 1); (3, Constraints.To_kind 2) ] in
+  let isolation = [ (1, 0); (2, 1) ] in
+  let wire kind = Json.to_string (Protocol.request_to_json kind) in
+  Alcotest.(check string)
+    "schedule request"
+    {|{"id":7,"kind":"schedule","bench":"Bm3","policy":"thermal","arch":"platform","n_pes":4,"platform":"mixed6","pins":[{"task":0,"pe":1},{"task":3,"kind":2}],"isolation":[{"task":1,"class":0},{"task":2,"class":1}]}|}
+    (wire
+       (Protocol.request ~id:(Json.Num 7.0)
+          (Protocol.Schedule
+             {
+               Protocol.bench = 2;
+               policy = Policy.Thermal_aware;
+               arch = Protocol.Platform;
+               n_pes = 4;
+               platform = Some "mixed6";
+               pins;
+               isolation;
+             })));
+  Alcotest.(check string)
+    "online request"
+    {|{"kind":"online","bench":"Bm2","policy":"thermal","arrivals":"sporadic","seed":5,"mean_gap":12.5,"n_pes":4,"platform":"biglittle4","pins":[{"task":0,"pe":1},{"task":3,"kind":2}],"isolation":[{"task":1,"class":0},{"task":2,"class":1}]}|}
+    (wire
+       (Protocol.request
+          (Protocol.Online
+             {
+               Protocol.o_bench = 1;
+               o_n_pes = 4;
+               o_policy = Online.Mirror Policy.Thermal_aware;
+               o_arrivals = Protocol.Sporadic;
+               o_seed = 5;
+               o_mean_gap = 12.5;
+               o_platform = Some "biglittle4";
+               o_pins = pins;
+               o_isolation = isolation;
+             })));
+  let spec =
+    {
+      Campaign.name = "lit";
+      graphs = [ Campaign.Bench 0 ];
+      policies = [ Policy.Baseline ];
+      platforms =
+        [
+          {
+            Campaign.arch = Campaign.Hetero "mixed6";
+            ambient = 45.0;
+            power_budget = Some 30.0;
+            pins;
+            isolation;
+          };
+        ];
+    }
+  in
+  Alcotest.(check string)
+    "spec encoding"
+    {|{"name":"lit","graphs":[{"bench":0}],"policies":["baseline"],"platforms":[{"arch":"hetero","platform":"mixed6","ambient":45,"power_budget":30,"pins":[{"task":0,"pe":1},{"task":3,"kind":2}],"isolation":[{"task":1,"class":0},{"task":2,"class":1}]}]}|}
+    (Campaign.spec_to_string spec);
+  Alcotest.(check (list string))
+    "cell id" [ "7b2269e72bea1c5e2ac5baaa852e65b6" ]
+    (List.map Campaign.cell_id (Campaign.expand spec))
+
 (* --- CLI ------------------------------------------------------------------ *)
 
 let test_cli_run_report_gate () =
@@ -595,7 +707,37 @@ let test_cli_run_report_gate () =
       spec_file dir cooled
       (Filename.concat root "gate-tol.txt")
   in
-  Alcotest.(check int) "tolerated drift exits 0" 0 rc
+  Alcotest.(check int) "tolerated drift exits 0" 0 rc;
+  (* Bad spec files are bad input, not crashes: exit 2, the problem named
+     on stderr. One fails only when its cell runs, one at decode. *)
+  List.iter
+    (fun (tag, text, problem) ->
+      let file = Filename.concat root (tag ^ ".json")
+      and out = Filename.concat root (tag ^ ".txt") in
+      Fsio.write_atomic file text;
+      let rc =
+        sh "../bin/tats.exe campaign run --spec-file %s --dir %s >%s 2>&1" file
+          (Filename.concat root (tag ^ "-store"))
+          out
+      in
+      let err = read_file out in
+      Alcotest.(check int) (tag ^ " exits 2") 2 rc;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %S" tag err problem)
+        true
+        (contains_substring err problem);
+      Alcotest.(check bool)
+        (tag ^ ": no uncaught exception")
+        false
+        (contains_substring err "uncaught exception"))
+    [
+      ( "bad-pin",
+        {|{"name":"bad","graphs":[{"bench":0}],"policies":["baseline"],"platforms":[{"arch":"platform","n_pes":4,"ambient":45,"pins":[{"task":999,"pe":0}]}]}|},
+        "pinned task 999 out of range" );
+      ( "bad-bench",
+        {|{"name":"bad","graphs":[{"bench":9}],"policies":["baseline"],"platforms":[{"arch":"platform","n_pes":4,"ambient":45}]}|},
+        "benchmark index 9 out of range" );
+    ]
 
 (* --- bench-phase / alias drift -------------------------------------------- *)
 
@@ -683,6 +825,12 @@ let () =
             test_gate_missing_and_extra_cells;
           Alcotest.test_case "manifest round trip" `Quick
             test_manifest_round_trip;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "same input, same verdict" `Quick
+            test_same_input_same_verdict;
+          Alcotest.test_case "encodings pinned" `Quick test_encodings_pinned;
         ] );
       ( "cli",
         [

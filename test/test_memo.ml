@@ -45,7 +45,7 @@ module Rng = Tats_util.Rng
 
 (* The bisection of [List_sched.run_adaptive] over fresh, unmemoized
    [schedule weights] calls. *)
-let bisect ?(max_multiplier = 400.0) ?(search_steps = 16) ~base schedule =
+let bisect ?(max_multiplier = 400.0) ~base schedule =
   let attempt mult =
     let weights = { Policy.cost_weight = base.Policy.cost_weight *. mult } in
     (schedule weights, weights)
@@ -59,7 +59,7 @@ let bisect ?(max_multiplier = 400.0) ?(search_steps = 16) ~base schedule =
     else begin
       let best = ref floor in
       let lo = ref 0.0 and hi = ref max_multiplier in
-      for _ = 1 to search_steps do
+      for _ = 1 to 16 do
         let mid = (!lo +. !hi) /. 2.0 in
         let candidate = attempt mid in
         if meets candidate then begin
@@ -75,12 +75,12 @@ let default_weights graph = Policy.default_weights ~deadline:(Graph.deadline gra
 
 (* [run_adaptive] as it stood before the memo: the bisection over plain
    [List_sched.run] calls. *)
-let reference_adaptive ?base_weights ?max_multiplier ?search_steps ?hotspot
+let reference_adaptive ?base_weights ?max_multiplier ?hotspot
     ?exclusive ?constraints ~graph ~lib ~pes ~policy () =
   let base =
     match base_weights with Some w -> w | None -> default_weights graph
   in
-  bisect ?max_multiplier ?search_steps ~base (fun weights ->
+  bisect ?max_multiplier ~base (fun weights ->
       List_sched.run ~weights ?hotspot ?exclusive ?constraints ~graph ~lib ~pes
         ~policy ())
 

@@ -194,11 +194,15 @@ let test_benchmark_descriptors_match_paper () =
     expect
 
 let test_benchmark_by_name () =
-  let g = Benchmarks.by_name "Bm3" in
-  Alcotest.(check int) "Bm3 tasks" 39 (Graph.n_tasks g);
-  Alcotest.(check bool) "unknown raises" true
-    (try ignore (Benchmarks.by_name "nope" : Graph.t); false
-     with Not_found -> true)
+  (match Benchmarks.index_of_name "Bm3" with
+  | Ok i ->
+      Alcotest.(check int) "Bm3 index" 2 i;
+      Alcotest.(check int) "Bm3 tasks" 39 (Graph.n_tasks (Benchmarks.load i))
+  | Error e -> Alcotest.failf "Bm3 not found: %s" e);
+  Alcotest.(check (result int string))
+    "unknown is an error naming it"
+    (Error "unknown benchmark \"nope\" (want Bm1..Bm4)")
+    (Benchmarks.index_of_name "nope")
 
 let test_benchmark_task_types_in_range () =
   Array.iter
