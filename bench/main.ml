@@ -12,24 +12,22 @@
    3. Measures the parallel scaling of the domain-pool workloads
       (Monte-Carlo, GA fitness, SA restarts) at 1/2/4 domains and verifies
       they are bit-identical to the sequential runs.
-   4. Drives the online, serving, campaign and heterogeneous-platform
-      layers and gates their invariants (clairvoyant ratio floor,
-      cross-request cache hits, resume byte-identity, std4 degeneracy),
-      then bounds the disabled-mode observability overhead.
-   5. Times the experiment kernels with Bechamel (one Test.make per table
-      plus one per Figure-1 flow, and micro-benchmarks of the hot paths).
+   4. Drives the campaign runner and gates its resume invariants (byte-
+      identical manifests, cheap no-op resume).
+   5. Bounds the disabled-mode observability overhead.
 
-   Pass --tables-only to skip the Bechamel timing runs (CI-friendly),
-   --jobs N to size the default execution pool used by the table phase,
-   and --only PHASE (repeatable) to run a subset of the phases.
+   Throughput of the online, serving and heterogeneous-platform layers is
+   measured by perfbench/ (workloads online-stream, tatsd-mix, dag-sweep);
+   their invariants are tier-1 tests.
+
+   Pass --jobs N to size the default execution pool used by the table
+   phase, and --only PHASE (repeatable) to run a subset of the phases.
 
    Every gate that prints FAIL makes the run exit 1, once, after every
    selected phase has run; SKIP never fails. Every BENCH_*.json written
    is echoed as one machine-readable line `BENCH-JSON <path>` for CI
    collectors. *)
 
-open Bechamel
-open Toolkit
 module Json = Core.Serve.Json
 
 let hr title =
@@ -84,8 +82,7 @@ let only_phases = flag_values "--only"
 
 (* Every name ever passed to [timed_phase]; --only arguments are checked
    against it up front, so a typo is a hard error instead of a silently
-   empty run. The list itself lives in [Core.Phases] — shared with the
-   dune-alias drift check in test_campaign — and [timed_phase]
+   empty run. The list itself lives in [Core.Phases], and [timed_phase]
    cross-checks at runtime so it cannot drift from the actual phase
    calls. *)
 let known_phases = Core.Phases.names
@@ -341,7 +338,7 @@ let ablation_solvers () =
       Printf.printf "%-14s %10.2f %10.2f %10.2f %10.2f\n"
         (Printf.sprintf "grid %dx%d" n n) t.(0) t.(1) t.(2) t.(3))
     [ 8; 16; 32 ];
-  Printf.printf "(block means agree within a couple of °C; see the timing benches)\n"
+  Printf.printf "(block means agree within a couple of °C)\n"
 
 let ablation_floorplanners () =
   hr "Ablation — GA vs simulated-annealing floorplanner (same cost, same blocks)";
@@ -752,273 +749,7 @@ let parallel_scaling () =
        ])
 
 (* ----------------------------------------------------------------------- *)
-(* 4. Online scheduling — event-loop throughput and competitive ratios      *)
-(* ----------------------------------------------------------------------- *)
-
-(* The online event loop replans at every release, so its cost is measured
-   in scheduling decisions per second (one decision = one committed task),
-   not in schedules per second. Each scenario is scored against the
-   clairvoyant offline baseline; the gate restates the subsystem's core
-   guarantee — the clairvoyant never loses, so both empirical competitive
-   ratios are >= 1 on every stream. *)
-let online_bench () =
-  hr "Online scheduling — event-loop throughput vs clairvoyant baseline";
-  let lib = Core.Catalog.platform_library () in
-  let pes = Core.Catalog.platform_instances 4 in
-  let time_min ~samples f =
-    let best = ref infinity in
-    for _ = 1 to samples do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let scenarios =
-    [
-      (0, Core.Flow.Release_sporadic 1, Core.Online.Mirror Core.Policy.Baseline);
-      (0, Core.Flow.Release_sporadic 1, Core.Online.Mirror Core.Policy.Thermal_aware);
-      ( 0,
-        Core.Flow.Release_sporadic 1,
-        Core.Online.Reactive
-          { Core.Online.default_reactive with Core.Online.trigger = 50.0 } );
-      (1, Core.Flow.Release_sporadic 2, Core.Online.Mirror Core.Policy.Thermal_aware);
-      (2, Core.Flow.Release_trace, Core.Online.Mirror Core.Policy.Thermal_aware);
-    ]
-  in
-  Printf.printf "%-6s %-9s %-9s %9s %12s %8s %8s %6s\n" "bench" "arrivals"
-    "policy" "decisions" "decisions/s" "mkspn r" "peak r" "gate";
-  let rows =
-    List.map
-      (fun (bench, arrivals, policy) ->
-        let graph = Core.Benchmarks.load bench in
-        let o = Core.Flow.run_online ~arrivals ~graph ~lib ~policy () in
-        let st = o.Core.Flow.online.Core.Online.stats in
-        (* Throughput of the event loop alone — arrivals, platform and
-           facade held fixed, so the clairvoyant baseline and the Replay
-           scoring stay out of the measurement. *)
-        let run_wall =
-          time_min ~samples:5 (fun () ->
-              Core.Online.run ~hotspot:o.Core.Flow.online_hotspot
-                ~arrivals:o.Core.Flow.online.Core.Online.arrivals ~graph ~lib
-                ~pes ~policy ())
-        in
-        let dps = float_of_int st.Core.Online.decisions /. Float.max run_wall 1e-9 in
-        let sc = o.Core.Flow.score in
-        let holds =
-          sc.Core.Online.makespan_ratio >= 1.0 && sc.Core.Online.peak_ratio >= 1.0
-        in
-        let row_gate = if holds then "PASS" else "FAIL" in
-        let bench = Core.Graph.name graph
-        and arrivals = Core.Flow.arrival_source_name arrivals
-        and policy = Core.Online.policy_name policy in
-        Printf.printf "%-6s %-9s %-9s %9d %12.0f %8.4f %8.4f %6s\n" bench
-          arrivals policy st.Core.Online.decisions dps
-          sc.Core.Online.makespan_ratio sc.Core.Online.peak_ratio row_gate;
-        ( holds,
-          Json.Obj
-            [
-              ("bench", str bench);
-              ("arrivals", str arrivals);
-              ("policy", str policy);
-              ("events", int st.Core.Online.events);
-              ("decisions", int st.Core.Online.decisions);
-              ("deferrals", int st.Core.Online.deferrals);
-              ("run_wall_s", num run_wall);
-              ("decisions_per_sec", num dps);
-              ("makespan_ratio", num sc.Core.Online.makespan_ratio);
-              ("peak_ratio", num sc.Core.Online.peak_ratio);
-              ("gate", str row_gate);
-            ] ))
-      scenarios
-  in
-  let verdict = gate "online ratio floor" (List.for_all fst rows) in
-  Printf.printf
-    "clairvoyant never loses (both ratios >= 1 on every stream): %s\n" verdict;
-  write_json "BENCH_online.json"
-    (Json.Obj
-       [
-         ("ratio_floor", num 1.0);
-         ("scenarios", Json.Arr (List.map snd rows));
-         ("ratio_check", str verdict);
-       ])
-
-(* ----------------------------------------------------------------------- *)
-(* 5. Serving throughput — in-process tatsd under a concurrent load        *)
-(* ----------------------------------------------------------------------- *)
-
-(* Load generator: [clients] threads, one connection each, every thread
-   issuing [per_client] requests back to back.  Per-thread ok/error slots
-   need no locking; the wall clock covers connect-to-join. *)
-let serve_load ~socket ~clients ~per_client ~make_req =
-  let oks = Array.make clients 0 and errs = Array.make clients 0 in
-  let body ci =
-    Core.Serve.Client.with_client socket @@ fun c ->
-    for k = 0 to per_client - 1 do
-      match Core.Serve.Client.request c (make_req ci k) with
-      | Ok reply when Core.Serve.Protocol.reply_ok reply ->
-          oks.(ci) <- oks.(ci) + 1
-      | Ok _ | Error _ -> errs.(ci) <- errs.(ci) + 1
-    done
-  in
-  let t0 = Unix.gettimeofday () in
-  let threads = List.init clients (fun ci -> Thread.create body ci) in
-  List.iter Thread.join threads;
-  ( Unix.gettimeofday () -. t0,
-    Array.fold_left ( + ) 0 oks,
-    Array.fold_left ( + ) 0 errs )
-
-let serve_throughput () =
-  hr "Serving throughput — in-process tatsd under concurrent clients";
-  let module Server = Core.Serve.Server in
-  let module Protocol = Core.Serve.Protocol in
-  let module Engines = Core.Serve.Engines in
-  let cores = Domain.recommended_domain_count () in
-  let jobs = Core.Pool.jobs (Core.Pool.default ()) in
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tats-bench-%d.sock" (Unix.getpid ()))
-  in
-  let server =
-    Server.create
-      { Server.default_config with socket_path = socket; max_queue = 256 }
-  in
-  Fun.protect ~finally:(fun () -> Server.stop_and_wait server)
-  @@ fun () ->
-  let policies = [| "baseline"; "h1"; "h2"; "h3"; "thermal" |] in
-  let schedule_req i =
-    let policy =
-      Option.get (Core.Policy.of_name policies.(i mod Array.length policies))
-    in
-    Protocol.request
-      (Protocol.Schedule
-         {
-           Protocol.bench = 0;
-           policy;
-           arch = Protocol.Platform;
-           n_pes = 4;
-           platform = None;
-           pins = [];
-           isolation = [];
-         })
-  in
-  (* A small pool of repeated power vectors: every vector recurs across
-     clients, so the quantized-power cache sees cross-request repeats. *)
-  let n_vectors = 16 in
-  let inquiry_req ci k =
-    let v = (ci + (k * 5)) mod n_vectors in
-    let power = Array.init 4 (fun p -> 0.4 +. (0.03 *. float_of_int (v + p))) in
-    Protocol.request
-      (Protocol.Inquiry { Protocol.n_pes = 4; power; idle = Array.make 4 0.1 })
-  in
-  (* Warm: the full schedule mix once, so the 1-client / 4-client runs
-     below compare at equal cache warmth. *)
-  let sched_total = 8 in
-  let _, warm_ok, warm_err =
-    serve_load ~socket ~clients:1 ~per_client:sched_total
-      ~make_req:(fun _ k -> schedule_req k)
-  in
-  let sched_wall_1, ok_1, err_1 =
-    serve_load ~socket ~clients:1 ~per_client:sched_total
-      ~make_req:(fun _ k -> schedule_req k)
-  in
-  let sched_wall_4, ok_4, err_4 =
-    serve_load ~socket ~clients:4
-      ~per_client:(sched_total / 4)
-      ~make_req:(fun ci k -> schedule_req ((ci * (sched_total / 4)) + k))
-  in
-  let conc_speedup = sched_wall_1 /. Float.max sched_wall_4 1e-9 in
-  (* Inquiry throughput: latency percentiles come from the server's own
-     serve.latency_s histogram, reset so it covers exactly this run. *)
-  let latency = Core.Metricsreg.histogram "serve.latency_s" in
-  Core.Metricsreg.reset_histogram latency;
-  let inq_clients = 4 and inq_per_client = 200 in
-  let inq_wall, inq_ok, inq_err =
-    serve_load ~socket ~clients:inq_clients ~per_client:inq_per_client
-      ~make_req:inquiry_req
-  in
-  let inq_total = inq_clients * inq_per_client in
-  let req_per_s = float_of_int inq_total /. Float.max inq_wall 1e-9 in
-  let s = Core.Metricsreg.summary latency in
-  let es = Engines.stats (Server.engines server) in
-  let hit_rate = Engines.hit_rate es in
-  let total_errs = warm_err + err_1 + err_4 + inq_err in
-  let total_oks = warm_ok + ok_1 + ok_4 + inq_ok in
-  let skip = cores < 4 in
-  let skip_reason = if skip then Some (skip_reason_of_cores cores) else None in
-  let conc_verdict =
-    if skip then "SKIP"
-    else gate "serve concurrency speedup >= 1.2x" (conc_speedup >= 1.2)
-  in
-  let cache_verdict = gate "serve cross-request cache hits" (hit_rate > 0.0) in
-  ignore (gate "serve replies without errors" (total_errs = 0) : string);
-  Printf.printf "detected cores: %d, pool jobs: %d\n" cores jobs;
-  Printf.printf "replies: %d ok, %d errors\n" total_oks total_errs;
-  Printf.printf
-    "schedule mix (%d requests, warm): 1 client %.3fs, 4 clients %.3fs — \
-     %.2fx concurrency speedup (>= 1.2x target): %s%s\n"
-    sched_total sched_wall_1 sched_wall_4 conc_speedup conc_verdict
-    (match skip_reason with Some r -> " (" ^ r ^ ")" | None -> "");
-  Printf.printf
-    "inquiry load: %d clients x %d requests in %.3fs = %.0f req/s\n"
-    inq_clients inq_per_client inq_wall req_per_s;
-  Printf.printf "request latency: p50 %.3g ms, p95 %.3g ms, p99 %.3g ms\n"
-    (s.Core.Metricsreg.p50 *. 1e3)
-    (s.Core.Metricsreg.p95 *. 1e3)
-    (s.Core.Metricsreg.p99 *. 1e3);
-  Printf.printf
-    "cross-request inquiry cache: %d inquiries, %d hits (%.1f%%, > 0 gate): \
-     %s\n"
-    es.Engines.inquiries es.Engines.cache_hits (100.0 *. hit_rate)
-    cache_verdict;
-  write_json "BENCH_serve.json"
-    (Json.Obj
-       [
-         ("cores", int cores);
-         ("host_cores", int cores);
-         ("jobs", int jobs);
-         ("replies_ok", int total_oks);
-         ("replies_error", int total_errs);
-         ( "schedule",
-           Json.Obj
-             [
-               ("requests", int sched_total);
-               ("wall_1client_s", num sched_wall_1);
-               ("wall_4clients_s", num sched_wall_4);
-               ("concurrency_speedup", num conc_speedup);
-               ("speedup_target", num 1.2);
-               ("speedup_check", str conc_verdict);
-               ("skip_reason", opt_str skip_reason);
-             ] );
-         ( "inquiry",
-           Json.Obj
-             [
-               ("clients", int inq_clients);
-               ("requests", int inq_total);
-               ("wall_s", num inq_wall);
-               ("req_per_s", num req_per_s);
-               ( "latency_ms",
-                 Json.Obj
-                   [
-                     ("count", int s.Core.Metricsreg.count);
-                     ("p50", num (s.Core.Metricsreg.p50 *. 1e3));
-                     ("p95", num (s.Core.Metricsreg.p95 *. 1e3));
-                     ("p99", num (s.Core.Metricsreg.p99 *. 1e3));
-                   ] );
-             ] );
-         ( "cache",
-           Json.Obj
-             [
-               ("engines", int es.Engines.engines);
-               ("inquiries", int es.Engines.inquiries);
-               ("hits", int es.Engines.cache_hits);
-               ("hit_rate", num hit_rate);
-               ("check", str cache_verdict);
-             ] );
-       ])
-
-(* ----------------------------------------------------------------------- *)
-(* 6. Campaign runner — sharded resumable sweeps at the 1000-cell scale    *)
+(* 4. Campaign runner — sharded resumable sweeps at the 1000-cell scale    *)
 (* ----------------------------------------------------------------------- *)
 
 (* Three measurements on the campaign runner:
@@ -1170,84 +901,7 @@ let campaign_bench () =
   Core.Fsio.remove_recursive dir_int
 
 (* ----------------------------------------------------------------------- *)
-(* 7. Heterogeneous platforms                                               *)
-(* ----------------------------------------------------------------------- *)
-
-(* Throughput of the typed-platform flow on the mixed big.LITTLE builtin
-   (free and under pins + isolation), plus the degeneracy gate: the
-   [?n_pes] sugar and the named single-kind std4 platform must give the
-   same flow bit for bit under every policy. *)
-let hetero_bench () =
-  hr "Heterogeneous platforms — typed-flow throughput and degeneracy gate";
-  let graph = Core.Benchmarks.load 0 in
-  let platform = Option.get (Core.Catalog.platform_named "biglittle4") in
-  let lib = Core.Catalog.library_for platform in
-  let throughput name constraints =
-    let flow () =
-      ignore
-        (Core.Flow.run_platform ~platform ~constraints ~graph ~lib
-           ~policy:Core.Policy.Thermal_aware ()
-          : Core.Flow.outcome)
-    in
-    flow () (* warm the factorization caches once *);
-    let reps = 10 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      flow ()
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    let sps = float_of_int reps /. Float.max wall 1e-9 in
-    Printf.printf "%-28s %6d reps %9.3f s %12.1f schedules/sec\n" name reps
-      wall sps;
-    sps
-  in
-  let free_sps = throughput "biglittle4 free" Core.Constraints.empty in
-  let pinned_sps =
-    throughput "biglittle4 pinned+isolated"
-      {
-        Core.Constraints.pins = [ (0, Core.Constraints.To_kind 1) ];
-        isolation = [ (1, 0); (2, 1) ];
-      }
-  in
-  (* Degeneracy gate: [?n_pes] sugar vs the named std4 platform, all five
-     policies, bit-compared on makespan/power/temperatures/cost. *)
-  let std4 = Option.get (Core.Catalog.platform_named "std4") in
-  let fingerprint (o : Core.Flow.outcome) =
-    let r = o.Core.Flow.row in
-    List.map Int64.bits_of_float
-      [ o.Core.Flow.schedule.Core.Schedule.makespan; r.Core.Metrics.total_power;
-        r.Core.Metrics.max_temp; r.Core.Metrics.avg_temp; o.Core.Flow.arch_cost ]
-  in
-  let degenerate_identical =
-    List.for_all
-      (fun policy ->
-        let sugar =
-          Core.Flow.run_platform ~graph
-            ~lib:(Core.Catalog.platform_library ())
-            ~policy ()
-        in
-        let typed =
-          Core.Flow.run_platform ~platform:std4 ~graph
-            ~lib:(Core.Catalog.library_for std4) ~policy ()
-        in
-        fingerprint sugar = fingerprint typed)
-      Core.Policy.all
-  in
-  let degenerate_verdict = gate "hetero degeneracy" degenerate_identical in
-  Printf.printf "degenerate std4 == ?n_pes:4 sugar (all policies): %s\n"
-    (if degenerate_identical then "PASS (bit-identical)" else "FAIL");
-  write_json "BENCH_hetero.json"
-    (Json.Obj
-       [
-         ("platform", str "biglittle4");
-         ("policy", str "thermal");
-         ("free_schedules_per_sec", num free_sps);
-         ("constrained_schedules_per_sec", num pinned_sps);
-         ("degenerate_bit_identity", str degenerate_verdict);
-       ])
-
-(* ----------------------------------------------------------------------- *)
-(* 8. Observability overhead                                                *)
+(* 5. Observability overhead                                                *)
 (* ----------------------------------------------------------------------- *)
 
 (* The tracing layer promises that a disabled [with_span] costs one atomic
@@ -1323,147 +977,8 @@ let observability_overhead () =
          ("overhead_check", str verdict);
        ])
 
-(* ----------------------------------------------------------------------- *)
-(* 9. Bechamel timing benches                                               *)
-(* ----------------------------------------------------------------------- *)
-
-let timing_tests () =
-  let platform_lib = Core.Catalog.platform_library () in
-  let hetero_lib = Core.Catalog.default_library () in
-  let bm1 = Core.Benchmarks.load 0 in
-  let hotspot = platform_hotspot () in
-  let steady = Core.Hotspot.solver hotspot in
-  let power = [| 2.0; 6.0; 1.0; 3.0 |] in
-  let grid32 =
-    Core.Gridmodel.build ~nx:32 ~ny:32 Core.Package.default
-      (Core.Hotspot.placement hotspot)
-  in
-  let pes = Core.Catalog.platform_instances 4 in
-  let ga_blocks = random_blocks 6 ~min_area:8e-6 in
-  let ga_area = total_area ga_blocks in
-  [
-    (* One experiment kernel per table: a representative cell each. *)
-    Test.make ~name:"table1-cell (Bm1 cosynth h3)"
-      (Staged.stage (fun () ->
-           Core.Experiments.run_one ~arch:Core.Experiments.Cosynthesis
-             ~policy:(Core.Policy.Power_aware Core.Policy.Min_task_energy) ~bench:0));
-    Test.make ~name:"table2-cell (Bm1 cosynth thermal)"
-      (Staged.stage (fun () ->
-           Core.Experiments.run_one ~arch:Core.Experiments.Cosynthesis
-             ~policy:Core.Policy.Thermal_aware ~bench:0));
-    Test.make ~name:"table3-cell (Bm1 platform thermal)"
-      (Staged.stage (fun () ->
-           Core.Experiments.run_one ~arch:Core.Experiments.Platform
-             ~policy:Core.Policy.Thermal_aware ~bench:0));
-    (* Figure-1 flows. *)
-    Test.make ~name:"figure1a (cosynthesis flow)"
-      (Staged.stage (fun () ->
-           Core.Flow.run_cosynthesis ~graph:bm1 ~lib:hetero_lib
-             ~policy:Core.Policy.Baseline ()));
-    Test.make ~name:"figure1b (platform flow)"
-      (Staged.stage (fun () ->
-           Core.Flow.run_platform ~graph:bm1 ~lib:platform_lib
-             ~policy:Core.Policy.Baseline ()));
-    (* Micro-benchmarks of the hot paths. *)
-    Test.make ~name:"steady solve (6-node back-substitution)"
-      (Staged.stage (fun () -> Core.Steady.block_temperatures steady ~power));
-    Test.make ~name:"leakage fixed point"
-      (Staged.stage (fun () ->
-           Core.Steady.solve_with_leakage steady ~dynamic:power
-             ~idle:[| 0.6; 0.6; 0.6; 0.6 |]));
-    Test.make ~name:"grid CG solve (32x32)"
-      (Staged.stage (fun () -> Core.Gridmodel.block_temperatures grid32 ~power));
-    Test.make ~name:"ASP baseline (Bm1, 4 PEs)"
-      (Staged.stage (fun () ->
-           Core.List_sched.run ~graph:bm1 ~lib:platform_lib ~pes
-             ~policy:Core.Policy.Baseline ()));
-    Test.make ~name:"ASP thermal (Bm1, 4 PEs, inquiries)"
-      (Staged.stage (fun () ->
-           Core.List_sched.run ~hotspot ~graph:bm1 ~lib:platform_lib ~pes
-             ~policy:Core.Policy.Thermal_aware ()));
-    Test.make ~name:"GA floorplan (pop 24, 10 generations)"
-      (Staged.stage (fun () ->
-           Core.Ga.run
-             ~params:{ Core.Ga.default_params with Core.Ga.generations = 10 }
-             ~seed:42 ~blocks:ga_blocks
-             ~cost:(Core.Flow.floorplan_cost ~blocks_area:ga_area)
-             ()));
-    Test.make ~name:"SA floorplan (default schedule)"
-      (Staged.stage (fun () ->
-           Core.Sa.run ~seed:42 ~blocks:ga_blocks
-             ~cost:(Core.Flow.floorplan_cost ~blocks_area:ga_area)
-             ()));
-    Test.make ~name:"HEFT (Bm1, 4 PEs)"
-      (Staged.stage (fun () -> Core.Heft.run ~graph:bm1 ~lib:platform_lib ~pes ()));
-    Test.make ~name:"DVS reclaim (Bm1 baseline)"
-      (Staged.stage
-         (let s =
-            Core.List_sched.run ~graph:bm1 ~lib:platform_lib ~pes
-              ~policy:Core.Policy.Baseline ()
-          in
-          fun () -> Core.Dvs.reclaim ~lib:platform_lib s));
-    Test.make ~name:"bus-contention ASP (Bm1, 4 PEs)"
-      (Staged.stage (fun () ->
-           Core.Bus_sched.run ~graph:bm1 ~lib:platform_lib ~pes
-             ~policy:Core.Policy.Baseline ()));
-    Test.make ~name:"stack solve (13-node)"
-      (Staged.stage
-         (let stack = Core.Stack.build (Core.Hotspot.placement hotspot) in
-          fun () -> Core.Stack.block_temperatures stack ~power));
-    Test.make ~name:"DTM simulate (Bm1, 10 passes)"
-      (Staged.stage
-         (let s =
-            Core.List_sched.run ~graph:bm1 ~lib:platform_lib ~pes
-              ~policy:Core.Policy.Baseline ()
-          in
-          let params = { Core.Dtm.default_params with Core.Dtm.passes = 10 } in
-          fun () -> Core.Dtm.simulate ~params ~lib:platform_lib ~hotspot s));
-    Test.make ~name:"Monte-Carlo (Bm1, 50 runs)"
-      (Staged.stage
-         (let s =
-            Core.List_sched.run ~graph:bm1 ~lib:platform_lib ~pes
-              ~policy:Core.Policy.Baseline ()
-          in
-          fun () ->
-            Core.Montecarlo.analyze ~runs:50 ~seed:1 ~lib:platform_lib ~hotspot s));
-    Test.make ~name:"linear clustering (Bm4)"
-      (Staged.stage
-         (let g = Core.Benchmarks.load 3 in
-          fun () -> Core.Cluster.linear ~threshold:60.0 g));
-  ]
-
-let run_timings () =
-  hr "Bechamel timings (one kernel per table/figure + hot paths)";
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  Printf.printf "%-42s %14s %10s\n" "benchmark" "time/run" "r^2";
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg Instance.[ monotonic_clock ] elt in
-          let est = Analyze.one ols Instance.monotonic_clock raw in
-          let nanos =
-            match Analyze.OLS.estimates est with Some (t :: _) -> t | _ -> nan
-          in
-          let pretty =
-            if nanos > 1e9 then Printf.sprintf "%8.2f  s" (nanos /. 1e9)
-            else if nanos > 1e6 then Printf.sprintf "%8.2f ms" (nanos /. 1e6)
-            else if nanos > 1e3 then Printf.sprintf "%8.2f us" (nanos /. 1e3)
-            else Printf.sprintf "%8.0f ns" nanos
-          in
-          let r2 =
-            match Analyze.OLS.r_square est with Some r -> r | None -> nan
-          in
-          Printf.printf "%-42s %14s %10.4f\n%!" (Test.Elt.name elt) pretty r2)
-        (Test.elements test))
-    (timing_tests ())
-
 let () =
   validate_only_phases ();
-  let tables_only = Array.exists (( = ) "--tables-only") Sys.argv in
   let flag_value name =
     match List.rev (flag_values name) with v :: _ -> Some v | [] -> None
   in
@@ -1497,10 +1012,7 @@ let () =
   timed_phase "ablation-montecarlo" ablation_montecarlo;
   timed_phase "design-space" design_space_exploration;
   timed_phase "parallel-scaling" parallel_scaling;
-  timed_phase "online" online_bench;
-  timed_phase "serve" serve_throughput;
   timed_phase "campaign" campaign_bench;
-  timed_phase "hetero" hetero_bench;
   (* The overhead probe resets the trace, so a --trace run exports what
      was recorded up to here. *)
   (match trace_path with
@@ -1511,7 +1023,6 @@ let () =
       announce_json path
   | None -> ());
   timed_phase "observability-overhead" observability_overhead;
-  if not tables_only then timed_phase "timings" run_timings;
   write_phases ();
   (match metrics_path with
   | Some path ->

@@ -1,26 +1,8 @@
-(** The single source of truth for the bench harness's phase list.
+(** The bench harness's phase list.
 
-    [bench/main.ml] used to carry its own [known_phases] string list,
-    which could drift from the [timed_phase] calls and from the dune test
-    aliases that mirror the per-subsystem phases. Both now derive from
-    {!all}: the bench harness takes its [--only] vocabulary from
-    {!names}, and [test_campaign]'s drift check asserts that every
-    {!aliases} entry exists in [test/dune] (as an alias rule and as a
-    [runtest] attachment where applicable). Adding a phase here and
-    forgetting the wiring is a test failure, not a silent gap. *)
-
-type entry = {
-  phase : string;  (** the [timed_phase] / [--only] name *)
-  alias : string option;
-      (** the dune alias ([dune build @<alias>]) running the matching
-          fast test battery, when the phase has one *)
-}
-
-val all : entry list
-(** In bench execution order. *)
+    [bench/main.exe] takes its [--only] vocabulary from {!names} and
+    cross-checks every [timed_phase] call against it at runtime, so the
+    list cannot drift from the phases the harness actually runs. *)
 
 val names : string list
-(** All phase names — [bench/main.exe]'s [known_phases]. *)
-
-val aliases : string list
-(** The dune aliases declared by phases that have one. *)
+(** All phase names, in bench execution order. *)

@@ -4,7 +4,6 @@ module Pe = Tats_techlib.Pe
 module Library = Tats_techlib.Library
 module Comm = Tats_techlib.Comm
 module Hotspot = Tats_thermal.Hotspot
-module Stats = Tats_util.Stats
 
 type level = { name : string; scale : float; power_factor : float }
 
@@ -121,10 +120,8 @@ let pe_average_powers plan =
     (fun pe e -> (e /. horizon) +. s.Schedule.pes.(pe).Pe.kind.Pe.idle_power)
     energy
 
-let thermal_report ?(leakage = true) plan ~hotspot =
+let thermal_report ?leakage plan ~hotspot =
   let s = plan.base in
-  if Hotspot.n_blocks hotspot <> Schedule.n_pes s then
-    invalid_arg "Dvs.thermal_report: hotspot must have one block per PE";
   let horizon = Float.max plan.makespan 1e-9 in
   let dynamic = Array.make (Schedule.n_pes s) 0.0 in
   Array.iteri
@@ -135,16 +132,7 @@ let thermal_report ?(leakage = true) plan ~hotspot =
   let idle =
     Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) s.Schedule.pes
   in
-  let block_temps =
-    if leakage then Hotspot.inquire_with_leakage hotspot ~dynamic ~idle
-    else Hotspot.query hotspot ~power:(Array.mapi (fun i d -> d +. idle.(i)) dynamic)
-  in
-  {
-    Metrics.pe_powers = Array.mapi (fun i d -> d +. idle.(i)) dynamic;
-    block_temps;
-    max_temp = Stats.max block_temps;
-    avg_temp = Stats.mean block_temps;
-  }
+  Metrics.report_of_powers ?leakage hotspot ~dynamic ~idle
 
 type violation =
   | Deadline_exceeded of float

@@ -51,6 +51,8 @@ val pe_average_powers : plan -> float array
 (** Stretched per-PE dynamic power + idle floor, for thermal evaluation. *)
 
 val thermal_report : ?leakage:bool -> plan -> hotspot:Hotspot.t -> Metrics.thermal_report
+(** {!Metrics.report_of_powers} for the stretched per-task energies over
+    the plan's makespan. *)
 
 type violation =
   | Deadline_exceeded of float

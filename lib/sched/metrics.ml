@@ -49,23 +49,26 @@ type thermal_report = {
   avg_temp : float;
 }
 
-let thermal_report ?(leakage = true) (s : Schedule.t) ~hotspot =
-  if Hotspot.n_blocks hotspot <> Schedule.n_pes s then
-    invalid_arg "Metrics.thermal_report: hotspot must have one block per PE";
-  let horizon = Float.max s.makespan 1e-9 in
-  let dynamic = Array.map (fun e -> e /. horizon) (pe_energies s) in
-  let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) s.pes in
+let report_of_powers ?(leakage = true) hotspot ~dynamic ~idle =
+  if Hotspot.n_blocks hotspot <> Array.length dynamic then
+    invalid_arg "Metrics.report_of_powers: hotspot must have one block per PE";
+  let pe_powers = Array.mapi (fun i d -> d +. idle.(i)) dynamic in
   let block_temps =
     if leakage then Hotspot.inquire_with_leakage hotspot ~dynamic ~idle
-    else Hotspot.query hotspot ~power:(Array.mapi (fun i d -> d +. idle.(i)) dynamic)
+    else Hotspot.query hotspot ~power:pe_powers
   in
-  let pe_powers = Array.mapi (fun i d -> d +. idle.(i)) dynamic in
   {
     pe_powers;
     block_temps;
     max_temp = Stats.max block_temps;
     avg_temp = Stats.mean block_temps;
   }
+
+let thermal_report ?leakage (s : Schedule.t) ~hotspot =
+  let horizon = Float.max s.makespan 1e-9 in
+  let dynamic = Array.map (fun e -> e /. horizon) (pe_energies s) in
+  let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) s.pes in
+  report_of_powers ?leakage hotspot ~dynamic ~idle
 
 type row = { total_power : float; max_temp : float; avg_temp : float }
 

@@ -40,10 +40,22 @@ type thermal_report = {
   avg_temp : float;
 }
 
+val report_of_powers :
+  ?leakage:bool ->
+  Hotspot.t ->
+  dynamic:float array ->
+  idle:float array ->
+  thermal_report
+(** The steady-state report for per-PE [dynamic] and [idle] powers (W),
+    one of each per hotspot block: [pe_powers] is their sum. [leakage]
+    (default true) couples idle power to temperature through the leakage
+    fixed point ({!Hotspot.inquire_with_leakage}); when false, idle power
+    enters at its nominal value. The schedule, periodic and DVS reports
+    all go through here. *)
+
 val thermal_report : ?leakage:bool -> Schedule.t -> hotspot:Hotspot.t -> thermal_report
-(** [leakage] (default true) couples idle power to temperature through the
-    leakage fixed point; when false, idle power enters at its nominal
-    value. *)
+(** {!report_of_powers} for the schedule's per-PE task energy over its
+    makespan. *)
 
 type row = { total_power : float; max_temp : float; avg_temp : float }
 (** One table cell group, as printed in the paper. *)

@@ -4,7 +4,6 @@ module Pe = Tats_techlib.Pe
 module Library = Tats_techlib.Library
 module Comm = Tats_techlib.Comm
 module Hotspot = Tats_thermal.Hotspot
-module Stats = Tats_util.Stats
 
 type app = { graph : Graph.t; period : float }
 
@@ -192,47 +191,12 @@ let pe_average_powers t =
     (fun pe e -> (e /. Float.max t.hyper 1e-9) +. t.pes.(pe).Pe.kind.Pe.idle_power)
     dyn
 
-let thermal_report ?(leakage = true) t ~hotspot =
-  if Hotspot.n_blocks hotspot <> Array.length t.pes then
-    invalid_arg "Periodic.thermal_report: hotspot must have one block per PE";
+let thermal_report ?leakage t ~hotspot =
   let dyn = Array.make (Array.length t.pes) 0.0 in
   Array.iter (fun e -> dyn.(e.pe) <- dyn.(e.pe) +. e.energy) t.entries;
   let dynamic = Array.map (fun e -> e /. Float.max t.hyper 1e-9) dyn in
   let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) t.pes in
-  let block_temps =
-    if leakage then Hotspot.inquire_with_leakage hotspot ~dynamic ~idle
-    else Hotspot.query hotspot ~power:(Array.mapi (fun i d -> d +. idle.(i)) dynamic)
-  in
-  {
-    Metrics.pe_powers = Array.mapi (fun i d -> d +. idle.(i)) dynamic;
-    block_temps;
-    max_temp = Stats.max block_temps;
-    avg_temp = Stats.mean block_temps;
-  }
-
-let transient_peak ?(time_unit = 1e-3) ?(periods = 20) ?dt t ~hotspot =
-  if Hotspot.n_blocks hotspot <> Array.length t.pes then
-    invalid_arg "Periodic.transient_peak: hotspot must have one block per PE";
-  let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) t.pes in
-  (* entry.energy = wcet x wcpc and finish - start = wcet, so the
-     interval's draw is exactly the job's WCPC. *)
-  let intervals =
-    Array.to_list t.entries
-    |> List.filter (fun e -> e.finish > e.start)
-    |> List.map (fun e ->
-           {
-             Replay.pe = e.pe;
-             start = e.start;
-             finish = e.finish;
-             power = e.energy /. (e.finish -. e.start);
-           })
-  in
-  let profile =
-    Replay.profile_of_intervals
-      ~duration:(Float.max t.hyper 1e-9)
-      ~time_unit ~idle intervals
-  in
-  Replay.peaks ~periods ?dt ~hotspot profile
+  Metrics.report_of_powers ?leakage hotspot ~dynamic ~idle
 
 let utilization t =
   let busy = Array.fold_left (fun acc e -> acc +. (e.finish -. e.start)) 0.0 t.entries in

@@ -75,17 +75,8 @@ val pe_average_powers : t -> float array
 (** Per-PE dynamic average over the hyperperiod plus idle floor. *)
 
 val thermal_report : ?leakage:bool -> t -> hotspot:Hotspot.t -> Metrics.thermal_report
-
-val transient_peak :
-  ?time_unit:float -> ?periods:int -> ?dt:float -> t -> hotspot:Hotspot.t -> float array
-(** Per-PE peak transient temperature when the hyperperiod schedule
-    repeats: the entries become exact power breakpoints
-    ({!Replay.profile_of_intervals}) replayed through the event-driven
-    transient engine; the peak is taken over the last of [periods]
-    (default 20) hyperperiods. [time_unit] (default 1e-3) maps schedule
-    time units to seconds; [dt] defaults to one hundredth of the
-    hyperperiod. The steady-state {!thermal_report} is this number with
-    the ripple averaged out. *)
+(** {!Metrics.report_of_powers} for the per-PE task energy over the
+    hyperperiod. *)
 
 val utilization : t -> float
 (** Fraction of total PE capacity (n_pes x hyperperiod) spent computing. *)

@@ -92,8 +92,7 @@ let decode_bench obj =
   | Error e -> field_error "bench" e
 
 let decode_n_pes obj =
-  let* f = Json.field ~default:4.0 "n_pes" Json.num ~what:"must be a number" obj in
-  let n_pes = int_of_float f in
+  let* n_pes = Json.field ~default:4 "n_pes" Json.int ~what:"must be an integer" obj in
   if n_pes < 1 || n_pes > 64 then field_error "n_pes" "must be in [1, 64]"
   else Ok n_pes
 
@@ -181,10 +180,9 @@ let decode_schedule obj =
 
 let decode_transient obj =
   let* sched = decode_schedule obj in
-  let* periods_f =
-    Json.field ~default:50.0 "periods" Json.num ~what:"must be a number" obj
+  let* periods =
+    Json.field ~default:50 "periods" Json.int ~what:"must be an integer" obj
   in
-  let periods = int_of_float periods_f in
   if periods < 2 then field_error "periods" "must be >= 2"
   else
     let* dt =
@@ -218,12 +216,10 @@ let decode_inquiry obj =
     Json.field "power" finite_array
       ~what:"must be a non-empty array of finite numbers" obj
   in
-  let* n_pes_f =
-    Json.field
-      ~default:(float_of_int (Array.length power))
-      "n_pes" Json.num ~what:"must be a number" obj
+  let* n_pes =
+    Json.field ~default:(Array.length power) "n_pes" Json.int
+      ~what:"must be an integer" obj
   in
-  let n_pes = int_of_float n_pes_f in
   if n_pes <> Array.length power then
     field_error "n_pes" "must equal the length of \"power\""
   else
@@ -273,8 +269,7 @@ let decode_online obj =
           (Printf.sprintf "unknown arrival stream %S (want zero|sporadic|trace)"
              other)
   in
-  let* seed_f = Json.field ~default:1.0 "seed" Json.num ~what:"must be a number" obj in
-  let o_seed = int_of_float seed_f in
+  let* o_seed = Json.field ~default:1 "seed" Json.int ~what:"must be an integer" obj in
   if o_seed < 0 then field_error "seed" "must be non-negative"
   else
     let* o_mean_gap =

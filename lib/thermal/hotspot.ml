@@ -73,10 +73,6 @@ let query t ~power =
   count_direct t;
   Steady.block_temperatures t.solver ~power
 
-let query_with_leakage t ~dynamic ~idle =
-  count_direct t;
-  fst (Steady.solve_with_leakage t.solver ~dynamic ~idle)
-
 let inquire_with_leakage ?warm ?cache t ~dynamic ~idle =
   Inquiry.query_with_leakage ?warm ?cache (inquiry t) ~dynamic ~idle
 

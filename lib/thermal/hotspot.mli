@@ -18,11 +18,6 @@ val placement : t -> Tats_floorplan.Placement.t
 val query : t -> power:float array -> float array
 (** Steady-state block temperatures (°C) for per-block powers (W). *)
 
-val query_with_leakage : t -> dynamic:float array -> idle:float array -> float array
-(** Temperature-dependent leakage fixed point (see
-    {!Steady.solve_with_leakage}) — the dense reference path: one factored
-    back-substitution per fixed-point iteration. *)
-
 val inquire_with_leakage :
   ?warm:bool ->
   ?cache:bool ->
@@ -30,9 +25,10 @@ val inquire_with_leakage :
   dynamic:float array ->
   idle:float array ->
   float array
-(** Same query served by the {!Inquiry} engine: influence-matrix solves, a
-    quantized-power cache, optional warm start — the production hot path.
-    Matches {!query_with_leakage} within floating-point noise. [warm] and
+(** Temperature-dependent leakage fixed point served by the {!Inquiry}
+    engine: influence-matrix solves, a quantized-power cache, optional warm
+    start — the production hot path. Matches the dense reference
+    {!Steady.solve_with_leakage} within floating-point noise. [warm] and
     [cache] as in {!Inquiry.query_with_leakage}; parallel callers that
     need bit-reproducible results use [~warm:false ~cache:false]. The
     facade itself is thread-safe (lazy engine creation and the inquiry
@@ -53,9 +49,8 @@ val average_temperature : t -> power:float array -> float
 val peak_temperature : t -> power:float array -> float
 
 val inquiries : t -> int
-(** Number of inquiries served so far across both paths — direct
-    [query]/[query_with_leakage] calls plus engine inquiries (experiment
-    instrumentation). *)
+(** Number of inquiries served so far across both paths — direct [query]
+    calls plus engine inquiries (experiment instrumentation). *)
 
 val model : t -> Rcmodel.t
 val solver : t -> Steady.t

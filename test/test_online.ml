@@ -24,6 +24,7 @@ module List_sched = Tats_sched.List_sched
 module Replay = Tats_sched.Replay
 module Online = Tats_sched.Online
 module Pool = Tats_util.Pool
+module Flow = Tats_cosynth.Flow
 
 let platform_lib = Catalog.platform_library ()
 let platform_pes n = Catalog.platform_instances n
@@ -398,7 +399,38 @@ let test_prop_clairvoyant_never_loses () =
         (Printf.sprintf "seed %d: peak ratio >= 1" seed)
         true
         (s.Online.peak_ratio >= 1.0))
-    seeds
+    seeds;
+  (* The end-to-end Flow.run_online scenarios: sporadic and trace streams
+     across benchmarks, mirrored and reactive policies. *)
+  List.iter
+    (fun (bench, arrivals, policy) ->
+      let o =
+        Flow.run_online ~arrivals ~graph:(Benchmarks.load bench)
+          ~lib:platform_lib ~policy ()
+      in
+      let sc = o.Flow.score in
+      let tag =
+        Printf.sprintf "Bm%d %s %s" (bench + 1)
+          (Flow.arrival_source_name arrivals)
+          (Online.policy_name policy)
+      in
+      Alcotest.(check bool)
+        (tag ^ ": makespan ratio >= 1")
+        true
+        (sc.Online.makespan_ratio >= 1.0);
+      Alcotest.(check bool)
+        (tag ^ ": peak ratio >= 1")
+        true
+        (sc.Online.peak_ratio >= 1.0))
+    [
+      (0, Flow.Release_sporadic 1, Online.Mirror Policy.Baseline);
+      (0, Flow.Release_sporadic 1, Online.Mirror Policy.Thermal_aware);
+      ( 0,
+        Flow.Release_sporadic 1,
+        Online.Reactive { Online.default_reactive with Online.trigger = 50.0 } );
+      (1, Flow.Release_sporadic 2, Online.Mirror Policy.Thermal_aware);
+      (2, Flow.Release_trace, Online.Mirror Policy.Thermal_aware);
+    ]
 
 let test_prop_replay_peak_bitwise () =
   (* Replay-based scoring is exactly the Transient engine: driving the

@@ -398,6 +398,10 @@ let test_protocol_rejects () =
       {|{"kind": "schedule", "isolation": "none"}|};
       {|{"kind": "online", "platform": "warp9"}|};
       {|{"kind": "online", "pins": [{"pe": 1}]}|};
+      {|{"kind":"schedule","n_pes":4.5}|};
+      {|{"kind":"transient","periods":2.9}|};
+      {|{"kind":"online","seed":1e300}|};
+      {|{"kind":"inquiry","power":[1,1],"n_pes":2.5}|};
     ]
   in
   List.iter
