@@ -67,15 +67,33 @@ let gate name ok =
    library's own spans. *)
 let phase_times : (string * float) list ref = ref []
 
+(* The command line is a sequence of [FLAG VALUE] pairs, each FLAG one of
+   [known_flags] and repeatable. Anything else (an unknown or misspelt
+   flag, a flag without its value, a stray word) exits 2 naming it before
+   any phase runs, as an unknown --only phase does: a typo must not change
+   what is measured without a word. *)
+let known_flags = [ "--only"; "--jobs"; "--trace"; "--metrics" ]
+
+let flags =
+  let usage fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.eprintf "bench: %s\nflags: %s, each with a value\n" msg
+          (String.concat ", " known_flags);
+        exit 2)
+      fmt
+  in
+  let rec parse acc = function
+    | [] -> List.rev acc
+    | flag :: _ when not (List.mem flag known_flags) -> usage "unknown flag %s" flag
+    | [ flag ] -> usage "%s expects a value" flag
+    | flag :: value :: rest -> parse ((flag, value) :: acc) rest
+  in
+  parse [] (List.tl (Array.to_list Sys.argv))
+
 (* Every VALUE given as [name VALUE] on the command line, in order. *)
 let flag_values name =
-  let acc = ref [] in
-  Array.iteri
-    (fun i arg ->
-      if arg = name && i + 1 < Array.length Sys.argv then
-        acc := Sys.argv.(i + 1) :: !acc)
-    Sys.argv;
-  List.rev !acc
+  List.filter_map (fun (flag, value) -> if flag = name then Some value else None) flags
 
 (* --only NAME (repeatable) restricts the run to the named phases. *)
 let only_phases = flag_values "--only"

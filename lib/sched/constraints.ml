@@ -140,17 +140,18 @@ let admissible t ~task ~pe ~(pes : Pe.inst array) =
 
 let commit t ~task ~pe =
   match t.class_of.(task) with
-  | None -> ()
+  | None -> false
   | Some cls -> (
       match t.pe_class.(pe) with
-      | Some _ -> ()
+      | Some _ -> false
       | None ->
           t.pe_class.(pe) <- Some cls;
           t.unclaimed <- t.unclaimed - 1;
           if not (Hashtbl.mem t.placed cls) then begin
             Hashtbl.replace t.placed cls ();
             t.unplaced <- t.unplaced - 1
-          end)
+          end;
+          true)
 
 let infeasible_msg what =
   Printf.sprintf

@@ -55,9 +55,11 @@ val make : spec -> n_tasks:int -> pes:Pe.inst array -> checker
 val admissible : checker -> task:int -> pe:int -> pes:Pe.inst array -> bool
 (** May [task] be placed on [pe] given the commitments so far? *)
 
-val commit : checker -> task:int -> pe:int -> unit
+val commit : checker -> task:int -> pe:int -> bool
 (** Record an irrevocable placement (claims the PE for the task's class
-    on first use). Callers must only commit admissible pairs. *)
+    on first use). Callers must only commit admissible pairs. Returns
+    whether it claimed a PE: only such a commit can change {!admissible}
+    on a PE other than [pe] (through the claim counts). *)
 
 val infeasible_msg : string -> string
 (** Message for the {!Infeasible} raise, prefixed with the scheduler

@@ -24,7 +24,16 @@ let cost_pe_average_power lib ~pe_energy ~task_energy ~finish =
 let cost_task_energy lib ~task_type ~kind =
   Library.energy lib ~task_type ~kind /. Library.max_energy lib
 
-let cost_temperature ~ambient ~avg_temp = (avg_temp -. ambient) /. 100.0
+let[@inline] cost_temperature ~ambient ~avg_temp = (avg_temp -. ambient) /. 100.0
+
+(* [Stats.mean], the same sum in the same order, written out here so that
+   the bound of every iterate is folded without a boxed float per call. *)
+let[@inline] mean temps =
+  let sum = ref 0.0 in
+  for i = 0 to Array.length temps - 1 do
+    sum := !sum +. temps.(i)
+  done;
+  !sum /. float_of_int (Array.length temps)
 
 (* The paper's thermal inquiry, served by the influence-matrix engine: the
    cumulating power of every PE (the per-step [base]) plus the consuming
@@ -34,25 +43,26 @@ let cost_temperature ~ambient ~avg_temp = (avg_temp -. ambient) /. 100.0
    the inquiry could not discriminate. *)
 let cost_thermal ~stop ~engine ~base ~idle ~finish ~pe ~task_power =
   let horizon = Float.max finish 1e-9 in
-  let cost temps =
-    cost_temperature
-      ~ambient:(Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
-      ~avg_temp:(Tats_util.Stats.mean temps)
+  let ambient =
+    (Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
   in
-  cost
-    (Tats_thermal.Inquiry.query_delta
-       ~stop:(fun temps -> stop (cost temps))
-       engine ~base ~horizon ~pe
-       ~extra:task_power ~idle)
+  let temps =
+    Tats_thermal.Inquiry.query_delta
+      ~stop:(fun temps ->
+        stop (cost_temperature ~ambient ~avg_temp:(mean temps)))
+      engine ~base ~horizon ~pe ~extra:task_power ~idle
+  in
+  cost_temperature ~ambient ~avg_temp:(mean temps)
 
-(* The same inquiry stopped at its linear seed: [cost_temperature] is
-   increasing in the average, so the seed's mean bounds the cost. *)
+(* The same inquiry stopped before its linear seed: [cost_temperature] is
+   increasing in the average, so a floor under the seed's mean bounds the
+   cost. *)
 let cost_thermal_floor ~engine ~base ~finish ~pe ~task_power =
   let horizon = Float.max finish 1e-9 in
   cost_temperature
     ~ambient:(Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
     ~avg_temp:
-      (Tats_thermal.Inquiry.seed_mean engine ~base ~horizon ~pe
+      (Tats_thermal.Inquiry.seed_floor engine ~base ~horizon ~pe
          ~extra:task_power)
 
 let part ~sc ~wcet ~start = sc -. wcet -. start

@@ -61,9 +61,10 @@ val cost_thermal_floor :
   float
 (** A lower bound on {!cost_thermal} with the same arguments (the idle
     powers only feed the leakage, which can only raise the cost), in
-    O(n_blocks) with no fixed point: the inquiry's linear seed
-    ({!Tats_thermal.Inquiry.seed_mean}) folded through
-    {!cost_temperature}. So [weigh ~part ~cost:floor ~weight] bounds a
+    O(1) with no fixed point: a floor under the mean of the inquiry's
+    linear seed ({!Tats_thermal.Inquiry.seed_floor}) folded through
+    {!cost_temperature}, so it is at most the first bound
+    {!cost_thermal}'s [stop] sees. So [weigh ~part ~cost:floor ~weight] bounds a
     candidate's DC from above for any [weight >= 0]. *)
 
 val value :

@@ -71,7 +71,7 @@ let run ?(constraints = Constraints.empty) ~graph ~lib ~pes () =
       | None ->
           raise (Constraints.Infeasible (Constraints.infeasible_msg "Heft.run"))
       | Some (finish, pe, start, _wcet) ->
-          Constraints.commit checker ~task ~pe;
+          ignore (Constraints.commit checker ~task ~pe : bool);
           let kind = pes.(pe).Pe.kind.Pe.kind_id in
           let energy = Library.energy lib ~task_type:tt ~kind in
           entries.(task) <- Some { Schedule.task; pe; start; finish; energy };

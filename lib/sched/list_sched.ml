@@ -29,6 +29,13 @@ type ctx = {
   constraints : Constraints.spec;
   sc : float array;
   idle : float array;
+  (* Per pair [task * n_pes + pe]: the library's WCET, WCPC and energy of
+     the task on that PE's kind, and the policy's cost where it depends on
+     nothing else (heuristics 1 and 3; 0 otherwise). *)
+  wcet : float array;
+  wcpc : float array;
+  energy : float array;
+  static_cost : float array;
   (* Shared by every candidate evaluation; only for the thermal policy. *)
   engine : Inquiry.t option;
 }
@@ -54,6 +61,13 @@ let prepare ?hotspot ?exclusive
         Array.init n (fun v ->
             Array.of_list (List.filter (fun u -> u <> v && exclusive u v) tasks))
   in
+  let n_pes = Array.length pes in
+  let per_pair f =
+    Array.init (n * n_pes) (fun pair ->
+        f
+          ~task_type:(Graph.task graph (pair / n_pes)).Task.task_type
+          ~kind:pes.(pair mod n_pes).Pe.kind.Pe.kind_id)
+  in
   {
     graph;
     lib;
@@ -63,8 +77,58 @@ let prepare ?hotspot ?exclusive
     constraints;
     sc = (match sc with Some sc -> sc | None -> Dc.static_criticality lib graph);
     idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes;
+    wcet = per_pair (Library.wcet lib);
+    wcpc = per_pair (Library.wcpc lib);
+    energy = per_pair (Library.energy lib);
+    static_cost =
+      (match policy with
+      | Policy.Power_aware Policy.Min_task_power ->
+          per_pair (Dc.cost_task_power lib)
+      | Policy.Power_aware Policy.Min_task_energy ->
+          per_pair (Dc.cost_task_energy lib)
+      | Policy.Baseline | Policy.Thermal_aware
+      | Policy.Power_aware Policy.Min_pe_average_power ->
+          [||]);
     engine;
   }
+
+module Ready = Set.Make (Int)
+
+(* One scheduling step's admissible candidates under a fixed decision
+   prefix, in scan order (ascending task, then PE). Without a start floor,
+   horizon or surcharge (the offline case) everything stored is a function
+   of the prefix alone, which is what lets the memo replay it; only
+   [Dc.weigh] brings in the weight.
+
+   A thermal candidate's cost is a leakage fixed point, so [scan] stores a
+   lower bound on it ([Dc.cost_thermal_floor]) and what the exact
+   inquiry needs beyond the pair and start, and [pick] runs a candidate's
+   fixed point only while its bound, tightened to the current iterate's,
+   lets it reach the best exact DC: the iterate stops in the engine's
+   cache, and the bound in [floors], for a later pick to resume. Every
+   other policy's cost is exact at scan time: then
+   [floors == scan_floors == costs]. *)
+type node = {
+  ready : Ready.t; (* the ready set scanned *)
+  pairs : int array; (* task * n_pes + pe *)
+  earliest : float array; (* [earliest_start], before any start floor *)
+  starts : float array; (* [earliest] raised to the floor; [== earliest] without one *)
+  parts : float array; (* Dc.part *)
+  floors : float array; (* a lower bound on the cost, tightened by [pick] *)
+  scan_floors : float array; (* the bound [scan] stored *)
+  costs : float array; (* the cost, or nan while not evaluated *)
+  thermal : thermal option;
+  mutable children : (int * node) list; (* by the pair committed next *)
+}
+
+(* The scan's inputs to the thermal costs of its candidates. *)
+and thermal = {
+  base : Inquiry.base; (* the step's influence response *)
+  horizon : float option;
+  surcharge : float array option;
+}
+
+type candidates = node
 
 type state = {
   ctx : ctx;
@@ -75,6 +139,13 @@ type state = {
   (* The checker is stateful, so it is rebuilt per schedule. *)
   checker : Constraints.checker;
   mutable n_scheduled : int;
+  (* What the next [scan] builds on: the node last scanned or replayed on
+     this state, and the PEs committed to since ([dirty]). A commit that
+     claims a PE for an isolation class can change admissibility on every
+     PE ([stale]): the next scan then starts from scratch. *)
+  mutable parent : node option;
+  dirty : bool array;
+  mutable stale : bool;
 }
 
 let init ctx =
@@ -88,6 +159,9 @@ let init ctx =
       Array.init n (fun v -> List.length (Graph.preds ctx.graph v));
     checker = Constraints.make ctx.constraints ~n_tasks:n ~pes:ctx.pes;
     n_scheduled = 0;
+    parent = None;
+    dirty = Array.make n_pes false;
+    stale = false;
   }
 
 let scheduled st = st.n_scheduled
@@ -132,118 +206,175 @@ let earliest_start st ~comm task pe =
   in
   Float.max ready (avail st.pe_tasks.(pe))
 
-(* One scheduling step's admissible candidates under a fixed decision
-   prefix, in scan order (ascending task, then PE). Without a start floor,
-   horizon or surcharge (the offline case) everything stored is a function
-   of the prefix alone, which is what lets the memo replay it; only
-   [Dc.weigh] brings in the weight.
+(* The next scan builds on [node]. *)
+let adopt st node =
+  st.parent <- Some node;
+  Array.fill st.dirty 0 (Array.length st.dirty) false;
+  st.stale <- false
 
-   A thermal candidate's cost is a leakage fixed point, so [scan] stores a
-   lower bound on it ([Dc.cost_thermal_floor]) and what the exact
-   inquiry needs beyond the pair and start, and [pick] runs a candidate's
-   fixed point only while its bound, tightened to the current iterate's,
-   lets it reach the best exact DC: the iterate stops in the engine's
-   cache, and the bound in [floors], for a later pick to resume. Every
-   other policy's cost is exact at scan time: then
-   [floors == scan_floors == costs]. *)
-type node = {
-  pairs : int array; (* task * n_pes + pe *)
-  parts : float array; (* Dc.part *)
-  floors : float array; (* a lower bound on the cost, tightened by [pick] *)
-  scan_floors : float array; (* the bound [scan] stored *)
-  costs : float array; (* the cost, or nan while not evaluated *)
-  starts : float array;
-  thermal : thermal option;
-  mutable children : (int * node) list; (* by the pair committed next *)
-}
+(* An observer of every node a scheduler steps through, for the
+   differential tests, and read access to the state it was built from. *)
+module Inspect = struct
+  type view = {
+    v_ready : Ready.t;
+    v_floor : (Task.id -> float) option;
+    v_horizon : float option;
+    v_surcharge : float array option;
+    v_pairs : int array;
+    v_starts : float array;
+    v_parts : float array;
+    v_bounds : float array;
+  }
 
-(* The scan's inputs to the thermal costs of its candidates. *)
-and thermal = {
-  base : Inquiry.base; (* the step's influence response *)
-  horizon : float option;
-  surcharge : float array option;
-}
+  let observer : (state -> view -> unit) option Atomic.t = Atomic.make None
+  let set_observer f = Atomic.set observer f
 
-type candidates = node
+  (* One atomic load while no observer is set. *)
+  let observe ?floor ?horizon ?surcharge st node =
+    match Atomic.get observer with
+    | None -> ()
+    | Some f ->
+        f st
+          {
+            v_ready = node.ready;
+            v_floor = floor;
+            v_horizon = horizon;
+            v_surcharge = surcharge;
+            v_pairs = Array.copy node.pairs;
+            v_starts = Array.copy node.starts;
+            v_parts = Array.copy node.parts;
+            v_bounds = Array.copy node.scan_floors;
+          }
 
-module Ready = Set.Make (Int)
+  let graph st = st.ctx.graph
+  let entry st task = st.entries.(task)
+  let pe_energy st = Array.copy st.pe_energy
 
-(* Score every admissible (ready task, PE) pair, weight-free. *)
+  let admissible st ~task ~pe =
+    Constraints.admissible st.checker ~task ~pe ~pes:st.ctx.pes
+
+  let criticality st task = st.ctx.sc.(task)
+end
+
+(* Score every admissible (ready task, PE) pair, weight-free.
+
+   A pair's admissibility and earliest start depend only on its task's
+   predecessors' entries (fixed once the task is ready), its PE's entries
+   and the checker's claims. So a task the parent node also scanned keeps
+   both on every PE no commit touched since, and they are copied from the
+   parent, in the same scan order; only the committed PEs' columns and
+   the newly ready tasks are evaluated afresh. Everything a start floor,
+   a horizon or a surcharge touches (start, part, cost) is computed anew
+   for every pair, from the context's per-pair tables, by the same
+   expressions as on a fresh scan. *)
 let scan ?floor ?horizon ?surcharge st ~ready =
-  let { graph; lib; pes; policy; sc; engine; _ } = st.ctx in
+  let { lib; pes; policy; sc; engine; wcet; wcpc; energy; static_cost; _ } =
+    st.ctx
+  in
   let n_pes = Array.length pes in
   let comm = Library.comm lib in
   let cap = Ready.cardinal ready * n_pes in
   let pairs = Array.make cap 0 in
+  let earliest = Array.make cap 0.0 in
+  let starts =
+    match floor with None -> earliest | Some _ -> Array.make cap 0.0
+  in
   let parts = Array.make cap 0.0 in
   let floors = Array.make cap 0.0 in
-  let starts = Array.make cap 0.0 in
   (* One base solve per scanned step: the influence response to the
      committed PE energies. Candidates are bounded, and refined if
-     [pick] needs them, against it in O(n_blocks) each instead of
-     re-solving from scratch. *)
+     [pick] needs them, against it in O(1) and O(n_blocks) each instead
+     of re-solving from scratch. *)
   let thermal =
     Option.map
       (fun e ->
         { base = Inquiry.base_response e ~power:st.pe_energy; horizon; surcharge })
       engine
   in
-  let k = ref 0 in
+  let parent =
+    match st.parent with Some p when not st.stale -> Some p | _ -> None
+  in
+  let parent_ready, parent_pairs, parent_earliest =
+    match parent with
+    | Some p -> (p.ready, p.pairs, p.earliest)
+    | None -> (Ready.empty, [||], [||])
+  in
+  let n_parent = Array.length parent_pairs in
+  (* [j] walks the parent's pairs alongside the scan. *)
+  let j = ref 0 and k = ref 0 in
   Ready.iter
     (fun task ->
-      let tt = (Graph.task graph task).Task.task_type in
-      Array.iteri
-        (fun pe (inst : Pe.inst) ->
-          if Constraints.admissible st.checker ~task ~pe ~pes then begin
-            let kind = inst.Pe.kind.Pe.kind_id in
-            let wcet = Library.wcet lib ~task_type:tt ~kind in
-            let start = earliest_start st ~comm task pe in
-            let start =
-              match floor with None -> start | Some f -> Float.max start (f task)
-            in
-            let finish = start +. wcet in
-            let cost =
-              match policy with
-              | Policy.Baseline -> 0.0
-              | Policy.Power_aware Policy.Min_task_power ->
-                  Dc.cost_task_power lib ~task_type:tt ~kind
-              | Policy.Power_aware Policy.Min_pe_average_power ->
-                  Dc.cost_pe_average_power lib ~pe_energy:st.pe_energy.(pe)
-                    ~task_energy:(Library.energy lib ~task_type:tt ~kind)
-                    ~finish
-              | Policy.Power_aware Policy.Min_task_energy ->
-                  Dc.cost_task_energy lib ~task_type:tt ~kind
-              | Policy.Thermal_aware ->
-                  Dc.cost_thermal_floor ~engine:(Option.get engine)
-                    ~base:(Option.get thermal).base
-                    ~finish:(Option.value horizon ~default:finish)
-                    ~pe ~task_power:(Library.wcpc lib ~task_type:tt ~kind)
-            in
-            let cost =
-              match surcharge with None -> cost | Some s -> cost +. s.(pe)
-            in
-            pairs.(!k) <- (task * n_pes) + pe;
-            parts.(!k) <- Dc.part ~sc:sc.(task) ~wcet ~start;
-            floors.(!k) <- cost;
-            starts.(!k) <- start;
-            incr k
-          end)
-        pes)
+      let first = task * n_pes in
+      while !j < n_parent && parent_pairs.(!j) < first do
+        incr j
+      done;
+      let known = Ready.mem task parent_ready in
+      for pe = 0 to n_pes - 1 do
+        let pair = first + pe in
+        let inherited = !j < n_parent && parent_pairs.(!j) = pair in
+        if inherited then incr j;
+        let reuse = known && not st.dirty.(pe) in
+        if
+          if reuse then inherited
+          else Constraints.admissible st.checker ~task ~pe ~pes
+        then begin
+          let e =
+            if reuse then parent_earliest.(!j - 1)
+            else earliest_start st ~comm task pe
+          in
+          let start =
+            match floor with None -> e | Some f -> Float.max e (f task)
+          in
+          let wcet = wcet.(pair) in
+          let finish = start +. wcet in
+          let cost =
+            match policy with
+            | Policy.Baseline -> 0.0
+            | Policy.Power_aware (Policy.Min_task_power | Policy.Min_task_energy)
+              ->
+                static_cost.(pair)
+            | Policy.Power_aware Policy.Min_pe_average_power ->
+                Dc.cost_pe_average_power lib ~pe_energy:st.pe_energy.(pe)
+                  ~task_energy:energy.(pair) ~finish
+            | Policy.Thermal_aware ->
+                Dc.cost_thermal_floor ~engine:(Option.get engine)
+                  ~base:(Option.get thermal).base
+                  ~finish:(Option.value horizon ~default:finish)
+                  ~pe ~task_power:wcpc.(pair)
+          in
+          let cost =
+            match surcharge with None -> cost | Some s -> cost +. s.(pe)
+          in
+          pairs.(!k) <- pair;
+          earliest.(!k) <- e;
+          starts.(!k) <- start;
+          parts.(!k) <- Dc.part ~sc:sc.(task) ~wcet ~start;
+          floors.(!k) <- cost;
+          incr k
+        end
+      done)
     ready;
   let trim a = if !k = cap then a else Array.sub a 0 !k in
-  let floors = trim floors in
-  {
-    pairs = trim pairs;
-    parts = trim parts;
-    floors =
-      (match thermal with None -> floors | Some _ -> Array.copy floors);
-    scan_floors = floors;
-    costs =
-      (match thermal with None -> floors | Some _ -> Array.make !k Float.nan);
-    starts = trim starts;
-    thermal;
-    children = [];
-  }
+  let floors = trim floors and earliest = trim earliest in
+  let node =
+    {
+      ready;
+      pairs = trim pairs;
+      earliest;
+      starts = (match floor with None -> earliest | Some _ -> trim starts);
+      parts = trim parts;
+      floors =
+        (match thermal with None -> floors | Some _ -> Array.copy floors);
+      scan_floors = floors;
+      costs =
+        (match thermal with None -> floors | Some _ -> Array.make !k Float.nan);
+      thermal;
+      children = [];
+    }
+  in
+  adopt st node;
+  Inspect.observe ?floor ?horizon ?surcharge st node;
+  node
 
 type choice = { task : Task.id; pe : int; start : float }
 
@@ -262,31 +393,30 @@ let refine st node i ~weight ~reach =
   match node.thermal with
   | None -> ()
   | Some th ->
-      let { graph; lib; pes; idle; engine; _ } = st.ctx in
+      let { pes; idle; engine; wcet; wcpc; _ } = st.ctx in
       let n_pes = Array.length pes in
-      let task = node.pairs.(i) / n_pes and pe = node.pairs.(i) mod n_pes in
-      let task_type = (Graph.task graph task).Task.task_type in
-      let kind = pes.(pe).Pe.kind.Pe.kind_id in
+      let pair = node.pairs.(i) in
+      let pe = pair mod n_pes in
       let finish =
         match th.horizon with
         | Some h -> h
-        | None -> node.starts.(i) +. Library.wcet lib ~task_type ~kind
+        | None -> node.starts.(i) +. wcet.(pair)
       in
-      let surcharged c =
-        match th.surcharge with None -> c | Some s -> c +. s.(pe)
-      in
+      let surcharge = match th.surcharge with None -> 0.0 | Some s -> s.(pe) in
       let pruned = ref false in
       let stop bound =
-        let floor = surcharged bound in
+        let floor =
+          match th.surcharge with None -> bound | Some _ -> bound +. surcharge
+        in
         node.floors.(i) <- floor;
         pruned := weigh node.parts.(i) floor weight < reach;
         !pruned
       in
       let c =
-        surcharged
-          (Dc.cost_thermal ~stop ~engine:(Option.get engine) ~base:th.base ~idle
-             ~finish ~pe ~task_power:(Library.wcpc lib ~task_type ~kind))
+        Dc.cost_thermal ~stop ~engine:(Option.get engine) ~base:th.base ~idle
+          ~finish ~pe ~task_power:wcpc.(pair)
       in
+      let c = match th.surcharge with None -> c | Some _ -> c +. surcharge in
       if not !pruned then begin
         node.floors.(i) <- c;
         node.costs.(i) <- c
@@ -358,12 +488,12 @@ let pick ~caller st node ~weight =
   { task = pair / n_pes; pe = pair mod n_pes; start = node.starts.(!best) }
 
 let commit ~on_ready st { task; pe; start } =
-  let { graph; lib; pes; _ } = st.ctx in
-  let tt = (Graph.task graph task).Task.task_type in
-  let kind = pes.(pe).Pe.kind.Pe.kind_id in
-  let finish = start +. Library.wcet lib ~task_type:tt ~kind in
-  let energy = Library.energy lib ~task_type:tt ~kind in
-  Constraints.commit st.checker ~task ~pe;
+  let { graph; pes; wcet; energy; _ } = st.ctx in
+  let pair = (task * Array.length pes) + pe in
+  let finish = start +. wcet.(pair) in
+  let energy = energy.(pair) in
+  if Constraints.commit st.checker ~task ~pe then st.stale <- true;
+  st.dirty.(pe) <- true;
   let entry = { Schedule.task; pe; start; finish; energy } in
   st.entries.(task) <- Some entry;
   let rec insert = function
@@ -442,6 +572,8 @@ let schedule ?memo ctx ~weights =
       | Replay node ->
           Metricsreg.incr m_replayed_steps;
           Trace.add_attr "replayed" (Trace.Bool true);
+          adopt st node;
+          Inspect.observe st node;
           node
       | Scan attach ->
           let node = scan st ~ready:!ready in

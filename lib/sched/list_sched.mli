@@ -92,8 +92,10 @@ val run_adaptive :
     scheduled step of each attempt ([18 x n_tasks]
     nodes), each holding four words per candidate (at most ready tasks x
     PEs), six on the thermal policy plus the step's base response (two
-    floats per PE); the memo is local to the call and dropped when it
-    returns. The stopped iterates live in the engine's cache, under its
+    floats per PE), and its ready set, which shares all but O(log n)
+    words with its parent's; the memo is local to the call and dropped
+    when it returns. A fresh scan that follows a replayed step builds on
+    the replayed node (see {!scan}). The stopped iterates live in the engine's cache, under its
     entry bound ({!Tats_thermal.Inquiry}), and outlive the call like its
     converged results. Replayed steps are counted in the
     [sched.replayed_steps] metric. *)
@@ -172,9 +174,33 @@ val scan :
     raised to [floor task] when given, and the policy cost plus
     [surcharge.(pe)] when given. A thermal cost gets a bound per pair,
     exact costs on demand: one base solve per scan, then per pair the
-    O(n_blocks) {!Dc.cost_thermal_floor} and what its delta-evaluated
-    inquiry needs, whose committed energies are averaged over [horizon]
-    when given, else over the candidate's finish. *)
+    O(1) {!Dc.cost_thermal_floor} and what its delta-evaluated inquiry
+    needs, whose committed energies are averaged over [horizon] when
+    given, else over the candidate's finish.
+
+    {b Reuse.} Each scan builds on the state's parent node: the last one
+    scanned, or replayed by {!run_adaptive}'s memo, on this state. A
+    pair's admissibility and earliest start (before the floor) depend
+    only on its task's predecessors' entries, its PE's entries and the
+    constraint checker's claims; so for a task the parent also scanned,
+    on a PE no {!commit} touched since, both are taken over from the
+    parent, in the same scan order. Only the committed PEs' columns and
+    the newly ready tasks run the earliest-start and admissibility
+    checks. A commit that claims a PE for an isolation class can change
+    admissibility on every PE, so the scan after it takes over nothing.
+    Start, {!Dc.part} and cost are computed anew for every pair, from
+    per-pair tables of the library's WCET, WCPC, energy and static costs
+    built once per {!prepare}, by the same expressions as a fresh scan:
+    a start floor, horizon or surcharge touches exactly these, and the
+    result is bit for bit the node a scan from scratch builds.
+
+    {b The thermal floor} is the inquiry seed's mean assembled in O(1)
+    from the means of the base response and of the PE's influence column
+    ({!Tats_thermal.Inquiry.seed_floor}), lowered by a relative margin of
+    [(2n + 8) n epsilon_float] (n blocks) that covers its rounding and
+    that of the per-block sum: it stays below the first bound the exact
+    inquiry's fixed point sees, so every pick is unchanged (DESIGN.md
+    §6). *)
 
 type choice = { task : Task.id; pe : int; start : float }
 
@@ -214,3 +240,45 @@ val commit : on_ready:(Task.id -> unit) -> state -> choice -> Schedule.entry
 
 val finish : state -> Schedule.t
 (** The schedule of a state in which every task is committed. *)
+
+(** {1 Inspection}
+
+    For differential tests of the step core: an observer that sees every
+    node a scheduler steps through (each {!scan}, fresh or built on its
+    parent, and each step {!run_adaptive}'s memo replays), and read access
+    to the state it was built from. With no observer set, a scan pays one
+    atomic load for it. *)
+module Inspect : sig
+  type view = {
+    v_ready : Ready.t;  (** the ready set scanned *)
+    v_floor : (Task.id -> float) option;  (** the scan's arguments *)
+    v_horizon : float option;
+    v_surcharge : float array option;
+    v_pairs : int array;  (** [task * n_pes + pe], in scan order *)
+    v_starts : float array;
+    v_parts : float array;  (** {!Dc.part} *)
+    v_bounds : float array;
+        (** the cost {!scan} stored, surcharge included: exact except on
+            the thermal policy, where it is a lower bound *)
+  }
+
+  val set_observer : (state -> view -> unit) option -> unit
+  (** Called, on the domain that scheduled, with the state as the node
+      was built (before that step's commit). Process-wide; the test that
+      sets it clears it. *)
+
+  val graph : state -> Graph.t
+  (** The graph being scheduled ([Periodic]'s is its hyperperiod's jobs). *)
+
+  val entry : state -> Task.id -> Schedule.entry option
+  (** The task's committed entry, if any. *)
+
+  val pe_energy : state -> float array
+  (** The committed energy per PE, summed in commit order. *)
+
+  val admissible : state -> task:Task.id -> pe:int -> bool
+  (** {!Constraints.admissible} under the state's claims, evaluated now. *)
+
+  val criticality : state -> Task.id -> float
+  (** The static criticality the state scores with ({!prepare}'s [sc]). *)
+end

@@ -5,6 +5,10 @@ type t = {
   wcet : float array array; (* [task_type][kind_id] *)
   wcpc : float array array;
   comm : Comm.t;
+  (* The library-wide maxima the DC cost terms normalize by, folded once
+     when the tables are built ([with_maxima]). *)
+  max_wcpc : float;
+  max_energy : float;
 }
 
 let check_kinds kinds =
@@ -15,6 +19,26 @@ let check_kinds kinds =
         invalid_arg "Library: kind_ids must be dense and in order")
     arr;
   arr
+
+let fold_tables f init wcet =
+  let acc = ref init in
+  Array.iteri
+    (fun tt row -> Array.iteri (fun ki _ -> acc := f !acc tt ki) row)
+    wcet;
+  !acc
+
+let with_maxima ~kinds ~wcet ~wcpc ~comm =
+  {
+    kinds;
+    wcet;
+    wcpc;
+    comm;
+    max_wcpc = fold_tables (fun acc tt ki -> Float.max acc wcpc.(tt).(ki)) 0.0 wcet;
+    max_energy =
+      fold_tables
+        (fun acc tt ki -> Float.max acc (wcet.(tt).(ki) *. wcpc.(tt).(ki)))
+        0.0 wcet;
+  }
 
 let of_tables ~kinds ~wcet ~wcpc ?(comm = Comm.default) () =
   let kinds = check_kinds kinds in
@@ -35,7 +59,9 @@ let of_tables ~kinds ~wcet ~wcpc ?(comm = Comm.default) () =
   check "wcpc" wcpc;
   if Array.length wcet <> Array.length wcpc then
     invalid_arg "Library.of_tables: wcet/wcpc disagree on task types";
-  { kinds; wcet; wcpc; comm }
+  (* Copied, so that the caller's arrays cannot move the maxima. *)
+  with_maxima ~kinds ~wcet:(Array.map Array.copy wcet)
+    ~wcpc:(Array.map Array.copy wcpc) ~comm
 
 let generate ~seed ~n_task_types ~kinds ?(comm = Comm.default) () =
   if n_task_types < 1 then invalid_arg "Library.generate: no task types";
@@ -59,7 +85,7 @@ let generate ~seed ~n_task_types ~kinds ?(comm = Comm.default) () =
         wcpc.(tt).(ki) <- k.Pe.power_scale *. intensity *. p_jitter)
       kinds
   done;
-  { kinds; wcet; wcpc; comm }
+  with_maxima ~kinds ~wcet ~wcpc ~comm
 
 let n_task_types t = Array.length t.wcet
 let kinds t = Array.copy t.kinds
@@ -73,21 +99,8 @@ let energy t ~task_type ~kind = t.wcet.(task_type).(kind) *. t.wcpc.(task_type).
 let wcet_avg t ~task_type =
   Tats_util.Stats.mean t.wcet.(task_type)
 
-let fold_tables f init t =
-  let acc = ref init in
-  Array.iteri
-    (fun tt row ->
-      Array.iteri (fun ki _ -> acc := f !acc tt ki) row)
-    t.wcet;
-  !acc
-
-let max_wcpc t =
-  fold_tables (fun acc tt ki -> Float.max acc t.wcpc.(tt).(ki)) 0.0 t
-
-let max_energy t =
-  fold_tables
-    (fun acc tt ki -> Float.max acc (t.wcet.(tt).(ki) *. t.wcpc.(tt).(ki)))
-    0.0 t
+let max_wcpc t = t.max_wcpc
+let max_energy t = t.max_energy
 
 let aggregate t ~member_types =
   let nk = Array.length t.kinds in
@@ -110,7 +123,7 @@ let aggregate t ~member_types =
         wcpc.(c).(k) <- total_energy /. total_wcet
       done)
     member_types;
-  { t with wcet; wcpc }
+  with_maxima ~kinds:t.kinds ~wcet ~wcpc ~comm:t.comm
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>library: %d task types x %d kinds@," (n_task_types t)

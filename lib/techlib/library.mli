@@ -20,7 +20,7 @@ val of_tables :
   unit ->
   t
 (** Explicit tables indexed [task_type][kind_id]. Both must be rectangular,
-    positive, and agree in shape. *)
+    positive, and agree in shape. They are copied. *)
 
 val n_task_types : t -> int
 val kinds : t -> Pe.kind array
@@ -39,7 +39,9 @@ val wcet_avg : t -> task_type:int -> float
 
 val max_wcpc : t -> float
 val max_energy : t -> float
-(** Library-wide maxima, used to normalize DC cost terms. *)
+(** Library-wide maxima over every (task type, kind), used to normalize DC
+    cost terms. Folded once when {!of_tables}, {!generate} or
+    {!aggregate} builds the library, so each call is a field read. *)
 
 val aggregate : t -> member_types:int list array -> t
 (** The library for a clustered task graph (see

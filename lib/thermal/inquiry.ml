@@ -119,13 +119,19 @@ let pp_stats ppf s =
     (s.dense_solves - s.factored_solves)
     s.delta_evals s.wall_time
 
-type base = { base_power : float array; response : float array }
+type base = {
+  base_power : float array;
+  response : float array;
+  response_mean : float; (* summed in [Stats.mean]'s order *)
+}
 
 type t = {
   solver : Steady.t;
   n : int;
   ambient : float;
   cols : float array array; (* cols.(j).(i) = dT_i per W injected at block j *)
+  col_means : float array; (* per column, summed in [Stats.mean]'s order *)
+  floor_margin : float; (* relative rounding margin of [seed_floor] *)
   cache : (string, float array) Hashtbl.t;
   (* keyed by [cache_key]: converged results and stopped iterates, [pack]ed *)
   counters : counters;
@@ -179,6 +185,8 @@ let create solver =
     n;
     ambient = (Rcmodel.package model).Package.ambient;
     cols;
+    col_means = Array.map Tats_util.Stats.mean cols;
+    floor_margin = float_of_int (((2 * n) + 8) * n) *. epsilon_float;
     cache = Hashtbl.create 256;
     counters;
     warm = None;
@@ -231,6 +239,27 @@ let pack (it : Steady.iterate) =
 let entry_steps t entry = int_of_float entry.(t.n)
 let entry_residual t entry = entry.(t.n + 1)
 
+(* A miss's fixed point, from [init] (a seed, or a stopped iterate to
+   resume), without any lock: it only reads the immutable influence
+   matrix, copies its start and writes its own buffers. Returns the
+   temperatures, the steps this call ran, the iterate's total step count
+   and, when it ran any step under a cache [key], the entry to store. The
+   [inquiry.solve] span costs its closure only while tracing. *)
+let solve_miss t ~max_iter ~tol ?stop ~key ~dynamic ~idle init =
+  let run () =
+    Steady.fixed_point ~max_iter ~tol ?init ?stop ~package:(package t)
+      ~solve:(apply t) ~dynamic ~idle ()
+  in
+  let it =
+    if Trace.enabled () then Trace.with_span "inquiry.solve" run else run ()
+  in
+  let start = match init with Some i -> i.Steady.steps | None -> 0 in
+  let steps = it.Steady.steps - start in
+  ( it.Steady.temps,
+    steps,
+    it.Steady.steps,
+    if steps > 0 && key <> None then Some (pack it) else None )
+
 (* One inquiry takes the engine lock twice, without closures: once to count
    it and look its inputs up, once to count its outcome and store what it
    computed. Neither section can raise. The fleet-wide registry metrics are
@@ -261,22 +290,8 @@ let run_query ?(max_iter = default_max_iter) ?(tol = default_tol)
   if delta then Metricsreg.incr m_delta_evals;
   let copy entry = Array.sub entry 0 t.n in
   (* A converged entry is the answer; a stopped one is where the iteration
-     resumes, ahead of any seed. The fixed point itself runs without any
-     lock: it only reads the immutable influence matrix, copies its start
-     and writes its own buffers. *)
-  let solve ?stop init =
-    let it =
-      Trace.with_span "inquiry.solve" (fun () ->
-          Steady.fixed_point ~max_iter ~tol ?init ?stop ~package:(package t)
-            ~solve:(apply t) ~dynamic ~idle ())
-    in
-    let start = match init with Some i -> i.Steady.steps | None -> 0 in
-    let steps = it.Steady.steps - start in
-    ( it.Steady.temps,
-      steps,
-      it.Steady.steps,
-      if steps > 0 && key <> None then Some (pack it) else None )
-  in
+     resumes, ahead of any seed. *)
+  let solve ?stop init = solve_miss t ~max_iter ~tol ?stop ~key ~dynamic ~idle init in
   let temps, steps, total, stored =
     match found with
     | Some entry when entry_residual t entry <= tol ->
@@ -357,7 +372,11 @@ let base_response t ~power =
       done
     end
   done;
-  { base_power = Array.copy power; response }
+  {
+    base_power = Array.copy power;
+    response;
+    response_mean = Tats_util.Stats.mean response;
+  }
 
 let check_delta what t ~horizon ~pe =
   if pe < 0 || pe >= t.n then invalid_arg ("Inquiry." ^ what ^ ": pe out of range");
@@ -366,32 +385,37 @@ let check_delta what t ~horizon ~pe =
 
 (* Block [i] of the linear solution of [base_power / horizon + extra . e_pe],
    assembled in O(1) from the per-step base response and [col = cols.(pe)]:
-   the seed of [query_delta]'s fixed point and the lower bound of
-   [seed_mean], one expression for both. *)
-let seed t ~base ~horizon ~col ~extra i =
+   the seed of [query_delta]'s fixed point. *)
+let[@inline] seed t ~base ~horizon ~col ~extra i =
   t.ambient +. (base.response.(i) /. horizon) +. (extra *. col.(i))
 
-(* Summed in [Stats.mean]'s order, so that a fixed point that never falls
-   below its seed block by block never has a lower mean either. *)
-let seed_mean t ~base ~horizon ~pe ~extra =
-  check_delta "seed_mean" t ~horizon ~pe;
-  let col = t.cols.(pe) in
-  let sum = ref 0.0 in
-  for i = 0 to t.n - 1 do
-    sum := !sum +. seed t ~base ~horizon ~col ~extra i
-  done;
-  !sum /. float_of_int t.n
+(* The seed's mean assembled in O(1) from the means of the base response
+   and of [cols.(pe)]: in real arithmetic it is the mean of the per-block
+   seeds, but its rounding differs from that summation's, so it is lowered
+   by a margin that covers both. With every term of a block's seed
+   non-negative but the ambient, each of the two evaluations is within
+   (n + 4) u of the exact mean times the largest block magnitude, which
+   is at most n times [magnitude] below (u = epsilon_float / 2); the
+   margin [(2n + 8) n epsilon_float magnitude] is twice their sum. *)
+let seed_floor t ~base ~horizon ~pe ~extra =
+  check_delta "seed_floor" t ~horizon ~pe;
+  let lift = base.response_mean /. horizon and own = extra *. t.col_means.(pe) in
+  let mean = t.ambient +. lift +. own in
+  let magnitude = Float.abs t.ambient +. Float.abs lift +. Float.abs own in
+  mean -. (t.floor_margin *. magnitude)
 
 let query_delta ?max_iter ?tol ?stop t ~base ~horizon ~pe ~extra ~idle =
   check_delta "query_delta" t ~horizon ~pe;
-  let dynamic =
-    Array.init t.n (fun i ->
-        (base.base_power.(i) /. horizon) +. if i = pe then extra else 0.0)
-  in
   (* The linear solution of [dynamic], assembled in O(n) from the per-step
      base response instead of a fresh factored solve — the same starting
      point the dense path computes, so the fixed point follows the same
-     trajectory. *)
+     trajectory. Both vectors are filled by plain loops: an [Array.init]
+     closure would box every float it returns. *)
   let col = t.cols.(pe) in
-  let init = Array.init t.n (seed t ~base ~horizon ~col ~extra) in
+  let dynamic = Array.make t.n 0.0 and init = Array.make t.n 0.0 in
+  for i = 0 to t.n - 1 do
+    dynamic.(i) <-
+      (base.base_power.(i) /. horizon) +. if i = pe then extra else 0.0;
+    init.(i) <- seed t ~base ~horizon ~col ~extra i
+  done;
   run_query ?max_iter ?tol ~init ?stop ~delta:true t ~dynamic ~idle

@@ -126,7 +126,7 @@ val query_with_leakage :
 
 type base
 (** A per-scheduling-step precomputation: the influence response of a fixed
-    power basis (the per-PE cumulated energies). *)
+    power basis (the per-PE cumulated energies), and its mean. *)
 
 val base_response : t -> power:float array -> base
 
@@ -151,24 +151,36 @@ val query_delta :
     (the seed, or the iterate the cache resumes from, included) before the
     step that would follow it; the query returns the first iterate it
     holds of instead of the fixed point. The damped iteration climbs
-    block by block from the seed (see {!seed_mean}), so every iterate,
+    block by block from the seed (see {!seed_floor}), so every iterate,
     like the seed, bounds the result from below; a caller that only needs
     the result when it can beat some threshold stops as soon as that
     bound rules it out. [stop] is never asked of the converged result, so
     a caller learns which one it got from its own last answer. A stopped
     iterate is cached like a result (see {!stats}): the next query of the
-    same inputs resumes it, exactly. *)
+    same inputs resumes it, exactly.
 
-val seed_mean :
+    A miss pays its cache key and lookup, as a hit does, then only its
+    fixed point and the store: the two input vectors are filled by plain
+    loops, the fixed point's steps allocate nothing
+    ({!Steady.fixed_point}), and the [inquiry.solve] trace span costs a
+    closure only while tracing is on. *)
+
+val seed_floor :
   t -> base:base -> horizon:float -> pe:int -> extra:float -> float
-(** The mean of the seed {!query_delta} starts its fixed point from (the
-    same per-block expression), in O(n_blocks) and with no solve, no
-    cache traffic and no counter bump. It bounds the mean of
+(** A lower bound on the mean of the seed {!query_delta} starts its fixed
+    point from, in O(1) and with no solve, no cache traffic and no counter
+    bump: the mean of [base]'s response over [horizon] plus [extra] times
+    the mean of column [pe] (kept per engine), on top of the ambient. That
+    sum is the seed's mean in real arithmetic; its rounding differs from
+    the per-block summation's, so it is lowered by [(2n + 8) n
+    epsilon_float] times the magnitude of its terms, which covers the
+    rounding of both ([n] blocks). It also bounds the mean of
     [query_delta]'s result from below: every influence entry is
     non-negative and the capped leakage is increasing in temperature, so
-    the damped iteration only climbs from its linear seed, block by
-    block. [List_sched] uses it to skip the inquiries that cannot change
-    a pick. Same argument checks as {!query_delta}. *)
+    the damped iteration only climbs from its linear seed, block by block,
+    and the seed's mean is the first bound [stop] sees. [List_sched] uses
+    it to skip the inquiries that cannot change a pick. Same argument
+    checks as {!query_delta}. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

@@ -43,16 +43,12 @@ type iterate = { temps : float array; steps : int; residual : float }
 
 let seed temps = { temps; steps = 0; residual = Float.infinity }
 
-let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ?(stop = fun _ -> false)
-    ~package ~solve ~dynamic ~idle () =
+let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ?stop ~package ~solve
+    ~dynamic ~idle () =
   let n = Array.length dynamic in
   if Array.length idle <> n then
     invalid_arg "Steady.fixed_point: bad vector length";
   let beta = package.Package.leak_beta and t_ref = package.Package.leak_t_ref in
-  let leak temp base =
-    let excursion = Float.min (temp -. t_ref) max_leak_excursion in
-    base *. exp (beta *. excursion)
-  in
   (* One power buffer and two temperature buffers serve the whole
      iteration; [solve] writes block temperatures into its destination. *)
   let power = Array.make n 0.0 in
@@ -68,18 +64,26 @@ let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ?(stop = fun _ -> false)
         solve dynamic a;
         (0, Float.infinity)
   in
-  let cur = ref a and next = ref b in
   (* Everything the next step depends on is the iterate, its step count and
      the last residual, so an iterate handed back by [stop] resumes exactly
-     where it left off. *)
-  let rec iterate k residual =
-    if residual <= tol then (k, residual)
-    else if k >= max_iter then raise (Runaway { iterations = k; residual })
-    else if stop !cur then (k, residual)
+     where it left off. The loop keeps them in local mutable variables and
+     writes the leakage term out in place, with no closure between them:
+     a step allocates nothing, where a helper call would box its float
+     arguments and result once per block. *)
+  let cur = ref a and next = ref b in
+  let k = ref start and residual = ref residual0 and running = ref true in
+  while !running do
+    if !residual <= tol then running := false
+    else if !k >= max_iter then
+      raise (Runaway { iterations = !k; residual = !residual })
+    else if match stop with Some holds -> holds !cur | None -> false then
+      running := false
     else begin
       let cur_t = !cur and next_t = !next in
       for i = 0 to n - 1 do
-        power.(i) <- dynamic.(i) +. leak cur_t.(i) idle.(i)
+        (* The leakage of block [i] at its current temperature. *)
+        let excursion = Float.min (cur_t.(i) -. t_ref) max_leak_excursion in
+        power.(i) <- dynamic.(i) +. (idle.(i) *. exp (beta *. excursion))
       done;
       solve power next_t;
       (* Damping keeps the exponential feedback stable on hot designs; the
@@ -92,12 +96,12 @@ let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ?(stop = fun _ -> false)
       done;
       cur := next_t;
       next := cur_t;
-      iterate (k + 1) !delta
+      incr k;
+      residual := !delta
     end
-  in
-  let steps, residual = iterate start residual0 in
-  Metricsreg.observe h_fp_iterations (float_of_int (steps - start));
-  { temps = !cur; steps; residual }
+  done;
+  Metricsreg.observe h_fp_iterations (float_of_int (!k - start));
+  { temps = !cur; steps = !k; residual = !residual }
 
 let factored t = t.factored
 

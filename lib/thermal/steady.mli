@@ -72,8 +72,12 @@ val fixed_point :
     start from a previous solution ({!seed}), or an iterate an earlier
     call returned, which it resumes exactly — same trajectory, same step
     count and residual as one uninterrupted call. By default it starts
-    from the linear solution of [dynamic]. Work buffers are allocated
-    once per call, not per iteration.
+    from the linear solution of [dynamic]. Work buffers (three arrays of
+    [dynamic]'s length) are allocated once per call; a step allocates
+    nothing of its own: the leakage term is written out in the loop and
+    the step count and residual live in unboxed locals, so its cost is
+    its arithmetic ([exp] per block) plus [solve] and [stop]. Each call
+    records its step count in the [steady.fp_iterations] histogram.
 
     Returns the converged iterate (its residual at most [tol]), or the first
     unconverged one that [stop] holds of. [stop] (default: never) is

@@ -554,6 +554,352 @@ let test_pick_allocation () =
         true (words <= 8.0))
     Policy.all
 
+(* --- Reuse across steps ----------------------------------------------- *)
+
+module Inspect = List_sched.Inspect
+module Online = Tats_sched.Online
+module Periodic = Tats_sched.Periodic
+module Bus_sched = Tats_sched.Bus_sched
+
+(* A test-local scan from scratch of the state an observed node was built
+   from: in scan order, every (ready task, PE) pair that [Constraints]
+   admits under the state's claims now, its earliest start from the
+   committed entries (no exclusive tasks here), the node's floor, its
+   part, and its exact cost: for the thermal policy a full inquiry on
+   [engine], an engine of its own. Returns (pair, start, part, cost)
+   per pair. *)
+let local_scan ~lib ~pes ~policy ~engine st (v : Inspect.view) =
+  let graph = Inspect.graph st in
+  let n_pes = Array.length pes and comm = Library.comm lib in
+  let avail = Array.make n_pes 0.0 in
+  for t = 0 to Graph.n_tasks graph - 1 do
+    match Inspect.entry st t with
+    | Some e -> avail.(e.Schedule.pe) <- Float.max avail.(e.Schedule.pe) e.Schedule.finish
+    | None -> ()
+  done;
+  let pe_energy = Inspect.pe_energy st in
+  let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes in
+  let out = ref [] in
+  List_sched.Ready.iter
+    (fun task ->
+      let task_type = (Graph.task graph task).Task.task_type in
+      for pe = 0 to n_pes - 1 do
+        if Inspect.admissible st ~task ~pe then begin
+          let kind = pes.(pe).Pe.kind.Pe.kind_id in
+          let wcet = Library.wcet lib ~task_type ~kind in
+          let arrival =
+            List.fold_left
+              (fun acc (p, data) ->
+                let e = Option.get (Inspect.entry st p) in
+                Float.max acc
+                  (e.Schedule.finish
+                  +. Comm.delay_between comm ~src:e.Schedule.pe ~dst:pe ~data))
+              0.0 (Graph.preds graph task)
+          in
+          let start = Float.max arrival avail.(pe) in
+          let start =
+            match v.Inspect.v_floor with
+            | None -> start
+            | Some f -> Float.max start (f task)
+          in
+          let finish = start +. wcet in
+          let cost =
+            match policy with
+            | Policy.Baseline -> 0.0
+            | Policy.Power_aware Policy.Min_task_power ->
+                Dc.cost_task_power lib ~task_type ~kind
+            | Policy.Power_aware Policy.Min_pe_average_power ->
+                Dc.cost_pe_average_power lib ~pe_energy:pe_energy.(pe)
+                  ~task_energy:(Library.energy lib ~task_type ~kind) ~finish
+            | Policy.Power_aware Policy.Min_task_energy ->
+                Dc.cost_task_energy lib ~task_type ~kind
+            | Policy.Thermal_aware ->
+                let engine = Option.get engine in
+                Dc.cost_thermal ~stop:(fun _ -> false) ~engine
+                  ~base:(Inquiry.base_response engine ~power:pe_energy)
+                  ~idle
+                  ~finish:(Option.value v.Inspect.v_horizon ~default:finish)
+                  ~pe ~task_power:(Library.wcpc lib ~task_type ~kind)
+          in
+          let cost =
+            match v.Inspect.v_surcharge with
+            | None -> cost
+            | Some s -> cost +. s.(pe)
+          in
+          let part =
+            Dc.part ~sc:(Inspect.criticality st task) ~wcet ~start
+          in
+          out := ((task * n_pes) + pe, start, part, cost) :: !out
+        end
+      done)
+    v.Inspect.v_ready;
+  Array.of_list (List.rev !out)
+
+type observed = {
+  mutable nodes : int;
+  mutable thermal_bounds : int;
+  mutable picks : int;
+  (* The unpruned pick of the last node, to meet in the next commit, and
+     the state and commit count it was made at. *)
+  mutable pending : (List_sched.state * int * (int * int * float)) option;
+}
+
+(* Run [f] with an observer that checks every node against [local_scan]:
+   the pairs, starts and parts, and every non-thermal cost, are [%h]-equal;
+   every thermal bound is at most the exact cost. With [weight], it also
+   picks the unpruned winner of each node from the exact costs (the
+   sequential 1e-12 tie-break, in scan order) and checks that the state's
+   next commit is that (task, PE), at that start unless [bus_start] (the
+   bus books its own). Returns [f]'s result and what it saw. *)
+let observing ?weight ?(bus_start = false) what ~lib ~pes ~policy f =
+  let engine =
+    match policy with
+    | Policy.Thermal_aware -> Some (Hotspot.inquiry (fresh_hotspot pes))
+    | _ -> None
+  in
+  let o = { nodes = 0; thermal_bounds = 0; picks = 0; pending = None } in
+  let n_pes = Array.length pes in
+  let committed task pe start (e : Schedule.entry) =
+    let step = Printf.sprintf "%s: pick %d" what o.picks in
+    if (task, pe) <> (e.Schedule.task, e.Schedule.pe) then
+      Alcotest.failf "%s: picked (%d, %d), committed (%d, %d)" step task pe
+        e.Schedule.task e.Schedule.pe;
+    if not bus_start then exact (step ^ ": start") start e.Schedule.start;
+    o.picks <- o.picks + 1
+  in
+  let settle st =
+    match o.pending with
+    | Some (st', count, (task, pe, start))
+      when st' == st && List_sched.scheduled st = count + 1 -> (
+        match Inspect.entry st task with
+        | Some e -> committed task pe start e
+        | None ->
+            Alcotest.failf "%s: pick %d: task %d (PE %d, start %h) not committed"
+              what o.picks task pe start)
+    | _ -> ()
+  in
+  let observe st (v : Inspect.view) =
+    settle st;
+    let at = Printf.sprintf "%s: node %d" what o.nodes in
+    let local = local_scan ~lib ~pes ~policy ~engine st v in
+    let n = Array.length local in
+    if n <> Array.length v.Inspect.v_pairs then
+      Alcotest.failf "%s: %d candidates, %d from scratch" at
+        (Array.length v.Inspect.v_pairs) n;
+    Array.iteri
+      (fun i (pair, start, part, cost) ->
+        (* Messages are built only on a failure. *)
+        let field f =
+          Printf.sprintf "%s: pair %d (%d, %d) %s" at i (pair / n_pes)
+            (pair mod n_pes) f
+        in
+        let same f a b = if not (Int64.equal (bits a) (bits b)) then exact (field f) a b in
+        if pair <> v.Inspect.v_pairs.(i) then
+          Alcotest.failf "%s: %d" (field "pair") v.Inspect.v_pairs.(i);
+        same "start" start v.Inspect.v_starts.(i);
+        same "part" part v.Inspect.v_parts.(i);
+        match policy with
+        | Policy.Thermal_aware ->
+            o.thermal_bounds <- o.thermal_bounds + 1;
+            if not (v.Inspect.v_bounds.(i) <= cost) then
+              Alcotest.failf "%s: floor %h above the exact cost %h"
+                (field "bound") v.Inspect.v_bounds.(i) cost
+        | _ -> same "cost" cost v.Inspect.v_bounds.(i))
+      local;
+    o.nodes <- o.nodes + 1;
+    o.pending <-
+      Option.map
+        (fun weight ->
+          let best = ref (-1) and best_dc = ref 0.0 in
+          Array.iteri
+            (fun i (_, _, part, cost) ->
+              let dc = Dc.weigh ~part ~cost ~weight in
+              if !best < 0 || dc > !best_dc +. 1e-12 then begin
+                best := i;
+                best_dc := dc
+              end)
+            local;
+          let pair, start, _, _ = local.(!best) in
+          (st, List_sched.scheduled st, (pair / n_pes, pair mod n_pes, start)))
+        weight
+  in
+  Inspect.set_observer (Some observe);
+  let result =
+    Fun.protect ~finally:(fun () -> Inspect.set_observer None) f
+  in
+  (result, o)
+
+(* The last pick, met in the finished schedule: [entry task] is the
+   committed (PE, start) of [task]. *)
+let last_pick ?(bus_start = false) what o entry =
+  match o.pending with
+  | None -> ()
+  | Some (_, _, (task, pe, start)) ->
+      let pe', start' = entry task in
+      if pe <> pe' then Alcotest.failf "%s: last pick on PE %d, not %d" what pe' pe;
+      if not bus_start then exact (what ^ ": last pick's start") start start';
+      o.picks <- o.picks + 1
+
+let in_schedule (s : Schedule.t) task =
+  let e = s.Schedule.entries.(task) in
+  (e.Schedule.pe, e.Schedule.start)
+
+let reuse_graphs = List.map generated [ 1; 4; 7 ]
+
+(* Isolation crowded enough that a claim can change admissibility away
+   from the claimed PE: [n_pes - 1] classes of three tasks each, so the
+   unclaimed PEs run short of the classes still unplaced. *)
+let crowded_spec seed ~pes ~n_tasks =
+  let n_classes = Array.length pes - 1 in
+  let rng = Rng.create (700 + seed) in
+  let rec distinct acc =
+    if List.length acc = 3 * n_classes then acc
+    else
+      let t = Rng.int rng n_tasks in
+      distinct (if List.mem t acc then acc else t :: acc)
+  in
+  {
+    Constraints.pins = [];
+    isolation = List.mapi (fun i t -> (t, i mod n_classes)) (distinct []);
+  }
+
+(* Every step of [run], [run_adaptive] (fresh and replayed nodes),
+   [Online]'s plan (sporadic releases as floors; a reactive surcharge),
+   [Periodic.schedule] (release floors, a per-step horizon) and
+   [Bus_sched.run], on seeded DAGs x every policy x three platforms, with
+   and without pins and isolation where the caller takes them. *)
+let test_reuse_is_a_fresh_scan () =
+  let nodes = ref 0 and bounds = ref 0 and picks = ref 0 in
+  let tally (o : observed) =
+    nodes := !nodes + o.nodes;
+    bounds := !bounds + o.thermal_bounds;
+    picks := !picks + o.picks
+  in
+  List.iteri
+    (fun gi graph ->
+      List.iter
+        (fun (pname, (lib, pes)) ->
+          List.iter
+            (fun policy ->
+              let what c =
+                Printf.sprintf "%s/%s/%s/%s" (Graph.name graph) pname
+                  (Policy.name policy) c
+              in
+              let weight = (default_weights graph).Policy.cost_weight in
+              let hotspot () = fresh_hotspot pes in
+              let constraints =
+                crowded_spec gi ~pes ~n_tasks:(Graph.n_tasks graph)
+              in
+              (* run: every pick, and the whole schedule against the
+                 unpruned reference. *)
+              let s, o =
+                observing ~weight (what "run") ~lib ~pes ~policy (fun () ->
+                    List_sched.run ~hotspot:(hotspot ()) ~graph ~lib ~pes ~policy ())
+              in
+              last_pick (what "run") o (in_schedule s);
+              tally o;
+              let w = { Policy.cost_weight = weight } in
+              same_result (what "run")
+                (s, w)
+                ( unpruned ~hotspot:(hotspot ()) ~graph ~lib ~pes ~policy ~weight (),
+                  w );
+              (match
+                 outcome (fun () ->
+                     observing ~weight (what "run/constrained") ~lib ~pes
+                       ~policy (fun () ->
+                         List_sched.run ~hotspot:(hotspot ()) ~constraints ~graph
+                           ~lib ~pes ~policy ()))
+               with
+              | Ok (s, o) ->
+                  last_pick (what "run/constrained") o (in_schedule s);
+                  tally o
+              | Error _ -> ());
+              (* run_adaptive: fresh and replayed nodes; the result against
+                 the bisection over the unpruned reference. *)
+              let max_multiplier = max_multiplier policy in
+              let r, o =
+                observing (what "adaptive") ~lib ~pes ~policy (fun () ->
+                    List_sched.run_adaptive ~max_multiplier ~hotspot:(hotspot ())
+                      ~graph ~lib ~pes ~policy ())
+              in
+              tally o;
+              same_result (what "adaptive") r
+                (bisect ~max_multiplier ~base:(default_weights graph) (fun w ->
+                     unpruned ~hotspot:(hotspot ()) ~graph ~lib ~pes ~policy
+                       ~weight:w.Policy.cost_weight ()));
+              (match
+                 outcome (fun () ->
+                     observing (what "adaptive/constrained") ~lib ~pes
+                       ~policy (fun () ->
+                         List_sched.run_adaptive ~max_multiplier
+                           ~hotspot:(hotspot ()) ~constraints ~graph ~lib ~pes
+                           ~policy ()))
+               with
+              | Ok (_, o) -> tally o
+              | Error _ -> ());
+              (* Online: release floors over several events. *)
+              let arrivals = Online.sporadic ~seed:(40 + gi) graph in
+              let r, o =
+                observing ~weight (what "online") ~lib ~pes ~policy
+                  (fun () ->
+                    Online.run ~hotspot:(hotspot ()) ~arrivals ~graph ~lib ~pes
+                      ~policy:(Online.Mirror policy) ())
+              in
+              last_pick (what "online") o (in_schedule r.Online.schedule);
+              tally o;
+              (* Online, reactive: a surcharge on hot PEs, and deferrals
+                 (the step after one commits nothing). *)
+              if policy = Policy.Thermal_aware then begin
+                let reactive = Online.Reactive { Online.default_reactive with Online.trigger = 50.0 } in
+                let r, o =
+                  observing ~weight (what "online/reactive") ~lib ~pes ~policy
+                    (fun () ->
+                      Online.run ~hotspot:(hotspot ()) ~arrivals ~graph ~lib ~pes
+                        ~policy:reactive ())
+                in
+                if r.Online.stats.Online.deferrals = 0 then
+                  last_pick (what "online/reactive") o (in_schedule r.Online.schedule);
+                tally o
+              end;
+              (* Periodic: two apps, the first with two instances in the
+                 hyperperiod. *)
+              let other = generated (10 + gi) in
+              let period =
+                Float.ceil
+                  (Float.max (Graph.deadline graph) (Graph.deadline other))
+              in
+              let apps =
+                [ Periodic.make_app ~graph ~period;
+                  Periodic.make_app ~graph:other ~period:(2.0 *. period) ]
+              in
+              let p, o =
+                observing ~weight (what "periodic") ~lib ~pes ~policy (fun () ->
+                    Periodic.schedule ~policy ~weights:w ~hotspot:(hotspot ())
+                      ~apps ~lib ~pes ())
+              in
+              (* Entries are in scheduling order: the last is the last pick. *)
+              let last = p.Periodic.entries.(Array.length p.Periodic.entries - 1) in
+              last_pick (what "periodic") o (fun _ -> (last.Periodic.pe, last.Periodic.start));
+              tally o;
+              (* Bus_sched: selection on the contention-free estimate. *)
+              if policy <> Policy.Thermal_aware then begin
+                let r, o =
+                  observing ~weight ~bus_start:true (what "bus") ~lib ~pes ~policy
+                    (fun () -> Bus_sched.run ~graph ~lib ~pes ~policy ())
+                in
+                last_pick ~bus_start:true (what "bus") o
+                  (in_schedule r.Bus_sched.schedule);
+                tally o
+              end)
+            Policy.all)
+        builtins)
+    reuse_graphs;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d nodes, %d thermal bounds, %d picks checked" !nodes
+       !bounds !picks)
+    true
+    (!nodes > 10_000 && !bounds > 10_000 && !picks > 1_000)
+
 let () =
   Alcotest.run "memo"
     [
@@ -579,5 +925,10 @@ let () =
             test_unpruned_adaptive;
           Alcotest.test_case "pick allocates only its result" `Quick
             test_pick_allocation;
+        ] );
+      ( "reuse",
+        [
+          Alcotest.test_case "every node = a test-local fresh scan" `Quick
+            test_reuse_is_a_fresh_scan;
         ] );
     ]

@@ -156,6 +156,52 @@ let test_maxima () =
   Alcotest.(check (float 1e-9)) "max wcpc" 6.0 (Library.max_wcpc lib);
   Alcotest.(check (float 1e-9)) "max energy" 40.0 (Library.max_energy lib)
 
+(* The stored maxima against a fold over every (task type, kind), bit for
+   bit: the catalogue's libraries, seeded generated ones and their
+   aggregates. *)
+let test_maxima_are_the_fold () =
+  let fold f lib =
+    let acc = ref 0.0 in
+    for task_type = 0 to Library.n_task_types lib - 1 do
+      for kind = 0 to Array.length (Library.kinds lib) - 1 do
+        acc := Float.max !acc (f lib ~task_type ~kind)
+      done
+    done;
+    !acc
+  in
+  let same what a b =
+    if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
+      Alcotest.failf "%s: %h vs %h" what a b
+  in
+  let check what lib =
+    same (what ^ ": max wcpc") (fold Library.wcpc lib) (Library.max_wcpc lib);
+    same (what ^ ": max energy") (fold Library.energy lib) (Library.max_energy lib)
+  in
+  check "default" (Catalog.default_library ());
+  check "platform" (Catalog.platform_library ());
+  List.iter
+    (fun p -> check (Tats_techlib.Platform.name p) (Catalog.library_for p))
+    (Catalog.builtin_platforms ());
+  for seed = 1 to 12 do
+    let n_task_types = 1 + (seed mod 9) in
+    let lib =
+      Library.generate ~seed ~n_task_types ~kinds:(Catalog.heterogeneous ()) ()
+    in
+    let what = Printf.sprintf "generate seed %d" seed in
+    check what lib;
+    let member_types =
+      Array.init ((n_task_types + 1) / 2) (fun c ->
+          List.filter (fun tt -> tt / 2 = c) (List.init n_task_types Fun.id))
+    in
+    check (what ^ " aggregate") (Library.aggregate lib ~member_types)
+  done;
+  (* of_tables copies its tables: mutating them afterwards moves nothing. *)
+  let wcet = [| [| 10.0; 20.0 |] |] and wcpc = [| [| 1.0; 2.0 |] |] in
+  let lib = Library.of_tables ~kinds:(two_kinds ()) ~wcet ~wcpc () in
+  wcpc.(0).(1) <- 9.0;
+  check "of_tables after mutation" lib;
+  same "of_tables max wcpc" 2.0 (Library.max_wcpc lib)
+
 let test_of_tables_validation () =
   let bad f = try ignore (f () : Library.t); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "ragged" true
@@ -289,6 +335,7 @@ let () =
           Alcotest.test_case "energy = wcet*wcpc" `Quick test_energy_is_product;
           Alcotest.test_case "wcet_avg" `Quick test_wcet_avg;
           Alcotest.test_case "maxima" `Quick test_maxima;
+          Alcotest.test_case "maxima are the fold" `Quick test_maxima_are_the_fold;
           Alcotest.test_case "of_tables validation" `Quick test_of_tables_validation;
           Alcotest.test_case "aggregate conserves" `Quick
             test_aggregate_conserves_work_and_energy;
