@@ -26,33 +26,22 @@ let cost_task_energy lib ~task_type ~kind =
 
 let[@inline] cost_temperature ~ambient ~avg_temp = (avg_temp -. ambient) /. 100.0
 
-(* [Stats.mean], the same sum in the same order, written out here so that
-   the bound of every iterate is folded without a boxed float per call. *)
-let[@inline] mean temps =
-  let sum = ref 0.0 in
-  for i = 0 to Array.length temps - 1 do
-    sum := !sum +. temps.(i)
-  done;
-  !sum /. float_of_int (Array.length temps)
-
-(* The paper's thermal inquiry, served by the influence-matrix engine: the
-   cumulating power of every PE (the per-step [base]) plus the consuming
-   power the candidate task would incur on the candidate PE. Leakage
-   coupling matters here — in a purely linear network the average
-   temperature is nearly independent of which PE receives the task, and
-   the inquiry could not discriminate. *)
-let cost_thermal ~stop ~engine ~base ~idle ~finish ~pe ~task_power =
+(* The paper's thermal inquiry, served by the influence-matrix engine from
+   the step's table: the cumulating power of every PE (the step's base)
+   plus the consuming power the candidate task would incur on the
+   candidate PE. Leakage coupling matters here — in a purely linear
+   network the average temperature is nearly independent of which PE
+   receives the task, and the inquiry could not discriminate. *)
+let cost_thermal ~stop ~engine ~step ~tally ~slots i ~finish ~pe ~task_power =
   let horizon = Float.max finish 1e-9 in
   let ambient =
     (Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
   in
-  let temps =
-    Tats_thermal.Inquiry.query_delta
-      ~stop:(fun temps ->
-        stop (cost_temperature ~ambient ~avg_temp:(mean temps)))
-      engine ~base ~horizon ~pe ~extra:task_power ~idle
-  in
-  cost_temperature ~ambient ~avg_temp:(mean temps)
+  cost_temperature ~ambient
+    ~avg_temp:
+      (Tats_thermal.Inquiry.ask
+         ~stop:(fun mean -> stop (cost_temperature ~ambient ~avg_temp:mean))
+         engine step tally ~slots i ~horizon ~pe ~extra:task_power)
 
 (* The same inquiry stopped before its linear seed: [cost_temperature] is
    increasing in the average, so a floor under the seed's mean bounds the

@@ -32,25 +32,29 @@ val cost_temperature : ambient:float -> avg_temp:float -> float
 val cost_thermal :
   stop:(float -> bool) ->
   engine:Tats_thermal.Inquiry.t ->
-  base:Tats_thermal.Inquiry.base ->
-  idle:float array ->
+  step:Tats_thermal.Inquiry.step ->
+  tally:Tats_thermal.Inquiry.tally ->
+  slots:Tats_thermal.Inquiry.slot array ->
+  int ->
   finish:float ->
   pe:int ->
   task_power:float ->
   float
-(** The thermal-aware candidate cost, end to end: issue the paper's HotSpot
-    inquiry through the {!Tats_thermal.Inquiry} engine — the per-step
-    [base] (cumulated PE energies) averaged over the candidate's finish
-    horizon, plus [task_power] on the candidate [pe], delta-evaluated —
-    and fold the average temperature through {!cost_temperature}.
+(** The thermal-aware candidate cost, end to end: the paper's HotSpot
+    inquiry, answered by {!Tats_thermal.Inquiry.ask} from the step's
+    table — the step's base (cumulated PE energies) averaged over the
+    candidate's finish horizon, plus [task_power] on the candidate [pe],
+    delta-evaluated — with the average temperature folded through
+    {!cost_temperature}. [slots.(i)] is the candidate's slot cache and
+    [tally] takes the counter bumps, as for [ask].
 
     [stop] sees the same fold of every unconverged iterate of the
     inquiry's fixed point, in order: a lower bound on the cost that never
-    falls from one iterate to the next (see
-    {!Tats_thermal.Inquiry.query_delta}), whose first value is
-    {!cost_thermal_floor}'s. Once [stop] holds, the inquiry stops there and
-    the result is that bound, not the cost; the caller tells the two apart
-    by its own last answer. [~stop:(fun _ -> false)] asks for the cost. *)
+    falls from one iterate to the next, whose first value is at least
+    {!cost_thermal_floor}'s. Once [stop] holds, the inquiry stops there
+    and the result is that bound, not the cost; the caller tells the two
+    apart by its own last answer. [~stop:(fun _ -> false)] asks for the
+    cost. *)
 
 val cost_thermal_floor :
   engine:Tats_thermal.Inquiry.t ->

@@ -104,8 +104,8 @@ module Ready = Set.Make (Int)
    lower bound on it ([Dc.cost_thermal_floor]) and what the exact
    inquiry needs beyond the pair and start, and [pick] runs a candidate's
    fixed point only while its bound, tightened to the current iterate's,
-   lets it reach the best exact DC: the iterate stops in the engine's
-   cache, and the bound in [floors], for a later pick to resume. Every
+   lets it reach the best exact DC: the iterate stops in its slot of the
+   step's table, and the bound in [floors], for a later pick to resume. Every
    other policy's cost is exact at scan time: then
    [floors == scan_floors == costs]. *)
 type node = {
@@ -123,9 +123,10 @@ type node = {
 
 (* The scan's inputs to the thermal costs of its candidates. *)
 and thermal = {
-  base : Inquiry.base; (* the step's influence response *)
+  step : Inquiry.step; (* the engine's table for the step's base *)
   horizon : float option;
   surcharge : float array option;
+  slots : Inquiry.slot array; (* per candidate, its slot in [step] *)
 }
 
 type candidates = node
@@ -146,6 +147,7 @@ type state = {
   mutable parent : node option;
   dirty : bool array;
   mutable stale : bool;
+  tally : Inquiry.tally; (* a pick's inquiry counters, flushed once *)
 }
 
 let init ctx =
@@ -162,6 +164,7 @@ let init ctx =
     parent = None;
     dirty = Array.make n_pes false;
     stale = false;
+    tally = Inquiry.tally ();
   }
 
 let scheduled st = st.n_scheduled
@@ -224,6 +227,8 @@ module Inspect = struct
     v_starts : float array;
     v_parts : float array;
     v_bounds : float array;
+    v_floors : float array;
+    v_costs : float array;
   }
 
   let observer : (state -> view -> unit) option Atomic.t = Atomic.make None
@@ -244,6 +249,8 @@ module Inspect = struct
             v_starts = Array.copy node.starts;
             v_parts = Array.copy node.parts;
             v_bounds = Array.copy node.scan_floors;
+            v_floors = node.floors;
+            v_costs = node.costs;
           }
 
   let graph st = st.ctx.graph
@@ -281,15 +288,13 @@ let scan ?floor ?horizon ?surcharge st ~ready =
   in
   let parts = Array.make cap 0.0 in
   let floors = Array.make cap 0.0 in
-  (* One base solve per scanned step: the influence response to the
-     committed PE energies. Candidates are bounded, and refined if
-     [pick] needs them, against it in O(1) and O(n_blocks) each instead
-     of re-solving from scratch. *)
-  let thermal =
-    Option.map
-      (fun e ->
-        { base = Inquiry.base_response e ~power:st.pe_energy; horizon; surcharge })
-      engine
+  (* One table per step base, kept by the engine: the influence response
+     to the committed PE energies, and the slots of the inquiries asked
+     on it. Candidates are bounded, and refined if [pick] needs them,
+     against it in O(1) and O(n_blocks) each instead of re-solving from
+     scratch. *)
+  let step =
+    Option.map (fun e -> Inquiry.step e ~power:st.pe_energy ~idle:st.ctx.idle) engine
   in
   let parent =
     match st.parent with Some p when not st.stale -> Some p | _ -> None
@@ -338,7 +343,7 @@ let scan ?floor ?horizon ?surcharge st ~ready =
                   ~task_energy:energy.(pair) ~finish
             | Policy.Thermal_aware ->
                 Dc.cost_thermal_floor ~engine:(Option.get engine)
-                  ~base:(Option.get thermal).base
+                  ~base:(Inquiry.step_base (Option.get step))
                   ~finish:(Option.value horizon ~default:finish)
                   ~pe ~task_power:wcpc.(pair)
           in
@@ -356,6 +361,12 @@ let scan ?floor ?horizon ?surcharge st ~ready =
     ready;
   let trim a = if !k = cap then a else Array.sub a 0 !k in
   let floors = trim floors and earliest = trim earliest in
+  let thermal =
+    Option.map
+      (fun step ->
+        { step; horizon; surcharge; slots = Array.make !k Inquiry.no_slot })
+      step
+  in
   let node =
     {
       ready;
@@ -384,16 +395,16 @@ type choice = { task : Task.id; pe : int; start : float }
 let[@inline] weigh part cost weight = part -. (weight *. cost)
 
 (* Run thermal candidate [i]'s inquiry (resuming the iterate an earlier
-   pick stopped at, from the engine's cache) until its DC bound at
-   [weight] falls below [reach], which leaves its cost unevaluated, or it
-   converges, which stores the cost. Its floor follows every iterate. The
-   inquiry's finish and task power are derived again from the pair and
-   start. *)
+   pick, or an identical candidate, stopped at in its slot) until its DC
+   bound at [weight] falls below [reach], which leaves its cost
+   unevaluated, or it converges, which stores the cost. Its floor follows
+   every iterate. The inquiry's finish and task power are derived again
+   from the pair and start. *)
 let refine st node i ~weight ~reach =
   match node.thermal with
   | None -> ()
   | Some th ->
-      let { pes; idle; engine; wcet; wcpc; _ } = st.ctx in
+      let { pes; engine; wcet; wcpc; _ } = st.ctx in
       let n_pes = Array.length pes in
       let pair = node.pairs.(i) in
       let pe = pair mod n_pes in
@@ -413,8 +424,8 @@ let refine st node i ~weight ~reach =
         !pruned
       in
       let c =
-        Dc.cost_thermal ~stop ~engine:(Option.get engine) ~base:th.base ~idle
-          ~finish ~pe ~task_power:wcpc.(pair)
+        Dc.cost_thermal ~stop ~engine:(Option.get engine) ~step:th.step
+          ~tally:st.tally ~slots:th.slots i ~finish ~pe ~task_power:wcpc.(pair)
       in
       let c = match th.surcharge with None -> c | Some _ -> c +. surcharge in
       if not !pruned then begin
@@ -483,6 +494,9 @@ let pick ~caller st node ~weight =
       end
     end
   done;
+  (match (node.thermal, st.ctx.engine) with
+  | Some _, Some engine -> Inquiry.flush engine st.tally
+  | _ -> ());
   let n_pes = Array.length st.ctx.pes in
   let pair = node.pairs.(!best) in
   { task = pair / n_pes; pe = pair mod n_pes; start = node.starts.(!best) }

@@ -85,20 +85,20 @@ val run_adaptive :
     issuing only the inquiries no earlier attempt needed there, and
     computes start times only once its decisions leave every earlier
     attempt's path. A thermal candidate an earlier attempt pruned keeps
-    its tightened bound in the node and its stopped iterate in the
-    inquiry engine's cache, so a later attempt that needs it resumes its
+    its tightened bound in the node and its stopped iterate in its slot
+    of the step's table, so a later attempt that needs it resumes its
     fixed point instead of restarting it. Results are bit-identical to
     bisecting over fresh {!run} calls. Memory: at most one node per
     scheduled step of each attempt ([18 x n_tasks]
     nodes), each holding four words per candidate (at most ready tasks x
-    PEs), six on the thermal policy plus the step's base response (two
-    floats per PE), and its ready set, which shares all but O(log n)
-    words with its parent's; the memo is local to the call and dropped
-    when it returns. A fresh scan that follows a replayed step builds on
-    the replayed node (see {!scan}). The stopped iterates live in the engine's cache, under its
-    entry bound ({!Tats_thermal.Inquiry}), and outlive the call like its
-    converged results. Replayed steps are counted in the
-    [sched.replayed_steps] metric. *)
+    PEs), seven on the thermal policy (the seventh its slot), and its
+    ready set, which shares all but O(log n) words with its parent's; the
+    memo is local to the call and dropped when it returns. A fresh scan
+    that follows a replayed step builds on the replayed node (see
+    {!scan}). The step tables and their slots live in the inquiry engine,
+    under its entry bound ({!Tats_thermal.Inquiry}), and outlive the
+    call. Replayed steps are counted in the [sched.replayed_steps]
+    metric. *)
 
 (** {1 Step core}
 
@@ -173,10 +173,12 @@ val scan :
     {!is_ready}): the earliest start (data arrival and PE availability),
     raised to [floor task] when given, and the policy cost plus
     [surcharge.(pe)] when given. A thermal cost gets a bound per pair,
-    exact costs on demand: one base solve per scan, then per pair the
-    O(1) {!Dc.cost_thermal_floor} and what its delta-evaluated inquiry
-    needs, whose committed energies are averaged over [horizon] when
-    given, else over the candidate's finish.
+    exact costs on demand: one step table per scan
+    ({!Tats_thermal.Inquiry.step}, keyed by the committed energies and
+    idle powers, its base solve run once per distinct step), then per
+    pair the O(1) {!Dc.cost_thermal_floor} and what its delta-evaluated
+    inquiry needs, whose committed energies are averaged over [horizon]
+    when given, else over the candidate's finish.
 
     {b Reuse.} Each scan builds on the state's parent node: the last one
     scanned, or replayed by {!run_adaptive}'s memo, on this state. A
@@ -222,11 +224,15 @@ val pick : caller:string -> state -> candidates -> weight:float -> choice
     iterate's mean temperature a tighter lower bound on its cost (see
     {!Dc.cost_thermal}), and stops as soon as that bound leaves the
     candidate short of the reach, or converges. The bound is kept in
-    [candidates] and the iterate in the engine's cache, so a later pick
-    (at another weight, or another memo attempt) resumes it exactly. The
-    seeding candidate is chosen by the bound {!scan} stored, not the
-    tightened one, so every pick of a node refines in the same order
-    whether it was replayed or scanned afresh.
+    [candidates] and the iterate in the candidate's slot of the step's
+    table, so a later pick (at another weight, or another memo attempt)
+    resumes it exactly, and an identical candidate of the step (same PE,
+    horizon and task power) shares it: it costs a mean when the slot's
+    iterate already prunes it or the slot converged. The inquiries'
+    counters are flushed to the engine once per pick. The seeding
+    candidate is chosen by the bound {!scan} stored, not the tightened
+    one, so every pick of a node refines in the same order whether it was
+    replayed or scanned afresh.
 
     Only a fixed point that runs to [max_iter] raises
     {!Tats_thermal.Steady.Runaway}: a candidate whose bound rules it out
@@ -260,6 +266,12 @@ module Inspect : sig
     v_bounds : float array;
         (** the cost {!scan} stored, surcharge included: exact except on
             the thermal policy, where it is a lower bound *)
+    v_floors : float array;
+        (** the node's own bounds, which each {!pick} of it tightens in
+            place: read them after the pick *)
+    v_costs : float array;
+        (** the node's own exact costs, [nan] until a {!pick} evaluates
+            them, in place *)
   }
 
   val set_observer : (state -> view -> unit) option -> unit

@@ -125,6 +125,38 @@ type base = {
   response_mean : float; (* summed in [Stats.mean]'s order *)
 }
 
+module Fkey = struct
+  type t = float array
+
+  let rec same (a : t) (b : t) i =
+    i = Array.length a
+    || Int64.bits_of_float a.(i) = Int64.bits_of_float b.(i)
+       && same a b (i + 1)
+
+  (* Bit for bit: -0.0 and 0.0 are distinct keys. *)
+  let equal a b = Array.length a = Array.length b && same a b 0
+
+  let hash (a : t) = Hashtbl.hash a
+end
+
+module Ftbl = Hashtbl.Make (Fkey)
+
+(* A slot's [state] is one flat float block, replaced whole and never
+   mutated once stored: [||] before any step ran (the slot is then in no
+   table), [| mean; steps |] once converged, and a stopped iterate's
+   temperatures followed by its step count, residual and mean. *)
+type slot = { key : float array; (* pe, horizon, extra *) mutable state : float array }
+
+let no_slot = { key = [||]; state = [||] }
+let[@inline] converged state = Array.length state = 2
+let[@inline] state_steps state = state.(if converged state then 1 else Array.length state - 3)
+
+type step = {
+  base : base;
+  idle : float array;
+  slots : slot Ftbl.t; (* keyed by [slot.key] *)
+}
+
 type t = {
   solver : Steady.t;
   n : int;
@@ -133,24 +165,26 @@ type t = {
   col_means : float array; (* per column, summed in [Stats.mean]'s order *)
   floor_margin : float; (* relative rounding margin of [seed_floor] *)
   cache : (string, float array) Hashtbl.t;
-  (* keyed by [cache_key]: converged results and stopped iterates, [pack]ed *)
+  (* [query_with_leakage]'s converged results, keyed by [cache_key] *)
+  steps : step Ftbl.t; (* keyed by a step's power and idle vectors *)
+  mutable entries : int; (* step tables and slots, against [max_entries] *)
   counters : counters;
   mutable warm : float array option; (* the last converged entry *)
-  (* Guards [cache], [warm] and [counters]; the influence matrix itself is
-     immutable after [create], so concurrent solves never take the lock
-     while number-crunching. *)
+  (* Guards [cache], [steps], the slot tables, [entries], [warm] and
+     [counters]; the influence matrix itself is immutable after [create],
+     so concurrent solves never take the lock while number-crunching. *)
   lock : Mutex.t;
 }
 
 let default_max_iter = 200
 let default_tol = 1e-6
 
-(* Cache keys quantize powers to 1 nW, far below any physically meaningful
-   difference but fine enough that only repeats of the same computation
-   collide — a hit returns temperatures indistinguishable from a resolve.
-   The 2n quantized values (dynamic, then idle) are packed as little-endian
-   int64s into one 16n-byte string: a single flat block, where an int64
-   array would box every slot. *)
+(* [query_with_leakage]'s cache keys quantize powers to 1 nW, far below any
+   physically meaningful difference but fine enough that only repeats of
+   the same computation collide — a hit returns temperatures
+   indistinguishable from a resolve. The 2n quantized values (dynamic,
+   then idle) are packed as little-endian int64s into one 16n-byte string:
+   a single flat block, where an int64 array would box every slot. *)
 let quantize p = Int64.of_float (Float.round (p *. 1e9))
 
 let cache_key ~dynamic ~idle =
@@ -162,7 +196,9 @@ let cache_key ~dynamic ~idle =
   done;
   Bytes.unsafe_to_string key
 
-let max_cache_entries = 1 lsl 16
+(* The bound on each of the two stores: [cache] entries, and step tables
+   plus slots. A store that is full is dropped whole. *)
+let max_entries = 1 lsl 16
 
 let create solver =
   let model = Steady.model solver in
@@ -188,6 +224,8 @@ let create solver =
     col_means = Array.map Tats_util.Stats.mean cols;
     floor_margin = float_of_int (((2 * n) + 8) * n) *. epsilon_float;
     cache = Hashtbl.create 256;
+    steps = Ftbl.create 64;
+    entries = 0;
     counters;
     warm = None;
     lock = Mutex.create ();
@@ -225,54 +263,27 @@ let temperatures t ~power =
   apply t power dst;
   dst
 
-(* A cache entry holds an iterate in one flat block: its block
-   temperatures, then its step count and residual — a word smaller than
-   an array in a tuple, and four smaller than a [Steady.iterate] record
-   with its boxed residual. Entries are never mutated once stored. *)
+(* A [query_with_leakage] cache entry: the converged temperatures, then
+   the step count, in one flat block never mutated once stored. *)
 let pack (it : Steady.iterate) =
   let n = Array.length it.Steady.temps in
-  let entry = Array.make (n + 2) it.Steady.residual in
+  let entry = Array.make (n + 1) (float_of_int it.Steady.steps) in
   Array.blit it.Steady.temps 0 entry 0 n;
-  entry.(n) <- float_of_int it.Steady.steps;
   entry
 
-let entry_steps t entry = int_of_float entry.(t.n)
-let entry_residual t entry = entry.(t.n + 1)
-
-(* A miss's fixed point, from [init] (a seed, or a stopped iterate to
-   resume), without any lock: it only reads the immutable influence
-   matrix, copies its start and writes its own buffers. Returns the
-   temperatures, the steps this call ran, the iterate's total step count
-   and, when it ran any step under a cache [key], the entry to store. The
-   [inquiry.solve] span costs its closure only while tracing. *)
-let solve_miss t ~max_iter ~tol ?stop ~key ~dynamic ~idle init =
-  let run () =
-    Steady.fixed_point ~max_iter ~tol ?init ?stop ~package:(package t)
-      ~solve:(apply t) ~dynamic ~idle ()
-  in
-  let it =
-    if Trace.enabled () then Trace.with_span "inquiry.solve" run else run ()
-  in
-  let start = match init with Some i -> i.Steady.steps | None -> 0 in
-  let steps = it.Steady.steps - start in
-  ( it.Steady.temps,
-    steps,
-    it.Steady.steps,
-    if steps > 0 && key <> None then Some (pack it) else None )
-
-(* One inquiry takes the engine lock twice, without closures: once to count
-   it and look its inputs up, once to count its outcome and store what it
-   computed. Neither section can raise. The fleet-wide registry metrics are
-   atomic and bumped outside the lock. *)
-let run_query ?(max_iter = default_max_iter) ?(tol = default_tol)
-    ?(cache = true) ?(warm = false) ?init ?stop ~delta t ~dynamic ~idle =
+(* The engine lock is taken twice per query, without closures: once to
+   count it and look its inputs up, once to count its outcome and store
+   what it computed. Neither section can raise. The fleet-wide registry
+   metrics are atomic and bumped outside the lock. *)
+let query_with_leakage ?(max_iter = default_max_iter) ?(tol = default_tol)
+    ?(warm = false) ?(cache = true) t ~dynamic ~idle =
   if Array.length dynamic <> t.n || Array.length idle <> t.n then
     invalid_arg "Inquiry.query_with_leakage: bad vector length";
   (* Wall clock, not [Sys.time]: process CPU time counts every domain in
      the pool at once, which over-counted by about the domain count under
      [--jobs N]. Wall time per query is additive across domains. *)
   let t0 = Trace.now () in
-  (* Cached iterates were produced with the default convergence settings;
+  (* Cached results were produced with the default convergence settings;
      bypass the cache when the caller overrides them, or asks for a
      stateless query outright. *)
   let cacheable = cache && max_iter = default_max_iter && tol = default_tol in
@@ -280,59 +291,32 @@ let run_query ?(max_iter = default_max_iter) ?(tol = default_tol)
   let c = t.counters in
   Mutex.lock t.lock;
   c.c_inquiries <- c.c_inquiries + 1;
-  if delta then c.c_delta_evals <- c.c_delta_evals + 1;
   let found =
     match key with None -> None | Some k -> Hashtbl.find_opt t.cache k
   in
   let warm_start = if warm then t.warm else None in
   Mutex.unlock t.lock;
   Metricsreg.incr m_inquiries;
-  if delta then Metricsreg.incr m_delta_evals;
-  let copy entry = Array.sub entry 0 t.n in
-  (* A converged entry is the answer; a stopped one is where the iteration
-     resumes, ahead of any seed. *)
-  let solve ?stop init = solve_miss t ~max_iter ~tol ?stop ~key ~dynamic ~idle init in
+  (* [total] is the steps of the returned iterate from its seed; a hit
+     runs none of them. *)
   let temps, steps, total, stored =
     match found with
-    | Some entry when entry_residual t entry <= tol ->
-        (copy entry, 0, entry_steps t entry, None)
-    | Some entry -> (
-        (* A stopped iterate: [stop] is asked of it here, once, as the fixed
-           point would ask it before the next step (its step count is below
-           [max_iter], the default every cached entry was produced with).
-           When it holds, the iterate is the answer, as a converged one
-           is; otherwise the resumed iteration must not ask it again. *)
-        let temps = copy entry in
-        match stop with
-        | Some holds when holds temps -> (temps, 0, entry_steps t entry, None)
-        | _ ->
-            let asked = ref false in
-            let stop =
-              Option.map
-                (fun holds temps ->
-                  if !asked then holds temps
-                  else begin
-                    asked := true;
-                    false
-                  end)
-                stop
-            in
-            solve ?stop
-              (Some
-                 {
-                   Steady.temps;
-                   steps = entry_steps t entry;
-                   residual = entry_residual t entry;
-                 }))
+    | Some entry -> (Array.sub entry 0 t.n, 0, int_of_float entry.(t.n), None)
     | None ->
-        let init =
-          match warm_start with
-          | Some w -> Some (Steady.seed (copy w))
-          | None -> Option.map Steady.seed init
+        let init = Option.map (fun w -> Steady.seed (Array.sub w 0 t.n)) warm_start in
+        let run () =
+          Steady.fixed_point ~max_iter ~tol ?init ~package:(package t)
+            ~solve:(apply t) ~dynamic ~idle ()
         in
-        solve ?stop init
+        let it =
+          if Trace.enabled () then Trace.with_span "inquiry.solve" run else run ()
+        in
+        ( it.Steady.temps,
+          it.Steady.steps,
+          it.Steady.steps,
+          if key <> None then Some (pack it) else None )
   in
-  let hit = found <> None && steps = 0 in
+  let hit = found <> None in
   let dt = Trace.now () -. t0 in
   Mutex.lock t.lock;
   if hit then c.c_cache_hits <- c.c_cache_hits + 1;
@@ -343,9 +327,9 @@ let run_query ?(max_iter = default_max_iter) ?(tol = default_tol)
   c.c_wall_time <- c.c_wall_time +. dt;
   (match (key, stored) with
   | Some k, Some entry ->
-      if Hashtbl.length t.cache >= max_cache_entries then Hashtbl.reset t.cache;
+      if Hashtbl.length t.cache >= max_entries then Hashtbl.reset t.cache;
       Hashtbl.replace t.cache k entry;
-      if entry_residual t entry <= tol then t.warm <- Some entry
+      t.warm <- Some entry
   | _ -> ());
   Mutex.unlock t.lock;
   if hit then Metricsreg.incr m_cache_hits;
@@ -355,9 +339,6 @@ let run_query ?(max_iter = default_max_iter) ?(tol = default_tol)
   Metricsreg.add_gauge m_wall dt;
   Metricsreg.observe h_solve_seconds dt;
   temps
-
-let query_with_leakage ?max_iter ?tol ?warm ?cache t ~dynamic ~idle =
-  run_query ?max_iter ?tol ?cache ?warm ~delta:false t ~dynamic ~idle
 
 let base_response t ~power =
   if Array.length power <> t.n then
@@ -383,12 +364,6 @@ let check_delta what t ~horizon ~pe =
   if horizon <= 0.0 then
     invalid_arg ("Inquiry." ^ what ^ ": non-positive horizon")
 
-(* Block [i] of the linear solution of [base_power / horizon + extra . e_pe],
-   assembled in O(1) from the per-step base response and [col = cols.(pe)]:
-   the seed of [query_delta]'s fixed point. *)
-let[@inline] seed t ~base ~horizon ~col ~extra i =
-  t.ambient +. (base.response.(i) /. horizon) +. (extra *. col.(i))
-
 (* The seed's mean assembled in O(1) from the means of the base response
    and of [cols.(pe)]: in real arithmetic it is the mean of the per-block
    seeds, but its rounding differs from that summation's, so it is lowered
@@ -404,18 +379,222 @@ let seed_floor t ~base ~horizon ~pe ~extra =
   let magnitude = Float.abs t.ambient +. Float.abs lift +. Float.abs own in
   mean -. (t.floor_margin *. magnitude)
 
-let query_delta ?max_iter ?tol ?stop t ~base ~horizon ~pe ~extra ~idle =
-  check_delta "query_delta" t ~horizon ~pe;
-  (* The linear solution of [dynamic], assembled in O(n) from the per-step
-     base response instead of a fresh factored solve — the same starting
-     point the dense path computes, so the fixed point follows the same
-     trajectory. Both vectors are filled by plain loops: an [Array.init]
-     closure would box every float it returns. *)
-  let col = t.cols.(pe) in
-  let dynamic = Array.make t.n 0.0 and init = Array.make t.n 0.0 in
-  for i = 0 to t.n - 1 do
-    dynamic.(i) <-
-      (base.base_power.(i) /. horizon) +. if i = pe then extra else 0.0;
-    init.(i) <- seed t ~base ~horizon ~col ~extra i
+(* --- Per-step tables ---------------------------------------------------- *)
+
+(* [power] then [idle], as one key. *)
+let step_key ~power ~idle = Array.append power idle
+
+(* Counts a store against [max_entries], dropping every table when it is
+   full. Called under the engine lock. *)
+let count_entry t =
+  if t.entries >= max_entries then begin
+    Ftbl.reset t.steps;
+    t.entries <- 0
+  end;
+  t.entries <- t.entries + 1
+
+let step t ~power ~idle =
+  if Array.length power <> t.n || Array.length idle <> t.n then
+    invalid_arg "Inquiry.step: power and idle vectors must have one entry per block";
+  let key = step_key ~power ~idle in
+  Mutex.lock t.lock;
+  let found = Ftbl.find_opt t.steps key in
+  Mutex.unlock t.lock;
+  match found with
+  | Some s -> s
+  | None ->
+      (* Built outside the lock; a concurrent call for the same step
+         makes the same table, and the one stored first is kept. *)
+      let s =
+        {
+          base = base_response t ~power;
+          idle = Array.copy idle;
+          slots = Ftbl.create 8;
+        }
+      in
+      Mutex.lock t.lock;
+      let s =
+        match Ftbl.find_opt t.steps key with
+        | Some s -> s
+        | None ->
+            count_entry t;
+            Ftbl.replace t.steps key s;
+            s
+      in
+      Mutex.unlock t.lock;
+      s
+
+let step_base s = s.base
+
+type tally = {
+  mutable asked : int;
+  mutable hits : int;
+  mutable stepped : int; (* fixed-point steps run *)
+  mutable dense : int;
+  mutable runs : int; (* fixed points run *)
+  clock : float array; (* the first run's start and the runs' total time *)
+}
+
+let tally () =
+  { asked = 0; hits = 0; stepped = 0; dense = 0; runs = 0; clock = [| 0.0; 0.0 |] }
+
+let flush t tl =
+  if tl.asked > 0 then begin
+    let wall = tl.clock.(1) in
+    let c = t.counters in
+    Mutex.lock t.lock;
+    c.c_inquiries <- c.c_inquiries + tl.asked;
+    c.c_delta_evals <- c.c_delta_evals + tl.asked;
+    c.c_cache_hits <- c.c_cache_hits + tl.hits;
+    c.c_fp_iterations <- c.c_fp_iterations + tl.stepped;
+    c.c_dense_solves <- c.c_dense_solves + tl.dense;
+    c.c_wall_time <- c.c_wall_time +. wall;
+    Mutex.unlock t.lock;
+    Metricsreg.add m_inquiries tl.asked;
+    Metricsreg.add m_delta_evals tl.asked;
+    if tl.hits > 0 then Metricsreg.add m_cache_hits tl.hits;
+    Metricsreg.add m_dense_solves tl.dense;
+    if tl.runs > 0 then begin
+      Metricsreg.add m_fp_iterations tl.stepped;
+      Metricsreg.add_gauge m_wall wall;
+      if Trace.enabled () then
+        Trace.record_span "inquiry.refine" ~start:tl.clock.(0) ~dur:wall
+          ~args:[ ("solves", Trace.Int tl.runs); ("steps", Trace.Int tl.stepped) ]
+    end;
+    tl.asked <- 0;
+    tl.hits <- 0;
+    tl.stepped <- 0;
+    tl.dense <- 0;
+    tl.runs <- 0;
+    tl.clock.(1) <- 0.0
+  end
+
+(* [Stats.mean], the same sum in the same order, written out so that no
+   float is boxed per call. *)
+let[@inline] mean_of temps n =
+  let sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    sum := !sum +. temps.(i)
   done;
-  run_query ?max_iter ?tol ~init ?stop ~delta:true t ~dynamic ~idle
+  !sum /. float_of_int n
+
+(* The slot of [key] in [s]: the stored one, or a fresh one that [ask]
+   enters into the table once a fixed point ran a step on it. *)
+let find_slot t s ~horizon ~pe ~extra =
+  check_delta "ask" t ~horizon ~pe;
+  let key = [| float_of_int pe; horizon; extra |] in
+  Mutex.lock t.lock;
+  let found = Ftbl.find_opt s.slots key in
+  Mutex.unlock t.lock;
+  match found with Some slot -> slot | None -> { key; state = [||] }
+
+(* Store [state] in [slot], which is in [s]'s table from then on. A slot
+   only moves forward along its trajectory: a state with no more steps
+   than the one a concurrent ask stored is dropped. *)
+let store t s slot ~was_fresh state =
+  let current = slot.state in
+  if Array.length current = 0 || state_steps state > state_steps current then
+    slot.state <- state;
+  if was_fresh then begin
+    Mutex.lock t.lock;
+    if not (Ftbl.mem s.slots slot.key) then begin
+      count_entry t;
+      Ftbl.replace s.slots slot.key slot
+    end;
+    Mutex.unlock t.lock
+  end
+
+(* The slot of candidate [i], looked up in [s] until it holds a state. *)
+let slot_of t s ~slots i ~horizon ~pe ~extra =
+  let cached = slots.(i) in
+  if Array.length cached.state > 0 then cached
+  else begin
+    let slot = find_slot t s ~horizon ~pe ~extra in
+    slots.(i) <- slot;
+    slot
+  end
+
+let ask ?stop t s tl ~slots i ~horizon ~pe ~extra =
+  let n = t.n in
+  let slot = slot_of t s ~slots i ~horizon ~pe ~extra in
+  let st = slot.state in
+  let holds mean = match stop with Some holds -> holds mean | None -> false in
+  tl.asked <- tl.asked + 1;
+  if Array.length st > 0 && (converged st || holds st.(n + 2)) then begin
+    (* A converged slot, or a stopped iterate [stop] already holds of: its
+       mean is the answer. *)
+    tl.hits <- tl.hits + 1;
+    tl.dense <- tl.dense + 1 + int_of_float (state_steps st);
+    st.(if converged st then 0 else n + 2)
+  end
+  else begin
+    let { base; idle; _ } = s in
+    let fresh = Array.length st = 0 in
+    let init =
+      if fresh then begin
+        (* The linear solution of [dynamic], assembled in O(n) from the
+           step's base response instead of a fresh solve: the starting
+           point the dense path computes, so the fixed point follows the
+           same trajectory. *)
+        let col = t.cols.(pe) in
+        let seed = Array.make n 0.0 in
+        for i = 0 to n - 1 do
+          seed.(i) <- t.ambient +. (base.response.(i) /. horizon) +. (extra *. col.(i))
+        done;
+        Steady.seed seed
+      end
+      else
+        { Steady.temps = Array.sub st 0 n; steps = int_of_float st.(n); residual = st.(n + 1) }
+    in
+    let seed_mean = if fresh then mean_of init.Steady.temps n else nan in
+    if fresh && holds seed_mean then begin
+      (* Stopped at its seed: no step, no slot. *)
+      tl.dense <- tl.dense + 1;
+      seed_mean
+    end
+    else begin
+      let dynamic = Array.make n 0.0 in
+      for i = 0 to n - 1 do
+        dynamic.(i) <-
+          (base.base_power.(i) /. horizon) +. if i = pe then extra else 0.0
+      done;
+      let t0 = Trace.now () in
+      let it =
+        Steady.fixed_point ~init
+          ?stop:(Option.map (fun holds temps -> holds (mean_of temps n)) stop)
+          ~package:(package t) ~solve:(apply t) ~dynamic ~idle ()
+      in
+      let dt = Trace.now () -. t0 in
+      if tl.runs = 0 then tl.clock.(0) <- t0;
+      tl.clock.(1) <- tl.clock.(1) +. dt;
+      tl.runs <- tl.runs + 1;
+      let steps = it.Steady.steps in
+      tl.stepped <- tl.stepped + (steps - init.Steady.steps);
+      tl.dense <- tl.dense + 1 + steps;
+      let mean = mean_of it.Steady.temps n in
+      let state =
+        if it.Steady.residual <= default_tol then [| mean; float_of_int steps |]
+        else begin
+          let packed = Array.make (n + 3) mean in
+          Array.blit it.Steady.temps 0 packed 0 n;
+          packed.(n) <- float_of_int steps;
+          packed.(n + 1) <- it.Steady.residual;
+          packed
+        end
+      in
+      store t s slot ~was_fresh:fresh state;
+      mean
+    end
+  end
+
+let iterate slot =
+  let st = slot.state in
+  if Array.length st = 0 || converged st then None
+  else
+    let n = Array.length st - 3 in
+    Some
+      {
+        Steady.temps = Array.sub st 0 n;
+        steps = int_of_float st.(n);
+        residual = st.(n + 1);
+      }

@@ -8,9 +8,7 @@
     temperature response per unit power injected on each block (one
     {!Tats_linalg.Lu.unit_solution} per block). Every subsequent linear
     solve is then [ambient + M.p], an O(n_blocks²) accumulation with no
-    factored solves at all, and within one scheduling step candidates are
-    delta-evaluated in O(n_blocks) from a per-step base response
-    ({!base_response} / {!query_delta}).
+    factored solves at all.
 
     Numerical equivalence: the engine runs the {e same} damped fixed point
     as {!Steady.solve_with_leakage} ({!Steady.fixed_point}), seeded with
@@ -18,67 +16,85 @@
     path to floating-point noise (well within 1e-6 °C — see
     [test/test_inquiry.ml]).
 
-    Inquiries are cached keyed on the (1 nW-quantized) power vectors,
-    packed into one string; repeated inquiries are served from the cache
-    ([List_sched.run_adaptive] no longer re-issues the inquiries of
-    decision prefixes its earlier attempts already scanned). The cache
-    holds converged results and the iterates of queries a [stop] test cut
-    short ({!query_delta}), at most [2^16] entries of either kind, the
-    whole table dropped when it is full. A query of the same inputs
-    resumes a stored iterate where it stopped, so a candidate pruned at
-    one [run_adaptive] weight and needed at another, or by a later
-    request to a warm server, pays only the steps it had not run yet.
-    Hit/miss, fixed-point-iteration, factored-solve and wall-time
-    counters are kept per engine and globally.
+    The engine answers two kinds of inquiry from two stores:
+
+    - {!query_with_leakage} (metrics, [tatsd] inquiry requests,
+      Monte-Carlo) is cached keyed on the (1 nW-quantized) power vectors,
+      packed into one string: at most [2^16] converged results, the whole
+      table dropped when it is full.
+    - The list scheduler's candidate inquiries are answered from
+      {e per-step tables} ({!step}): one per scheduling step's base (the
+      committed PE energies and the idle powers, bit for bit), holding
+      one {e slot} per distinct inquiry asked on it, keyed bit for bit by
+      (PE, horizon, task power). A slot holds its inquiry's latest
+      stopped iterate, or its converged mean once it converged. So
+      identical candidates of a step share one fixed point, a candidate
+      pruned at its slot's iterate or already converged costs a mean, and
+      a resumed one pays only the steps it had not run yet, from
+      {!Steady.fixed_point}'s [init]: exactly, since a slot answers only
+      inputs bit-identical to its own and the fixed point is deterministic
+      and exactly resumable. Tables live in the engine, so a later
+      [run_adaptive] weight, a reference bisection's fresh [run] or a
+      later request to a warm server finds them; together with their
+      slots they are bounded by [2^16] entries, all dropped when full.
+
+    Hit/miss, fixed-point-iteration, factored-solve and wall-time counters
+    are kept per engine and globally.
 
     {1 Thread safety}
 
     One engine may be queried concurrently from multiple {!Tats_util.Pool}
     worker domains. The influence matrix is immutable after {!create};
-    the mutable state — the inquiry cache, the warm-start vector and the
-    per-engine counter record — sits behind a per-engine mutex, taken
-    twice per query (the lookup with its counter bumps, then the insert
-    with the rest), never around a fixed-point solve. Stored iterates and
-    the warm-start vector are copied in from the solver's buffers and
-    never mutated once stored, and a caller gets its own copy of what it
-    reads, so a value never depends on a race; only which query stores an
-    entry first does. The global aggregate lives in the
-    {!Tats_util.Metricsreg} registry as lock-free named counters
-    ([inquiry.*]). Two caveats matter for deterministic parallel use:
+    the mutable state — the inquiry cache, the step tables, the
+    warm-start vector and the per-engine counter record — sits behind a
+    per-engine mutex, never held around a fixed-point solve. A
+    {!query_with_leakage} takes it twice (the lookup with its counter
+    bumps, then the insert with the rest); the step path takes it once
+    per {!step}, once per first {!ask} of a candidate (its slot lookup),
+    once per new slot and once per {!flush}. Stored results and iterates
+    are never mutated once stored, a slot's state is replaced whole, and
+    only ever by a state further along its trajectory, so a value never
+    depends on a race; only which query stores first does. The global
+    aggregate lives in the {!Tats_util.Metricsreg} registry as lock-free
+    named counters ([inquiry.*]). Two caveats matter for deterministic
+    parallel use:
 
     - [~warm:true] reads a warm-start vector that concurrent queries race
       to write, so the iteration path (and the result, within [tol])
       depends on scheduling. Deterministic parallel callers must use the
       default [~warm:false].
-    - The cache itself is value-safe (a hit returns a bit-exact copy of
-      what a fresh solve would produce under default settings), but
-      cache-dependent {e counters} become schedule-dependent. Callers that
-      assert exact counter values, or want queries with zero shared-state
-      traffic, pass [~cache:false] for a fully stateless query. *)
+    - The stores are value-safe: a step table's answer is bit-equal to a
+      fresh solve of its inputs, and a cache hit to a fresh
+      default-settings solve of inputs within 1 nW of the query's, power
+      by power. But store-dependent {e counters} become
+      schedule-dependent. Callers that assert exact counter values, or
+      want queries with zero shared-state traffic, pass [~cache:false]
+      for a fully stateless query. *)
 
 type t
 
 type stats = {
   inquiries : int;
-      (** leakage inquiries served: {!query_with_leakage} and {!query_delta}
-          calls, one each, also when one resumes a stopped iterate *)
+      (** leakage inquiries served: {!query_with_leakage} and {!ask} calls,
+          one each, also when one resumes a stopped iterate *)
   cache_hits : int;
-      (** of which answered from a cache entry without running a step: a
-          converged result, or a stopped iterate the query's own [stop]
-          test already holds of (it returns that iterate) *)
+      (** of which answered from the store without running a step: a
+          converged result, or a stopped iterate the inquiry's own [stop]
+          test already holds of *)
   fp_iterations : int;
-      (** damped fixed-point steps actually run: a resumed query counts
+      (** damped fixed-point steps actually run: a resumed inquiry counts
           only the steps it adds to the stored iterate *)
   factored_solves : int;  (** LU back-substitutions (influence columns) *)
   dense_solves : int;
       (** back-substitutions the dense path would have needed for the same
           inquiries: per inquiry, one linear solve plus every step from the
           seed to the returned iterate — the savings baseline *)
-  delta_evals : int;  (** O(n) candidate delta-evaluations *)
+  delta_evals : int;  (** {!ask} calls: O(n) per-step delta evaluations *)
   wall_time : float;
-      (** wall-clock seconds spent inside the engine, summed per query
-          ({!Tats_util.Trace.now}; additive across pool domains, unlike the
-          process CPU time [Sys.time] used to report here) *)
+      (** wall-clock seconds ({!Tats_util.Trace.now}; additive across pool
+          domains, unlike process CPU time): the whole of every
+          {!query_with_leakage}, and the fixed points {!ask} ran. An [ask]
+          answered without a step reads no clock and adds nothing. *)
 }
 
 val empty_stats : stats
@@ -116,13 +132,16 @@ val query_with_leakage :
     [false]) seeds the fixed point from this engine's previous converged
     solution when one exists — fewer iterations for a stream of similar
     inquiries, at the price of a (bounded by [tol]) different iteration
-    path. Results are cached; non-default [max_iter]/[tol] bypass the
-    cache, as does [~cache:false], which additionally skips the cache
-    insert and the warm-start store: with [~warm:false ~cache:false] the
-    query is fully stateless (counters aside) and its result a pure
-    function of the engine's influence matrix and the power vectors — the
-    mode parallel Monte-Carlo uses for bit-reproducibility at any domain
-    count. *)
+    path. Results are cached, converged results only; non-default
+    [max_iter]/[tol] bypass the cache, as does [~cache:false], which
+    additionally skips the cache insert and the warm-start store: with
+    [~warm:false ~cache:false] the query is fully stateless (counters
+    aside) and its result a pure function of the engine's influence
+    matrix and the power vectors — the mode parallel Monte-Carlo uses for
+    bit-reproducibility at any domain count. A miss records an
+    [inquiry.solve] span while tracing, and its step count in the
+    [inquiry.solve_iterations] histogram; every query records its time in
+    [inquiry.solve_seconds]. *)
 
 type base
 (** A per-scheduling-step precomputation: the influence response of a fixed
@@ -130,59 +149,113 @@ type base
 
 val base_response : t -> power:float array -> base
 
-val query_delta :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?stop:(float array -> bool) ->
+val seed_floor :
+  t -> base:base -> horizon:float -> pe:int -> extra:float -> float
+(** A lower bound on the mean of the seed {!ask} starts the fixed point of
+    [(horizon, pe, extra)] from on a step of base [base], in O(1) and with
+    no solve, no store traffic and no counter bump: the mean of [base]'s
+    response over [horizon] plus [extra] times the mean of column [pe]
+    (kept per engine), on top of the ambient. That sum is the seed's mean
+    in real arithmetic; its rounding differs from the per-block
+    summation's, so it is lowered by [(2n + 8) n epsilon_float] times the
+    magnitude of its terms, which covers the rounding of both ([n]
+    blocks). It also bounds the mean of [ask]'s result from below: every
+    influence entry is non-negative and the capped leakage is increasing
+    in temperature, so the damped iteration only climbs from its linear
+    seed, block by block, and the seed's mean is the first bound [stop]
+    sees. [List_sched] uses it to skip the inquiries that cannot change a
+    pick. Raises [Invalid_argument] on a PE out of range or a
+    non-positive horizon. *)
+
+(** {1 Per-step tables} *)
+
+type step
+(** One scheduling step's table: its base response and idle powers, and
+    a slot per distinct inquiry a fixed point ran a step for. *)
+
+val step : t -> power:float array -> idle:float array -> step
+(** The engine's table for the step whose committed PE energies are
+    [power] and idle powers [idle], bit for bit: the stored one, or a new
+    one (one {!base_response}), stored. One key of [2n] floats, one hash
+    and one lock section per call, two when the table is new. *)
+
+val step_base : step -> base
+(** The step's base response (for {!seed_floor}). *)
+
+type slot
+(** One inquiry's place in a step's table: none yet, a stopped iterate,
+    or a converged mean. *)
+
+val no_slot : slot
+(** The slot of a candidate not asked yet: fill a candidate array with it. *)
+
+type tally
+(** Counter bumps batched by the caller, one {!flush} for many {!ask}s. *)
+
+val tally : unit -> tally
+
+val flush : t -> tally -> unit
+(** Adds the tally to the engine's counters and the [inquiry.*]
+    registry, records one [inquiry.refine] span while tracing (from the
+    first fixed point's start, lasting their summed time, with the
+    [solves] and [steps] they ran) if any fixed point ran, and empties
+    the tally. One lock section; nothing when the tally is empty. *)
+
+val ask :
+  ?stop:(float -> bool) ->
   t ->
-  base:base ->
+  step ->
+  tally ->
+  slots:slot array ->
+  int ->
   horizon:float ->
   pe:int ->
   extra:float ->
-  idle:float array ->
-  float array
-(** The paper's candidate inquiry, delta-evaluated: dynamic power
-    [base_power / horizon + extra . e_pe], fixed point seeded with the
-    O(n_blocks) linear combination [ambient + response/horizon +
-    extra . col(pe)] instead of a fresh solve. Semantics identical to
-    building that vector and calling {!query_with_leakage}.
+  float
+(** [ask t s tally ~slots i ~horizon ~pe ~extra] is the paper's
+    candidate inquiry on step [s]: dynamic power [base_power / horizon +
+    extra . e_pe], fixed point seeded with the O(n_blocks) linear
+    combination [ambient + response/horizon + extra . col(pe)] instead of
+    a fresh solve. Returns the mean block temperature (summed in
+    {!Tats_util.Stats.mean}'s order) of the converged result, bit-equal
+    to building that vector and averaging {!query_with_leakage}'s
+    unquantized fixed point from that seed.
 
-    [stop] is {!Steady.fixed_point}'s: asked of every unconverged iterate
-    (the seed, or the iterate the cache resumes from, included) before the
-    step that would follow it; the query returns the first iterate it
-    holds of instead of the fixed point. The damped iteration climbs
-    block by block from the seed (see {!seed_floor}), so every iterate,
-    like the seed, bounds the result from below; a caller that only needs
-    the result when it can beat some threshold stops as soon as that
-    bound rules it out. [stop] is never asked of the converged result, so
-    a caller learns which one it got from its own last answer. A stopped
-    iterate is cached like a result (see {!stats}): the next query of the
-    same inputs resumes it, exactly.
+    [slots.(i)] caches the candidate's slot: {!no_slot} the first time,
+    when [ask] looks the inquiry up in [s]'s table (a key, a hash and a
+    lock) and writes back what it found. Once that slot holds a state,
+    later asks read it directly, with no key, hash or lock: a converged
+    slot answers with its mean, a stopped one resumes from its iterate
+    ({!Steady.fixed_point}'s [init]). A slot is entered in the table
+    when a fixed point first ran a step on it, so a candidate pruned at
+    its seed stores nothing.
 
-    A miss pays its cache key and lookup, as a hit does, then only its
-    fixed point and the store: the two input vectors are filled by plain
-    loops, the fixed point's steps allocate nothing
-    ({!Steady.fixed_point}), and the [inquiry.solve] trace span costs a
-    closure only while tracing is on. *)
+    [stop] is asked of the mean of every unconverged iterate (the seed,
+    or the iterate the slot resumes from, included) before the step that
+    would follow it; the inquiry returns the first mean it holds of
+    instead of the fixed point's. The damped iteration climbs block by
+    block from the seed (see {!seed_floor}), so every iterate's mean,
+    like the seed's, bounds the result from below: a caller that only
+    needs the result when it can beat some threshold stops as soon as
+    that bound rules it out. [stop] is never asked of the converged
+    result, so a caller learns which one it got from its own last
+    answer. An answer without a step (converged, or a stored iterate
+    [stop] holds of) runs no fixed point and reads no clock.
 
-val seed_floor :
-  t -> base:base -> horizon:float -> pe:int -> extra:float -> float
-(** A lower bound on the mean of the seed {!query_delta} starts its fixed
-    point from, in O(1) and with no solve, no cache traffic and no counter
-    bump: the mean of [base]'s response over [horizon] plus [extra] times
-    the mean of column [pe] (kept per engine), on top of the ambient. That
-    sum is the seed's mean in real arithmetic; its rounding differs from
-    the per-block summation's, so it is lowered by [(2n + 8) n
-    epsilon_float] times the magnitude of its terms, which covers the
-    rounding of both ([n] blocks). It also bounds the mean of
-    [query_delta]'s result from below: every influence entry is
-    non-negative and the capped leakage is increasing in temperature, so
-    the damped iteration only climbs from its linear seed, block by block,
-    and the seed's mean is the first bound [stop] sees. [List_sched] uses
-    it to skip the inquiries that cannot change a pick. Same argument
-    checks as {!query_delta}. *)
+    Counters go to [tally], not the engine: per call one inquiry, one
+    delta eval and [1 +] the returned iterate's steps of dense solves,
+    plus a hit when a stored state answered without a step. Raises
+    [Invalid_argument] on a PE out of range or a non-positive horizon
+    (checked at the slot lookup), and {!Steady.Runaway} from the fixed
+    point. *)
+
+val iterate : slot -> Steady.iterate option
+(** The stopped iterate a slot holds, if it holds one (not converged). *)
 
 val stats : t -> stats
+(** The engine's counters. An {!ask}'s counts reach them when its tally
+    is {!flush}ed ([List_sched.pick] flushes once per pick). *)
+
 val reset_stats : t -> unit
 
 val global_stats : unit -> stats

@@ -72,13 +72,17 @@ let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ?stop ~package ~solve
      arguments and result once per block. *)
   let cur = ref a and next = ref b in
   let k = ref start and residual = ref residual0 and running = ref true in
+  (* [stop] is not asked of a caller's [init]: the caller has. *)
+  let ask = ref (Option.is_none init) in
   while !running do
     if !residual <= tol then running := false
     else if !k >= max_iter then
       raise (Runaway { iterations = !k; residual = !residual })
-    else if match stop with Some holds -> holds !cur | None -> false then
-      running := false
+    else if
+      !ask && match stop with Some holds -> holds !cur | None -> false
+    then running := false
     else begin
+      ask := true;
       let cur_t = !cur and next_t = !next in
       for i = 0 to n - 1 do
         (* The leakage of block [i] at its current temperature. *)

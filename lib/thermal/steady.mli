@@ -82,15 +82,16 @@ val fixed_point :
     Returns the converged iterate (its residual at most [tol]), or the first
     unconverged one that [stop] holds of. [stop] (default: never) is
     asked of every unconverged iterate before the step that would follow
-    it, [init]'s included, and must not keep its argument, a work buffer.
-    Raises {!Runaway} when it reaches [max_iter] steps, counted from the
-    seed, without converging; an iterate [stop] held of before that does
-    not raise.
+    it — the linear seed included, but not [init]: a caller that passes
+    one has asked its own test of it — and must not keep its argument, a
+    work buffer. Raises {!Runaway} when it reaches [max_iter] steps,
+    counted from the seed, without converging; an iterate [stop] held of
+    before that does not raise.
 
     Every call records the steps it ran in the [steady.fp_iterations]
-    histogram. {!Inquiry} answers a cached iterate that is already
-    converged, or that the query's [stop] holds of, without calling this
-    function, so those cache hits record no 0 there. *)
+    histogram. {!Inquiry.ask} answers a stored state that is already
+    converged, or that its [stop] holds of, without calling this
+    function, so those answers record no 0 there. *)
 
 val factored : t -> Tats_linalg.Lu.t
 (** The factored network matrix (for influence-column extraction). *)

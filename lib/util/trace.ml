@@ -138,6 +138,13 @@ let with_span ?(args = []) name f =
         raise e
   end
 
+let record_span ?(args = []) name ~start ~dur =
+  if Atomic.get enabled_flag then begin
+    let d = state () in
+    d.spans <- { name; ts = start -. !t0; dur; tid = d.tid; args } :: d.spans;
+    d.n_spans <- d.n_spans + 1
+  end
+
 let add_attr key v =
   if Atomic.get enabled_flag then
     match (state ()).stack with

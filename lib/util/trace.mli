@@ -49,6 +49,16 @@ val with_span : ?args:(string * value) list -> string -> (unit -> 'a) -> 'a
     recorded even when [f] raises (the exception is re-raised).  When
     tracing is disabled this is exactly [f ()] after one atomic load. *)
 
+val record_span :
+  ?args:(string * value) list -> string -> start:float -> dur:float -> unit
+(** [record_span name ~start ~dur] records a completed span on the calling
+    domain that began at [start] ({!now}'s clock) and lasted [dur]
+    seconds: one span for work timed in pieces, such as the fixed points
+    of one scheduling pick, with their summed duration from the first
+    one's start. The caller keeps it inside the span that encloses the
+    pieces, so that spans still nest by time containment. No-op when
+    tracing is disabled. *)
+
 val add_attr : string -> value -> unit
 (** Attach an attribute to the innermost open span of the calling domain
     (no-op when tracing is disabled or no span is open) — how a stage

@@ -130,16 +130,20 @@ let test_warm_start_stays_equivalent () =
     true
     (max_abs_diff fast dense <= 1e-5)
 
-let test_delta_query_matches_explicit_vector () =
+(* A step inquiry's mean matches the dense path's on the vector it
+   stands for. *)
+let test_step_inquiry_matches_explicit_vector () =
   let h = platform_hotspot 4 in
   let engine = Hotspot.inquiry h in
   let solver = Hotspot.solver h in
   let pe_energy = [| 120.0; 40.0; 0.0; 260.0 |] in
-  let base = Inquiry.base_response engine ~power:pe_energy in
+  let step = Inquiry.step engine ~power:pe_energy ~idle:idle4 in
+  let tally = Inquiry.tally () in
   List.iter
     (fun (horizon, pe, extra) ->
       let fast =
-        Inquiry.query_delta engine ~base ~horizon ~pe ~extra ~idle:idle4
+        Inquiry.ask engine step tally ~slots:[| Inquiry.no_slot |] 0 ~horizon
+          ~pe ~extra
       in
       let dynamic =
         Array.mapi
@@ -148,12 +152,49 @@ let test_delta_query_matches_explicit_vector () =
           pe_energy
       in
       let dense, _ = Steady.solve_with_leakage solver ~dynamic ~idle:idle4 in
+      let diff = Float.abs (fast -. Tats_util.Stats.mean dense) in
       Alcotest.(check bool)
-        (Printf.sprintf "pe %d horizon %.0f: diff %.2e" pe horizon
-           (max_abs_diff fast dense))
-        true
-        (max_abs_diff fast dense <= 1e-6))
+        (Printf.sprintf "pe %d horizon %.0f: diff %.2e" pe horizon diff)
+        true (diff <= 1e-6))
     [ (100.0, 0, 4.0); (63.0, 2, 7.7); (412.0, 3, 0.5); (57.0, 1, 0.0) ]
+
+(* Candidates of one step with the same (PE, horizon, task power) share one
+   slot: the second runs no fixed point and answers with the first's
+   mean. A different horizon, power or PE, or another step's table, is
+   another slot. *)
+let test_step_slots_are_shared () =
+  let engine = Hotspot.inquiry (platform_hotspot 4) in
+  let pe_energy = [| 120.0; 40.0; 0.0; 260.0 |] in
+  let tally = Inquiry.tally () in
+  let ask ?(power = pe_energy) ~horizon ~pe ~extra () =
+    Inquiry.ask engine (Inquiry.step engine ~power ~idle:idle4) tally
+      ~slots:[| Inquiry.no_slot |] 0 ~horizon ~pe ~extra
+  in
+  let fp () =
+    Inquiry.flush engine tally;
+    (Inquiry.stats engine).Inquiry.fp_iterations
+  in
+  let first = ask ~horizon:100.0 ~pe:1 ~extra:4.0 () in
+  let steps = fp () in
+  Alcotest.(check bool) "first runs its fixed point" true (steps > 0);
+  let again = ask ~horizon:100.0 ~pe:1 ~extra:4.0 () in
+  Alcotest.(check (float 0.0)) "same mean" first again;
+  Alcotest.(check int) "shared: no step" steps (fp ());
+  Alcotest.(check int) "a hit" 1 (Inquiry.stats engine).Inquiry.cache_hits;
+  List.iter
+    (fun (what, f) ->
+      let before = fp () in
+      ignore (f () : float);
+      Alcotest.(check bool) (what ^ ": a slot of its own") true (fp () > before))
+    [
+      ("horizon", fun () -> ask ~horizon:101.0 ~pe:1 ~extra:4.0 ());
+      ("power", fun () -> ask ~horizon:100.0 ~pe:1 ~extra:4.5 ());
+      ("pe", fun () -> ask ~horizon:100.0 ~pe:2 ~extra:4.0 ());
+      ( "step",
+        fun () ->
+          ask ~power:[| 120.0; 40.0; 0.0; 261.0 |] ~horizon:100.0 ~pe:1
+            ~extra:4.0 () );
+    ]
 
 (* Replay the inquiry stream of a real scheduling run on the paper's
    benchmarks: accumulate committed PE energies in start order and issue the
@@ -364,11 +405,22 @@ let test_validation () =
   Alcotest.(check bool) "bad column rejected" true
     (try ignore (Inquiry.influence_column engine 4 : float array); false
      with Invalid_argument _ -> true);
-  let base = Inquiry.base_response engine ~power:(bad 4) in
-  Alcotest.(check bool) "bad pe rejected" true
+  let step = Inquiry.step engine ~power:(bad 4) ~idle:idle4 in
+  let ask ~horizon ~pe =
+    try
+      ignore
+        (Inquiry.ask engine step (Inquiry.tally ()) ~slots:[| Inquiry.no_slot |]
+           0 ~horizon ~pe ~extra:1.0
+          : float);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "bad pe rejected" true (ask ~horizon:10.0 ~pe:7);
+  Alcotest.(check bool) "non-positive horizon rejected" true
+    (ask ~horizon:0.0 ~pe:1);
+  Alcotest.(check bool) "short step vector rejected" true
     (try
-       ignore (Inquiry.query_delta engine ~base ~horizon:10.0 ~pe:7 ~extra:1.0
-                 ~idle:idle4 : float array);
+       ignore (Inquiry.step engine ~power:(bad 3) ~idle:idle4 : Inquiry.step);
        false
      with Invalid_argument _ -> true)
 
@@ -390,8 +442,8 @@ let () =
             test_leakage_query_matches_dense;
           Alcotest.test_case "warm start equivalent" `Quick
             test_warm_start_stays_equivalent;
-          Alcotest.test_case "delta query matches explicit" `Quick
-            test_delta_query_matches_explicit_vector;
+          Alcotest.test_case "step inquiry matches explicit" `Quick
+            test_step_inquiry_matches_explicit_vector;
           Alcotest.test_case "benchmark replay (Bm1-Bm3)" `Quick
             test_benchmark_replay_equivalence;
         ] );
@@ -403,6 +455,8 @@ let () =
           Alcotest.test_case "key quantization" `Quick test_cache_key_quantization;
           Alcotest.test_case "key signed zero" `Quick test_cache_key_signed_zero;
           Alcotest.test_case "hit copies" `Quick test_cache_hit_copies;
+          Alcotest.test_case "step slots are shared" `Quick
+            test_step_slots_are_shared;
         ] );
       ( "counters",
         [

@@ -15,11 +15,15 @@
 
    The step core itself evaluates thermal costs lazily: [pick] runs the
    fixed point only of candidates whose lower bound
-   ([Dc.cost_thermal_floor]) lets them reach the best exact DC. So the
-   suite also checks that bound for soundness on every candidate of an
-   independent, unpruned greedy scheduler, and that scheduler's entries
-   against [List_sched.run], the step core under an [Online]-style
-   surcharge, and [run_adaptive]. *)
+   ([Dc.cost_thermal_floor]) lets them reach the best exact DC, from the
+   engine's per-step tables. So the suite also checks that bound for
+   soundness on every candidate of an independent, unpruned greedy
+   scheduler, and that scheduler's entries against [List_sched.run], the
+   step core under an [Online]-style surcharge, and [run_adaptive]. That
+   scheduler's thermal costs come from an oracle that touches neither
+   the step tables nor the inquiry cache; every exact cost a pick uses is
+   checked against it, and the tables' sharing by the fixed-point steps
+   each pick runs. *)
 
 module Graph = Tats_taskgraph.Graph
 module Task = Tats_taskgraph.Task
@@ -42,6 +46,7 @@ module Dc = Tats_sched.Dc
 module List_sched = Tats_sched.List_sched
 module Metricsreg = Tats_util.Metricsreg
 module Rng = Tats_util.Rng
+module Steady = Tats_thermal.Steady
 
 (* The bisection of [List_sched.run_adaptive] over fresh, unmemoized
    [schedule weights] calls. *)
@@ -84,14 +89,75 @@ let reference_adaptive ?base_weights ?max_multiplier ?hotspot
       List_sched.run ~weights ?hotspot ?exclusive ?constraints ~graph ~lib ~pes
         ~policy ())
 
+(* --- A thermal cost oracle --------------------------------------------- *)
+
+(* What the oracle reads of an engine: its influence columns and package,
+   never its step tables or cache. *)
+type oracle = { cols : float array array; package : Tats_thermal.Package.t }
+
+let oracle engine =
+  {
+    cols = Array.init (Inquiry.n_blocks engine) (Inquiry.influence_column engine);
+    package = Inquiry.package engine;
+  }
+
+type trajectory = {
+  bounds : float array;
+      (* the cost bound of the seed, then of every unconverged iterate: one
+         per step the fixed point runs *)
+  cost : float;
+}
+
+(* ambient + sum_j p_j col_j, block by block in ascending [j], zero powers
+   skipped: the engine's influence solve, written out here. *)
+let influence_sum o ~ambient power dst =
+  Array.fill dst 0 (Array.length dst) ambient;
+  Array.iteri
+    (fun j pj ->
+      if pj <> 0.0 then
+        for i = 0 to Array.length dst - 1 do
+          dst.(i) <- dst.(i) +. (pj *. o.cols.(j).(i))
+        done)
+    power
+
+(* A thermal candidate's cost by a cache-free [Steady.fixed_point] from the
+   linear seed the engine's step inquiry starts from: the same per-block
+   expression [ambient + response / horizon + task_power * col(pe)], the
+   response summed over PEs in ascending order. *)
+let thermal_cost o ~pe_energy ~idle ~finish ~pe ~task_power =
+  let n = Array.length o.cols and ambient = o.package.Tats_thermal.Package.ambient in
+  let horizon = Float.max finish 1e-9 in
+  let response = Array.make n 0.0 in
+  influence_sum o ~ambient:0.0 pe_energy response;
+  let seed =
+    Array.init n (fun i ->
+        ambient +. (response.(i) /. horizon) +. (task_power *. o.cols.(pe).(i)))
+  in
+  let dynamic =
+    Array.init n (fun i ->
+        (pe_energy.(i) /. horizon) +. if i = pe then task_power else 0.0)
+  in
+  let cost temps =
+    Dc.cost_temperature ~ambient ~avg_temp:(Tats_util.Stats.mean temps)
+  in
+  let bounds = ref [ cost seed ] in
+  let result =
+    Steady.fixed_point ~init:(Steady.seed seed)
+      ~stop:(fun temps ->
+        bounds := cost temps :: !bounds;
+        false)
+      ~package:o.package ~solve:(influence_sum o ~ambient) ~dynamic ~idle ()
+  in
+  { bounds = Array.of_list (List.rev !bounds); cost = cost result.Steady.temps }
+
 (* An unpruned greedy list scheduler written from the paper's loop rather
    than from [List_sched]'s step core: every step evaluates every (ready
-   task, PE) candidate's exact cost, one full [Dc.cost_thermal] inquiry
-   per thermal candidate, and keeps the highest DC; candidates are scanned
-   in ascending (task, PE) order, so the 1e-12 tie goes to the earlier
-   pair. [check ~bounds ~cost] sees each thermal candidate's [bound], then
-   the bound of every iterate its fixed point ran through (mapped through
-   [iterate]), next to its exact cost. *)
+   task, PE) candidate's exact cost, one full oracle fixed point per
+   thermal candidate ([thermal_cost]), and keeps the highest DC;
+   candidates are scanned in ascending (task, PE) order, so the 1e-12 tie
+   goes to the earlier pair. [check ~bounds ~cost] sees each thermal
+   candidate's [bound], then the bound of every iterate its fixed point
+   ran through (mapped through [iterate]), next to its exact cost. *)
 let unpruned ?surcharge ?(check = fun ~bounds:_ ~cost:_ -> ())
     ?(bound = Dc.cost_thermal_floor) ?(iterate = Fun.id) ~hotspot ~graph ~lib
     ~pes ~policy ~weight () =
@@ -99,6 +165,7 @@ let unpruned ?surcharge ?(check = fun ~bounds:_ ~cost:_ -> ())
   let sc = Dc.static_criticality lib graph in
   let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes in
   let engine = Hotspot.inquiry hotspot and comm = Library.comm lib in
+  let o = oracle engine in
   let entries = Array.make n None in
   let pe_free = Array.make n_pes 0.0 and pe_energy = Array.make n_pes 0.0 in
   let committed v = entries.(v) <> None in
@@ -134,20 +201,13 @@ let unpruned ?surcharge ?(check = fun ~bounds:_ ~cost:_ -> ())
                 Dc.cost_task_energy lib ~task_type ~kind
             | Policy.Thermal_aware ->
                 let task_power = Library.wcpc lib ~task_type ~kind in
-                let iterates = ref [] in
-                let stop b =
-                  iterates := iterate b :: !iterates;
-                  false
-                in
-                let cost =
-                  Dc.cost_thermal ~stop ~engine ~base ~idle ~finish ~pe ~task_power
-                in
+                let t = thermal_cost o ~pe_energy ~idle ~finish ~pe ~task_power in
                 check
                   ~bounds:
                     (bound ~engine ~base ~finish ~pe ~task_power
-                    :: List.rev !iterates)
-                  ~cost;
-                cost
+                    :: List.map iterate (Array.to_list t.bounds))
+                  ~cost:t.cost;
+                t.cost
           in
           let cost = match surcharge with None -> cost | Some s -> cost +. s.(pe) in
           let dc = Dc.weigh ~part:(Dc.part ~sc:sc.(task) ~wcet ~start) ~cost ~weight in
@@ -341,6 +401,54 @@ let test_bm1_thermal_stats () =
       Alcotest.(check int) "reference replays nothing" 0 replayed';
       Alcotest.(check bool) "memo replays steps" true (replayed > 0)
   | _ -> assert false)
+
+(* Bm1-Bm4, thermal [run_adaptive] on std4: every [Inquiry.stats] count
+   and every [inquiry.*] and [sched.*] registry counter, pinned. The
+   values are those of the per-inquiry keyed cache the step tables
+   replaced: counters keep their meaning, batched per pick (a zero-step
+   answer is still an inquiry, a delta eval and a hit, and adds 1 + its
+   iterate's steps of dense solves). Bm3 differs from that cache only
+   where it answered 3 inquiries from a 1 nW-quantized neighbour's
+   entry: its values here are that cache's with keys compared bit for
+   bit, as a table's are. [wall_time] is not pinned: it now covers the
+   fixed points run, read off no clock for a zero-step answer. *)
+let test_std4_counters_pinned () =
+  let p = Option.get (Catalog.platform_named "std4") in
+  let lib = Catalog.library_for p and pes = Platform.instances p in
+  let names =
+    [ "inquiry.inquiries"; "inquiry.cache_hits"; "inquiry.fp_iterations";
+      "inquiry.factored_solves"; "inquiry.dense_solves"; "inquiry.delta_evals";
+      "sched.steps"; "sched.candidates"; "sched.adaptive_attempts";
+      "sched.replayed_steps" ]
+  in
+  (* inquiries, hits, fp_iterations, factored, dense, delta evals; then
+     the registry's steps, candidates, attempts and replayed steps *)
+  let expected =
+    [
+      ([ 2646; 828; 22467; 4; 39325; 2646 ], [ 342; 7232; 18; 213 ]);
+      ([ 8113; 2499; 56447; 4; 98993; 8113 ], [ 630; 18872; 18; 301 ]);
+      ([ 13892; 5237; 83362; 4; 157620; 13892 ], [ 702; 26236; 18; 298 ]);
+      ([ 22215; 8892; 128419; 4; 262039; 22215 ], [ 918; 37896; 18; 332 ]);
+    ]
+  in
+  List.iteri
+    (fun b (stats, sched) ->
+      let graph = Benchmarks.load b in
+      let hotspot = fresh_hotspot pes in
+      let before = List.map counter names in
+      ignore
+        (List_sched.run_adaptive ~hotspot ~graph ~lib ~pes
+           ~policy:Policy.Thermal_aware ()
+          : Schedule.t * Policy.weights);
+      let deltas = List.map2 (fun n b -> counter n - b) names before in
+      let s = Hotspot.inquiry_stats hotspot in
+      let what = Printf.sprintf "Bm%d/std4" (b + 1) in
+      Alcotest.(check (list int)) (what ^ ": Inquiry.stats") stats
+        [ s.Inquiry.inquiries; s.Inquiry.cache_hits; s.Inquiry.fp_iterations;
+          s.Inquiry.factored_solves; s.Inquiry.dense_solves;
+          s.Inquiry.delta_evals ];
+      Alcotest.(check (list int)) (what ^ ": registry") (stats @ sched) deltas)
+    expected
 
 (* --- The pruned thermal scan ------------------------------------------- *)
 
@@ -565,9 +673,9 @@ module Bus_sched = Tats_sched.Bus_sched
    from: in scan order, every (ready task, PE) pair that [Constraints]
    admits under the state's claims now, its earliest start from the
    committed entries (no exclusive tasks here), the node's floor, its
-   part, and its exact cost: for the thermal policy a full inquiry on
-   [engine], an engine of its own. Returns (pair, start, part, cost)
-   per pair. *)
+   part, and its exact cost: for the thermal policy the oracle's
+   ([thermal_cost]) on [engine]'s columns. Returns (pair, start, part,
+   cost) per pair. *)
 let local_scan ~lib ~pes ~policy ~engine st (v : Inspect.view) =
   let graph = Inspect.graph st in
   let n_pes = Array.length pes and comm = Library.comm lib in
@@ -614,12 +722,10 @@ let local_scan ~lib ~pes ~policy ~engine st (v : Inspect.view) =
             | Policy.Power_aware Policy.Min_task_energy ->
                 Dc.cost_task_energy lib ~task_type ~kind
             | Policy.Thermal_aware ->
-                let engine = Option.get engine in
-                Dc.cost_thermal ~stop:(fun _ -> false) ~engine
-                  ~base:(Inquiry.base_response engine ~power:pe_energy)
-                  ~idle
-                  ~finish:(Option.value v.Inspect.v_horizon ~default:finish)
-                  ~pe ~task_power:(Library.wcpc lib ~task_type ~kind)
+                (thermal_cost (Option.get engine) ~pe_energy ~idle
+                   ~finish:(Option.value v.Inspect.v_horizon ~default:finish)
+                   ~pe ~task_power:(Library.wcpc lib ~task_type ~kind))
+                  .cost
           in
           let cost =
             match v.Inspect.v_surcharge with
@@ -654,7 +760,7 @@ type observed = {
 let observing ?weight ?(bus_start = false) what ~lib ~pes ~policy f =
   let engine =
     match policy with
-    | Policy.Thermal_aware -> Some (Hotspot.inquiry (fresh_hotspot pes))
+    | Policy.Thermal_aware -> Some (oracle (Hotspot.inquiry (fresh_hotspot pes)))
     | _ -> None
   in
   let o = { nodes = 0; thermal_bounds = 0; picks = 0; pending = None } in
@@ -900,6 +1006,129 @@ let test_reuse_is_a_fresh_scan () =
     true
     (!nodes > 10_000 && !bounds > 10_000 && !picks > 1_000)
 
+(* Every exact thermal cost a pick uses is [%h]-equal to the oracle's, on
+   seeded DAGs x std4/biglittle4/mixed6, in [run], [run_adaptive] (fresh
+   and replayed nodes) and [Periodic.schedule] (a per-step horizon, which
+   all candidates of a step share). In [run] and [Periodic], where every
+   step has a table of its own, the fixed-point steps each pick runs are
+   exactly those of one fixed point per distinct (PE, horizon, task
+   power) of the step, run as deep as its deepest candidate needed:
+   converged if one was evaluated, else the oracle iterate its floor
+   stopped at. *)
+let test_costs_match_oracle () =
+  let costs = ref 0 and shared = ref 0 in
+  List.iter
+    (fun graph ->
+      List.iter
+        (fun (pname, (lib, pes)) ->
+          let n_pes = Array.length pes in
+          let o = oracle (Hotspot.inquiry (fresh_hotspot pes)) in
+          let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes in
+          let audit ~depth what f =
+            let hotspot = fresh_hotspot pes in
+            let fp () = (Hotspot.inquiry_stats hotspot).Inquiry.fp_iterations in
+            let pending = ref None in
+            let settle () =
+              match !pending with
+              | None -> ()
+              | Some (at, (v : Inspect.view), keys, trajs, fp0) ->
+                  pending := None;
+                  let n = Array.length trajs in
+                  let reached = Hashtbl.create 16 and touched = Hashtbl.create 16 in
+                  for i = 0 to n - 1 do
+                    let t = trajs.(i) and c = v.Inspect.v_costs.(i) in
+                    let f = v.Inspect.v_floors.(i) in
+                    let d =
+                      if not (Float.is_nan c) then begin
+                        incr costs;
+                        exact (Printf.sprintf "%s: candidate %d cost" at i) t.cost c;
+                        Array.length t.bounds
+                      end
+                      else if Int64.equal (bits f) (bits v.Inspect.v_bounds.(i)) then 0
+                      else
+                        match
+                          Array.find_index (fun b -> Int64.equal (bits b) (bits f)) t.bounds
+                        with
+                        | Some d -> d
+                        | None ->
+                            Alcotest.failf "%s: candidate %d floor %h off its trajectory"
+                              at i f
+                    in
+                    let k = keys.(i) in
+                    if d > 0 || not (Float.is_nan c) then
+                      Hashtbl.replace touched k
+                        (1 + Option.value ~default:0 (Hashtbl.find_opt touched k));
+                    Hashtbl.replace reached k
+                      (max d (Option.value ~default:0 (Hashtbl.find_opt reached k)))
+                  done;
+                  Hashtbl.iter (fun _ m -> if m > 1 then incr shared) touched;
+                  if depth then
+                    Alcotest.(check int) (at ^ ": fixed-point steps of its pick")
+                      (Hashtbl.fold (fun _ d acc -> acc + d) reached 0)
+                      (fp () - fp0)
+            in
+            let nodes = ref 0 in
+            let observe st (v : Inspect.view) =
+              settle ();
+              let graph = Inspect.graph st and pe_energy = Inspect.pe_energy st in
+              let n = Array.length v.Inspect.v_pairs in
+              let keys = Array.make n (0, 0L, 0L) in
+              let trajs =
+                Array.init n (fun i ->
+                    let pair = v.Inspect.v_pairs.(i) in
+                    let task = pair / n_pes and pe = pair mod n_pes in
+                    let task_type = (Graph.task graph task).Task.task_type in
+                    let kind = pes.(pe).Pe.kind.Pe.kind_id in
+                    let finish =
+                      match v.Inspect.v_horizon with
+                      | Some h -> h
+                      | None ->
+                          v.Inspect.v_starts.(i) +. Library.wcet lib ~task_type ~kind
+                    in
+                    let task_power = Library.wcpc lib ~task_type ~kind in
+                    keys.(i) <- (pe, bits (Float.max finish 1e-9), bits task_power);
+                    thermal_cost o ~pe_energy ~idle ~finish ~pe ~task_power)
+              in
+              pending := Some (Printf.sprintf "%s: node %d" what !nodes, v, keys, trajs, fp ());
+              incr nodes
+            in
+            Inspect.set_observer (Some observe);
+            Fun.protect ~finally:(fun () -> Inspect.set_observer None) (fun () ->
+                f hotspot;
+                settle ())
+          in
+          let what = Printf.sprintf "%s/%s" (Graph.name graph) pname in
+          audit ~depth:true (what ^ "/run") (fun hotspot ->
+              ignore
+                (List_sched.run ~hotspot ~graph ~lib ~pes
+                   ~policy:Policy.Thermal_aware ()
+                  : Schedule.t));
+          audit ~depth:false (what ^ "/adaptive") (fun hotspot ->
+              ignore
+                (List_sched.run_adaptive ~hotspot ~graph ~lib ~pes
+                   ~policy:Policy.Thermal_aware ()
+                  : Schedule.t * Policy.weights));
+          let other = generated 11 in
+          let period =
+            Float.ceil (Float.max (Graph.deadline graph) (Graph.deadline other))
+          in
+          let apps =
+            [ Periodic.make_app ~graph ~period;
+              Periodic.make_app ~graph:other ~period:(2.0 *. period) ]
+          in
+          audit ~depth:true (what ^ "/periodic") (fun hotspot ->
+              ignore
+                (Periodic.schedule ~policy:Policy.Thermal_aware
+                   ~weights:(default_weights graph) ~hotspot ~apps ~lib ~pes ()
+                  : Periodic.t)))
+        builtins)
+    (List.map generated [ 2; 5; 8 ]);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d exact costs checked, %d shared fixed points" !costs
+       !shared)
+    true
+    (!costs > 10_000 && !shared > 100)
+
 let () =
   Alcotest.run "memo"
     [
@@ -912,7 +1141,9 @@ let () =
         ] );
       ( "inquiries",
         [ Alcotest.test_case "Bm1 thermal: fewer inquiries, same fixed points"
-            `Quick test_bm1_thermal_stats ] );
+            `Quick test_bm1_thermal_stats;
+          Alcotest.test_case "std4 Bm1-Bm4 counters pinned" `Quick
+            test_std4_counters_pinned ] );
       ( "pruning",
         [
           Alcotest.test_case "thermal floor <= exact cost" `Quick
@@ -930,5 +1161,10 @@ let () =
         [
           Alcotest.test_case "every node = a test-local fresh scan" `Quick
             test_reuse_is_a_fresh_scan;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "pick costs = oracle, one fixed point per inquiry"
+            `Quick test_costs_match_oracle;
         ] );
     ]

@@ -300,74 +300,34 @@ let step_inquiries () =
 
 let h_fp_iterations = Tats_util.Metricsreg.histogram "steady.fp_iterations"
 
+(* The linear seed [Inquiry.ask] starts a step inquiry from, by the same
+   per-block expression, computed here from the influence columns. *)
+let linear_seed engine ~energy ~horizon ~pe ~extra =
+  let n = Inquiry.n_blocks engine in
+  let ambient = (Inquiry.package engine).Package.ambient in
+  let cols = Array.init n (Inquiry.influence_column engine) in
+  let response = Array.make n 0.0 in
+  Array.iteri
+    (fun j pj ->
+      if pj <> 0.0 then
+        for i = 0 to n - 1 do
+          response.(i) <- response.(i) +. (pj *. cols.(j).(i))
+        done)
+    energy;
+  Array.init n (fun i ->
+      ambient +. (response.(i) /. horizon) +. (extra *. cols.(pe).(i)))
+
 (* Stopped after any [k] steps and resumed, the fixed point runs the
    uninterrupted trajectory bit for bit: on [Steady.fixed_point] with an
-   explicit [init], and on [Inquiry.query_delta] through the engine's
-   cache, whose counters then count each step once. *)
+   explicit [init], and on [Inquiry.ask] through a step table's slot,
+   whose counters then count each step once. A zero-step answer (a
+   stopped iterate [stop] holds of, or a converged slot) runs no fixed
+   point. *)
 let test_leakage_resume_is_exact () =
+  let fp_runs () = (Tats_util.Metricsreg.summary h_fp_iterations).count in
   List.iter
     (fun (what, engine, energy, horizon, pe, extra, idle) ->
       let solver = Inquiry.solver engine in
-      let base = Inquiry.base_response engine ~power:energy in
-      let query ?stop e =
-        Inquiry.query_delta ?stop e ~base ~horizon ~pe ~extra ~idle
-      in
-      (* The trajectory: every iterate [stop] is asked of, then the result. *)
-      let record iterates t =
-        iterates := Array.copy t :: !iterates;
-        false
-      in
-      let iterates = ref [] in
-      let result = query ~stop:(record iterates) (Inquiry.create solver) in
-      let trajectory = Array.of_list (List.rev !iterates) in
-      let steps = Array.length trajectory in
-      Alcotest.(check bool) (what ^ ": iterates") true (steps > 1);
-      for k = 0 to steps - 1 do
-        let what = Printf.sprintf "%s, stopped at %d" what k in
-        let e = Inquiry.create solver in
-        same_floats (what ^ ": stopped iterate") trajectory.(k)
-          (query ~stop:(stop_after k) e);
-        (* Stopped again where it stands: a hit, no step, and no fixed
-           point run: [stop] is asked once and [steady.fp_iterations]
-           records nothing. *)
-        if k > 0 then begin
-          let asked = ref 0 in
-          let fp_runs () = (Tats_util.Metricsreg.summary h_fp_iterations).count in
-          let runs = fp_runs () in
-          same_floats (what ^ ": hit") trajectory.(k)
-            (query ~stop:(fun _ -> incr asked; true) e);
-          Alcotest.(check (list int))
-            (what ^ ": hit asks stop once, runs no fixed point")
-            [ 1; runs ] [ !asked; fp_runs () ]
-        end;
-        let tail = ref [] in
-        same_floats (what ^ ": resumed") result (query ~stop:(record tail) e);
-        List.iteri
-          (fun j t ->
-            same_floats (Printf.sprintf "%s: iterate %d" what (k + j))
-              trajectory.(k + j) t)
-          (List.rev !tail);
-        (* Each step runs once; the dense path would have paid, per
-           inquiry, its seed solve and every step up to the iterate it
-           returned. *)
-        let s = Inquiry.stats e in
-        Alcotest.(check (list int))
-          (what ^ ": inquiries, hits, fp_iterations, dense_solves")
-          [
-            (if k > 0 then 3 else 2);
-            (if k > 0 then 1 else 0);
-            steps;
-            (1 + k) + (if k > 0 then 1 + k else 0) + (1 + steps);
-          ]
-          [
-            s.Inquiry.inquiries;
-            s.Inquiry.cache_hits;
-            s.Inquiry.fp_iterations;
-            s.Inquiry.dense_solves;
-          ]
-      done;
-      (* The bare fixed point, from its own linear seed, resumed from an
-         explicit [init]: same iterate, step count and residual. *)
       let dynamic =
         Array.mapi
           (fun i p -> (p /. horizon) +. if i = pe then extra else 0.0)
@@ -380,6 +340,85 @@ let test_leakage_resume_is_exact () =
               (Array.length dst))
           ~dynamic ~idle ()
       in
+      (* The trajectory from the engine's seed: the seed, every iterate
+         [stop] is asked of, then the result. *)
+      let seed = linear_seed engine ~energy ~horizon ~pe ~extra in
+      let iterates = ref [] in
+      let result =
+        fixed_point ~init:(Steady.seed seed)
+          ~stop:(fun t ->
+            iterates := Array.copy t :: !iterates;
+            false)
+          ()
+      in
+      let trajectory = Array.of_list (seed :: List.rev !iterates) in
+      let means = Array.map Stats.mean trajectory in
+      let steps = Array.length trajectory in
+      Alcotest.(check bool) (what ^ ": iterates") true (steps > 1);
+      Alcotest.(check int) (what ^ ": one iterate per step") steps
+        result.Steady.steps;
+      for k = 0 to steps - 1 do
+        let what = Printf.sprintf "%s, stopped at %d" what k in
+        let e = Inquiry.create solver in
+        let tally = Inquiry.tally () and slots = [| Inquiry.no_slot |] in
+        let ask ?stop () =
+          Inquiry.ask ?stop e (Inquiry.step e ~power:energy ~idle) tally ~slots 0
+            ~horizon ~pe ~extra
+        in
+        Alcotest.(check string) (what ^ ": stopped mean") (hex means.(k))
+          (hex (ask ~stop:(stop_after k) ()));
+        (match Inquiry.iterate slots.(0) with
+        | None -> Alcotest.(check int) (what ^ ": no slot at the seed") 0 k
+        | Some it ->
+            same_floats (what ^ ": stored iterate") trajectory.(k) it.Steady.temps;
+            Alcotest.(check int) (what ^ ": stored steps") k it.Steady.steps);
+        (* Stopped again where it stands: a hit, no step, and no fixed
+           point run: [stop] is asked once and [steady.fp_iterations]
+           records nothing. *)
+        if k > 0 then begin
+          let asked = ref 0 in
+          let runs = fp_runs () in
+          Alcotest.(check string) (what ^ ": hit") (hex means.(k))
+            (hex (ask ~stop:(fun _ -> incr asked; true) ()));
+          Alcotest.(check (list int))
+            (what ^ ": hit asks stop once, runs no fixed point")
+            [ 1; runs ] [ !asked; fp_runs () ]
+        end;
+        let tail = ref [] in
+        Alcotest.(check string) (what ^ ": resumed") (hex (Stats.mean result.Steady.temps))
+          (hex (ask ~stop:(fun m -> tail := m :: !tail; false) ()));
+        Alcotest.(check (list string)) (what ^ ": each iterate asked once")
+          (List.map hex (Array.to_list (Array.sub means k (steps - k))))
+          (List.rev_map hex !tail);
+        (* Converged: answered without a step or a question. *)
+        let runs = fp_runs () in
+        Alcotest.(check string) (what ^ ": converged hit")
+          (hex (Stats.mean result.Steady.temps))
+          (hex (ask ~stop:(fun _ -> Alcotest.failf "%s: stop asked" what) ()));
+        Alcotest.(check int) (what ^ ": converged hit runs no fixed point") runs
+          (fp_runs ());
+        (* Each step runs once; the dense path would have paid, per
+           inquiry, its seed solve and every step up to the iterate it
+           returned. *)
+        Inquiry.flush e tally;
+        let s = Inquiry.stats e in
+        Alcotest.(check (list int))
+          (what ^ ": inquiries, hits, fp_iterations, dense_solves")
+          [
+            (if k > 0 then 4 else 3);
+            (if k > 0 then 2 else 1);
+            steps;
+            (1 + k) + (if k > 0 then 1 + k else 0) + (2 * (1 + steps));
+          ]
+          [
+            s.Inquiry.inquiries;
+            s.Inquiry.cache_hits;
+            s.Inquiry.fp_iterations;
+            s.Inquiry.dense_solves;
+          ]
+      done;
+      (* The bare fixed point, from its own linear seed, resumed from an
+         explicit [init]: same iterate, step count and residual. *)
       let full = fixed_point () in
       for k = 0 to full.Steady.steps - 1 do
         let what = Printf.sprintf "%s, fixed point stopped at %d" what k in

@@ -368,18 +368,17 @@ let test_metrics_json_roundtrip () =
 
 (* --- disabled mode is a no-op --------------------------------------------- *)
 
-let platform_run () =
+let platform_hotspot () =
+  Hotspot.create
+    (Grid.layout
+       (Array.map
+          (fun (i : Pe.inst) ->
+            Block.make ~name:(string_of_int i.Pe.inst_id) ~area:i.Pe.kind.Pe.area ())
+          (Catalog.platform_instances 4)))
+
+let platform_run ?(h = platform_hotspot ()) () =
   let graph = Benchmarks.load 0 in
   let pes = Catalog.platform_instances 4 in
-  let h =
-    Hotspot.create
-      (Grid.layout
-         (Array.map
-            (fun (i : Pe.inst) ->
-              Block.make ~name:(string_of_int i.Pe.inst_id)
-                ~area:i.Pe.kind.Pe.area ())
-            pes))
-  in
   List_sched.run ~hotspot:h ~graph ~lib:(Catalog.platform_library ()) ~pes
     ~policy:Policy.Thermal_aware ()
 
@@ -393,6 +392,45 @@ let test_disabled_mode_noop () =
     s_on.Schedule.makespan;
   Alcotest.(check bool) "identical entries" true
     (s_off.Schedule.entries = s_on.Schedule.entries)
+
+(* The scheduler's inquiries are traced as one [inquiry.refine] span per
+   pick that ran a fixed point, inside that pick's [sched.step] on the
+   same domain, its [steps] and [solves] args adding up to the run's
+   fixed-point steps: no span per fixed point. *)
+let test_one_inquiry_span_per_pick () =
+  let h = platform_hotspot () in
+  Trace.start ();
+  let spans =
+    Fun.protect ~finally:Trace.reset (fun () ->
+        ignore (platform_run ~h () : Schedule.t);
+        Trace.spans ())
+  in
+  let named n = List.filter (fun (s : Trace.span) -> s.Trace.name = n) spans in
+  let refines = named "inquiry.refine" and steps = named "sched.step" in
+  let int_arg k (s : Trace.span) =
+    match List.assoc_opt k s.Trace.args with Some (Trace.Int i) -> i | _ -> -1
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d refine spans, %d steps" (List.length refines)
+       (List.length steps))
+    true
+    (refines <> [] && List.length refines <= List.length steps);
+  List.iter
+    (fun (r : Trace.span) ->
+      Alcotest.(check bool) "inside a step" true
+        (List.exists
+           (fun (s : Trace.span) ->
+             s.Trace.tid = r.Trace.tid && s.Trace.ts <= r.Trace.ts
+             && r.Trace.ts +. r.Trace.dur <= s.Trace.ts +. s.Trace.dur)
+           steps);
+      Alcotest.(check bool) "ran a fixed point" true
+        (int_arg "solves" r >= 1 && int_arg "steps" r >= int_arg "solves" r))
+    refines;
+  Alcotest.(check int) "steps args = fp_iterations"
+    (Hotspot.inquiry_stats h).Tats_thermal.Inquiry.fp_iterations
+    (List.fold_left (fun acc r -> acc + int_arg "steps" r) 0 refines);
+  Alcotest.(check int) "no per-fixed-point span" 0
+    (List.length (named "inquiry.solve"))
 
 (* --- end-to-end CLI smoke test -------------------------------------------- *)
 
@@ -418,7 +456,7 @@ let test_cli_smoke () =
       Alcotest.(check bool)
         (Printf.sprintf "span %S present" expected)
         true (List.mem expected names))
-    [ "sched.run"; "sched.step"; "inquiry.solve" ];
+    [ "sched.run"; "sched.step"; "inquiry.refine"; "inquiry.solve" ];
   let metrics = Json.of_file metrics_file in
   let counter name =
     int_of_float (Json.to_num (Json.member name (Json.member "counters" metrics)))
@@ -496,6 +534,8 @@ let () =
         [
           Alcotest.test_case "disabled mode is a no-op" `Quick
             test_disabled_mode_noop;
+          Alcotest.test_case "one inquiry span per pick" `Quick
+            test_one_inquiry_span_per_pick;
         ] );
       ( "cli",
         [
