@@ -48,8 +48,8 @@ let trace_arg =
 
 let metrics_arg =
   let doc =
-    "Write the process metrics registry — counters (inquiry cache \
-     hits/misses, scheduler steps, LU/CG solves), gauges and latency \
+    "Write the process metrics registry — counters (inquiries and \
+     their hits, scheduler steps, LU/CG solves), gauges and latency \
      histograms with p50/p95/p99 — to $(docv) as JSON."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)

@@ -3,8 +3,8 @@
    Listens on a Unix-domain socket for length-prefixed JSON requests
    (schedule / inquiry / transient / ping / stats), dispatches them onto
    the process execution pool, and keeps one warmed thermal-inquiry
-   engine per platform fingerprint so repeated workloads hit the
-   quantized-power cache across requests.  `tats client` is the matching
+   engine per platform fingerprint so repeated workloads reuse its
+   influence matrix and per-step tables across requests.  `tats client` is the matching
    one-shot client. *)
 
 open Cmdliner
@@ -90,7 +90,7 @@ let trace_arg =
 let metrics_arg =
   let doc =
     "Write the metrics registry (serve.* counters, latency histogram, \
-     inquiry cache statistics) to $(docv) as JSON on shutdown."
+     inquiry counters) to $(docv) as JSON on shutdown."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 

@@ -76,9 +76,9 @@ val run_platform :
 
     [hotspot], when supplied, must wrap a placement with one block per
     platform PE ([Invalid_argument] otherwise); the flow then schedules
-    against that facade — and its already-warm inquiry cache — instead of
+    against that facade — and its already-warm step tables — instead of
     building {!platform_facade}, and [package] is ignored. This is the serving
-    layer's engine-sharing hook ([Tats_serve.Engines]): cache hits are
+    layer's engine-sharing hook ([Tats_serve.Engines]): table answers are
     bit-exact copies of fresh solves, so the outcome's numbers are
     identical to a cold run; only the [inquiry] counters (cumulative over
     the facade's lifetime) differ. *)

@@ -110,9 +110,9 @@ let analyze ?(sampler = default_sampler) ?(runs = 200) ?pool ~seed ~lib
             Rng.uniform rng sampler.min_fraction sampler.max_fraction))
   in
   let plan = plan_retime s in
-  (* Force the engine's influence matrix before fanning out, and query it
-     statelessly (no warm start, no cache) so each replication's peak
-     temperature is a pure function of its sampled fractions. *)
+  (* Force the engine's influence matrix before fanning out; its leakage
+     queries are stateless, so each replication's peak temperature is a
+     pure function of its sampled fractions. *)
   ignore (Hotspot.inquiry hotspot);
   let evaluate fractions =
     let durations =
@@ -132,10 +132,7 @@ let analyze ?(sampler = default_sampler) ?(runs = 200) ?pool ~seed ~lib
           dynamic.(e.Schedule.pe)
           +. (e.Schedule.energy *. fractions.(task) /. Float.max makespan 1e-9))
       s.Schedule.entries;
-    let temps =
-      Hotspot.inquire_with_leakage ~warm:false ~cache:false hotspot ~dynamic
-        ~idle
-    in
+    let temps = Hotspot.inquire_with_leakage hotspot ~dynamic ~idle in
     (makespan, missed, Stats.max temps)
   in
   let results = Pool.parallel_map pool evaluate samples in

@@ -50,6 +50,5 @@ val analyze :
     Deterministic in [seed] {e at any pool size}: every uniform draw is
     made sequentially up front, in the order the sequential implementation
     consumed them, and each replication's thermal query is stateless
-    ([~warm:false ~cache:false] — see {!Hotspot.inquire_with_leakage}), so
-    the returned statistics are bit-identical whether evaluated on 1
-    domain or 32. *)
+    ({!Hotspot.inquire_with_leakage}), so the returned statistics are
+    bit-identical whether evaluated on 1 domain or 32. *)

@@ -1,16 +1,14 @@
 (** Warmed thermal-engine registry: one {!Tats_thermal.Hotspot} facade
-    (and therefore one {!Tats_thermal.Inquiry} engine and one
-    quantized-power cache) per {e platform fingerprint}, shared across
-    every request the server dispatches.
+    (and therefore one {!Tats_thermal.Inquiry} engine, with its influence
+    matrix and per-step tables) per {e platform fingerprint}, shared
+    across every request the server dispatches.
 
-    The quantized-power inquiry cache already hits 60%+ {e within} one
-    scheduling run; a long-running server sees the same platforms and
-    similar power vectors over and over {e across} requests, so keeping
-    the engine (influence matrix, factored network, cache) alive between
-    requests converts the first request's warm-up into every later
-    request's fast path. Cross-request reuse is observable as a non-zero
-    {!hit_rate} on a repeated-platform workload — the gate
-    [BENCH_serve.json] enforces.
+    A long-running server sees the same platforms over and over, so
+    keeping the engine alive between requests converts the first
+    request's warm-up (the influence matrix, the factored network) into
+    every later request's fast path, and a repeated schedule request
+    finds the step tables an earlier one filled. Cross-request reuse is
+    observable as a non-zero {!hit_rate} on a repeated-platform workload.
 
     A fingerprint identifies everything the engine's numbers depend on:
     ["platform:<n_pes>"] for {!Tats_techlib.Catalog.std_platform}[ n_pes],
@@ -23,10 +21,11 @@
     lifecycle).
 
     Sharing is sound for bit-identity because the facade is thread-safe
-    and the cache is value-safe: a cache hit returns a bit-exact copy of
-    what a fresh default-settings solve would produce
-    ({!Tats_thermal.Inquiry}), so a served result never depends on which
-    requests warmed the cache first. *)
+    and the step tables are value-safe: a slot answers only inputs
+    bit-identical to its own, with what a fresh solve would produce, and
+    a leakage inquiry stores nothing ({!Tats_thermal.Inquiry}), so a
+    served result never depends on which requests warmed the engine
+    first. *)
 
 type t
 
@@ -53,7 +52,7 @@ val fingerprints : t -> string list
 type stats = {
   engines : int;
   inquiries : int;  (** inquiries served across all registry engines *)
-  cache_hits : int;
+  cache_hits : int;  (** of which answered from a step table without a step *)
 }
 
 val stats : t -> stats

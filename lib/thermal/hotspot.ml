@@ -73,8 +73,8 @@ let query t ~power =
   count_direct t;
   Steady.block_temperatures t.solver ~power
 
-let inquire_with_leakage ?warm ?cache t ~dynamic ~idle =
-  Inquiry.query_with_leakage ?warm ?cache (inquiry t) ~dynamic ~idle
+let inquire_with_leakage t ~dynamic ~idle =
+  Inquiry.query_with_leakage (inquiry t) ~dynamic ~idle
 
 let average_temperature t ~power = Tats_util.Stats.mean (query t ~power)
 let peak_temperature t ~power = Tats_util.Stats.max (query t ~power)

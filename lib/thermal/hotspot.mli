@@ -19,18 +19,12 @@ val query : t -> power:float array -> float array
 (** Steady-state block temperatures (°C) for per-block powers (W). *)
 
 val inquire_with_leakage :
-  ?warm:bool ->
-  ?cache:bool ->
-  t ->
-  dynamic:float array ->
-  idle:float array ->
-  float array
+  t -> dynamic:float array -> idle:float array -> float array
 (** Temperature-dependent leakage fixed point served by the {!Inquiry}
-    engine: influence-matrix solves, a quantized-power cache, optional warm
-    start — the production hot path. Matches the dense reference
-    {!Steady.solve_with_leakage} within floating-point noise. [warm] and
-    [cache] as in {!Inquiry.query_with_leakage}; parallel callers that
-    need bit-reproducible results use [~warm:false ~cache:false]. The
+    engine's influence-matrix solves ({!Inquiry.query_with_leakage}) —
+    the production hot path. Matches the dense reference
+    {!Steady.solve_with_leakage} within floating-point noise; stateless,
+    so equal inputs give bit-equal answers at any domain count. The
     facade itself is thread-safe (lazy engine creation and the inquiry
     counter are mutex-guarded). *)
 

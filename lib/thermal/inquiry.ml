@@ -65,12 +65,10 @@ let reset_counters c =
   c.c_delta_evals <- 0;
   c.c_wall_time <- 0.0
 
-(* Fleet-wide counters, accumulated across every engine instance — the
-   bench harness creates hundreds of short-lived hotspots during table
-   regeneration and wants one aggregate. These live in the process-global
-   metrics registry: lock-free atomic bumps from any pool domain, named
-   values in [tats --metrics] dumps, and [global_stats] reads them back
-   into the legacy record shape. *)
+(* Fleet-wide counters, accumulated across every engine instance in the
+   process-global metrics registry: lock-free atomic bumps from any pool
+   domain, named values in [tats --metrics] dumps, read back by
+   [global_stats]. *)
 let m_inquiries = Metricsreg.counter "inquiry.inquiries"
 let m_cache_hits = Metricsreg.counter "inquiry.cache_hits"
 let m_fp_iterations = Metricsreg.counter "inquiry.fp_iterations"
@@ -125,22 +123,6 @@ type base = {
   response_mean : float; (* summed in [Stats.mean]'s order *)
 }
 
-module Fkey = struct
-  type t = float array
-
-  let rec same (a : t) (b : t) i =
-    i = Array.length a
-    || Int64.bits_of_float a.(i) = Int64.bits_of_float b.(i)
-       && same a b (i + 1)
-
-  (* Bit for bit: -0.0 and 0.0 are distinct keys. *)
-  let equal a b = Array.length a = Array.length b && same a b 0
-
-  let hash (a : t) = Hashtbl.hash a
-end
-
-module Ftbl = Hashtbl.Make (Fkey)
-
 (* A slot's [state] is one flat float block, replaced whole and never
    mutated once stored: [||] before any step ran (the slot is then in no
    table), [| mean; steps |] once converged, and a stopped iterate's
@@ -154,7 +136,7 @@ let[@inline] state_steps state = state.(if converged state then 1 else Array.len
 type step = {
   base : base;
   idle : float array;
-  slots : slot Ftbl.t; (* keyed by [slot.key] *)
+  slots : slot Fkey.Tbl.t; (* keyed by [slot.key] *)
 }
 
 type t = {
@@ -164,40 +146,19 @@ type t = {
   cols : float array array; (* cols.(j).(i) = dT_i per W injected at block j *)
   col_means : float array; (* per column, summed in [Stats.mean]'s order *)
   floor_margin : float; (* relative rounding margin of [seed_floor] *)
-  cache : (string, float array) Hashtbl.t;
-  (* [query_with_leakage]'s converged results, keyed by [cache_key] *)
-  steps : step Ftbl.t; (* keyed by a step's power and idle vectors *)
+  steps : step Fkey.Tbl.t; (* keyed by a step's power and idle vectors *)
   mutable entries : int; (* step tables and slots, against [max_entries] *)
   counters : counters;
-  mutable warm : float array option; (* the last converged entry *)
-  (* Guards [cache], [steps], the slot tables, [entries], [warm] and
-     [counters]; the influence matrix itself is immutable after [create],
-     so concurrent solves never take the lock while number-crunching. *)
+  (* Guards [steps], the slot tables, [entries] and [counters]; the
+     influence matrix itself is immutable after [create], so concurrent
+     solves never take the lock while number-crunching. *)
   lock : Mutex.t;
 }
 
-let default_max_iter = 200
 let default_tol = 1e-6
 
-(* [query_with_leakage]'s cache keys quantize powers to 1 nW, far below any
-   physically meaningful difference but fine enough that only repeats of
-   the same computation collide — a hit returns temperatures
-   indistinguishable from a resolve. The 2n quantized values (dynamic,
-   then idle) are packed as little-endian int64s into one 16n-byte string:
-   a single flat block, where an int64 array would box every slot. *)
-let quantize p = Int64.of_float (Float.round (p *. 1e9))
-
-let cache_key ~dynamic ~idle =
-  let n = Array.length dynamic in
-  let key = Bytes.create (16 * n) in
-  for i = 0 to n - 1 do
-    Bytes.set_int64_le key (8 * i) (quantize dynamic.(i));
-    Bytes.set_int64_le key (8 * (n + i)) (quantize idle.(i))
-  done;
-  Bytes.unsafe_to_string key
-
-(* The bound on each of the two stores: [cache] entries, and step tables
-   plus slots. A store that is full is dropped whole. *)
+(* The bound on the step tables plus their slots. A full store is
+   dropped whole. *)
 let max_entries = 1 lsl 16
 
 let create solver =
@@ -223,11 +184,9 @@ let create solver =
     cols;
     col_means = Array.map Tats_util.Stats.mean cols;
     floor_margin = float_of_int (((2 * n) + 8) * n) *. epsilon_float;
-    cache = Hashtbl.create 256;
-    steps = Ftbl.create 64;
+    steps = Fkey.Tbl.create 64;
     entries = 0;
     counters;
-    warm = None;
     lock = Mutex.create ();
   }
 
@@ -263,82 +222,38 @@ let temperatures t ~power =
   apply t power dst;
   dst
 
-(* A [query_with_leakage] cache entry: the converged temperatures, then
-   the step count, in one flat block never mutated once stored. *)
-let pack (it : Steady.iterate) =
-  let n = Array.length it.Steady.temps in
-  let entry = Array.make (n + 1) (float_of_int it.Steady.steps) in
-  Array.blit it.Steady.temps 0 entry 0 n;
-  entry
-
-(* The engine lock is taken twice per query, without closures: once to
-   count it and look its inputs up, once to count its outcome and store
-   what it computed. Neither section can raise. The fleet-wide registry
-   metrics are atomic and bumped outside the lock. *)
-let query_with_leakage ?(max_iter = default_max_iter) ?(tol = default_tol)
-    ?(warm = false) ?(cache = true) t ~dynamic ~idle =
+(* The engine lock is taken once per query, after its fixed point and
+   without a closure, to count it; that section cannot raise. The
+   fleet-wide registry metrics are atomic and bumped outside the lock. *)
+let query_with_leakage ?max_iter t ~dynamic ~idle =
   if Array.length dynamic <> t.n || Array.length idle <> t.n then
     invalid_arg "Inquiry.query_with_leakage: bad vector length";
   (* Wall clock, not [Sys.time]: process CPU time counts every domain in
      the pool at once, which over-counted by about the domain count under
      [--jobs N]. Wall time per query is additive across domains. *)
   let t0 = Trace.now () in
-  (* Cached results were produced with the default convergence settings;
-     bypass the cache when the caller overrides them, or asks for a
-     stateless query outright. *)
-  let cacheable = cache && max_iter = default_max_iter && tol = default_tol in
-  let key = if cacheable then Some (cache_key ~dynamic ~idle) else None in
+  let run () =
+    Steady.fixed_point ?max_iter ~package:(package t) ~solve:(apply t) ~dynamic
+      ~idle ()
+  in
+  let it = if Trace.enabled () then Trace.with_span "inquiry.solve" run else run () in
+  let steps = it.Steady.steps in
+  let dt = Trace.now () -. t0 in
   let c = t.counters in
   Mutex.lock t.lock;
   c.c_inquiries <- c.c_inquiries + 1;
-  let found =
-    match key with None -> None | Some k -> Hashtbl.find_opt t.cache k
-  in
-  let warm_start = if warm then t.warm else None in
+  c.c_fp_iterations <- c.c_fp_iterations + steps;
+  (* The dense path pays the same steps, plus its linear solve. *)
+  c.c_dense_solves <- c.c_dense_solves + 1 + steps;
+  c.c_wall_time <- c.c_wall_time +. dt;
   Mutex.unlock t.lock;
   Metricsreg.incr m_inquiries;
-  (* [total] is the steps of the returned iterate from its seed; a hit
-     runs none of them. *)
-  let temps, steps, total, stored =
-    match found with
-    | Some entry -> (Array.sub entry 0 t.n, 0, int_of_float entry.(t.n), None)
-    | None ->
-        let init = Option.map (fun w -> Steady.seed (Array.sub w 0 t.n)) warm_start in
-        let run () =
-          Steady.fixed_point ~max_iter ~tol ?init ~package:(package t)
-            ~solve:(apply t) ~dynamic ~idle ()
-        in
-        let it =
-          if Trace.enabled () then Trace.with_span "inquiry.solve" run else run ()
-        in
-        ( it.Steady.temps,
-          it.Steady.steps,
-          it.Steady.steps,
-          if key <> None then Some (pack it) else None )
-  in
-  let hit = found <> None in
-  let dt = Trace.now () -. t0 in
-  Mutex.lock t.lock;
-  if hit then c.c_cache_hits <- c.c_cache_hits + 1;
-  c.c_fp_iterations <- c.c_fp_iterations + steps;
-  (* The dense path has no cache: it would have paid every step of this
-     inquiry's fixed point again, plus its linear solve. *)
-  c.c_dense_solves <- c.c_dense_solves + 1 + total;
-  c.c_wall_time <- c.c_wall_time +. dt;
-  (match (key, stored) with
-  | Some k, Some entry ->
-      if Hashtbl.length t.cache >= max_entries then Hashtbl.reset t.cache;
-      Hashtbl.replace t.cache k entry;
-      t.warm <- Some entry
-  | _ -> ());
-  Mutex.unlock t.lock;
-  if hit then Metricsreg.incr m_cache_hits;
   Metricsreg.add m_fp_iterations steps;
-  Metricsreg.add m_dense_solves (1 + total);
-  if not hit then Metricsreg.observe h_solve_iterations (float_of_int steps);
+  Metricsreg.add m_dense_solves (1 + steps);
+  Metricsreg.observe h_solve_iterations (float_of_int steps);
   Metricsreg.add_gauge m_wall dt;
   Metricsreg.observe h_solve_seconds dt;
-  temps
+  it.Steady.temps
 
 let base_response t ~power =
   if Array.length power <> t.n then
@@ -388,7 +303,7 @@ let step_key ~power ~idle = Array.append power idle
    full. Called under the engine lock. *)
 let count_entry t =
   if t.entries >= max_entries then begin
-    Ftbl.reset t.steps;
+    Fkey.Tbl.reset t.steps;
     t.entries <- 0
   end;
   t.entries <- t.entries + 1
@@ -398,7 +313,7 @@ let step t ~power ~idle =
     invalid_arg "Inquiry.step: power and idle vectors must have one entry per block";
   let key = step_key ~power ~idle in
   Mutex.lock t.lock;
-  let found = Ftbl.find_opt t.steps key in
+  let found = Fkey.Tbl.find_opt t.steps key in
   Mutex.unlock t.lock;
   match found with
   | Some s -> s
@@ -409,16 +324,16 @@ let step t ~power ~idle =
         {
           base = base_response t ~power;
           idle = Array.copy idle;
-          slots = Ftbl.create 8;
+          slots = Fkey.Tbl.create 8;
         }
       in
       Mutex.lock t.lock;
       let s =
-        match Ftbl.find_opt t.steps key with
+        match Fkey.Tbl.find_opt t.steps key with
         | Some s -> s
         | None ->
             count_entry t;
-            Ftbl.replace t.steps key s;
+            Fkey.Tbl.replace t.steps key s;
             s
       in
       Mutex.unlock t.lock;
@@ -484,7 +399,7 @@ let find_slot t s ~horizon ~pe ~extra =
   check_delta "ask" t ~horizon ~pe;
   let key = [| float_of_int pe; horizon; extra |] in
   Mutex.lock t.lock;
-  let found = Ftbl.find_opt s.slots key in
+  let found = Fkey.Tbl.find_opt s.slots key in
   Mutex.unlock t.lock;
   match found with Some slot -> slot | None -> { key; state = [||] }
 
@@ -497,9 +412,9 @@ let store t s slot ~was_fresh state =
     slot.state <- state;
   if was_fresh then begin
     Mutex.lock t.lock;
-    if not (Ftbl.mem s.slots slot.key) then begin
+    if not (Fkey.Tbl.mem s.slots slot.key) then begin
       count_entry t;
-      Ftbl.replace s.slots slot.key slot
+      Fkey.Tbl.replace s.slots slot.key slot
     end;
     Mutex.unlock t.lock
   end

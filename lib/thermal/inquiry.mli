@@ -16,12 +16,12 @@
     path to floating-point noise (well within 1e-6 °C — see
     [test/test_inquiry.ml]).
 
-    The engine answers two kinds of inquiry from two stores:
+    The engine answers two kinds of inquiry, and keeps one store:
 
     - {!query_with_leakage} (metrics, [tatsd] inquiry requests,
-      Monte-Carlo) is cached keyed on the (1 nW-quantized) power vectors,
-      packed into one string: at most [2^16] converged results, the whole
-      table dropped when it is full.
+      Monte-Carlo) runs the fixed point from the linear seed on every
+      call and stores nothing, so its answer is a pure function of the
+      influence matrix and the power vectors.
     - The list scheduler's candidate inquiries are answered from
       {e per-step tables} ({!step}): one per scheduling step's base (the
       committed PE energies and the idle powers, bit for bit), holding
@@ -38,38 +38,25 @@
       later request to a warm server finds them; together with their
       slots they are bounded by [2^16] entries, all dropped when full.
 
-    Hit/miss, fixed-point-iteration, factored-solve and wall-time counters
-    are kept per engine and globally.
+    Hit, fixed-point-iteration, factored-solve and wall-time counters are
+    kept per engine and globally.
 
     {1 Thread safety}
 
     One engine may be queried concurrently from multiple {!Tats_util.Pool}
     worker domains. The influence matrix is immutable after {!create};
-    the mutable state — the inquiry cache, the step tables, the
-    warm-start vector and the per-engine counter record — sits behind a
-    per-engine mutex, never held around a fixed-point solve. A
-    {!query_with_leakage} takes it twice (the lookup with its counter
-    bumps, then the insert with the rest); the step path takes it once
-    per {!step}, once per first {!ask} of a candidate (its slot lookup),
-    once per new slot and once per {!flush}. Stored results and iterates
-    are never mutated once stored, a slot's state is replaced whole, and
-    only ever by a state further along its trajectory, so a value never
-    depends on a race; only which query stores first does. The global
-    aggregate lives in the {!Tats_util.Metricsreg} registry as lock-free
-    named counters ([inquiry.*]). Two caveats matter for deterministic
-    parallel use:
-
-    - [~warm:true] reads a warm-start vector that concurrent queries race
-      to write, so the iteration path (and the result, within [tol])
-      depends on scheduling. Deterministic parallel callers must use the
-      default [~warm:false].
-    - The stores are value-safe: a step table's answer is bit-equal to a
-      fresh solve of its inputs, and a cache hit to a fresh
-      default-settings solve of inputs within 1 nW of the query's, power
-      by power. But store-dependent {e counters} become
-      schedule-dependent. Callers that assert exact counter values, or
-      want queries with zero shared-state traffic, pass [~cache:false]
-      for a fully stateless query. *)
+    the mutable state — the step tables and the per-engine counter
+    record — sits behind a per-engine mutex, never held around a
+    fixed-point solve. A {!query_with_leakage} takes it once, to count
+    itself; the step path takes it once per {!step}, once per first
+    {!ask} of a candidate (its slot lookup), once per new slot and once
+    per {!flush}. A slot's state is replaced whole, and only ever by a
+    state further along its trajectory, so a value never depends on a
+    race, and every answer is bit-equal to a fresh solve of its inputs.
+    The store-dependent {e counters} (hits, steps run) do depend on which
+    query stores first. The global aggregate lives in the
+    {!Tats_util.Metricsreg} registry as lock-free named counters
+    ([inquiry.*]). *)
 
 type t
 
@@ -78,9 +65,9 @@ type stats = {
       (** leakage inquiries served: {!query_with_leakage} and {!ask} calls,
           one each, also when one resumes a stopped iterate *)
   cache_hits : int;
-      (** of which answered from the store without running a step: a
-          converged result, or a stopped iterate the inquiry's own [stop]
-          test already holds of *)
+      (** of which {!ask}s answered from a step table without running a
+          step: a converged slot, or a stopped iterate the inquiry's own
+          [stop] test already holds of *)
   fp_iterations : int;
       (** damped fixed-point steps actually run: a resumed inquiry counts
           only the steps it adds to the stored iterate *)
@@ -119,28 +106,16 @@ val temperatures : t -> power:float array -> float array
     {!Steady.block_temperatures} to floating-point noise. *)
 
 val query_with_leakage :
-  ?max_iter:int ->
-  ?tol:float ->
-  ?warm:bool ->
-  ?cache:bool ->
-  t ->
-  dynamic:float array ->
-  idle:float array ->
-  float array
-(** Drop-in fast path for {!Steady.solve_with_leakage} (same damping, same
-    convergence test, influence-matrix inner solves). [warm] (default
-    [false]) seeds the fixed point from this engine's previous converged
-    solution when one exists — fewer iterations for a stream of similar
-    inquiries, at the price of a (bounded by [tol]) different iteration
-    path. Results are cached, converged results only; non-default
-    [max_iter]/[tol] bypass the cache, as does [~cache:false], which
-    additionally skips the cache insert and the warm-start store: with
-    [~warm:false ~cache:false] the query is fully stateless (counters
-    aside) and its result a pure function of the engine's influence
-    matrix and the power vectors — the mode parallel Monte-Carlo uses for
-    bit-reproducibility at any domain count. A miss records an
-    [inquiry.solve] span while tracing, and its step count in the
-    [inquiry.solve_iterations] histogram; every query records its time in
+  ?max_iter:int -> t -> dynamic:float array -> idle:float array -> float array
+(** Drop-in fast path for {!Steady.solve_with_leakage}: the same damped
+    fixed point from the same linear seed and the same convergence test,
+    with influence-matrix inner solves. Every call solves afresh and
+    stores nothing, so equal inputs give bit-equal answers on any engine
+    of the same influence matrix, at any domain count, and the returned
+    array is the caller's. [max_iter] (default 200) bounds the steps;
+    {!Steady.Runaway} when it is reached unconverged. Records an
+    [inquiry.solve] span while tracing, its step count in the
+    [inquiry.solve_iterations] histogram and its time in
     [inquiry.solve_seconds]. *)
 
 type base
@@ -218,8 +193,8 @@ val ask :
     combination [ambient + response/horizon + extra . col(pe)] instead of
     a fresh solve. Returns the mean block temperature (summed in
     {!Tats_util.Stats.mean}'s order) of the converged result, bit-equal
-    to building that vector and averaging {!query_with_leakage}'s
-    unquantized fixed point from that seed.
+    to building that vector and averaging the fixed point
+    {!query_with_leakage} runs from that seed.
 
     [slots.(i)] caches the candidate's slot: {!no_slot} the first time,
     when [ask] looks the inquiry up in [s]'s table (a key, a hash and a

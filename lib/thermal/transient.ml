@@ -58,13 +58,13 @@ let system_size sys = Array.length sys.c
 let system_inputs sys = sys.n_inputs
 
 (* State for one distinct step size: the factored (C/dt + A), the lazily
-   built propagator columns of M = (C/dt + A)^-1 (C/dt), and the
-   quantized-power q cache. *)
+   built propagator columns of M = (C/dt + A)^-1 (C/dt), and the q cache,
+   keyed bit for bit by power vector. *)
 type stepper = {
   factored : Lu.t;
   c_over_dt : float array;
   mutable prop : float array array option; (* column j = M e_j *)
-  q_cache : (int64 array, float array) Hashtbl.t;
+  q_cache : float array Fkey.Tbl.t;
 }
 
 type counters = {
@@ -139,7 +139,7 @@ let stepper_for t ~dt =
         Matrix.add_to lhs i i c_over_dt.(i)
       done;
       let s =
-        { factored = Lu.factor lhs; c_over_dt; prop = None; q_cache = Hashtbl.create 64 }
+        { factored = Lu.factor lhs; c_over_dt; prop = None; q_cache = Fkey.Tbl.create 64 }
       in
       Hashtbl.replace t.steppers key s;
       s
@@ -185,17 +185,11 @@ let propagator t st =
       st.prop <- Some cols;
       cols
 
-(* 1 nW quantization, the Inquiry cache-key scheme: far below any
-   physically meaningful power difference, fine enough that only repeats
-   of the same vector collide. *)
-let quantize p = Int64.of_float (Float.round (p *. 1e9))
-
 let max_q_cache_entries = 1 lsl 16
 
 let q_for t st ~power =
   check_power t.sys power;
-  let key = Array.map quantize power in
-  match Hashtbl.find_opt st.q_cache key with
+  match Fkey.Tbl.find_opt st.q_cache power with
   | Some q ->
       Metricsreg.incr m_q_hits;
       t.k.k_q_hits <- t.k.k_q_hits + 1;
@@ -206,9 +200,9 @@ let q_for t st ~power =
       rhs_into t.sys ~power t.rhs_buf;
       let q = Array.make (system_size t.sys) 0.0 in
       Lu.solve_factored_into st.factored ~b:t.rhs_buf ~x:q;
-      if Hashtbl.length st.q_cache >= max_q_cache_entries then
-        Hashtbl.reset st.q_cache;
-      Hashtbl.replace st.q_cache key q;
+      if Fkey.Tbl.length st.q_cache >= max_q_cache_entries then
+        Fkey.Tbl.reset st.q_cache;
+      Fkey.Tbl.replace st.q_cache (Array.copy power) q;
       q
 
 (* T' = M T + q as a column-major saxpy sweep over the propagator. *)

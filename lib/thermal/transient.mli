@@ -18,8 +18,7 @@
     - a recurrence fast path ({!step_fast}) that precomputes the per-[dt]
       propagator [M = (C/dt + A)⁻¹ (C/dt)] once, so a step is
       [T ← M T + q(p)] — one n×n mat-vec — with [q(p) = (C/dt + A)⁻¹ rhs(p)]
-      cached per distinct power vector (quantized to 1 nW, like
-      {!Inquiry});
+      cached per distinct power vector, bit for bit ({!Fkey});
     - an exact segment replay ({!replay}) over a {!profile} of power
       breakpoints instead of sampling.
 
@@ -87,8 +86,8 @@ val system_size : system -> int
 val system_inputs : system -> int
 
 type t
-(** An engine instance: per-[dt] factorizations, propagators and
-    quantized-power [q] caches, plus reusable state buffers. Not
+(** An engine instance: per-[dt] factorizations, propagators and [q]
+    caches, plus reusable state buffers. Not
     thread-safe — confine each engine to one domain. *)
 
 val create : system -> t
@@ -104,8 +103,8 @@ val step : t -> dt:float -> power:float array -> float array -> unit
 val step_fast : t -> dt:float -> power:float array -> float array -> unit
 (** One recurrence step [T ← M T + q(power)] in place. The first
     [step_fast] at a given [dt] builds the propagator ([n] batched
-    factored solves); [q] is cached per distinct quantized power vector,
-    so replaying constant power costs one mat-vec per step. Within
+    factored solves); [q] is cached per distinct power vector, bit for
+    bit, so replaying constant power costs one mat-vec per step. Within
     floating-point round-off of {!step} (not bit-identical: the solve of a
     sum is not the sum of solves). *)
 

@@ -1,7 +1,7 @@
 (* Tests for the thermal inquiry engine: influence-matrix extraction, the
    numerical-equivalence guarantee against the dense Steady path (linear,
-   leakage fixed point, delta evaluation), inquiry caching, and the
-   instrumentation counters. *)
+   leakage fixed point, delta evaluation), the exactness of leakage
+   inquiries and per-step tables, and the instrumentation counters. *)
 
 module Lu = Tats_linalg.Lu
 module Matrix = Tats_linalg.Matrix
@@ -30,6 +30,11 @@ let platform_hotspot n =
           (fun (i : Pe.inst) ->
             Block.make ~name:(string_of_int i.Pe.inst_id) ~area:i.Pe.kind.Pe.area ())
           (platform_pes n)))
+
+let bits a = Array.map Int64.bits_of_float a
+
+let check_bits what expected actual =
+  Alcotest.(check (array int64)) what (bits expected) (bits actual)
 
 let max_abs_diff a b =
   let d = ref 0.0 in
@@ -112,23 +117,27 @@ let test_leakage_query_matches_dense () =
         (max_abs_diff fast dense <= 1e-6))
     sample_dynamics
 
-let test_warm_start_stays_equivalent () =
-  (* A warm start changes the iteration path: both runs stop within [tol] of
-     the fixed point, but from different sides, so they agree to a few
-     multiples of [tol] rather than the strict cold-start bound. This is why
-     warm starting is opt-in and kept off the scheduler's candidate path. *)
+(* A leakage inquiry stores nothing: an engine that answered other
+   vectors first answers bit-equal to a fresh one, and both match the
+   dense path. *)
+let test_earlier_queries_change_nothing () =
   let h = platform_hotspot 4 in
   let engine = Hotspot.inquiry h in
   let solver = Hotspot.solver h in
   ignore (Inquiry.query_with_leakage engine ~dynamic:[| 2.0; 6.0; 1.0; 3.0 |]
             ~idle:idle4 : float array);
   let dynamic = [| 2.1; 5.9; 1.1; 2.9 |] in
-  let fast = Inquiry.query_with_leakage ~warm:true engine ~dynamic ~idle:idle4 in
+  let fast = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
+  let fresh =
+    Inquiry.query_with_leakage (Hotspot.inquiry (platform_hotspot 4)) ~dynamic
+      ~idle:idle4
+  in
+  check_bits "warm engine = fresh engine" fresh fast;
   let dense, _ = Steady.solve_with_leakage solver ~dynamic ~idle:idle4 in
   Alcotest.(check bool)
     (Printf.sprintf "diff %.2e" (max_abs_diff fast dense))
     true
-    (max_abs_diff fast dense <= 1e-5)
+    (max_abs_diff fast dense <= 1e-6)
 
 (* A step inquiry's mean matches the dense path's on the vector it
    stands for. *)
@@ -240,59 +249,58 @@ let test_benchmark_replay_equivalence () =
         true (!worst <= 1e-6))
     [ 0; 1; 2 ]
 
-(* --- cache ---------------------------------------------------------------- *)
+(* --- exactness ------------------------------------------------------------ *)
 
-let test_cache_serves_repeats () =
+(* A repeat is bit-equal to the first answer, also after 1000 other
+   queries, and is a fresh solve: no hit, the same steps again. *)
+let test_repeats_are_bit_equal () =
   let engine = Hotspot.inquiry (platform_hotspot 4) in
   let dynamic = [| 1.5; 2.5; 0.5; 4.5 |] in
   let a = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
+  let steps = (Inquiry.stats engine).Inquiry.fp_iterations in
   let b = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
-  Alcotest.(check (float 0.0)) "identical result" 0.0 (max_abs_diff a b);
+  check_bits "immediate repeat" a b;
   let s = Inquiry.stats engine in
   Alcotest.(check int) "two inquiries" 2 s.Inquiry.inquiries;
-  Alcotest.(check int) "one hit" 1 s.Inquiry.cache_hits;
-  (* The cache hands out copies: clobbering a result must not poison it. *)
-  a.(0) <- -1000.0;
-  let c = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
-  Alcotest.(check (float 0.0)) "copy, not alias" 0.0 (max_abs_diff b c)
+  Alcotest.(check int) "no hits" 0 s.Inquiry.cache_hits;
+  Alcotest.(check int) "solved twice" (2 * steps) s.Inquiry.fp_iterations;
+  for k = 1 to 1000 do
+    let x = float_of_int k *. 1e-3 in
+    ignore
+      (Inquiry.query_with_leakage engine
+         ~dynamic:[| 1.5 +. x; 2.5; 0.5 -. (x /. 4.0); 4.5 |]
+         ~idle:idle4
+        : float array)
+  done;
+  check_bits "after 1000 others" a
+    (Inquiry.query_with_leakage engine ~dynamic ~idle:idle4)
 
-let test_cache_bypassed_on_non_default_settings () =
+(* [max_iter] only bounds the steps: a looser bound than the default
+   converges on the same iterate. *)
+let test_max_iter_only_bounds () =
   let engine = Hotspot.inquiry (platform_hotspot 4) in
   let dynamic = [| 1.0; 2.0; 3.0; 4.0 |] in
-  ignore (Inquiry.query_with_leakage ~tol:1e-8 engine ~dynamic ~idle:idle4
-          : float array);
-  ignore (Inquiry.query_with_leakage ~tol:1e-8 engine ~dynamic ~idle:idle4
-          : float array);
-  let s = Inquiry.stats engine in
-  Alcotest.(check int) "no hits off the default path" 0 s.Inquiry.cache_hits
+  let default = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
+  check_bits "max_iter 1000" default
+    (Inquiry.query_with_leakage ~max_iter:1000 engine ~dynamic ~idle:idle4)
 
-(* The cache key packs the 1 nW-quantized dynamic and idle vectors: equal
-   quantized vectors must share an entry and any one-quantum difference in
-   any slot must not. *)
-let test_cache_key_quantization () =
+(* A vector 0.01 nW off an earlier one, on every entry, is answered for
+   itself: bit-equal to a fresh engine's answer for that exact vector,
+   whatever the engine answered before. *)
+let test_neighbour_answered_exactly () =
   let engine = Hotspot.inquiry (platform_hotspot 4) in
   let dynamic = [| 1.5; 2.25; 0.5; 3.0 |] in
-  let hits () = (Inquiry.stats engine).Inquiry.cache_hits in
-  let query ~dynamic ~idle =
-    ignore (Inquiry.query_with_leakage engine ~dynamic ~idle : float array)
-  in
-  query ~dynamic ~idle:idle4;
-  (* 0.01 nW away: the same quantum. *)
+  ignore (Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 : float array);
   let near = Array.map (fun p -> p +. 1e-11) dynamic in
-  query ~dynamic:near ~idle:(Array.map (fun p -> p -. 1e-11) idle4);
-  Alcotest.(check int) "same quantum shares an entry" 1 (hits ());
-  for slot = 0 to 7 do
-    let bump a i = Array.mapi (fun j p -> if j = i then p +. 1e-9 else p) a in
-    let dynamic, idle =
-      if slot < 4 then (bump dynamic slot, idle4) else (dynamic, bump idle4 (slot - 4))
-    in
-    let before = hits () in
-    query ~dynamic ~idle;
-    Alcotest.(check int) (Printf.sprintf "one quantum off in slot %d misses" slot)
-      before (hits ())
-  done
+  let near_idle = Array.map (fun p -> p -. 1e-11) idle4 in
+  let fresh =
+    Inquiry.query_with_leakage (Hotspot.inquiry (platform_hotspot 4))
+      ~dynamic:near ~idle:near_idle
+  in
+  check_bits "neighbour = fresh solve"
+    fresh (Inquiry.query_with_leakage engine ~dynamic:near ~idle:near_idle)
 
-let test_cache_key_signed_zero () =
+let test_signed_zero () =
   let engine = Hotspot.inquiry (platform_hotspot 4) in
   let a =
     Inquiry.query_with_leakage engine ~dynamic:[| 0.0; 2.0; 0.0; 1.0 |] ~idle:idle4
@@ -301,22 +309,18 @@ let test_cache_key_signed_zero () =
     Inquiry.query_with_leakage engine ~dynamic:[| -0.0; 2.0; -0.0; 1.0 |]
       ~idle:idle4
   in
-  Alcotest.(check int) "-0.0 hits the 0.0 entry" 1
-    (Inquiry.stats engine).Inquiry.cache_hits;
   Alcotest.(check (float 0.0)) "same temperatures" 0.0 (max_abs_diff a b)
 
-let test_cache_hit_copies () =
-  (* A hit's result is the caller's to mutate: a later hit must still see
-     the stored temperatures. *)
+let test_results_are_the_callers () =
+  (* The returned array is the caller's to mutate: a later answer must
+     not see it. *)
   let engine = Hotspot.inquiry (platform_hotspot 4) in
   let dynamic = [| 4.0; 0.5; 1.25; 2.0 |] in
-  let fresh = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
-  let expected = Array.copy fresh in
-  let hit = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
-  Array.fill hit 0 (Array.length hit) (-1000.0);
+  let first = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
+  let expected = Array.copy first in
+  Array.fill first 0 (Array.length first) (-1000.0);
   let again = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
-  Alcotest.(check int) "two hits" 2 (Inquiry.stats engine).Inquiry.cache_hits;
-  Alcotest.(check (float 0.0)) "unpoisoned" 0.0 (max_abs_diff expected again)
+  check_bits "unpoisoned" expected again
 
 (* --- counters ------------------------------------------------------------- *)
 
@@ -440,21 +444,23 @@ let () =
         [
           Alcotest.test_case "leakage query matches dense" `Quick
             test_leakage_query_matches_dense;
-          Alcotest.test_case "warm start equivalent" `Quick
-            test_warm_start_stays_equivalent;
+          Alcotest.test_case "earlier queries change nothing" `Quick
+            test_earlier_queries_change_nothing;
           Alcotest.test_case "step inquiry matches explicit" `Quick
             test_step_inquiry_matches_explicit_vector;
           Alcotest.test_case "benchmark replay (Bm1-Bm3)" `Quick
             test_benchmark_replay_equivalence;
         ] );
-      ( "cache",
+      ( "exactness",
         [
-          Alcotest.test_case "serves repeats" `Quick test_cache_serves_repeats;
-          Alcotest.test_case "bypassed off defaults" `Quick
-            test_cache_bypassed_on_non_default_settings;
-          Alcotest.test_case "key quantization" `Quick test_cache_key_quantization;
-          Alcotest.test_case "key signed zero" `Quick test_cache_key_signed_zero;
-          Alcotest.test_case "hit copies" `Quick test_cache_hit_copies;
+          Alcotest.test_case "repeats are bit-equal" `Quick
+            test_repeats_are_bit_equal;
+          Alcotest.test_case "max_iter only bounds" `Quick test_max_iter_only_bounds;
+          Alcotest.test_case "neighbour answered exactly" `Quick
+            test_neighbour_answered_exactly;
+          Alcotest.test_case "signed zero" `Quick test_signed_zero;
+          Alcotest.test_case "results are the caller's" `Quick
+            test_results_are_the_callers;
           Alcotest.test_case "step slots are shared" `Quick
             test_step_slots_are_shared;
         ] );

@@ -442,6 +442,30 @@ let test_stats_account_for_work () =
   let after = (Transient.stats engine).Transient.q_cache_hits in
   Alcotest.(check int) "repeated power hits the cache" (before + 1) after
 
+(* The q cache answers only its own power vector, bit for bit: a warm
+   engine stepping a vector 0.01 nW off an earlier one, on every entry,
+   lands bit-equal to a fresh engine's step of that exact vector. *)
+let test_step_fast_neighbour_exact () =
+  let model = platform_model 4 in
+  let p = [| 5.0; 8.0; 3.0; 6.0 |] in
+  let near = Array.map (fun x -> x +. 1e-11) p in
+  let step_near engine =
+    let temps = Transient.initial_ambient model in
+    Transient.step_fast engine ~dt:0.01 ~power:near temps;
+    Array.map Int64.bits_of_float temps
+  in
+  let warm = Transient.create (Transient.of_model model) in
+  (* The key is a copy: a caller mutating its vector afterwards does not
+     move the stored entry. *)
+  let scratch = Array.copy p in
+  Transient.step_fast warm ~dt:0.01 ~power:scratch (Transient.initial_ambient model);
+  Array.fill scratch 0 4 1.0;
+  let fresh = Transient.create (Transient.of_model model) in
+  Alcotest.(check (array int64)) "neighbour = fresh step" (step_near fresh)
+    (step_near warm);
+  Alcotest.(check int) "the neighbour missed" 0
+    (Transient.stats warm).Transient.q_cache_hits
+
 let () =
   Alcotest.run "transient"
     [
@@ -485,6 +509,9 @@ let () =
             test_profile_power_evaluation;
         ] );
       ( "instrumentation",
-        [ Alcotest.test_case "stats account for work" `Quick test_stats_account_for_work ]
-      );
+        [
+          Alcotest.test_case "stats account for work" `Quick test_stats_account_for_work;
+          Alcotest.test_case "step_fast neighbour is exact" `Quick
+            test_step_fast_neighbour_exact;
+        ] );
     ]
