@@ -10,6 +10,7 @@ type t = {
   total_cost : float;
   feasible : bool;
   asp_runs : int;
+  makespan : float;
 }
 
 let instances_of_kinds lib kind_ids =
@@ -26,17 +27,21 @@ let total_cost lib kinds =
 
 (* The search state is a multiset of kind ids (kept sorted for
    determinism). *)
-let run ?(max_pes = 8) ?(min_pes = 1) ?(policy = Policy.Baseline) ?weights ~graph
-    ~lib () =
+let run ?(max_pes = 8) ?(min_pes = 1) ?(policy = Policy.Baseline) ?weights ?from
+    ~graph ~lib () =
   if max_pes < 1 || min_pes < 1 || min_pes > max_pes then
     invalid_arg "Alloc.run: bad PE bounds";
+  (match from with
+  | Some f when Array.length f.insts >= min_pes ->
+      invalid_arg "Alloc.run: ~from must have fewer than min_pes instances"
+  | _ -> ());
   (match policy with
   | Policy.Thermal_aware ->
       invalid_arg
         "Alloc.run: thermal-aware allocation needs a floorplan per candidate; \
          allocate with Baseline and let the flow's outer loop iterate"
   | Policy.Baseline | Policy.Power_aware _ -> ());
-  let runs = ref 0 in
+  let runs = ref (match from with Some f -> f.asp_runs | None -> 0) in
   let n_kinds = Array.length (Library.kinds lib) in
   let all_kinds = List.init n_kinds Fun.id in
   let makespan = makespan_of runs ~policy ~weights ~graph ~lib in
@@ -46,16 +51,27 @@ let run ?(max_pes = 8) ?(min_pes = 1) ?(policy = Policy.Baseline) ?weights ~grap
      the deadline the constraint. *)
   let kind_cost k = (Library.kind lib k).Pe.cost in
   let cheaper a b = kind_cost a < kind_cost b in
-  let seed =
-    let feasible_alone =
-      List.filter (fun k -> makespan [ k ] <= deadline +. 1e-9) all_kinds
-    in
-    let pool = if feasible_alone = [] then all_kinds else feasible_alone in
-    List.fold_left (fun best k -> if cheaper k best then k else best)
-      (List.hd pool) (List.tl pool)
+  let start, start_makespan =
+    match from with
+    | Some f ->
+        (* Every growth step depends only on the kinds so far and their
+           makespan, and a run with more than [f]'s instances as its floor
+           grows through [f]'s state: the search continues from there. *)
+        (Array.to_list (Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.kind_id) f.insts),
+         f.makespan)
+    | None ->
+        let seed =
+          let feasible_alone =
+            List.filter (fun k -> makespan [ k ] <= deadline +. 1e-9) all_kinds
+          in
+          let pool = if feasible_alone = [] then all_kinds else feasible_alone in
+          List.fold_left (fun best k -> if cheaper k best then k else best)
+            (List.hd pool) (List.tl pool)
+        in
+        ([ seed ], makespan [ seed ])
   in
-  let kinds = ref [ seed ] in
-  let current_makespan = ref (makespan [ seed ]) in
+  let kinds = ref start in
+  let current_makespan = ref start_makespan in
   let continue_growing () =
     List.length !kinds < min_pes
     || (!current_makespan > deadline +. 1e-9 && List.length !kinds < max_pes)
@@ -100,4 +116,5 @@ let run ?(max_pes = 8) ?(min_pes = 1) ?(policy = Policy.Baseline) ?weights ~grap
     total_cost = total_cost lib !kinds;
     feasible = !current_makespan <= deadline +. 1e-9;
     asp_runs = !runs;
+    makespan = !current_makespan;
   }

@@ -14,7 +14,10 @@ type t = {
   insts : Pe.inst array;
   total_cost : float;
   feasible : bool; (** baseline ASP meets the deadline on this architecture *)
-  asp_runs : int;  (** how many trial schedules the search needed *)
+  asp_runs : int;
+      (** how many trial schedules the search needed, counting those of
+          the [~from] result it continued *)
+  makespan : float;  (** the trial schedule's makespan on [insts] *)
 }
 
 val run :
@@ -22,6 +25,7 @@ val run :
   ?min_pes:int ->
   ?policy:Tats_sched.Policy.t ->
   ?weights:Tats_sched.Policy.weights ->
+  ?from:t ->
   graph:Graph.t ->
   lib:Library.t ->
   unit ->
@@ -35,7 +39,13 @@ val run :
     per candidate architecture); the flow allocates those runs with
     [Baseline] and iterates. The result has between [min_pes] and
     [max_pes] instances; [feasible] is false when even [max_pes] instances
-    miss the deadline. *)
+    miss the deadline.
+
+    [from], a result of [run] with the same graph, library, policy and
+    weights, continues that search instead of repeating it: the result
+    equals a run from scratch, [asp_runs] included, but only the trials
+    past [from]'s allocation are scheduled. [from] must have fewer than
+    [min_pes] instances; [Invalid_argument] otherwise. *)
 
 val instances_of_kinds : Library.t -> int list -> Pe.inst array
 (** Build an instance array from kind ids (helper for tests and the CLI). *)

@@ -71,7 +71,7 @@ let floorplan_cost ?(thermal = fun _ -> 0.0) ~blocks_area placement =
 
 let finalize ~leakage ~lib ~hotspot ~arch_cost ~outer ~log schedule placement =
   let report = Metrics.thermal_report ~leakage schedule ~hotspot in
-  let row = Metrics.row ~leakage schedule ~lib ~hotspot in
+  let row = Metrics.row_of_report schedule ~lib report in
   {
     schedule;
     placement;
@@ -263,26 +263,31 @@ let run_cosynthesis ?(package = Package.default) ?weights ?(leakage = true)
     (* 1. Allocation. All policies share the baseline-ASP-driven selection
        (the paper's identical baseline/h2 rows show the policies shared an
        architecture); the DC policy then differentiates the assignment. *)
-    let alloc =
+    let alloc, reused =
       Trace.with_span "flow.alloc" @@ fun () ->
       let alloc = Alloc.run ~max_pes ~min_pes ~graph ~lib () in
       (* Thermal-aware co-synthesis buys one PE of headroom beyond bare
          feasibility: the adaptive thermal ASP converts that slack into lower
          power density — temperature is part of its objective, so trading a
-         little cost for it is the point of the flow. *)
+         little cost for it is the point of the flow. The search continues
+         from the feasible allocation rather than repeating it. *)
       match policy with
       | Policy.Thermal_aware
         when alloc.Alloc.feasible && Array.length alloc.Alloc.insts < max_pes ->
-          Alloc.run ~max_pes
-            ~min_pes:(Array.length alloc.Alloc.insts + 1)
-            ~graph ~lib ()
-      | Policy.Thermal_aware | Policy.Baseline | Policy.Power_aware _ -> alloc
+          ( Alloc.run ~max_pes
+              ~min_pes:(Array.length alloc.Alloc.insts + 1)
+              ~from:alloc ~graph ~lib (),
+            alloc.Alloc.asp_runs )
+      | Policy.Thermal_aware | Policy.Baseline | Policy.Power_aware _ -> (alloc, 0)
     in
     push Allocation
-      (Printf.sprintf "iteration %d: %d PEs (cost %.0f, %d trial schedules%s)"
+      (Printf.sprintf "iteration %d: %d PEs (cost %.0f, %d trial schedules%s%s)"
          outer
          (Array.length alloc.Alloc.insts)
          alloc.Alloc.total_cost alloc.Alloc.asp_runs
+         (if reused > 0 then
+            Printf.sprintf ", the first %d from the feasible allocation" reused
+          else "")
          (if alloc.Alloc.feasible then "" else ", infeasible at baseline"));
     let insts = alloc.Alloc.insts in
     let blocks = blocks_of_insts insts in

@@ -145,6 +145,50 @@ let mul_vec m v =
       done;
       !acc)
 
+(* One accumulator per row, two rows per pass, j ascending: each output
+   element sees the operations of the column-major saxpy sweep
+   [dst <- init; for j: if x.(j) <> 0 then dst <- dst + x.(j) * col j]
+   in the same order, so the two are bit-identical. The float-typed
+   parameters keep every access on the unboxed float-array path with
+   its bounds check. *)
+let mul_vec_add_into ~n (m : float array) ~(x : float array) ~(init : float array)
+    ~(dst : float array) =
+  if
+    n < 0
+    || Array.length m < n * n
+    || Array.length x < n
+    || Array.length init < n
+    || Array.length dst < n
+  then invalid_arg "Matrix.mul_vec_add_into: size mismatch";
+  if x == dst then invalid_arg "Matrix.mul_vec_add_into: x and dst must not alias";
+  let i = ref 0 in
+  while !i + 1 < n do
+    let i0 = !i in
+    let r0 = i0 * n in
+    let r1 = r0 + n in
+    let a0 = ref init.(i0) and a1 = ref init.(i0 + 1) in
+    for j = 0 to n - 1 do
+      let xj = x.(j) in
+      if xj <> 0.0 then begin
+        a0 := !a0 +. (xj *. m.(r0 + j));
+        a1 := !a1 +. (xj *. m.(r1 + j))
+      end
+    done;
+    dst.(i0) <- !a0;
+    dst.(i0 + 1) <- !a1;
+    i := i0 + 2
+  done;
+  if !i < n then begin
+    let i0 = !i in
+    let r0 = i0 * n in
+    let a0 = ref init.(i0) in
+    for j = 0 to n - 1 do
+      let xj = x.(j) in
+      if xj <> 0.0 then a0 := !a0 +. (xj *. m.(r0 + j))
+    done;
+    dst.(i0) <- !a0
+  end
+
 let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
 
 let max_abs_diff a b =

@@ -57,6 +57,18 @@ val mul : t -> t -> t
 val mul_vec : t -> float array -> float array
 (** Matrix-vector product. *)
 
+val mul_vec_add_into :
+  n:int -> float array -> x:float array -> init:float array -> dst:float array -> unit
+(** [mul_vec_add_into ~n m ~x ~init ~dst] sets
+    [dst.(i) <- init.(i) +. Σ_j x.(j) *. m.(i * n + j)] for [i < n], over
+    a row-major flat [n × n] matrix [m]. [j] ascends, a zero [x.(j)]
+    ([0.0] or [-0.0]) is skipped, and each row sums into one accumulator
+    that starts at [init.(i)]: every element sees the operations of the
+    column-major sweep [dst <- init; dst <- dst +. x.(j) *. column j]
+    in the same order, so it is bit-identical to it. [init] may be
+    [dst]; [x] may not. Raises [Invalid_argument] when an array is
+    shorter than [n] (or [m] than [n * n]) or [x == dst]. *)
+
 val frobenius : t -> float
 (** Frobenius norm. *)
 

@@ -72,9 +72,10 @@ let thermal_report ?leakage (s : Schedule.t) ~hotspot =
 
 type row = { total_power : float; max_temp : float; avg_temp : float }
 
-let row ?leakage s ~lib ~hotspot =
-  let r = thermal_report ?leakage s ~hotspot in
+let row_of_report s ~lib (r : thermal_report) =
   { total_power = total_power s ~lib; max_temp = r.max_temp; avg_temp = r.avg_temp }
+
+let row ?leakage s ~lib ~hotspot = row_of_report s ~lib (thermal_report ?leakage s ~hotspot)
 
 let pp_row ppf { total_power; max_temp; avg_temp } =
   Format.fprintf ppf "%6.2f W  %7.2f °C max  %7.2f °C avg" total_power max_temp avg_temp

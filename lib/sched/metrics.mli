@@ -61,6 +61,12 @@ type row = { total_power : float; max_temp : float; avg_temp : float }
 (** One table cell group, as printed in the paper. *)
 
 val row : ?leakage:bool -> Schedule.t -> lib:Library.t -> hotspot:Hotspot.t -> row
+(** [row_of_report s ~lib (thermal_report s ~hotspot)]. *)
+
+val row_of_report : Schedule.t -> lib:Library.t -> thermal_report -> row
+(** The row of a schedule whose thermal report is already at hand, with
+    no further inquiry. *)
+
 val pp_row : Format.formatter -> row -> unit
 
 val power_profile :

@@ -144,6 +144,7 @@ type t = {
   n : int;
   ambient : float;
   cols : float array array; (* cols.(j).(i) = dT_i per W injected at block j *)
+  rows : float array; (* the same matrix row-major: cols.(j).(i) at i * n + j *)
   col_means : float array; (* per column, summed in [Stats.mean]'s order *)
   floor_margin : float; (* relative rounding margin of [seed_floor] *)
   steps : step Fkey.Tbl.t; (* keyed by a step's power and idle vectors *)
@@ -182,6 +183,7 @@ let create solver =
     n;
     ambient = (Rcmodel.package model).Package.ambient;
     cols;
+    rows = Array.init (n * n) (fun k -> cols.(k mod n).(k / n));
     col_means = Array.map Tats_util.Stats.mean cols;
     floor_margin = float_of_int (((2 * n) + 8) * n) *. epsilon_float;
     steps = Fkey.Tbl.create 64;
@@ -205,15 +207,7 @@ let reset_stats t = locked t.lock (fun () -> reset_counters t.counters)
    factored back-substitution. *)
 let apply t power dst =
   Array.fill dst 0 t.n t.ambient;
-  for j = 0 to t.n - 1 do
-    let pj = power.(j) in
-    if pj <> 0.0 then begin
-      let col = t.cols.(j) in
-      for i = 0 to t.n - 1 do
-        dst.(i) <- dst.(i) +. (pj *. col.(i))
-      done
-    end
-  done
+  Matrix.mul_vec_add_into ~n:t.n t.rows ~x:power ~init:dst ~dst
 
 let temperatures t ~power =
   if Array.length power <> t.n then
@@ -259,20 +253,14 @@ let base_response t ~power =
   if Array.length power <> t.n then
     invalid_arg "Inquiry.base_response: power vector must have one entry per block";
   let response = Array.make t.n 0.0 in
-  for j = 0 to t.n - 1 do
-    let pj = power.(j) in
-    if pj <> 0.0 then begin
-      let col = t.cols.(j) in
-      for i = 0 to t.n - 1 do
-        response.(i) <- response.(i) +. (pj *. col.(i))
-      done
-    end
-  done;
+  Matrix.mul_vec_add_into ~n:t.n t.rows ~x:power ~init:response ~dst:response;
   {
     base_power = Array.copy power;
     response;
     response_mean = Tats_util.Stats.mean response;
   }
+
+let response base = Array.copy base.response
 
 let check_delta what t ~horizon ~pe =
   if pe < 0 || pe >= t.n then invalid_arg ("Inquiry." ^ what ^ ": pe out of range");

@@ -124,6 +124,9 @@ type base
 
 val base_response : t -> power:float array -> base
 
+val response : base -> float array
+(** A copy of the base's influence response [M.p] (no ambient term). *)
+
 val seed_floor :
   t -> base:base -> horizon:float -> pe:int -> extra:float -> float
 (** A lower bound on the mean of the seed {!ask} starts the fixed point of

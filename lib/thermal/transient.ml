@@ -58,12 +58,12 @@ let system_size sys = Array.length sys.c
 let system_inputs sys = sys.n_inputs
 
 (* State for one distinct step size: the factored (C/dt + A), the lazily
-   built propagator columns of M = (C/dt + A)^-1 (C/dt), and the q cache,
-   keyed bit for bit by power vector. *)
+   built propagator M = (C/dt + A)^-1 (C/dt), and the q cache, keyed bit
+   for bit by power vector. *)
 type stepper = {
   factored : Lu.t;
   c_over_dt : float array;
-  mutable prop : float array array option; (* column j = M e_j *)
+  mutable prop : float array option; (* row-major: M(i, j) at i * n + j *)
   q_cache : float array Fkey.Tbl.t;
 }
 
@@ -148,17 +148,19 @@ let count_step t =
   Metricsreg.incr m_steps;
   t.k.k_steps <- t.k.k_steps + 1
 
-(* The exact backward-Euler step, given an already-evaluated right-hand
-   side: b = (C/dt) T + u, solve (C/dt + A) T' = b.  The addition order
-   matches the seed integrator (commutativity makes c/dt*T +. u identical
-   to u +. c/dt*T). *)
-let step_with_rhs t st rhs temps =
-  let n = system_size t.sys in
-  for i = 0 to n - 1 do
-    t.b_buf.(i) <- (st.c_over_dt.(i) *. temps.(i)) +. rhs.(i)
+(* The exact backward-Euler step from [src] into [dst], given an
+   already-evaluated right-hand side: b = (C/dt) T + u, solve
+   (C/dt + A) T' = b.  The addition order matches the seed integrator
+   (commutativity makes c/dt*T +. u identical to u +. c/dt*T). *)
+let exact_step_into t st rhs ~src ~dst =
+  for i = 0 to system_size t.sys - 1 do
+    t.b_buf.(i) <- (st.c_over_dt.(i) *. src.(i)) +. rhs.(i)
   done;
-  Lu.solve_factored_into st.factored ~b:t.b_buf ~x:t.x_buf;
-  Array.blit t.x_buf 0 temps 0 n;
+  Lu.solve_factored_into st.factored ~b:t.b_buf ~x:dst
+
+let step_with_rhs t st rhs temps =
+  exact_step_into t st rhs ~src:temps ~dst:t.x_buf;
+  Array.blit t.x_buf 0 temps 0 (system_size t.sys);
   count_step t
 
 let step t ~dt ~power temps =
@@ -167,9 +169,12 @@ let step t ~dt ~power temps =
   rhs_into t.sys ~power t.rhs_buf;
   step_with_rhs t st t.rhs_buf temps
 
+(* Built on first use: the columns M e_j come from one batched solve and
+   are transposed exactly into the row-major layout the stepping kernel
+   reads. *)
 let propagator t st =
   match st.prop with
-  | Some cols -> cols
+  | Some m -> m
   | None ->
       Trace.with_span "transient.propagator" @@ fun () ->
       Metricsreg.incr m_propagator_builds;
@@ -182,8 +187,10 @@ let propagator t st =
             e)
       in
       let cols = Lu.solve_many st.factored rhs in
-      st.prop <- Some cols;
-      cols
+      let m = Array.make (n * n) 0.0 in
+      Array.iteri (fun j col -> Array.iteri (fun i v -> m.((i * n) + j) <- v) col) cols;
+      st.prop <- Some m;
+      m
 
 let max_q_cache_entries = 1 lsl 16
 
@@ -205,20 +212,10 @@ let q_for t st ~power =
       Fkey.Tbl.replace st.q_cache (Array.copy power) q;
       q
 
-(* T' = M T + q as a column-major saxpy sweep over the propagator. *)
+(* T' = M T + q on the row-major propagator. *)
 let step_with_q t st q temps =
   let n = system_size t.sys in
-  let cols = propagator t st in
-  Array.blit q 0 t.x_buf 0 n;
-  for j = 0 to n - 1 do
-    let tj = temps.(j) in
-    if tj <> 0.0 then begin
-      let col = cols.(j) in
-      for i = 0 to n - 1 do
-        t.x_buf.(i) <- t.x_buf.(i) +. (tj *. col.(i))
-      done
-    end
-  done;
+  Matrix.mul_vec_add_into ~n (propagator t st) ~x:temps ~init:q ~dst:t.x_buf;
   Array.blit t.x_buf 0 temps 0 n;
   count_step t
 
@@ -327,63 +324,77 @@ let replay ?(record = false) ?(exact = false) t ~profile:p ~t0 ~dt ~periods =
         else q_for t st_dt ~power:e.power)
       plan
   in
+  (* A segment without a remainder keeps [st_dt] and [[||]] in the
+     remainder slots below; its step loop never reads them. *)
   let rem_steppers =
-    Array.map (fun e -> if e.rem > 0.0 then Some (stepper_for t ~dt:e.rem) else None) plan
+    Array.map (fun e -> if e.rem > 0.0 then stepper_for t ~dt:e.rem else st_dt) plan
   in
   let drive_rem =
     Array.mapi
       (fun k e ->
-        match rem_steppers.(k) with
-        | None -> None
-        | Some st_rem ->
-            if exact then Some drive_full.(k) (* rhs is dt-independent *)
-            else Some (q_for t st_rem ~power:e.power))
+        if e.rem = 0.0 then [||]
+        else if exact then drive_full.(k) (* rhs is dt-independent *)
+        else q_for t rem_steppers.(k) ~power:e.power)
       plan
   in
-  let temps = Array.copy t0 in
+  (* Propagators are built only for the step sizes the plan takes. *)
+  let prop_dt =
+    if exact || not (Array.exists (fun e -> e.full > 0) plan) then [||]
+    else propagator t st_dt
+  in
+  let prop_rem =
+    Array.mapi
+      (fun k e -> if exact || e.rem = 0.0 then [||] else propagator t rem_steppers.(k))
+      plan
+  in
   let peak = Array.copy t0 in
   let last_period_peak = Array.copy t0 in
   let times = if record then Array.make (total + 1) 0.0 else [||] in
   let temps_trace = if record then Array.make (total + 1) [||] else [||] in
   if record then temps_trace.(0) <- Array.copy t0;
+  (* Each step writes [next] from [cur], then the two swap: no copy-back. *)
+  let cur = ref (Array.copy t0) and next = ref (Array.make n 0.0) in
   let wall = ref 0.0 in
   let k_step = ref 0 in
-  let in_last = ref (periods = 1) in
-  let after_step h =
-    incr k_step;
-    wall := !wall +. h;
-    for i = 0 to n - 1 do
-      if temps.(i) > peak.(i) then peak.(i) <- temps.(i);
-      if !in_last && temps.(i) > last_period_peak.(i) then
-        last_period_peak.(i) <- temps.(i)
-    done;
-    if record then begin
-      times.(!k_step) <- !wall;
-      temps_trace.(!k_step) <- Array.copy temps
-    end
-  in
   for period = 1 to periods do
-    if period = periods then begin
-      in_last := true;
-      Array.blit temps 0 last_period_peak 0 n
-    end;
-    Array.iteri
-      (fun k e ->
-        let advance st_h drive h =
-          if exact then step_with_rhs t st_h drive temps
-          else step_with_q t st_h drive temps;
-          after_step h
-        in
-        for _ = 1 to e.full do
-          advance st_dt drive_full.(k) dt
+    let in_last = period = periods in
+    if in_last then Array.blit !cur 0 last_period_peak 0 n;
+    for k = 0 to Array.length plan - 1 do
+      let e = plan.(k) in
+      for s = 1 to e.full + if e.rem > 0.0 then 1 else 0 do
+        let is_rem = s > e.full in
+        let src = !cur and dst = !next in
+        if exact then
+          exact_step_into t
+            (if is_rem then rem_steppers.(k) else st_dt)
+            (if is_rem then drive_rem.(k) else drive_full.(k))
+            ~src ~dst
+        else
+          Matrix.mul_vec_add_into ~n
+            (if is_rem then prop_rem.(k) else prop_dt)
+            ~x:src
+            ~init:(if is_rem then drive_rem.(k) else drive_full.(k))
+            ~dst;
+        cur := dst;
+        next := src;
+        incr k_step;
+        wall := !wall +. (if is_rem then e.rem else dt);
+        for i = 0 to n - 1 do
+          let v = dst.(i) in
+          if v > peak.(i) then peak.(i) <- v;
+          if in_last && v > last_period_peak.(i) then last_period_peak.(i) <- v
         done;
-        match (rem_steppers.(k), drive_rem.(k)) with
-        | Some st_rem, Some drive -> advance st_rem drive e.rem
-        | _ -> ())
-      plan
+        if record then begin
+          times.(!k_step) <- !wall;
+          temps_trace.(!k_step) <- Array.copy dst
+        end
+      done
+    done
   done;
+  Metricsreg.add m_steps total;
+  t.k.k_steps <- t.k.k_steps + total;
   {
-    final = temps;
+    final = !cur;
     peak;
     last_period_peak;
     steps = total;

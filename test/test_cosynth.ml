@@ -78,6 +78,54 @@ let test_alloc_bad_bounds () =
     (try ignore (Alloc.run ~min_pes:5 ~max_pes:2 ~graph ~lib:hetero () : Alloc.t); false
      with Invalid_argument _ -> true)
 
+(* Continuing a search from its result equals running it from scratch with
+   the higher floor, trial count included; the cases cover the flow's
+   headroom step (one PE past feasibility) and a continuation that must
+   grow past the floor again (Bm4 from one PE of a slow library). *)
+let test_alloc_continues_from_result () =
+  let slow =
+    Library.generate ~seed:1 ~n_task_types:Benchmarks.n_task_types
+      ~kinds:
+        [ Pe.make_kind ~kind_id:0 ~name:"slow" ~area:1e-5 ~cost:10.0 ~speed:0.05
+            ~power_scale:1.0 ~idle_power:0.1 () ]
+      ()
+  in
+  let cases =
+    List.map (fun i -> (Benchmarks.load i, hetero, None, 1)) [ 0; 1; 2; 3 ]
+    @ [ (Benchmarks.load 3, slow, Some 1, 1); (Benchmarks.load 2, hetero, None, 2) ]
+  in
+  List.iter
+    (fun (graph, lib, first_max, extra) ->
+      let first = Alloc.run ?max_pes:first_max ~graph ~lib () in
+      let k = Array.length first.Alloc.insts in
+      let min_pes = k + extra in
+      let what = Printf.sprintf "%s from %d PEs, min_pes %d" (Graph.name graph) k min_pes in
+      let scratch = Alloc.run ~min_pes ~graph ~lib () in
+      let continued = Alloc.run ~min_pes ~from:first ~graph ~lib () in
+      let kind_ids (a : Alloc.t) =
+        Array.to_list (Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.kind_id) a.Alloc.insts)
+      in
+      Alcotest.(check (list int)) (what ^ ": insts") (kind_ids scratch) (kind_ids continued);
+      Alcotest.(check (float 0.0)) (what ^ ": total_cost") scratch.Alloc.total_cost
+        continued.Alloc.total_cost;
+      Alcotest.(check bool) (what ^ ": feasible") scratch.Alloc.feasible
+        continued.Alloc.feasible;
+      Alcotest.(check int) (what ^ ": asp_runs") scratch.Alloc.asp_runs
+        continued.Alloc.asp_runs;
+      Alcotest.(check bool) (what ^ ": new trials only") true
+        (continued.Alloc.asp_runs > first.Alloc.asp_runs))
+    cases;
+  let graph = Benchmarks.load 0 in
+  let first = Alloc.run ~graph ~lib:hetero () in
+  Alcotest.(check bool) "a floor at or below ~from's size is rejected" true
+    (try
+       ignore
+         (Alloc.run ~min_pes:(Array.length first.Alloc.insts) ~from:first ~graph
+            ~lib:hetero ()
+           : Alloc.t);
+       false
+     with Invalid_argument _ -> true)
+
 let test_instances_of_kinds () =
   let insts = Alloc.instances_of_kinds hetero [ 0; 2; 2 ] in
   Alcotest.(check int) "three" 3 (Array.length insts);
@@ -312,6 +360,8 @@ let () =
           Alcotest.test_case "thermal rejected" `Quick test_alloc_rejects_thermal_policy;
           Alcotest.test_case "bad bounds" `Quick test_alloc_bad_bounds;
           Alcotest.test_case "instances_of_kinds" `Quick test_instances_of_kinds;
+          Alcotest.test_case "continues from a result" `Quick
+            test_alloc_continues_from_result;
         ] );
       ( "platform_flow",
         [

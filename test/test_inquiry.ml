@@ -322,6 +322,72 @@ let test_results_are_the_callers () =
   let again = Inquiry.query_with_leakage engine ~dynamic ~idle:idle4 in
   check_bits "unpoisoned" expected again
 
+(* --- row-major kernel vs the column-major loops ----------------------------- *)
+
+(* The engine's linear solve and base response as they were before the
+   influence matrix went row-major, transcribed verbatim over the columns
+   [influence_column] hands out. *)
+let column_apply ~ambient cols power dst =
+  let n = Array.length cols in
+  Array.fill dst 0 n ambient;
+  for j = 0 to n - 1 do
+    let pj = power.(j) in
+    if pj <> 0.0 then begin
+      let col = cols.(j) in
+      for i = 0 to n - 1 do
+        dst.(i) <- dst.(i) +. (pj *. col.(i))
+      done
+    end
+  done
+
+let column_base_response cols power =
+  let n = Array.length cols in
+  let response = Array.make n 0.0 in
+  for j = 0 to n - 1 do
+    let pj = power.(j) in
+    if pj <> 0.0 then begin
+      let col = cols.(j) in
+      for i = 0 to n - 1 do
+        response.(i) <- response.(i) +. (pj *. col.(i))
+      done
+    end
+  done;
+  response
+
+let test_row_major_matches_column_loops () =
+  List.iter
+    (fun (name, seed) ->
+      let platform = Option.get (Catalog.platform_named name) in
+      let engine = Hotspot.inquiry (Tats_cosynth.Flow.platform_facade platform) in
+      let n = Inquiry.n_blocks engine in
+      let package = Inquiry.package engine in
+      let ambient = package.Tats_thermal.Package.ambient in
+      let cols = Array.init n (Inquiry.influence_column engine) in
+      let rng = Random.State.make [| seed |] in
+      let idle = Array.init n (fun _ -> Random.State.float rng 1.0) in
+      for trial = 0 to 24 do
+        (* Zero-power blocks of either sign, an all-zero vector included. *)
+        let dynamic =
+          Array.init n (fun b ->
+              if trial = 0 || (b + trial) mod 3 = 0 then if trial mod 2 = 0 then 0.0 else -0.0
+              else Random.State.float rng 9.0)
+        in
+        let what = Printf.sprintf "%s trial %d" name trial in
+        let expected = Array.make n 0.0 in
+        column_apply ~ambient cols dynamic expected;
+        check_bits (what ^ ": temperatures") expected
+          (Inquiry.temperatures engine ~power:dynamic);
+        check_bits (what ^ ": base response")
+          (column_base_response cols dynamic)
+          (Inquiry.response (Inquiry.base_response engine ~power:dynamic));
+        let leaky =
+          Steady.fixed_point ~package ~solve:(column_apply ~ambient cols) ~dynamic ~idle ()
+        in
+        check_bits (what ^ ": query_with_leakage") leaky.Steady.temps
+          (Inquiry.query_with_leakage engine ~dynamic ~idle)
+      done)
+    [ ("std4", 51); ("mixed6", 52) ]
+
 (* --- counters ------------------------------------------------------------- *)
 
 let test_create_costs_n_blocks_factored_solves () =
@@ -459,6 +525,8 @@ let () =
           Alcotest.test_case "neighbour answered exactly" `Quick
             test_neighbour_answered_exactly;
           Alcotest.test_case "signed zero" `Quick test_signed_zero;
+          Alcotest.test_case "row-major = column loops (bitwise)" `Quick
+            test_row_major_matches_column_loops;
           Alcotest.test_case "results are the caller's" `Quick
             test_results_are_the_callers;
           Alcotest.test_case "step slots are shared" `Quick

@@ -344,6 +344,378 @@ let test_engine_bit_identical_to_seed_stepper () =
       done)
     [ 0; 1; 2 ]
 
+(* --- Row-major kernel and fast replay vs the column-major stepper ---------- *)
+
+(* The column-major saxpy sweep the engine stepped with before the
+   propagator went row-major, transcribed verbatim:
+   dst <- init; for j ascending with x.(j) <> 0, dst <- dst + x.(j) col_j. *)
+let column_major_sweep cols ~x ~init dst =
+  let n = Array.length init in
+  Array.blit init 0 dst 0 n;
+  for j = 0 to n - 1 do
+    let tj = x.(j) in
+    if tj <> 0.0 then begin
+      let col = cols.(j) in
+      for i = 0 to n - 1 do
+        dst.(i) <- dst.(i) +. (tj *. col.(i))
+      done
+    end
+  done
+
+let test_kernel_matches_column_sweep () =
+  let rng = Random.State.make [| 29 |] in
+  let draw () = Random.State.float rng 4.0 -. 2.0 in
+  for n = 1 to 9 do
+    for trial = 0 to 19 do
+      let m = Array.init (n * n) (fun _ -> draw ()) in
+      let cols = Array.init n (fun j -> Array.init n (fun i -> m.((i * n) + j))) in
+      (* A third of the entries are 0.0 and, on even trials, another
+         third -0.0: the kernel skips both. *)
+      let x =
+        Array.init n (fun j ->
+            match (j + trial) mod 3 with
+            | 0 -> 0.0
+            | 1 when trial mod 2 = 0 -> -0.0
+            | _ -> draw ())
+      in
+      let init = Array.init n (fun _ -> draw ()) in
+      let expected = Array.make n 0.0 in
+      column_major_sweep cols ~x ~init expected;
+      let dst = Array.make n nan in
+      Matrix.mul_vec_add_into ~n m ~x ~init ~dst;
+      Alcotest.(check (array int64))
+        (Printf.sprintf "n = %d, trial %d" n trial)
+        (Array.map Int64.bits_of_float expected)
+        (Array.map Int64.bits_of_float dst);
+      (* [init] may be [dst]. *)
+      let aliased = Array.copy init in
+      Matrix.mul_vec_add_into ~n m ~x ~init:aliased ~dst:aliased;
+      Alcotest.(check (array int64))
+        (Printf.sprintf "n = %d, trial %d, init = dst" n trial)
+        (Array.map Int64.bits_of_float expected)
+        (Array.map Int64.bits_of_float aliased)
+    done
+  done
+
+(* The fast-path engine and replay as they were before the row-major
+   kernel, transcribed (the q cache, lazy column propagators, per-step
+   counting, and the replay loop with its [advance] and [after_step]
+   closures). Left out: spans, registry counters, argument checks and the
+   q cache's size cap, none of which moves a float or an engine count
+   here. *)
+module Column_engine = struct
+  module Fkey = Tats_thermal.Fkey
+
+  type stepper = {
+    factored : Lu.t;
+    c_over_dt : float array;
+    mutable prop : float array array option;
+    q_cache : float array Fkey.Tbl.t;
+  }
+
+  type t = {
+    a : Matrix.t;
+    c : float array;
+    base_rhs : float array;
+    n_inputs : int;
+    steppers : (int64, stepper) Hashtbl.t;
+    rhs_buf : float array;
+    x_buf : float array;
+    mutable steps : int;
+    mutable factorizations : int;
+    mutable propagator_builds : int;
+    mutable q_hits : int;
+    mutable q_misses : int;
+  }
+
+  let of_model model =
+    let zero = Array.make (Rcmodel.n_blocks model) 0.0 in
+    let n = Rcmodel.n_nodes model in
+    {
+      a = Rcmodel.system_matrix model;
+      c = Rcmodel.capacitances model;
+      base_rhs = Rcmodel.rhs model ~power:zero;
+      n_inputs = Rcmodel.n_blocks model;
+      steppers = Hashtbl.create 8;
+      rhs_buf = Array.make n 0.0;
+      x_buf = Array.make n 0.0;
+      steps = 0;
+      factorizations = 0;
+      propagator_builds = 0;
+      q_hits = 0;
+      q_misses = 0;
+    }
+
+  let size t = Array.length t.c
+
+  let rhs_into t ~power dst =
+    for i = 0 to size t - 1 do
+      let inject = if i < t.n_inputs then power.(i) else 0.0 in
+      dst.(i) <- inject +. t.base_rhs.(i)
+    done
+
+  let stepper_for t ~dt =
+    let key = Int64.bits_of_float dt in
+    match Hashtbl.find_opt t.steppers key with
+    | Some s -> s
+    | None ->
+        t.factorizations <- t.factorizations + 1;
+        let n = size t in
+        let lhs = Matrix.copy t.a in
+        let c_over_dt = Array.map (fun ci -> ci /. dt) t.c in
+        for i = 0 to n - 1 do
+          Matrix.add_to lhs i i c_over_dt.(i)
+        done;
+        let s =
+          { factored = Lu.factor lhs; c_over_dt; prop = None; q_cache = Fkey.Tbl.create 64 }
+        in
+        Hashtbl.replace t.steppers key s;
+        s
+
+  let propagator t st =
+    match st.prop with
+    | Some cols -> cols
+    | None ->
+        t.propagator_builds <- t.propagator_builds + 1;
+        let n = size t in
+        let rhs =
+          Array.init n (fun j ->
+              let e = Array.make n 0.0 in
+              e.(j) <- st.c_over_dt.(j);
+              e)
+        in
+        let cols = Lu.solve_many st.factored rhs in
+        st.prop <- Some cols;
+        cols
+
+  let q_for t st ~power =
+    match Fkey.Tbl.find_opt st.q_cache power with
+    | Some q ->
+        t.q_hits <- t.q_hits + 1;
+        q
+    | None ->
+        t.q_misses <- t.q_misses + 1;
+        rhs_into t ~power t.rhs_buf;
+        let q = Array.make (size t) 0.0 in
+        Lu.solve_factored_into st.factored ~b:t.rhs_buf ~x:q;
+        Fkey.Tbl.replace st.q_cache (Array.copy power) q;
+        q
+
+  let step_with_q t st q temps =
+    let n = size t in
+    let cols = propagator t st in
+    Array.blit q 0 t.x_buf 0 n;
+    for j = 0 to n - 1 do
+      let tj = temps.(j) in
+      if tj <> 0.0 then begin
+        let col = cols.(j) in
+        for i = 0 to n - 1 do
+          t.x_buf.(i) <- t.x_buf.(i) +. (tj *. col.(i))
+        done
+      end
+    done;
+    Array.blit t.x_buf 0 temps 0 n;
+    t.steps <- t.steps + 1
+
+  type plan_entry = { power : float array; full : int; rem : float }
+
+  let plan_of_segments ~duration segments ~dt =
+    let starts = Array.of_list (List.map fst segments) in
+    let powers = Array.of_list (List.map snd segments) in
+    let n_seg = Array.length starts in
+    Array.init n_seg (fun k ->
+        let seg_end = if k + 1 < n_seg then starts.(k + 1) else duration in
+        let len = seg_end -. starts.(k) in
+        let full = int_of_float (Float.floor ((len /. dt) +. 1e-9)) in
+        let rem = len -. (float_of_int full *. dt) in
+        let rem = if rem <= 1e-9 *. dt then 0.0 else rem in
+        { power = powers.(k); full; rem })
+
+  (* Returns final, peak, last-period peak and the recorded trace. *)
+  let replay ~record t ~duration ~segments ~t0 ~dt ~periods =
+    let n = size t in
+    let plan = plan_of_segments ~duration segments ~dt in
+    let steps_per_period =
+      Array.fold_left (fun acc e -> acc + e.full + if e.rem > 0.0 then 1 else 0) 0 plan
+    in
+    let total = periods * steps_per_period in
+    let st_dt = stepper_for t ~dt in
+    let drive_full = Array.map (fun e -> q_for t st_dt ~power:e.power) plan in
+    let rem_steppers =
+      Array.map (fun e -> if e.rem > 0.0 then Some (stepper_for t ~dt:e.rem) else None) plan
+    in
+    let drive_rem =
+      Array.mapi
+        (fun k e ->
+          match rem_steppers.(k) with
+          | None -> None
+          | Some st_rem -> Some (q_for t st_rem ~power:e.power))
+        plan
+    in
+    let temps = Array.copy t0 in
+    let peak = Array.copy t0 in
+    let last_period_peak = Array.copy t0 in
+    let times = if record then Array.make (total + 1) 0.0 else [||] in
+    let temps_trace = if record then Array.make (total + 1) [||] else [||] in
+    if record then temps_trace.(0) <- Array.copy t0;
+    let wall = ref 0.0 in
+    let k_step = ref 0 in
+    let in_last = ref (periods = 1) in
+    let after_step h =
+      incr k_step;
+      wall := !wall +. h;
+      for i = 0 to n - 1 do
+        if temps.(i) > peak.(i) then peak.(i) <- temps.(i);
+        if !in_last && temps.(i) > last_period_peak.(i) then
+          last_period_peak.(i) <- temps.(i)
+      done;
+      if record then begin
+        times.(!k_step) <- !wall;
+        temps_trace.(!k_step) <- Array.copy temps
+      end
+    in
+    for period = 1 to periods do
+      if period = periods then begin
+        in_last := true;
+        Array.blit temps 0 last_period_peak 0 n
+      end;
+      Array.iteri
+        (fun k e ->
+          let advance st_h drive h =
+            step_with_q t st_h drive temps;
+            after_step h
+          in
+          for _ = 1 to e.full do
+            advance st_dt drive_full.(k) dt
+          done;
+          match (rem_steppers.(k), drive_rem.(k)) with
+          | Some st_rem, Some drive -> advance st_rem drive e.rem
+          | _ -> ())
+        plan
+    done;
+    (temps, peak, last_period_peak, (times, temps_trace))
+end
+
+let platform_model_named name =
+  let platform = Option.get (Catalog.platform_named name) in
+  Hotspot.model (Tats_cosynth.Flow.platform_facade platform)
+
+(* A seeded profile of [n_seg] segments on a 0.125 s grid (exact in
+   binary), stretched by [skew]: with [skew = 0] every segment is a whole
+   number of [dt = 0.125] steps, otherwise most carry a remainder. Power
+   entries include zeros. *)
+let seeded_segments rng ~n_blocks ~n_seg ~skew =
+  let starts =
+    List.init n_seg (fun k ->
+        if k = 0 then 0.0
+        else (float_of_int (3 * k) *. 0.125) +. (skew *. Random.State.float rng 0.1))
+  in
+  let duration = (float_of_int (3 * n_seg) *. 0.125) +. skew in
+  let power () =
+    Array.init n_blocks (fun _ ->
+        if Random.State.int rng 4 = 0 then 0.0 else Random.State.float rng 12.0)
+  in
+  (duration, List.map (fun s -> (s, power ())) starts)
+
+let check_replay_equals_column_engine what model ~duration ~segments ~dt ~periods
+    ~record =
+  let bits = Array.map Int64.bits_of_float in
+  let t0 = Transient.initial_ambient model in
+  let old = Column_engine.of_model model in
+  let o_final, o_peak, o_last, (o_times, o_trace) =
+    Column_engine.replay ~record old ~duration ~segments ~t0 ~dt ~periods
+  in
+  let engine = Transient.create (Transient.of_model model) in
+  let r =
+    Transient.replay ~record engine
+      ~profile:(Transient.profile ~duration ~segments)
+      ~t0 ~dt ~periods
+  in
+  let check_vec name a b =
+    Alcotest.(check (array int64)) (what ^ ": " ^ name) (bits a) (bits b)
+  in
+  check_vec "final" o_final r.Transient.final;
+  check_vec "peak" o_peak r.Transient.peak;
+  check_vec "last_period_peak" o_last r.Transient.last_period_peak;
+  Alcotest.(check int) (what ^ ": steps") old.Column_engine.steps r.Transient.steps;
+  (match r.Transient.trace with
+  | None -> Alcotest.(check bool) (what ^ ": no trace") false record
+  | Some tr ->
+      check_vec "trace times" o_times tr.Transient.times;
+      Alcotest.(check int)
+        (what ^ ": trace length")
+        (Array.length o_trace)
+        (Array.length tr.Transient.temps);
+      Array.iteri (fun k v -> check_vec (Printf.sprintf "trace %d" k) v tr.Transient.temps.(k)) o_trace);
+  let s = Transient.stats engine in
+  Alcotest.(check (list int))
+    (what ^ ": stats (steps, factorizations, propagator builds, q hits, q misses)")
+    [
+      old.Column_engine.steps;
+      old.Column_engine.factorizations;
+      old.Column_engine.propagator_builds;
+      old.Column_engine.q_hits;
+      old.Column_engine.q_misses;
+    ]
+    [
+      s.Transient.steps;
+      s.Transient.factorizations;
+      s.Transient.propagator_builds;
+      s.Transient.q_cache_hits;
+      s.Transient.q_cache_misses;
+    ]
+
+let test_fast_replay_matches_column_engine () =
+  List.iter
+    (fun (name, seed) ->
+      let model = platform_model_named name in
+      let n_blocks = Rcmodel.n_blocks model in
+      let rng = Random.State.make [| seed |] in
+      List.iter
+        (fun skew ->
+          let duration, segments = seeded_segments rng ~n_blocks ~n_seg:5 ~skew in
+          List.iter
+            (fun periods ->
+              List.iter
+                (fun record ->
+                  check_replay_equals_column_engine
+                    (Printf.sprintf "%s skew %g periods %d record %b" name skew
+                       periods record)
+                    model ~duration ~segments ~dt:0.125 ~periods ~record)
+                [ false; true ])
+            [ 1; 2; 50 ])
+        [ 0.0; 0.05 ])
+    [ ("std4", 41); ("mixed6", 42) ]
+
+(* Every segment shorter than [dt]: the plan takes remainder steps only,
+   so the [dt] propagator is never built, here as before. *)
+let test_remainder_only_plan () =
+  let model = platform_model_named "mixed6" in
+  let rng = Random.State.make [| 43 |] in
+  let n_blocks = Rcmodel.n_blocks model in
+  let duration = 0.3 in
+  let segments =
+    List.map
+      (fun s -> (s, Array.init n_blocks (fun b -> if b = 1 then 0.0 else Random.State.float rng 9.0)))
+      [ 0.0; 0.07; 0.19 ]
+  in
+  List.iter
+    (fun record ->
+      check_replay_equals_column_engine
+        (Printf.sprintf "remainder-only, record %b" record)
+        model ~duration ~segments ~dt:0.5 ~periods:3 ~record)
+    [ false; true ];
+  let engine = Transient.create (Transient.of_model model) in
+  ignore
+    (Transient.replay engine
+       ~profile:(Transient.profile ~duration ~segments)
+       ~t0:(Transient.initial_ambient model) ~dt:0.5 ~periods:3
+      : Transient.replay_result);
+  let s = Transient.stats engine in
+  Alcotest.(check int) "one factorization per step size" 4 s.Transient.factorizations;
+  Alcotest.(check int) "a propagator per remainder, none for dt" 3
+    s.Transient.propagator_builds
+
 (* --- Validation ----------------------------------------------------------- *)
 
 let raises_invalid f =
@@ -499,6 +871,15 @@ let () =
             test_replay_exact_matches_manual_steps;
           Alcotest.test_case "engine = seed stepper (bitwise)" `Quick
             test_engine_bit_identical_to_seed_stepper;
+        ] );
+      ( "fast_path",
+        [
+          Alcotest.test_case "kernel = column sweep (bitwise)" `Quick
+            test_kernel_matches_column_sweep;
+          Alcotest.test_case "replay = column engine (bitwise)" `Quick
+            test_fast_replay_matches_column_engine;
+          Alcotest.test_case "remainder-only plan (bitwise, lazy)" `Quick
+            test_remainder_only_plan;
         ] );
       ( "validation",
         [
