@@ -154,7 +154,7 @@ let write_phases () =
          ( "pool",
            Json.Obj
              (List.map pool_counter
-                [ "batches"; "tasks"; "steals"; "parks"; "deque_max_depth" ]) );
+                [ "batches"; "tasks"; "steals"; "parks" ]) );
        ])
 
 (* --- shared fixtures ---------------------------------------------------- *)
@@ -601,9 +601,8 @@ let measure_workload ~name (f : Core.Pool.t -> 'a) =
   }
 
 (* A pure sub-millisecond task: ~10-40 us of float work, no allocation.
-   Thousands of these at chunk:1 are the schedule the old mutex-FIFO pool
-   paid one lock round-trip per task for; the work-stealing runtime pays
-   owner-local deque operations instead. *)
+   Thousands of these at chunk:1 are the schedule that exposes per-task
+   runtime overhead: the pool pays one atomic claim per task. *)
 let fine_task i =
   let x = ref (float_of_int (i + 1) *. 1e-3) in
   for _ = 1 to 2000 do
@@ -666,8 +665,8 @@ let parallel_scaling () =
     ]
   in
   (* Fine-grained phase: thousands of sub-millisecond tasks, scheduled one
-     index at a time (chunk:1) so every task is an individually stealable
-     unit — the schedule that exposes per-task runtime overhead. *)
+     index at a time (chunk:1) so every task is an individual claim —
+     the schedule that exposes per-task runtime overhead. *)
   let fine_row =
     measure_workload
       ~name:(Printf.sprintf "fine-grained (%d sub-ms tasks, chunk 1)" fine_tasks)
@@ -676,7 +675,7 @@ let parallel_scaling () =
           ~combine:( +. ) fine_task)
   in
   (* One extra 4-domain run to surface the runtime counters of a
-     steal-heavy schedule. *)
+     fine-grained schedule. *)
   let fine_stats =
     Core.Pool.with_pool ~jobs:4 (fun pool ->
         ignore
@@ -695,11 +694,8 @@ let parallel_scaling () =
         (time_at 1 row) (time_at 2 row) (time_at 4 row) (speedup4 row)
         (if row.identical then "yes" else "NO"))
     (rows @ [ fine_row ]);
-  Printf.printf
-    "fine-grained runtime counters at jobs=4: %d steals, %d parks, max \
-     deque depth %d\n"
-    fine_stats.Core.Pool.steals fine_stats.Core.Pool.parks
-    fine_stats.Core.Pool.max_deque_depth;
+  Printf.printf "fine-grained runtime counters at jobs=4: %d steals, %d parks\n"
+    fine_stats.Core.Pool.steals fine_stats.Core.Pool.parks;
   let all_identical = List.for_all (fun r -> r.identical) (rows @ [ fine_row ]) in
   let best_speedup =
     List.fold_left (fun acc r -> Float.max acc (speedup4 r)) 0.0 rows
@@ -755,7 +751,6 @@ let parallel_scaling () =
                ("identical", Json.Bool fine_row.identical);
                ("steals4", int fine_stats.Core.Pool.steals);
                ("parks4", int fine_stats.Core.Pool.parks);
-               ("deque_max_depth4", int fine_stats.Core.Pool.max_deque_depth);
                ("speedup_check", str fine_verdict);
                ("skip_reason", opt_str skip_reason);
              ] );
@@ -1006,7 +1001,12 @@ let () =
   | None -> ()
   | Some j -> (
       match int_of_string_opt j with
-      | Some j -> Core.Pool.set_default_jobs j
+      | Some j when j >= 1 && j <= Core.Pool.max_jobs ->
+          Core.Pool.set_default_jobs j
+      | Some j ->
+          Printf.eprintf "bench: --jobs must be between 1 and %d, got %d\n"
+            Core.Pool.max_jobs j;
+          exit 2
       | None ->
           prerr_endline "bench: --jobs expects an integer";
           exit 2));

@@ -34,8 +34,6 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let set_jobs = function Some j -> Core.Pool.set_default_jobs j | None -> ()
-
 let trace_arg =
   let doc =
     "Record a Chrome trace_event timeline of the run and write it to \
@@ -59,6 +57,17 @@ let or_die = function
   | Error msg ->
       prerr_endline ("tats: " ^ msg);
       exit 2
+
+(* Size the default pool; an out-of-range --jobs is a bad input, rejected
+   before any pool exists. *)
+let set_jobs = function
+  | Some j when j < 1 || j > Core.Pool.max_jobs ->
+      or_die
+        (Error
+           (Printf.sprintf "--jobs must be between 1 and %d, got %d"
+              Core.Pool.max_jobs j))
+  | Some j -> Core.Pool.set_default_jobs j
+  | None -> ()
 
 (* A leakage fixed point that does not settle, contradictory pins or
    isolation classes, and a constrained scan that finds no admissible PE

@@ -11,7 +11,12 @@ open Cmdliner
 module Server = Core.Serve.Server
 
 let run socket max_queue batch_max jobs trace metrics =
-  (match jobs with Some j -> Core.Pool.set_default_jobs j | None -> ());
+  (match jobs with
+  | Some j when j < 1 || j > Core.Pool.max_jobs ->
+      Format.eprintf "tatsd: --jobs must be between 1 and %d, got %d@."
+        Core.Pool.max_jobs j;
+      exit 2
+  | Some _ | None -> ());
   if max_queue < 1 then begin
     Format.eprintf "tatsd: --queue must be >= 1@.";
     exit 2
@@ -20,6 +25,7 @@ let run socket max_queue batch_max jobs trace metrics =
     Format.eprintf "tatsd: --batch must be >= 1@.";
     exit 2
   end;
+  (match jobs with Some j -> Core.Pool.set_default_jobs j | None -> ());
   (match trace with Some _ -> Core.Trace.start () | None -> ());
   let config =
     { Server.default_config with socket_path = socket; max_queue; batch_max }

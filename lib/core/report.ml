@@ -8,7 +8,7 @@ let pool_stats (s : Pool.stats) =
   Buffer.add_string buf
     (Printf.sprintf
        "Execution pool: %d job%s, %d batch%s, %d tasks, %d steal%s, %d \
-        park%s, max deque depth %d\n"
+        park%s\n"
        s.Pool.jobs
        (if s.Pool.jobs = 1 then "" else "s")
        s.Pool.batches
@@ -16,8 +16,7 @@ let pool_stats (s : Pool.stats) =
        s.Pool.tasks s.Pool.steals
        (if s.Pool.steals = 1 then "" else "s")
        s.Pool.parks
-       (if s.Pool.parks = 1 then "" else "s")
-       s.Pool.max_deque_depth);
+       (if s.Pool.parks = 1 then "" else "s"));
   Array.iteri
     (fun i b ->
       Buffer.add_string buf

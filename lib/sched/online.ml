@@ -125,19 +125,7 @@ type live = {
 
 let advance_live l ~idle ~time_unit ~intervals ~now =
   if now > l.clock then begin
-    let n_pes = Array.length idle in
-    let power_at t =
-      Array.init n_pes (fun pe ->
-          let running =
-            List.fold_left
-              (fun acc (iv : Replay.interval) ->
-                if iv.Replay.pe = pe && iv.Replay.start <= t && t < iv.Replay.finish
-                then acc +. iv.Replay.power
-                else acc)
-              0.0 intervals
-          in
-          idle.(pe) +. running)
-    in
+    let power_at = Replay.power_at ~idle intervals in
     (* Segment boundaries: committed interval endpoints strictly inside
        (clock, now). No endpoint lies inside a segment, so power is exact
        when evaluated at the segment start. *)

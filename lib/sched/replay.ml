@@ -8,6 +8,21 @@ module Transient = Tats_thermal.Transient
 
 type interval = { pe : int; start : float; finish : float; power : float }
 
+(* PE exclusivity means at most one interval covers (pe, t); the fold
+   mirrors Metrics.power_profile's operand order (idle +. running). *)
+let power_at ~idle intervals t =
+  Array.mapi
+    (fun pe idle_w ->
+      let running =
+        List.fold_left
+          (fun acc iv ->
+            if iv.pe = pe && iv.start <= t && t < iv.finish then acc +. iv.power
+            else acc)
+          0.0 intervals
+      in
+      idle_w +. running)
+    idle
+
 let profile_of_intervals ~duration ~time_unit ~idle intervals =
   if duration <= 0.0 then
     invalid_arg "Replay.profile_of_intervals: duration must be positive";
@@ -26,23 +41,11 @@ let profile_of_intervals ~duration ~time_unit ~idle intervals =
     |> List.filter (fun t -> t >= 0.0 && t < duration)
     |> List.sort_uniq Float.compare
   in
-  (* Power in force on the segment starting at [t]: no interval endpoint
-     lies strictly inside a segment, so evaluating at its start is exact.
-     PE exclusivity means at most one interval covers (pe, t); the fold
-     mirrors Metrics.power_profile's operand order (idle +. running). *)
-  let power_at t =
-    Array.init n_pes (fun pe ->
-        let running =
-          List.fold_left
-            (fun acc iv ->
-              if iv.pe = pe && iv.start <= t && t < iv.finish then acc +. iv.power
-              else acc)
-            0.0 intervals
-        in
-        idle.(pe) +. running)
-  in
+  (* No interval endpoint lies strictly inside a segment, so the power at
+     its start is exact for the whole segment. *)
   Transient.profile ~duration:(duration *. time_unit)
-    ~segments:(List.map (fun t -> (t *. time_unit, power_at t)) cuts)
+    ~segments:
+      (List.map (fun t -> (t *. time_unit, power_at ~idle intervals t)) cuts)
 
 let of_schedule ?(time_unit = 1e-3) ~lib (s : Schedule.t) =
   let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) s.Schedule.pes in

@@ -15,6 +15,13 @@ type interval = { pe : int; start : float; finish : float; power : float }
 (** One busy interval in schedule time units: [pe] draws [power] extra
     watts (on top of its idle floor) over [[start, finish)]. *)
 
+val power_at : idle:float array -> interval list -> float -> float array
+(** [power_at ~idle intervals t] is the per-PE power in force at time [t]:
+    [idle.(pe)] plus the power of the interval covering [(pe, t)] (the
+    covering test is [start <= t < finish]). Evaluated at a segment start,
+    it is the segment's power when no interval endpoint lies inside the
+    segment. *)
+
 val profile_of_intervals :
   duration:float ->
   time_unit:float ->

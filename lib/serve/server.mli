@@ -1,5 +1,5 @@
 (** The [tatsd] server core: a Unix-domain-socket listener dispatching
-    {!Protocol} requests onto the process-wide work-stealing pool.
+    {!Protocol} requests onto the process-wide domain pool.
 
     {1 Architecture}
 

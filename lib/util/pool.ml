@@ -1,4 +1,4 @@
-(* A work-stealing domain pool: one Chase-Lev deque per domain.
+(* A domain pool that runs one batch at a time off one atomic cursor.
 
    Design notes, in decreasing order of importance:
 
@@ -6,183 +6,58 @@
      the fold of parallel_for_reduce runs in index order after the barrier,
      and on failure the recorded exception is the one from the lowest task
      index. Nothing observable depends on which domain ran what, so the
-     steal schedule - inherently racy - can never change a result.
+     claim order - inherently racy - can never change a result.
 
-   - The hot path is lock-free. Work is distributed as range tasks
-     [lo, hi] that split in half on execution: the executor pushes the
-     upper half onto its own deque (bottom, LIFO) and recurses on the
-     lower half until a range is at most [grain] indices, then runs it.
-     Idle domains steal from the top (FIFO) of a random victim's deque
-     with a single compare-and-set - thieves get the oldest, and therefore
-     largest, ranges, which they then split locally. A batch of thousands
-     of fine-grained tasks thus costs one shared-queue operation never:
-     only owner-local deque pushes and O(domains * log n) steals.
+   - One batch is in flight at a time: batches are serialized by a
+     submission mutex and nested calls run inline. So the whole runtime is
+     one flat range [0, n) per batch, and an atomic cursor is all the
+     distribution it needs: every domain claims the next grain with one
+     [fetch_and_add] until the cursor passes [n]. Fine-grained batches pay
+     one atomic per grain, never a lock.
 
-   - Blocking is the cold path. A domain that finds every deque empty
-     backs off with Domain.cpu_relax and finally parks on a Condition;
-     pushers wake parked domains only when the parked-count says someone
-     is actually asleep, so steady-state pushes stay lock-free.
+   - Blocking is the cold path, and it has one mutex/condition pair. The
+     submitter publishes the batch in [current] and broadcasts; a worker
+     sleeps until [current] holds a batch other than the last one it ran
+     (compared by identity) or the pool stops. The grain that retires the
+     batch broadcasts under the mutex, and the submitter re-checks
+     [remaining] under it before every wait, so no wake-up is lost.
 
-   - The submitting domain is a worker too: after pushing its batch's
-     root range it pops/steals like everyone else until the batch
-     completes, so a pool of size 1 never spawns a domain and [jobs]
-     means "domains doing work".
+   - The submitting domain is a worker too: it claims grains like everyone
+     else until the cursor is exhausted, then waits for stragglers, so a
+     pool of size 1 never spawns a domain and [jobs] means "domains doing
+     work".
 
-   - Nested parallel_map calls (a task submitting a batch to any pool) run
-     inline on the current domain, detected through a domain-local flag.
-     This cannot deadlock and keeps the determinism contract trivially.
+   - A worker that wakes late may still hold a retired batch: its claim
+     then returns an index past [n] (every index was claimed before
+     [remaining] reached zero), so it never runs a grain twice.
 
-   - Batches are serialized by a submission mutex. This is what makes
-     [shutdown] safe while a batch is in flight: shutdown queues behind
-     the running batch, which drains normally, and only then are the
-     workers stopped.
-
-   Memory-ordering argument for the Chase-Lev operations: OCaml's
-   [Atomic] operations are sequentially consistent, strictly stronger
-   than the acquire/release + fence discipline of the canonical C11
-   implementation (Le et al., "Correct and Efficient Work-Stealing for
-   Weak Memory Models"), so the classical correctness argument applies
-   directly. The two load-bearing facts are (1) [top] only ever grows, so
-   a successful CAS on [top] can never be an ABA - the stolen slot is
-   exactly the one read; and (2) a slot is only reused by the owner after
-   [bottom] has advanced a full buffer length past it, which requires the
-   intervening elements - including that slot - to have been consumed
-   first, advancing [top] past it and making any stale thief's CAS fail.
-   Buffer growth preserves this: the owner installs the doubled buffer
-   with an [Atomic.set] and never writes to the old one again, so a thief
-   holding the old buffer still reads valid (if possibly already-stolen)
-   elements, and the CAS on [top] remains the single commit point. *)
+   - Serialization is also what makes [shutdown] safe while a batch is in
+     flight: shutdown queues behind the running batch, which drains
+     normally, and only then are the workers stopped. *)
 
 type batch = {
+  n : int;
+  grain : int;
+  next : int Atomic.t; (* claim cursor: first unclaimed index *)
   remaining : int Atomic.t; (* indices not yet executed *)
   failed : (int * exn) option Atomic.t; (* lowest failing index wins *)
-}
-
-(* A contiguous index range [lo, hi] (inclusive) of one batch. [body lo hi]
-   applies the batch's task function to each index, recording results
-   positionally and returning the lowest in-range failure, if any. *)
-type task = {
-  lo : int;
-  hi : int;
-  grain : int; (* ranges longer than this split in half *)
-  batch : batch;
   body : int -> int -> (int * exn) option;
+      (* [body lo hi] runs indices [lo, hi], recording results positionally,
+         and returns the lowest in-range failure, if any *)
 }
-
-let dummy_batch = { remaining = Atomic.make 0; failed = Atomic.make None }
-let dummy_task =
-  { lo = 0; hi = -1; grain = 1; batch = dummy_batch; body = (fun _ _ -> None) }
-
-(* --- Chase-Lev deque ---------------------------------------------------- *)
-
-module Deque : sig
-  type t
-
-  val create : unit -> t
-  val push : t -> task -> unit (* owner only *)
-  val pop : t -> task option (* owner only *)
-  val steal : t -> task option (* any domain *)
-  val size : t -> int (* racy snapshot *)
-  val max_depth : t -> int
-  val reset_max_depth : t -> unit
-end = struct
-  type buffer = { data : task array; mask : int } (* length a power of 2 *)
-
-  type t = {
-    top : int Atomic.t; (* next index to steal *)
-    bottom : int Atomic.t; (* next index to push *)
-    buf : buffer Atomic.t;
-    mutable max_depth : int; (* owner-maintained high-water mark *)
-  }
-
-  let buffer cap = { data = Array.make cap dummy_task; mask = cap - 1 }
-
-  let create () =
-    {
-      top = Atomic.make 0;
-      bottom = Atomic.make 0;
-      buf = Atomic.make (buffer 32);
-      max_depth = 0;
-    }
-
-  (* Owner-only; copies the live window [t, b) into a doubled buffer. The
-     old buffer is never written again (see the module comment's ordering
-     argument). *)
-  let grow q b t =
-    let old = Atomic.get q.buf in
-    let nu = buffer (2 * Array.length old.data) in
-    for i = t to b - 1 do
-      nu.data.(i land nu.mask) <- old.data.(i land old.mask)
-    done;
-    Atomic.set q.buf nu
-
-  let push q v =
-    let b = Atomic.get q.bottom in
-    let t = Atomic.get q.top in
-    let buf = Atomic.get q.buf in
-    let buf =
-      if b - t > buf.mask then begin
-        grow q b t;
-        Atomic.get q.buf
-      end
-      else buf
-    in
-    buf.data.(b land buf.mask) <- v;
-    Atomic.set q.bottom (b + 1);
-    let depth = b + 1 - t in
-    if depth > q.max_depth then q.max_depth <- depth
-
-  let pop q =
-    let b = Atomic.get q.bottom - 1 in
-    Atomic.set q.bottom b;
-    let t = Atomic.get q.top in
-    if b < t then begin
-      (* Empty: undo the reservation. *)
-      Atomic.set q.bottom t;
-      None
-    end
-    else begin
-      let buf = Atomic.get q.buf in
-      let v = buf.data.(b land buf.mask) in
-      if b > t then Some v
-      else begin
-        (* Last element: race the thieves for it through [top]. *)
-        let won = Atomic.compare_and_set q.top t (t + 1) in
-        Atomic.set q.bottom (t + 1);
-        if won then Some v else None
-      end
-    end
-
-  let steal q =
-    let t = Atomic.get q.top in
-    let b = Atomic.get q.bottom in
-    if t >= b then None
-    else begin
-      let buf = Atomic.get q.buf in
-      let v = buf.data.(t land buf.mask) in
-      if Atomic.compare_and_set q.top t (t + 1) then Some v else None
-    end
-
-  let size q = Stdlib.max 0 (Atomic.get q.bottom - Atomic.get q.top)
-  let max_depth q = q.max_depth
-  let reset_max_depth q = q.max_depth <- 0
-end
-
-(* --- pool --------------------------------------------------------------- *)
 
 type t = {
   n_jobs : int;
-  deques : Deque.t array; (* slot 0: the submitting domain *)
-  park_mutex : Mutex.t; (* guards [cv] and the park protocol *)
-  cv : Condition.t; (* parked domains sleep here *)
-  n_parked : int Atomic.t; (* registered sleepers (incl. submitter) *)
+  mutex : Mutex.t; (* guards [current], [cv] and the workers' sleep *)
+  cv : Condition.t;
+  mutable current : batch option; (* the batch in flight *)
   submit_mutex : Mutex.t; (* serializes batches and shutdown *)
   live : bool Atomic.t;
   mutable workers : unit Domain.t array;
   (* counters *)
   c_batches : int Atomic.t;
   c_tasks : int Atomic.t; (* task-function applications *)
-  c_steals : int Atomic.t; (* successful steals *)
+  c_steals : int Atomic.t; (* grains run by a spawned worker *)
   c_parks : int Atomic.t; (* times a domain went to sleep *)
   busy : float array; (* wall seconds in task bodies, slot-owned writes *)
 }
@@ -193,10 +68,10 @@ type stats = {
   tasks : int;
   steals : int;
   parks : int;
-  max_deque_depth : int;
   busy : float array;
 }
 
+let max_jobs = 128
 let in_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let now = Unix.gettimeofday
@@ -206,22 +81,6 @@ let m_batches = Metricsreg.counter "pool.batches"
 let m_tasks = Metricsreg.counter "pool.tasks"
 let m_steals = Metricsreg.counter "pool.steals"
 let m_parks = Metricsreg.counter "pool.parks"
-let m_depth = Metricsreg.counter "pool.deque_max_depth"
-
-(* Any queued-but-unclaimed work in any deque? Racy by design: callers
-   re-check under [park_mutex] before sleeping. *)
-let any_work t =
-  let rec go i = i < t.n_jobs && (Deque.size t.deques.(i) > 0 || go (i + 1)) in
-  go 0
-
-(* Wake sleepers after a push, but only when somebody is actually parked:
-   the [n_parked] read keeps the steady-state push lock-free. *)
-let wake_if_parked t =
-  if Atomic.get t.n_parked > 0 then begin
-    Mutex.lock t.park_mutex;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.park_mutex
-  end
 
 (* Record [failure] into the batch, keeping the lowest index. *)
 let rec record_failure batch ((i, _) as failure) =
@@ -231,129 +90,84 @@ let rec record_failure batch ((i, _) as failure) =
       if not (Atomic.compare_and_set batch.failed cur (Some failure)) then
         record_failure batch failure
 
-(* Execute one range task on this domain: split halves above [grain] onto
-   our own deque (waking thieves), then run the leaf. Completion of the
-   leaf's indices is what retires the batch. *)
-let exec_task t slot ~stolen task =
-  let rec narrow task =
-    if task.hi - task.lo + 1 > task.grain then begin
-      let mid = task.lo + ((task.hi - task.lo) / 2) in
-      Deque.push t.deques.(slot) { task with lo = mid + 1 };
-      wake_if_parked t;
-      narrow { task with hi = mid }
-    end
-    else task
-  in
-  let leaf = narrow task in
+(* Sleep on [cv] (the caller holds [mutex]), counted as a park. *)
+let park t =
+  Atomic.incr t.c_parks;
+  Metricsreg.incr m_parks;
+  Trace.with_span "pool.park" (fun () -> Condition.wait t.cv t.mutex)
+
+(* Run indices [lo, hi] of [batch] on this domain. Completion of the
+   grain's indices is what retires the batch. *)
+let exec_grain t slot batch lo hi =
+  let stolen = slot > 0 in
+  if stolen then begin
+    Atomic.incr t.c_steals;
+    Metricsreg.incr m_steals
+  end;
   let t0 = now () in
   Domain.DLS.set in_task true;
   let failure =
     Trace.with_span "pool.task" (fun () ->
         if stolen then Trace.add_attr "stolen" (Trace.Bool true);
-        leaf.body leaf.lo leaf.hi)
+        batch.body lo hi)
   in
   Domain.DLS.set in_task false;
   t.busy.(slot) <- t.busy.(slot) +. (now () -. t0);
-  let k = leaf.hi - leaf.lo + 1 in
+  let k = hi - lo + 1 in
   Atomic.fetch_and_add t.c_tasks k |> ignore;
   Metricsreg.add m_tasks k;
-  (match failure with Some f -> record_failure leaf.batch f | None -> ());
-  if Atomic.fetch_and_add leaf.batch.remaining (-k) = k then begin
-    (* Last indices of the batch: wake the submitter (and anyone else). *)
-    Mutex.lock t.park_mutex;
+  (match failure with Some f -> record_failure batch f | None -> ());
+  if Atomic.fetch_and_add batch.remaining (-k) = k then begin
+    (* Last indices of the batch: wake the submitter. *)
+    Mutex.lock t.mutex;
     Condition.broadcast t.cv;
-    Mutex.unlock t.park_mutex
+    Mutex.unlock t.mutex
   end
 
-(* A cheap domain-local xorshift for victim selection (nonzero state stays
-   nonzero: each step is an invertible linear map). The schedule it
-   induces is irrelevant to results (determinism contract), so the
-   statistical quality bar is "spreads thieves across victims". *)
-let rand_victim state ~self ~n =
-  let s = !state in
-  let s = s lxor (s lsl 13) in
-  let s = s lxor (s lsr 7) in
-  let s = s lxor (s lsl 17) in
-  state := s;
-  let v = (s land max_int) mod (n - 1) in
-  if v >= self then v + 1 else v
-
-(* Look for work: our own deque first (LIFO), then a few randomized steal
-   sweeps with exponential backoff. Returns [None] when the domain should
-   park. *)
-let try_find_work t slot rng =
-  match Deque.pop t.deques.(slot) with
-  | Some task -> Some (task, false)
-  | None ->
-      if t.n_jobs = 1 then None
-      else begin
-        let sweeps = 2 * t.n_jobs in
-        let rec attempt i relax =
-          if i >= sweeps then None
-          else
-            let victim = rand_victim rng ~self:slot ~n:t.n_jobs in
-            match Deque.steal t.deques.(victim) with
-            | Some task ->
-                Atomic.incr t.c_steals;
-                Metricsreg.incr m_steals;
-                Some (task, true)
-            | None ->
-                for _ = 1 to relax do
-                  Domain.cpu_relax ()
-                done;
-                attempt (i + 1) (Stdlib.min 256 (relax * 2))
-        in
-        attempt 0 1
-      end
-
-(* Park until [should_wake] (re-checked under the mutex, so a push or a
-   batch completion between our last scan and the wait cannot be lost:
-   wakers either see our registration in [n_parked] and take the mutex, or
-   completed their update before we re-check). *)
-let park t ~should_wake =
-  Mutex.lock t.park_mutex;
-  Atomic.incr t.n_parked;
-  if should_wake () then begin
-    Atomic.decr t.n_parked;
-    Mutex.unlock t.park_mutex
-  end
-  else begin
-    Atomic.incr t.c_parks;
-    Metricsreg.incr m_parks;
-    Trace.with_span "pool.park" (fun () -> Condition.wait t.cv t.park_mutex);
-    Atomic.decr t.n_parked;
-    Mutex.unlock t.park_mutex
+(* Claim and run grains until the cursor passes the end of the batch. *)
+let rec run_grains t slot batch =
+  let lo = Atomic.fetch_and_add batch.next batch.grain in
+  if lo < batch.n then begin
+    exec_grain t slot batch lo (Stdlib.min batch.n (lo + batch.grain) - 1);
+    run_grains t slot batch
   end
 
 let worker_loop t slot =
-  let rng = ref (0x2545f4914f6cdd1d * (slot + 1)) in
-  let rec loop () =
-    if not (Atomic.get t.live) then ()
-    else
-      match try_find_work t slot rng with
-      | Some (task, stolen) ->
-          exec_task t slot ~stolen task;
-          loop ()
-      | None ->
-          park t ~should_wake:(fun () ->
-              (not (Atomic.get t.live)) || any_work t);
-          loop ()
+  (* [last] is the batch this worker ran most recently. *)
+  let ran b = function Some l -> l == b | None -> false in
+  let rec loop last =
+    Mutex.lock t.mutex;
+    let rec await () =
+      if not (Atomic.get t.live) then None
+      else
+        match t.current with
+        | Some b when not (ran b last) -> Some b
+        | Some _ | None ->
+            park t;
+            await ()
+    in
+    let next = await () in
+    Mutex.unlock t.mutex;
+    match next with
+    | None -> ()
+    | Some b ->
+        run_grains t slot b;
+        loop next
   in
-  loop ()
+  loop None
 
 let create ?jobs () =
   let n_jobs =
     match jobs with
     | None -> Stdlib.max 1 (Domain.recommended_domain_count ())
-    | Some j -> Stdlib.min 128 (Stdlib.max 1 j)
+    | Some j -> Stdlib.min max_jobs (Stdlib.max 1 j)
   in
   let t =
     {
       n_jobs;
-      deques = Array.init n_jobs (fun _ -> Deque.create ());
-      park_mutex = Mutex.create ();
+      mutex = Mutex.create ();
       cv = Condition.create ();
-      n_parked = Atomic.make 0;
+      current = None;
       submit_mutex = Mutex.create ();
       live = Atomic.make true;
       workers = [||];
@@ -379,10 +193,10 @@ let shutdown t =
     ~finally:(fun () -> Mutex.unlock t.submit_mutex)
     (fun () ->
       if Atomic.get t.live then begin
+        Mutex.lock t.mutex;
         Atomic.set t.live false;
-        Mutex.lock t.park_mutex;
         Condition.broadcast t.cv;
-        Mutex.unlock t.park_mutex;
+        Mutex.unlock t.mutex;
         Array.iter Domain.join t.workers;
         t.workers <- [||]
       end)
@@ -392,18 +206,12 @@ let with_pool ?jobs f =
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let stats t =
-  let max_depth =
-    Array.fold_left
-      (fun acc d -> Stdlib.max acc (Deque.max_depth d))
-      0 t.deques
-  in
   {
     jobs = t.n_jobs;
     batches = Atomic.get t.c_batches;
     tasks = Atomic.get t.c_tasks;
     steals = Atomic.get t.c_steals;
     parks = Atomic.get t.c_parks;
-    max_deque_depth = max_depth;
     busy = Array.copy t.busy;
   }
 
@@ -412,27 +220,15 @@ let reset_stats t =
   Atomic.set t.c_tasks 0;
   Atomic.set t.c_steals 0;
   Atomic.set t.c_parks 0;
-  Array.iter Deque.reset_max_depth t.deques;
   Array.fill t.busy 0 (Array.length t.busy) 0.0
 
 let pp_stats ppf s =
-  Format.fprintf ppf
-    "jobs %d, batches %d, tasks %d, steals %d, parks %d, max depth %d, busy ["
-    s.jobs s.batches s.tasks s.steals s.parks s.max_deque_depth;
+  Format.fprintf ppf "jobs %d, batches %d, tasks %d, steals %d, parks %d, busy ["
+    s.jobs s.batches s.tasks s.steals s.parks;
   Array.iteri
     (fun i b -> Format.fprintf ppf "%s%.3fs" (if i = 0 then "" else " ") b)
     s.busy;
   Format.fprintf ppf "]"
-
-(* Keep the fleet-wide high-water mark in step with the deepest deque seen
-   by any pool. Called once per batch, not per push. *)
-let publish_depth t =
-  let d =
-    Array.fold_left
-      (fun acc q -> Stdlib.max acc (Deque.max_depth q))
-      0 t.deques
-  in
-  if d > Metricsreg.counter_value m_depth then Metricsreg.set_counter m_depth d
 
 (* The workhorse. [f] is applied as [f i xs.(i)] and results land in slot
    [i]; everything else is scheduling. *)
@@ -472,13 +268,10 @@ let parallel_mapi ?chunk t f xs =
               | None -> Stdlib.max 1 (n / (8 * t.n_jobs))
             in
             let results = Array.make n None in
-            let batch =
-              { remaining = Atomic.make n; failed = Atomic.make None }
-            in
             let body lo hi =
-              (* Runs each index of the leaf; stops at the first failure
-                 (the rest of the batch still runs - only this leaf's tail
-                 is skipped, exactly like the FIFO runtime's chunks). *)
+              (* Runs each index of the grain; stops at the first failure
+                 (the rest of the batch still runs - only this grain's
+                 tail is skipped). *)
               let rec go i =
                 if i > hi then None
                 else
@@ -490,29 +283,32 @@ let parallel_mapi ?chunk t f xs =
               in
               go lo
             in
+            let batch =
+              {
+                n;
+                grain;
+                next = Atomic.make 0;
+                remaining = Atomic.make n;
+                failed = Atomic.make None;
+                body;
+              }
+            in
             Atomic.incr t.c_batches;
             Metricsreg.incr m_batches;
-            let root = { lo = 0; hi = n - 1; grain; batch; body } in
             Trace.with_span "pool.batch" (fun () ->
-                Deque.push t.deques.(0) root;
-                wake_if_parked t;
-                (* The submitting domain works as slot 0 until the batch
-                   retires, then reaps results. *)
-                let rng = ref 0x2545f4914f6cdd1d in
-                let rec drive () =
-                  if Atomic.get batch.remaining = 0 then ()
-                  else
-                    match try_find_work t 0 rng with
-                    | Some (task, stolen) ->
-                        exec_task t 0 ~stolen task;
-                        drive ()
-                    | None ->
-                        park t ~should_wake:(fun () ->
-                            Atomic.get batch.remaining = 0 || any_work t);
-                        drive ()
-                in
-                drive ());
-            publish_depth t;
+                Mutex.lock t.mutex;
+                t.current <- Some batch;
+                Condition.broadcast t.cv;
+                Mutex.unlock t.mutex;
+                (* The submitting domain works as slot 0, then waits for
+                   the grains still running elsewhere. *)
+                run_grains t 0 batch;
+                Mutex.lock t.mutex;
+                while Atomic.get batch.remaining > 0 do
+                  park t
+                done;
+                t.current <- None;
+                Mutex.unlock t.mutex);
             (match Atomic.get batch.failed with
             | Some (_, e) -> raise e
             | None -> ());
@@ -545,7 +341,7 @@ let default_jobs () =
   j
 
 let set_default_jobs j =
-  let j = Stdlib.min 128 (Stdlib.max 1 j) in
+  let j = Stdlib.min max_jobs (Stdlib.max 1 j) in
   Mutex.lock default_mutex;
   requested_jobs := Some j;
   let stale =

@@ -1,34 +1,35 @@
-(** Work-stealing domain pool for embarrassingly parallel outer loops.
+(** Domain pool for embarrassingly parallel outer loops.
 
     The repo's stochastic workloads — Monte-Carlo replications, GA
     floorplan fitness evaluation, SA mapper restarts, benchmark sweeps,
     table regeneration — are independent task batches over pure
-    functions. This pool runs such batches across OCaml 5 domains on a
-    {e work-stealing} runtime: every domain owns a Chase–Lev deque
-    (lock-free push/pop at the bottom for the owner, lock-free
-    compare-and-set steals from the top for everyone else), and a batch
-    is distributed as a single index range that splits in half as it
-    executes, so fine-grained batches of thousands of sub-millisecond
-    tasks pay owner-local deque operations instead of one shared-lock
-    round-trip per task. Idle domains steal from randomized victims with
-    exponential backoff and park on a condition variable only when every
-    deque is empty. No dependencies beyond the stdlib.
+    functions. This pool runs such batches across OCaml 5 domains.
+
+    One invariant keeps the runtime small: {e at most one batch is in
+    flight per pool}. Batches from different domains are serialized and
+    nested calls run inline (see below), so a batch is one flat index
+    range [\[0, n)] and one atomic claim cursor distributes it: every
+    domain, the submitter included, takes the next grain of indices with
+    a single [fetch_and_add] until the cursor passes [n]. Fine-grained
+    batches of thousands of sub-millisecond tasks thus pay one atomic per
+    grain, not a lock round-trip per task. Idle domains sleep on one
+    condition variable until the next batch is published. No dependencies
+    beyond the stdlib.
 
     {1 Determinism contract}
 
     Parallelism here is {e observation-free}: for a pure task function,
     {!parallel_map} and {!parallel_for_reduce} return results that are
-    bit-identical at any domain count and under any steal schedule,
+    bit-identical at any domain count and under any claim order,
     including [jobs = 1].
 
     - Results are delivered {e positionally}: slot [i] of the output always
-      holds [f xs.(i)], whatever domain computed it, whether the range
-      containing [i] was stolen, and in whatever order tasks finished.
+      holds [f xs.(i)], whatever domain computed it and in whatever order
+      tasks finished.
     - {!parallel_for_reduce} folds the per-index results in index order
       after the parallel phase, so non-commutative [combine] functions are
       safe.
-    - Nothing random is introduced by the pool itself (victim selection is
-      randomized, but only the schedule depends on it). Callers that need
+    - Nothing random is introduced by the pool itself. Callers that need
       per-task randomness must derive one generator per task index from a
       master seed ({!Rng.derive}) {e before} submitting, never share one
       mutable generator across tasks; with that discipline the random
@@ -39,8 +40,8 @@
       task index — again independent of scheduling.
 
     Task functions must be thread-safe: they run concurrently on multiple
-    domains, and steals interleave them arbitrarily. Pure functions over
-    immutable (or task-local) data qualify; shared mutable caches need
+    domains, and the claim order interleaves them arbitrarily. Pure
+    functions over immutable (or task-local) data qualify; shared mutable caches need
     their own locking (see {!Tats_thermal.Inquiry} for the pattern used by
     the thermal engine).
 
@@ -55,19 +56,17 @@
     batch has drained, then runs normally. *)
 
 type t
-(** A pool of worker domains, each owning a work-stealing deque. The pool
-    owns [jobs - 1] spawned domains; the domain calling {!parallel_map} is
-    the [jobs]-th worker for the duration of the call, so [jobs = 1]
-    spawns no domains at all and runs everything inline. *)
+(** A pool of worker domains. The pool owns [jobs - 1] spawned domains;
+    the domain calling {!parallel_map} is the [jobs]-th worker for the
+    duration of the call, so [jobs = 1] spawns no domains at all and runs
+    everything inline. *)
 
 type stats = {
   jobs : int;  (** size of the pool, including the submitting domain *)
   batches : int;  (** [parallel_map] / [parallel_for_reduce] calls served *)
   tasks : int;  (** individual task-function applications executed *)
-  steals : int;  (** ranges taken from another domain's deque *)
-  parks : int;  (** times a domain found no work anywhere and slept *)
-  max_deque_depth : int;
-      (** high-water mark of queued ranges in any one deque *)
+  steals : int;  (** grains run by a spawned worker, not the submitter *)
+  parks : int;  (** times a domain found no work and slept *)
   busy : float array;
       (** wall-clock seconds spent inside task bodies, per domain; slot [0]
           is the submitting domain, slots [1 .. jobs - 1] the spawned
@@ -75,27 +74,29 @@ type stats = {
 }
 (** Cumulative counters since {!create} (or the last {!reset_stats}). The
     same quantities feed the process-wide metrics registry as
-    [pool.batches], [pool.tasks], [pool.steals], [pool.parks] and
-    [pool.deque_max_depth]. *)
+    [pool.batches], [pool.tasks], [pool.steals] and [pool.parks]. *)
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains. [jobs] defaults to
-    [Domain.recommended_domain_count ()] and is clamped to [\[1, 128\]].
+    [Domain.recommended_domain_count ()] and is clamped to
+    [\[1, max_jobs\]].
     Pools are cheap but not free ([Domain.spawn] per worker): create one
     and reuse it, or use the process-wide {!default} pool. *)
+
+val max_jobs : int
+(** The largest pool size, 128. The [--jobs] flags of [tats], [tatsd] and
+    [bench/main.exe] reject values outside [\[1, max_jobs\]]. *)
 
 val jobs : t -> int
 (** Pool size, including the submitting domain. *)
 
 val parallel_map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map pool f xs] is [Array.map f xs] computed on up to
-    [jobs pool] domains. [chunk] is the {e grain}: ranges of more than
-    [chunk] consecutive indices split in half (the upper half becoming
-    stealable) until they are at most [chunk] long, then run as one task
-    (default: enough to make roughly [8 * jobs] leaf ranges). Larger
-    grains amortize per-range overhead for cheap [f], smaller grains
-    balance load for expensive [f]; [chunk:1] forces a maximally
-    steal-heavy schedule. The choice of [chunk] never affects the result,
+    [jobs pool] domains. [chunk] is the {e grain}: domains claim runs of
+    [chunk] consecutive indices at a time (default: enough to make
+    roughly [8 * jobs] grains). Larger grains amortize per-claim overhead
+    for cheap [f], smaller grains balance load for expensive [f];
+    [chunk:1] makes every index its own claim. The choice of [chunk] never affects the result,
     only the schedule.
 
     Runs inline (sequentially, on the calling domain) when the batch has
@@ -126,8 +127,8 @@ val reset_stats : t -> unit
 (** Zeroes the counters. Call between batches, not during one. *)
 
 val pp_stats : Format.formatter -> stats -> unit
-(** One compact line: jobs, batches, tasks, steals, parks, max deque
-    depth, and per-domain busy seconds. *)
+(** One compact line: jobs, batches, tasks, steals, parks, and
+    per-domain busy seconds. *)
 
 val shutdown : t -> unit
 (** Stops and joins the worker domains. Idempotent, and safe to call
@@ -157,8 +158,9 @@ val default : unit -> t
 
 val set_default_jobs : int -> unit
 (** Sets the size used by {!default}. If the default pool already exists
-    at a different size it is shut down and recreated on next use. The
-    [--jobs] flags of [tats] and [bench/main.exe] call this. *)
+    at a different size it is shut down and recreated on next use. Values
+    outside [\[1, max_jobs\]] are clamped. The [--jobs] flags of [tats],
+    [tatsd] and [bench/main.exe] call this. *)
 
 val default_jobs : unit -> int
 (** The size {!default} has, or will be created with:

@@ -127,15 +127,15 @@ let test_stats_counters () =
       Alcotest.(check int) "busy slots" 2 (Array.length s.Pool.busy);
       Alcotest.(check bool) "steals non-negative" true (s.Pool.steals >= 0);
       Alcotest.(check bool) "parks non-negative" true (s.Pool.parks >= 0);
-      Alcotest.(check bool) "deque depth recorded" true
-        (s.Pool.max_deque_depth >= 0);
+      Alcotest.(check bool) "steals <= tasks" true (s.Pool.steals <= s.Pool.tasks);
       Pool.reset_stats pool;
       let s = Pool.stats pool in
       Alcotest.(check int) "reset batches" 0 s.Pool.batches;
       Alcotest.(check int) "reset tasks" 0 s.Pool.tasks;
       Alcotest.(check int) "reset steals" 0 s.Pool.steals;
       Alcotest.(check int) "reset parks" 0 s.Pool.parks;
-      Alcotest.(check int) "reset depth" 0 s.Pool.max_deque_depth)
+      Alcotest.(check bool) "reset steals <= tasks" true
+        (s.Pool.steals <= s.Pool.tasks))
 
 (* --- Rng.derive --------------------------------------------------------- *)
 

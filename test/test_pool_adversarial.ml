@@ -22,8 +22,8 @@ let spin units =
 
 exception Planted of int
 
-(* Steal-heavy pool sizes: oversubscribed relative to most CI hosts, so
-   domains interleave adversarially. *)
+(* Pool sizes oversubscribed relative to most CI hosts, so domains
+   interleave adversarially. *)
 let job_sizes = [| 1; 2; 4; 8 |]
 let pick_jobs meta = job_sizes.(Rng.int meta (Array.length job_sizes))
 
@@ -187,7 +187,7 @@ let test_doubly_nested_inline () =
   Alcotest.(check bool) "bounded time" true
     (Unix.gettimeofday () -. t0 < nested_deadline_s)
 
-(* --- steal-heavy reduction property -------------------------------------- *)
+(* --- reduction property under any claim order ---------------------------- *)
 
 let test_reduce_bit_identical_grid () =
   (* parallel_for_reduce with a non-commutative, non-associative combine
@@ -227,10 +227,10 @@ let test_reduce_bit_identical_grid () =
   done
 
 let test_nested_submission_during_steal () =
-  (* Many cheap outer tasks at chunk:1 on an oversubscribed pool: outer
-     ranges split down to single indices and spread by stealing, so the
-     nested submissions below fire from stolen tasks on several domains at
-     once. The nested calls must inline and stay positional. *)
+  (* Many cheap outer tasks at chunk:1 on an oversubscribed pool: every
+     index is its own claim, spread over all domains, so the nested
+     submissions below fire from several domains at once. The nested
+     calls must inline and stay positional. *)
   let meta = Rng.create 60606 in
   Pool.with_pool ~jobs:8 (fun pool ->
       for _trial = 1 to 3 do
@@ -255,6 +255,73 @@ let test_nested_submission_during_steal () =
         in
         Alcotest.(check (array int)) "nested-during-steal results" expected got
       done)
+
+(* --- serialized batches ------------------------------------------------- *)
+
+let test_concurrent_submitters_serialized () =
+  (* Two domains each submit 200 batches to one pool. Batches from
+     different submitters must not overlap: a task that starts while a
+     task of another batch is still running is a violation. *)
+  let lock = Mutex.create () in
+  let active_batch = ref (-1) and active_tasks = ref 0 in
+  let overlaps = Atomic.make 0 in
+  let enter id =
+    Mutex.lock lock;
+    if !active_tasks > 0 && !active_batch <> id then Atomic.incr overlaps;
+    active_batch := id;
+    incr active_tasks;
+    Mutex.unlock lock
+  in
+  let leave () =
+    Mutex.lock lock;
+    decr active_tasks;
+    Mutex.unlock lock
+  in
+  let rounds = 200 and n = 6 in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let submitter who =
+        Domain.spawn (fun () ->
+            List.init rounds (fun r ->
+                let id = (who * rounds) + r in
+                Pool.parallel_mapi ~chunk:1 pool
+                  (fun i () ->
+                    enter id;
+                    ignore (spin 10);
+                    leave ();
+                    (id * n) + i)
+                  (Array.make n ())))
+      in
+      let a = submitter 0 and b = submitter 1 in
+      let got = Domain.join a @ Domain.join b in
+      List.iteri
+        (fun id res ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "batch %d positional" id)
+            (Array.init n (fun i -> (id * n) + i))
+            res)
+        got);
+  Alcotest.(check int) "no two batches overlap" 0 (Atomic.get overlaps)
+
+let test_back_to_back_pairs () =
+  (* The dispatcher's shape: thousands of 2-element batches in a row. A
+     lost wake-up hangs here; a worker that runs a grain of an already
+     retired batch shows up as an extra call. *)
+  let batches = 5000 in
+  let calls = Atomic.make 0 in
+  Pool.with_pool ~jobs:2 (fun pool ->
+      for r = 1 to batches do
+        let f i =
+          Atomic.incr calls;
+          (r * 2) + i
+        in
+        let got = Pool.parallel_mapi pool (fun i () -> f i) [| (); () |] in
+        if got <> [| f 0; f 1 |] then
+          Alcotest.failf "batch %d: got [|%d; %d|]" r got.(0) got.(1)
+      done);
+  (* Each batch calls [f] twice in the pool and twice for the expected
+     value; the workers are joined, so no late grain can add more. *)
+  Alcotest.(check int) "every index ran exactly once" (4 * batches)
+    (Atomic.get calls)
 
 (* --- shutdown under load -------------------------------------------------- *)
 
@@ -331,6 +398,13 @@ let () =
             test_doubly_nested_inline;
           Alcotest.test_case "nested submission during steals" `Quick
             test_nested_submission_during_steal;
+        ] );
+      ( "serialization",
+        [
+          Alcotest.test_case "concurrent submitters are serialized" `Quick
+            test_concurrent_submitters_serialized;
+          Alcotest.test_case "5000 back-to-back 2-element batches" `Quick
+            test_back_to_back_pairs;
         ] );
       ( "shutdown",
         [
