@@ -230,19 +230,12 @@ let regenerate_tables () =
   hr "Tables 1-3 (paper vs measured)";
   Core.Inquiry.reset_global_stats ();
   let t0 = Unix.gettimeofday () in
-  let table1 = Core.Experiments.table1 () in
-  let table2 = Core.Experiments.table2 () in
-  let table3 = Core.Experiments.table3 () in
+  let t = Core.Experiments.tables () in
   let elapsed = Unix.gettimeofday () -. t0 in
   Printf.printf "all tables regenerated in %.1f s\n\n" elapsed;
-  print_string (Core.Report.table1 table1);
-  print_newline ();
-  print_string (Core.Report.table2 table2);
-  print_newline ();
-  print_string (Core.Report.table3 table3);
-  print_newline ();
+  print_string (Core.Report.tables t);
+  let { Core.Experiments.table1; table2; table3 } = t in
   let checks = Core.Experiments.shape_checks ~table1 ~table2 ~table3 in
-  print_string (Core.Report.shape_checks checks);
   List.iter
     (fun (c : Core.Experiments.shape_check) ->
       ignore (gate c.Core.Experiments.check c.Core.Experiments.holds : string))

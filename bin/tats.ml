@@ -178,38 +178,33 @@ let isolate_arg =
 
 (* --- table commands ----------------------------------------------------- *)
 
-let table1_cmd =
+(* Every table command computes all three tables: they share cells, and
+   the campaign builtins are their one definition. *)
+let table_cmd name doc render =
   let run csv observed =
-    observed @@ fun () ->
-    let rows = Core.Experiments.table1 () in
-    print_string
-      (if csv then Core.Report.table1_csv rows else Core.Report.table1 rows)
+    observed @@ fun () -> print_string (render csv (Core.Experiments.tables ()))
   in
-  Cmd.v
-    (Cmd.info "table1"
-       ~doc:"Regenerate Table 1 (power heuristics on both architectures).")
-    Term.(const run $ csv_arg $ observed_arg)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ csv_arg $ observed_arg)
 
-let versus_cmd name doc compute render render_csv =
-  let run csv observed =
-    observed @@ fun () ->
-    let rows = compute () in
-    print_string (if csv then render_csv rows else render rows)
-  in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ csv_arg $ observed_arg)
+let table1_cmd =
+  table_cmd "table1" "Regenerate Table 1 (power heuristics on both architectures)."
+    (fun csv t ->
+      let rows = t.Core.Experiments.table1 in
+      if csv then Core.Report.table1_csv rows else Core.Report.table1 rows)
 
 let table2_cmd =
-  versus_cmd "table2"
+  table_cmd "table2"
     "Regenerate Table 2 (power vs thermal, co-synthesis architecture)."
-    (fun () -> Core.Experiments.table2 ())
-    Core.Report.table2 Core.Report.versus_csv
+    (fun csv t ->
+      let rows = t.Core.Experiments.table2 in
+      if csv then Core.Report.versus_csv rows else Core.Report.table2 rows)
 
 let table3_cmd =
-  versus_cmd "table3"
+  table_cmd "table3"
     "Regenerate Table 3 (power vs thermal, platform architecture)."
-    (fun () -> Core.Experiments.table3 ())
-    Core.Report.table3 Core.Report.versus_csv
+    (fun csv t ->
+      let rows = t.Core.Experiments.table3 in
+      if csv then Core.Report.versus_csv rows else Core.Report.table3 rows)
 
 let checks_cmd =
   let run observed =
@@ -217,9 +212,7 @@ let checks_cmd =
        before the exit-code decision. *)
     let ok = ref false in
     (observed @@ fun () ->
-     let table1 = Core.Experiments.table1 () in
-     let table2 = Core.Experiments.table2 () in
-     let table3 = Core.Experiments.table3 () in
+     let { Core.Experiments.table1; table2; table3 } = Core.Experiments.tables () in
      let checks = Core.Experiments.shape_checks ~table1 ~table2 ~table3 in
      print_string (Core.Report.shape_checks checks);
      ok := List.for_all (fun c -> c.Core.Experiments.holds) checks);
@@ -1026,12 +1019,9 @@ let artifacts_cmd =
           output_string oc contents);
       Format.printf "wrote %s@." path
     in
-    let table1 = Core.Experiments.table1 () in
-    let table2 = Core.Experiments.table2 () in
-    let table3 = Core.Experiments.table3 () in
-    write "table1.txt" (Core.Report.table1 table1);
-    write "table2.txt" (Core.Report.table2 table2);
-    write "table3.txt" (Core.Report.table3 table3);
+    let t = Core.Experiments.tables () in
+    let { Core.Experiments.table1; table2; table3 } = t in
+    write "tables.txt" (Core.Report.tables t);
     write "table1.csv" (Core.Report.table1_csv table1);
     write "table2.csv" (Core.Report.versus_csv table2);
     write "table3.csv" (Core.Report.versus_csv table3);
@@ -1044,9 +1034,6 @@ let artifacts_cmd =
       (Core.Report.versus_markdown
          ~title:"Table 3 — power vs thermal, platform architecture"
          ~paper:Core.Paper_data.table3 table3);
-    write "checks.txt"
-      (Core.Report.shape_checks
-         (Core.Experiments.shape_checks ~table1 ~table2 ~table3));
     (* One SVG set per benchmark: thermal-aware platform run. *)
     let lib = Core.Catalog.platform_library () in
     List.iter
@@ -1246,7 +1233,7 @@ let () =
          (reproduction of Hung et al., DATE 2005)."
   in
   exit
-    (Cmd.eval
+    (Cmd.eval ~argv:(Core.jobs_argv Sys.argv)
        (Cmd.group info
           [
             table1_cmd; table2_cmd; table3_cmd; checks_cmd; schedule_cmd;

@@ -110,7 +110,7 @@ let () =
          admitted work is drained before exit."
   in
   exit
-    (Cmd.eval
+    (Cmd.eval ~argv:(Core.jobs_argv Sys.argv)
        (Cmd.v info
           Term.(
             const run $ socket_arg $ queue_arg $ batch_arg $ jobs_arg

@@ -124,8 +124,8 @@ val spec_of_string : string -> (spec, string) result
 
 val builtin : string -> spec option
 (** Pinned specs: ["table1"]/["table2"]/["table3"] are the paper's
-    Tables 1–3 as campaigns (same axes as
-    {!Core.Experiments.table1}-[table3]); ["golden"] is the small mixed
+    Tables 1–3 as campaigns, the one definition of their cells
+    ({!Core.Experiments.tables} runs them); ["golden"] is the small mixed
     platform/ambient/budget campaign pinned by
     [test/goldens/campaign.golden]; ["hetero"] is the heterogeneity gate
     fixture (homogeneous control, degenerate [std4] twin, both mixed

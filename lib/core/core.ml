@@ -71,3 +71,12 @@ let schedule_platform ?n_pes ?(policy = Policy.Thermal_aware) graph =
 
 let schedule_cosynthesis ?(policy = Policy.Thermal_aware) graph =
   Flow.run_cosynthesis ~graph ~lib:(Catalog.default_library ()) ~policy ()
+
+let jobs_argv argv =
+  let rec join = function
+    | "--" :: _ as rest -> rest
+    | ("-j" | "--jobs") :: v :: rest -> ("--jobs=" ^ v) :: join rest
+    | a :: rest -> a :: join rest
+    | [] -> []
+  in
+  Array.of_list (join (Array.to_list argv))

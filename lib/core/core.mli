@@ -100,3 +100,10 @@ val schedule_platform :
 val schedule_cosynthesis : ?policy:Policy.t -> Graph.t -> Flow.outcome
 (** Co-synthesis shortcut with the default heterogeneous library; policy
     defaults to [Thermal_aware]. *)
+
+val jobs_argv : string array -> string array
+(** [argv] with every [-j V] / [--jobs V] pair joined into [--jobs=V]
+    (arguments after [--] are left alone). Command-line parsers read a
+    separate [-3] as an unknown option; joined, a negative count reaches
+    the [--jobs] range check and its exit-2 message. [tats] and [tatsd]
+    parse [jobs_argv Sys.argv]. *)

@@ -5,85 +5,71 @@ module Metrics = Tats_sched.Metrics
 module Flow = Tats_cosynth.Flow
 module Stats = Tats_util.Stats
 module Pool = Tats_util.Pool
+module Campaign = Tats_campaign.Campaign
 
 type cell = Metrics.row
 
 type arch = Cosynthesis | Platform
 
-let arch_name = function Cosynthesis -> "co-synthesis" | Platform -> "platform"
-
-let outcome ~arch ~policy ~bench =
-  let graph = Benchmarks.load bench in
-  match arch with
-  | Cosynthesis ->
-      Flow.run_cosynthesis ~graph ~lib:(Catalog.default_library ()) ~policy ()
-  | Platform -> Flow.run_platform ~graph ~lib:(Catalog.platform_library ()) ~policy ()
-
-let run_one ~arch ~policy ~bench = (outcome ~arch ~policy ~bench).Flow.row
-
 type table1_row = { bench : string; policy : Policy.t; cosynth : cell; platform : cell }
-
-let table1_policies =
-  [
-    Policy.Baseline;
-    Policy.Power_aware Policy.Min_task_power;
-    Policy.Power_aware Policy.Min_pe_average_power;
-    Policy.Power_aware Policy.Min_task_energy;
-  ]
-
-(* Table cells are independent deterministic flows, so each (bench, policy)
-   pair is one pool task ([chunk:1] — cells are coarse and few). Inside a
-   cell, the nested GA/Monte-Carlo maps degrade to inline execution; cell
-   values are pure, so the tables are identical at any pool size. *)
-let table1 ?pool () =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let inputs =
-    Array.of_list
-      (List.concat_map
-         (fun bench -> List.map (fun policy -> (bench, policy)) table1_policies)
-         [ 0; 1; 2; 3 ])
-  in
-  let rows =
-    Pool.parallel_map ~chunk:1 pool
-      (fun (bench, policy) ->
-        {
-          bench = Benchmarks.descriptors.(bench).Benchmarks.bench_name;
-          policy;
-          cosynth = run_one ~arch:Cosynthesis ~policy ~bench;
-          platform = run_one ~arch:Platform ~policy ~bench;
-        })
-      inputs
-  in
-  Array.to_list rows
-
 type versus_row = { bench : string; power : cell; thermal : cell }
 
-let versus ?pool ~arch () =
-  let pool = match pool with Some p -> p | None -> Pool.default () in
-  let inputs =
-    Array.of_list
-      (List.concat_map
-         (fun bench ->
-           [
-             (bench, Policy.Power_aware Policy.Min_task_energy);
-             (bench, Policy.Thermal_aware);
-           ])
-         [ 0; 1; 2; 3 ])
-  in
-  let cells =
-    Pool.parallel_map ~chunk:1 pool
-      (fun (bench, policy) -> run_one ~arch ~policy ~bench)
-      inputs
-  in
-  List.init 4 (fun i ->
-      {
-        bench = Benchmarks.descriptors.(i).Benchmarks.bench_name;
-        power = cells.(2 * i);
-        thermal = cells.((2 * i) + 1);
-      })
+type tables = {
+  table1 : table1_row list;
+  table2 : versus_row list;
+  table3 : versus_row list;
+}
 
-let table2 ?pool () = versus ?pool ~arch:Cosynthesis ()
-let table3 ?pool () = versus ?pool ~arch:Platform ()
+(* Consecutive cells of an expansion: Table 1's platform axis is
+   (co-synthesis, platform) and Tables 2-3's policy axis is (h3, thermal),
+   both innermost, so each row is one pair. *)
+let rec pairs = function a :: b :: rest -> (a, b) :: pairs rest | _ -> []
+
+(* Tables 2 and 3 repeat Table 1's h3 cells, so each distinct cell id runs
+   once: one pool task per cell ([chunk:1] — cells are coarse and few).
+   Inside a cell, the nested GA/Monte-Carlo maps degrade to inline
+   execution; cell values are pure, so the tables are identical at any
+   pool size. *)
+let tables () =
+  let cells name = Campaign.expand (Option.get (Campaign.builtin name)) in
+  let t1 = cells "table1" and t2 = cells "table2" and t3 = cells "table3" in
+  let index = Hashtbl.create 64 in
+  let distinct =
+    List.filter
+      (fun c ->
+        let id = Campaign.cell_id c in
+        let fresh = not (Hashtbl.mem index id) in
+        if fresh then Hashtbl.add index id (Hashtbl.length index);
+        fresh)
+      (t1 @ t2 @ t3)
+  in
+  let results =
+    Pool.parallel_map ~chunk:1 (Pool.default ()) Campaign.run_cell
+      (Array.of_list distinct)
+  in
+  let cell c =
+    let r = results.(Hashtbl.find index (Campaign.cell_id c)) in
+    {
+      Metrics.total_power = r.Campaign.total_power;
+      max_temp = r.Campaign.max_temp;
+      avg_temp = r.Campaign.avg_temp;
+    }
+  in
+  let bench (c : Campaign.cell) = Campaign.graph_label c.Campaign.graph in
+  let versus cells =
+    List.map
+      (fun (p, t) -> { bench = bench p; power = cell p; thermal = cell t })
+      (pairs cells)
+  in
+  {
+    table1 =
+      List.map
+        (fun (c, p) ->
+          { bench = bench c; policy = c.Campaign.policy; cosynth = cell c; platform = cell p })
+        (pairs t1);
+    table2 = versus t2;
+    table3 = versus t3;
+  }
 
 type reduction = { d_max_temp : float; d_avg_temp : float }
 
@@ -108,10 +94,6 @@ let mean_by rows ~policy ~proj =
   Stats.mean (Array.of_list (List.map proj selected))
 
 let shape_checks ~table1 ~table2 ~table3 =
-  let avg_temp_of arch (c : cell) =
-    ignore arch;
-    c.Metrics.avg_temp
-  in
   let h3_best arch proj =
     let m p = mean_by table1 ~policy:p ~proj in
     let h3 = m (Policy.Power_aware Policy.Min_task_energy) in
@@ -142,8 +124,8 @@ let shape_checks ~table1 ~table2 ~table3 =
     let mean rows proj = Stats.mean (Array.of_list (List.map proj rows)) in
     let cos_max = mean table2 (fun r -> r.thermal.Metrics.max_temp) in
     let plat_max = mean table3 (fun r -> r.thermal.Metrics.max_temp) in
-    let cos_avg = mean table2 (fun r -> avg_temp_of Cosynthesis r.thermal) in
-    let plat_avg = mean table3 (fun r -> avg_temp_of Platform r.thermal) in
+    let cos_avg = mean table2 (fun r -> r.thermal.Metrics.avg_temp) in
+    let plat_avg = mean table3 (fun r -> r.thermal.Metrics.avg_temp) in
     {
       check = "Thermal ASP on platform cooler than on customized architecture";
       holds = plat_max < cos_max && plat_avg < cos_avg;
@@ -162,9 +144,10 @@ let shape_checks ~table1 ~table2 ~table3 =
   ]
 
 let workload_balance ~bench =
+  let graph = Benchmarks.load bench and lib = Catalog.platform_library () in
   List.map
     (fun policy ->
-      let o = outcome ~arch:Platform ~policy ~bench in
+      let o = Flow.run_platform ~graph ~lib ~policy () in
       (policy, Metrics.utilization_spread o.Flow.schedule))
     Policy.all
 

@@ -1,8 +1,8 @@
 (** Drivers that regenerate every table of the paper's evaluation.
 
     All runs are deterministic: fixed benchmark seeds, fixed library seed,
-    fixed GA seed. Tables 2 and 3 reuse the Table 1 machinery with the
-    paper's conclusion baked in (H3 is the power-aware representative). *)
+    fixed GA seed. Tables 2 and 3 carry the paper's conclusion baked in
+    (H3 is the power-aware representative). *)
 
 module Policy = Tats_sched.Policy
 module Metrics = Tats_sched.Metrics
@@ -11,27 +11,30 @@ module Flow = Tats_cosynth.Flow
 type cell = Metrics.row
 
 type arch = Cosynthesis | Platform
-
-val arch_name : arch -> string
-
-val run_one : arch:arch -> policy:Policy.t -> bench:int -> cell
-(** One table cell: benchmark index in [0..3]. *)
+(** The paper's two flows, Figure 1(a) and 1(b). *)
 
 type table1_row = { bench : string; policy : Policy.t; cosynth : cell; platform : cell }
 
-val table1 : ?pool:Tats_util.Pool.t -> unit -> table1_row list
-(** 4 benchmarks x (baseline, h1, h2, h3), Table 1 order. Independent
-    cells are evaluated on [pool] (default: {!Tats_util.Pool.default});
-    cell values are pure, so the table is identical at any pool size. *)
-
 type versus_row = { bench : string; power : cell; thermal : cell }
 
-val table2 : ?pool:Tats_util.Pool.t -> unit -> versus_row list
-(** Power-aware (h3) vs thermal-aware on the co-synthesis architecture.
-    Parallel over cells, like {!table1}. *)
+type tables = {
+  table1 : table1_row list;
+      (** 4 benchmarks x (baseline, h1, h2, h3), Table 1 order *)
+  table2 : versus_row list;
+      (** power-aware (h3) vs thermal-aware, co-synthesis architecture *)
+  table3 : versus_row list;  (** the same comparison on the platform *)
+}
 
-val table3 : ?pool:Tats_util.Pool.t -> unit -> versus_row list
-(** Same comparison on the platform architecture. *)
+val tables : unit -> tables
+(** Tables 1–3 from the builtin campaigns ["table1"]–["table3"]
+    ({!Tats_campaign.Campaign.builtin}), which are the one definition of
+    their cells: the union of the three expansions, de-duplicated by
+    {!Tats_campaign.Campaign.cell_id} (40 cells; Tables 2 and 3 repeat
+    Table 1's h3 cells), each run once by
+    {!Tats_campaign.Campaign.run_cell} on {!Tats_util.Pool.default}.
+    Rows follow each builtin's expansion order. Cell values are pure, so
+    the tables are identical at any pool size and bit-identical to
+    {!Tats_campaign.Campaign.collect} on the same builtins. *)
 
 type reduction = { d_max_temp : float; d_avg_temp : float }
 

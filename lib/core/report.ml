@@ -137,6 +137,17 @@ let shape_checks checks =
     checks;
   Buffer.contents buf
 
+let tables (t : Experiments.tables) =
+  String.concat "\n"
+    [
+      table1 t.Experiments.table1;
+      table2 t.Experiments.table2;
+      table3 t.Experiments.table3;
+      shape_checks
+        (Experiments.shape_checks ~table1:t.Experiments.table1
+           ~table2:t.Experiments.table2 ~table3:t.Experiments.table3);
+    ]
+
 let versus_csv rows =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf

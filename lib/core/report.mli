@@ -7,6 +7,12 @@ val table3 : Experiments.versus_row list -> string
 
 val shape_checks : Experiments.shape_check list -> string
 
+val tables : Experiments.tables -> string
+(** Tables 1, 2 and 3 and their shape checks, joined by blank lines —
+    the text test/goldens/tables.golden pins byte for byte, and what
+    [tats artifacts], the bench [tables] phase and [capture_goldens]
+    print. *)
+
 val pool_stats : Tats_util.Pool.stats -> string
 (** Multi-line summary of a {!Tats_util.Pool} snapshot: pool size, batch /
     task / wait counters, and per-domain busy time with its share of the

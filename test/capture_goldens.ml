@@ -1,10 +1,12 @@
 (* Regenerates the end-to-end goldens used by test_integration.
 
-   With no argument, prints the exact strings the reproduction pipeline
-   renders for Tables 1-3 and the shape-check report. The committed golden
-   (test/goldens/tables.golden) was captured from the pre-kernel-rewrite
-   tree; the blocked linear-algebra kernels preserve floating-point
-   operation order, so every later tree must reproduce it byte for byte:
+   With no argument, prints Report.tables of Experiments.tables: Tables
+   1-3 and the shape-check report, computed from the "table1"-"table3"
+   campaign builtins' cells (each distinct cell run once through
+   Campaign.run_cell). The committed golden (test/goldens/tables.golden)
+   was captured from the pre-kernel-rewrite tree; the blocked
+   linear-algebra kernels preserve floating-point operation order, so
+   every later tree must reproduce it byte for byte:
 
      dune exec test/capture_goldens.exe > test/goldens/tables.golden
 
@@ -46,18 +48,7 @@
    kernel regression. *)
 
 let capture_tables () =
-  let table1 = Core.Experiments.table1 () in
-  let table2 = Core.Experiments.table2 () in
-  let table3 = Core.Experiments.table3 () in
-  print_string (Core.Report.table1 table1);
-  print_newline ();
-  print_string (Core.Report.table2 table2);
-  print_newline ();
-  print_string (Core.Report.table3 table3);
-  print_newline ();
-  print_string
-    (Core.Report.shape_checks
-       (Core.Experiments.shape_checks ~table1 ~table2 ~table3))
+  print_string (Core.Report.tables (Core.Experiments.tables ()))
 
 let capture_transient () =
   print_string (Core.Report.transient_demo (Core.Experiments.transient_demo ()))

@@ -43,29 +43,32 @@ let test_paper_thermal_wins_every_row () =
 
 (* --- Experiments: single cells ------------------------------------------ *)
 
-let test_run_one_platform_cell () =
-  let cell =
-    Core.Experiments.run_one ~arch:Core.Experiments.Platform ~policy:Policy.Baseline
-      ~bench:0
+(* Table cells run through the campaign runner, the tables' one driver. *)
+module Campaign = Core.Campaign
+
+let table_cell ~arch ~policy =
+  {
+    Campaign.graph = Campaign.Bench 0;
+    policy;
+    platform =
+      { Campaign.arch; ambient = 45.0; power_budget = None; pins = []; isolation = [] };
+  }
+
+let test_run_cell_platform_cell () =
+  let r =
+    Campaign.run_cell (table_cell ~arch:(Campaign.Platform 4) ~policy:Policy.Baseline)
   in
   Alcotest.(check bool) "power band" true
-    (cell.Metrics.total_power > 1.0 && cell.Metrics.total_power < 100.0);
+    (r.Campaign.total_power > 1.0 && r.Campaign.total_power < 100.0);
   Alcotest.(check bool) "temp band" true
-    (cell.Metrics.max_temp > 45.0 && cell.Metrics.max_temp < 200.0)
+    (r.Campaign.max_temp > 45.0 && r.Campaign.max_temp < 200.0)
 
-let test_run_one_deterministic () =
+let test_run_cell_deterministic () =
   let cell () =
-    Core.Experiments.run_one ~arch:Core.Experiments.Cosynthesis
-      ~policy:Policy.Thermal_aware ~bench:0
+    Campaign.run_cell (table_cell ~arch:Campaign.Cosynth ~policy:Policy.Thermal_aware)
   in
   let a = cell () and b = cell () in
-  Alcotest.(check (float 0.0)) "repeatable" a.Metrics.max_temp b.Metrics.max_temp
-
-let test_arch_names () =
-  Alcotest.(check string) "cosynthesis" "co-synthesis"
-    (Core.Experiments.arch_name Core.Experiments.Cosynthesis);
-  Alcotest.(check string) "platform" "platform"
-    (Core.Experiments.arch_name Core.Experiments.Platform)
+  Alcotest.(check (float 0.0)) "repeatable" a.Campaign.max_temp b.Campaign.max_temp
 
 let test_average_reduction_arithmetic () =
   let mk total_power max_temp avg_temp = { Metrics.total_power; max_temp; avg_temp } in
@@ -207,9 +210,8 @@ let () =
         ] );
       ( "experiments",
         [
-          Alcotest.test_case "platform cell" `Quick test_run_one_platform_cell;
-          Alcotest.test_case "deterministic" `Quick test_run_one_deterministic;
-          Alcotest.test_case "arch names" `Quick test_arch_names;
+          Alcotest.test_case "platform cell" `Quick test_run_cell_platform_cell;
+          Alcotest.test_case "deterministic" `Quick test_run_cell_deterministic;
           Alcotest.test_case "average reduction" `Quick test_average_reduction_arithmetic;
           Alcotest.test_case "workload balance" `Quick
             test_workload_balance_thermal_balances;

@@ -1,23 +1,100 @@
 (* Integration tests: the full experiment pipeline, end to end.
 
-   These regenerate the paper's Tables 1-3 (the same computation as
-   `dune exec bench/main.exe`) and assert the reproduction's shape criteria
-   from DESIGN.md section 2, plus cross-cutting invariants that only hold
-   when every subsystem cooperates (scheduler x floorplanner x thermal
-   model x co-synthesis). *)
+   These regenerate the paper's Tables 1-3 through their one driver,
+   Experiments.tables (the "table1"-"table3" campaign builtins' cells, each
+   run once through Campaign.run_cell; the same computation as
+   `dune exec bench/main.exe`), check it bit for bit against
+   Campaign.collect on the same builtins and across pool sizes, and assert
+   the reproduction's shape criteria from DESIGN.md section 2, plus
+   cross-cutting invariants that only hold when every subsystem cooperates
+   (scheduler x floorplanner x thermal model x co-synthesis). *)
 
 module Policy = Core.Policy
 module Metrics = Core.Metrics
 module Flow = Core.Flow
 module Schedule = Core.Schedule
+module Campaign = Core.Campaign
 
 (* The tables are computed once and shared across test cases. *)
-let table1 = lazy (Core.Experiments.table1 ())
-let table2 = lazy (Core.Experiments.table2 ())
-let table3 = lazy (Core.Experiments.table3 ())
+let tables = lazy (Core.Experiments.tables ())
+let table1 () = (Lazy.force tables).Core.Experiments.table1
+let table2 () = (Lazy.force tables).Core.Experiments.table2
+let table3 () = (Lazy.force tables).Core.Experiments.table3
+
+let builtin name =
+  match Campaign.builtin name with
+  | Some spec -> spec
+  | None -> Alcotest.failf "no builtin campaign %s" name
+
+let test_builtins_share_40_cells () =
+  (* Tables 2 and 3 repeat Table 1's 8 h3 cells. *)
+  let ids =
+    List.concat_map
+      (fun name -> List.map Campaign.cell_id (Campaign.expand (builtin name)))
+      [ "table1"; "table2"; "table3" ]
+  in
+  Alcotest.(check int) "cells over the three builtins" 48 (List.length ids);
+  Alcotest.(check int) "distinct cell ids" 40
+    (List.length (List.sort_uniq String.compare ids))
+
+let test_tables_match_campaign_collect () =
+  (* Every row of the tables, bit for bit, against the cell of the same
+     benchmark, policy and architecture that Campaign.collect computes on
+     the table's builtin — found by lookup, not by position. *)
+  let bits = Int64.bits_of_float in
+  let check name rows_cells =
+    let cells = (Campaign.collect (builtin name)).Campaign.cells in
+    Alcotest.(check int) (name ^ " cell count") (List.length cells)
+      (List.length rows_cells);
+    List.iter
+      (fun (bench, policy, arch, (c : Metrics.row)) ->
+        let cell, (r : Campaign.result) =
+          List.find
+            (fun ((cell : Campaign.cell), _) ->
+              Campaign.graph_label cell.Campaign.graph = bench
+              && cell.Campaign.policy = policy
+              && cell.Campaign.platform.Campaign.arch = arch)
+            cells
+        in
+        if
+          bits c.Metrics.total_power <> bits r.Campaign.total_power
+          || bits c.Metrics.max_temp <> bits r.Campaign.max_temp
+          || bits c.Metrics.avg_temp <> bits r.Campaign.avg_temp
+        then Alcotest.failf "%s: %s differs" name (Campaign.cell_label cell))
+      rows_cells
+  in
+  let h3 = Policy.Power_aware Policy.Min_task_energy in
+  let versus arch rows =
+    List.concat_map
+      (fun (r : Core.Experiments.versus_row) ->
+        [ (r.bench, h3, arch, r.power); (r.bench, Policy.Thermal_aware, arch, r.thermal) ])
+      rows
+  in
+  check "table1"
+    (List.concat_map
+       (fun (r : Core.Experiments.table1_row) ->
+         [
+           (r.bench, r.policy, Campaign.Cosynth, r.cosynth);
+           (r.bench, r.policy, Campaign.Platform 4, r.platform);
+         ])
+       (table1 ()));
+  check "table2" (versus Campaign.Cosynth (table2 ()));
+  check "table3" (versus (Campaign.Platform 4) (table3 ()))
+
+let test_tables_identical_at_any_pool_size () =
+  let saved = Core.Pool.default_jobs () in
+  let render jobs =
+    Core.Pool.set_default_jobs jobs;
+    Core.Report.tables (Core.Experiments.tables ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Core.Pool.set_default_jobs saved)
+    (fun () ->
+      let one = render 1 in
+      Alcotest.(check string) "jobs 1 vs jobs 2" one (render 2))
 
 let test_table1_has_all_rows () =
-  let rows = Lazy.force table1 in
+  let rows = table1 () in
   Alcotest.(check int) "4 benchmarks x 4 policies" 16 (List.length rows);
   List.iter
     (fun (r : Core.Experiments.table1_row) ->
@@ -26,8 +103,8 @@ let test_table1_has_all_rows () =
 
 let test_all_shape_checks_pass () =
   let checks =
-    Core.Experiments.shape_checks ~table1:(Lazy.force table1) ~table2:(Lazy.force table2)
-      ~table3:(Lazy.force table3)
+    Core.Experiments.shape_checks ~table1:(table1 ()) ~table2:(table2 ())
+      ~table3:(table3 ())
   in
   Alcotest.(check int) "five criteria" 5 (List.length checks);
   List.iter
@@ -47,7 +124,7 @@ let test_thermal_beats_power_on_every_platform_benchmark () =
         (r.thermal.Metrics.avg_temp < r.power.Metrics.avg_temp);
       Alcotest.(check bool) (r.bench ^ " power") true
         (r.thermal.Metrics.total_power < r.power.Metrics.total_power))
-    (Lazy.force table3)
+    (table3 ())
 
 let test_reductions_in_paper_band () =
   (* Multi-degree reductions, same order of magnitude as the paper (which
@@ -58,8 +135,8 @@ let test_reductions_in_paper_band () =
     Alcotest.(check bool) (name ^ " avg band") true
       (r.Core.Experiments.d_avg_temp > 2.0 && r.Core.Experiments.d_avg_temp < 40.0)
   in
-  check "table2" (Core.Experiments.average_reduction (Lazy.force table2));
-  check "table3" (Core.Experiments.average_reduction (Lazy.force table3))
+  check "table2" (Core.Experiments.average_reduction (table2 ()));
+  check "table3" (Core.Experiments.average_reduction (table3 ()))
 
 let test_temperatures_in_physical_band () =
   (* Every measured cell must be a plausible junction temperature. *)
@@ -72,12 +149,12 @@ let test_temperatures_in_physical_band () =
     (fun (r : Core.Experiments.table1_row) ->
       check_cell r.cosynth;
       check_cell r.platform)
-    (Lazy.force table1);
+    (table1 ());
   List.iter
     (fun (r : Core.Experiments.versus_row) ->
       check_cell r.power;
       check_cell r.thermal)
-    (Lazy.force table2 @ Lazy.force table3)
+    (table2 () @ table3 ())
 
 let test_figure1_flows_complete_stage_traces () =
   (* Figure 1: both flows execute their stages in order. *)
@@ -181,20 +258,8 @@ let test_tables_match_golden () =
      numerical regression, not rounding noise. Regenerate (only for
      intentional number changes) with:
        dune exec test/capture_goldens.exe > test/goldens/tables.golden *)
-  let rendered =
-    let t1 = Lazy.force table1
-    and t2 = Lazy.force table2
-    and t3 = Lazy.force table3 in
-    String.concat "\n"
-      [
-        Core.Report.table1 t1;
-        Core.Report.table2 t2;
-        Core.Report.table3 t3;
-        Core.Report.shape_checks
-          (Core.Experiments.shape_checks ~table1:t1 ~table2:t2 ~table3:t3);
-      ]
-  in
-  check_against_golden ~what:"tables" ~basename:"tables.golden" rendered
+  check_against_golden ~what:"tables" ~basename:"tables.golden"
+    (Core.Report.tables (Lazy.force tables))
 
 let test_transient_matches_golden () =
   (* Same discipline for the runtime layer: the event-driven replay and
@@ -250,7 +315,7 @@ let test_sched_ext_matches_golden () =
     ~basename:"sched_ext.golden" (Sched_ext_golden.render ())
 
 let test_csv_exports_match_tables () =
-  let csv = Core.Report.table1_csv (Lazy.force table1) in
+  let csv = Core.Report.table1_csv (table1 ()) in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check int) "header + 16 rows" 17 (List.length lines)
 
@@ -267,6 +332,12 @@ let () =
           Alcotest.test_case "temperatures physical" `Quick
             test_temperatures_in_physical_band;
           Alcotest.test_case "tables match golden" `Quick test_tables_match_golden;
+          Alcotest.test_case "builtins share 40 cells" `Quick
+            test_builtins_share_40_cells;
+          Alcotest.test_case "tables match campaign collect" `Quick
+            test_tables_match_campaign_collect;
+          Alcotest.test_case "tables identical at any pool size" `Quick
+            test_tables_identical_at_any_pool_size;
           Alcotest.test_case "transient matches golden" `Quick
             test_transient_matches_golden;
           Alcotest.test_case "online matches golden" `Quick
