@@ -9,9 +9,9 @@
    2. Runs the ablation studies DESIGN.md calls out: the DC cost-weight
       sweep, leakage feedback on/off, GA floorplanning effort, and the
       compact (dense LU) vs grid (sparse CG) thermal solvers.
-   3. Measures the parallel scaling of the domain-pool workloads
-      (Monte-Carlo, GA fitness, SA restarts) at 1/2/4 domains and verifies
-      they are bit-identical to the sequential runs.
+   3. Measures the parallel scaling of the domain-pool workloads (GA
+      fitness, SA restarts, fine-grained tasks) at 1/2/4 domains and
+      verifies they are bit-identical to the sequential runs.
    4. Drives the campaign runner and gates its resume invariants (byte-
       identical manifests, cheap no-op resume).
    5. Bounds the disabled-mode observability overhead.
@@ -98,32 +98,11 @@ let flag_values name =
 (* --only NAME (repeatable) restricts the run to the named phases. *)
 let only_phases = flag_values "--only"
 
-(* Every name ever passed to [timed_phase]; --only arguments are checked
-   against it up front, so a typo is a hard error instead of a silently
-   empty run. The list itself lives in [Core.Phases], and [timed_phase]
-   cross-checks at runtime so it cannot drift from the actual phase
-   calls. *)
-let known_phases = Core.Phases.names
-
-let validate_only_phases () =
-  match List.filter (fun p -> not (List.mem p known_phases)) only_phases with
-  | [] -> ()
-  | unknown ->
-      Printf.eprintf "bench: unknown --only phase%s: %s\nvalid phases: %s\n"
-        (if List.length unknown = 1 then "" else "s")
-        (String.concat ", " unknown)
-        (String.concat ", " known_phases);
-      exit 2
-
 let timed_phase name f =
-  if not (List.mem name known_phases) then
-    failwith ("bench: phase " ^ name ^ " missing from known_phases");
-  if only_phases <> [] && not (List.mem name only_phases) then ()
-  else begin
+  if only_phases = [] || List.mem name only_phases then begin
     let t0 = Unix.gettimeofday () in
-    let v = Core.Trace.with_span ("bench." ^ name) f in
-    phase_times := (name, Unix.gettimeofday () -. t0) :: !phase_times;
-    v
+    Core.Trace.with_span ("bench." ^ name) f;
+    phase_times := (name, Unix.gettimeofday () -. t0) :: !phase_times
   end
 
 let write_phases () =
@@ -351,19 +330,6 @@ let ablation_solvers () =
     [ 8; 16; 32 ];
   Printf.printf "(block means agree within a couple of °C)\n"
 
-let ablation_floorplanners () =
-  hr "Ablation — GA vs simulated-annealing floorplanner (same cost, same blocks)";
-  Printf.printf "%-10s %12s %14s\n" "method" "cost" "evaluations";
-  let blocks = random_blocks 8 ~min_area:6e-6 in
-  let blocks_area = total_area blocks in
-  let cost = Core.Flow.floorplan_cost ~blocks_area in
-  let ga = Core.Ga.run ~seed:42 ~blocks ~cost () in
-  let sa = Core.Sa.run ~seed:42 ~blocks ~cost () in
-  Printf.printf "%-10s %12.4f %14d\n" "GA" ga.Core.Ga.best_cost
-    (Core.Ga.default_params.Core.Ga.population
-    * Core.Ga.default_params.Core.Ga.generations);
-  Printf.printf "%-10s %12.4f %14d\n" "SA" sa.Core.Sa.best_cost sa.Core.Sa.moves_tried
-
 let ablation_mappers () =
   hr "Ablation — constructive ASP vs HEFT vs SA mapper (makespans, 4-PE platform)";
   Printf.printf "%-8s %10s %10s %10s %10s\n" "bench" "ASP" "HEFT" "SA" "deadline";
@@ -443,54 +409,6 @@ let ablation_bus () =
         mesh.Core.Schedule.makespan)
     [ 0; 1; 2; 3 ]
 
-let ablation_stack () =
-  hr "Ablation — compact model vs multi-layer die/TIM/spreader stack";
-  let placement = pe_placement () in
-  let power = [| 2.0; 6.0; 1.0; 3.0 |] in
-  let compact = Core.Steady.create (Core.Rcmodel.build Core.Package.default placement) in
-  let stack = Core.Stack.build placement in
-  let t_c = Core.Steady.block_temperatures compact ~power in
-  let t_die, t_tim, t_spr = Core.Stack.layer_temperatures stack ~power in
-  Printf.printf "%-16s %10s %10s %10s %10s\n" "layer" "PE0" "PE1" "PE2" "PE3";
-  let line name t =
-    Printf.printf "%-16s %10.2f %10.2f %10.2f %10.2f\n" name t.(0) t.(1) t.(2) t.(3)
-  in
-  line "compact (die)" t_c;
-  line "stack die" t_die;
-  line "stack TIM" t_tim;
-  line "stack spreader" t_spr
-
-let ablation_clustering () =
-  hr "Ablation — linear task clustering before scheduling";
-  Printf.printf "%-8s %9s %12s %12s %12s %12s\n" "bench" "clusters" "mksp plain"
-    "mksp clust" "comm plain" "comm clust";
-  let lib = Core.Catalog.platform_library () in
-  let pes = Core.Catalog.platform_instances 4 in
-  List.iter
-    (fun bench ->
-      let graph = Core.Benchmarks.load bench in
-      let c = Core.Cluster.linear ~threshold:60.0 graph in
-      let clib =
-        Core.Library.aggregate lib ~member_types:(Core.Cluster.member_types c graph)
-      in
-      let plain =
-        Core.List_sched.run ~graph ~lib ~pes ~policy:Core.Policy.Baseline ()
-      in
-      let clustered =
-        Core.List_sched.run ~graph:c.Core.Cluster.clustered ~lib:clib ~pes
-          ~policy:Core.Policy.Baseline ()
-      in
-      Printf.printf "%-8s %4d/%-4d %12.1f %12.1f %12.1f %12.1f\n"
-        (Core.Graph.name graph)
-        (Core.Graph.n_tasks c.Core.Cluster.clustered)
-        (Core.Graph.n_tasks graph) plain.Core.Schedule.makespan
-        clustered.Core.Schedule.makespan
-        (Core.Metrics.total_comm_energy plain ~lib)
-        (Core.Metrics.total_comm_energy clustered ~lib:clib))
-    [ 0; 1; 2; 3 ];
-  Printf.printf
-    "(fusing heavy edges removes bus traffic but serializes the fused chains)\n"
-
 let ablation_refinement () =
   hr "Ablation — floorplan <-> schedule refinement rounds (thermal cosynth)";
   Printf.printf "%-8s %10s %10s %10s\n" "bench" "1 round" "2 rounds" "3 rounds";
@@ -531,28 +449,6 @@ let ablation_dtm () =
     Core.Policy.all;
   Printf.printf
     "(the thermal-aware schedule needs the least runtime intervention)\n"
-
-let ablation_montecarlo () =
-  hr "Ablation — Monte-Carlo execution-time variation (Bm1, 200 runs)";
-  Printf.printf "%-10s %10s %10s %10s %10s %12s\n" "policy" "WCET mksp" "mean"
-    "p95" "peak °C" "miss rate";
-  let graph = Core.Benchmarks.load 0 in
-  let lib = Core.Catalog.platform_library () in
-  List.iter
-    (fun policy ->
-      let o = Core.Flow.run_platform ~graph ~lib ~policy () in
-      let r =
-        Core.Montecarlo.analyze ~seed:11 ~lib ~hotspot:o.Core.Flow.hotspot
-          o.Core.Flow.schedule
-      in
-      Printf.printf "%-10s %10.1f %10.1f %10.1f %10.2f %11.1f%%\n"
-        (Core.Policy.name policy) o.Core.Flow.schedule.Core.Schedule.makespan
-        r.Core.Montecarlo.makespan_mean r.Core.Montecarlo.makespan_p95
-        r.Core.Montecarlo.peak_temp_mean
-        (100.0 *. r.Core.Montecarlo.deadline_miss_rate))
-    Core.Policy.all;
-  Printf.printf
-    "(actuals drawn uniformly from [0.6, 1.0] x WCET; mapping and order kept)\n"
 
 let design_space_exploration () =
   hr "Design-space exploration — cost vs peak temperature (Bm1, co-synthesis)";
@@ -615,9 +511,6 @@ let parallel_scaling () =
   let graph = Core.Benchmarks.load 0 in
   let lib = Core.Catalog.platform_library () in
   let pes = Core.Catalog.platform_instances 4 in
-  let schedule =
-    Core.List_sched.run ~graph ~lib ~pes ~policy:Core.Policy.Baseline ()
-  in
   let blocks = random_blocks 6 ~min_area:8e-6 in
   let blocks_area = total_area blocks in
   let thermal_cost p =
@@ -629,11 +522,6 @@ let parallel_scaling () =
   in
   let rows =
     [
-      measure_workload ~name:"monte-carlo (Bm1, 1000 runs)" (fun pool ->
-          (* A fresh facade per pool size: the fingerprint must not depend
-             on cache state left by a previous measurement. *)
-          Core.Montecarlo.analyze ~runs:1000 ~pool ~seed:11 ~lib
-            ~hotspot:(platform_hotspot ()) schedule);
       measure_workload ~name:"GA thermal floorplan (15 generations)" (fun pool ->
           let r =
             Core.Ga.run
@@ -983,6 +871,50 @@ let observability_overhead () =
          ("overhead_check", str verdict);
        ])
 
+(* ----------------------------------------------------------------------- *)
+(* The phases, in run order                                                 *)
+(* ----------------------------------------------------------------------- *)
+
+(* --only arguments are checked against these names before anything runs,
+   so a typo is a hard error instead of a silently empty run. *)
+let phases =
+  [
+    ("tables", regenerate_tables);
+    ("figure1", figure1_flows);
+    ("ablation-weight-sweep", ablation_weight_sweep);
+    ("ablation-leakage", ablation_leakage);
+    ("ablation-ga-effort", ablation_ga_effort);
+    ("ablation-solvers", ablation_solvers);
+    ("ablation-mappers", ablation_mappers);
+    ("ablation-dvs", ablation_dvs);
+    ("ablation-bus", ablation_bus);
+    ("ablation-refinement", ablation_refinement);
+    ("ablation-dtm", ablation_dtm);
+    ("design-space", design_space_exploration);
+    ("parallel-scaling", parallel_scaling);
+    ("campaign", campaign_bench);
+    ("observability-overhead", observability_overhead);
+  ]
+
+let validate_only_phases () =
+  let known = List.map fst phases in
+  match List.filter (fun p -> not (List.mem p known)) only_phases with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown --only phase%s: %s\nvalid phases: %s\n"
+        (if List.length unknown = 1 then "" else "s")
+        (String.concat ", " unknown)
+        (String.concat ", " known);
+      exit 2
+
+let export_trace = function
+  | Some path ->
+      Core.Trace.stop ();
+      Core.Trace.export_chrome path;
+      Printf.printf "wrote %d spans to %s\n" (Core.Trace.span_count ()) path;
+      announce_json path
+  | None -> ()
+
 let () =
   validate_only_phases ();
   let flag_value name =
@@ -1006,34 +938,13 @@ let () =
   let trace_path = flag_value "--trace" in
   let metrics_path = flag_value "--metrics" in
   (match trace_path with Some _ -> Core.Trace.start () | None -> ());
-  timed_phase "tables" regenerate_tables;
-  timed_phase "figure1" figure1_flows;
-  timed_phase "ablation-weight-sweep" ablation_weight_sweep;
-  timed_phase "ablation-leakage" ablation_leakage;
-  timed_phase "ablation-ga-effort" ablation_ga_effort;
-  timed_phase "ablation-solvers" ablation_solvers;
-  timed_phase "ablation-floorplanners" ablation_floorplanners;
-  timed_phase "ablation-mappers" ablation_mappers;
-  timed_phase "ablation-dvs" ablation_dvs;
-  timed_phase "ablation-bus" ablation_bus;
-  timed_phase "ablation-stack" ablation_stack;
-  timed_phase "ablation-clustering" ablation_clustering;
-  timed_phase "ablation-refinement" ablation_refinement;
-  timed_phase "ablation-dtm" ablation_dtm;
-  timed_phase "ablation-montecarlo" ablation_montecarlo;
-  timed_phase "design-space" design_space_exploration;
-  timed_phase "parallel-scaling" parallel_scaling;
-  timed_phase "campaign" campaign_bench;
-  (* The overhead probe resets the trace, so a --trace run exports what
-     was recorded up to here. *)
-  (match trace_path with
-  | Some path ->
-      Core.Trace.stop ();
-      Core.Trace.export_chrome path;
-      Printf.printf "wrote %d spans to %s\n" (Core.Trace.span_count ()) path;
-      announce_json path
-  | None -> ());
-  timed_phase "observability-overhead" observability_overhead;
+  List.iter
+    (fun (name, run) ->
+      (* The overhead probe resets the trace, so a --trace run exports what
+         was recorded before it. *)
+      if name = "observability-overhead" then export_trace trace_path;
+      timed_phase name run)
+    phases;
   write_phases ();
   (match metrics_path with
   | Some path ->

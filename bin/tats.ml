@@ -28,9 +28,8 @@ let csv_arg =
 let jobs_arg =
   let doc =
     "Size of the execution pool (domains) used for parallel sections — \
-     table cells, GA fitness evaluation, Monte-Carlo replications, SA \
-     restarts. Defaults to the number of cores; results are identical at \
-     any value."
+     table cells, GA fitness evaluation, SA restarts. Defaults to the \
+     number of cores; results are identical at any value."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 

@@ -40,6 +40,9 @@ let run socket max_queue batch_max jobs trace metrics =
   (* Handlers only flip an atomic; the accept thread notices within its
      poll interval and runs the full graceful stop. *)
   let on_signal _ = Server.signal_stop server in
+  (* A parent may hand down a mask that blocks them (the test runners
+     block SIGTERM); unblocked, they reach the handlers. *)
+  ignore (Thread.sigmask Unix.SIG_UNBLOCK [ Sys.sigint; Sys.sigterm ] : int list);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Format.eprintf

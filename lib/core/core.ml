@@ -15,7 +15,6 @@ module Analysis = Tats_taskgraph.Analysis
 module Generator = Tats_taskgraph.Generator
 module Benchmarks = Tats_taskgraph.Benchmarks
 module Cond = Tats_taskgraph.Cond
-module Cluster = Tats_taskgraph.Cluster
 module Dot = Tats_taskgraph.Dot
 module Tgff_io = Tats_taskgraph.Tgff_io
 module Pe = Tats_techlib.Pe
@@ -27,14 +26,12 @@ module Block = Tats_floorplan.Block
 module Placement = Tats_floorplan.Placement
 module Slicing = Tats_floorplan.Slicing
 module Ga = Tats_floorplan.Ga
-module Sa = Tats_floorplan.Sa
 module Grid = Tats_floorplan.Grid
 module Package = Tats_thermal.Package
 module Rcmodel = Tats_thermal.Rcmodel
 module Steady = Tats_thermal.Steady
 module Transient = Tats_thermal.Transient
 module Gridmodel = Tats_thermal.Gridmodel
-module Stack = Tats_thermal.Stack
 module Hotspot = Tats_thermal.Hotspot
 module Inquiry = Tats_thermal.Inquiry
 module Policy = Tats_sched.Policy
@@ -50,7 +47,6 @@ module Periodic = Tats_sched.Periodic
 module Dtm = Tats_sched.Dtm
 module Replay = Tats_sched.Replay
 module Online = Tats_sched.Online
-module Montecarlo = Tats_sched.Montecarlo
 module Metrics = Tats_sched.Metrics
 module Svg = Tats_render.Svg
 module Visuals = Tats_render.Visuals
@@ -59,7 +55,6 @@ module Flow = Tats_cosynth.Flow
 module Pareto = Tats_cosynth.Pareto
 module Serve = Tats_serve
 module Campaign = Tats_campaign.Campaign
-module Phases = Phases
 module Experiments = Experiments
 module Paper_data = Paper_data
 module Report = Report

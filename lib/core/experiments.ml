@@ -27,9 +27,8 @@ let rec pairs = function a :: b :: rest -> (a, b) :: pairs rest | _ -> []
 
 (* Tables 2 and 3 repeat Table 1's h3 cells, so each distinct cell id runs
    once: one pool task per cell ([chunk:1] — cells are coarse and few).
-   Inside a cell, the nested GA/Monte-Carlo maps degrade to inline
-   execution; cell values are pure, so the tables are identical at any
-   pool size. *)
+   Inside a cell, the nested GA maps degrade to inline execution; cell
+   values are pure, so the tables are identical at any pool size. *)
 let tables () =
   let cells name = Campaign.expand (Option.get (Campaign.builtin name)) in
   let t1 = cells "table1" and t2 = cells "table2" and t3 = cells "table3" in

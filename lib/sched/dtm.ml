@@ -82,10 +82,8 @@ let simulate ?(params = default_params) ~lib ~hotspot (s : Schedule.t) =
         (fun acc (pred, data) ->
           if Float.is_nan finish.(pred) then infinity
           else
-            let delay =
-              Comm.delay comm ~data
-                ~same_pe:(s.Schedule.entries.(pred).Schedule.pe = pe)
-            in
+            let src = s.Schedule.entries.(pred).Schedule.pe in
+            let delay = Comm.delay_between comm ~src ~dst:pe ~data in
             Float.max acc (finish.(pred) +. delay))
         0.0 (Graph.preds graph task)
     in

@@ -18,6 +18,7 @@ type builder = {
 }
 
 let builder ~name ~deadline =
+  if not (Float.is_finite deadline) then invalid_arg "Graph.builder: non-finite deadline";
   if deadline <= 0.0 then invalid_arg "Graph.builder: non-positive deadline";
   { b_name = name; b_deadline = deadline; b_tasks = []; b_count = 0; b_edges = [] }
 
@@ -31,6 +32,7 @@ let add_edge b ?(data = 0.0) src dst =
   if src < 0 || src >= b.b_count || dst < 0 || dst >= b.b_count then
     invalid_arg "Graph.add_edge: unknown endpoint";
   if src = dst then invalid_arg "Graph.add_edge: self-loop";
+  if not (Float.is_finite data) then invalid_arg "Graph.add_edge: non-finite data";
   if data < 0.0 then invalid_arg "Graph.add_edge: negative data";
   if List.exists (fun e -> e.src = src && e.dst = dst) b.b_edges then
     invalid_arg "Graph.add_edge: duplicate edge";

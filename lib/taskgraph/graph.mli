@@ -14,15 +14,16 @@ type t
 type builder
 
 val builder : name:string -> deadline:float -> builder
-(** [deadline] must be positive. *)
+(** [deadline] must be positive and finite; otherwise raises
+    [Invalid_argument]. *)
 
 val add_task : builder -> ?name:string -> task_type:int -> unit -> Task.id
 (** Returns the identifier of the freshly added task. *)
 
 val add_edge : builder -> ?data:float -> Task.id -> Task.id -> unit
 (** [add_edge b src dst] adds a dependency. Raises [Invalid_argument] on an
-    unknown endpoint, a self-loop, or a duplicate edge. [data] defaults to
-    0. *)
+    unknown endpoint, a self-loop, a duplicate edge, or [data] that is
+    negative or not finite. [data] defaults to 0. *)
 
 val build : builder -> t
 (** Freezes the builder. Raises [Invalid_argument] if the graph is cyclic. *)

@@ -1,7 +1,15 @@
+(* The fewest significant digits, at least 6, that read back as [x]. *)
+let exact x =
+  let rec go digits =
+    let s = Printf.sprintf "%.*g" digits x in
+    if digits >= 17 || float_of_string s = x then s else go (digits + 1)
+  in
+  go 6
+
 let to_string g =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "graph %s deadline %.6g\n" (Graph.name g) (Graph.deadline g));
+    (Printf.sprintf "graph %s deadline %s\n" (Graph.name g) (exact (Graph.deadline g)));
   Array.iter
     (fun (t : Task.t) ->
       Buffer.add_string buf
@@ -14,7 +22,7 @@ let to_string g =
         Buffer.add_string buf (Printf.sprintf "edge %s -> %s\n" (name src) (name dst))
       else
         Buffer.add_string buf
-          (Printf.sprintf "edge %s -> %s data %.6g\n" (name src) (name dst) data))
+          (Printf.sprintf "edge %s -> %s data %s\n" (name src) (name dst) (exact data)))
     (Graph.edges g);
   Buffer.contents buf
 
@@ -43,12 +51,12 @@ let of_string text =
         match (state.builder, float_of_string_opt d) with
         | Some _, _ -> err lineno "duplicate graph directive"
         | None, None -> err lineno ("bad deadline: " ^ d)
-        | None, Some deadline ->
-            if deadline <= 0.0 then err lineno "non-positive deadline"
-            else begin
-              state.builder <- Some (Graph.builder ~name ~deadline);
-              Ok ()
-            end
+        | None, Some deadline -> (
+            match Graph.builder ~name ~deadline with
+            | b ->
+                state.builder <- Some b;
+                Ok ()
+            | exception Invalid_argument msg -> err lineno msg)
       end
     | [ "task"; name; "type"; tt ] -> begin
         match (state.builder, int_of_string_opt tt) with
@@ -69,8 +77,7 @@ let of_string text =
           | [] -> Ok 0.0
           | [ "data"; d ] -> begin
               match float_of_string_opt d with
-              | Some x when x >= 0.0 -> Ok x
-              | Some _ -> Error "negative edge data"
+              | Some x -> Ok x
               | None -> Error ("bad edge data: " ^ d)
             end
           | _ -> Error "trailing tokens after edge"

@@ -13,7 +13,9 @@
     after both endpoints were declared (like TGFF output). *)
 
 val to_string : Graph.t -> string
-(** Serialize; [of_string (to_string g)] reconstructs an identical graph. *)
+(** Serialize; [of_string (to_string g)] reconstructs an identical graph.
+    Deadlines and edge data are printed with the fewest significant digits
+    (at least 6) that read back as the same float. *)
 
 val of_string : string -> (Graph.t, string) result
 (** Parse. The error string carries a 1-based line number. *)

@@ -102,29 +102,6 @@ let wcet_avg t ~task_type =
 let max_wcpc t = t.max_wcpc
 let max_energy t = t.max_energy
 
-let aggregate t ~member_types =
-  let nk = Array.length t.kinds in
-  let n_clusters = Array.length member_types in
-  let wcet = Array.make_matrix n_clusters nk 0.0 in
-  let wcpc = Array.make_matrix n_clusters nk 0.0 in
-  Array.iteri
-    (fun c types ->
-      if types = [] then invalid_arg "Library.aggregate: empty cluster";
-      for k = 0 to nk - 1 do
-        let total_wcet =
-          List.fold_left (fun acc tt -> acc +. t.wcet.(tt).(k)) 0.0 types
-        in
-        let total_energy =
-          List.fold_left
-            (fun acc tt -> acc +. (t.wcet.(tt).(k) *. t.wcpc.(tt).(k)))
-            0.0 types
-        in
-        wcet.(c).(k) <- total_wcet;
-        wcpc.(c).(k) <- total_energy /. total_wcet
-      done)
-    member_types;
-  with_maxima ~kinds:t.kinds ~wcet ~wcpc ~comm:t.comm
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>library: %d task types x %d kinds@," (n_task_types t)
     (Array.length t.kinds);

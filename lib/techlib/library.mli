@@ -40,16 +40,7 @@ val wcet_avg : t -> task_type:int -> float
 val max_wcpc : t -> float
 val max_energy : t -> float
 (** Library-wide maxima over every (task type, kind), used to normalize DC
-    cost terms. Folded once when {!of_tables}, {!generate} or
-    {!aggregate} builds the library, so each call is a field read. *)
-
-val aggregate : t -> member_types:int list array -> t
-(** The library for a clustered task graph (see
-    {!Tats_taskgraph.Cluster}): cluster [c] becomes task type [c] whose
-    WCET on a kind is the sum of its members' WCETs (a fused chain
-    serializes on one PE) and whose WCPC is the energy-weighted average
-    power, so cluster energy = sum of member energies. Kinds and the
-    communication model are inherited. Every member list must be
-    non-empty. *)
+    cost terms. Folded once when {!of_tables} or {!generate} builds the
+    library, so each call is a field read. *)
 
 val pp : Format.formatter -> t -> unit

@@ -18,10 +18,10 @@
 
     The engine answers two kinds of inquiry, and keeps one store:
 
-    - {!query_with_leakage} (metrics, [tatsd] inquiry requests,
-      Monte-Carlo) runs the fixed point from the linear seed on every
-      call and stores nothing, so its answer is a pure function of the
-      influence matrix and the power vectors.
+    - {!query_with_leakage} (metrics and [tatsd] inquiry requests) runs
+      the fixed point from the linear seed on every call and stores
+      nothing, so its answer is a pure function of the influence matrix
+      and the power vectors.
     - The list scheduler's candidate inquiries are answered from
       {e per-step tables} ({!step}): one per scheduling step's base (the
       committed PE energies and the idle powers, bit for bit), holding

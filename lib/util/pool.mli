@@ -1,9 +1,9 @@
 (** Domain pool for embarrassingly parallel outer loops.
 
-    The repo's stochastic workloads — Monte-Carlo replications, GA
-    floorplan fitness evaluation, SA mapper restarts, benchmark sweeps,
-    table regeneration — are independent task batches over pure
-    functions. This pool runs such batches across OCaml 5 domains.
+    The repo's parallel workloads — GA floorplan fitness evaluation, SA
+    mapper restarts, campaign cells, table regeneration, batched [tatsd]
+    requests — are independent task batches over pure functions. This
+    pool runs such batches across OCaml 5 domains.
 
     One invariant keeps the runtime small: {e at most one batch is in
     flight per pool}. Batches from different domains are serialized and

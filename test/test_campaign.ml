@@ -646,6 +646,26 @@ let test_encodings_pinned () =
     "cell id" [ "7b2269e72bea1c5e2ac5baaa852e65b6" ]
     (List.map Campaign.cell_id (Campaign.expand spec))
 
+(* Random bytes and single-byte mutations of every builtin's encoding
+   decode to Ok or Error; nothing escapes as an exception. *)
+let test_spec_fuzz () =
+  let parse text =
+    match Campaign.spec_of_string text with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "spec_of_string raised %s on %S" (Printexc.to_string e) text
+  in
+  for _ = 1 to 500 do
+    parse (Fuzz.rand_string 120)
+  done;
+  List.iter
+    (fun name ->
+      let text = Campaign.spec_to_string (Option.get (Campaign.builtin name)) in
+      for _ = 1 to 200 do
+        parse (Fuzz.mutate text)
+      done)
+    Campaign.builtin_names
+
 (* --- CLI ------------------------------------------------------------------ *)
 
 let test_cli_run_report_gate () =
@@ -739,14 +759,7 @@ let test_cli_run_report_gate () =
         "benchmark index 9 out of range" );
     ]
 
-(* --- bench-phase / alias drift -------------------------------------------- *)
-
-let test_phase_list_well_formed () =
-  let names = Core.Phases.names in
-  Alcotest.(check int) "no duplicate phases" (List.length names)
-    (List.length (List.sort_uniq compare names));
-  Alcotest.(check bool) "campaign phase registered" true
-    (List.mem "campaign" names)
+(* --- alias drift ---------------------------------------------------------- *)
 
 let test_fast_suite_aliases_exist () =
   (* The subsystem batteries each have a fast dune alias
@@ -768,7 +781,7 @@ let test_fast_suite_aliases_exist () =
     [ "online"; "serve"; "campaign"; "hetero" ]
 
 let () =
-  Alcotest.run "campaign"
+  Runner.run "campaign"
     [
       ( "expansion",
         [
@@ -819,6 +832,7 @@ let () =
           Alcotest.test_case "same input, same verdict" `Quick
             test_same_input_same_verdict;
           Alcotest.test_case "encodings pinned" `Quick test_encodings_pinned;
+          Alcotest.test_case "spec fuzz" `Quick test_spec_fuzz;
         ] );
       ( "cli",
         [
@@ -827,8 +841,6 @@ let () =
         ] );
       ( "drift",
         [
-          Alcotest.test_case "phase list well-formed" `Quick
-            test_phase_list_well_formed;
           Alcotest.test_case "fast-suite dune aliases exist" `Quick
             test_fast_suite_aliases_exist;
         ] );

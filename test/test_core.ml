@@ -197,7 +197,7 @@ let test_version () =
   Alcotest.(check bool) "non-empty" true (String.length Core.version > 0)
 
 let () =
-  Alcotest.run "core"
+  Runner.run "core"
     [
       ( "paper_data",
         [

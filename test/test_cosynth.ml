@@ -346,7 +346,7 @@ let test_pareto_frontier_dedups_triples () =
   Alcotest.(check int) "one survivor" 1 (List.length f)
 
 let () =
-  Alcotest.run "tats_cosynth"
+  Runner.run "tats_cosynth"
     [
       ( "alloc",
         [

@@ -164,6 +164,97 @@ let seed_stepper model ~dt =
     let x = Lu.solve_factored factored b in
     Array.blit x 0 temps 0 n
 
+(* On a 2x2 mesh every transfer also pays hops x per_hop_delay; the
+   simulation must wait for it as the scheduler did, so an untriggered run
+   still reproduces every task's finish, to the dt rounding that
+   accumulates along dependency chains. *)
+let test_dtm_mesh_pays_hop_latency () =
+  let lib =
+    Library.generate ~seed:77 ~n_task_types:Benchmarks.n_task_types
+      ~kinds:[ Catalog.platform_kind () ]
+      ~comm:(Comm.mesh ~cols:2 ~per_hop_delay:8.0 ())
+      ()
+  in
+  let s =
+    List_sched.run ~graph:(Benchmarks.load 0) ~lib ~pes:(platform_pes 4)
+      ~policy:Policy.Baseline ()
+  in
+  let params = { Dtm.default_params with Dtm.trigger = 1e9; dt = 0.01 } in
+  let r = Dtm.simulate ~params ~lib ~hotspot:(platform_hotspot 4) s in
+  let slack = float_of_int (Graph.longest_path_hops s.Schedule.graph + 1) *. 0.01 in
+  Array.iteri
+    (fun task f ->
+      let static = s.Schedule.entries.(task).Schedule.finish in
+      Alcotest.(check bool)
+        (Printf.sprintf "task %d: %.2f vs %.2f" task f static)
+        true
+        (Float.abs (f -. static) <= slack +. 1e-6))
+    r.Dtm.finish
+
+let mesh_lib ~per_hop_delay =
+  Library.generate ~seed:77 ~n_task_types:Benchmarks.n_task_types
+    ~kinds:[ Catalog.platform_kind () ]
+    ~comm:(Comm.mesh ~cols:2 ~per_hop_delay ())
+    ()
+
+(* Throttled or not, no task finishes before its inputs arrived over the
+   mesh (finish + hops x per-hop delay + bytes x rate) and it ran for its
+   WCET. *)
+let test_dtm_mesh_waits_for_data () =
+  let lib = mesh_lib ~per_hop_delay:8.0 in
+  let comm = Library.comm lib in
+  let hot = { Dtm.default_params with Dtm.trigger = 60.0; hysteresis = 2.0 } in
+  List.iter
+    (fun (bench, params) ->
+      let s =
+        List_sched.run ~graph:(Benchmarks.load bench) ~lib ~pes:(platform_pes 4)
+          ~policy:Policy.Baseline ()
+      in
+      let r = Dtm.simulate ~params ~lib ~hotspot:(platform_hotspot 4) s in
+      if params == hot then
+        Alcotest.(check bool) "throttling happened" true (r.Dtm.throttled_fraction > 0.0);
+      let graph = s.Schedule.graph in
+      List.iter
+        (fun { Graph.src; dst; data } ->
+          let pe task = s.Schedule.entries.(task).Schedule.pe in
+          let wcet =
+            Library.wcet lib ~task_type:(Graph.task graph dst).Task.task_type
+              ~kind:s.Schedule.pes.(pe dst).Pe.kind.Pe.kind_id
+          in
+          let earliest =
+            r.Dtm.finish.(src)
+            +. Comm.delay_between comm ~src:(pe src) ~dst:(pe dst) ~data
+            +. wcet
+          in
+          if r.Dtm.finish.(dst) < earliest -. 1e-6 then
+            Alcotest.failf "Bm%d edge %d->%d: finish %.2f before %.2f" (bench + 1) src
+              dst r.Dtm.finish.(dst) earliest)
+        (Graph.edges graph))
+    [ (0, no_throttle_params); (1, no_throttle_params); (0, hot); (1, hot) ]
+
+(* A mesh whose hops cost nothing is the shared bus at the same rates: the
+   same schedule simulates to the same finishes, bit for bit, with and
+   without throttling. *)
+let test_dtm_zero_hop_mesh_is_bus () =
+  let bus =
+    Library.generate ~seed:77 ~n_task_types:Benchmarks.n_task_types
+      ~kinds:[ Catalog.platform_kind () ]
+      ()
+  in
+  let mesh = mesh_lib ~per_hop_delay:0.0 in
+  let s =
+    List_sched.run ~graph:(Benchmarks.load 2) ~lib:bus ~pes:(platform_pes 4)
+      ~policy:Policy.Baseline ()
+  in
+  let bits a = Array.map Int64.bits_of_float a in
+  List.iter
+    (fun params ->
+      let on lib = Dtm.simulate ~params ~lib ~hotspot:(platform_hotspot 4) s in
+      let a = on bus and b = on mesh in
+      Alcotest.(check (array int64)) "finishes" (bits a.Dtm.finish) (bits b.Dtm.finish);
+      Alcotest.(check (float 0.0)) "peak" a.Dtm.peak_temperature b.Dtm.peak_temperature)
+    [ no_throttle_params; { Dtm.default_params with Dtm.trigger = 60.0 } ]
+
 type transition = { t_pe : int; temp : float; engaged : bool }
 
 (* A faithful transcription of Dtm.simulate's closed loop, driven by the
@@ -211,10 +302,8 @@ let dtm_replica ~params ~lib ~hotspot (s : Schedule.t) =
         (fun acc (pred, data) ->
           if Float.is_nan finish.(pred) then infinity
           else
-            let delay =
-              Comm.delay comm ~data
-                ~same_pe:(s.Schedule.entries.(pred).Schedule.pe = pe)
-            in
+            let src = s.Schedule.entries.(pred).Schedule.pe in
+            let delay = Comm.delay_between comm ~src ~dst:pe ~data in
             Float.max acc (finish.(pred) +. delay))
         0.0 (Graph.preds graph task)
     in
@@ -552,12 +641,16 @@ let test_power_gating_monotone_in_break_even () =
     (Float.abs (s0 -. Metrics.idle_energy s) < 1e-6)
 
 let () =
-  Alcotest.run "dtm_analysis"
+  Runner.run "dtm_analysis"
     [
       ( "dtm",
         [
           Alcotest.test_case "no trigger = schedule" `Quick
             test_dtm_no_trigger_reproduces_schedule;
+          Alcotest.test_case "mesh hop latency" `Quick
+            test_dtm_mesh_pays_hop_latency;
+          Alcotest.test_case "mesh waits for data" `Quick test_dtm_mesh_waits_for_data;
+          Alcotest.test_case "zero-hop mesh = bus" `Quick test_dtm_zero_hop_mesh_is_bus;
           Alcotest.test_case "low trigger throttles" `Quick
             test_dtm_low_trigger_throttles_and_lengthens;
           Alcotest.test_case "thermal schedule throttles less" `Quick

@@ -212,7 +212,7 @@ let prop_mesh_hops_symmetric =
       Comm.hops comm ~src:a ~dst:b = Comm.hops comm ~src:b ~dst:a)
 
 let () =
-  Alcotest.run "edge_cases"
+  Runner.run "edge_cases"
     [
       ( "linalg",
         [

@@ -1,141 +1,13 @@
-(* Tests for the extension substrates: the SA floorplanner, the multi-layer
-   thermal stack, TGFF-style file I/O, and conditional-graph scenario
-   analysis. *)
+(* Tests for the extension substrates: TGFF-style file I/O and
+   conditional-graph scenario analysis. *)
 
 module Rng = Tats_util.Rng
-module Block = Tats_floorplan.Block
-module Placement = Tats_floorplan.Placement
-module Slicing = Tats_floorplan.Slicing
-module Ga = Tats_floorplan.Ga
-module Sa = Tats_floorplan.Sa
-module Grid = Tats_floorplan.Grid
-module Package = Tats_thermal.Package
-module Rcmodel = Tats_thermal.Rcmodel
-module Steady = Tats_thermal.Steady
-module Stack = Tats_thermal.Stack
 module Graph = Tats_taskgraph.Graph
 module Generator = Tats_taskgraph.Generator
 module Benchmarks = Tats_taskgraph.Benchmarks
 module Cond = Tats_taskgraph.Cond
 module Tgff_io = Tats_taskgraph.Tgff_io
 module Task = Tats_taskgraph.Task
-
-let blocks n =
-  Array.init n (fun i -> Block.make ~name:(Printf.sprintf "b%d" i) ~area:1e-6 ())
-
-let area_cost p = Placement.die_area p
-
-(* --- Sa floorplanner ----------------------------------------------------- *)
-
-let test_sa_improves_on_initial () =
-  let bs =
-    Array.init 8 (fun i ->
-        Block.make ~name:(string_of_int i) ~area:((float_of_int i +. 1.0) *. 1e-6) ())
-  in
-  let initial = area_cost (Slicing.evaluate bs (Slicing.initial 8)) in
-  let r = Sa.run ~seed:1 ~blocks:bs ~cost:area_cost () in
-  Alcotest.(check bool) "sa <= initial" true (r.Sa.best_cost <= initial +. 1e-15);
-  Alcotest.(check bool) "valid result" false (Placement.has_overlap r.Sa.best_placement)
-
-let test_sa_deterministic () =
-  let bs = blocks 6 in
-  let a = Sa.run ~seed:3 ~blocks:bs ~cost:area_cost () in
-  let b = Sa.run ~seed:3 ~blocks:bs ~cost:area_cost () in
-  Alcotest.(check (float 0.0)) "same cost" a.Sa.best_cost b.Sa.best_cost
-
-let test_sa_counts_moves () =
-  let bs = blocks 4 in
-  let r = Sa.run ~seed:2 ~blocks:bs ~cost:area_cost () in
-  Alcotest.(check bool) "tried > 0" true (r.Sa.moves_tried > 0);
-  Alcotest.(check bool) "accepted <= tried" true
-    (r.Sa.moves_accepted <= r.Sa.moves_tried)
-
-let test_sa_validation () =
-  let bad f = try ignore (f () : Sa.result); false with Invalid_argument _ -> true in
-  Alcotest.(check bool) "bad cooling" true
-    (bad (fun () ->
-         Sa.run
-           ~params:{ Sa.default_params with Sa.cooling = 1.5 }
-           ~seed:1 ~blocks:(blocks 3) ~cost:area_cost ()));
-  Alcotest.(check bool) "empty blocks" true
-    (bad (fun () -> Sa.run ~seed:1 ~blocks:[||] ~cost:area_cost ()))
-
-let test_sa_vs_ga_same_ballpark () =
-  (* On the same blocks and cost, the two metaheuristics should land within
-     20% of each other — the comparison paper [3] reports. *)
-  let bs =
-    Array.init 7 (fun i ->
-        Block.make ~name:(string_of_int i) ~area:((float_of_int (i mod 3) +. 1.0) *. 1e-6) ())
-  in
-  let ga = Ga.run ~seed:5 ~blocks:bs ~cost:area_cost () in
-  let sa = Sa.run ~seed:5 ~blocks:bs ~cost:area_cost () in
-  let ratio = sa.Sa.best_cost /. ga.Ga.best_cost in
-  Alcotest.(check bool)
-    (Printf.sprintf "ratio %.3f in [0.8, 1.2]" ratio)
-    true
-    (ratio > 0.8 && ratio < 1.2)
-
-(* --- Stack (multi-layer thermal) ---------------------------------------- *)
-
-let platform_placement n =
-  Grid.layout
-    (Array.init n (fun i -> Block.make ~name:(Printf.sprintf "pe%d" i) ~area:1.6e-5 ()))
-
-let test_stack_conservation () =
-  let stack = Stack.build (platform_placement 4) in
-  let power = [| 3.0; 1.0; 2.0; 4.0 |] in
-  let sink = Stack.sink_temperature stack ~power in
-  Alcotest.(check (float 1e-6)) "sink conservation"
-    (Package.default.Package.ambient +. (Package.default.Package.r_convection *. 10.0))
-    sink
-
-let test_stack_gradient_descends () =
-  (* Heat flows die -> TIM -> spreader: temperatures must descend. *)
-  let stack = Stack.build (platform_placement 4) in
-  let die, tim, spr = Stack.layer_temperatures stack ~power:[| 5.0; 5.0; 5.0; 5.0 |] in
-  for i = 0 to 3 do
-    Alcotest.(check bool) "die >= tim" true (die.(i) >= tim.(i) -. 1e-9);
-    Alcotest.(check bool) "tim >= spreader" true (tim.(i) >= spr.(i) -. 1e-9)
-  done
-
-let test_stack_hotspot_location_agrees_with_compact () =
-  let placement = platform_placement 4 in
-  let stack = Stack.build placement in
-  let compact = Steady.create (Rcmodel.build Package.default placement) in
-  let power = [| 1.0; 7.0; 2.0; 3.0 |] in
-  let t_stack = Stack.block_temperatures stack ~power in
-  let t_compact = Steady.block_temperatures compact ~power in
-  Alcotest.(check int) "same hottest block"
-    (Tats_util.Stats.argmax t_compact)
-    (Tats_util.Stats.argmax t_stack);
-  (* Same global ordering of block temperatures. *)
-  let order temps =
-    let ids = Array.init 4 Fun.id in
-    Array.sort (fun a b -> compare temps.(b) temps.(a)) ids;
-    ids
-  in
-  Alcotest.(check (array int)) "same ranking" (order t_compact) (order t_stack)
-
-let test_stack_monotone_in_power () =
-  let stack = Stack.build (platform_placement 4) in
-  let lo = Stack.block_temperatures stack ~power:(Array.make 4 2.0) in
-  let hi = Stack.block_temperatures stack ~power:(Array.make 4 4.0) in
-  for i = 0 to 3 do
-    Alcotest.(check bool) "hotter with more power" true (hi.(i) > lo.(i))
-  done
-
-let test_stack_zero_power_ambient () =
-  let stack = Stack.build (platform_placement 2) in
-  Array.iter
-    (fun t ->
-      Alcotest.(check (float 1e-6)) "ambient" Package.default.Package.ambient t)
-    (Stack.block_temperatures stack ~power:[| 0.0; 0.0 |])
-
-let test_stack_rejects_bad_power () =
-  let stack = Stack.build (platform_placement 2) in
-  Alcotest.(check bool) "wrong size" true
-    (try ignore (Stack.block_temperatures stack ~power:[| 1.0 |] : float array); false
-     with Invalid_argument _ -> true)
 
 (* --- Tgff_io -------------------------------------------------------------- *)
 
@@ -186,6 +58,46 @@ let test_tgff_errors_carry_line_numbers () =
   expect_error "graph g deadline -3\n" "line 1";
   expect_error "" "no graph directive"
 
+(* Deadlines and edge data must be finite: NaN compares false against
+   every bound and infinity passes a sign check, so each is rejected by
+   Graph itself and reported with its line. *)
+let test_tgff_rejects_non_finite () =
+  let expect_error text fragment =
+    match Tgff_io.of_string text with
+    | Ok _ -> Alcotest.failf "accepted %S" text
+    | Error msg ->
+        Alcotest.(check string) (Printf.sprintf "error for %S" text) fragment msg
+  in
+  expect_error "graph g deadline nan\ntask a type 0\n"
+    "line 1: Graph.builder: non-finite deadline";
+  expect_error "graph g deadline inf\ntask a type 0\n"
+    "line 1: Graph.builder: non-finite deadline";
+  let edge data =
+    "graph g deadline 10\ntask a type 0\ntask b type 0\nedge a -> b data " ^ data
+  in
+  expect_error (edge "inf") "line 4: Graph.add_edge: non-finite data";
+  expect_error (edge "nan") "line 4: Graph.add_edge: non-finite data"
+
+(* Random bytes and single-byte mutations of the benchmarks' own files
+   parse to Ok or Error; nothing escapes as an exception. *)
+let test_tgff_fuzz () =
+  let parse text =
+    match Tgff_io.of_string text with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "of_string raised %s on %S" (Printexc.to_string e) text
+  in
+  for _ = 1 to 500 do
+    parse (Fuzz.rand_string 120)
+  done;
+  Array.iter
+    (fun g ->
+      let text = Tgff_io.to_string g in
+      for _ = 1 to 250 do
+        parse (Fuzz.mutate text)
+      done)
+    (Benchmarks.all ())
+
 let test_tgff_file_roundtrip () =
   let g = Benchmarks.load 0 in
   let path = Filename.temp_file "tats" ".tgff" in
@@ -198,6 +110,126 @@ let test_tgff_file_roundtrip () =
       | Ok g' ->
           Alcotest.(check int) "tasks" (Graph.n_tasks g) (Graph.n_tasks g');
           Alcotest.(check int) "edges" (Graph.n_edges g) (Graph.n_edges g'))
+
+(* Graph's range checks report through the parser with the line of the
+   offending directive; blank and comment lines still count. *)
+let test_tgff_range_errors_keep_line () =
+  let expect text msg =
+    match Tgff_io.of_string text with
+    | Ok _ -> Alcotest.failf "accepted %S" text
+    | Error got -> Alcotest.(check string) (Printf.sprintf "error for %S" text) msg got
+  in
+  expect "graph g deadline 0\n" "line 1: Graph.builder: non-positive deadline";
+  expect "# header\n\ngraph g deadline -3\n"
+    "line 3: Graph.builder: non-positive deadline";
+  expect "graph g deadline 10\ntask a type 0\n# gap\ntask b type 0\nedge a -> b data -1\n"
+    "line 5: Graph.add_edge: negative data";
+  expect "graph g deadline 10\ntask a type 0\nedge a -> a\n"
+    "line 3: Graph.add_edge: self-loop";
+  expect "graph g deadline 10\ntask a type 0\ntask b type 0\nedge a -> b\nedge a -> b\n"
+    "line 5: Graph.add_edge: duplicate edge"
+
+(* Each malformed directive names its line and what is wrong with it. *)
+let test_tgff_malformed_directives () =
+  let expect text msg =
+    match Tgff_io.of_string text with
+    | Ok _ -> Alcotest.failf "accepted %S" text
+    | Error got -> Alcotest.(check string) (Printf.sprintf "error for %S" text) msg got
+  in
+  let g = "graph g deadline 10\ntask a type 0\ntask b type 0\n" in
+  expect "graph g deadline ten\n" "line 1: bad deadline: ten";
+  expect "graph g deadline 10\ngraph h deadline 10\n" "line 2: duplicate graph directive";
+  expect "graph g\n" "line 1: unrecognized directive: graph";
+  expect "node a\n" "line 1: unrecognized directive: node";
+  expect "edge a -> b\n" "line 1: edge before graph directive";
+  expect "graph g deadline 10\ntask a type -1\n" "line 2: negative task type";
+  expect (g ^ "edge a b\n") "line 4: unrecognized directive: edge";
+  expect (g ^ "edge a -> b data\n") "line 4: trailing tokens after edge";
+  expect (g ^ "edge a -> b data x\n") "line 4: bad edge data: x";
+  expect (g ^ "edge a -> b data 1 extra\n") "line 4: trailing tokens after edge";
+  expect (g ^ "edge a -> c\n") "line 4: unknown task: c"
+
+(* A cycle is only visible once the whole graph is read, so it is reported
+   without a line. *)
+let test_tgff_cycle_rejected () =
+  let text =
+    "graph g deadline 10\ntask a type 0\ntask b type 0\nedge a -> b\nedge b -> a\n"
+  in
+  match Tgff_io.of_string text with
+  | Ok _ -> Alcotest.fail "cyclic graph accepted"
+  | Error msg -> Alcotest.(check string) "error" "Graph.build: cyclic graph" msg
+
+(* Every benchmark survives a text round trip with its structure, and
+   printing the parsed graph gives back the same text. *)
+let test_tgff_benchmarks_roundtrip () =
+  Array.iter
+    (fun g ->
+      let text = Tgff_io.to_string g in
+      match Tgff_io.of_string text with
+      | Error msg -> Alcotest.failf "%s: %s" (Graph.name g) msg
+      | Ok g' ->
+          let name = Graph.name g in
+          Alcotest.(check string) (name ^ ": text fixpoint") text (Tgff_io.to_string g');
+          Alcotest.(check (float 0.0)) (name ^ ": deadline") (Graph.deadline g)
+            (Graph.deadline g');
+          Alcotest.(check (list (pair int int)))
+            (name ^ ": edges")
+            (List.map (fun e -> (e.Graph.src, e.Graph.dst)) (Graph.edges g))
+            (List.map (fun e -> (e.Graph.src, e.Graph.dst)) (Graph.edges g'));
+          Alcotest.(check (list (float 0.0)))
+            (name ^ ": edge data")
+            (List.map (fun e -> e.Graph.data) (Graph.edges g))
+            (List.map (fun e -> e.Graph.data) (Graph.edges g'));
+          Alcotest.(check (array int))
+            (name ^ ": task types")
+            (Array.map (fun t -> t.Task.task_type) (Graph.tasks g))
+            (Array.map (fun t -> t.Task.task_type) (Graph.tasks g')))
+    (Benchmarks.all ())
+
+(* Numbers print with as few digits as read back exactly: short values
+   stay short, and one needing 17 significant digits keeps them all. *)
+let test_tgff_prints_exact_numbers () =
+  let b = Graph.builder ~name:"n" ~deadline:(0.1 +. 0.2) in
+  let t0 = Graph.add_task b ~name:"a" ~task_type:0 () in
+  let t1 = Graph.add_task b ~name:"b" ~task_type:0 () in
+  let t2 = Graph.add_task b ~name:"c" ~task_type:0 () in
+  Graph.add_edge b ~data:33.5 t0 t1;
+  Graph.add_edge b ~data:(1.0 /. 3.0) t1 t2;
+  let g = Graph.build b in
+  Alcotest.(check string) "text"
+    "graph n deadline 0.30000000000000004\ntask a type 0\ntask b type 0\n\
+     task c type 0\nedge a -> b data 33.5\nedge b -> c data 0.3333333333333333\n"
+    (Tgff_io.to_string g);
+  match Tgff_io.of_string (Tgff_io.to_string g) with
+  | Error msg -> Alcotest.fail msg
+  | Ok g' ->
+      Alcotest.(check (float 0.0)) "deadline" (0.1 +. 0.2) (Graph.deadline g');
+      Alcotest.(check (list (float 0.0))) "data" [ 33.5; 1.0 /. 3.0 ]
+        (List.map (fun e -> e.Graph.data) (Graph.edges g'))
+
+let test_tgff_load_missing_file () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "tats-no-such-file.tgff" in
+  if Sys.file_exists path then Sys.remove path;
+  match Tgff_io.load path with
+  | Ok _ -> Alcotest.fail "loaded a missing file"
+  | Error _ -> ()
+
+(* The fuzz helper makes exactly one edit: one byte replaced, deleted or
+   inserted, everything around it kept. *)
+let test_fuzz_mutate_is_one_edit () =
+  let s = "graph g deadline 10\ntask a type 0\n" in
+  for _ = 1 to 500 do
+    let m = Fuzz.mutate s in
+    let n = String.length s and k = String.length m in
+    let rec prefix i = if i < n && i < k && s.[i] = m.[i] then prefix (i + 1) else i in
+    let rec suffix j =
+      if j < n && j < k && s.[n - 1 - j] = m.[k - 1 - j] then suffix (j + 1) else j
+    in
+    let p = prefix 0 and q = suffix 0 in
+    Alcotest.(check bool) (Printf.sprintf "length %d -> %d" n k) true (abs (n - k) <= 1);
+    let kept = if n = k then n - 1 else Stdlib.min n k in
+    Alcotest.(check bool) (Printf.sprintf "one edit: %S" m) true (p + q >= kept)
+  done
 
 let prop_tgff_roundtrip_random =
   QCheck.Test.make ~name:"tgff roundtrip preserves structure" ~count:50
@@ -299,32 +331,24 @@ let test_scenarios_limit () =
     (List.length (Cond.scenarios ~limit:1024 c))
 
 let () =
-  Alcotest.run "extensions"
+  Runner.run "extensions"
     [
-      ( "sa_floorplan",
-        [
-          Alcotest.test_case "improves on initial" `Quick test_sa_improves_on_initial;
-          Alcotest.test_case "deterministic" `Quick test_sa_deterministic;
-          Alcotest.test_case "move accounting" `Quick test_sa_counts_moves;
-          Alcotest.test_case "validation" `Quick test_sa_validation;
-          Alcotest.test_case "sa vs ga ballpark" `Quick test_sa_vs_ga_same_ballpark;
-        ] );
-      ( "stack",
-        [
-          Alcotest.test_case "conservation" `Quick test_stack_conservation;
-          Alcotest.test_case "gradient descends" `Quick test_stack_gradient_descends;
-          Alcotest.test_case "agrees with compact" `Quick
-            test_stack_hotspot_location_agrees_with_compact;
-          Alcotest.test_case "monotone" `Quick test_stack_monotone_in_power;
-          Alcotest.test_case "zero power" `Quick test_stack_zero_power_ambient;
-          Alcotest.test_case "bad power" `Quick test_stack_rejects_bad_power;
-        ] );
       ( "tgff",
         [
           Alcotest.test_case "roundtrip" `Quick test_tgff_roundtrip_diamond;
           Alcotest.test_case "comments/blanks" `Quick test_tgff_parse_comments_and_blanks;
           Alcotest.test_case "error lines" `Quick test_tgff_errors_carry_line_numbers;
           Alcotest.test_case "file roundtrip" `Quick test_tgff_file_roundtrip;
+          Alcotest.test_case "non-finite rejected" `Quick test_tgff_rejects_non_finite;
+          Alcotest.test_case "fuzz" `Quick test_tgff_fuzz;
+          Alcotest.test_case "range errors keep line" `Quick
+            test_tgff_range_errors_keep_line;
+          Alcotest.test_case "malformed directives" `Quick test_tgff_malformed_directives;
+          Alcotest.test_case "cycle rejected" `Quick test_tgff_cycle_rejected;
+          Alcotest.test_case "benchmarks roundtrip" `Quick test_tgff_benchmarks_roundtrip;
+          Alcotest.test_case "exact numbers" `Quick test_tgff_prints_exact_numbers;
+          Alcotest.test_case "missing file" `Quick test_tgff_load_missing_file;
+          Alcotest.test_case "fuzz mutate is one edit" `Quick test_fuzz_mutate_is_one_edit;
         ] );
       ( "cond_scenarios",
         [

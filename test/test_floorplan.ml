@@ -347,7 +347,7 @@ let test_grid_row_wrapping () =
   Alcotest.(check bool) "next row" true (r3.Block.y > r0.Block.y)
 
 let () =
-  Alcotest.run "tats_floorplan"
+  Runner.run "tats_floorplan"
     [
       ( "geometry",
         [

@@ -438,7 +438,7 @@ let test_campaign_hetero_builtin () =
   | exception Invalid_argument _ -> ()
 
 let () =
-  Alcotest.run "hetero"
+  Runner.run "hetero"
     [
       ( "differential",
         [

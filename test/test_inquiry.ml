@@ -17,7 +17,6 @@ module Inquiry = Tats_thermal.Inquiry
 module Policy = Tats_sched.Policy
 module Schedule = Tats_sched.Schedule
 module List_sched = Tats_sched.List_sched
-module Montecarlo = Tats_sched.Montecarlo
 module Pool = Tats_util.Pool
 
 let platform_lib = Catalog.platform_library ()
@@ -437,22 +436,21 @@ let test_wall_time_is_wall_clock () =
      sum across [jobs] domains cannot exceed [jobs] x the elapsed wall
      time.  A CPU-time counter on 4 busy domains lands around 4x that
      bound, so the assertion discriminates. *)
-  let graph = Benchmarks.load 1 in
-  let pes = platform_pes 4 in
   let h = platform_hotspot 4 in
-  let schedule =
-    List_sched.run ~hotspot:h ~graph ~lib:platform_lib ~pes
-      ~policy:Policy.Thermal_aware ()
-  in
   let engine = Hotspot.inquiry h in
-  Inquiry.reset_stats engine;
+  let rng = Tats_util.Rng.create 7 in
+  let draws =
+    Array.init 400 (fun _ ->
+        Array.map (fun _ -> Tats_util.Rng.uniform rng 0.5 8.0) idle4)
+  in
   let jobs = 4 in
   let t0 = Tats_util.Trace.now () in
   ignore
     (Pool.with_pool ~jobs (fun pool ->
-         Montecarlo.analyze ~runs:400 ~pool ~seed:7 ~lib:platform_lib ~hotspot:h
-           schedule)
-     : Montecarlo.stats);
+         Pool.parallel_map pool
+           (fun dynamic -> Hotspot.inquire_with_leakage h ~dynamic ~idle:idle4)
+           draws)
+     : float array array);
   let elapsed = Tats_util.Trace.now () -. t0 in
   let s = Inquiry.stats engine in
   Alcotest.(check bool) "engine exercised" true (s.Inquiry.inquiries > 0);
@@ -495,7 +493,7 @@ let test_validation () =
      with Invalid_argument _ -> true)
 
 let () =
-  Alcotest.run "inquiry"
+  Runner.run "inquiry"
     [
       ( "influence",
         [

@@ -320,7 +320,7 @@ let test_csv_exports_match_tables () =
   Alcotest.(check int) "header + 16 rows" 17 (List.length lines)
 
 let () =
-  Alcotest.run "integration"
+  Runner.run "integration"
     [
       ( "tables",
         [

@@ -426,7 +426,7 @@ let test_cg_workspace_identical () =
   vec_identical "dirty workspace reuse" again fresh
 
 let () =
-  Alcotest.run "tats_kernels"
+  Runner.run "tats_kernels"
     [
       ( "matmul",
         [

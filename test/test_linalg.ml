@@ -203,7 +203,7 @@ let prop_cg_residual =
       !worst < 1e-6)
 
 let () =
-  Alcotest.run "tats_linalg"
+  Runner.run "tats_linalg"
     [
       ( "matrix",
         [

@@ -1130,7 +1130,7 @@ let test_costs_match_oracle () =
     (!costs > 10_000 && !shared > 100)
 
 let () =
-  Alcotest.run "memo"
+  Runner.run "memo"
     [
       ( "differential",
         [

@@ -567,7 +567,7 @@ let test_stats_sanity () =
     (Float.is_finite reactive.Online.stats.Online.peak_observed)
 
 let () =
-  Alcotest.run "online"
+  Runner.run "online"
     [
       ( "differential",
         [

@@ -269,7 +269,7 @@ let test_robustness_deterministic () =
     b.Core.Experiments.mean_reduction.Core.Experiments.d_max_temp
 
 let () =
-  Alcotest.run "periodic"
+  Runner.run "periodic"
     [
       ( "construction",
         [

@@ -1,7 +1,7 @@
 (* Tests for Tats_util.Pool: the domain pool's determinism contract
    (positional results, index-ordered reduction, lowest-index exception,
    nesting degrades inline), its stats counters, and the end-to-end
-   bit-identity of the parallel Monte-Carlo / GA / SA workloads at
+   bit-identity of the parallel leakage-inquiry / GA / SA workloads at
    different pool sizes. *)
 
 module Pool = Tats_util.Pool
@@ -172,15 +172,26 @@ let fresh_hotspot () =
        (Array.init 4 (fun i ->
             Core.Block.make ~name:(Printf.sprintf "PE%d" i) ~area:1.6e-5 ())))
 
-let test_montecarlo_bit_identical () =
-  let graph, lib, pes = platform_fixture () in
-  let schedule =
-    Core.List_sched.run ~graph ~lib ~pes ~policy:Core.Policy.Baseline ()
+(* Concurrent leakage inquiries on one shared facade: seeded power draws
+   from one [Rng] stream, solved in parallel. Every answer is a stateless
+   fixed point, so the result array must not depend on the pool size. *)
+let test_inquiries_bit_identical () =
+  let _, _, pes = platform_fixture () in
+  let idle =
+    Array.map (fun (i : Core.Pe.inst) -> i.Core.Pe.kind.Core.Pe.idle_power) pes
+  in
+  let rng = Core.Rng.create 11 in
+  let draws =
+    Array.init 100 (fun _ -> Array.map (fun _ -> Core.Rng.uniform rng 0.5 8.0) idle)
   in
   let run jobs =
+    let hotspot = fresh_hotspot () in
     with_pool ~jobs (fun pool ->
-        Core.Montecarlo.analyze ~runs:100 ~pool ~seed:11 ~lib
-          ~hotspot:(fresh_hotspot ()) schedule)
+        Pool.parallel_map pool
+          (fun dynamic ->
+            Array.map Int64.bits_of_float
+              (Core.Hotspot.inquire_with_leakage hotspot ~dynamic ~idle))
+          draws)
   in
   let reference = run 1 in
   List.iter
@@ -255,8 +266,60 @@ let test_sa_restarts_deterministic () =
   Alcotest.(check (float 0.0)) "restart 0 replays run" single.Core.Sa_mapper.cost
     costs.(0)
 
+(* --- the runner names a hung case ------------------------------------------ *)
+
+(* hang_probe (test/hang_probe.ml) runs one case that deadlocks a pool
+   batch, the submitter blocked in Condition.wait. On the SIGTERM that
+   test/dune's timeout sends, Runner.run must print the case and exit 124.
+   Every wait here is bounded. *)
+let test_runner_names_hung_case () =
+  let marker = Filename.temp_file "hang_probe" ".started" in
+  let log = Filename.temp_file "hang_probe" ".stderr" in
+  Sys.remove marker;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove (List.filter Sys.file_exists [ marker; log ]))
+    (fun () ->
+      let err = Unix.openfile log [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let pid =
+        Unix.create_process "./hang_probe.exe" [| "hang_probe"; marker |] null
+          null err
+      in
+      Unix.close err;
+      Unix.close null;
+      let rec wait_until what ready tries =
+        if not (ready ()) then
+          if tries = 0 then begin
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            Alcotest.failf "hang_probe: %s" what
+          end
+          else begin
+            Unix.sleepf 0.05;
+            wait_until what ready (tries - 1)
+          end
+      in
+      wait_until "its case never started" (fun () -> Sys.file_exists marker) 400;
+      Unix.kill pid Sys.sigterm;
+      let status = ref None in
+      wait_until "still running 10 s after SIGTERM"
+        (fun () ->
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ -> false
+          | _, s ->
+              status := Some s;
+              true)
+        200;
+      Alcotest.(check bool) "exit 124" true (!status = Some (Unix.WEXITED 124));
+      let ic = open_in log in
+      let line = input_line ic in
+      close_in ic;
+      Alcotest.(check string) "names the case"
+        "killed while running: pool/deadlocked batch" line)
+
 let () =
-  Alcotest.run "pool"
+  Runner.run "pool"
     [
       ( "parallel_map",
         [
@@ -287,11 +350,16 @@ let () =
         ] );
       ( "workload-determinism",
         [
-          Alcotest.test_case "Monte-Carlo bit-identical jobs 1 vs 2/4/8" `Quick
-            test_montecarlo_bit_identical;
+          Alcotest.test_case "leakage inquiries bit-identical jobs 1 vs 2/4/8"
+            `Quick test_inquiries_bit_identical;
           Alcotest.test_case "GA bit-identical jobs 1 vs 2/4/8" `Quick
             test_ga_bit_identical;
           Alcotest.test_case "SA restarts deterministic" `Quick
             test_sa_restarts_deterministic;
+        ] );
+      ( "runner",
+        [
+          Alcotest.test_case "names a hung case" `Quick
+            test_runner_names_hung_case;
         ] );
     ]

@@ -375,7 +375,7 @@ let test_shutdown_from_task_rejected () =
         true !saw_invalid)
 
 let () =
-  Alcotest.run "pool_adversarial"
+  Runner.run "pool_adversarial"
     [
       ( "randomized",
         [

@@ -1,7 +1,6 @@
 (* Property tests for Rng.derive — the seed-splitting primitive behind every
-   deterministic parallel workload (SA restarts, Monte-Carlo, benchmark
-   generation). Three claims, each load-bearing for the Pool determinism
-   contract:
+   deterministic parallel workload (SA restarts, online arrival streams).
+   Three claims, each load-bearing for the Pool determinism contract:
 
    1. distinct (seed, index) pairs yield pairwise-distinct streams over
       their first draws (no accidental stream collisions);
@@ -142,7 +141,7 @@ let test_golden_first_draws () =
     goldens
 
 let () =
-  Alcotest.run "props"
+  Runner.run "props"
     [
       ( "rng-derive",
         [

@@ -118,7 +118,7 @@ let test_save_roundtrip () =
       Alcotest.(check string) "roundtrip" doc read)
 
 let () =
-  Alcotest.run "render"
+  Runner.run "render"
     [
       ( "svg",
         [

@@ -372,6 +372,69 @@ let test_mesh_comm_energy_distance_dependent () =
   Alcotest.(check bool) "diagonal costs twice" true
     (Float.abs (diagonal -. (2.0 *. adjacent)) < 1e-9)
 
+(* Every policy schedules every benchmark validly on a 2x2 mesh, where
+   cross-PE transfers also pay their hop latency. *)
+let test_all_policies_valid_on_mesh () =
+  let mesh_lib =
+    Library.generate ~seed:77 ~n_task_types:Benchmarks.n_task_types
+      ~kinds:[ Catalog.platform_kind () ]
+      ~comm:(Tats_techlib.Comm.mesh ~cols:2 ~per_hop_delay:8.0 ())
+      ()
+  in
+  List.iter
+    (fun (bench, policy) ->
+      let graph = Benchmarks.load bench in
+      let s =
+        List_sched.run ~hotspot:(platform_hotspot 4) ~graph ~lib:mesh_lib
+          ~pes:(platform_pes 4) ~policy ()
+      in
+      let violations = Schedule.validate ~lib:mesh_lib s in
+      if violations <> [] then
+        Alcotest.failf "%s/%s: %d violations" (Graph.name graph) (Policy.name policy)
+          (List.length violations))
+    (all_benchmark_policy_pairs ())
+
+(* A consumer that waits only for the bus transfer, not the hops, is a
+   precedence breach on a mesh and fine on a bus. *)
+let test_validate_catches_missing_hop_latency () =
+  let comm = Tats_techlib.Comm.mesh ~cols:2 ~per_hop_delay:8.0 () in
+  let mesh_lib =
+    Library.generate ~seed:77 ~n_task_types:4 ~kinds:[ Catalog.platform_kind () ] ~comm ()
+  in
+  let bus_lib =
+    Library.generate ~seed:77 ~n_task_types:4 ~kinds:[ Catalog.platform_kind () ] ()
+  in
+  let b = Graph.builder ~name:"pair" ~deadline:1e6 in
+  let t0 = Graph.add_task b ~task_type:0 () in
+  let t1 = Graph.add_task b ~task_type:1 () in
+  Graph.add_edge b ~data:100.0 t0 t1;
+  let graph = Graph.build b in
+  let wcet t =
+    Library.wcet mesh_lib ~task_type:(Graph.task graph t).Tats_taskgraph.Task.task_type
+      ~kind:0
+  in
+  let forge ~dst ~delay =
+    let start = wcet 0 +. delay in
+    Schedule.make ~graph ~pes:(platform_pes 4)
+      ~entries:
+        [|
+          { Schedule.task = 0; pe = 0; start = 0.0; finish = wcet 0; energy = 1.0 };
+          { Schedule.task = 1; pe = dst; start; finish = start +. wcet 1; energy = 1.0 };
+        |]
+  in
+  let bus_delay = Tats_techlib.Comm.delay comm ~data:100.0 ~same_pe:false in
+  let early = forge ~dst:3 ~delay:bus_delay in
+  Alcotest.(check int) "valid on the bus" 0
+    (List.length (Schedule.validate ~lib:bus_lib early));
+  (match Schedule.validate ~lib:mesh_lib early with
+  | [ Schedule.Precedence ({ Graph.src = 0; dst = 1; _ }, _) ] -> ()
+  | v -> Alcotest.failf "expected one precedence breach, got %d violations" (List.length v));
+  let on_time =
+    forge ~dst:3 ~delay:(Tats_techlib.Comm.delay_between comm ~src:0 ~dst:3 ~data:100.0)
+  in
+  Alcotest.(check int) "valid with both hops" 0
+    (List.length (Schedule.validate ~lib:mesh_lib on_time))
+
 (* --- Adaptive weights --------------------------------------------------- *)
 
 let test_adaptive_meets_deadline_when_possible () =
@@ -495,7 +558,7 @@ let prop_generated_graphs_schedule_validly =
       Schedule.validate ~lib:platform_lib s = [])
 
 let () =
-  Alcotest.run "tats_sched"
+  Runner.run "tats_sched"
     [
       ( "policy",
         [
@@ -536,6 +599,10 @@ let () =
           Alcotest.test_case "mesh NoC validity" `Quick test_mesh_comm_schedules_validly;
           Alcotest.test_case "mesh energy by distance" `Quick
             test_mesh_comm_energy_distance_dependent;
+          Alcotest.test_case "all policies valid on mesh" `Quick
+            test_all_policies_valid_on_mesh;
+          Alcotest.test_case "validate sees hop latency" `Quick
+            test_validate_catches_missing_hop_latency;
         ] );
       ( "adaptive",
         [

@@ -21,7 +21,6 @@ module Bus_sched = Tats_sched.Bus_sched
 module Periodic = Tats_sched.Periodic
 module Online = Tats_sched.Online
 module Metrics = Tats_sched.Metrics
-module Sched_mc = Tats_sched.Montecarlo
 
 let platform_lib = Catalog.platform_library ()
 let hetero_lib = Catalog.default_library ()
@@ -394,56 +393,6 @@ let test_transient_peak_brackets_steady () =
         (p > steady.(pe) -. 2.0 && p < steady.(pe) +. 40.0))
     peaks
 
-(* --- Monte Carlo ------------------------------------------------------------ *)
-
-let test_montecarlo_wcet_is_upper_envelope () =
-  (* Sampling at exactly fraction 1.0 reproduces the static schedule. *)
-  let s = baseline_schedule 0 in
-  let hotspot = platform_hotspot 4 in
-  let r =
-    Sched_mc.analyze
-      ~sampler:{ Sched_mc.min_fraction = 1.0; max_fraction = 1.0 }
-      ~runs:3 ~seed:1 ~lib:platform_lib ~hotspot s
-  in
-  Alcotest.(check bool) "same makespan" true
-    (Float.abs (r.Sched_mc.makespan_mean -. s.Schedule.makespan) < 1e-6);
-  Alcotest.(check (float 1e-9)) "no misses" 0.0 r.Sched_mc.deadline_miss_rate
-
-let test_montecarlo_underruns_shorten () =
-  let s = baseline_schedule 0 in
-  let hotspot = platform_hotspot 4 in
-  let r = Sched_mc.analyze ~runs:100 ~seed:2 ~lib:platform_lib ~hotspot s in
-  Alcotest.(check bool) "mean below WCET makespan" true
-    (r.Sched_mc.makespan_mean < s.Schedule.makespan);
-  Alcotest.(check bool) "max below WCET makespan" true
-    (r.Sched_mc.makespan_max <= s.Schedule.makespan +. 1e-6);
-  Alcotest.(check bool) "p95 ordering" true
-    (r.Sched_mc.makespan_mean <= r.Sched_mc.makespan_p95
-    && r.Sched_mc.makespan_p95 <= r.Sched_mc.makespan_max +. 1e-9)
-
-let test_montecarlo_overruns_can_miss () =
-  (* The thermal schedule sits near the deadline; 20% overruns must produce
-     misses. *)
-  let graph = Benchmarks.load 0 in
-  let hotspot = platform_hotspot 4 in
-  let thermal, _ =
-    List_sched.run_adaptive ~hotspot ~graph ~lib:platform_lib ~pes:(platform_pes 4)
-      ~policy:Policy.Thermal_aware ()
-  in
-  let r =
-    Sched_mc.analyze
-      ~sampler:{ Sched_mc.min_fraction = 1.0; max_fraction = 1.2 }
-      ~runs:100 ~seed:3 ~lib:platform_lib ~hotspot thermal
-  in
-  Alcotest.(check bool) "misses occur" true (r.Sched_mc.deadline_miss_rate > 0.5)
-
-let test_montecarlo_deterministic () =
-  let s = baseline_schedule 1 in
-  let hotspot = platform_hotspot 4 in
-  let run () = Sched_mc.analyze ~runs:50 ~seed:9 ~lib:platform_lib ~hotspot s in
-  Alcotest.(check (float 0.0)) "repeatable" (run ()).Sched_mc.makespan_mean
-    (run ()).Sched_mc.makespan_mean
-
 (* --- List_sched.run_adaptive boundary cases -------------------------------- *)
 
 (* Rebuild a graph identical to [graph] except for its deadline. *)
@@ -566,7 +515,7 @@ let prop_dvs_safe_on_random_graphs =
       && Dvs.energy_saving_ratio plan >= -1e-9)
 
 let () =
-  Alcotest.run "sched_extensions"
+  Runner.run "sched_extensions"
     [
       ( "heft",
         [
@@ -610,14 +559,6 @@ let () =
         [
           Alcotest.test_case "empty PE array rejected" `Quick
             test_empty_pes_rejected;
-        ] );
-      ( "montecarlo",
-        [
-          Alcotest.test_case "wcet envelope" `Quick
-            test_montecarlo_wcet_is_upper_envelope;
-          Alcotest.test_case "underruns shorten" `Quick test_montecarlo_underruns_shorten;
-          Alcotest.test_case "overruns can miss" `Quick test_montecarlo_overruns_can_miss;
-          Alcotest.test_case "deterministic" `Quick test_montecarlo_deterministic;
         ] );
       ( "run_adaptive",
         [

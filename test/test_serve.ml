@@ -29,15 +29,6 @@ module Pool = Tats_util.Pool
 
 let () = Pool.set_default_jobs 2
 
-(* Deterministic pseudo-random bytes for the fuzz cases. *)
-let lcg = ref 0x2026
-let rand_int bound =
-  lcg := ((!lcg * 1103515245) + 12345) land 0x3FFFFFFF;
-  (!lcg lsr 7) mod bound
-let rand_string max_len =
-  let len = 1 + rand_int max_len in
-  String.init len (fun _ -> Char.chr (rand_int 256))
-
 let policy name = Option.get (Policy.of_name name)
 
 (* Record-literal helpers: the heterogeneity extension fields default to
@@ -164,7 +155,7 @@ let test_json_rejects () =
   | Ok _ -> Alcotest.fail "accepted 600-deep nesting");
   (* Fuzz: arbitrary bytes never raise. *)
   for _ = 1 to 500 do
-    match Json.of_string (rand_string 80) with Ok _ | Error _ -> ()
+    match Json.of_string (Fuzz.rand_string 80) with Ok _ | Error _ -> ()
   done
 
 (* --- framing -------------------------------------------------------------- *)
@@ -441,7 +432,7 @@ let test_server_rejects_garbage () =
      the connection keeps working. *)
   Client.with_client "t_serve_garbage.sock" @@ fun c ->
   for _ = 1 to 50 do
-    match Client.call c (Json.Str (rand_string 60)) with
+    match Client.call c (Json.Str (Fuzz.rand_string 60)) with
     | Ok reply ->
         (* A Str request is valid JSON but not an object. *)
         Alcotest.(check string) "code" "bad_request" (error_code reply)
@@ -452,7 +443,7 @@ let test_server_rejects_garbage () =
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
   for _ = 1 to 50 do
-    let payload = rand_string 60 in
+    let payload = Fuzz.rand_string 60 in
     Frame.write fd payload;
     match Frame.read fd with
     | Ok reply_s ->
@@ -912,7 +903,7 @@ let test_tatsd_binary () =
   Alcotest.(check bool) "socket unlinked" true (not (Sys.file_exists path))
 
 let () =
-  Alcotest.run "serve"
+  Runner.run "serve"
     [
       ( "json",
         [

@@ -68,6 +68,69 @@ let test_builder_rejects_bad_deadline () =
     (Invalid_argument "Graph.builder: non-positive deadline") (fun () ->
       ignore (Graph.builder ~name:"x" ~deadline:0.0 : Graph.builder))
 
+(* NaN fails every comparison and infinity passes a sign check, so the
+   builder tests finiteness first. *)
+let test_builder_rejects_non_finite () =
+  List.iter
+    (fun deadline ->
+      Alcotest.check_raises
+        (Printf.sprintf "deadline %h" deadline)
+        (Invalid_argument "Graph.builder: non-finite deadline") (fun () ->
+          ignore (Graph.builder ~name:"x" ~deadline : Graph.builder)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  let b = Graph.builder ~name:"x" ~deadline:10.0 in
+  let t0 = Graph.add_task b ~task_type:0 () in
+  let t1 = Graph.add_task b ~task_type:0 () in
+  List.iter
+    (fun data ->
+      Alcotest.check_raises
+        (Printf.sprintf "data %h" data)
+        (Invalid_argument "Graph.add_edge: non-finite data") (fun () ->
+          Graph.add_edge b ~data t0 t1))
+    [ Float.nan; Float.infinity ];
+  Alcotest.(check int) "no edge added" 0 (List.length (Graph.edges (Graph.build b)))
+
+(* Non-finite values are caught before the sign checks, so negative
+   infinity is reported as non-finite; a finite negative value keeps its
+   own message, and negative zero is zero. *)
+let test_builder_rejects_negative_values () =
+  List.iter
+    (fun deadline ->
+      Alcotest.check_raises
+        (Printf.sprintf "deadline %h" deadline)
+        (Invalid_argument "Graph.builder: non-positive deadline") (fun () ->
+          ignore (Graph.builder ~name:"x" ~deadline : Graph.builder)))
+    [ -1.0; -0.0; -.Float.max_float ];
+  let b = Graph.builder ~name:"x" ~deadline:10.0 in
+  let t0 = Graph.add_task b ~task_type:0 () in
+  let t1 = Graph.add_task b ~task_type:0 () in
+  Alcotest.check_raises "data -1" (Invalid_argument "Graph.add_edge: negative data")
+    (fun () -> Graph.add_edge b ~data:(-1.0) t0 t1);
+  Alcotest.check_raises "data -inf" (Invalid_argument "Graph.add_edge: non-finite data")
+    (fun () -> Graph.add_edge b ~data:Float.neg_infinity t0 t1);
+  Graph.add_edge b ~data:(-0.0) t0 t1;
+  Alcotest.(check int) "negative zero accepted" 1 (Graph.n_edges (Graph.build b))
+
+(* The finite extremes pass and are stored unchanged. *)
+let test_builder_accepts_finite_extremes () =
+  List.iter
+    (fun deadline ->
+      let g = Graph.build (Graph.builder ~name:"x" ~deadline) in
+      Alcotest.(check (float 0.0)) (Printf.sprintf "deadline %h" deadline) deadline
+        (Graph.deadline g))
+    [ Float.min_float; 4e-324; 1.0; Float.max_float ];
+  let b = Graph.builder ~name:"x" ~deadline:10.0 in
+  let t0 = Graph.add_task b ~task_type:0 () in
+  let t1 = Graph.add_task b ~task_type:0 () in
+  let t2 = Graph.add_task b ~task_type:0 () in
+  Graph.add_edge b ~data:0.0 t0 t1;
+  Graph.add_edge b ~data:Float.max_float t1 t2;
+  let g = Graph.build b in
+  Alcotest.(check (list (float 0.0))) "data kept" [ 0.0 ]
+    (List.map snd (Graph.succs g t0));
+  Alcotest.(check (list (float 0.0))) "max data kept" [ Float.max_float ]
+    (List.map snd (Graph.succs g t1))
+
 let test_topological_order_diamond () =
   let g = diamond () in
   let order = Graph.topological_order g in
@@ -257,87 +320,6 @@ let test_cond_rejects_bad_edge () =
     (try ignore (Cond.make g [ (3, 0, 0, true) ] : Cond.t); false
      with Invalid_argument _ -> true)
 
-(* --- Cluster ------------------------------------------------------------ *)
-
-module Cluster = Tats_taskgraph.Cluster
-
-(* A chain with a heavy middle edge plus a light side branch. *)
-let chain_with_branch () =
-  let b = Graph.builder ~name:"chain" ~deadline:100.0 in
-  let t0 = Graph.add_task b ~task_type:0 () in
-  let t1 = Graph.add_task b ~task_type:1 () in
-  let t2 = Graph.add_task b ~task_type:2 () in
-  let t3 = Graph.add_task b ~task_type:3 () in
-  Graph.add_edge b ~data:100.0 t0 t1;
-  Graph.add_edge b ~data:100.0 t1 t2;
-  Graph.add_edge b ~data:1.0 t0 t3;
-  Graph.build b
-
-let test_cluster_merges_heavy_chain () =
-  let g = chain_with_branch () in
-  let c = Cluster.linear ~threshold:10.0 g in
-  (* 0-1-2 fuse into one cluster; 3 stays alone. *)
-  Alcotest.(check int) "two clusters" 2 (Graph.n_tasks c.Cluster.clustered);
-  Alcotest.(check int) "same cluster 0/1" c.Cluster.cluster_of.(0)
-    c.Cluster.cluster_of.(1);
-  Alcotest.(check int) "same cluster 1/2" c.Cluster.cluster_of.(1)
-    c.Cluster.cluster_of.(2);
-  Alcotest.(check bool) "3 apart" true
-    (c.Cluster.cluster_of.(3) <> c.Cluster.cluster_of.(0));
-  Alcotest.(check (float 1e-9)) "internalized" 200.0 c.Cluster.internalized_data;
-  (match Cluster.validate c g with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "invalid clustering: %s" m)
-
-let test_cluster_threshold_blocks_merges () =
-  let g = chain_with_branch () in
-  let c = Cluster.linear ~threshold:1000.0 g in
-  Alcotest.(check int) "nothing merged" 4 (Graph.n_tasks c.Cluster.clustered);
-  Alcotest.(check (float 1e-9)) "nothing internalized" 0.0 c.Cluster.internalized_data
-
-let test_cluster_never_creates_cycle () =
-  (* The diamond: merging 0-1 and then 1-3 would strand 2 in a cycle if
-     unchecked; the result must stay a DAG (Graph.build would raise). *)
-  let g = diamond () in
-  let c = Cluster.linear g in
-  Alcotest.(check bool) "clustered is a DAG" true
-    (Array.length (Graph.topological_order c.Cluster.clustered)
-    = Graph.n_tasks c.Cluster.clustered);
-  (match Cluster.validate c g with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "invalid: %s" m)
-
-let test_cluster_lift_assignment () =
-  let g = chain_with_branch () in
-  let c = Cluster.linear ~threshold:10.0 g in
-  let lifted = Cluster.lift_assignment c ~cluster_assignment:[| 7; 9 |] in
-  Alcotest.(check int) "task 0 follows its cluster" lifted.(0)
-    lifted.(1);
-  Alcotest.(check bool) "branch may differ" true (Array.length lifted = 4)
-
-let test_cluster_types_are_dense () =
-  let g = chain_with_branch () in
-  let c = Cluster.linear ~threshold:10.0 g in
-  Array.iteri
-    (fun i (t : Task.t) -> Alcotest.(check int) "type = cluster id" i t.Task.task_type)
-    (Graph.tasks c.Cluster.clustered);
-  let types = Cluster.member_types c g in
-  Alcotest.(check int) "one list per cluster" (Graph.n_tasks c.Cluster.clustered)
-    (Array.length types);
-  Alcotest.(check (list int)) "chain types in order" [ 0; 1; 2 ] types.(0)
-
-let prop_cluster_valid_on_random_graphs =
-  QCheck.Test.make ~name:"linear clustering is structurally sound" ~count:60
-    QCheck.(pair small_int (int_range 2 30))
-    (fun (seed, tasks) ->
-      let lo, hi = Generator.feasible_edges ~n_tasks:tasks in
-      let edges = lo + ((seed * 5) mod (Stdlib.max 1 (hi - lo + 1))) in
-      let g = Generator.generate ~seed ~name:"q" (spec ~tasks ~edges) in
-      let c = Cluster.linear g in
-      Cluster.validate c g = Ok ()
-      && Array.length (Graph.topological_order c.Cluster.clustered)
-         = Graph.n_tasks c.Cluster.clustered)
-
 (* --- Dot ---------------------------------------------------------------- *)
 
 let test_dot_contains_nodes_and_edges () =
@@ -354,7 +336,7 @@ let test_dot_contains_nodes_and_edges () =
   Alcotest.(check bool) "edge" true (contains "n0 -> n1")
 
 let () =
-  Alcotest.run "tats_taskgraph"
+  Runner.run "tats_taskgraph"
     [
       ( "graph",
         [
@@ -364,6 +346,12 @@ let () =
           Alcotest.test_case "bad edges rejected" `Quick test_builder_rejects_bad_edges;
           Alcotest.test_case "bad deadline rejected" `Quick
             test_builder_rejects_bad_deadline;
+          Alcotest.test_case "non-finite rejected" `Quick
+            test_builder_rejects_non_finite;
+          Alcotest.test_case "negative values rejected" `Quick
+            test_builder_rejects_negative_values;
+          Alcotest.test_case "finite extremes accepted" `Quick
+            test_builder_accepts_finite_extremes;
           Alcotest.test_case "topological order" `Quick test_topological_order_diamond;
           Alcotest.test_case "connectivity/depth" `Quick test_connectivity_and_depth;
         ] );
@@ -398,16 +386,8 @@ let () =
           Alcotest.test_case "exclusion" `Quick test_cond_exclusion;
           Alcotest.test_case "bad edge rejected" `Quick test_cond_rejects_bad_edge;
         ] );
-      ( "cluster",
-        [
-          Alcotest.test_case "heavy chain merges" `Quick test_cluster_merges_heavy_chain;
-          Alcotest.test_case "threshold blocks" `Quick test_cluster_threshold_blocks_merges;
-          Alcotest.test_case "never cyclic" `Quick test_cluster_never_creates_cycle;
-          Alcotest.test_case "lift assignment" `Quick test_cluster_lift_assignment;
-          Alcotest.test_case "dense fresh types" `Quick test_cluster_types_are_dense;
-        ] );
       ("dot", [ Alcotest.test_case "render" `Quick test_dot_contains_nodes_and_edges ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_generator_valid; prop_cluster_valid_on_random_graphs ] );
+          [ prop_generator_valid ] );
     ]

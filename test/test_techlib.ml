@@ -157,8 +157,7 @@ let test_maxima () =
   Alcotest.(check (float 1e-9)) "max energy" 40.0 (Library.max_energy lib)
 
 (* The stored maxima against a fold over every (task type, kind), bit for
-   bit: the catalogue's libraries, seeded generated ones and their
-   aggregates. *)
+   bit: the catalogue's libraries and seeded generated ones. *)
 let test_maxima_are_the_fold () =
   let fold f lib =
     let acc = ref 0.0 in
@@ -187,13 +186,7 @@ let test_maxima_are_the_fold () =
     let lib =
       Library.generate ~seed ~n_task_types ~kinds:(Catalog.heterogeneous ()) ()
     in
-    let what = Printf.sprintf "generate seed %d" seed in
-    check what lib;
-    let member_types =
-      Array.init ((n_task_types + 1) / 2) (fun c ->
-          List.filter (fun tt -> tt / 2 = c) (List.init n_task_types Fun.id))
-    in
-    check (what ^ " aggregate") (Library.aggregate lib ~member_types)
+    check (Printf.sprintf "generate seed %d" seed) lib
   done;
   (* of_tables copies its tables: mutating them afterwards moves nothing. *)
   let wcet = [| [| 10.0; 20.0 |] |] and wcpc = [| [| 1.0; 2.0 |] |] in
@@ -220,36 +213,118 @@ let test_of_tables_validation () =
            ~kinds:[ kind ~id:1 () ]
            ~wcet:[| [| 1.0 |] |] ~wcpc:[| [| 1.0 |] |] ()))
 
-let test_aggregate_conserves_work_and_energy () =
-  let lib = Library.generate ~seed:9 ~n_task_types:5 ~kinds:(two_kinds ()) () in
-  let member_types = [| [ 0; 2; 4 ]; [ 1 ]; [ 3 ] |] in
-  let agg = Library.aggregate lib ~member_types in
-  Alcotest.(check int) "three cluster types" 3 (Library.n_task_types agg);
-  for k = 0 to 1 do
-    (* Cluster 0: WCET sums, energy sums. *)
-    let wcet_sum =
-      List.fold_left (fun acc tt -> acc +. Library.wcet lib ~task_type:tt ~kind:k)
-        0.0 [ 0; 2; 4 ]
-    in
-    let energy_sum =
-      List.fold_left (fun acc tt -> acc +. Library.energy lib ~task_type:tt ~kind:k)
-        0.0 [ 0; 2; 4 ]
-    in
-    Alcotest.(check (float 1e-9)) "wcet sum" wcet_sum
-      (Library.wcet agg ~task_type:0 ~kind:k);
-    Alcotest.(check (float 1e-6)) "energy sum" energy_sum
-      (Library.energy agg ~task_type:0 ~kind:k);
-    (* Singleton clusters are unchanged. *)
-    Alcotest.(check (float 1e-9)) "singleton wcet"
-      (Library.wcet lib ~task_type:1 ~kind:k)
-      (Library.wcet agg ~task_type:1 ~kind:k)
+(* Schedulers and the DTM simulator call [delay_between]; on a shared bus it
+   must be bit-equal to the topology-free [delay], so that switching a
+   consumer from one to the other moves no number. *)
+let test_bus_delay_between_is_delay () =
+  let custom = Comm.make ~delay_per_byte:0.37 ~energy_per_byte:0.01 () in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun data ->
+          for src = 0 to 7 do
+            for dst = 0 to 7 do
+              let expected = Comm.delay c ~data ~same_pe:(src = dst) in
+              let got = Comm.delay_between c ~src ~dst ~data in
+              if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got))
+              then Alcotest.failf "%d->%d data %g: %h vs %h" src dst data got expected
+            done
+          done)
+        [ 0.0; 1.0; 16.0; 33.3; 128.0; 1e6 ])
+    [ Comm.default; custom ]
+
+(* On a mesh every cross-PE transfer costs its hop latency on top of the
+   bus transfer, for every grid width and PE pair. *)
+let test_mesh_delay_decomposes () =
+  for cols = 1 to 4 do
+    let c = Comm.mesh ~cols ~per_hop_delay:3.5 () in
+    for src = 0 to 11 do
+      for dst = 0 to 11 do
+        let data = float_of_int (1 + src + (7 * dst)) in
+        let expected =
+          if src = dst then 0.0
+          else
+            (float_of_int (Comm.hops c ~src ~dst) *. 3.5)
+            +. Comm.delay c ~data ~same_pe:false
+        in
+        Alcotest.(check (float 1e-12))
+          (Printf.sprintf "cols %d: %d->%d" cols src dst)
+          expected
+          (Comm.delay_between c ~src ~dst ~data)
+      done
+    done
   done
 
-let test_aggregate_rejects_empty_cluster () =
-  let lib = Library.generate ~seed:9 ~n_task_types:3 ~kinds:(two_kinds ()) () in
-  Alcotest.(check bool) "empty rejected" true
-    (try ignore (Library.aggregate lib ~member_types:[| [] |] : Library.t); false
-     with Invalid_argument _ -> true)
+(* A mesh with free hops is the bus at the same per-byte rates: same
+   latency for every pair. *)
+let test_zero_hop_mesh_is_bus () =
+  let mesh = Comm.mesh ~cols:3 ~per_hop_delay:0.0 () in
+  for src = 0 to 8 do
+    for dst = 0 to 8 do
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%d->%d" src dst)
+        (Comm.delay_between Comm.default ~src ~dst ~data:48.0)
+        (Comm.delay_between mesh ~src ~dst ~data:48.0)
+    done
+  done
+
+(* Mesh energy is the bus energy once per traversed link. *)
+let test_mesh_energy_per_hop () =
+  let c = Comm.mesh ~cols:3 () in
+  for src = 0 to 8 do
+    for dst = 0 to 8 do
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "%d->%d" src dst)
+        (float_of_int (Comm.hops c ~src ~dst)
+        *. Comm.energy_between Comm.default ~src:0 ~dst:1 ~data:64.0)
+        (Comm.energy_between c ~src ~dst ~data:64.0)
+    done
+  done
+
+(* Hop counts form a metric on PE indices: zero exactly on the diagonal,
+   symmetric, and obeying the triangle inequality. *)
+let test_hops_is_metric () =
+  List.iter
+    (fun c ->
+      for a = 0 to 11 do
+        for b = 0 to 11 do
+          let ab = Comm.hops c ~src:a ~dst:b in
+          Alcotest.(check bool) "zero iff equal" (a = b) (ab = 0);
+          Alcotest.(check int) "symmetric" ab (Comm.hops c ~src:b ~dst:a);
+          for m = 0 to 11 do
+            if ab > Comm.hops c ~src:a ~dst:m + Comm.hops c ~src:m ~dst:b then
+              Alcotest.failf "triangle %d-%d-%d" a m b
+          done
+        done
+      done)
+    [ Comm.default; Comm.mesh ~cols:1 (); Comm.mesh ~cols:3 (); Comm.mesh ~cols:5 () ]
+
+let test_negative_hop_delay_and_index_rejected () =
+  Alcotest.check_raises "negative hop delay"
+    (Invalid_argument "Comm.make: negative hop delay") (fun () ->
+      ignore (Comm.mesh ~per_hop_delay:(-1.0) () : Comm.t));
+  Alcotest.check_raises "negative PE index"
+    (Invalid_argument "Comm.hops: negative PE index") (fun () ->
+      ignore (Comm.hops (Comm.mesh ()) ~src:(-1) ~dst:0 : int))
+
+(* The communication model rides along in a generated library without
+   touching its random draws: the same seed gives the same tables on a bus
+   and on a mesh. *)
+let test_comm_does_not_perturb_tables () =
+  let kinds = two_kinds () in
+  let bus = Library.generate ~seed:9 ~n_task_types:6 ~kinds () in
+  let mesh_comm = Comm.mesh ~cols:2 ~per_hop_delay:8.0 () in
+  let mesh = Library.generate ~seed:9 ~n_task_types:6 ~kinds ~comm:mesh_comm () in
+  Alcotest.(check bool) "comm kept" true (Library.comm mesh = mesh_comm);
+  Alcotest.(check bool) "bus by default" true (Library.comm bus = Comm.default);
+  for task_type = 0 to 5 do
+    for kind = 0 to 1 do
+      Alcotest.(check (float 0.0)) "wcet"
+        (Library.wcet bus ~task_type ~kind) (Library.wcet mesh ~task_type ~kind);
+      Alcotest.(check (float 0.0)) "wcpc"
+        (Library.wcpc bus ~task_type ~kind) (Library.wcpc mesh ~task_type ~kind)
+    done
+  done
 
 (* --- Catalog ------------------------------------------------------------ *)
 
@@ -308,7 +383,7 @@ let prop_generated_wcet_in_plausible_range =
       !ok)
 
 let () =
-  Alcotest.run "tats_techlib"
+  Runner.run "tats_techlib"
     [
       ( "pe",
         [
@@ -324,6 +399,14 @@ let () =
           Alcotest.test_case "mesh delay/energy" `Quick test_mesh_delay_and_energy;
           Alcotest.test_case "bus hops" `Quick test_bus_hops_binary;
           Alcotest.test_case "mesh validation" `Quick test_mesh_validation;
+          Alcotest.test_case "bus delay_between = delay" `Quick
+            test_bus_delay_between_is_delay;
+          Alcotest.test_case "mesh delay = hops + bus" `Quick test_mesh_delay_decomposes;
+          Alcotest.test_case "zero-hop mesh = bus" `Quick test_zero_hop_mesh_is_bus;
+          Alcotest.test_case "mesh energy per hop" `Quick test_mesh_energy_per_hop;
+          Alcotest.test_case "hops is a metric" `Quick test_hops_is_metric;
+          Alcotest.test_case "bad hop delay / PE index" `Quick
+            test_negative_hop_delay_and_index_rejected;
         ] );
       ( "library",
         [
@@ -337,9 +420,8 @@ let () =
           Alcotest.test_case "maxima" `Quick test_maxima;
           Alcotest.test_case "maxima are the fold" `Quick test_maxima_are_the_fold;
           Alcotest.test_case "of_tables validation" `Quick test_of_tables_validation;
-          Alcotest.test_case "aggregate conserves" `Quick
-            test_aggregate_conserves_work_and_energy;
-          Alcotest.test_case "aggregate empty" `Quick test_aggregate_rejects_empty_cluster;
+          Alcotest.test_case "comm leaves tables alone" `Quick
+            test_comm_does_not_perturb_tables;
         ] );
       ( "catalog",
         [

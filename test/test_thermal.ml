@@ -552,7 +552,7 @@ let test_hotspot_avg_peak_consistent () =
   Alcotest.(check (float 1e-9)) "peak" (Stats.max temps) (Hotspot.peak_temperature h ~power)
 
 let () =
-  Alcotest.run "tats_thermal"
+  Runner.run "tats_thermal"
     [
       ( "package",
         [

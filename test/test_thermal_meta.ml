@@ -165,7 +165,7 @@ let test_tracing_bit_identical () =
     (List.combine plain traced)
 
 let () =
-  Alcotest.run "thermal_meta"
+  Runner.run "thermal_meta"
     [
       ( "scaling",
         [

@@ -510,7 +510,7 @@ let test_cli_rejects_bad_numbers () =
     ]
 
 let () =
-  Alcotest.run "trace"
+  Runner.run "trace"
     [
       ( "chrome-export",
         [

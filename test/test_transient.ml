@@ -839,7 +839,7 @@ let test_step_fast_neighbour_exact () =
     (Transient.stats warm).Transient.q_cache_hits
 
 let () =
-  Alcotest.run "transient"
+  Runner.run "transient"
     [
       ( "closed_form",
         [

@@ -153,7 +153,7 @@ let prop_shuffle_preserves_elements =
       List.sort compare (Array.to_list arr) = before)
 
 let () =
-  Alcotest.run "tats_util"
+  Runner.run "tats_util"
     [
       ( "rng",
         [
