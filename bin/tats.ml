@@ -265,8 +265,11 @@ let schedule_cmd =
       Format.printf "inquiry engine: %a@." Core.Inquiry.pp_stats
         outcome.Core.Flow.inquiry;
       let count name = Core.Metricsreg.(counter_value (counter name)) in
-      Format.printf "list scheduler: %d steps, %d replayed from the prefix memo@."
-        (count "sched.steps") (count "sched.replayed_steps");
+      Format.printf
+        "list scheduler: %d steps, %d candidates scanned, %d replayed from the \
+         prefix memo@."
+        (count "sched.steps") (count "sched.candidates")
+        (count "sched.replayed_steps");
       print_string (Core.Report.pool_stats (Core.Pool.stats (Core.Pool.default ())))
     end;
     if gantt then Format.printf "%a@." Core.Schedule.pp outcome.Core.Flow.schedule;

@@ -26,6 +26,8 @@ let cost_task_energy lib ~task_type ~kind =
 
 let[@inline] cost_temperature ~ambient ~avg_temp = (avg_temp -. ambient) /. 100.0
 
+let[@inline] thermal_horizon ~finish = Float.max finish 1e-9
+
 (* The paper's thermal inquiry, served by the influence-matrix engine from
    the step's table: the cumulating power of every PE (the step's base)
    plus the consuming power the candidate task would incur on the
@@ -33,7 +35,7 @@ let[@inline] cost_temperature ~ambient ~avg_temp = (avg_temp -. ambient) /. 100.
    network the average temperature is nearly independent of which PE
    receives the task, and the inquiry could not discriminate. *)
 let cost_thermal ~stop ~engine ~step ~tally ~slots i ~finish ~pe ~task_power =
-  let horizon = Float.max finish 1e-9 in
+  let horizon = thermal_horizon ~finish in
   let ambient =
     (Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
   in
@@ -43,16 +45,15 @@ let cost_thermal ~stop ~engine ~step ~tally ~slots i ~finish ~pe ~task_power =
          ~stop:(fun mean -> stop (cost_temperature ~ambient ~avg_temp:mean))
          engine step tally ~slots i ~horizon ~pe ~extra:task_power)
 
-(* The same inquiry stopped before its linear seed: [cost_temperature] is
-   increasing in the average, so a floor under the seed's mean bounds the
-   cost. *)
-let cost_thermal_floor ~engine ~base ~finish ~pe ~task_power =
-  let horizon = Float.max finish 1e-9 in
+(* The same inquiry bounded before its linear seed: [cost_temperature] is
+   increasing in the average, so a floor under the converged mean bounds
+   the cost. *)
+let cost_thermal_floor ~engine ~base ~lift ~finish ~pe ~task_power =
   cost_temperature
     ~ambient:(Tats_thermal.Inquiry.package engine).Tats_thermal.Package.ambient
     ~avg_temp:
-      (Tats_thermal.Inquiry.seed_floor engine ~base ~horizon ~pe
-         ~extra:task_power)
+      (Tats_thermal.Inquiry.seed_floor engine ~base ~lift
+         ~horizon:(thermal_horizon ~finish) ~pe ~extra:task_power)
 
 let part ~sc ~wcet ~start = sc -. wcet -. start
 let weigh ~part ~cost ~weight = part -. (weight *. cost)

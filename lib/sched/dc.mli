@@ -50,26 +50,35 @@ val cost_thermal :
 
     [stop] sees the same fold of every unconverged iterate of the
     inquiry's fixed point, in order: a lower bound on the cost that never
-    falls from one iterate to the next, whose first value is at least
-    {!cost_thermal_floor}'s. Once [stop] holds, the inquiry stops there
-    and the result is that bound, not the cost; the caller tells the two
-    apart by its own last answer. [~stop:(fun _ -> false)] asks for the
-    cost. *)
+    falls from one iterate to the next, starting from the seed's, which
+    {!cost_thermal_floor} exceeds by up to its leakage lift. Once [stop]
+    holds, the inquiry stops there and the result is that bound, not the
+    cost; the caller tells the two apart by its own last answer.
+    [~stop:(fun _ -> false)] asks for the cost. *)
+
+val thermal_horizon : finish:float -> float
+(** The horizon a thermal inquiry averages the step's energies over:
+    [finish], clamped at 1e-9. *)
 
 val cost_thermal_floor :
   engine:Tats_thermal.Inquiry.t ->
   base:Tats_thermal.Inquiry.base ->
+  lift:float ->
   finish:float ->
   pe:int ->
   task_power:float ->
   float
-(** A lower bound on {!cost_thermal} with the same arguments (the idle
-    powers only feed the leakage, which can only raise the cost), in
-    O(1) with no fixed point: a floor under the mean of the inquiry's
-    linear seed ({!Tats_thermal.Inquiry.seed_floor}) folded through
-    {!cost_temperature}, so it is at most the first bound
-    {!cost_thermal}'s [stop] sees. So [weigh ~part ~cost:floor ~weight] bounds a
-    candidate's DC from above for any [weight >= 0]. *)
+(** A lower bound on {!cost_thermal} with the same arguments, in O(1)
+    with no fixed point: a floor under the inquiry's converged mean
+    ({!Tats_thermal.Inquiry.seed_floor}: its linear seed's mean plus
+    [lift]) folded through {!cost_temperature}. [lift] is
+    {!Tats_thermal.Inquiry.leakage_lift} of the step's base and idle
+    powers at a horizon ({!thermal_horizon}) at least this candidate's —
+    [List_sched.scan] takes the largest of the step's thermal candidates
+    — or 0. So [weigh ~part ~cost:floor ~weight] bounds a candidate's DC
+    from above for any [weight >= 0]. {!cost_thermal}'s [stop] bounds
+    may start below this floor: they climb towards the cost from the
+    seed, so a caller that keeps both keeps their maximum. *)
 
 val value :
   sc:float -> wcet:float -> start:float -> cost:float -> weight:float -> float

@@ -101,11 +101,12 @@ module Ready = Set.Make (Int)
    [Dc.weigh] brings in the weight.
 
    A thermal candidate's cost is a leakage fixed point, so [scan] stores a
-   lower bound on it ([Dc.cost_thermal_floor]) and what the exact
-   inquiry needs beyond the pair and start, and [pick] runs a candidate's
-   fixed point only while its bound, tightened to the current iterate's,
-   lets it reach the best exact DC: the iterate stops in its slot of the
-   step's table, and the bound in [floors], for a later pick to resume. Every
+   lower bound on it ([Dc.cost_thermal_floor], lifted by the step's
+   leakage) and what the exact inquiry needs beyond the pair and start,
+   and [pick] runs a candidate's fixed point only while its bound, raised
+   to the current iterate's when that is higher, lets it reach the best
+   exact DC: the iterate stops in its slot of the step's table, and the
+   bound in [floors], for a later pick to resume. Every
    other policy's cost is exact at scan time: then
    [floors == scan_floors == costs]. *)
 type node = {
@@ -342,10 +343,8 @@ let scan ?floor ?horizon ?surcharge st ~ready =
                 Dc.cost_pe_average_power lib ~pe_energy:st.pe_energy.(pe)
                   ~task_energy:energy.(pair) ~finish
             | Policy.Thermal_aware ->
-                Dc.cost_thermal_floor ~engine:(Option.get engine)
-                  ~base:(Inquiry.step_base (Option.get step))
-                  ~finish:(Option.value horizon ~default:finish)
-                  ~pe ~task_power:wcpc.(pair)
+                (* Bounded below, once the step's lift is known. *)
+                0.0
           in
           let cost =
             match surcharge with None -> cost | Some s -> cost +. s.(pe)
@@ -359,6 +358,35 @@ let scan ?floor ?horizon ?surcharge st ~ready =
         end
       done)
     ready;
+  (* A thermal candidate's floor is its linear seed's mean plus the
+     leakage lift of the step at the largest horizon among its candidates
+     (at most the horizon of each), found by one more pass. *)
+  (match (engine, step) with
+  | Some engine, Some step when !k > 0 ->
+      let finish_of i =
+        match horizon with
+        | Some h -> h
+        | None -> starts.(i) +. wcet.(pairs.(i))
+      in
+      let widest = ref 0.0 in
+      for i = 0 to !k - 1 do
+        widest := Float.max !widest (Dc.thermal_horizon ~finish:(finish_of i))
+      done;
+      let base = Inquiry.step_base step in
+      let lift =
+        Inquiry.leakage_lift engine ~base ~idle:st.ctx.idle ~horizon:!widest
+      in
+      for i = 0 to !k - 1 do
+        let pair = pairs.(i) in
+        let pe = pair mod n_pes in
+        let cost =
+          Dc.cost_thermal_floor ~engine ~base ~lift ~finish:(finish_of i) ~pe
+            ~task_power:wcpc.(pair)
+        in
+        floors.(i) <-
+          (match surcharge with None -> cost | Some s -> cost +. s.(pe))
+      done
+  | _ -> ());
   let trim a = if !k = cap then a else Array.sub a 0 !k in
   let floors = trim floors and earliest = trim earliest in
   let thermal =
@@ -397,9 +425,10 @@ let[@inline] weigh part cost weight = part -. (weight *. cost)
 (* Run thermal candidate [i]'s inquiry (resuming the iterate an earlier
    pick, or an identical candidate, stopped at in its slot) until its DC
    bound at [weight] falls below [reach], which leaves its cost
-   unevaluated, or it converges, which stores the cost. Its floor follows
-   every iterate. The inquiry's finish and task power are derived again
-   from the pair and start. *)
+   unevaluated, or it converges, which stores the cost. Its floor is the
+   running maximum of the stored floor and every iterate's bound. The
+   inquiry's finish and task power are derived again from the pair and
+   start. *)
 let refine st node i ~weight ~reach =
   match node.thermal with
   | None -> ()
@@ -415,10 +444,14 @@ let refine st node i ~weight ~reach =
       in
       let surcharge = match th.surcharge with None -> 0.0 | Some s -> s.(pe) in
       let pruned = ref false in
+      (* The iterates climb from the seed, below the lifted floor [scan]
+         stored at first: the floor keeps the larger bound. *)
       let stop bound =
-        let floor =
+        let bound =
           match th.surcharge with None -> bound | Some _ -> bound +. surcharge
         in
+        let floor = node.floors.(i) in
+        let floor = if bound > floor then bound else floor in
         node.floors.(i) <- floor;
         pruned := weigh node.parts.(i) floor weight < reach;
         !pruned

@@ -175,10 +175,12 @@ val scan :
     [surcharge.(pe)] when given. A thermal cost gets a bound per pair,
     exact costs on demand: one step table per scan
     ({!Tats_thermal.Inquiry.step}, keyed by the committed energies and
-    idle powers, its base solve run once per distinct step), then per
-    pair the O(1) {!Dc.cost_thermal_floor} and what its delta-evaluated
-    inquiry needs, whose committed energies are averaged over [horizon]
-    when given, else over the candidate's finish.
+    idle powers, its base solve run once per distinct step), one
+    {!Tats_thermal.Inquiry.leakage_lift} per scan at the largest horizon
+    among its thermal pairs, then per pair the O(1)
+    {!Dc.cost_thermal_floor} and what its delta-evaluated inquiry needs,
+    whose committed energies are averaged over [horizon] when given, else
+    over the candidate's finish.
 
     {b Reuse.} Each scan builds on the state's parent node: the last one
     scanned, or replayed by {!run_adaptive}'s memo, on this state. A
@@ -197,12 +199,15 @@ val scan :
     result is bit for bit the node a scan from scratch builds.
 
     {b The thermal floor} is the inquiry seed's mean assembled in O(1)
-    from the means of the base response and of the PE's influence column
-    ({!Tats_thermal.Inquiry.seed_floor}), lowered by a relative margin of
-    [(2n + 8) n epsilon_float] (n blocks) that covers its rounding and
-    that of the per-block sum: it stays below the first bound the exact
-    inquiry's fixed point sees, so every pick is unchanged (DESIGN.md
-    §6). *)
+    from the means of the base response and of the PE's influence column,
+    plus the step's leakage lift: the rise that the converged fixed point
+    of every thermal pair of the step is sure to add to its seed, at the
+    coolest seed among them (the largest horizon) and in the fewest steps
+    it can converge in ({!Tats_thermal.Inquiry.seed_floor}). Margins
+    cover its rounding, the per-block sum's and the iteration's: it stays
+    below the converged mean, so every pick is unchanged (DESIGN.md §6).
+    It may lie above the fixed point's first iterates; {!pick} keeps the
+    larger of the two. *)
 
 type choice = { task : Task.id; pe : int; start : float }
 
@@ -221,10 +226,11 @@ val pick : caller:string -> state -> candidates -> weight:float -> choice
 
     [pick] refines candidates rather than evaluating them outright: a
     thermal candidate's fixed point runs one damped step at a time, each
-    iterate's mean temperature a tighter lower bound on its cost (see
-    {!Dc.cost_thermal}), and stops as soon as that bound leaves the
-    candidate short of the reach, or converges. The bound is kept in
-    [candidates] and the iterate in the candidate's slot of the step's
+    iterate's mean temperature a lower bound on its cost that never falls
+    (see {!Dc.cost_thermal}), and stops as soon as the running maximum of
+    {!scan}'s floor and those bounds leaves the candidate short of the
+    reach, or converges. That running maximum is kept in [candidates],
+    and the iterate in the candidate's slot of the step's
     table, so a later pick (at another weight, or another memo attempt)
     resumes it exactly, and an identical candidate of the step (same PE,
     horizon and task power) shares it: it costs a mean when the slot's
@@ -236,8 +242,10 @@ val pick : caller:string -> state -> candidates -> weight:float -> choice
 
     Only a fixed point that runs to [max_iter] raises
     {!Tats_thermal.Steady.Runaway}: a candidate whose bound rules it out
-    first, at its seed or any later iterate, stops there and no longer
-    raises it; one refined until it runs away still does. No sort, no
+    first — its lifted floor before any inquiry, or an iterate — stops
+    there and no longer raises it; one refined until it runs away still
+    does. The leakage lift prunes more candidates before their inquiry,
+    so fewer of them can raise it. No sort, no
     allocation beyond the inquiries. *)
 
 val commit : on_ready:(Task.id -> unit) -> state -> choice -> Schedule.entry
@@ -267,8 +275,9 @@ module Inspect : sig
         (** the cost {!scan} stored, surcharge included: exact except on
             the thermal policy, where it is a lower bound *)
     v_floors : float array;
-        (** the node's own bounds, which each {!pick} of it tightens in
-            place: read them after the pick *)
+        (** the node's own bounds, which each {!pick} of it raises in
+            place to the running maximum of the scan's bound and every
+            iterate bound: read them after the pick *)
     v_costs : float array;
         (** the node's own exact costs, [nan] until a {!pick} evaluates
             them, in place *)

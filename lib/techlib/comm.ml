@@ -2,13 +2,19 @@ type topology = Shared_bus | Mesh of { cols : int; per_hop_delay : float }
 
 type t = { delay_per_byte : float; energy_per_byte : float; topology : topology }
 
+let finite field x =
+  if not (Float.is_finite x) then invalid_arg ("Comm.make: non-finite " ^ field)
+
 let make ~delay_per_byte ~energy_per_byte ?(topology = Shared_bus) () =
+  finite "delay_per_byte" delay_per_byte;
+  finite "energy_per_byte" energy_per_byte;
   if delay_per_byte < 0.0 || energy_per_byte < 0.0 then
     invalid_arg "Comm.make: negative rate";
   (match topology with
   | Shared_bus -> ()
   | Mesh { cols; per_hop_delay } ->
       if cols < 1 then invalid_arg "Comm.make: mesh needs at least one column";
+      finite "per_hop_delay" per_hop_delay;
       if per_hop_delay < 0.0 then invalid_arg "Comm.make: negative hop delay");
   { delay_per_byte; energy_per_byte; topology }
 

@@ -24,8 +24,10 @@ type t = {
 
 val make :
   delay_per_byte:float -> energy_per_byte:float -> ?topology:topology -> unit -> t
-(** [topology] defaults to [Shared_bus]. Mesh [cols] must be positive and
-    [per_hop_delay] non-negative. *)
+(** [topology] defaults to [Shared_bus]. Both rates must be finite and
+    non-negative, mesh [cols] positive and [per_hop_delay] finite and
+    non-negative; [Invalid_argument] otherwise, a non-finite value named
+    by its field ("Comm.make: non-finite delay_per_byte"). *)
 
 val default : t
 (** Shared bus, 0.2 time-units and 0.05 J per byte — edge payloads of

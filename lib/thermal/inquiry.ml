@@ -146,7 +146,8 @@ type t = {
   cols : float array array; (* cols.(j).(i) = dT_i per W injected at block j *)
   rows : float array; (* the same matrix row-major: cols.(j).(i) at i * n + j *)
   col_means : float array; (* per column, summed in [Stats.mean]'s order *)
-  floor_margin : float; (* relative rounding margin of [seed_floor] *)
+  floor_margin : float; (* relative rounding margins of [seed_floor]: the seed's *)
+  iter_margin : float; (* and the iteration's *)
   steps : step Fkey.Tbl.t; (* keyed by a step's power and idle vectors *)
   mutable entries : int; (* step tables and slots, against [max_entries] *)
   counters : counters;
@@ -155,8 +156,6 @@ type t = {
      solves never take the lock while number-crunching. *)
   lock : Mutex.t;
 }
-
-let default_tol = 1e-6
 
 (* The bound on the step tables plus their slots. A full store is
    dropped whole. *)
@@ -186,6 +185,7 @@ let create solver =
     rows = Array.init (n * n) (fun k -> cols.(k mod n).(k / n));
     col_means = Array.map Tats_util.Stats.mean cols;
     floor_margin = float_of_int (((2 * n) + 8) * n) *. epsilon_float;
+    iter_margin = float_of_int (Steady.default_max_iter * (n + 8)) *. epsilon_float;
     steps = Fkey.Tbl.create 64;
     entries = 0;
     counters;
@@ -262,6 +262,15 @@ let base_response t ~power =
 
 let response base = Array.copy base.response
 
+(* [Stats.mean], the same sum in the same order, written out so that no
+   float is boxed per call. *)
+let[@inline] mean_of temps n =
+  let sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    sum := !sum +. temps.(i)
+  done;
+  !sum /. float_of_int n
+
 let check_delta what t ~horizon ~pe =
   if pe < 0 || pe >= t.n then invalid_arg ("Inquiry." ^ what ^ ": pe out of range");
   if horizon <= 0.0 then
@@ -274,13 +283,70 @@ let check_delta what t ~horizon ~pe =
    non-negative but the ambient, each of the two evaluations is within
    (n + 4) u of the exact mean times the largest block magnitude, which
    is at most n times [magnitude] below (u = epsilon_float / 2); the
-   margin [(2n + 8) n epsilon_float magnitude] is twice their sum. *)
-let seed_floor t ~base ~horizon ~pe ~extra =
+   margin [(2n + 8) n epsilon_float magnitude] is twice their sum.
+
+   [lift] (from [leakage_lift]) bounds what the converged iteration adds
+   to the seed's mean in real arithmetic; the float iteration differs
+   from the real one by its rounding. A step evaluates each block by an
+   n-term product, the leakage term and the damped sum, within (n + 8) u
+   of the largest block temperature, and at most [max_iter] steps run,
+   so the converged mean is within [max_iter (n + 8) u] of that
+   temperature, which is at most [|ambient| + n (rise + own + lift)]:
+   every block sits at or above the ambient. The margin takes twice
+   that. *)
+let seed_floor t ~base ~lift ~horizon ~pe ~extra =
   check_delta "seed_floor" t ~horizon ~pe;
-  let lift = base.response_mean /. horizon and own = extra *. t.col_means.(pe) in
-  let mean = t.ambient +. lift +. own in
-  let magnitude = Float.abs t.ambient +. Float.abs lift +. Float.abs own in
-  mean -. (t.floor_margin *. magnitude)
+  let rise = base.response_mean /. horizon and own = extra *. t.col_means.(pe) in
+  let mean = t.ambient +. rise +. own +. lift in
+  let magnitude = Float.abs t.ambient +. Float.abs rise +. Float.abs own in
+  let hottest = Float.abs t.ambient +. (float_of_int t.n *. (rise +. own +. lift)) in
+  mean -. (t.floor_margin *. magnitude) -. (t.iter_margin *. hottest)
+
+(* The converged iterate of every inquiry on this step whose horizon is
+   at most [horizon] sits, block by block, at least [(1 - inertia^K) L]
+   above its linear seed, where [L = M (idle . leak(T_lo))] is the
+   leakage rise at [T_lo = ambient + response / horizon], the coolest
+   seed of those inquiries, and [K] the fewest steps any of them can
+   converge in (DESIGN.md section 6). [K] counts the steps whose residual
+   cannot fall to [tol]: the first is at least [damping max L], each
+   later one at least [inertia] times the one before; a residual above
+   [2 tol] is counted, so the iteration's rounding would have to exceed
+   [tol] to end one sooner. The lift is lowered by its own rounding: the
+   seed temperature (2 operations) and the exponent (3 more, relative to
+   [|T_lo| + |T_ref|], amplified by [beta]), [exp] (1 ulp), the product
+   with [idle], the n-term product with [M], the mean (n + 1), [K]
+   products for [inertia^K], [1 - inertia^K] (relative, at most 2.5 K
+   since it is at least 0.4) and the final product, taken twice over. *)
+let leakage_lift t ~base ~idle ~horizon =
+  if Array.length idle <> t.n then
+    invalid_arg "Inquiry.leakage_lift: idle vector must have one entry per block";
+  if horizon <= 0.0 then invalid_arg "Inquiry.leakage_lift: non-positive horizon";
+  let n = t.n in
+  let p = package t in
+  let beta = p.Package.leak_beta and t_ref = p.Package.leak_t_ref in
+  let leak = Array.make n 0.0 and rise = Array.make n 0.0 in
+  let magnitude = ref 0.0 in
+  for j = 0 to n - 1 do
+    let t_lo = t.ambient +. (base.response.(j) /. horizon) in
+    magnitude := Float.max !magnitude (Float.abs t_lo);
+    let excursion = Float.min (t_lo -. t_ref) Steady.max_leak_excursion in
+    leak.(j) <- idle.(j) *. exp (beta *. excursion)
+  done;
+  Matrix.mul_vec_add_into ~n t.rows ~x:leak ~init:rise ~dst:rise;
+  let top = Array.fold_left Float.max 0.0 rise in
+  let steps = ref 1 and residual = ref (Steady.damping *. top) in
+  let keep = ref Steady.inertia in
+  while !residual > 2.0 *. Steady.default_tol && !steps < Steady.default_max_iter do
+    incr steps;
+    residual := !residual *. Steady.inertia;
+    keep := !keep *. Steady.inertia
+  done;
+  let lift = (1.0 -. !keep) *. mean_of rise n in
+  let rounding =
+    float_of_int ((2 * n) + 12 + (4 * !steps))
+    +. (3.0 *. beta *. (!magnitude +. Float.abs t_ref))
+  in
+  Float.max 0.0 (lift -. (2.0 *. rounding *. epsilon_float *. lift))
 
 (* --- Per-step tables ---------------------------------------------------- *)
 
@@ -336,10 +402,25 @@ type tally = {
   mutable dense : int;
   mutable runs : int; (* fixed points run *)
   clock : float array; (* the first run's start and the runs' total time *)
+  (* Buffers of the engine's size for [ask]: the fixed point's, its seed
+     or resumed iterate, and its dynamic power. Sized at the first ask. *)
+  mutable work : Steady.work;
+  mutable start : float array;
+  mutable dynamic : float array;
 }
 
 let tally () =
-  { asked = 0; hits = 0; stepped = 0; dense = 0; runs = 0; clock = [| 0.0; 0.0 |] }
+  {
+    asked = 0;
+    hits = 0;
+    stepped = 0;
+    dense = 0;
+    runs = 0;
+    clock = [| 0.0; 0.0 |];
+    work = Steady.work 0;
+    start = [||];
+    dynamic = [||];
+  }
 
 let flush t tl =
   if tl.asked > 0 then begin
@@ -371,15 +452,6 @@ let flush t tl =
     tl.runs <- 0;
     tl.clock.(1) <- 0.0
   end
-
-(* [Stats.mean], the same sum in the same order, written out so that no
-   float is boxed per call. *)
-let[@inline] mean_of temps n =
-  let sum = ref 0.0 in
-  for i = 0 to n - 1 do
-    sum := !sum +. temps.(i)
-  done;
-  !sum /. float_of_int n
 
 (* The slot of [key] in [s]: the stored one, or a fresh one that [ask]
    enters into the table once a fixed point ran a step on it. *)
@@ -432,7 +504,13 @@ let ask ?stop t s tl ~slots i ~horizon ~pe ~extra =
   end
   else begin
     let { base; idle; _ } = s in
+    if Array.length tl.start <> n then begin
+      tl.work <- Steady.work n;
+      tl.start <- Array.make n 0.0;
+      tl.dynamic <- Array.make n 0.0
+    end;
     let fresh = Array.length st = 0 in
+    let start = tl.start in
     let init =
       if fresh then begin
         (* The linear solution of [dynamic], assembled in O(n) from the
@@ -440,30 +518,31 @@ let ask ?stop t s tl ~slots i ~horizon ~pe ~extra =
            point the dense path computes, so the fixed point follows the
            same trajectory. *)
         let col = t.cols.(pe) in
-        let seed = Array.make n 0.0 in
         for i = 0 to n - 1 do
-          seed.(i) <- t.ambient +. (base.response.(i) /. horizon) +. (extra *. col.(i))
+          start.(i) <- t.ambient +. (base.response.(i) /. horizon) +. (extra *. col.(i))
         done;
-        Steady.seed seed
+        Steady.seed start
       end
-      else
-        { Steady.temps = Array.sub st 0 n; steps = int_of_float st.(n); residual = st.(n + 1) }
+      else begin
+        Array.blit st 0 start 0 n;
+        { Steady.temps = start; steps = int_of_float st.(n); residual = st.(n + 1) }
+      end
     in
-    let seed_mean = if fresh then mean_of init.Steady.temps n else nan in
+    let seed_mean = if fresh then mean_of start n else nan in
     if fresh && holds seed_mean then begin
       (* Stopped at its seed: no step, no slot. *)
       tl.dense <- tl.dense + 1;
       seed_mean
     end
     else begin
-      let dynamic = Array.make n 0.0 in
+      let dynamic = tl.dynamic in
       for i = 0 to n - 1 do
         dynamic.(i) <-
           (base.base_power.(i) /. horizon) +. if i = pe then extra else 0.0
       done;
       let t0 = Trace.now () in
       let it =
-        Steady.fixed_point ~init
+        Steady.fixed_point ~work:tl.work ~init
           ?stop:(Option.map (fun holds temps -> holds (mean_of temps n)) stop)
           ~package:(package t) ~solve:(apply t) ~dynamic ~idle ()
       in
@@ -476,7 +555,7 @@ let ask ?stop t s tl ~slots i ~horizon ~pe ~extra =
       tl.dense <- tl.dense + 1 + steps;
       let mean = mean_of it.Steady.temps n in
       let state =
-        if it.Steady.residual <= default_tol then [| mean; float_of_int steps |]
+        if it.Steady.residual <= Steady.default_tol then [| mean; float_of_int steps |]
         else begin
           let packed = Array.make (n + 3) mean in
           Array.blit it.Steady.temps 0 packed 0 n;

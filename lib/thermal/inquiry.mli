@@ -127,23 +127,46 @@ val base_response : t -> power:float array -> base
 val response : base -> float array
 (** A copy of the base's influence response [M.p] (no ambient term). *)
 
+val leakage_lift :
+  t -> base:base -> idle:float array -> horizon:float -> float
+(** [leakage_lift t ~base ~idle ~horizon] is how far, at least, the
+    leakage raises the converged mean of every inquiry on a step of base
+    [base] and idle powers [idle] whose horizon is at most [horizon],
+    above its linear seed: [(1 - inertia^K) mean(L)] with
+    [L = M (idle . exp(beta min(T_lo - T_ref, 100)))] the leakage rise at
+    [T_lo = ambient + response / horizon], the coolest seed of those
+    inquiries, and [K] the fewest damped steps in which any of them can
+    converge, given that its first residual is at least [damping max L]
+    and each later one at least [inertia] times the one before
+    ({!Steady.damping}, {!Steady.inertia}). Lowered by a margin for its
+    own rounding; never negative. One exponential per block and one
+    n×n product: a caller computes it once per step, for the largest
+    horizon among its inquiries. Raises [Invalid_argument] on an idle
+    vector of the wrong length or a non-positive horizon. *)
+
 val seed_floor :
-  t -> base:base -> horizon:float -> pe:int -> extra:float -> float
-(** A lower bound on the mean of the seed {!ask} starts the fixed point of
-    [(horizon, pe, extra)] from on a step of base [base], in O(1) and with
-    no solve, no store traffic and no counter bump: the mean of [base]'s
+  t -> base:base -> lift:float -> horizon:float -> pe:int -> extra:float -> float
+(** A lower bound on the mean of {!ask}'s converged result for
+    [(horizon, pe, extra)] on a step of base [base], when [lift] is
+    {!leakage_lift} of that step for a horizon at least [horizon] (or
+    0), in O(1) and with no solve, no store traffic and no counter bump:
+    the seed's mean plus [lift]. The seed's mean is the mean of [base]'s
     response over [horizon] plus [extra] times the mean of column [pe]
-    (kept per engine), on top of the ambient. That sum is the seed's mean
-    in real arithmetic; its rounding differs from the per-block
-    summation's, so it is lowered by [(2n + 8) n epsilon_float] times the
-    magnitude of its terms, which covers the rounding of both ([n]
-    blocks). It also bounds the mean of [ask]'s result from below: every
-    influence entry is non-negative and the capped leakage is increasing
-    in temperature, so the damped iteration only climbs from its linear
-    seed, block by block, and the seed's mean is the first bound [stop]
-    sees. [List_sched] uses it to skip the inquiries that cannot change a
-    pick. Raises [Invalid_argument] on a PE out of range or a
-    non-positive horizon. *)
+    (kept per engine), on top of the ambient: that of the seed {!ask}
+    starts the fixed point from, in real arithmetic. Two margins lower
+    it: [(2n + 8) n epsilon_float] times the magnitude of the seed's terms
+    covers the rounding of that sum and of the per-block summation ([n]
+    blocks), and [max_iter (n + 8) epsilon_float] times
+    [|ambient| + n (seed rise + lift)] the float iteration's distance
+    from the real one over at most [max_iter] steps. Every influence
+    entry is non-negative and the capped leakage is increasing in
+    temperature, so the damped iteration climbs from its linear seed,
+    block by block, and its converged mean is at least the seed's plus
+    the lift (DESIGN.md section 6). The iterates before convergence may
+    lie below the lifted floor: a caller that tightens the floor with
+    iterate bounds keeps the larger of the two. [List_sched] uses it to
+    skip the inquiries that cannot change a pick. Raises
+    [Invalid_argument] on a PE out of range or a non-positive horizon. *)
 
 (** {1 Per-step tables} *)
 
@@ -158,7 +181,7 @@ val step : t -> power:float array -> idle:float array -> step
     and one lock section per call, two when the table is new. *)
 
 val step_base : step -> base
-(** The step's base response (for {!seed_floor}). *)
+(** The step's base response (for {!leakage_lift} and {!seed_floor}). *)
 
 type slot
 (** One inquiry's place in a step's table: none yet, a stopped iterate,
@@ -168,7 +191,10 @@ val no_slot : slot
 (** The slot of a candidate not asked yet: fill a candidate array with it. *)
 
 type tally
-(** Counter bumps batched by the caller, one {!flush} for many {!ask}s. *)
+(** Counter bumps batched by the caller, one {!flush} for many {!ask}s,
+    and the work buffers of the fixed points those asks run (sized at the
+    first one), so that a fixed point allocates none of its own. A tally
+    serves one domain at a time. *)
 
 val tally : unit -> tally
 

@@ -39,20 +39,38 @@ let block_temperatures t ~power =
    the exponent is capped at 100 K above the reference. *)
 let max_leak_excursion = 100.0
 
+let default_max_iter = 200
+let default_tol = 1e-6
+
+(* A damped step commits [damping] of the new solve and keeps [inertia]
+   of the current iterate. *)
+let damping = 0.4
+let inertia = 0.6
+
+type work = { w_power : float array; w_a : float array; w_b : float array }
+
+let work n = { w_power = Array.make n 0.0; w_a = Array.make n 0.0; w_b = Array.make n 0.0 }
+let work_size w = Array.length w.w_a
+
 type iterate = { temps : float array; steps : int; residual : float }
 
 let seed temps = { temps; steps = 0; residual = Float.infinity }
 
-let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ?stop ~package ~solve
-    ~dynamic ~idle () =
+let fixed_point ?(max_iter = default_max_iter) ?(tol = default_tol) ?work:w ?init
+    ?stop ~package ~solve ~dynamic ~idle () =
   let n = Array.length dynamic in
   if Array.length idle <> n then
     invalid_arg "Steady.fixed_point: bad vector length";
   let beta = package.Package.leak_beta and t_ref = package.Package.leak_t_ref in
   (* One power buffer and two temperature buffers serve the whole
      iteration; [solve] writes block temperatures into its destination. *)
-  let power = Array.make n 0.0 in
-  let a = Array.make n 0.0 and b = Array.make n 0.0 in
+  let { w_power = power; w_a = a; w_b = b } =
+    match w with
+    | None -> work n
+    | Some w ->
+        if work_size w <> n then invalid_arg "Steady.fixed_point: bad work size";
+        w
+  in
   let start, residual0 =
     match init with
     | Some it ->
@@ -94,7 +112,7 @@ let fixed_point ?(max_iter = 200) ?(tol = 1e-6) ?init ?stop ~package ~solve
          convergence test is on the damped (committed) step. *)
       let delta = ref 0.0 in
       for i = 0 to n - 1 do
-        let damped = (0.4 *. next_t.(i)) +. (0.6 *. cur_t.(i)) in
+        let damped = (damping *. next_t.(i)) +. (inertia *. cur_t.(i)) in
         delta := Float.max !delta (Float.abs (damped -. cur_t.(i)));
         next_t.(i) <- damped
       done;

@@ -52,9 +52,38 @@ type iterate = {
 val seed : float array -> iterate
 (** [seed temps] starts an iteration from [temps]: no step taken yet. *)
 
+val default_max_iter : int
+(** {!fixed_point}'s step limit when [max_iter] is not given: 200. *)
+
+val default_tol : float
+(** {!fixed_point}'s convergence tolerance when [tol] is not given: 1e-6
+    °C, the largest block change of a converged step. *)
+
+val damping : float
+(** The share of a step's new solve that a damped step commits: 0.4. *)
+
+val inertia : float
+(** The share of the current iterate a damped step keeps: 0.6. So step
+    [k + 1] is [damping * S(T(k)) + inertia * T(k)], block by block. *)
+
+val max_leak_excursion : float
+(** The cap, in K above the reference temperature, on the excursion in
+    the leakage exponent: 100. *)
+
+type work
+(** {!fixed_point}'s three work buffers (a power vector and two
+    temperature vectors), for a caller that runs many fixed points of one
+    size. *)
+
+val work : int -> work
+(** Work buffers for fixed points of [n] blocks. *)
+
+val work_size : work -> int
+
 val fixed_point :
   ?max_iter:int ->
   ?tol:float ->
+  ?work:work ->
   ?init:iterate ->
   ?stop:(float array -> bool) ->
   package:Package.t ->
@@ -72,8 +101,12 @@ val fixed_point :
     start from a previous solution ({!seed}), or an iterate an earlier
     call returned, which it resumes exactly — same trajectory, same step
     count and residual as one uninterrupted call. By default it starts
-    from the linear solution of [dynamic]. Work buffers (three arrays of
-    [dynamic]'s length) are allocated once per call; a step allocates
+    from the linear solution of [dynamic]. Its work buffers (three arrays
+    of [dynamic]'s length) are [work] when given (Invalid_argument if its
+    size is not [dynamic]'s), else allocated once per call. With [work],
+    the returned iterate's [temps] is one of its buffers: valid until the
+    next call on the same [work], which overwrites it; [init]'s
+    temperatures may be one of them too. A step allocates
     nothing of its own: the leakage term is written out in the loop and
     the step count and residual live in unboxed locals, so its cost is
     its arithmetic ([exp] per block) plus [solve] and [stop]. Each call

@@ -155,10 +155,12 @@ let thermal_cost o ~pe_energy ~idle ~finish ~pe ~task_power =
    task, PE) candidate's exact cost, one full oracle fixed point per
    thermal candidate ([thermal_cost]), and keeps the highest DC;
    candidates are scanned in ascending (task, PE) order, so the 1e-12 tie
-   goes to the earlier pair. [check ~bounds ~cost] sees each thermal
-   candidate's [bound], then the bound of every iterate its fixed point
-   ran through (mapped through [iterate]), next to its exact cost. *)
-let unpruned ?surcharge ?(check = fun ~bounds:_ ~cost:_ -> ())
+   goes to the earlier pair. [check ~lift ~floor ~iterates ~cost] sees
+   each thermal candidate's [bound], at the step's leakage lift (of the
+   largest horizon among the step's candidates, the rule [scan] follows),
+   then the bound of every iterate its fixed point ran through (mapped
+   through [iterate]), next to its exact cost. *)
+let unpruned ?surcharge ?(check = fun ~lift:_ ~floor:_ ~iterates:_ ~cost:_ -> ())
     ?(bound = Dc.cost_thermal_floor) ?(iterate = Fun.id) ~hotspot ~graph ~lib
     ~pes ~policy ~weight () =
   let n = Graph.n_tasks graph and n_pes = Array.length pes in
@@ -171,7 +173,8 @@ let unpruned ?surcharge ?(check = fun ~bounds:_ ~cost:_ -> ())
   let committed v = entries.(v) <> None in
   for _ = 1 to n do
     let base = Inquiry.base_response engine ~power:pe_energy in
-    let best = ref None in
+    (* Every candidate's (task, PE, start, wcet), in scan order. *)
+    let candidates = ref [] in
     for task = 0 to n - 1 do
       let preds = Graph.preds graph task in
       if (not (committed task)) && List.for_all (fun (p, _) -> committed p) preds
@@ -188,35 +191,53 @@ let unpruned ?surcharge ?(check = fun ~bounds:_ ~cost:_ -> ())
           let start =
             List.fold_left (fun acc p -> Float.max acc (arrival p)) pe_free.(pe) preds
           in
-          let finish = start +. wcet in
-          let cost =
-            match policy with
-            | Policy.Baseline -> 0.0
-            | Policy.Power_aware Policy.Min_task_power ->
-                Dc.cost_task_power lib ~task_type ~kind
-            | Policy.Power_aware Policy.Min_pe_average_power ->
-                Dc.cost_pe_average_power lib ~pe_energy:pe_energy.(pe)
-                  ~task_energy:(Library.energy lib ~task_type ~kind) ~finish
-            | Policy.Power_aware Policy.Min_task_energy ->
-                Dc.cost_task_energy lib ~task_type ~kind
-            | Policy.Thermal_aware ->
-                let task_power = Library.wcpc lib ~task_type ~kind in
-                let t = thermal_cost o ~pe_energy ~idle ~finish ~pe ~task_power in
-                check
-                  ~bounds:
-                    (bound ~engine ~base ~finish ~pe ~task_power
-                    :: List.map iterate (Array.to_list t.bounds))
-                  ~cost:t.cost;
-                t.cost
-          in
-          let cost = match surcharge with None -> cost | Some s -> cost +. s.(pe) in
-          let dc = Dc.weigh ~part:(Dc.part ~sc:sc.(task) ~wcet ~start) ~cost ~weight in
-          match !best with
-          | Some (_, _, _, best_dc) when not (dc > best_dc +. 1e-12) -> ()
-          | _ -> best := Some (task, pe, start, dc)
+          candidates := (task, pe, start, wcet) :: !candidates
         done
       end
     done;
+    let candidates = List.rev !candidates in
+    let lift =
+      match policy with
+      | Policy.Thermal_aware ->
+          let widest =
+            List.fold_left
+              (fun acc (_, _, start, wcet) -> Float.max acc (Float.max (start +. wcet) 1e-9))
+              0.0 candidates
+          in
+          Inquiry.leakage_lift engine ~base ~idle ~horizon:widest
+      | _ -> 0.0
+    in
+    let best = ref None in
+    List.iter
+      (fun (task, pe, start, wcet) ->
+        let task_type = (Graph.task graph task).Task.task_type in
+        let kind = pes.(pe).Pe.kind.Pe.kind_id in
+        let finish = start +. wcet in
+        let cost =
+          match policy with
+          | Policy.Baseline -> 0.0
+          | Policy.Power_aware Policy.Min_task_power ->
+              Dc.cost_task_power lib ~task_type ~kind
+          | Policy.Power_aware Policy.Min_pe_average_power ->
+              Dc.cost_pe_average_power lib ~pe_energy:pe_energy.(pe)
+                ~task_energy:(Library.energy lib ~task_type ~kind) ~finish
+          | Policy.Power_aware Policy.Min_task_energy ->
+              Dc.cost_task_energy lib ~task_type ~kind
+          | Policy.Thermal_aware ->
+              let task_power = Library.wcpc lib ~task_type ~kind in
+              let t = thermal_cost o ~pe_energy ~idle ~finish ~pe ~task_power in
+              check ~lift
+                ~floor:(bound ~engine ~base ~lift ~finish ~pe ~task_power)
+                ~iterates:(List.map iterate (Array.to_list t.bounds))
+                ~cost:t.cost;
+              t.cost
+        in
+        let cost = match surcharge with None -> cost | Some s -> cost +. s.(pe) in
+        let dc = Dc.weigh ~part:(Dc.part ~sc:sc.(task) ~wcet ~start) ~cost ~weight in
+        match !best with
+        | Some (_, _, _, best_dc) when not (dc > best_dc +. 1e-12) -> ()
+        | _ -> best := Some (task, pe, start, dc))
+      candidates;
     let task, pe, start, _ = Option.get !best in
     let task_type = (Graph.task graph task).Task.task_type in
     let kind = pes.(pe).Pe.kind.Pe.kind_id in
@@ -411,7 +432,10 @@ let test_bm1_thermal_stats () =
    where it answered 3 inquiries from a 1 nW-quantized neighbour's
    entry: its values here are that cache's with keys compared bit for
    bit, as a table's are. [wall_time] is not pinned: it now covers the
-   fixed points run, read off no clock for a zero-step answer. *)
+   fixed points run, read off no clock for a zero-step answer. The
+   leakage-lifted floor prunes more candidates before their fixed point:
+   the [sched.*] counts are unchanged, and no [Inquiry.stats] count may
+   exceed its value under the unlifted floor. *)
 let test_std4_counters_pinned () =
   let p = Option.get (Catalog.platform_named "std4") in
   let lib = Catalog.library_for p and pes = Platform.instances p in
@@ -425,14 +449,24 @@ let test_std4_counters_pinned () =
      the registry's steps, candidates, attempts and replayed steps *)
   let expected =
     [
-      ([ 2646; 828; 22467; 4; 39325; 2646 ], [ 342; 7232; 18; 213 ]);
-      ([ 8113; 2499; 56447; 4; 98993; 8113 ], [ 630; 18872; 18; 301 ]);
-      ([ 13892; 5237; 83362; 4; 157620; 13892 ], [ 702; 26236; 18; 298 ]);
-      ([ 22215; 8892; 128419; 4; 262039; 22215 ], [ 918; 37896; 18; 332 ]);
+      ([ 1776; 535; 21538; 4; 36830; 1776 ], [ 342; 7232; 18; 213 ]);
+      ([ 5598; 1646; 54077; 4; 91229; 5598 ], [ 630; 18872; 18; 301 ]);
+      ([ 9744; 3523; 79372; 4; 143501; 9744 ], [ 702; 26236; 18; 298 ]);
+      ([ 17072; 6684; 123752; 4; 240237; 17072 ], [ 918; 37896; 18; 332 ]);
+    ]
+  in
+  (* The same counts under the seed floor without its leakage lift: the
+     lift only removes work. *)
+  let unlifted =
+    [
+      [ 2646; 828; 22467; 4; 39325; 2646 ];
+      [ 8113; 2499; 56447; 4; 98993; 8113 ];
+      [ 13892; 5237; 83362; 4; 157620; 13892 ];
+      [ 22215; 8892; 128419; 4; 262039; 22215 ];
     ]
   in
   List.iteri
-    (fun b (stats, sched) ->
+    (fun b ((stats, sched), unlifted) ->
       let graph = Benchmarks.load b in
       let hotspot = fresh_hotspot pes in
       let before = List.map counter names in
@@ -447,8 +481,13 @@ let test_std4_counters_pinned () =
         [ s.Inquiry.inquiries; s.Inquiry.cache_hits; s.Inquiry.fp_iterations;
           s.Inquiry.factored_solves; s.Inquiry.dense_solves;
           s.Inquiry.delta_evals ];
-      Alcotest.(check (list int)) (what ^ ": registry") (stats @ sched) deltas)
-    expected
+      Alcotest.(check (list int)) (what ^ ": registry") (stats @ sched) deltas;
+      List.iter2
+        (fun now before ->
+          if now > before then
+            Alcotest.failf "%s: %d above the unlifted floor's %d" what now before)
+        stats unlifted)
+    (List.combine expected unlifted)
 
 (* --- The pruned thermal scan ------------------------------------------- *)
 
@@ -488,66 +527,100 @@ let for_each_input ?(graphs = pruning_graphs) ?(platforms = builtins) f =
         platforms)
     graphs
 
-(* Every thermal candidate the unpruned scheduler meets on the inputs:
-   how many have a bound sequence (the [bound] of its seed, then one per
-   iterate of its fixed point) that falls somewhere or rises above its
-   exact cost, how many there are, how many iterate bounds they carry and
-   the smallest [cost - bound] of a seed. *)
+(* Every thermal candidate the unpruned scheduler meets on the inputs,
+   against three properties: its floor is at most its exact cost; its
+   iterate bounds never fall and stay at most the cost; and the running
+   maximum of the floor and the iterate bounds, which [List_sched.pick]
+   stores, never falls. Returns how many candidates break one, how many
+   there are, how many carry a positive lift, how many iterate bounds
+   they carry, the smallest [cost - floor] and the smallest ratio of that
+   gap to the lift (in cost units). *)
+type soundness = {
+  violations : int;
+  checked : int;
+  lifted : int;
+  iterates : int;
+  gap : float;
+  gap_per_lift : float;
+}
+
 let bound_violations ?graphs ?platforms ?iterate bound =
-  let violations = ref 0 and checked = ref 0 and iterates = ref 0 in
-  let gap = ref Float.infinity in
-  let check ~bounds ~cost =
-    incr checked;
-    iterates := !iterates + List.length bounds - 1;
-    gap := Float.min !gap (cost -. List.hd bounds);
-    let rec sound prev = function
+  let r =
+    ref
+      { violations = 0; checked = 0; lifted = 0; iterates = 0;
+        gap = Float.infinity; gap_per_lift = Float.infinity }
+  in
+  let check ~lift ~floor ~iterates ~cost =
+    let rec climbs prev = function
       | [] -> true
-      | b :: rest -> prev <= b && b <= cost && sound b rest
+      | b :: rest -> prev <= b && b <= cost && climbs b rest
     in
-    if not (sound Float.neg_infinity bounds) then incr violations
+    let running = List.rev (List.fold_left (fun acc b ->
+        Float.max b (List.hd acc) :: acc) [ floor ] iterates) in
+    let sound =
+      floor <= cost && climbs Float.neg_infinity iterates
+      && climbs Float.neg_infinity running
+    in
+    let gap = cost -. floor and lift_cost = lift /. 100.0 in
+    let c = !r in
+    r :=
+      {
+        violations = (c.violations + if sound then 0 else 1);
+        checked = c.checked + 1;
+        lifted = (c.lifted + if lift > 0.0 then 1 else 0);
+        iterates = c.iterates + List.length iterates;
+        gap = Float.min c.gap gap;
+        gap_per_lift =
+          (if lift > 0.0 then Float.min c.gap_per_lift (gap /. lift_cost)
+           else c.gap_per_lift);
+      }
   in
   for_each_input ?graphs ?platforms (fun _ ~graph ~lib ~pes ~weight ~surcharge ->
       ignore
         (unpruned ?surcharge ~check ~bound ?iterate ~hotspot:(fresh_hotspot pes)
            ~graph ~lib ~pes ~policy:Policy.Thermal_aware ~weight ()
           : Schedule.t));
-  (!violations, !checked, !iterates, !gap)
+  !r
 
 (* Every iterate bounds the cost too, never below the one before it: the
    ground [List_sched.pick]'s refinement stands on. *)
 let test_bound_sound () =
-  let violations, checked, iterates, gap =
-    bound_violations Dc.cost_thermal_floor
-  in
+  let r = bound_violations Dc.cost_thermal_floor in
   Alcotest.(check bool)
-    (Printf.sprintf "%d candidates checked, %d iterate bounds, smallest gap %g"
-       checked iterates gap)
+    (Printf.sprintf
+       "%d candidates checked (%d lifted), %d iterate bounds, smallest gap %g, \
+        smallest gap %.3g x the lift"
+       r.checked r.lifted r.iterates r.gap r.gap_per_lift)
     true
-    (checked > 100_000 && iterates > checked);
-  Alcotest.(check int) "bound sequences not rising to their exact cost" 0
-    violations
+    (r.checked > 100_000 && r.iterates > r.checked && r.lifted > r.checked / 2);
+  Alcotest.(check int) "floors and bound sequences not rising to their exact cost" 0
+    r.violations
 
 (* The checker is only as good as its power to fail: a floor raised by
-   0.1 (10 °C of average temperature) must be caught. On every candidate
-   of [test_bound_sound] leakage lifts the average at least 7 °C above
-   the linear seed, so a raise of 0.01 would still be a sound bound. So
-   must iterate bounds raised by 1e-6 (0.1 m°C): the last iterate before
+   0.1 (10 °C of average temperature) must be caught, and so must a floor
+   whose leakage lift is doubled: the lift is a real share of the gap
+   between the seed and the cost, not a rounding-sized one. So must
+   iterate bounds raised by 1e-6 (0.1 m°C): the last iterate before
    convergence sits within the 1e-6 °C tolerance of the fixed point, 1e-8
    in cost units. *)
 let test_unsound_bound_caught () =
-  let unsound ~engine ~base ~finish ~pe ~task_power =
-    Dc.cost_thermal_floor ~engine ~base ~finish ~pe ~task_power +. 0.1
+  let raised ~engine ~base ~lift ~finish ~pe ~task_power =
+    Dc.cost_thermal_floor ~engine ~base ~lift ~finish ~pe ~task_power +. 0.1
+  in
+  let doubled ~engine ~base ~lift ~finish ~pe ~task_power =
+    Dc.cost_thermal_floor ~engine ~base ~lift:(2.0 *. lift) ~finish ~pe ~task_power
   in
   let caught ?iterate bound =
-    let violations, _, _, _ =
-      bound_violations ~graphs:[ Benchmarks.load 0 ]
-        ~platforms:[ builtin "std4" ] ?iterate bound
-    in
-    violations
+    (bound_violations ~graphs:[ Benchmarks.load 0 ]
+       ~platforms:[ builtin "std4" ] ?iterate bound)
+      .violations
   in
-  let floors = caught unsound in
+  let floors = caught raised in
   Alcotest.(check bool) (Printf.sprintf "floor: %d violations" floors) true
     (floors > 0);
+  let lifts = caught doubled in
+  Alcotest.(check bool) (Printf.sprintf "doubled lift: %d violations" lifts) true
+    (lifts > 0);
   let iterates = caught ~iterate:(fun b -> b +. 1e-6) Dc.cost_thermal_floor in
   Alcotest.(check bool)
     (Printf.sprintf "iterate: %d violations" iterates)

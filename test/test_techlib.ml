@@ -85,6 +85,24 @@ let test_comm_rejects_negative () =
     (try ignore (Comm.make ~delay_per_byte:(-1.0) ~energy_per_byte:0.0 () : Comm.t); false
      with Invalid_argument _ -> true)
 
+(* NaN and both infinities in each rate and in the mesh hop delay are
+   rejected, naming the field: none may reach a schedule as a delay. *)
+let test_comm_rejects_non_finite () =
+  List.iter
+    (fun bad ->
+      let rejects field f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s = %g" field bad)
+          (Invalid_argument ("Comm.make: non-finite " ^ field))
+          (fun () -> ignore (f () : Comm.t))
+      in
+      rejects "delay_per_byte" (fun () ->
+          Comm.make ~delay_per_byte:bad ~energy_per_byte:0.1 ());
+      rejects "energy_per_byte" (fun () ->
+          Comm.make ~delay_per_byte:0.1 ~energy_per_byte:bad ());
+      rejects "per_hop_delay" (fun () -> Comm.mesh ~per_hop_delay:bad ()))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* --- Library ------------------------------------------------------------ *)
 
 let two_kinds () = [ kind ~id:0 ~speed:1.0 ~power:4.0 (); kind ~id:1 ~speed:2.0 ~power:10.0 () ]
@@ -395,6 +413,8 @@ let () =
           Alcotest.test_case "same-PE free" `Quick test_comm_same_pe_free;
           Alcotest.test_case "scales with data" `Quick test_comm_scales_with_data;
           Alcotest.test_case "validation" `Quick test_comm_rejects_negative;
+          Alcotest.test_case "non-finite rates rejected" `Quick
+            test_comm_rejects_non_finite;
           Alcotest.test_case "mesh hops" `Quick test_mesh_hops;
           Alcotest.test_case "mesh delay/energy" `Quick test_mesh_delay_and_energy;
           Alcotest.test_case "bus hops" `Quick test_bus_hops_binary;

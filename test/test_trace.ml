@@ -473,6 +473,37 @@ let test_cli_smoke () =
      let p95 = Json.to_num (Json.member "p95" solve_hist) in
      p50 > 0.0 && p95 >= p50)
 
+(* [tats schedule --stats] sets the candidates the list scheduler scanned
+   beside the inquiries the engine served: the floor prunes candidates
+   before their inquiry, so there are never more inquiries. *)
+let test_cli_stats_candidates () =
+  let rc =
+    Sys.command
+      "../bin/tats.exe schedule -b Bm1 -p thermal --stats >stats_stdout.txt \
+       2>stats_stderr.txt"
+  in
+  Alcotest.(check int) "tats exits 0" 0 rc;
+  let lines =
+    In_channel.with_open_text "stats_stdout.txt" In_channel.input_lines
+  in
+  let find prefix =
+    match List.find_opt (String.starts_with ~prefix) lines with
+    | Some l -> l
+    | None -> Alcotest.failf "no %S line in tats schedule --stats" prefix
+  in
+  let inquiries =
+    Scanf.sscanf (find "inquiry engine: ") "inquiry engine: inquiries %d" Fun.id
+  in
+  let candidates =
+    Scanf.sscanf (find "list scheduler: ")
+      "list scheduler: %d steps, %d candidates scanned, %d replayed"
+      (fun _ c _ -> c)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d candidates >= %d inquiries > 0" candidates inquiries)
+    true
+    (inquiries > 0 && candidates >= inquiries)
+
 (* Out-of-range numbers on the command line are usage errors: exit 2 with a
    one-line [tats: ] message, never an uncaught library exception (exit
    125) or a silently non-finite result. *)
@@ -540,6 +571,8 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "tats --trace --metrics" `Quick test_cli_smoke;
+          Alcotest.test_case "tats schedule --stats candidates" `Quick
+            test_cli_stats_candidates;
           Alcotest.test_case "bad numeric flags exit 2" `Quick
             test_cli_rejects_bad_numbers;
         ] );
