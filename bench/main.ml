@@ -380,9 +380,8 @@ let ablation_dvs () =
     "(the thermal ASP already spent the slack, so DVS has little left to reclaim)\n"
 
 let ablation_bus () =
-  hr "Ablation — communication models: free bus, contended bus, 2x2 mesh NoC";
-  Printf.printf "%-8s %14s %12s %12s %12s\n" "bench" "free makespan" "bus makespan"
-    "bus util" "mesh mksp";
+  hr "Ablation — communication models: free bus vs 2x2 mesh NoC";
+  Printf.printf "%-8s %14s %12s\n" "bench" "free makespan" "mesh mksp";
   let lib = Core.Catalog.platform_library () in
   let mesh_lib =
     Core.Library.generate ~seed:77
@@ -398,15 +397,11 @@ let ablation_bus () =
       let free =
         Core.List_sched.run ~graph ~lib ~pes ~policy:Core.Policy.Baseline ()
       in
-      let bus = Core.Bus_sched.run ~graph ~lib ~pes ~policy:Core.Policy.Baseline () in
       let mesh =
         Core.List_sched.run ~graph ~lib:mesh_lib ~pes ~policy:Core.Policy.Baseline ()
       in
-      Printf.printf "%-8s %14.1f %12.1f %11.1f%% %12.1f\n" (Core.Graph.name graph)
-        free.Core.Schedule.makespan
-        bus.Core.Bus_sched.schedule.Core.Schedule.makespan
-        (100.0 *. Core.Bus_sched.bus_utilization bus)
-        mesh.Core.Schedule.makespan)
+      Printf.printf "%-8s %14.1f %12.1f\n" (Core.Graph.name graph)
+        free.Core.Schedule.makespan mesh.Core.Schedule.makespan)
     [ 0; 1; 2; 3 ]
 
 let ablation_refinement () =

@@ -545,6 +545,7 @@ let dtm_cmd' =
   let run bench trigger passes =
     let bench = or_die (Core.Benchmarks.index_of_name bench) in
     if passes < 1 then or_die (Error "--passes must be at least 1");
+    if not (Float.is_finite trigger) then or_die (Error "--trigger must be a number");
     let graph = Core.Benchmarks.load bench in
     let lib = Core.Catalog.platform_library () in
     Format.printf "%-10s %10s %12s %12s %10s %10s@." "policy" "static" "simulated"
@@ -586,7 +587,8 @@ let transient_cmd =
     let bench = or_die (Core.Benchmarks.index_of_name bench) in
     let policy = or_die (parse_policy policy) in
     if periods < 2 then or_die (Error "--periods must be >= 2");
-    if time_unit <= 0.0 then or_die (Error "--time-unit must be positive");
+    if not (Float.is_finite time_unit && time_unit > 0.0) then
+      or_die (Error "--time-unit must be a positive number");
     (match dt with
     | Some d when not (Float.is_finite d && d > 0.0) ->
         or_die (Error "--dt must be a positive number")
@@ -709,6 +711,10 @@ let online_cmd =
       isolate trigger observed =
     observed @@ fun () ->
     let bench = or_die (Core.Benchmarks.index_of_name bench) in
+    (match trigger with
+    | Some t when not (Float.is_finite t && t > 0.0) ->
+        or_die (Error "--trigger must be a positive number")
+    | _ -> ());
     let policy =
       match Core.Online.policy_of_name policy with
       | Some (Core.Online.Reactive r) ->
@@ -737,7 +743,9 @@ let online_cmd =
                   "unknown arrival source %S (want zero, sporadic or trace)"
                   other))
     in
-    if mean_gap <= 0.0 then or_die (Error "--mean-gap must be positive");
+    if not (Float.is_finite mean_gap && mean_gap > 0.0) then
+      or_die (Error "--mean-gap must be a positive number");
+    if seed < 0 then or_die (Error "--seed must be non-negative");
     let graph = Core.Benchmarks.load bench in
     let constraints = parse_constraints ~pins ~pin_kinds ~isolate in
     let arch = resolve_platform ~n_pes platform in

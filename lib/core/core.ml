@@ -42,8 +42,6 @@ module List_sched = Tats_sched.List_sched
 module Heft = Tats_sched.Heft
 module Sa_mapper = Tats_sched.Sa_mapper
 module Dvs = Tats_sched.Dvs
-module Bus_sched = Tats_sched.Bus_sched
-module Periodic = Tats_sched.Periodic
 module Dtm = Tats_sched.Dtm
 module Replay = Tats_sched.Replay
 module Online = Tats_sched.Online

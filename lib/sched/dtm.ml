@@ -41,6 +41,8 @@ let simulate ?(params = default_params) ~lib ~hotspot (s : Schedule.t) =
   if params.dt <= 0.0 || params.time_unit <= 0.0 then
     invalid_arg "Dtm.simulate: bad time parameters";
   if params.hysteresis < 0.0 then invalid_arg "Dtm.simulate: negative hysteresis";
+  if not (Float.is_finite params.trigger) then
+    invalid_arg "Dtm.simulate: trigger must be finite";
   Tats_util.Trace.with_span "dtm.simulate" @@ fun () ->
   let n_pes = Schedule.n_pes s in
   if Hotspot.n_blocks hotspot <> n_pes then

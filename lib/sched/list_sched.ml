@@ -16,8 +16,7 @@ let m_replayed_steps = Metricsreg.counter "sched.replayed_steps"
 exception Thermal_policy_needs_hotspot
 
 (* What a schedule needs that no decision and no weight changes, validated
-   and computed once per [run], [run_adaptive], [Online.plan],
-   [Bus_sched.run] or [Periodic.schedule] call. *)
+   and computed once per [run], [run_adaptive] or [Online.plan] call. *)
 type ctx = {
   graph : Graph.t;
   lib : Library.t;
@@ -41,7 +40,7 @@ type ctx = {
 }
 
 let prepare ?hotspot ?exclusive
-    ?(constraints = Constraints.empty) ?sc ~graph ~lib ~pes ~policy () =
+    ?(constraints = Constraints.empty) ~graph ~lib ~pes ~policy () =
   if Array.length pes = 0 then invalid_arg "List_sched: empty PE array";
   let engine =
     match (policy, hotspot) with
@@ -75,7 +74,7 @@ let prepare ?hotspot ?exclusive
     policy;
     partners;
     constraints;
-    sc = (match sc with Some sc -> sc | None -> Dc.static_criticality lib graph);
+    sc = Dc.static_criticality lib graph;
     idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes;
     wcet = per_pair (Library.wcet lib);
     wcpc = per_pair (Library.wcpc lib);
@@ -95,8 +94,8 @@ let prepare ?hotspot ?exclusive
 module Ready = Set.Make (Int)
 
 (* One scheduling step's admissible candidates under a fixed decision
-   prefix, in scan order (ascending task, then PE). Without a start floor,
-   horizon or surcharge (the offline case) everything stored is a function
+   prefix, in scan order (ascending task, then PE). Without a start floor
+   or surcharge (the offline case) everything stored is a function
    of the prefix alone, which is what lets the memo replay it; only
    [Dc.weigh] brings in the weight.
 
@@ -125,7 +124,6 @@ type node = {
 (* The scan's inputs to the thermal costs of its candidates. *)
 and thermal = {
   step : Inquiry.step; (* the engine's table for the step's base *)
-  horizon : float option;
   surcharge : float array option;
   slots : Inquiry.slot array; (* per candidate, its slot in [step] *)
 }
@@ -222,7 +220,6 @@ module Inspect = struct
   type view = {
     v_ready : Ready.t;
     v_floor : (Task.id -> float) option;
-    v_horizon : float option;
     v_surcharge : float array option;
     v_pairs : int array;
     v_starts : float array;
@@ -236,7 +233,7 @@ module Inspect = struct
   let set_observer f = Atomic.set observer f
 
   (* One atomic load while no observer is set. *)
-  let observe ?floor ?horizon ?surcharge st node =
+  let observe ?floor ?surcharge st node =
     match Atomic.get observer with
     | None -> ()
     | Some f ->
@@ -244,7 +241,6 @@ module Inspect = struct
           {
             v_ready = node.ready;
             v_floor = floor;
-            v_horizon = horizon;
             v_surcharge = surcharge;
             v_pairs = Array.copy node.pairs;
             v_starts = Array.copy node.starts;
@@ -271,15 +267,19 @@ end
    and the checker's claims. So a task the parent node also scanned keeps
    both on every PE no commit touched since, and they are copied from the
    parent, in the same scan order; only the committed PEs' columns and
-   the newly ready tasks are evaluated afresh. Everything a start floor,
-   a horizon or a surcharge touches (start, part, cost) is computed anew
+   the newly ready tasks are evaluated afresh. Everything a start floor
+   or a surcharge touches (start, part, cost) is computed anew
    for every pair, from the context's per-pair tables, by the same
    expressions as on a fresh scan. *)
-let scan ?floor ?horizon ?surcharge st ~ready =
+let scan ?floor ?surcharge st ~ready =
   let { lib; pes; policy; sc; engine; wcet; wcpc; energy; static_cost; _ } =
     st.ctx
   in
   let n_pes = Array.length pes in
+  (match surcharge with
+  | Some s when Array.length s <> n_pes || not (Array.for_all Float.is_finite s) ->
+      invalid_arg "List_sched.scan: surcharge needs one finite entry per PE"
+  | _ -> ());
   let comm = Library.comm lib in
   let cap = Ready.cardinal ready * n_pes in
   let pairs = Array.make cap 0 in
@@ -359,15 +359,11 @@ let scan ?floor ?horizon ?surcharge st ~ready =
       done)
     ready;
   (* A thermal candidate's floor is its linear seed's mean plus the
-     leakage lift of the step at the largest horizon among its candidates
-     (at most the horizon of each), found by one more pass. *)
+     leakage lift of the step at the latest finish among its candidates
+     (at most the lift at each one's own), found by one more pass. *)
   (match (engine, step) with
   | Some engine, Some step when !k > 0 ->
-      let finish_of i =
-        match horizon with
-        | Some h -> h
-        | None -> starts.(i) +. wcet.(pairs.(i))
-      in
+      let finish_of i = starts.(i) +. wcet.(pairs.(i)) in
       let widest = ref 0.0 in
       for i = 0 to !k - 1 do
         widest := Float.max !widest (Dc.thermal_horizon ~finish:(finish_of i))
@@ -392,7 +388,7 @@ let scan ?floor ?horizon ?surcharge st ~ready =
   let thermal =
     Option.map
       (fun step ->
-        { step; horizon; surcharge; slots = Array.make !k Inquiry.no_slot })
+        { step; surcharge; slots = Array.make !k Inquiry.no_slot })
       step
   in
   let node =
@@ -412,7 +408,7 @@ let scan ?floor ?horizon ?surcharge st ~ready =
     }
   in
   adopt st node;
-  Inspect.observe ?floor ?horizon ?surcharge st node;
+  Inspect.observe ?floor ?surcharge st node;
   node
 
 type choice = { task : Task.id; pe : int; start : float }
@@ -437,11 +433,7 @@ let refine st node i ~weight ~reach =
       let n_pes = Array.length pes in
       let pair = node.pairs.(i) in
       let pe = pair mod n_pes in
-      let finish =
-        match th.horizon with
-        | Some h -> h
-        | None -> node.starts.(i) +. wcet.(pair)
-      in
+      let finish = node.starts.(i) +. wcet.(pair) in
       let surcharge = match th.surcharge with None -> 0.0 | Some s -> s.(pe) in
       let pruned = ref false in
       (* The iterates climb from the seed, below the lifted floor [scan]

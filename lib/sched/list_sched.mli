@@ -103,12 +103,9 @@ val run_adaptive :
 (** {1 Step core}
 
     The greedy loop {!run} and {!run_adaptive} are built from, exposed so
-    that the other greedy schedulers share its candidate scan, DC
-    arithmetic, tie-break and commit instead of copying them: {!Online}
-    (release-time floors and a thermal surcharge), {!Bus_sched} (commits
-    at the bus-contended start) and {!Periodic} (one graph of hyperperiod
-    jobs, release-relative criticalities and floors, a per-step thermal
-    horizon). A caller owns its ready set and loops: {!scan} the ready
+    that {!Online} (release-time floors and a thermal surcharge) shares
+    its candidate scan, DC arithmetic, tie-break and commit instead of
+    copying them. A caller owns its ready set and loops: {!scan} the ready
     tasks, {!pick} the winner at its weight, {!commit} it (adding newly
     ready successors to its set), until {!scheduled} covers the graph;
     then {!finish}. The step functions touch no [sched.*] counter or
@@ -124,7 +121,6 @@ val prepare :
   ?hotspot:Hotspot.t ->
   ?exclusive:(Task.id -> Task.id -> bool) ->
   ?constraints:Constraints.spec ->
-  ?sc:float array ->
   graph:Graph.t ->
   lib:Library.t ->
   pes:Pe.inst array ->
@@ -133,8 +129,8 @@ val prepare :
   ctx
 (** Validates and precomputes once per scheduling call, with the
     arguments and exceptions of {!run}; the constraint spec itself is
-    checked by {!init}. [sc] (one entry per task) replaces the static
-    criticalities {!Dc.static_criticality} would compute. *)
+    checked by {!init}. The static criticalities are
+    {!Dc.static_criticality}'s. *)
 
 type state
 (** One schedule in progress: committed entries, per-PE task lists and
@@ -164,7 +160,6 @@ type candidates
 
 val scan :
   ?floor:(Task.id -> float) ->
-  ?horizon:float ->
   ?surcharge:float array ->
   state ->
   ready:Ready.t ->
@@ -172,15 +167,15 @@ val scan :
 (** Evaluate every admissible pair of [ready] (each must satisfy
     {!is_ready}): the earliest start (data arrival and PE availability),
     raised to [floor task] when given, and the policy cost plus
-    [surcharge.(pe)] when given. A thermal cost gets a bound per pair,
+    [surcharge.(pe)] when given (one finite entry per PE, or
+    [Invalid_argument]). A thermal cost gets a bound per pair,
     exact costs on demand: one step table per scan
     ({!Tats_thermal.Inquiry.step}, keyed by the committed energies and
     idle powers, its base solve run once per distinct step), one
     {!Tats_thermal.Inquiry.leakage_lift} per scan at the largest horizon
     among its thermal pairs, then per pair the O(1)
     {!Dc.cost_thermal_floor} and what its delta-evaluated inquiry needs,
-    whose committed energies are averaged over [horizon] when given, else
-    over the candidate's finish.
+    whose committed energies are averaged over the candidate's finish.
 
     {b Reuse.} Each scan builds on the state's parent node: the last one
     scanned, or replayed by {!run_adaptive}'s memo, on this state. A
@@ -195,7 +190,7 @@ val scan :
     Start, {!Dc.part} and cost are computed anew for every pair, from
     per-pair tables of the library's WCET, WCPC, energy and static costs
     built once per {!prepare}, by the same expressions as a fresh scan:
-    a start floor, horizon or surcharge touches exactly these, and the
+    a start floor or surcharge touches exactly these, and the
     result is bit for bit the node a scan from scratch builds.
 
     {b The thermal floor} is the inquiry seed's mean assembled in O(1)
@@ -266,7 +261,6 @@ module Inspect : sig
   type view = {
     v_ready : Ready.t;  (** the ready set scanned *)
     v_floor : (Task.id -> float) option;  (** the scan's arguments *)
-    v_horizon : float option;
     v_surcharge : float array option;
     v_pairs : int array;  (** [task * n_pes + pe], in scan order *)
     v_starts : float array;
@@ -289,7 +283,7 @@ module Inspect : sig
       sets it clears it. *)
 
   val graph : state -> Graph.t
-  (** The graph being scheduled ([Periodic]'s is its hyperperiod's jobs). *)
+  (** The graph being scheduled. *)
 
   val entry : state -> Task.id -> Schedule.entry option
   (** The task's committed entry, if any. *)
@@ -301,5 +295,5 @@ module Inspect : sig
   (** {!Constraints.admissible} under the state's claims, evaluated now. *)
 
   val criticality : state -> Task.id -> float
-  (** The static criticality the state scores with ({!prepare}'s [sc]). *)
+  (** The static criticality the state scores with. *)
 end

@@ -50,7 +50,7 @@ val report_of_powers :
     one of each per hotspot block: [pe_powers] is their sum. [leakage]
     (default true) couples idle power to temperature through the leakage
     fixed point ({!Hotspot.inquire_with_leakage}); when false, idle power
-    enters at its nominal value. The schedule, periodic and DVS reports
+    enters at its nominal value. The schedule and DVS reports
     all go through here. *)
 
 val thermal_report : ?leakage:bool -> Schedule.t -> hotspot:Hotspot.t -> thermal_report

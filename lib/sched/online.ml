@@ -177,6 +177,19 @@ let plan ?weights ?hotspot ?constraints ~time_unit ~release ~floor ~graph ~lib
       if Hotspot.n_blocks h <> n_pes then
         invalid_arg "Online: hotspot must have one block per PE"
   | Mirror (Policy.Baseline | Policy.Power_aware _), _ -> ());
+  if not (Float.is_finite time_unit && time_unit > 0.0) then
+    invalid_arg "Online: time_unit must be positive and finite";
+  (match reactive with
+  | Some r ->
+      if not (Float.is_finite r.trigger) then
+        invalid_arg "Online: reactive trigger must be finite";
+      if not (Float.is_finite r.penalty && r.penalty >= 0.0) then
+        invalid_arg "Online: reactive penalty must be finite and non-negative";
+      if not (Float.is_finite r.cooldown && r.cooldown >= 0.0) then
+        invalid_arg "Online: reactive cooldown must be finite and non-negative";
+      if r.max_defers < 0 then
+        invalid_arg "Online: reactive max_defers must be non-negative"
+  | None -> ());
   let st =
     List_sched.init
       (List_sched.prepare ?hotspot ?constraints ~graph ~lib ~pes

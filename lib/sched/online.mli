@@ -157,7 +157,10 @@ val run :
     and for every [Reactive] policy (raises {!Policy_needs_hotspot}
     otherwise) and must have one block per PE. [time_unit] (default
     [1e-3] — the {!Replay.of_schedule} convention, seconds per schedule
-    time unit) scales the live transient integration between events.
+    time unit) scales the live transient integration between events; it
+    must be positive and finite, and a [Reactive] policy's trigger finite,
+    its penalty and cooldown finite and non-negative and its [max_defers]
+    non-negative (raises [Invalid_argument] otherwise).
 
     The schedule always satisfies [start >= release] for every task in
     addition to the {!Schedule.validate} invariants.

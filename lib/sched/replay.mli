@@ -2,9 +2,8 @@
 
     A schedule is a set of per-PE busy intervals, so its power draw is
     piecewise constant with breakpoints exactly at task starts and
-    finishes. This module turns schedules (and any other interval shape,
-    e.g. {!Periodic} hyperperiod entries) into
-    {!Tats_thermal.Transient.profile} values with {e exact} breakpoints —
+    finishes. This module turns schedules (and any other interval shape)
+    into {!Tats_thermal.Transient.profile} values with {e exact} breakpoints —
     no sampling grid — and replays them for peak transient temperatures. *)
 
 module Library = Tats_techlib.Library

@@ -188,13 +188,16 @@ let decode_transient obj =
     let* dt =
       Json.field ~default:None "dt"
         (fun v ->
-          match Json.num v with Some d when d > 0.0 -> Some (Some d) | _ -> None)
+          match Json.num v with
+          | Some d when d > 0.0 && Float.is_finite d -> Some (Some d)
+          | _ -> None)
         ~what:"must be a positive number" obj
     in
     let* time_unit =
       Json.field ~default:1e-3 "time_unit" Json.num ~what:"must be a number" obj
     in
-    if time_unit <= 0.0 then field_error "time_unit" "must be positive"
+    if not (time_unit > 0.0 && Float.is_finite time_unit) then
+      field_error "time_unit" "must be a positive number"
     else
       let* exact =
         Json.field ~default:false "exact" Json.bool ~what:"must be a boolean" obj
@@ -328,7 +331,7 @@ let request_of_json json =
             Ok (Online p)
         | "sleep" ->
             let* ms = Json.field ~default:0.0 "ms" Json.num ~what:"must be a number" json in
-            if ms < 0.0 || ms > 60_000.0 then
+            if not (ms >= 0.0 && ms <= 60_000.0) then
               field_error "ms" "must be in [0, 60000]"
             else Ok (Sleep (ms /. 1000.0))
         | other -> field_error "kind" (Printf.sprintf "unknown kind %S" other)

@@ -50,8 +50,9 @@ let of_tables ~kinds ~wcet ~wcpc ?(comm = Comm.default) () =
           invalid_arg (Printf.sprintf "Library.of_tables: ragged %s table" name);
         Array.iter
           (fun x ->
-            if x <= 0.0 then
-              invalid_arg (Printf.sprintf "Library.of_tables: non-positive %s" name))
+            if not (x > 0.0 && Float.is_finite x) then
+              invalid_arg
+                (Printf.sprintf "Library.of_tables: non-positive or non-finite %s" name))
           row)
       table
   in

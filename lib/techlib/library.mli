@@ -20,7 +20,7 @@ val of_tables :
   unit ->
   t
 (** Explicit tables indexed [task_type][kind_id]. Both must be rectangular,
-    positive, and agree in shape. They are copied. *)
+    positive and finite, and agree in shape. They are copied. *)
 
 val n_task_types : t -> int
 val kinds : t -> Pe.kind array

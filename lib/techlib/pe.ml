@@ -14,12 +14,14 @@ type inst = { inst_id : int; kind : kind }
 let make_kind ~kind_id ~name ~area ~cost ~speed ~power_scale ~idle_power
     ?(specialization = []) () =
   if kind_id < 0 then invalid_arg "Pe.make_kind: negative id";
-  if area <= 0.0 || cost <= 0.0 || speed <= 0.0 || power_scale <= 0.0 then
-    invalid_arg "Pe.make_kind: non-positive characteristic";
-  if idle_power < 0.0 then invalid_arg "Pe.make_kind: negative idle power";
+  let positive x = x > 0.0 && Float.is_finite x in
+  if not (positive area && positive cost && positive speed && positive power_scale)
+  then invalid_arg "Pe.make_kind: non-positive or non-finite characteristic";
+  if not (idle_power >= 0.0 && Float.is_finite idle_power) then
+    invalid_arg "Pe.make_kind: negative or non-finite idle power";
   List.iter
     (fun (tt, m) ->
-      if tt < 0 || m <= 0.0 then invalid_arg "Pe.make_kind: bad specialization")
+      if tt < 0 || not (positive m) then invalid_arg "Pe.make_kind: bad specialization")
     specialization;
   {
     kind_id;

@@ -32,7 +32,8 @@ val make_kind :
   ?specialization:(int * float) list ->
   unit ->
   kind
-(** Validates positivity of the numeric fields. *)
+(** Validates the numeric fields: positive and finite ([idle_power] may be
+    zero); raises [Invalid_argument] otherwise. *)
 
 val instances : kind list -> inst array
 (** Numbers instances densely in list order. *)

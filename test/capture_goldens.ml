@@ -36,13 +36,6 @@
 
      dune exec test/capture_goldens.exe -- hetero > test/goldens/hetero.golden
 
-   With the argument [sched_ext], prints one fingerprint line per
-   Bus_sched and Periodic fixture (captured before both schedulers moved
-   onto List_sched's step core; every line carries an MD5 of the exact
-   entries, so it pins them bit for bit):
-
-     dune exec test/capture_goldens.exe -- sched_ext > test/goldens/sched_ext.golden
-
    Only regenerate a golden when a change is *meant* to move the
    numbers (new benchmarks, model changes) — never to paper over a
    kernel regression. *)
@@ -69,7 +62,6 @@ let () =
   | [| _; "online" |] -> capture_online ()
   | [| _; "campaign" |] -> capture_campaign ()
   | [| _; "hetero" |] -> capture_hetero ()
-  | [| _; "sched_ext" |] -> print_string (Sched_ext_golden.render ())
   | _ ->
-      prerr_endline "usage: capture_goldens [transient|online|campaign|hetero|sched_ext]";
+      prerr_endline "usage: capture_goldens [transient|online|campaign|hetero]";
       exit 2

@@ -107,6 +107,11 @@ let test_dtm_validation () =
   Alcotest.(check bool) "bad factor" true
     (bad { Dtm.default_params with Dtm.throttle_factor = 1.5 });
   Alcotest.(check bool) "bad dt" true (bad { Dtm.default_params with Dtm.dt = 0.0 });
+  List.iter
+    (fun trigger ->
+      Alcotest.(check bool) (Printf.sprintf "trigger %g" trigger) true
+        (bad { Dtm.default_params with Dtm.trigger }))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
   Alcotest.(check bool) "wrong hotspot" true
     (try
        ignore

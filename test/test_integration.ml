@@ -303,17 +303,6 @@ let test_hetero_matches_golden () =
   check_against_golden ~what:"hetero platform numbers" ~basename:"hetero.golden"
     (Core.Report.hetero_demo (Core.Experiments.hetero_demo ()))
 
-let test_sched_ext_matches_golden () =
-  (* And for the schedulers outside the paper's flows: Bus_sched and
-     Periodic fixtures (benchmarks, PE counts, policies, one-shot and
-     adaptive periodic scheduling), one line each with an MD5 of the exact
-     entries, so any last-bit drift fails. Captured before both schedulers
-     moved onto List_sched's step core. Regenerate (only for intentional
-     number changes) with:
-       dune exec test/capture_goldens.exe -- sched_ext > test/goldens/sched_ext.golden *)
-  check_against_golden ~what:"Bus_sched/Periodic fingerprints"
-    ~basename:"sched_ext.golden" (Sched_ext_golden.render ())
-
 let test_csv_exports_match_tables () =
   let csv = Core.Report.table1_csv (table1 ()) in
   let lines = String.split_on_char '\n' (String.trim csv) in
@@ -346,8 +335,6 @@ let () =
             test_campaign_matches_golden;
           Alcotest.test_case "hetero matches golden" `Quick
             test_hetero_matches_golden;
-          Alcotest.test_case "sched_ext matches golden" `Quick
-            test_sched_ext_matches_golden;
           Alcotest.test_case "csv export" `Quick test_csv_exports_match_tables;
         ] );
       ( "figure1",

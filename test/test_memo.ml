@@ -739,8 +739,6 @@ let test_pick_allocation () =
 
 module Inspect = List_sched.Inspect
 module Online = Tats_sched.Online
-module Periodic = Tats_sched.Periodic
-module Bus_sched = Tats_sched.Bus_sched
 
 (* A test-local scan from scratch of the state an observed node was built
    from: in scan order, every (ready task, PE) pair that [Constraints]
@@ -795,9 +793,8 @@ let local_scan ~lib ~pes ~policy ~engine st (v : Inspect.view) =
             | Policy.Power_aware Policy.Min_task_energy ->
                 Dc.cost_task_energy lib ~task_type ~kind
             | Policy.Thermal_aware ->
-                (thermal_cost (Option.get engine) ~pe_energy ~idle
-                   ~finish:(Option.value v.Inspect.v_horizon ~default:finish)
-                   ~pe ~task_power:(Library.wcpc lib ~task_type ~kind))
+                (thermal_cost (Option.get engine) ~pe_energy ~idle ~finish ~pe
+                   ~task_power:(Library.wcpc lib ~task_type ~kind))
                   .cost
           in
           let cost =
@@ -828,9 +825,9 @@ type observed = {
    every thermal bound is at most the exact cost. With [weight], it also
    picks the unpruned winner of each node from the exact costs (the
    sequential 1e-12 tie-break, in scan order) and checks that the state's
-   next commit is that (task, PE), at that start unless [bus_start] (the
-   bus books its own). Returns [f]'s result and what it saw. *)
-let observing ?weight ?(bus_start = false) what ~lib ~pes ~policy f =
+   next commit is that (task, PE), at that start. Returns [f]'s result and
+   what it saw. *)
+let observing ?weight what ~lib ~pes ~policy f =
   let engine =
     match policy with
     | Policy.Thermal_aware -> Some (oracle (Hotspot.inquiry (fresh_hotspot pes)))
@@ -843,7 +840,7 @@ let observing ?weight ?(bus_start = false) what ~lib ~pes ~policy f =
     if (task, pe) <> (e.Schedule.task, e.Schedule.pe) then
       Alcotest.failf "%s: picked (%d, %d), committed (%d, %d)" step task pe
         e.Schedule.task e.Schedule.pe;
-    if not bus_start then exact (step ^ ": start") start e.Schedule.start;
+    exact (step ^ ": start") start e.Schedule.start;
     o.picks <- o.picks + 1
   in
   let settle st =
@@ -910,13 +907,13 @@ let observing ?weight ?(bus_start = false) what ~lib ~pes ~policy f =
 
 (* The last pick, met in the finished schedule: [entry task] is the
    committed (PE, start) of [task]. *)
-let last_pick ?(bus_start = false) what o entry =
+let last_pick what o entry =
   match o.pending with
   | None -> ()
   | Some (_, _, (task, pe, start)) ->
       let pe', start' = entry task in
       if pe <> pe' then Alcotest.failf "%s: last pick on PE %d, not %d" what pe' pe;
-      if not bus_start then exact (what ^ ": last pick's start") start start';
+      exact (what ^ ": last pick's start") start start';
       o.picks <- o.picks + 1
 
 let in_schedule (s : Schedule.t) task =
@@ -942,11 +939,10 @@ let crowded_spec seed ~pes ~n_tasks =
     isolation = List.mapi (fun i t -> (t, i mod n_classes)) (distinct []);
   }
 
-(* Every step of [run], [run_adaptive] (fresh and replayed nodes),
-   [Online]'s plan (sporadic releases as floors; a reactive surcharge),
-   [Periodic.schedule] (release floors, a per-step horizon) and
-   [Bus_sched.run], on seeded DAGs x every policy x three platforms, with
-   and without pins and isolation where the caller takes them. *)
+(* Every step of [run], [run_adaptive] (fresh and replayed nodes) and
+   [Online]'s plan (sporadic releases as floors; a reactive surcharge), on
+   seeded DAGs x every policy x three platforms, with and without pins and
+   isolation where the caller takes them. *)
 let test_reuse_is_a_fresh_scan () =
   let nodes = ref 0 and bounds = ref 0 and picks = ref 0 in
   let tally (o : observed) =
@@ -1039,36 +1035,6 @@ let test_reuse_is_a_fresh_scan () =
                 if r.Online.stats.Online.deferrals = 0 then
                   last_pick (what "online/reactive") o (in_schedule r.Online.schedule);
                 tally o
-              end;
-              (* Periodic: two apps, the first with two instances in the
-                 hyperperiod. *)
-              let other = generated (10 + gi) in
-              let period =
-                Float.ceil
-                  (Float.max (Graph.deadline graph) (Graph.deadline other))
-              in
-              let apps =
-                [ Periodic.make_app ~graph ~period;
-                  Periodic.make_app ~graph:other ~period:(2.0 *. period) ]
-              in
-              let p, o =
-                observing ~weight (what "periodic") ~lib ~pes ~policy (fun () ->
-                    Periodic.schedule ~policy ~weights:w ~hotspot:(hotspot ())
-                      ~apps ~lib ~pes ())
-              in
-              (* Entries are in scheduling order: the last is the last pick. *)
-              let last = p.Periodic.entries.(Array.length p.Periodic.entries - 1) in
-              last_pick (what "periodic") o (fun _ -> (last.Periodic.pe, last.Periodic.start));
-              tally o;
-              (* Bus_sched: selection on the contention-free estimate. *)
-              if policy <> Policy.Thermal_aware then begin
-                let r, o =
-                  observing ~weight ~bus_start:true (what "bus") ~lib ~pes ~policy
-                    (fun () -> Bus_sched.run ~graph ~lib ~pes ~policy ())
-                in
-                last_pick ~bus_start:true (what "bus") o
-                  (in_schedule r.Bus_sched.schedule);
-                tally o
               end)
             Policy.all)
         builtins)
@@ -1080,14 +1046,12 @@ let test_reuse_is_a_fresh_scan () =
     (!nodes > 10_000 && !bounds > 10_000 && !picks > 1_000)
 
 (* Every exact thermal cost a pick uses is [%h]-equal to the oracle's, on
-   seeded DAGs x std4/biglittle4/mixed6, in [run], [run_adaptive] (fresh
-   and replayed nodes) and [Periodic.schedule] (a per-step horizon, which
-   all candidates of a step share). In [run] and [Periodic], where every
-   step has a table of its own, the fixed-point steps each pick runs are
-   exactly those of one fixed point per distinct (PE, horizon, task
-   power) of the step, run as deep as its deepest candidate needed:
-   converged if one was evaluated, else the oracle iterate its floor
-   stopped at. *)
+   seeded DAGs x std4/biglittle4/mixed6, in [run] and [run_adaptive]
+   (fresh and replayed nodes). In [run], where every step has a table of
+   its own, the fixed-point steps each pick runs are exactly those of one
+   fixed point per distinct (PE, horizon, task power) of the step, run as
+   deep as its deepest candidate needed: converged if one was evaluated,
+   else the oracle iterate its floor stopped at. *)
 let test_costs_match_oracle () =
   let costs = ref 0 and shared = ref 0 in
   List.iter
@@ -1153,10 +1117,7 @@ let test_costs_match_oracle () =
                     let task_type = (Graph.task graph task).Task.task_type in
                     let kind = pes.(pe).Pe.kind.Pe.kind_id in
                     let finish =
-                      match v.Inspect.v_horizon with
-                      | Some h -> h
-                      | None ->
-                          v.Inspect.v_starts.(i) +. Library.wcet lib ~task_type ~kind
+                      v.Inspect.v_starts.(i) +. Library.wcet lib ~task_type ~kind
                     in
                     let task_power = Library.wcpc lib ~task_type ~kind in
                     keys.(i) <- (pe, bits (Float.max finish 1e-9), bits task_power);
@@ -1180,20 +1141,7 @@ let test_costs_match_oracle () =
               ignore
                 (List_sched.run_adaptive ~hotspot ~graph ~lib ~pes
                    ~policy:Policy.Thermal_aware ()
-                  : Schedule.t * Policy.weights));
-          let other = generated 11 in
-          let period =
-            Float.ceil (Float.max (Graph.deadline graph) (Graph.deadline other))
-          in
-          let apps =
-            [ Periodic.make_app ~graph ~period;
-              Periodic.make_app ~graph:other ~period:(2.0 *. period) ]
-          in
-          audit ~depth:true (what ^ "/periodic") (fun hotspot ->
-              ignore
-                (Periodic.schedule ~policy:Policy.Thermal_aware
-                   ~weights:(default_weights graph) ~hotspot ~apps ~lib ~pes ()
-                  : Periodic.t)))
+                  : Schedule.t * Policy.weights)))
         builtins)
     (List.map generated [ 2; 5; 8 ]);
   Alcotest.(check bool)
@@ -1201,6 +1149,60 @@ let test_costs_match_oracle () =
        !shared)
     true
     (!costs > 10_000 && !shared > 100)
+
+(* Two independent tasks of equal WCET and different power on two PEs of
+   one kind: at the first step each starts at 0 on either PE, so their
+   candidates on a PE share its finish and differ only in task power. At
+   weight 0 every candidate's DC is its part, which the two tie on, so
+   [pick] evaluates all four exactly: each must get its own fixed point's
+   cost, not the cost of the other task's candidate on the same PE. *)
+let test_task_power_keys_the_slot () =
+  let kind = Catalog.platform_kind () in
+  let lib =
+    Library.of_tables ~kinds:[ kind ]
+      ~wcet:[| [| 50.0 |]; [| 50.0 |] |]
+      ~wcpc:[| [| 4.0 |]; [| 12.0 |] |]
+      ()
+  in
+  let b = Graph.builder ~name:"twins" ~deadline:1000.0 in
+  ignore (Graph.add_task b ~task_type:0 () : Task.id);
+  ignore (Graph.add_task b ~task_type:1 () : Task.id);
+  let graph = Graph.build b in
+  let pes = Pe.instances [ kind; kind ] in
+  let n_pes = Array.length pes in
+  let o = oracle (Hotspot.inquiry (fresh_hotspot pes)) in
+  let idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes in
+  (* The node's costs fill in place during its pick: checked after [run]. *)
+  let seen = ref [] in
+  Inspect.set_observer
+    (Some (fun st v -> seen := (Inspect.pe_energy st, v) :: !seen));
+  Fun.protect ~finally:(fun () -> Inspect.set_observer None) (fun () ->
+      ignore
+        (List_sched.run ~weights:{ Policy.cost_weight = 0.0 }
+           ~hotspot:(fresh_hotspot pes) ~graph ~lib ~pes
+           ~policy:Policy.Thermal_aware ()
+          : Schedule.t));
+  let twins = ref 0 in
+  List.iter
+    (fun (pe_energy, (v : Inspect.view)) ->
+      let evaluated = Hashtbl.create 4 in
+      Array.iteri
+        (fun i pair ->
+          let c = v.Inspect.v_costs.(i) in
+          if not (Float.is_nan c) then begin
+            let task = pair / n_pes and pe = pair mod n_pes in
+            let finish = v.Inspect.v_starts.(i) +. 50.0 in
+            let task_power = Library.wcpc lib ~task_type:task ~kind:0 in
+            exact
+              (Printf.sprintf "task %d on PE %d" task pe)
+              (thermal_cost o ~pe_energy ~idle ~finish ~pe ~task_power).cost c;
+            let key = (pe, bits finish) in
+            if Hashtbl.mem evaluated key then incr twins;
+            Hashtbl.add evaluated key ()
+          end)
+        v.Inspect.v_pairs)
+    !seen;
+  Alcotest.(check int) "PEs whose finish two task powers shared" 2 !twins
 
 let () =
   Runner.run "memo"
@@ -1239,5 +1241,7 @@ let () =
         [
           Alcotest.test_case "pick costs = oracle, one fixed point per inquiry"
             `Quick test_costs_match_oracle;
+          Alcotest.test_case "task power keys the step slot" `Quick
+            test_task_power_keys_the_slot;
         ] );
     ]

@@ -251,6 +251,37 @@ let test_arrivals_validation () =
   Alcotest.(check bool) "non-positive mean gap" true
     (invalid (fun () -> ignore (Online.sporadic ~mean_gap:0.0 ~seed:1 graph)))
 
+let test_reactive_validation () =
+  let graph = bm1 () in
+  let pes = platform_pes 4 in
+  let run ?time_unit r =
+    ignore
+      (Online.run ?time_unit ~hotspot:(platform_hotspot 4)
+         ~arrivals:(Online.zero graph) ~graph ~lib:platform_lib ~pes
+         ~policy:(Online.Reactive r) ()
+        : Online.run)
+  in
+  let r = Online.default_reactive in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check bool) what true
+        (try f (); false
+         with Invalid_argument msg -> String.starts_with ~prefix:"Online: " msg))
+    [
+      ("nan trigger", fun () -> run { r with Online.trigger = Float.nan });
+      ("inf trigger", fun () -> run { r with Online.trigger = Float.infinity });
+      ("-inf trigger", fun () -> run { r with Online.trigger = Float.neg_infinity });
+      ("nan penalty", fun () -> run { r with Online.penalty = Float.nan });
+      ("negative penalty", fun () -> run { r with Online.penalty = -1.0 });
+      ("inf cooldown", fun () -> run { r with Online.cooldown = Float.infinity });
+      ("negative cooldown", fun () -> run { r with Online.cooldown = -5.0 });
+      ("negative max_defers", fun () -> run { r with Online.max_defers = -1 });
+      ("nan time_unit", fun () -> run ~time_unit:Float.nan r);
+      ("zero time_unit", fun () -> run ~time_unit:0.0 r);
+    ];
+  (* The edges of the valid ranges still run. *)
+  run { r with Online.trigger = 0.0; penalty = 0.0; cooldown = 0.0; max_defers = 0 }
+
 let test_policy_needs_hotspot () =
   let graph = bm1 () in
   let pes = platform_pes 4 in
@@ -595,6 +626,8 @@ let () =
             test_policy_needs_hotspot;
           Alcotest.test_case "policy names round-trip" `Quick
             test_policy_names_roundtrip;
+          Alcotest.test_case "reactive parameters checked" `Quick
+            test_reactive_validation;
         ] );
       ( "arrival streams",
         [

@@ -235,6 +235,40 @@ let test_thermal_hotspot_size_checked () =
        false
      with Invalid_argument _ -> true)
 
+(* [scan]'s surcharge (the online reactive policy's migration pressure)
+   must give every PE a finite entry: a NaN one makes every cost on its
+   PE NaN, and no pick compares against NaN. *)
+let test_scan_surcharge_checked () =
+  let graph = small_graph () in
+  let st =
+    List_sched.init
+      (List_sched.prepare ~graph ~lib:platform_lib ~pes:(platform_pes 2)
+         ~policy:Policy.Baseline ())
+  in
+  let ready = List_sched.Ready.of_list (Graph.sources graph) in
+  let rejected surcharge =
+    try
+      ignore (List_sched.scan ~surcharge st ~ready : List_sched.candidates);
+      false
+    with Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (what, surcharge) ->
+      Alcotest.(check bool) what true (rejected surcharge))
+    [
+      ("nan", [| 0.0; Float.nan |]);
+      ("inf", [| Float.infinity; 0.0 |]);
+      ("-inf", [| 0.0; Float.neg_infinity |]);
+      ("one entry short", [| 0.0 |]);
+    ];
+  (* Both PEs are alike, so without it the tie goes to PE 0. *)
+  let choice =
+    List_sched.pick ~caller:"test" st
+      (List_sched.scan ~surcharge:[| 1.0; 0.0 |] st ~ready)
+      ~weight:1.0
+  in
+  Alcotest.(check int) "a finite surcharge steers the pick" 1 choice.List_sched.pe
+
 let test_single_pe_serializes () =
   let graph = small_graph () in
   let s =
@@ -603,6 +637,7 @@ let () =
             test_all_policies_valid_on_mesh;
           Alcotest.test_case "validate sees hop latency" `Quick
             test_validate_catches_missing_hop_latency;
+          Alcotest.test_case "scan surcharge checked" `Quick test_scan_surcharge_checked;
         ] );
       ( "adaptive",
         [

@@ -1,9 +1,10 @@
 (* Tests for the scheduler extensions: HEFT, the simulated-annealing mapper,
-   DVS slack reclamation, bus-contention scheduling, and transient replay
-   metrics. *)
+   DVS slack reclamation, transient replay metrics, the makespan lower
+   bound, and the robustness experiment. *)
 
 module Graph = Tats_taskgraph.Graph
 module Benchmarks = Tats_taskgraph.Benchmarks
+module Generator = Tats_taskgraph.Generator
 module Pe = Tats_techlib.Pe
 module Library = Tats_techlib.Library
 module Catalog = Tats_techlib.Catalog
@@ -17,8 +18,6 @@ module List_sched = Tats_sched.List_sched
 module Heft = Tats_sched.Heft
 module Sa_mapper = Tats_sched.Sa_mapper
 module Dvs = Tats_sched.Dvs
-module Bus_sched = Tats_sched.Bus_sched
-module Periodic = Tats_sched.Periodic
 module Online = Tats_sched.Online
 module Metrics = Tats_sched.Metrics
 
@@ -242,89 +241,10 @@ let test_dvs_requires_full_speed_level () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Bus_sched ------------------------------------------------------------ *)
-
-let test_bus_schedule_valid () =
-  List.iter
-    (fun bench ->
-      let graph = Benchmarks.load bench in
-      let r =
-        Bus_sched.run ~graph ~lib:platform_lib ~pes:(platform_pes 4)
-          ~policy:Policy.Baseline ()
-      in
-      let problems = Bus_sched.validate r ~lib:platform_lib in
-      if problems <> [] then
-        Alcotest.failf "bench %d: %s" bench (String.concat "; " problems))
-    [ 0; 1; 2; 3 ]
-
-let test_bus_contention_lengthens () =
-  (* The contention-free model is a lower bound on the bus model. *)
-  let graph = Benchmarks.load 3 in
-  let free =
-    List_sched.run ~graph ~lib:platform_lib ~pes:(platform_pes 4)
-      ~policy:Policy.Baseline ()
-  in
-  let bus =
-    Bus_sched.run ~graph ~lib:platform_lib ~pes:(platform_pes 4)
-      ~policy:Policy.Baseline ()
-  in
-  Alcotest.(check bool) "bus >= free" true
-    (bus.Bus_sched.schedule.Schedule.makespan >= free.Schedule.makespan -. 1e-6)
-
-let test_bus_utilization_bounds () =
-  let graph = Benchmarks.load 1 in
-  let r =
-    Bus_sched.run ~graph ~lib:platform_lib ~pes:(platform_pes 4)
-      ~policy:Policy.Baseline ()
-  in
-  let u = Bus_sched.bus_utilization r in
-  Alcotest.(check bool) "in [0,1]" true (u >= 0.0 && u <= 1.0);
-  Alcotest.(check bool) "some cross-PE traffic" true (r.Bus_sched.transfers <> [])
-
-let test_bus_single_pe_no_transfers () =
-  let graph = Benchmarks.load 0 in
-  let r =
-    Bus_sched.run ~graph ~lib:platform_lib ~pes:(platform_pes 1)
-      ~policy:Policy.Baseline ()
-  in
-  Alcotest.(check int) "no transfers" 0 (List.length r.Bus_sched.transfers);
-  Alcotest.(check (float 1e-9)) "idle bus" 0.0 (Bus_sched.bus_utilization r)
-
-let test_bus_rejects_thermal () =
-  let graph = Benchmarks.load 0 in
-  Alcotest.(check bool) "thermal rejected" true
-    (try
-       ignore
-         (Bus_sched.run ~graph ~lib:platform_lib ~pes:(platform_pes 4)
-            ~policy:Policy.Thermal_aware ()
-          : Bus_sched.result);
-       false
-     with Invalid_argument _ -> true)
-
-let test_bus_rejects_mesh () =
-  (* Bus transfers model a single shared bus; on a mesh they would ignore
-     the hop delays and the schedule would break precedence. *)
-  let mesh_lib =
-    Library.generate ~seed:77 ~n_task_types:Benchmarks.n_task_types
-      ~kinds:[ Catalog.platform_kind () ]
-      ~comm:(Comm.mesh ~cols:2 ~per_hop_delay:8.0 ())
-      ()
-  in
-  List.iter
-    (fun bench ->
-      match
-        Bus_sched.run ~graph:(Benchmarks.load bench) ~lib:mesh_lib
-          ~pes:(platform_pes 4) ~policy:Policy.Baseline ()
-      with
-      | (_ : Bus_sched.result) -> Alcotest.failf "bench %d: mesh accepted" bench
-      | exception Invalid_argument _ -> ())
-    [ 0; 1; 2; 3 ]
-
 (* --- Empty PE arrays ------------------------------------------------------- *)
 
 let test_empty_pes_rejected () =
   let graph = Benchmarks.load 0 and lib = platform_lib and pes = [||] in
-  let app = Periodic.make_app ~graph ~period:800.0 in
   let entry_points =
     [
       ("List_sched.run", fun () ->
@@ -338,11 +258,6 @@ let test_empty_pes_rejected () =
           ignore (Online.run ~arrivals:(Online.zero graph) ~graph ~lib ~pes
                     ~policy:(Online.Mirror Policy.Baseline) ()
                   : Online.run));
-      ("Bus_sched.run", fun () ->
-          ignore (Bus_sched.run ~graph ~lib ~pes ~policy:Policy.Baseline ()
-                  : Bus_sched.result));
-      ("Periodic.schedule", fun () ->
-          ignore (Periodic.schedule ~apps:[ app ] ~lib ~pes () : Periodic.t));
       ("Heft.run", fun () -> ignore (Heft.run ~graph ~lib ~pes () : Schedule.t));
     ]
   in
@@ -469,7 +384,6 @@ let test_adaptive_bisection_converges () =
 (* --- random-graph properties for the extension schedulers ------------------- *)
 
 let random_graph seed tasks =
-  let module Generator = Tats_taskgraph.Generator in
   let lo, hi = Generator.feasible_edges ~n_tasks:tasks in
   let edges = lo + ((seed * 7) mod (Stdlib.max 1 (hi - lo + 1))) in
   Generator.generate ~seed ~name:"q"
@@ -488,18 +402,6 @@ let prop_heft_valid_on_random_graphs =
       let s = Heft.run ~graph ~lib:platform_lib ~pes:(platform_pes 3) () in
       Schedule.validate ~lib:platform_lib s = [])
 
-let prop_bus_valid_on_random_graphs =
-  QCheck.Test.make ~name:"bus scheduling of random graphs is contention-valid"
-    ~count:40
-    QCheck.(pair small_int (int_range 2 25))
-    (fun (seed, tasks) ->
-      let graph = random_graph seed tasks in
-      let r =
-        Bus_sched.run ~graph ~lib:platform_lib ~pes:(platform_pes 3)
-          ~policy:Policy.Baseline ()
-      in
-      Bus_sched.validate r ~lib:platform_lib = [])
-
 let prop_dvs_safe_on_random_graphs =
   QCheck.Test.make ~name:"DVS plans on random graphs are safe and save energy"
     ~count:40
@@ -513,6 +415,70 @@ let prop_dvs_safe_on_random_graphs =
       let plan = Dvs.reclaim ~lib:platform_lib s in
       Dvs.validate plan ~lib:platform_lib = []
       && Dvs.energy_saving_ratio plan >= -1e-9)
+
+(* --- makespan lower bound ------------------------------------------------ *)
+
+let test_lower_bound_below_schedules () =
+  Array.iteri
+    (fun i _ ->
+      let graph = Benchmarks.load i in
+      let bound = Metrics.makespan_lower_bound graph ~lib:platform_lib ~n_pes:4 in
+      let s =
+        List_sched.run ~graph ~lib:platform_lib ~pes:(platform_pes 4)
+          ~policy:Policy.Baseline ()
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f >= %.1f" (Graph.name graph) s.Schedule.makespan bound)
+        true
+        (s.Schedule.makespan >= bound -. 1e-6))
+    Benchmarks.descriptors
+
+let test_lower_bound_single_pe_is_work () =
+  let graph = Benchmarks.load 0 in
+  let bound1 = Metrics.makespan_lower_bound graph ~lib:platform_lib ~n_pes:1 in
+  let bound4 = Metrics.makespan_lower_bound graph ~lib:platform_lib ~n_pes:4 in
+  Alcotest.(check bool) "1 PE bound >= 4 PE bound" true (bound1 >= bound4)
+
+let prop_lower_bound_holds_on_random_graphs =
+  QCheck.Test.make ~name:"every schedule respects the lower bound" ~count:40
+    QCheck.(pair small_int (int_range 3 25))
+    (fun (seed, tasks) ->
+      let lo, hi = Generator.feasible_edges ~n_tasks:tasks in
+      let edges = lo + ((seed * 3) mod (Stdlib.max 1 (hi - lo + 1))) in
+      let graph =
+        Generator.generate ~seed ~name:"q"
+          {
+            Generator.default_spec with
+            Generator.n_tasks = tasks;
+            n_edges = edges;
+            n_task_types = Benchmarks.n_task_types;
+          }
+      in
+      let bound = Metrics.makespan_lower_bound graph ~lib:platform_lib ~n_pes:3 in
+      let s =
+        List_sched.run ~graph ~lib:platform_lib ~pes:(platform_pes 3)
+          ~policy:Policy.Baseline ()
+      in
+      s.Schedule.makespan >= bound -. 1e-6)
+
+(* --- robustness experiment ------------------------------------------------ *)
+
+let test_robustness_thermal_wins_majority () =
+  let r = Core.Experiments.robustness ~n:8 ~tasks:24 () in
+  Alcotest.(check int) "sample size" 8 r.Core.Experiments.n_graphs;
+  Alcotest.(check bool)
+    (Printf.sprintf "max-temp wins %d/8" r.Core.Experiments.wins_max)
+    true
+    (r.Core.Experiments.wins_max >= 6);
+  Alcotest.(check bool) "positive mean reduction" true
+    (r.Core.Experiments.mean_reduction.Core.Experiments.d_max_temp > 0.0)
+
+let test_robustness_deterministic () =
+  let a = Core.Experiments.robustness ~n:4 ~tasks:20 () in
+  let b = Core.Experiments.robustness ~n:4 ~tasks:20 () in
+  Alcotest.(check (float 0.0)) "same mean"
+    a.Core.Experiments.mean_reduction.Core.Experiments.d_max_temp
+    b.Core.Experiments.mean_reduction.Core.Experiments.d_max_temp
 
 let () =
   Runner.run "sched_extensions"
@@ -546,15 +512,6 @@ let () =
           Alcotest.test_case "respects deadline" `Quick test_dvs_plan_respects_deadline;
           Alcotest.test_case "needs full speed" `Quick test_dvs_requires_full_speed_level;
         ] );
-      ( "bus",
-        [
-          Alcotest.test_case "valid" `Quick test_bus_schedule_valid;
-          Alcotest.test_case "contention lengthens" `Quick test_bus_contention_lengthens;
-          Alcotest.test_case "utilization" `Quick test_bus_utilization_bounds;
-          Alcotest.test_case "single PE" `Quick test_bus_single_pe_no_transfers;
-          Alcotest.test_case "thermal rejected" `Quick test_bus_rejects_thermal;
-          Alcotest.test_case "mesh rejected" `Quick test_bus_rejects_mesh;
-        ] );
       ( "entry points",
         [
           Alcotest.test_case "empty PE array rejected" `Quick
@@ -570,12 +527,24 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_heft_valid_on_random_graphs; prop_bus_valid_on_random_graphs;
-            prop_dvs_safe_on_random_graphs;
+            prop_heft_valid_on_random_graphs; prop_dvs_safe_on_random_graphs;
+            prop_lower_bound_holds_on_random_graphs;
           ] );
       ( "transient_metrics",
         [
           Alcotest.test_case "power profile" `Quick test_power_profile_levels;
           Alcotest.test_case "transient peak" `Quick test_transient_peak_brackets_steady;
+        ] );
+      ( "lower_bound",
+        [
+          Alcotest.test_case "below benchmark schedules" `Quick
+            test_lower_bound_below_schedules;
+          Alcotest.test_case "monotone in PEs" `Quick test_lower_bound_single_pe_is_work;
+        ] );
+      ( "robustness",
+        [
+          Alcotest.test_case "thermal wins majority" `Quick
+            test_robustness_thermal_wins_majority;
+          Alcotest.test_case "deterministic" `Quick test_robustness_deterministic;
         ] );
     ]

@@ -229,8 +229,7 @@ let test_frame_errors () =
 
 (* --- protocol ------------------------------------------------------------- *)
 
-let test_protocol_roundtrip () =
-  let reqs =
+let sample_requests =
     [
       Protocol.request Protocol.Ping;
       Protocol.request ~id:(Json.Str "a") Protocol.Stats;
@@ -310,7 +309,8 @@ let test_protocol_roundtrip () =
               ~policy:(Online.Mirror (policy "thermal"))
               ~arrivals:Protocol.Sporadic ~seed:7 ~mean_gap:20.0 0 4));
     ]
-  in
+
+let test_protocol_roundtrip () =
   List.iter
     (fun req ->
       let json = Protocol.request_to_json req in
@@ -318,7 +318,7 @@ let test_protocol_roundtrip () =
       Alcotest.(check bool)
         ("roundtrip " ^ Json.to_string json)
         true (req = req'))
-    reqs;
+    sample_requests;
   (* Requests that never mention the heterogeneity extension must encode
      without its fields — old clients and goldens stay byte-stable. *)
   let plain =
@@ -392,6 +392,8 @@ let test_protocol_rejects () =
       {|{"kind":"schedule","n_pes":4.5}|};
       {|{"kind":"transient","periods":2.9}|};
       {|{"kind":"online","seed":1e300}|};
+      {|{"kind":"transient","time_unit":1e999}|};
+      {|{"kind":"transient","dt":1e999}|};
       {|{"kind":"inquiry","power":[1,1],"n_pes":2.5}|};
     ]
   in
@@ -402,6 +404,71 @@ let test_protocol_rejects () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted invalid request %s" s)
     bad
+
+(* Mutated sample requests: a member anywhere replaced by a value of the
+   wrong type, a non-finite, negative, zero, fractional or huge number,
+   dropped, or joined by an unknown one; and single-byte mutations of
+   their encodings. The decoder must never raise, and what it accepts must
+   cross the wire intact: its encoding parses and decodes to a request
+   with the same encoding. A non-finite number it let through would not
+   (JSON spells it [null]). *)
+let test_protocol_fuzz () =
+  let values =
+    [|
+      Json.Null; Json.Bool true; Json.Num Float.nan; Json.Num Float.infinity;
+      Json.Num Float.neg_infinity; Json.Num 1e300; Json.Num (-1.0); Json.Num 0.0;
+      Json.Num 0.5; Json.Num 3.0; Json.Str ""; Json.Str "std4"; Json.Arr [];
+      Json.Arr [ Json.Num 1.0 ]; Json.Obj [];
+    |]
+  in
+  let any () = values.(Fuzz.rand_int (Array.length values)) in
+  let rec mutate = function
+    | Json.Obj (_ :: _ as members) ->
+        let i = Fuzz.rand_int (List.length members) and op = Fuzz.rand_int 4 in
+        Json.Obj
+          (List.concat
+             (List.mapi
+                (fun j (k, x) ->
+                  if j <> i then [ (k, x) ]
+                  else
+                    match op with
+                    | 0 -> []
+                    | 1 -> [ (k, any ()) ]
+                    | 2 -> [ (k, x); ("extra", any ()) ]
+                    | _ -> [ (k, mutate x) ])
+                members))
+    | Json.Arr (_ :: _ as items) ->
+        let i = Fuzz.rand_int (List.length items) in
+        Json.Arr (List.mapi (fun j x -> if j = i then mutate x else x) items)
+    | _ -> any ()
+  in
+  let encode r = Json.to_string (Protocol.request_to_json r) in
+  let check json =
+    match Protocol.request_of_json json with
+    | exception e ->
+        Alcotest.failf "%s raised %s" (Json.to_string json) (Printexc.to_string e)
+    | Error _ -> ()
+    | Ok r -> (
+        let wire = encode r in
+        match Result.bind (Json.of_string wire) Protocol.request_of_json with
+        | Ok r' when encode r' = wire -> ()
+        | _ -> Alcotest.failf "accepted %s, which does not cross the wire as %s"
+                 (Json.to_string json) wire)
+  in
+  let samples = Array.of_list (List.map Protocol.request_to_json sample_requests) in
+  let accepted = ref 0 in
+  for _ = 1 to 3000 do
+    let json = samples.(Fuzz.rand_int (Array.length samples)) in
+    let json = if Fuzz.rand_int 2 = 0 then mutate json else mutate (mutate json) in
+    check json;
+    if Result.is_ok (Protocol.request_of_json json) then incr accepted;
+    match Json.of_string (Fuzz.mutate (Json.to_string json)) with
+    | Ok json -> check json
+    | Error _ -> ()
+  done;
+  (* The mutations keep some requests valid, so both branches ran. *)
+  Alcotest.(check bool) (Printf.sprintf "%d of 3000 accepted" !accepted) true
+    (!accepted > 100 && !accepted < 2900)
 
 (* --- server: lifecycle and robustness ------------------------------------- *)
 
@@ -920,6 +987,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_protocol_roundtrip;
           Alcotest.test_case "rejects invalid" `Quick test_protocol_rejects;
+          Alcotest.test_case "mutated requests never raise" `Quick test_protocol_fuzz;
         ] );
       ( "server",
         [

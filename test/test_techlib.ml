@@ -19,7 +19,12 @@ let test_make_kind_validation () =
   Alcotest.(check bool) "zero speed" true (bad (fun () -> kind ~speed:0.0 ()));
   Alcotest.(check bool) "zero power" true (bad (fun () -> kind ~power:0.0 ()));
   Alcotest.(check bool) "bad specialization" true
-    (bad (fun () -> kind ~spec:[ (0, 0.0) ] ()))
+    (bad (fun () -> kind ~spec:[ (0, 0.0) ] ()));
+  Alcotest.(check bool) "nan speed" true (bad (fun () -> kind ~speed:Float.nan ()));
+  Alcotest.(check bool) "infinite power" true
+    (bad (fun () -> kind ~power:Float.infinity ()));
+  Alcotest.(check bool) "nan specialization" true
+    (bad (fun () -> kind ~spec:[ (0, Float.nan) ] ()))
 
 let test_instances_numbering () =
   let insts = Pe.instances [ kind ~id:0 (); kind ~id:1 (); kind ~id:0 () ] in
@@ -225,6 +230,15 @@ let test_of_tables_validation () =
            ~wcet:[| [| 1.0; 0.0 |] |]
            ~wcpc:[| [| 1.0; 1.0 |] |]
            ()));
+  List.iter
+    (fun x ->
+      Alcotest.(check bool) (Printf.sprintf "wcpc %g" x) true
+        (bad (fun () ->
+             Library.of_tables ~kinds:(two_kinds ())
+               ~wcet:[| [| 1.0; 1.0 |] |]
+               ~wcpc:[| [| 1.0; x |] |]
+               ())))
+    [ Float.nan; Float.infinity ];
   Alcotest.(check bool) "kind ids must be dense" true
     (bad (fun () ->
          Library.of_tables

@@ -507,12 +507,12 @@ let test_cli_stats_candidates () =
 (* Out-of-range numbers on the command line are usage errors: exit 2 with a
    one-line [tats: ] message, never an uncaught library exception (exit
    125) or a silently non-finite result. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
 let test_cli_rejects_bad_numbers () =
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-    at 0
-  in
   List.iter
     (fun args ->
       let rc =
@@ -538,7 +538,59 @@ let test_cli_rejects_bad_numbers () =
       "robustness -n 0";
       "robustness --tasks 1";
       "transient --dt=-1";
+      "online --mean-gap nan";
+      "online --mean-gap inf";
+      "transient --time-unit nan";
+      "transient --time-unit inf";
+      "dtm-sim --passes 1 --trigger nan";
+      "dtm-sim --passes 1 --trigger inf";
+      "dtm-sim --passes 1 --trigger=-inf";
+      "online --seed=-1";
     ]
+
+(* Seeded argv lines over the cheap subcommands: every numeric flag (and
+   the benchmark name where a subcommand has none) gets a non-finite, out
+   of range or unparsable value. Whatever the line, [tats] must end in a
+   result (0), a failed check (1), a named bad input (2) or cmdliner's
+   usage error (124), and never in an uncaught exception. *)
+let test_cli_fuzz () =
+  let commands =
+    [|
+      ("thermal", [ "--pes"; "--power" ]);
+      ("analyze", [ "--bench" ]);
+      ("export -o fuzz_graph.dot", [ "--bench" ]);
+      ("schedule -p baseline", [ "--jobs" ]);
+      ("online", [ "--mean-gap"; "--n-pes"; "--seed"; "--jobs" ]);
+      ("online -p reactive", [ "--trigger"; "--mean-gap" ]);
+      ("transient --periods 2", [ "--dt"; "--time-unit"; "--jobs" ]);
+      ("dtm-sim --passes 1", [ "--trigger" ]);
+      ("dvs", [ "--bench" ]);
+      ("floorplan --blocks 3", [ "--seed"; "--jobs" ]);
+    |]
+  in
+  let values = [| "nan"; "inf"; "-inf"; "1e999"; "-1"; "0"; "x7" |] in
+  let rng = Random.State.make [| 35 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  for i = 0 to 59 do
+    let base, flags = commands.(i mod Array.length commands) in
+    let flags = Array.of_list flags in
+    let args =
+      String.concat " "
+        (base
+        :: List.init
+             (1 + Random.State.int rng 2)
+             (fun _ -> Printf.sprintf "%s=%s" (pick flags) (pick values)))
+    in
+    let rc =
+      Sys.command
+        (Printf.sprintf "../bin/tats.exe %s >/dev/null 2>fuzz_stderr.txt" args)
+    in
+    let err = In_channel.with_open_text "fuzz_stderr.txt" In_channel.input_all in
+    if not (List.mem rc [ 0; 1; 2; 124 ]) then
+      Alcotest.failf "tats %s: exit %d: %s" args rc err;
+    if contains err "uncaught exception" then
+      Alcotest.failf "tats %s raised: %s" args err
+  done
 
 let () =
   Runner.run "trace"
@@ -575,5 +627,6 @@ let () =
             test_cli_stats_candidates;
           Alcotest.test_case "bad numeric flags exit 2" `Quick
             test_cli_rejects_bad_numbers;
+          Alcotest.test_case "fuzzed argv never raises" `Quick test_cli_fuzz;
         ] );
     ]
