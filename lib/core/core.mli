@@ -35,7 +35,6 @@ module Criticality = Tats_taskgraph.Criticality
 module Analysis = Tats_taskgraph.Analysis
 module Generator = Tats_taskgraph.Generator
 module Benchmarks = Tats_taskgraph.Benchmarks
-module Cond = Tats_taskgraph.Cond
 module Dot = Tats_taskgraph.Dot
 module Tgff_io = Tats_taskgraph.Tgff_io
 module Pe = Tats_techlib.Pe

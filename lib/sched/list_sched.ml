@@ -22,9 +22,6 @@ type ctx = {
   lib : Library.t;
   pes : Pe.inst array;
   policy : Policy.t;
-  (* Per task, ascending: the tasks it may overlap on one PE ([exclusive]
-     with it). *)
-  partners : Task.id array array;
   constraints : Constraints.spec;
   sc : float array;
   idle : float array;
@@ -39,8 +36,7 @@ type ctx = {
   engine : Inquiry.t option;
 }
 
-let prepare ?hotspot ?exclusive
-    ?(constraints = Constraints.empty) ~graph ~lib ~pes ~policy () =
+let prepare ?hotspot ?(constraints = Constraints.empty) ~graph ~lib ~pes ~policy () =
   if Array.length pes = 0 then invalid_arg "List_sched: empty PE array";
   let engine =
     match (policy, hotspot) with
@@ -52,14 +48,6 @@ let prepare ?hotspot ?exclusive
     | (Policy.Baseline | Policy.Power_aware _), _ -> None
   in
   let n = Graph.n_tasks graph in
-  let partners =
-    match exclusive with
-    | None -> Array.make n [||]
-    | Some exclusive ->
-        let tasks = List.init n Fun.id in
-        Array.init n (fun v ->
-            Array.of_list (List.filter (fun u -> u <> v && exclusive u v) tasks))
-  in
   let n_pes = Array.length pes in
   let per_pair f =
     Array.init (n * n_pes) (fun pair ->
@@ -72,7 +60,6 @@ let prepare ?hotspot ?exclusive
     lib;
     pes;
     policy;
-    partners;
     constraints;
     sc = Dc.static_criticality lib graph;
     idle = Array.map (fun (i : Pe.inst) -> i.Pe.kind.Pe.idle_power) pes;
@@ -133,7 +120,7 @@ type candidates = node
 type state = {
   ctx : ctx;
   entries : Schedule.entry option array;
-  pe_tasks : Schedule.entry list array; (* per PE, latest finish first *)
+  pe_avail : float array; (* per PE, its latest finish *)
   pe_energy : float array;
   unscheduled_preds : int array;
   (* The checker is stateful, so it is rebuilt per schedule. *)
@@ -154,7 +141,7 @@ let init ctx =
   {
     ctx;
     entries = Array.make n None;
-    pe_tasks = Array.make n_pes [];
+    pe_avail = Array.make n_pes 0.0;
     pe_energy = Array.make n_pes 0.0;
     unscheduled_preds =
       Array.init n (fun v -> List.length (Graph.preds ctx.graph v));
@@ -171,23 +158,8 @@ let scheduled st = st.n_scheduled
 let is_ready st task =
   st.entries.(task) = None && st.unscheduled_preds.(task) = 0
 
-(* [partners] (ascending) holds [task]. *)
-let is_partner partners task =
-  let rec search lo hi =
-    lo < hi
-    &&
-    let mid = (lo + hi) / 2 in
-    let p = partners.(mid) in
-    p = task || if p < task then search (mid + 1) hi else search lo mid
-  in
-  search 0 (Array.length partners)
-
 (* Earliest start of [task] on [pe]: data from every predecessor must have
-   arrived, and the PE must be free — except for mutually exclusive
-   predecessors-by-condition, which may overlap. The PE's entries are kept
-   latest finish first, so its availability is the finish of the first
-   entry that is not one of [task]'s partners: O(preds + partners on the
-   PE) per candidate. *)
+   arrived, and the PE must be free: O(preds) per candidate. *)
 let earliest_start st ~comm task pe =
   let ready =
     List.fold_left
@@ -199,14 +171,7 @@ let earliest_start st ~comm task pe =
             Float.max acc (e.Schedule.finish +. delay))
       0.0 (Graph.preds st.ctx.graph task)
   in
-  let partners = st.ctx.partners.(task) in
-  let rec avail = function
-    | [] -> 0.0
-    | (e : Schedule.entry) :: rest ->
-        if is_partner partners e.Schedule.task then avail rest
-        else Float.max 0.0 e.Schedule.finish
-  in
-  Float.max ready (avail st.pe_tasks.(pe))
+  Float.max ready st.pe_avail.(pe)
 
 (* The next scan builds on [node]. *)
 let adopt st node =
@@ -263,14 +228,14 @@ end
 (* Score every admissible (ready task, PE) pair, weight-free.
 
    A pair's admissibility and earliest start depend only on its task's
-   predecessors' entries (fixed once the task is ready), its PE's entries
-   and the checker's claims. So a task the parent node also scanned keeps
-   both on every PE no commit touched since, and they are copied from the
-   parent, in the same scan order; only the committed PEs' columns and
-   the newly ready tasks are evaluated afresh. Everything a start floor
-   or a surcharge touches (start, part, cost) is computed anew
-   for every pair, from the context's per-pair tables, by the same
-   expressions as on a fresh scan. *)
+   predecessors' entries (fixed once the task is ready), its PE's
+   availability and the checker's claims. So a task the parent node also
+   scanned keeps both on every PE no commit touched since, and they are
+   copied from the parent, in the same scan order; only the committed
+   PEs' columns and the newly ready tasks are evaluated afresh.
+   Everything a start floor or a surcharge touches (start, part, cost) is
+   computed anew for every pair, from the context's per-pair tables, by
+   the same expressions as on a fresh scan. *)
 let scan ?floor ?surcharge st ~ready =
   let { lib; pes; policy; sc; engine; wcet; wcpc; energy; static_cost; _ } =
     st.ctx
@@ -483,7 +448,8 @@ let[@inline] reach best n =
    refinement's depth, the same whether [run_adaptive] replays this node
    or scans it afresh. *)
 let pick ~caller st node ~weight =
-  if not (weight >= 0.0) then invalid_arg "List_sched.pick: negative weight";
+  if not (weight >= 0.0 && Float.is_finite weight) then
+    invalid_arg "List_sched.pick: weight must be finite and non-negative";
   let n = Array.length node.pairs in
   if n = 0 then
     raise (Constraints.Infeasible (Constraints.infeasible_msg caller));
@@ -535,12 +501,9 @@ let commit ~on_ready st { task; pe; start } =
   st.dirty.(pe) <- true;
   let entry = { Schedule.task; pe; start; finish; energy } in
   st.entries.(task) <- Some entry;
-  let rec insert = function
-    | (e : Schedule.entry) :: rest when e.Schedule.finish > finish ->
-        e :: insert rest
-    | later -> entry :: later
-  in
-  st.pe_tasks.(pe) <- insert st.pe_tasks.(pe);
+  (* Every start is at least its PE's availability, so a PE's finishes
+     never decrease in commit order: the latest is the last. *)
+  st.pe_avail.(pe) <- finish;
   st.pe_energy.(pe) <- st.pe_energy.(pe) +. energy;
   st.n_scheduled <- st.n_scheduled + 1;
   List.iter
@@ -634,26 +597,26 @@ let schedule ?memo ctx ~weights =
   done;
   finish st
 
-let run ?weights ?hotspot ?exclusive ?constraints ~graph ~lib ~pes ~policy () =
+let run ?weights ?hotspot ?constraints ~graph ~lib ~pes ~policy () =
   let weights =
     match weights with
     | Some w -> w
     | None -> Policy.default_weights ~deadline:(Graph.deadline graph)
   in
   schedule
-    (prepare ?hotspot ?exclusive ?constraints ~graph ~lib ~pes ~policy ())
+    (prepare ?hotspot ?constraints ~graph ~lib ~pes ~policy ())
     ~weights
 
-let run_adaptive ?base_weights ?(max_multiplier = 400.0) ?hotspot ?exclusive
-    ?constraints ~graph ~lib ~pes ~policy () =
-  if max_multiplier <= 0.0 then
-    invalid_arg "List_sched.run_adaptive: non-positive multiplier";
+let run_adaptive ?base_weights ?(max_multiplier = 400.0) ?hotspot ?constraints
+    ~graph ~lib ~pes ~policy () =
+  if not (max_multiplier > 0.0 && Float.is_finite max_multiplier) then
+    invalid_arg "List_sched.run_adaptive: multiplier must be finite and positive";
   let base =
     match base_weights with
     | Some w -> w
     | None -> Policy.default_weights ~deadline:(Graph.deadline graph)
   in
-  let ctx = prepare ?hotspot ?exclusive ?constraints ~graph ~lib ~pes ~policy () in
+  let ctx = prepare ?hotspot ?constraints ~graph ~lib ~pes ~policy () in
   (* Every attempt starts at the root of one decision-prefix trie: a step
      whose prefix an earlier attempt already scanned re-picks its winner
      at the new weight from the stored candidates. *)

@@ -23,7 +23,6 @@ exception Thermal_policy_needs_hotspot
 val run :
   ?weights:Policy.weights ->
   ?hotspot:Hotspot.t ->
-  ?exclusive:(Task.id -> Task.id -> bool) ->
   ?constraints:Constraints.spec ->
   graph:Graph.t ->
   lib:Library.t ->
@@ -32,11 +31,11 @@ val run :
   unit ->
   Schedule.t
 (** [weights] defaults to {!Policy.default_weights} for the graph's
-    deadline; its cost weight must be non-negative (see {!pick}). [hotspot] must describe one block per entry of [pes] (same
+    deadline; its cost weight must be finite and non-negative (see
+    {!pick}). [hotspot] must describe one block per entry of [pes] (same
     order); it is required for [Thermal_aware] and ignored otherwise.
-    [exclusive] enables conditional-task-graph time-sharing: mutually
-    exclusive tasks may overlap on one PE. It is asked once per ordered
-    pair of tasks, up front, never per candidate.
+    No two tasks overlap on one PE: a PE is free from its latest finish
+    on.
 
     [constraints] restricts placements to pinned PEs/kinds and keeps
     isolation classes on disjoint PEs (see {!Constraints}); a
@@ -52,7 +51,6 @@ val run_adaptive :
   ?base_weights:Policy.weights ->
   ?max_multiplier:float ->
   ?hotspot:Hotspot.t ->
-  ?exclusive:(Task.id -> Task.id -> bool) ->
   ?constraints:Constraints.spec ->
   graph:Graph.t ->
   lib:Library.t ->
@@ -71,7 +69,8 @@ val run_adaptive :
     multiplier 0 the policy degenerates to Baseline; if even that misses
     the deadline the infeasible schedule is returned (the architecture is
     too small; co-synthesis reacts by adding a PE). Returns the chosen
-    schedule and the weights that produced it.
+    schedule and the weights that produced it. A [max_multiplier] that is
+    not finite and positive raises [Invalid_argument].
 
     The attempts share a decision-prefix memo, a trie keyed by the
     committed (task, PE) choices. It rests on one invariant: a step's
@@ -114,12 +113,11 @@ val run_adaptive :
 type ctx
 (** What a schedule needs that no decision and no weight changes: the
     graph, library and PEs, the policy, static criticalities, idle powers,
-    each task's mutually exclusive partners and, for [Thermal_aware], the
-    hotspot's inquiry engine. *)
+    per-pair WCET, WCPC, energy and static cost tables and, for
+    [Thermal_aware], the hotspot's inquiry engine. *)
 
 val prepare :
   ?hotspot:Hotspot.t ->
-  ?exclusive:(Task.id -> Task.id -> bool) ->
   ?constraints:Constraints.spec ->
   graph:Graph.t ->
   lib:Library.t ->
@@ -133,9 +131,9 @@ val prepare :
     {!Dc.static_criticality}'s. *)
 
 type state
-(** One schedule in progress: committed entries, per-PE task lists and
-    energies, unscheduled-predecessor counts and the constraint
-    checker. *)
+(** One schedule in progress: committed entries, per-PE availability
+    (latest finish) and energies, unscheduled-predecessor counts and the
+    constraint checker. *)
 
 val init : ctx -> state
 (** A fresh, empty schedule. Builds the constraint checker, so a
@@ -165,7 +163,8 @@ val scan :
   ready:Ready.t ->
   candidates
 (** Evaluate every admissible pair of [ready] (each must satisfy
-    {!is_ready}): the earliest start (data arrival and PE availability),
+    {!is_ready}): the earliest start (data arrival and PE availability,
+    the PE's latest finish, read in O(1)),
     raised to [floor task] when given, and the policy cost plus
     [surcharge.(pe)] when given (one finite entry per PE, or
     [Invalid_argument]). A thermal cost gets a bound per pair,
@@ -180,8 +179,8 @@ val scan :
     {b Reuse.} Each scan builds on the state's parent node: the last one
     scanned, or replayed by {!run_adaptive}'s memo, on this state. A
     pair's admissibility and earliest start (before the floor) depend
-    only on its task's predecessors' entries, its PE's entries and the
-    constraint checker's claims; so for a task the parent also scanned,
+    only on its task's predecessors' entries, its PE's availability and
+    the constraint checker's claims; so for a task the parent also scanned,
     on a PE no {!commit} touched since, both are taken over from the
     parent, in the same scan order. Only the committed PEs' columns and
     the newly ready tasks run the earliest-start and admissibility
@@ -207,9 +206,9 @@ val scan :
 type choice = { task : Task.id; pe : int; start : float }
 
 val pick : caller:string -> state -> candidates -> weight:float -> choice
-(** The candidate of highest [Dc.weigh ~part ~cost ~weight] ([weight >=
-    0]); candidates within 1e-12 of each other tie towards the lower
-    (task, PE) pair. Raises {!Constraints.Infeasible} naming [caller] when
+(** The candidate of highest [Dc.weigh ~part ~cost ~weight] ([weight]
+    finite and [>= 0], or [Invalid_argument]); candidates within 1e-12
+    of each other tie towards the lower (task, PE) pair. Raises {!Constraints.Infeasible} naming [caller] when
     there is no candidate.
 
     Exact costs are evaluated on demand, each at most once per

@@ -107,10 +107,14 @@ let evaluate ~objective (s : Schedule.t) =
       let lateness = Float.max 0.0 (s.Schedule.makespan -. Graph.deadline s.Schedule.graph) in
       report.Metrics.max_temp +. (10.0 *. lateness)
 
+(* Written negated, so that NaN fails. A temperature must be finite too:
+   an infinite one never cools below the minimum, and [anneal] would not
+   end. *)
 let check_params params =
-  if params.initial_temperature <= 0.0 || params.min_temperature <= 0.0 then
-    invalid_arg "Sa_mapper.run: non-positive temperature";
-  if params.cooling <= 0.0 || params.cooling >= 1.0 then
+  let positive x = x > 0.0 && Float.is_finite x in
+  if not (positive params.initial_temperature && positive params.min_temperature)
+  then invalid_arg "Sa_mapper.run: temperature not positive and finite";
+  if not (params.cooling > 0.0 && params.cooling < 1.0) then
     invalid_arg "Sa_mapper.run: cooling not in (0,1)"
 
 (* One annealing chain from the baseline state, consuming [rng]. All

@@ -57,7 +57,8 @@ val run :
   result
 (** Deterministic for a fixed seed. The initial state is the ASP baseline
     schedule's own mapping, so the result is never worse than a decoded
-    baseline. *)
+    baseline. Both temperatures must be positive and finite and [cooling]
+    in (0, 1), or [Invalid_argument] is raised before any work. *)
 
 type restarts_result = {
   best : result;  (** the winning chain's result *)

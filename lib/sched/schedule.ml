@@ -48,18 +48,18 @@ type violation =
   | Negative_time of Task.id
   | Bad_duration of Task.id
 
-let validate ?(exclusive = fun _ _ -> false) ~lib t =
+let validate ~lib t =
   let violations = ref [] in
   let comm = Library.comm lib in
-  (* Times and durations. *)
+  (* Times and durations. Each check is negated, so that NaN fails it. *)
   Array.iter
     (fun e ->
-      if e.start < -1e-9 || e.finish < e.start then
+      if not (e.start >= -1e-9 && e.finish >= e.start) then
         violations := Negative_time e.task :: !violations;
       let tt = (Graph.task t.graph e.task).Task.task_type in
       let kind = t.pes.(e.pe).Pe.kind.Pe.kind_id in
       let wcet = Library.wcet lib ~task_type:tt ~kind in
-      if Float.abs (e.finish -. e.start -. wcet) > 1e-6 then
+      if not (Float.abs (e.finish -. e.start -. wcet) <= 1e-6) then
         violations := Bad_duration e.task :: !violations)
     t.entries;
   (* Precedence + communication. *)
@@ -67,14 +67,14 @@ let validate ?(exclusive = fun _ _ -> false) ~lib t =
     (fun ({ Graph.src; dst; data } as edge) ->
       let p = t.entries.(src) and c = t.entries.(dst) in
       let delay = Comm.delay_between comm ~src:p.pe ~dst:c.pe ~data in
-      if c.start +. 1e-6 < p.finish +. delay then
+      if not (c.start +. 1e-6 >= p.finish +. delay) then
         violations := Precedence (edge, "consumer starts before data arrives") :: !violations)
     (Graph.edges t.graph);
   (* PE exclusivity. *)
   for pe = 0 to n_pes t - 1 do
     let rec scan = function
       | a :: (b :: _ as rest) ->
-          if b.start +. 1e-9 < a.finish && not (exclusive a.task b.task) then
+          if not (b.start +. 1e-9 >= a.finish) then
             violations := Pe_overlap (pe, a.task, b.task) :: !violations;
           scan rest
       | [ _ ] | [] -> ()

@@ -43,16 +43,13 @@ type violation =
   | Negative_time of Task.id
   | Bad_duration of Task.id
 
-val validate :
-  ?exclusive:(Task.id -> Task.id -> bool) ->
-  lib:Library.t ->
-  t ->
-  violation list
+val validate : lib:Library.t -> t -> violation list
 (** Structural check: every edge's consumer starts no earlier than its
     producer's finish plus the communication delay implied by [lib]; no two
-    entries overlap on a PE unless [exclusive] declares the pair mutually
-    exclusive; no negative times; each entry's duration equals the library
-    WCET. Empty list = valid. *)
+    entries overlap on a PE; no negative times; each entry's duration
+    equals the library WCET. Every check is written so that a NaN time
+    fails it: a NaN start or finish reports [Negative_time]. Empty list =
+    valid. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 val pp : Format.formatter -> t -> unit

@@ -23,21 +23,32 @@ module List_sched = Tats_sched.List_sched
 module Metrics = Tats_sched.Metrics
 module Pareto = Tats_cosynth.Pareto
 
-let raises f = try ignore (f ()); false with Invalid_argument _ -> true
+(* [f] raises [Invalid_argument] with a message that starts with [prefix]:
+   the named check, not an out-of-bounds index or another check. *)
+let raises prefix f =
+  try ignore (f ()); false
+  with Invalid_argument msg ->
+    String.length msg >= String.length prefix
+    && String.sub msg 0 (String.length prefix) = prefix
 
 (* --- linalg ---------------------------------------------------------------- *)
 
 let test_matrix_dimension_mismatches () =
   let a = Matrix.create 2 3 and b = Matrix.create 2 3 in
-  Alcotest.(check bool) "mul" true (raises (fun () -> Matrix.mul a b));
-  Alcotest.(check bool) "mul_vec" true (raises (fun () -> Matrix.mul_vec a [| 1.0 |]));
+  Alcotest.(check bool) "mul" true
+    (raises "Matrix.mul:" (fun () -> Matrix.mul a b));
+  Alcotest.(check bool) "mul_vec" true
+    (raises "Matrix.mul_vec:" (fun () -> Matrix.mul_vec a [| 1.0 |]));
   Alcotest.(check bool) "add" true
-    (raises (fun () -> Matrix.add a (Matrix.create 3 2)));
+    (raises "Matrix: dimension mismatch" (fun () ->
+         Matrix.add a (Matrix.create 3 2)));
   Alcotest.(check bool) "max_abs_diff" true
-    (raises (fun () -> Matrix.max_abs_diff a (Matrix.create 3 3)))
+    (raises "Matrix.max_abs_diff:" (fun () ->
+         Matrix.max_abs_diff a (Matrix.create 3 3)))
 
 let test_lu_non_square () =
-  Alcotest.(check bool) "factor" true (raises (fun () -> Lu.factor (Matrix.create 2 3)))
+  Alcotest.(check bool) "factor" true
+    (raises "Lu.factor: not square" (fun () -> Lu.factor (Matrix.create 2 3)))
 
 let test_lu_1x1 () =
   let a = Matrix.of_arrays [| [| 4.0 |] |] in
@@ -46,9 +57,11 @@ let test_lu_1x1 () =
 
 let test_cg_rejects_non_square_and_mismatch () =
   let rect = Sparse.of_triplets ~rows:2 ~cols:3 [ (0, 0, 1.0) ] in
-  Alcotest.(check bool) "non-square" true (raises (fun () -> Cg.solve rect [| 1.0; 1.0 |]));
+  Alcotest.(check bool) "non-square" true
+    (raises "Cg.solve: matrix not square" (fun () -> Cg.solve rect [| 1.0; 1.0 |]));
   let sq = Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, 1.0); (1, 1, 1.0) ] in
-  Alcotest.(check bool) "rhs mismatch" true (raises (fun () -> Cg.solve sq [| 1.0 |]))
+  Alcotest.(check bool) "rhs mismatch" true
+    (raises "Cg.solve: size mismatch" (fun () -> Cg.solve sq [| 1.0 |]))
 
 let test_sparse_empty_matrix () =
   let s = Sparse.of_triplets ~rows:3 ~cols:3 [] in
@@ -118,7 +131,8 @@ let test_single_block_floorplans () =
     (Tats_floorplan.Placement.die_area g)
 
 let test_grid_rejects_empty () =
-  Alcotest.(check bool) "empty" true (raises (fun () -> Grid.layout [||]))
+  Alcotest.(check bool) "empty" true
+    (raises "Grid.layout: no blocks" (fun () -> Grid.layout [||]))
 
 (* --- thermal ------------------------------------------------------------------ *)
 
@@ -133,7 +147,8 @@ let test_hotspot_power_length_checked () =
   let placement = Grid.layout [| Block.make ~name:"b" ~area:1.6e-5 () |] in
   let h = Hotspot.create placement in
   Alcotest.(check bool) "wrong length" true
-    (raises (fun () -> Hotspot.query h ~power:[| 1.0; 2.0 |]))
+    (raises "Rcmodel.rhs: power vector" (fun () ->
+         Hotspot.query h ~power:[| 1.0; 2.0 |]))
 
 (* --- sched --------------------------------------------------------------------- *)
 
@@ -166,15 +181,32 @@ let test_single_task_schedule_metrics () =
 
 let test_run_adaptive_rejects_bad_multiplier () =
   let g = Benchmarks.load 0 in
-  Alcotest.(check bool) "non-positive" true
-    (raises (fun () ->
-         List_sched.run_adaptive ~max_multiplier:0.0 ~graph:g ~lib:platform_lib
-           ~pes:(Catalog.platform_instances 4) ~policy:Policy.Baseline ()))
+  List.iter
+    (fun (what, max_multiplier) ->
+      Alcotest.(check bool) what true
+        (raises "List_sched.run_adaptive: multiplier" (fun () ->
+             List_sched.run_adaptive ~max_multiplier ~graph:g ~lib:platform_lib
+               ~pes:(Catalog.platform_instances 4) ~policy:Policy.Baseline ())))
+    [ ("non-positive", 0.0); ("nan", Float.nan); ("infinite", Float.infinity) ]
+
+(* An infinite weight times a zero cost makes every DC NaN: the weight is
+   rejected by name before any candidate is scored. *)
+let test_run_rejects_non_finite_weight () =
+  let g = Benchmarks.load 0 in
+  List.iter
+    (fun (what, cost_weight) ->
+      Alcotest.(check bool) what true
+        (raises "List_sched.pick: weight" (fun () ->
+             List_sched.run ~weights:{ Policy.cost_weight } ~graph:g
+               ~lib:platform_lib ~pes:(Catalog.platform_instances 4)
+               ~policy:Policy.Baseline ())))
+    [ ("infinite", Float.infinity); ("nan", Float.nan); ("negative", -1.0) ]
 
 let test_lower_bound_rejects_no_pes () =
   let g = Benchmarks.load 0 in
   Alcotest.(check bool) "zero PEs" true
-    (raises (fun () -> Metrics.makespan_lower_bound g ~lib:platform_lib ~n_pes:0))
+    (raises "Metrics.makespan_lower_bound: no PEs" (fun () ->
+         Metrics.makespan_lower_bound g ~lib:platform_lib ~n_pes:0))
 
 (* --- pareto -------------------------------------------------------------------- *)
 
@@ -253,6 +285,8 @@ let () =
           Alcotest.test_case "adaptive bad multiplier" `Quick
             test_run_adaptive_rejects_bad_multiplier;
           Alcotest.test_case "lower bound no PEs" `Quick test_lower_bound_rejects_no_pes;
+          Alcotest.test_case "non-finite weight" `Quick
+            test_run_rejects_non_finite_weight;
         ] );
       ( "pareto",
         [

@@ -5,7 +5,6 @@ module Rng = Tats_util.Rng
 module Graph = Tats_taskgraph.Graph
 module Generator = Tats_taskgraph.Generator
 module Benchmarks = Tats_taskgraph.Benchmarks
-module Cond = Tats_taskgraph.Cond
 module Tgff_io = Tats_taskgraph.Tgff_io
 module Task = Tats_taskgraph.Task
 
@@ -252,84 +251,6 @@ let prop_tgff_roundtrip_random =
                  && Float.abs (a.Graph.data -. b.Graph.data) < 1e-3)
                (Graph.edges g) (Graph.edges g'))
 
-(* --- Cond scenario analysis ---------------------------------------------- *)
-
-let fork_graph () =
-  let b = Graph.builder ~name:"fork" ~deadline:100.0 in
-  let t0 = Graph.add_task b ~task_type:0 () in
-  let t1 = Graph.add_task b ~task_type:0 () in
-  let t2 = Graph.add_task b ~task_type:0 () in
-  Graph.add_edge b t0 t1;
-  Graph.add_edge b t0 t2;
-  Graph.build b
-
-let test_annotate_random_prob_zero () =
-  let g = fork_graph () in
-  let c = Cond.annotate_random (Rng.create 1) ~fork_probability:0.0 g in
-  Alcotest.(check (list int)) "no variables" [] (Cond.variables c);
-  Alcotest.(check (list (pair int bool))) "one empty scenario" []
-    (List.hd (Cond.scenarios c))
-
-let test_annotate_random_prob_one () =
-  let g = fork_graph () in
-  let c = Cond.annotate_random (Rng.create 1) ~fork_probability:1.0 g in
-  Alcotest.(check (list int)) "one variable" [ 0 ] (Cond.variables c);
-  Alcotest.(check int) "two scenarios" 2 (List.length (Cond.scenarios c));
-  Alcotest.(check bool) "branches exclusive" true (Cond.mutually_exclusive c 1 2)
-
-let test_active_tasks_per_scenario () =
-  let g = fork_graph () in
-  let c = Cond.annotate_random (Rng.create 1) ~fork_probability:1.0 g in
-  let active_true = Cond.active_tasks c [ (0, true) ] in
-  let active_false = Cond.active_tasks c [ (0, false) ] in
-  (* Task 0 is unconditional; exactly one branch active per scenario. *)
-  Alcotest.(check bool) "t0 always active" true
-    (List.mem 0 active_true && List.mem 0 active_false);
-  Alcotest.(check int) "two active under true" 2 (List.length active_true);
-  Alcotest.(check int) "two active under false" 2 (List.length active_false);
-  Alcotest.(check bool) "different branches" true (active_true <> active_false)
-
-let test_scenario_makespan () =
-  let g = fork_graph () in
-  let c = Cond.annotate_random (Rng.create 1) ~fork_probability:1.0 g in
-  (* Pretend finishes: t0=10, t1=30, t2=50. *)
-  let finish = function 0 -> 10.0 | 1 -> 30.0 | _ -> 50.0 in
-  let scenario_with_1 =
-    List.find (fun a -> List.mem 1 (Cond.active_tasks c a)) (Cond.scenarios c)
-  in
-  let scenario_with_2 =
-    List.find (fun a -> List.mem 2 (Cond.active_tasks c a)) (Cond.scenarios c)
-  in
-  Alcotest.(check (float 1e-9)) "branch 1" 30.0
-    (Cond.scenario_makespan c ~finish scenario_with_1);
-  Alcotest.(check (float 1e-9)) "branch 2" 50.0
-    (Cond.scenario_makespan c ~finish scenario_with_2)
-
-let test_scenarios_limit () =
-  (* A graph with many forks would explode; the limit must trip. *)
-  let b = Graph.builder ~name:"many" ~deadline:100.0 in
-  let root = Graph.add_task b ~task_type:0 () in
-  let forks =
-    List.init 9 (fun _ ->
-        let f = Graph.add_task b ~task_type:0 () in
-        let l = Graph.add_task b ~task_type:0 () in
-        let r = Graph.add_task b ~task_type:0 () in
-        Graph.add_edge b root f;
-        Graph.add_edge b f l;
-        Graph.add_edge b f r;
-        f)
-  in
-  ignore (forks : Task.id list);
-  let g = Graph.build b in
-  let c = Cond.annotate_random (Rng.create 1) ~fork_probability:1.0 g in
-  (* Nine sub-forks plus the root itself (it has nine successors). *)
-  Alcotest.(check int) "ten variables" 10 (List.length (Cond.variables c));
-  Alcotest.(check bool) "limit trips" true
-    (try ignore (Cond.scenarios ~limit:256 c : (Cond.var * bool) list list); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check int) "raised limit ok" 1024
-    (List.length (Cond.scenarios ~limit:1024 c))
-
 let () =
   Runner.run "extensions"
     [
@@ -349,14 +270,6 @@ let () =
           Alcotest.test_case "exact numbers" `Quick test_tgff_prints_exact_numbers;
           Alcotest.test_case "missing file" `Quick test_tgff_load_missing_file;
           Alcotest.test_case "fuzz mutate is one edit" `Quick test_fuzz_mutate_is_one_edit;
-        ] );
-      ( "cond_scenarios",
-        [
-          Alcotest.test_case "probability 0" `Quick test_annotate_random_prob_zero;
-          Alcotest.test_case "probability 1" `Quick test_annotate_random_prob_one;
-          Alcotest.test_case "active tasks" `Quick test_active_tasks_per_scenario;
-          Alcotest.test_case "scenario makespan" `Quick test_scenario_makespan;
-          Alcotest.test_case "scenario limit" `Quick test_scenarios_limit;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_tgff_roundtrip_random ]);
     ]

@@ -8,7 +8,7 @@
    fresh [List_sched.run] per attempt — so every schedule entry and the
    returned weights must be bit-equal between the two, over generated DAGs,
    every policy, identical and big.LITTLE platforms, with and without
-   constraints, and on a conditional graph under [~exclusive]. On the
+   constraints. On the
    thermal policy the memo must issue fewer inquiries for the same
    fixed-point work: it skips only inquiries the reference serves from the
    cache.
@@ -29,7 +29,6 @@ module Graph = Tats_taskgraph.Graph
 module Task = Tats_taskgraph.Task
 module Generator = Tats_taskgraph.Generator
 module Benchmarks = Tats_taskgraph.Benchmarks
-module Cond = Tats_taskgraph.Cond
 module Catalog = Tats_techlib.Catalog
 module Platform = Tats_techlib.Platform
 module Pe = Tats_techlib.Pe
@@ -80,14 +79,13 @@ let default_weights graph = Policy.default_weights ~deadline:(Graph.deadline gra
 
 (* [run_adaptive] as it stood before the memo: the bisection over plain
    [List_sched.run] calls. *)
-let reference_adaptive ?base_weights ?max_multiplier ?hotspot
-    ?exclusive ?constraints ~graph ~lib ~pes ~policy () =
+let reference_adaptive ?base_weights ?max_multiplier ?hotspot ?constraints
+    ~graph ~lib ~pes ~policy () =
   let base =
     match base_weights with Some w -> w | None -> default_weights graph
   in
   bisect ?max_multiplier ~base (fun weights ->
-      List_sched.run ~weights ?hotspot ?exclusive ?constraints ~graph ~lib ~pes
-        ~policy ())
+      List_sched.run ~weights ?hotspot ?constraints ~graph ~lib ~pes ~policy ())
 
 (* --- A thermal cost oracle --------------------------------------------- *)
 
@@ -286,17 +284,17 @@ let outcome f =
   | r -> Ok r
   | exception Constraints.Infeasible msg -> Error msg
 
-let differential ?exclusive ?constraints what ~graph ~lib ~pes ~policy =
+let differential ?constraints what ~graph ~lib ~pes ~policy =
   let max_multiplier = max_multiplier policy in
   let memo =
     outcome (fun () ->
         List_sched.run_adaptive ~max_multiplier ~hotspot:(fresh_hotspot pes)
-          ?exclusive ?constraints ~graph ~lib ~pes ~policy ())
+          ?constraints ~graph ~lib ~pes ~policy ())
   in
   let reference =
     outcome (fun () ->
         reference_adaptive ~max_multiplier ~hotspot:(fresh_hotspot pes)
-          ?exclusive ?constraints ~graph ~lib ~pes ~policy ())
+          ?constraints ~graph ~lib ~pes ~policy ())
   in
   match (memo, reference) with
   | Ok m, Ok r -> same_result what m r
@@ -362,21 +360,6 @@ let test_generated_dags () =
           Policy.all)
       platforms
   done
-
-let test_conditional_exclusive () =
-  let graph = generated 3 in
-  let cond =
-    Cond.annotate_random (Rng.create 17) ~fork_probability:0.6 graph
-  in
-  Alcotest.(check bool) "graph has conditions" true (Cond.variables cond <> []);
-  let lib, pes = identical4 in
-  List.iter
-    (fun policy ->
-      differential
-        ~exclusive:(Cond.mutually_exclusive cond)
-        ("conditional/" ^ Policy.name policy)
-        ~graph ~lib ~pes ~policy)
-    Policy.all
 
 let counter name = Metricsreg.counter_value (Metricsreg.counter name)
 
@@ -743,7 +726,8 @@ module Online = Tats_sched.Online
 (* A test-local scan from scratch of the state an observed node was built
    from: in scan order, every (ready task, PE) pair that [Constraints]
    admits under the state's claims now, its earliest start from the
-   committed entries (no exclusive tasks here), the node's floor, its
+   committed entries (a PE is free from its latest finish), the node's
+   floor, its
    part, and its exact cost: for the thermal policy the oracle's
    ([thermal_cost]) on [engine]'s columns. Returns (pair, start, part,
    cost) per pair. *)
@@ -1211,8 +1195,6 @@ let () =
         [
           Alcotest.test_case "generated DAGs x policies x platforms" `Quick
             test_generated_dags;
-          Alcotest.test_case "conditional graph, exclusive" `Quick
-            test_conditional_exclusive;
         ] );
       ( "inquiries",
         [ Alcotest.test_case "Bm1 thermal: fewer inquiries, same fixed points"

@@ -1,5 +1,5 @@
-(* An exhaustive makespan oracle for small graphs, and the schedulers
-   checked against it.
+(* An exhaustive makespan oracle for small graphs, a temperature oracle
+   over the same schedules, and the schedulers checked against both.
 
    A schedule is an assignment of tasks to PEs plus an order per PE, every
    task starting as early as that allows: at the latest of its data's
@@ -15,7 +15,10 @@
 
    With release times, no task starts before its release: one more floor
    on every start, so the same argument gives the optimum among schedules
-   that respect them, the bound [Online]'s schedules answer to. *)
+   that respect them, the bound [Online]'s schedules answer to.
+
+   The temperature oracle reports the coolest of these schedules that
+   meet the deadline (see [coolest]). *)
 
 module Graph = Tats_taskgraph.Graph
 module Task = Tats_taskgraph.Task
@@ -37,7 +40,12 @@ module Sa_mapper = Tats_sched.Sa_mapper
 module Metrics = Tats_sched.Metrics
 module Online = Tats_sched.Online
 
-let search ?release ~prune ~graph ~lib ~pes () =
+(* Every earliest-start schedule, depth first: [leaf] sees each complete
+   one's PEs, starts and finishes (arrays it must copy to keep). With
+   [cut], a branch is skipped once [cut bound] holds for a lower bound on
+   the makespan of every completion. With [symmetric], one empty PE among
+   interchangeable ones is tried. *)
+let explore ?release ?cut ~symmetric ~leaf ~graph ~lib ~pes () =
   let n = Graph.n_tasks graph and n_pes = Array.length pes in
   let release = Option.value release ~default:(Array.make n 0.0) in
   let comm = Library.comm lib in
@@ -48,14 +56,15 @@ let search ?release ~prune ~graph ~lib ~pes () =
           (fun (i : Pe.inst) -> Library.wcet lib ~task_type ~kind:i.Pe.kind.Pe.kind_id)
           pes)
   in
-  (* PEs of one kind on a bus are interchangeable: an empty PE is as good
-     as any other, so only the first one is tried. *)
+  (* PEs of one kind on a bus are interchangeable for the makespan: an
+     empty PE is as good as any other, so only the first one is tried. *)
   let interchangeable =
-    prune && comm.Comm.topology = Comm.Shared_bus
+    symmetric && comm.Comm.topology = Comm.Shared_bus
     && Array.for_all (fun (i : Pe.inst) -> i.Pe.kind.Pe.kind_id = pes.(0).Pe.kind.Pe.kind_id) pes
   in
   let order = Graph.topological_order graph in
-  let pe_of = Array.make n (-1) and finish = Array.make n 0.0 in
+  let pe_of = Array.make n (-1) and start = Array.make n 0.0 in
+  let finish = Array.make n 0.0 in
   let avail = Array.make n_pes 0.0 in
   let missing = Array.init n (fun t -> List.length (Graph.preds graph t)) in
   (* [early.(p)] of an unplaced predecessor: see [lower_bound]. *)
@@ -86,16 +95,18 @@ let search ?release ~prune ~graph ~lib ~pes () =
         Float.max bound (if pe_of.(t) >= 0 then finish.(t) else early.(t)))
       0.0 order
   in
-  let best = ref infinity in
   let rec go placed used =
-    if placed = n then best := Float.min !best (Array.fold_left Float.max 0.0 finish)
-    else if (not prune) || lower_bound () < !best then
+    if placed = n then leaf ~pe_of ~start ~finish
+    else if match cut with None -> true | Some cut -> not (cut (lower_bound ()))
+    then
       for t = 0 to n - 1 do
         if pe_of.(t) < 0 && missing.(t) = 0 then
           for pe = 0 to if interchangeable then min used (n_pes - 1) else n_pes - 1 do
             let before = avail.(pe) in
-            let f = Float.max (arrival t pe) before +. wcet.(t).(pe) in
+            let s = Float.max (arrival t pe) before in
+            let f = s +. wcet.(t).(pe) in
             pe_of.(t) <- pe;
+            start.(t) <- s;
             finish.(t) <- f;
             avail.(pe) <- f;
             List.iter (fun (s, _) -> missing.(s) <- missing.(s) - 1) (Graph.succs graph t);
@@ -107,7 +118,19 @@ let search ?release ~prune ~graph ~lib ~pes () =
           done
       done
   in
-  go 0 0;
+  go 0 0
+
+let makespan_of finish = Array.fold_left Float.max 0.0 finish
+
+(* The optimum makespan; [prune] skips the branches that cannot beat the
+   best found and the interchangeable PEs. *)
+let search ?release ~prune ~graph ~lib ~pes () =
+  let best = ref infinity in
+  explore ?release
+    ?cut:(if prune then Some (fun bound -> bound >= !best) else None)
+    ~symmetric:prune
+    ~leaf:(fun ~pe_of:_ ~start:_ ~finish -> best := Float.min !best (makespan_of finish))
+    ~graph ~lib ~pes ();
   !best
 
 let optimum ?release ~graph ~lib ~pes () =
@@ -115,7 +138,9 @@ let optimum ?release ~graph ~lib ~pes () =
 
 (* --- inputs ------------------------------------------------------------- *)
 
-let small_graph seed =
+(* [deadline] draws nothing from the generator, so it changes only the
+   graph's deadline. *)
+let small_graph ?(deadline = Generator.default_spec.Generator.deadline) seed =
   let n_tasks = 5 + (seed mod 3) in
   let lo, _ = Generator.feasible_edges ~n_tasks in
   Generator.generate ~seed:(900 + seed)
@@ -123,6 +148,7 @@ let small_graph seed =
     {
       Generator.default_spec with
       Generator.n_tasks;
+      deadline;
       (* Sparse, so that tasks run in parallel and PE choices matter. *)
       n_edges = lo + (seed mod 3);
       n_task_types = Benchmarks.n_task_types;
@@ -353,6 +379,258 @@ let test_release_floors () =
        ~wcet:[| [| 10.0 |]; [| 30.0 |]; [| 30.0 |]; [| 10.0 |] |]
        [ (0, 1, 2.0); (0, 2, 2.0); (1, 3, 2.0); (2, 3, 2.0) ])
 
+(* --- the temperature oracle ---------------------------------------------- *)
+
+(* The coolest schedules of the same space among those that meet the
+   graph's deadline: the lowest peak and the lowest average steady-state
+   temperature, as [Metrics] reports them, each with a schedule reaching
+   it. [Metrics] runs each PE at its energy over the makespan, and a PE's
+   energy depends on the assignment alone; temperatures rise with power
+   (DESIGN.md §6). So under one assignment the longest deadline-meeting
+   makespan is the coolest on both metrics, and only that schedule of
+   each assignment is evaluated. A branch whose makespan bound already
+   misses the deadline is skipped. [None] when no schedule meets it. *)
+type coolest = { peak : float * Schedule.t; mean : float * Schedule.t }
+
+(* [Schedule.meets_deadline]'s test, on a makespan. *)
+let meets graph makespan = makespan <= Graph.deadline graph +. 1e-9
+
+let coolest ~graph ~lib ~pes ~hotspot =
+  let n = Graph.n_tasks graph and n_pes = Array.length pes in
+  let energy =
+    Array.init n (fun t ->
+        let task_type = (Graph.task graph t).Task.task_type in
+        Array.map
+          (fun (i : Pe.inst) -> Library.energy lib ~task_type ~kind:i.Pe.kind.Pe.kind_id)
+          pes)
+  in
+  (* Per assignment, its longest deadline-meeting makespan and entries. *)
+  let longest = Hashtbl.create 256 in
+  explore
+    ~cut:(fun bound -> not (meets graph bound))
+    ~symmetric:false
+    ~leaf:(fun ~pe_of ~start ~finish ->
+      let makespan = makespan_of finish in
+      if meets graph makespan then begin
+        let key = Array.fold_left (fun k pe -> (k * n_pes) + pe) 0 pe_of in
+        match Hashtbl.find_opt longest key with
+        | Some (m, _) when m >= makespan -> ()
+        | _ ->
+            let entries =
+              Array.init n (fun task ->
+                  let pe = pe_of.(task) in
+                  { Schedule.task; pe; start = start.(task); finish = finish.(task);
+                    energy = energy.(task).(pe) })
+            in
+            Hashtbl.replace longest key (makespan, entries)
+      end)
+    ~graph ~lib ~pes ();
+  let lower temp s = function
+    | Some (t, _) as best when t <= temp -> best
+    | _ -> Some (temp, s)
+  in
+  match
+    Hashtbl.fold
+      (fun _ (_, entries) (peak, mean) ->
+        let s = Schedule.make ~graph ~pes ~entries in
+        let r = Metrics.thermal_report s ~hotspot in
+        (lower r.Metrics.max_temp s peak, lower r.Metrics.avg_temp s mean))
+      longest (None, None)
+  with
+  | Some peak, Some mean -> Some { peak; mean }
+  | _ -> None
+
+(* The small graphs, each with its deadline 20% past its optimum makespan
+   on the platform, so that the deadline binds. *)
+let binding_graphs (lib, pes) =
+  List.mapi
+    (fun seed graph ->
+      small_graph ~deadline:(1.2 *. optimum ~graph ~lib ~pes ()) seed)
+    graphs
+
+(* Per platform: its hotspot, and each binding graph with its oracle. *)
+let thermal_cases =
+  List.map
+    (fun (pname, ((lib, pes) as platform)) ->
+      let hotspot = hotspot pes in
+      ( pname,
+        (lib, pes, hotspot),
+        List.map
+          (fun graph -> (graph, coolest ~graph ~lib ~pes ~hotspot))
+          (binding_graphs platform) ))
+    platforms
+
+let thermal_case pname =
+  let _, platform, cases = List.find (fun (p, _, _) -> p = pname) thermal_cases in
+  (platform, cases)
+
+(* Every policy's [run] and [run_adaptive] schedule that meets the deadline
+   is no cooler than the oracle on either metric; none meets it where no
+   schedule does. *)
+let test_no_policy_cooler pname () =
+  let (lib, pes, hotspot), cases = thermal_case pname in
+  let checked = ref 0 in
+  List.iter
+    (fun (graph, oracle) ->
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun (what, s) ->
+              let at =
+                Printf.sprintf "%s/%s/%s %s" pname (Graph.name graph)
+                  (Policy.name policy) what
+              in
+              if Schedule.meets_deadline s then
+                match oracle with
+                | None -> Alcotest.failf "%s meets a deadline no schedule meets" at
+                | Some { peak = peak, _; mean = mean, _ } ->
+                    incr checked;
+                    let r = Metrics.thermal_report s ~hotspot in
+                    if not (r.Metrics.max_temp >= peak) then
+                      Alcotest.failf "%s: peak %h below the coolest %h" at
+                        r.Metrics.max_temp peak;
+                    if not (r.Metrics.avg_temp >= mean) then
+                      Alcotest.failf "%s: average %h below the coolest %h" at
+                        r.Metrics.avg_temp mean)
+            (list_sched policy ~graph ~lib ~pes))
+        Policy.all)
+    cases;
+  Alcotest.(check bool) "some schedule meets its deadline" true (!checked > 0)
+
+(* On one PE every order has the same makespan and energy, so every
+   policy's schedule is as cool as the oracle's, bit for bit. The same
+   only up to rounding with the platform's own WCETs, whose sums depend on
+   their order: here they are rounded to integers, so every sum is exact. *)
+let test_one_pe_anchor () =
+  let platform = Catalog.platform_library () and pes = Catalog.platform_instances 1 in
+  let table f =
+    Array.init Benchmarks.n_task_types (fun task_type -> [| f ~task_type ~kind:0 |])
+  in
+  let lib =
+    Library.of_tables ~kinds:[ Catalog.platform_kind () ]
+      ~wcet:(table (fun ~task_type ~kind -> Float.round (Library.wcet platform ~task_type ~kind)))
+      ~wcpc:(table (Library.wcpc platform))
+      ~comm:(Library.comm platform) ()
+  in
+  let hotspot = hotspot pes in
+  List.iter
+    (fun graph ->
+      match coolest ~graph ~lib ~pes ~hotspot with
+      | None -> Alcotest.failf "%s: the serial schedule misses" (Graph.name graph)
+      | Some { peak = peak, _; mean = mean, _ } ->
+          List.iter
+            (fun policy ->
+              List.iter
+                (fun (what, s) ->
+                  let at =
+                    Printf.sprintf "%s/%s %s" (Graph.name graph) (Policy.name policy)
+                      what
+                  in
+                  let r = Metrics.thermal_report s ~hotspot in
+                  Alcotest.(check (float 0.0)) (at ^ ": peak") peak r.Metrics.max_temp;
+                  Alcotest.(check (float 0.0)) (at ^ ": average") mean
+                    r.Metrics.avg_temp)
+                (list_sched policy ~graph ~lib ~pes))
+            Policy.all)
+    graphs
+
+(* Two independent tasks of one type on std2, far from the deadline: split
+   over both PEs they finish soonest and add twice the power; in a row on
+   one PE they are coolest on both metrics, on whichever PE is cooler. *)
+let test_serial_is_coolest () =
+  let lib = Catalog.platform_library () and pes = Catalog.platform_instances 2 in
+  let hotspot = hotspot pes in
+  let b = Graph.builder ~name:"pair" ~deadline:1000.0 in
+  let t0 = Graph.add_task b ~task_type:0 () in
+  let t1 = Graph.add_task b ~task_type:0 () in
+  let graph = Graph.build b in
+  let w = Library.wcet lib ~task_type:0 ~kind:0 in
+  let energy = Library.energy lib ~task_type:0 ~kind:0 in
+  let report (pe0, s0) (pe1, s1) =
+    let entry task pe start =
+      { Schedule.task; pe; start; finish = start +. w; energy }
+    in
+    Metrics.thermal_report ~hotspot
+      (Schedule.make ~graph ~pes ~entries:[| entry t0 pe0 s0; entry t1 pe1 s1 |])
+  in
+  let serial = List.map (fun pe -> report (pe, 0.0) (pe, w)) [ 0; 1 ] in
+  let split = report (0, 0.0) (1, 0.0) in
+  let lowest f = List.fold_left (fun m r -> Float.min m (f r)) infinity serial in
+  let peak = lowest (fun r -> r.Metrics.max_temp)
+  and mean = lowest (fun r -> r.Metrics.avg_temp) in
+  Alcotest.(check bool) "the split is hotter" true
+    (split.Metrics.max_temp > peak && split.Metrics.avg_temp > mean);
+  match coolest ~graph ~lib ~pes ~hotspot with
+  | None -> Alcotest.fail "no schedule meets the deadline"
+  | Some { peak = p, _; mean = m, _ } ->
+      Alcotest.(check (float 0.0)) "peak" peak p;
+      Alcotest.(check (float 0.0)) "average" mean m
+
+(* The oracle's coolest schedules are valid, meet the deadline and reach
+   the temperatures it reports. *)
+let test_witnesses () =
+  List.iter
+    (fun (pname, (lib, _, hotspot), cases) ->
+      List.iter
+        (fun (graph, oracle) ->
+          let at what = Printf.sprintf "%s/%s %s" pname (Graph.name graph) what in
+          match oracle with
+          | None -> Alcotest.failf "%s" (at "has no deadline-meeting schedule")
+          | Some { peak = peak, s_peak; mean = mean, s_mean } ->
+              List.iter
+                (fun (what, temp, s, metric) ->
+                  Alcotest.(check int) (at (what ^ " violations")) 0
+                    (List.length (Schedule.validate ~lib s));
+                  Alcotest.(check bool) (at (what ^ " meets")) true
+                    (Schedule.meets_deadline s);
+                  Alcotest.(check (float 0.0)) (at what) temp
+                    (metric (Metrics.thermal_report s ~hotspot)))
+                [
+                  ("peak", peak, s_peak, fun r -> r.Metrics.max_temp);
+                  ("average", mean, s_mean, fun r -> r.Metrics.avg_temp);
+                ])
+        cases)
+    thermal_cases
+
+(* The oracle evaluates only each assignment's longest deadline-meeting
+   makespan. Evaluating every deadline-meeting schedule instead, with no
+   branch cut, must find the same lowest temperatures. *)
+let test_longest_is_coolest () =
+  List.iter
+    (fun (pname, (lib, pes, hotspot), cases) ->
+      List.iter
+        (fun (graph, oracle) ->
+          let n = Graph.n_tasks graph in
+          let peak = ref infinity and mean = ref infinity in
+          explore ~symmetric:false
+            ~leaf:(fun ~pe_of ~start ~finish ->
+              if meets graph (makespan_of finish) then begin
+                let entries =
+                  Array.init n (fun task ->
+                      let pe = pe_of.(task) in
+                      let kind = pes.(pe).Pe.kind.Pe.kind_id in
+                      { Schedule.task; pe; start = start.(task);
+                        finish = finish.(task);
+                        energy =
+                          Library.energy lib
+                            ~task_type:(Graph.task graph task).Task.task_type ~kind })
+                in
+                let r =
+                  Metrics.thermal_report ~hotspot (Schedule.make ~graph ~pes ~entries)
+                in
+                peak := Float.min !peak r.Metrics.max_temp;
+                mean := Float.min !mean r.Metrics.avg_temp
+              end)
+            ~graph ~lib ~pes ();
+          let at what = Printf.sprintf "%s/%s %s" pname (Graph.name graph) what in
+          match oracle with
+          | None -> Alcotest.failf "%s" (at "has no deadline-meeting schedule")
+          | Some { peak = p, _; mean = m, _ } ->
+              Alcotest.(check (float 0.0)) (at "peak") !peak p;
+              Alcotest.(check (float 0.0)) (at "average") !mean m)
+        cases)
+    thermal_cases
+
 let () =
   let policy_cases platforms suffix =
     List.map
@@ -380,6 +658,21 @@ let () =
           Alcotest.test_case "heft" `Quick (against_oracle platforms heft);
           Alcotest.test_case "sa_mapper" `Quick (against_oracle platforms sa_mapper);
           Alcotest.test_case "makespan lower bound" `Quick test_lower_bound;
+        ] );
+      ( "temperature",
+        [
+          Alcotest.test_case "no policy cooler on std2" `Quick
+            (test_no_policy_cooler "std2");
+          Alcotest.test_case "no policy cooler on std3" `Quick
+            (test_no_policy_cooler "std3");
+          Alcotest.test_case "no policy cooler on biglittle2" `Quick
+            (test_no_policy_cooler "biglittle2");
+          Alcotest.test_case "one PE: every policy at the oracle" `Quick
+            test_one_pe_anchor;
+          Alcotest.test_case "serial pair is coolest" `Quick test_serial_is_coolest;
+          Alcotest.test_case "witnesses" `Quick test_witnesses;
+          Alcotest.test_case "longest makespan is coolest" `Quick
+            test_longest_is_coolest;
         ] );
       ( "online, released",
         [

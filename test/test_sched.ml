@@ -3,7 +3,6 @@
 
 module Graph = Tats_taskgraph.Graph
 module Benchmarks = Tats_taskgraph.Benchmarks
-module Cond = Tats_taskgraph.Cond
 module Pe = Tats_techlib.Pe
 module Library = Tats_techlib.Library
 module Catalog = Tats_techlib.Catalog
@@ -159,6 +158,49 @@ let test_validate_detects_overlap () =
   let violations = Schedule.validate ~lib:platform_lib forged in
   Alcotest.(check bool) "overlap caught" true
     (List.exists (function Schedule.Pe_overlap _ -> true | _ -> false) violations)
+
+(* Every comparison with NaN is false, so each check must be written to
+   fail on it: a schedule whose times are all NaN is not valid. *)
+let test_validate_detects_nan_times () =
+  let g = Benchmarks.load 0 in
+  let s = run_platform ~policy:Policy.Baseline g in
+  let entries =
+    Array.map
+      (fun (e : Schedule.entry) ->
+        { e with Schedule.start = Float.nan; finish = Float.nan })
+      s.Schedule.entries
+  in
+  let forged = Schedule.make ~graph:g ~pes:(platform_pes 4) ~entries in
+  let violations = Schedule.validate ~lib:platform_lib forged in
+  Array.iter
+    (fun (e : Schedule.entry) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "task %d: NaN times caught" e.Schedule.task)
+        true
+        (List.mem (Schedule.Negative_time e.Schedule.task) violations))
+    entries
+
+(* An infinite start and finish pass every ordering check, but their
+   difference is NaN, not the task's WCET: a schedule whose times are all
+   infinite is not valid either. *)
+let test_validate_detects_infinite_times () =
+  let g = Benchmarks.load 0 in
+  let s = run_platform ~policy:Policy.Baseline g in
+  let entries =
+    Array.map
+      (fun (e : Schedule.entry) ->
+        { e with Schedule.start = Float.infinity; finish = Float.infinity })
+      s.Schedule.entries
+  in
+  let forged = Schedule.make ~graph:g ~pes:(platform_pes 4) ~entries in
+  let violations = Schedule.validate ~lib:platform_lib forged in
+  Array.iter
+    (fun (e : Schedule.entry) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "task %d: infinite times caught" e.Schedule.task)
+        true
+        (List.mem (Schedule.Bad_duration e.Schedule.task) violations))
+    entries
 
 let test_validate_detects_bad_duration () =
   let g = small_graph () in
@@ -317,28 +359,6 @@ let test_h1_prefers_low_power_pe () =
   Array.iter
     (fun (e : Schedule.entry) -> Alcotest.(check int) "on the cool PE" 1 e.Schedule.pe)
     s.Schedule.entries
-
-let test_exclusive_tasks_may_overlap () =
-  (* Conditional fork: tasks 1 and 2 are mutually exclusive; on a single PE
-     they may share the time slot. *)
-  let b = Graph.builder ~name:"cond" ~deadline:1e6 in
-  let t0 = Graph.add_task b ~task_type:0 () in
-  let t1 = Graph.add_task b ~task_type:1 () in
-  let t2 = Graph.add_task b ~task_type:1 () in
-  Graph.add_edge b t0 t1;
-  Graph.add_edge b t0 t2;
-  let graph = Graph.build b in
-  let cond = Cond.make graph [ (t0, t1, 0, true); (t0, t2, 0, false) ] in
-  let exclusive = Cond.mutually_exclusive cond in
-  let pes = platform_pes 1 in
-  let serial = List_sched.run ~graph ~lib:platform_lib ~pes ~policy:Policy.Baseline () in
-  let shared =
-    List_sched.run ~exclusive ~graph ~lib:platform_lib ~pes ~policy:Policy.Baseline ()
-  in
-  Alcotest.(check bool) "exclusion shortens the schedule" true
-    (shared.Schedule.makespan < serial.Schedule.makespan -. 1e-9);
-  Alcotest.(check int) "still valid under exclusion" 0
-    (List.length (Schedule.validate ~exclusive ~lib:platform_lib shared))
 
 let test_mesh_comm_schedules_validly () =
   (* The same library over a 2x2 mesh NoC: schedules stay valid and the
@@ -617,6 +637,8 @@ let () =
           Alcotest.test_case "overlap" `Quick test_validate_detects_overlap;
           Alcotest.test_case "bad duration" `Quick test_validate_detects_bad_duration;
           Alcotest.test_case "make validation" `Quick test_schedule_make_validation;
+          Alcotest.test_case "NaN times" `Quick test_validate_detects_nan_times;
+          Alcotest.test_case "infinite times" `Quick test_validate_detects_infinite_times;
         ] );
       ( "list_sched",
         [
@@ -629,7 +651,6 @@ let () =
           Alcotest.test_case "single PE serializes" `Quick test_single_pe_serializes;
           Alcotest.test_case "heterogeneous valid" `Quick test_heterogeneous_valid;
           Alcotest.test_case "h1 prefers low power" `Quick test_h1_prefers_low_power_pe;
-          Alcotest.test_case "exclusive overlap" `Quick test_exclusive_tasks_may_overlap;
           Alcotest.test_case "mesh NoC validity" `Quick test_mesh_comm_schedules_validly;
           Alcotest.test_case "mesh energy by distance" `Quick
             test_mesh_comm_energy_distance_dependent;

@@ -165,6 +165,29 @@ let test_sa_mapper_deterministic () =
   in
   Alcotest.(check (float 0.0)) "same cost" (run ()).Sa_mapper.cost (run ()).Sa_mapper.cost
 
+(* An infinite initial temperature never cools below the minimum, so the
+   annealing loop would not end: every non-finite parameter is refused
+   before it starts. *)
+let test_sa_mapper_rejects_non_finite_params () =
+  let graph = Benchmarks.load 0 in
+  List.iter
+    (fun (what, params) ->
+      Alcotest.(check bool) what true
+        (try
+           ignore
+             (Sa_mapper.run ~params ~seed:1 ~objective:Sa_mapper.Makespan ~graph
+                ~lib:platform_lib ~pes:(platform_pes 4) ()
+               : Sa_mapper.result);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("initial inf", { fast_params with Sa_mapper.initial_temperature = Float.infinity });
+      ("initial nan", { fast_params with Sa_mapper.initial_temperature = Float.nan });
+      ("minimum inf", { fast_params with Sa_mapper.min_temperature = Float.infinity });
+      ("minimum nan", { fast_params with Sa_mapper.min_temperature = Float.nan });
+      ("cooling nan", { fast_params with Sa_mapper.cooling = Float.nan });
+    ]
+
 (* --- Dvs ------------------------------------------------------------------ *)
 
 let baseline_schedule bench =
@@ -500,6 +523,8 @@ let () =
             test_sa_mapper_no_worse_than_baseline;
           Alcotest.test_case "thermal objective" `Quick test_sa_mapper_thermal_objective;
           Alcotest.test_case "deterministic" `Quick test_sa_mapper_deterministic;
+          Alcotest.test_case "non-finite params rejected" `Quick
+            test_sa_mapper_rejects_non_finite_params;
         ] );
       ( "dvs",
         [

@@ -6,7 +6,6 @@ module Graph = Tats_taskgraph.Graph
 module Criticality = Tats_taskgraph.Criticality
 module Generator = Tats_taskgraph.Generator
 module Benchmarks = Tats_taskgraph.Benchmarks
-module Cond = Tats_taskgraph.Cond
 module Dot = Tats_taskgraph.Dot
 
 (* A small diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3. *)
@@ -277,49 +276,6 @@ let test_benchmark_task_types_in_range () =
         (Graph.tasks g))
     (Benchmarks.all ())
 
-(* --- Conditional task graphs ------------------------------------------- *)
-
-(* 0 branches on variable 0: true -> 1, false -> 2; both rejoin at 3 via a
-   second diamond-like structure (3 unconditional from 0). *)
-let cond_graph () =
-  let b = Graph.builder ~name:"cond" ~deadline:100.0 in
-  let t0 = Graph.add_task b ~task_type:0 () in
-  let t1 = Graph.add_task b ~task_type:0 () in
-  let t2 = Graph.add_task b ~task_type:0 () in
-  let t3 = Graph.add_task b ~task_type:0 () in
-  let t4 = Graph.add_task b ~task_type:0 () in
-  Graph.add_edge b t0 t1;
-  Graph.add_edge b t0 t2;
-  Graph.add_edge b t0 t3;
-  Graph.add_edge b t1 t4;
-  Graph.add_edge b t2 t4;
-  let g = Graph.build b in
-  (g, Cond.make g [ (t0, t1, 0, true); (t0, t2, 0, false) ])
-
-let test_cond_guards () =
-  let _, c = cond_graph () in
-  Alcotest.(check (list (pair int bool))) "guard of 1" [ (0, true) ] (Cond.guard_of c 1);
-  Alcotest.(check (list (pair int bool))) "guard of 2" [ (0, false) ] (Cond.guard_of c 2);
-  Alcotest.(check (list (pair int bool))) "unconditional" [] (Cond.guard_of c 3)
-
-let test_cond_rejoin_cancels () =
-  (* Task 4 is reached both under v0=true (via 1) and v0=false (via 2): the
-     conflicting literals cancel and 4 is unconditional. *)
-  let _, c = cond_graph () in
-  Alcotest.(check (list (pair int bool))) "rejoin" [] (Cond.guard_of c 4)
-
-let test_cond_exclusion () =
-  let _, c = cond_graph () in
-  Alcotest.(check bool) "1 and 2 exclusive" true (Cond.mutually_exclusive c 1 2);
-  Alcotest.(check bool) "1 and 3 not" false (Cond.mutually_exclusive c 1 3);
-  Alcotest.(check (list (pair int int))) "pairs" [ (1, 2) ] (Cond.exclusion_pairs c)
-
-let test_cond_rejects_bad_edge () =
-  let g = diamond () in
-  Alcotest.(check bool) "bad edge" true
-    (try ignore (Cond.make g [ (3, 0, 0, true) ] : Cond.t); false
-     with Invalid_argument _ -> true)
-
 (* --- Dot ---------------------------------------------------------------- *)
 
 let test_dot_contains_nodes_and_edges () =
@@ -378,13 +334,6 @@ let () =
             test_benchmark_descriptors_match_paper;
           Alcotest.test_case "by name" `Quick test_benchmark_by_name;
           Alcotest.test_case "task types" `Quick test_benchmark_task_types_in_range;
-        ] );
-      ( "conditional",
-        [
-          Alcotest.test_case "guards" `Quick test_cond_guards;
-          Alcotest.test_case "rejoin cancels" `Quick test_cond_rejoin_cancels;
-          Alcotest.test_case "exclusion" `Quick test_cond_exclusion;
-          Alcotest.test_case "bad edge rejected" `Quick test_cond_rejects_bad_edge;
         ] );
       ("dot", [ Alcotest.test_case "render" `Quick test_dot_contains_nodes_and_edges ]);
       ( "properties",
